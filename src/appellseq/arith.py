@@ -4,8 +4,8 @@ Every numeric value in this package is a `fractions.Fraction`: arbitrary
 precision, stored in lowest terms with a positive denominator, so equality
 is structural and safe for cross-algorithm comparison.  The helpers here
 add the wire format ("p/q" strings), the binomial convention used by the
-Hasse-Teichmueller derivative, rising factorials, and composition
-enumeration.
+Hasse-Teichmueller derivative, rising factorials, and composition and
+partition enumeration.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import re
 from fractions import Fraction
 from typing import Iterator, Union
 
-#: Strict compositions of n blow up as 2^(n-1); enumeration past this point
-#: is refused instead of silently grinding.
+#: Largest n whose compositions or partitions are enumerated by default.
+#: Strict compositions number 2^(n-1) and partitions p(n) ~ exp(pi sqrt(2n/3));
+#: past the cap enumeration is refused instead of silently grinding.
 DEFAULT_COMPOSITION_CAP = 22
 
 RationalLike = Union[Fraction, int]
@@ -25,7 +26,8 @@ _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
 
 
 class CombinatorialBlowupError(ValueError):
-    """Raised when a composition enumeration would exceed the configured cap."""
+    """Raised when an enumeration of compositions or partitions would exceed
+    the configured cap."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -109,4 +111,37 @@ def _compositions(n: int, k: int, lo: int) -> Iterator[tuple[int, ...]]:
         return
     for first in range(lo, n - lo * (k - 1) + 1):
         for rest in _compositions(n - first, k - 1, lo):
+            yield (first,) + rest
+
+
+def partitions(
+    n: int, *, cap: int | None = DEFAULT_COMPOSITION_CAP
+) -> Iterator[tuple[int, ...]]:
+    """Enumerate the partitions of n as non-increasing tuples of parts >= 1.
+
+    The order is deterministic (reverse lexicographic, largest first part
+    first) and each partition is produced exactly once; n = 0 has the one
+    empty partition.  Sorting each strict composition of n into k parts
+    gives a partition with k parts, and each partition with multiplicities
+    m_i arises from k!/prod(m_i!) compositions.
+
+    Raises CombinatorialBlowupError when n exceeds `cap` (pass cap=None to
+    disable the guard).
+    """
+    if n < 0:
+        raise ValueError(f"partitions needs n >= 0, got {n}")
+    if cap is not None and n > cap:
+        raise CombinatorialBlowupError(
+            f"refusing to enumerate partitions of n={n}: "
+            f"enumeration cap is {cap}"
+        )
+    return _partitions(n, n)
+
+
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
             yield (first,) + rest

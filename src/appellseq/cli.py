@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from . import determinants, engine
 from .arith import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError, parse_rational
 from .engine import (
+    CoefficientSequence,
     NormalizationError,
     RelatedNumberTable,
     appell_polynomial,
@@ -57,6 +58,8 @@ class RunConfig:
             raise ValueError(f"--order must be >= 1, got {self.order}")
         if self.n_max < 0:
             raise ValueError(f"--n must be >= 0, got {self.n_max}")
+        if self.cap < 0:
+            raise ValueError(f"--cap must be >= 0, got {self.cap}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,8 +158,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _compute_table(config: RunConfig) -> RelatedNumberTable:
-    seq = family_coefficients(config.family, config.n_max)
+def _compute_table(config: RunConfig, seq: CoefficientSequence) -> RelatedNumberTable:
     algo = config.algorithm
     if algo == "recurrence":
         return engine.related_numbers_recurrence(seq, config.order, config.n_max)
@@ -180,7 +182,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if not report.agree:
             print(f"cross-verification failed: {report.describe()}", file=sys.stderr)
             return EXIT_MISMATCH
-    table = _compute_table(config)
+    table = _compute_table(config, seq)
     emit_table(table, config)
     return EXIT_OK
 
@@ -334,7 +336,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KernelMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (NormalizationError, ValueError, OSError) as exc:
+    except (NormalizationError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,10 +15,10 @@ Two kernels evaluate it:
   recurrence det_n = sum_{l=1..n} (-1)^(l-1) D(l) det_{n-l}, which is the
   cofactor expansion along the first row.  One pass yields every minor,
   so a whole table costs O(n^2) rational operations.
-* `bareiss_det` clears denominators with one common multiplier and runs
-  fraction-free (Bareiss) elimination over big integers, an algebraically
-  independent check on the minor recurrence.  Intermediate divisions are
-  exact, which keeps entry growth to single-minor size.
+* `bareiss_det` clears the denominators of each row by that row's own
+  lcm and runs fraction-free (Bareiss) elimination over big integers, an
+  algebraically independent check on the minor recurrence.  Intermediate
+  divisions are exact, which keeps entry growth to single-minor size.
 """
 
 from __future__ import annotations
@@ -88,26 +88,27 @@ def bareiss_det(
 ) -> Fraction:
     """Exact determinant of a rational matrix by fraction-free elimination.
 
-    All entries are scaled by L, the lcm of their denominators, the
-    integer determinant is computed by Bareiss elimination (with row
-    pivoting; a zero pivot column means the determinant is zero), and the
-    result is det / L^n.  When `stats` is given, the largest bit length of
-    any intermediate integer entry is recorded under "max_num_bits".
+    Row i is scaled by L_i, the lcm of its own denominators, the integer
+    determinant is computed by Bareiss elimination (with row pivoting; a
+    zero pivot column means the determinant is zero), and the result is
+    det / prod(L_i).  A lower Hessenberg row holds only the first few D
+    values, so its L_i is far smaller than the lcm over the whole matrix.
+    When `stats` is given, the largest bit length of any intermediate
+    integer entry is recorded under "max_num_bits".
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
+    lifted = []
     scale = 1
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
-        for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    lifted = [
-        [x.numerator * (scale // x.denominator) for x in row] for row in matrix
-    ]
+        row_scale = math.lcm(*(x.denominator for x in row))
+        lifted.append([x.numerator * (row_scale // x.denominator) for x in row])
+        scale *= row_scale
     det = _bareiss_int(lifted, stats)
-    return Fraction(det, scale**n)
+    return Fraction(det, scale)
 
 
 def _bareiss_int(A: list[list[int]], stats: Optional[StatsDict]) -> int:

@@ -16,7 +16,8 @@ Three independent algorithms compute the same table a_0..a_{n_max}:
   a_n = -n! sum_{m<n} D_r(n-m) a_m / m!, the production path;
 * `related_numbers_composition`: the explicit alternating sum
   a_n = n! sum_k (-1)^k sum over strict compositions e_1+..+e_k = n of
-  D_r(e_1)...D_r(e_k), exponential in n and used as a small-n oracle;
+  D_r(e_1)...D_r(e_k), with the compositions grouped by the partition
+  they sort to, so it costs p(n) terms per n; a small-n oracle;
 * `related_numbers_determinant`: (-1)^n n! times the determinant of the
   unit-superdiagonal Hessenberg matrix over D_r(1)..D_r(n), with a choice
   of two kernels.
@@ -29,6 +30,7 @@ first disagreement, if any; agreement must be exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -37,7 +39,8 @@ from .arith import (
     DEFAULT_COMPOSITION_CAP,
     CombinatorialBlowupError,
     binomial,
-    compositions,
+    compositions,  # unused here; perfbench/spans.py wraps engine.compositions
+    partitions,
 )
 from .determinants import (
     StatsDict,
@@ -216,10 +219,17 @@ def related_numbers_composition(
     n_max: Optional[int] = None,
     cap: int = DEFAULT_COMPOSITION_CAP,
 ) -> RelatedNumberTable:
-    """Explicit alternating sum over all strict compositions of each n.
+    """Explicit alternating sum over the strict compositions of each n.
 
-    Enumerates 2^(n-1) tuples per n, so it is an oracle for small n, not a
-    production path; n_max past `cap` raises CombinatorialBlowupError.
+    The 2^(n-1) compositions are grouped by the partition lambda they sort
+    to, Faa di Bruno style:
+
+        a_n = n! sum_lambda (-1)^l(lambda) l(lambda)!/prod_i m_i(lambda)!
+                            * prod_j D_r(lambda_j),
+
+    where l(lambda) is the number of parts and m_i(lambda) the number of
+    parts equal to i.  It is an oracle for small n, not a production path;
+    n_max past `cap` raises CombinatorialBlowupError.
     """
     n_max = seq._resolve(n_max)
     if n_max > cap:
@@ -233,14 +243,15 @@ def related_numbers_composition(
     a = [_ONE]
     for n in range(1, n_max + 1):
         total = _ZERO
-        for k in range(1, n + 1):
-            ksum = _ZERO
-            for parts in compositions(n, k, cap=cap):
-                prod = D[parts[0]]
-                for e in parts[1:]:
-                    prod *= D[e]
-                ksum += prod
-            total = total - ksum if k & 1 else total + ksum
+        for parts in partitions(n, cap=cap):
+            # the number of compositions that sort to this partition
+            orderings = fact[len(parts)]
+            prod = _ONE
+            for e, m in Counter(parts).items():
+                orderings //= fact[m]
+                prod *= D[e] ** m
+            term = orderings * prod
+            total = total - term if len(parts) & 1 else total + term
         a.append(fact[n] * total)
     return RelatedNumberTable(r=r, a=tuple(a), algorithm=COMPOSITION)
 
@@ -303,12 +314,21 @@ class VerificationReport:
     def agree(self) -> bool:
         return self.first_mismatch is None
 
+    @property
+    def coverage(self) -> dict[str, int]:
+        """Largest n each route computed; every route starts at n = 0."""
+        return {name: len(table) - 1 for name, table in self.tables.items()}
+
     def describe(self) -> str:
         if self.agree:
-            return (
+            text = (
                 f"all {len(self.tables)} routes agree for r={self.r}, "
                 f"n <= {self.n_max}"
             )
+            for name, top in self.coverage.items():
+                if top < self.n_max:
+                    text += f", {name} only n <= {top}"
+            return text
         return f"routes disagree first at n={self.first_mismatch} (r={self.r})"
 
 

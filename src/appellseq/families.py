@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .arith import parse_rational, rising_factorial
+from .arith import parse_rational
 from .engine import CoefficientSequence, NormalizationError
 from .series import TruncatedSeries
 
@@ -94,19 +94,16 @@ def family_coefficients(spec: FamilySpec, n_max: int) -> CoefficientSequence:
     elif spec.kind == EULER:
         d = [Fraction(1)] + [Fraction(1, 2)] * n_max
     elif spec.kind == HYPER_BERNOULLI:
-        d = [
-            rising_factorial(spec.m, n) / rising_factorial(spec.m + spec.n, n)
-            for n in range(n_max + 1)
-        ]
+        # d_n = d_{n-1} (M+n-1)/(M+N+n-1): each rising factorial gains one
+        # factor per step, O(n) products for the table.
+        d = [Fraction(1)]
+        for k in range(n_max):
+            d.append(d[-1] * Fraction(spec.m + k, spec.m + spec.n + k))
     elif spec.kind == HYPER_CAUCHY:
-        d = []
-        for n in range(n_max + 1):
-            v = (
-                rising_factorial(spec.m, n)
-                * rising_factorial(spec.n, n)
-                / rising_factorial(spec.n + 1, n)
-            )
-            d.append(-v if n % 2 else v)
+        # d_n = -d_{n-1} (M+n-1)(N+n-1)/(N+n), likewise incremental.
+        d = [Fraction(1)]
+        for k in range(n_max):
+            d.append(d[-1] * Fraction(-(spec.m + k) * (spec.n + k), spec.n + 1 + k))
     elif spec.kind == CUSTOM:
         if n_max >= len(spec.values):
             raise ValueError(

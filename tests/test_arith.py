@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from appellseq.arith import (
     compositions,
     format_rational,
     parse_rational,
+    partitions,
     rising_factorial,
 )
 
@@ -149,3 +151,45 @@ class TestCompositions:
         strict = set(compositions(n, k))
         weak = set(compositions(n, k, weak=True))
         assert strict <= weak
+
+
+def orderings(parts):
+    """k!/prod(m_i!): the compositions that sort to this partition."""
+    count = math.factorial(len(parts))
+    for m in Counter(parts).values():
+        count //= math.factorial(m)
+    return count
+
+
+class TestPartitions:
+    def test_explicit_small_case(self):
+        assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        assert list(partitions(0)) == [()]
+
+    def test_weighted_count_is_all_compositions(self):
+        for n in range(1, 13):
+            assert sum(orderings(p) for p in partitions(n)) == 2 ** (n - 1)
+
+    def test_weights_match_sorted_compositions(self):
+        # every partition is a sorted strict composition, listed once
+        for n in range(1, 13):
+            got = list(partitions(n))
+            assert len(got) == len(set(got))
+            sorted_compositions = Counter()
+            for k in range(1, n + 1):
+                sorted_compositions.update(
+                    tuple(sorted(c, reverse=True)) for c in compositions(n, k)
+                )
+            assert sorted_compositions == {p: orderings(p) for p in got}
+
+    def test_cap_enforced(self):
+        with pytest.raises(CombinatorialBlowupError, match="cap"):
+            partitions(DEFAULT_COMPOSITION_CAP + 1)
+        # the guard is eager, before any iteration
+        with pytest.raises(CombinatorialBlowupError, match="cap"):
+            partitions(11, cap=10)
+        assert len(list(partitions(25, cap=None))) == 1958
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            partitions(-1)

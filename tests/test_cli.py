@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from appellseq import cli
 from appellseq.engine import VerificationReport
+from appellseq.families import family_coefficients
 
 F = Fraction
 
@@ -90,6 +91,21 @@ class TestComputeCommand:
         assert code == 4
         assert "cross-verification failed" in err
 
+    def test_family_coefficients_built_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(spec, n_max):
+            calls.append(n_max)
+            return family_coefficients(spec, n_max)
+
+        monkeypatch.setattr(cli, "family_coefficients", counted)
+        code, _, _ = run(
+            capsys, "compute", "--family", "euler", "--n", "6", "--check",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert calls == [6]
+
     def test_custom_family_round_trip(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text("# bernoulli by hand\n1\n1/2\n1/3\n1/4\n1/5\n")
@@ -169,6 +185,15 @@ class TestCapExit:
         assert code == 3
         assert "cap" in err
 
+    def test_negative_cap_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "compute", "--family", "bernoulli", "--n", "5",
+            "--check", "--cap", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --cap")
+
     def test_cap_flag_lowers_threshold(self, capsys):
         code, _, err = run(
             capsys, "compute", "--family", "bernoulli", "--n", "10",
@@ -221,6 +246,14 @@ class TestPolyCommand:
         # E_3(2) = 8 - 6 + 1/4
         assert Fraction(doc["value"]) == F(9, 4)
         assert doc["z"] == "2"
+
+    def test_zero_denominator_z_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "poly", "--family", "bernoulli", "--n", "3", "--z", "1/0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: zero denominator in '1/0'"]
 
     def test_bad_z_rejected(self, capsys):
         code, _, err = run(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -119,6 +120,24 @@ class TestBareiss:
         stats = {}
         bareiss_det(related_matrix(D, 12), stats=stats)
         assert stats["max_num_bits"] > 0
+
+    def test_rows_with_different_denominators(self):
+        # each row is lifted by its own lcm: 6, 35, 1 and 22
+        M = [
+            [F(1, 2), F(1, 3), F(0), F(1)],
+            [F(2, 5), F(-3, 7), F(1), F(4)],
+            [F(5), F(0), F(-2), F(1)],
+            [F(7, 11), F(1), F(1, 2), F(-3)],
+        ]
+        assert bareiss_det(M) == oracles.gauss_det(M)
+
+    def test_row_lift_keeps_bernoulli_entries_small(self):
+        # the lcm over the whole n=40 matrix gave 6476-bit intermediates
+        D = [F(1, math.factorial(e + 1)) for e in range(41)]
+        stats = {}
+        det = bareiss_det(related_matrix(D, 40), stats=stats)
+        assert det == hessenberg_leading_minors(D, 40)[40]
+        assert stats["max_num_bits"] < 6476
 
     @settings(max_examples=60)
     @given(matrix_strategy())

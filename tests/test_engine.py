@@ -188,6 +188,17 @@ class TestCrossVerify:
         assert len(report.tables[COMPOSITION]) == 11
         assert len(report.tables[RECURRENCE]) == 16
 
+    def test_capped_report_names_composition_range(self):
+        report = cross_verify(bernoulli_seq(14), 1, 14, cap=8)
+        assert report.coverage[COMPOSITION] == 8
+        assert report.coverage[RECURRENCE] == 14
+        text = report.describe()
+        assert text.startswith("all 5 routes agree for r=1, n <= 14")
+        assert "composition only n <= 8" in text
+        # a route that covered the full range is not singled out
+        full = cross_verify(bernoulli_seq(8), 1, 8, cap=8).describe()
+        assert full == "all 5 routes agree for r=1, n <= 8"
+
     def test_first_disagreement_detects_doctored_table(self):
         good = (F(1), F(-1, 2), F(1, 6))
         bad = (F(1), F(-1, 2), F(1, 7))

@@ -76,6 +76,19 @@ class TestCoefficients:
         d = family_coefficients(FamilySpec.hyper_cauchy(2, 3), 2).d
         assert d == (1, F(-2 * 3, 4), F(2 * 3 * 3 * 4, 4 * 5))
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 1), (4, 7)])
+    def test_hypergeometric_match_rising_factorial_forms(self, m, n):
+        from appellseq.arith import rising_factorial
+
+        bern = family_coefficients(FamilySpec.hyper_bernoulli(m, n), 30).d
+        cauchy = family_coefficients(FamilySpec.hyper_cauchy(m, n), 30).d
+        for k in range(31):
+            assert bern[k] == rising_factorial(m, k) / rising_factorial(m + n, k)
+            assert cauchy[k] == (-1) ** k * (
+                rising_factorial(m, k) * rising_factorial(n, k)
+                / rising_factorial(n + 1, k)
+            )
+
     def test_custom_serves_prefix(self):
         spec = FamilySpec.custom([1, F(1, 2), F(1, 3)])
         assert family_coefficients(spec, 1).d == (1, F(1, 2))
