@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -158,10 +159,22 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _route_name(config: RunConfig) -> str:
+    """The cross_verify table that the chosen --algo/--kernel prints."""
+    if config.algorithm == "determinant":
+        return (
+            engine.DETERMINANT_BAREISS
+            if config.kernel == "bareiss"
+            else engine.DETERMINANT_HESSENBERG
+        )
+    if config.algorithm == "composition":
+        return engine.COMPOSITION
+    # "recurrence", or "all": any verified route will do.
+    return engine.RECURRENCE
+
+
 def _compute_table(config: RunConfig, seq: CoefficientSequence) -> RelatedNumberTable:
     algo = config.algorithm
-    if algo == "recurrence":
-        return engine.related_numbers_recurrence(seq, config.order, config.n_max)
     if algo == "determinant":
         return engine.related_numbers_determinant(
             seq, config.order, config.n_max, kernel=config.kernel
@@ -170,7 +183,6 @@ def _compute_table(config: RunConfig, seq: CoefficientSequence) -> RelatedNumber
         return engine.related_numbers_composition(
             seq, config.order, config.n_max, cap=config.cap
         )
-    # algo == "all": any verified route will do; the recurrence is cheapest.
     return engine.related_numbers_recurrence(seq, config.order, config.n_max)
 
 
@@ -182,6 +194,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if not report.agree:
             print(f"cross-verification failed: {report.describe()}", file=sys.stderr)
             return EXIT_MISMATCH
+        route = _route_name(config)
+        # The verified table is printed as it is, unless it stops at the
+        # cap (--algo composition past --cap, which _compute_table refuses).
+        if report.coverage[route] == config.n_max:
+            table = RelatedNumberTable(r=config.order, a=report.tables[route], algorithm=route)
+            emit_table(table, config)
+            return EXIT_OK
     table = _compute_table(config, seq)
     emit_table(table, config)
     return EXIT_OK
@@ -322,10 +341,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _attach_negative_z(argv: Sequence[str]) -> list[str]:
+    """Rewrite `--z -1/2` as `--z=-1/2`.
+
+    argparse reads a token that starts with "-" as an option unless it is
+    a plain negative number, so a negative p/q after a space would leave
+    --z without its value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--z" and re.match(r"-\d", arg):
+            out[-1] = f"--z={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_negative_z(sys.argv[1:] if argv is None else argv)
+        )
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import MutableMapping, Optional, Sequence
+from typing import Optional, Sequence
 
-StatsDict = MutableMapping[str, int]
+from .arith import StatsDict, sum_products
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -53,32 +53,23 @@ def hessenberg_leading_minors(
 ) -> list[Fraction]:
     """Leading principal minors det_0=1, det_1, ..., det_{n_max}.
 
-    det_n is the determinant of the n x n matrix from `related_matrix`.
-    When `stats` is given, the largest numerator bit length seen in any
-    intermediate value is recorded under "max_num_bits".
+    det_n is the determinant of the n x n matrix from `related_matrix`;
+    each is one `sum_products` call over the first-row cofactors.  When
+    `stats` is given, the largest lifted numerator bit length is recorded
+    under "max_num_bits".
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if len(D) <= n_max:
         raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
     dets = [_ONE]
-    max_bits = 0
-    track = stats is not None
     for n in range(1, n_max + 1):
-        s = _ZERO
-        for l in range(1, n + 1):
-            Dl = D[l]
-            if not Dl:
-                continue
-            term = Dl * dets[n - l]
-            s = s + term if l & 1 else s - term
-            if track:
-                b = s.numerator.bit_length()
-                if b > max_bits:
-                    max_bits = b
-        dets.append(s)
-    if track:
-        stats["max_num_bits"] = max(stats.get("max_num_bits", 0), max_bits)
+        dets.append(
+            sum_products(
+                ((1 if l & 1 else -1, D[l], dets[n - l]) for l in range(1, n + 1)),
+                stats,
+            )
+        )
     return dets
 
 

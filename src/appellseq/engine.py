@@ -23,9 +23,12 @@ Three independent algorithms compute the same table a_0..a_{n_max}:
   of two kernels.
 
 Here D_r(e) is the ordinary coefficient of t^e in f(t)^r, equal to the
-weak-composition sum over d_{i_1}..d_{i_r}/(i_1!..i_r!).  `cross_verify`
-runs every route (plus direct series inversion of f^r) and reports the
-first disagreement, if any; agreement must be exact.
+weak-composition sum over d_{i_1}..d_{i_r}/(i_1!..i_r!); `compute_D`
+raises f to the power r by Miller's recurrence (`TruncatedSeries.__pow__`).
+Every sum of products goes through `arith.sum_products`.  `cross_verify`
+computes D_r once, runs every route on it (plus direct series inversion
+of f^r) and reports the first disagreement, if any; agreement must be
+exact.
 """
 
 from __future__ import annotations
@@ -38,12 +41,13 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .arith import (
     DEFAULT_COMPOSITION_CAP,
     CombinatorialBlowupError,
+    StatsDict,
     binomial,
     compositions,  # unused here; perfbench/spans.py wraps engine.compositions
     partitions,
+    sum_products,
 )
 from .determinants import (
-    StatsDict,
     bareiss_det,
     hessenberg_leading_minors,
     related_matrix,
@@ -178,38 +182,48 @@ def _factorials(n_max: int) -> list[int]:
 def recurrence_values(
     D: Sequence[Fraction], n_max: int, stats: Optional[StatsDict] = None
 ) -> list[Fraction]:
-    """a_0..a_{n_max} from a D table by the convolution recurrence."""
+    """a_0..a_{n_max} from a D table by the convolution recurrence.
+
+    Each a_n/n! = -sum_{m<n} D(n-m) a_m/m! is one `sum_products` call, so
+    with `stats` the recorded "max_num_bits" is the largest numerator the
+    lcm lifting produced.
+    """
     if len(D) <= n_max:
         raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
     fact = _factorials(n_max)
     a = [_ONE]
     a_over_fact = [_ONE]  # a_m / m!
-    max_bits = 0
-    track = stats is not None
     for n in range(1, n_max + 1):
-        s = _ZERO
-        for m in range(n):
-            Dnm = D[n - m]
-            if Dnm:
-                s += Dnm * a_over_fact[m]
-            if track:
-                b = s.numerator.bit_length()
-                if b > max_bits:
-                    max_bits = b
-        an = -fact[n] * s
-        a.append(an)
+        s = sum_products(((1, D[n - m], a_over_fact[m]) for m in range(n)), stats)
+        a.append(-fact[n] * s)
         a_over_fact.append(-s)  # a_n / n! without a second division
-    if track:
-        stats["max_num_bits"] = max(stats.get("max_num_bits", 0), max_bits)
     return a
 
 
+def _power_table(
+    seq: CoefficientSequence, r: int, n_max: int, D: Optional[Sequence[Fraction]]
+) -> Sequence[Fraction]:
+    """The given D table, checked to reach n_max, or f^r computed afresh."""
+    if D is None:
+        return compute_D(seq, r, n_max).D
+    if len(D) <= n_max:
+        raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
+    return D
+
+
 def related_numbers_recurrence(
-    seq: CoefficientSequence, r: int, n_max: Optional[int] = None
+    seq: CoefficientSequence,
+    r: int,
+    n_max: Optional[int] = None,
+    D: Optional[Sequence[Fraction]] = None,
 ) -> RelatedNumberTable:
-    """Production path: O(n^2) recurrence from the D table, a_0 = 1."""
+    """Production path: O(n^2) recurrence from the D table, a_0 = 1.
+
+    Pass `D` (D_r(0)..D_r(n_max) at least) to reuse a table already
+    computed for this sequence and order; the other routes take it too.
+    """
     n_max = seq._resolve(n_max)
-    D = compute_D(seq, r, n_max).D
+    D = _power_table(seq, r, n_max, D)
     return RelatedNumberTable(r=r, a=tuple(recurrence_values(D, n_max)), algorithm=RECURRENCE)
 
 
@@ -218,6 +232,7 @@ def related_numbers_composition(
     r: int,
     n_max: Optional[int] = None,
     cap: int = DEFAULT_COMPOSITION_CAP,
+    D: Optional[Sequence[Fraction]] = None,
 ) -> RelatedNumberTable:
     """Explicit alternating sum over the strict compositions of each n.
 
@@ -238,11 +253,11 @@ def related_numbers_composition(
             f"composition route cannot serve n_max={n_max}: "
             f"enumeration cap is {cap}"
         )
-    D = compute_D(seq, r, n_max).D
+    D = _power_table(seq, r, n_max, D)
     fact = _factorials(n_max)
     a = [_ONE]
     for n in range(1, n_max + 1):
-        total = _ZERO
+        terms = []
         for parts in partitions(n, cap=cap):
             # the number of compositions that sort to this partition
             orderings = fact[len(parts)]
@@ -250,9 +265,8 @@ def related_numbers_composition(
             for e, m in Counter(parts).items():
                 orderings //= fact[m]
                 prod *= D[e] ** m
-            term = orderings * prod
-            total = total - term if len(parts) & 1 else total + term
-        a.append(fact[n] * total)
+            terms.append((-orderings if len(parts) & 1 else orderings, prod, _ONE))
+        a.append(fact[n] * sum_products(terms))
     return RelatedNumberTable(r=r, a=tuple(a), algorithm=COMPOSITION)
 
 
@@ -262,6 +276,7 @@ def related_numbers_determinant(
     n_max: Optional[int] = None,
     kernel: str = "hessenberg",
     stats: Optional[StatsDict] = None,
+    D: Optional[Sequence[Fraction]] = None,
 ) -> RelatedNumberTable:
     """a_n^(r) = (-1)^n n! det(M_n) over the Hessenberg matrix of D values.
 
@@ -270,7 +285,7 @@ def related_numbers_determinant(
     per n.
     """
     n_max = seq._resolve(n_max)
-    D = compute_D(seq, r, n_max).D
+    D = _power_table(seq, r, n_max, D)
     fact = _factorials(n_max)
     if kernel == "hessenberg":
         dets = hessenberg_leading_minors(D, n_max, stats=stats)
@@ -291,11 +306,15 @@ def related_numbers_determinant(
 
 
 def related_numbers_inversion(
-    seq: CoefficientSequence, r: int, n_max: Optional[int] = None
+    seq: CoefficientSequence,
+    r: int,
+    n_max: Optional[int] = None,
+    D: Optional[Sequence[Fraction]] = None,
 ) -> RelatedNumberTable:
     """a_n^(r) = n! [t^n] (f^r)^(-1), by direct truncated-series inversion."""
     n_max = seq._resolve(n_max)
-    inv = (seq.ordinary(n_max) ** r).inverse()
+    D = _power_table(seq, r, n_max, D)
+    inv = TruncatedSeries(D[: n_max + 1]).inverse()
     fact = _factorials(n_max)
     a = tuple(fact[n] * inv.coeffs[n] for n in range(n_max + 1))
     return RelatedNumberTable(r=r, a=a, algorithm=INVERSION)
@@ -359,20 +378,25 @@ def cross_verify(
 ) -> VerificationReport:
     """Run all algorithms and compare exactly, index by index.
 
-    The composition route is only taken up to `cap`; the other four routes
+    f^r is computed once and every route starts from that D table; the
+    routes differ in how they get from D to the related numbers.  The
+    composition route is only taken up to `cap`; the other four routes
     cover the full range.  Disagreement is reported, not raised.
     """
     n_max = seq._resolve(n_max)
+    D = compute_D(seq, r, n_max).D
     tables = {
-        RECURRENCE: related_numbers_recurrence(seq, r, n_max).a,
+        RECURRENCE: related_numbers_recurrence(seq, r, n_max, D=D).a,
         DETERMINANT_HESSENBERG: related_numbers_determinant(
-            seq, r, n_max, kernel="hessenberg"
+            seq, r, n_max, kernel="hessenberg", D=D
         ).a,
         DETERMINANT_BAREISS: related_numbers_determinant(
-            seq, r, n_max, kernel="bareiss"
+            seq, r, n_max, kernel="bareiss", D=D
         ).a,
-        INVERSION: related_numbers_inversion(seq, r, n_max).a,
-        COMPOSITION: related_numbers_composition(seq, r, min(n_max, cap), cap=cap).a,
+        INVERSION: related_numbers_inversion(seq, r, n_max, D=D).a,
+        COMPOSITION: related_numbers_composition(
+            seq, r, min(n_max, cap), cap=cap, D=D
+        ).a,
     }
     return VerificationReport(
         r=r, n_max=n_max, tables=tables, first_mismatch=first_disagreement(tables)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .arith import binomial
+from .arith import binomial, sum_products
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -98,16 +98,10 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             a, b = self.coeffs, other.coeffs
             n_out = min(len(a), len(b))
-            out = []
-            for n in range(n_out):
-                s = _ZERO
-                for j in range(n + 1):
-                    aj = a[j]
-                    bj = b[n - j]
-                    if aj and bj:
-                        s += aj * bj
-                out.append(s)
-            return TruncatedSeries(out)
+            return TruncatedSeries(
+                sum_products((1, a[j], b[n - j]) for j in range(n + 1))
+                for n in range(n_out)
+            )
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return TruncatedSeries(tuple(x * c for x in self.coeffs))
@@ -116,18 +110,36 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, r: int) -> "TruncatedSeries":
-        """r-th power for integer r >= 0, by binary exponentiation."""
+        """r-th power for integer r >= 0, by J.C.P. Miller's recurrence.
+
+        For g = f^r with f_0 != 0, differentiating g = f^r gives
+        f g' = r f' g, and comparing the coefficients of t^(n-1):
+
+            g_0 = f_0^r,
+            g_n = 1/(n f_0) * sum_{k=1..n} ((r+1)k - n) f_k g_{n-k},
+
+        O(K^2) operations for the whole prefix whatever r is (Knuth,
+        TAOCP vol. 2, section 4.7).  A series with f_0 = 0 is t^v h with
+        h_0 != 0, and f^r = t^(vr) h^r.  The result keeps the order K.
+        """
         if not isinstance(r, int) or r < 0:
             raise ValueError(f"series power needs an integer exponent >= 0, got {r!r}")
-        result = TruncatedSeries.one(self.order)
-        base = self
-        while r:
-            if r & 1:
-                result = result * base
-            r >>= 1
-            if r:
-                base = base * base
-        return result
+        if r == 0:
+            return TruncatedSeries.one(self.order)
+        if r == 1:
+            return self
+        c = self.coeffs
+        v = next((i for i, x in enumerate(c) if x), len(c))
+        shift = v * r
+        if shift >= len(c):
+            return TruncatedSeries.constant(_ZERO, self.order)
+        h = c[v : v + len(c) - shift]
+        h0 = h[0]
+        g = [h0**r]
+        for n in range(1, len(h)):
+            s = sum_products(((r + 1) * k - n, h[k], g[n - k]) for k in range(1, n + 1))
+            g.append(s / (n * h0))
+        return TruncatedSeries([_ZERO] * shift + g)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the truncation order.
@@ -141,11 +153,7 @@ class TruncatedSeries:
         inv0 = _ONE / a[0]
         b = [inv0]
         for n in range(1, len(a)):
-            s = _ZERO
-            for j in range(1, n + 1):
-                aj = a[j]
-                if aj:
-                    s += aj * b[n - j]
+            s = sum_products((1, a[j], b[n - j]) for j in range(1, n + 1))
             b.append(-inv0 * s)
         return TruncatedSeries(b)
 

@@ -111,33 +111,36 @@ def ht_by_differentiation(series, n):
     return TruncatedSeries([c / fact for c in coeffs])
 
 
-def _composition_series_sum(tables, n, k, lo, prefix=None):
-    """Sum over compositions (i_1..i_k) of n, parts >= lo, of the series
-    products prefix * tables[0][i_1] * ... built by prefix sharing.
+def _composition_series_sum(tables, n, lo):
+    """Sum over compositions (i_1..i_k) of n, k = len(tables), parts >= lo,
+    of the series products tables[0][i_1] * ... * tables[k-1][i_k], or None
+    when there is no such composition.
 
-    `tables` holds one H-derivative lookup per factor slot; for a single
+    Built bottom-up, sharing every suffix: after j factors, sums[m] is the
+    sum over compositions of m into j parts, and by distributivity
+    sums_j[m] = sum_i sums_{j-1}[m - i] * tables[j-1][i].  For a single
     series f repeated k times, pass the same table k times.
     """
-    table = tables[0]
-    if k == 1:
-        if n < lo:
-            return None
-        term = table[n]
-        return term if prefix is None else prefix * term
-    total = None
-    for first in range(lo, n - lo * (k - 1) + 1):
-        step = table[first] if prefix is None else prefix * table[first]
-        sub = _composition_series_sum(tables[1:], n - first, k - 1, lo, step)
-        if sub is not None:
-            total = sub if total is None else total + sub
-    return total
+    k = len(tables)
+    sums = {m: tables[0][m] for m in range(lo, n - lo * (k - 1) + 1)}
+    for j, table in enumerate(tables[1:], start=2):
+        top = n - lo * (k - j)
+        nxt = {}
+        for m in range(n if j == k else lo * j, top + 1):
+            total = None
+            for i in range(lo, m - lo * (j - 1) + 1):
+                term = sums[m - i] * table[i]
+                total = term if total is None else total + term
+            nxt[m] = total
+        sums = nxt
+    return sums.get(n)
 
 
 def ht_product_rule_rhs(factors, n):
     """Right side of the order-n product rule for the given series factors:
     the sum over weak compositions of n of products of H-derivatives."""
     tables = [[f.ht(i) for i in range(n + 1)] for f in factors]
-    return _composition_series_sum(tables, n, len(factors), 0)
+    return _composition_series_sum(tables, n, 0)
 
 
 def ht_quotient_strict_rhs(f, n):
@@ -153,7 +156,7 @@ def ht_quotient_strict_rhs(f, n):
     total = None
     for k in range(1, n + 1):
         inv_pow = inv_pow * inv  # 1 / f^(k+1)
-        inner = _composition_series_sum([table] * k, n, k, 1)
+        inner = _composition_series_sum([table] * k, n, 1)
         if inner is None:
             continue
         term = inner * inv_pow
@@ -178,7 +181,7 @@ def ht_quotient_weak_rhs(f, n):
     total = None
     for k in range(1, n + 1):
         inv_pow = inv_pow * inv
-        inner = _composition_series_sum([table] * k, n, k, 0)
+        inner = _composition_series_sum([table] * k, n, 0)
         term = inner * inv_pow * comb(n + 1, k + 1)
         if k % 2:
             term = -term

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from appellseq.arith import (
     parse_rational,
     partitions,
     rising_factorial,
+    sum_products,
 )
 
 
@@ -193,3 +195,32 @@ class TestPartitions:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             partitions(-1)
+
+
+class TestSumProducts:
+    def test_empty_and_all_zero_give_zero(self):
+        assert sum_products([]) == 0
+        assert sum_products(iter(())) == 0
+        zeros = [(0, Fraction(1, 3), Fraction(2, 5)), (4, Fraction(0), Fraction(7, 9)),
+                 (-1, Fraction(5, 6), Fraction(0))]
+        stats = {}
+        assert sum_products(zeros, stats) == 0
+        assert stats == {}  # nothing was lifted
+
+    def test_matches_sum_on_random_fractions(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            terms = [
+                (rng.randint(-5, 5),
+                 Fraction(rng.randint(-30, 30), rng.randint(1, 40)),
+                 Fraction(rng.randint(-30, 30), rng.randint(1, 40)))
+                for _ in range(rng.randint(0, 12))
+            ]
+            assert sum_products(terms) == sum((w * x * y for w, x, y in terms), Fraction(0))
+
+    def test_stats_record_the_lifted_numerator(self):
+        # 1/2 + 1/3 = (3 + 2)/6: the lifted terms are 3 and 2, their sum 5
+        stats = {"max_num_bits": 1}
+        terms = [(1, Fraction(1, 2), Fraction(1)), (1, Fraction(1, 3), Fraction(1))]
+        assert sum_products(terms, stats) == Fraction(5, 6)
+        assert stats["max_num_bits"] == 3

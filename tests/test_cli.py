@@ -4,6 +4,7 @@ from fractions import Fraction
 from appellseq import cli
 from appellseq.engine import VerificationReport
 from appellseq.families import family_coefficients
+from appellseq.series import TruncatedSeries
 
 F = Fraction
 
@@ -105,6 +106,47 @@ class TestComputeCommand:
         )
         assert code == 0
         assert calls == [6]
+
+    def test_power_computed_once_per_check(self, capsys, monkeypatch):
+        calls = []
+        power = TruncatedSeries.__pow__
+
+        def counted(series, r):
+            calls.append(r)
+            return power(series, r)
+
+        monkeypatch.setattr(TruncatedSeries, "__pow__", counted)
+        for algo in ("recurrence", "determinant", "composition", "all"):
+            calls.clear()
+            code, out, _ = run(
+                capsys, "compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "3",
+                "--order", "3", "--n", "8", "--algo", algo, "--check", "--format", "csv",
+            )
+            assert code == 0
+            assert calls == [3]
+            assert out.splitlines()[0] == "n,value"
+
+    def test_check_prints_the_chosen_route(self, capsys):
+        plain = run(
+            capsys, "compute", "--family", "euler", "--order", "2", "--n", "10",
+            "--algo", "determinant", "--kernel", "bareiss", "--format", "csv",
+        )
+        checked = run(
+            capsys, "compute", "--family", "euler", "--order", "2", "--n", "10",
+            "--algo", "determinant", "--kernel", "bareiss", "--format", "csv",
+            "--check",
+        )
+        assert plain == checked
+        assert plain[0] == 0
+
+    def test_composition_past_cap_with_check_exits_3(self, capsys):
+        code, out, err = run(
+            capsys, "compute", "--family", "bernoulli", "--n", "12", "--cap", "6",
+            "--algo", "composition", "--check",
+        )
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
 
     def test_custom_family_round_trip(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
@@ -254,6 +296,15 @@ class TestPolyCommand:
         assert code == 2
         assert out == ""
         assert err.splitlines() == ["error: zero denominator in '1/0'"]
+
+    def test_negative_z_after_space(self, capsys):
+        code, out, err = run(
+            capsys, "poly", "--family", "bernoulli", "--n", "4", "--z", "-1/2"
+        )
+        assert code == 0
+        assert err == ""
+        # B_4(z) = z^4 - 2z^3 + z^2 - 1/30
+        assert Fraction(out.strip()) == F(127, 240)
 
     def test_bad_z_rejected(self, capsys):
         code, _, err = run(

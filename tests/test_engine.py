@@ -25,6 +25,7 @@ from appellseq.engine import (
     polynomial_derivative,
     polynomial_eval,
     power_sum_check,
+    recurrence_values,
     related_numbers_composition,
     related_numbers_determinant,
     related_numbers_inversion,
@@ -96,6 +97,21 @@ class TestComputeD:
                 if e:
                     fact *= e
                 assert D[e] == F(r**e, fact)
+
+    def test_recurrence_records_peak_bits(self):
+        D = compute_D(bernoulli_seq(20), 2).D
+        stats = {}
+        a = recurrence_values(D, 20, stats=stats)
+        assert a == recurrence_values(D, 20)
+        assert stats["max_num_bits"] > 0
+
+    def test_routes_take_a_shared_table(self):
+        seq = bernoulli_seq(10)
+        D = compute_D(seq, 2, 10).D
+        assert related_numbers_inversion(seq, 2, 10, D=D) == related_numbers_inversion(seq, 2, 10)
+        assert related_numbers_recurrence(seq, 2, 10, D=D).a == related_numbers_inversion(seq, 2, 10).a
+        with pytest.raises(ValueError, match="D"):
+            related_numbers_recurrence(seq, 2, 10, D=D[:10])
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from appellseq.families import FamilySpec, family_coefficients
 from appellseq.series import (
     InsufficientPrecisionError,
     NotInvertibleError,
@@ -151,6 +152,24 @@ class TestArithmetic:
     def test_binomial_cube(self):
         s = TruncatedSeries([1, 1, 0, 0])
         assert (s**3).coeffs == (1, 3, 3, 1)
+
+    @pytest.mark.parametrize("family", ["bernoulli", "hyper-cauchy"])
+    @pytest.mark.parametrize("r", [3, 16])
+    def test_pow_of_family_series_matches_naive_products(self, family, r):
+        spec = FamilySpec.bernoulli() if family == "bernoulli" else FamilySpec.hyper_cauchy(2, 3)
+        f = family_coefficients(spec, 40).ordinary()
+        by_mul = list(f.coeffs)
+        for _ in range(r - 1):
+            by_mul = oracles.naive_mul(by_mul, f.coeffs)
+        assert list((f**r).coeffs) == by_mul
+
+    def test_pow_with_zero_constant_term_truncates(self):
+        # (t^2 + t^3 + ...)^3 = t^6 (1 + t + ...)^3, known through order 9
+        s = TruncatedSeries([0, 0] + [1] * 8)
+        assert (s**3).coeffs == (0, 0, 0, 0, 0, 0, 1, 3, 6, 10)
+        assert (s**5).coeffs == (0,) * 10  # t^10 is past the order
+        assert (TruncatedSeries([0, 0, 0]) ** 2).coeffs == (0, 0, 0)
+        assert s**1 is s
 
     def test_pow_rejects_bad_exponents(self):
         s = TruncatedSeries([1, 1])
