@@ -18,7 +18,12 @@ from .arith import (
     parse_rational,
     rising_factorial,
 )
-from .determinants import bareiss_det, hessenberg_leading_minors, related_matrix
+from .determinants import (
+    bareiss_det,
+    bareiss_leading_minors,
+    hessenberg_leading_minors,
+    related_matrix,
+)
 from .engine import (
     AppellPolynomial,
     CoefficientSequence,
@@ -68,6 +73,7 @@ __all__ = [
     "alt_power_sum_check",
     "appell_polynomial",
     "bareiss_det",
+    "bareiss_leading_minors",
     "binomial",
     "compositions",
     "compute_D",

@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import determinants, engine
 from .arith import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError, parse_rational
@@ -188,6 +188,9 @@ def _compute_table(config: RunConfig, seq: CoefficientSequence) -> RelatedNumber
 
 def cmd_compute(args: argparse.Namespace) -> int:
     config = config_from_args(args)
+    if config.algorithm == "composition":
+        # before the family or any route is computed
+        engine.check_composition_cap(config.n_max, config.cap)
     seq = family_coefficients(config.family, config.n_max)
     if config.check or config.algorithm == "all":
         report = cross_verify(seq, config.order, config.n_max, cap=config.cap)
@@ -195,28 +198,29 @@ def cmd_compute(args: argparse.Namespace) -> int:
             print(f"cross-verification failed: {report.describe()}", file=sys.stderr)
             return EXIT_MISMATCH
         route = _route_name(config)
-        # The verified table is printed as it is, unless it stops at the
-        # cap (--algo composition past --cap, which _compute_table refuses).
-        if report.coverage[route] == config.n_max:
-            table = RelatedNumberTable(r=config.order, a=report.tables[route], algorithm=route)
-            emit_table(table, config)
-            return EXIT_OK
-    table = _compute_table(config, seq)
-    emit_table(table, config)
+        table = RelatedNumberTable(r=config.order, a=report.tables[route], algorithm=route)
+        emit_table(table, config, verified=report.coverage)
+        return EXIT_OK
+    emit_table(_compute_table(config, seq), config)
     return EXIT_OK
 
 
-def emit_table(table: RelatedNumberTable, config: RunConfig):
+def emit_table(
+    table: RelatedNumberTable,
+    config: RunConfig,
+    verified: Optional[Mapping[str, int]] = None,
+):
+    """Print the table; JSON also maps each cross-verified route to the
+    largest n it covered, when `verified` is given."""
     if config.fmt == "csv":
         print("n,value")
         for n, value in enumerate(table.a):
             print(f"{n},{value}")
     elif config.fmt == "json":
-        doc = {
-            "family": config.family.label,
-            "order": table.r,
-            "values": [{"n": n, "value": str(v)} for n, v in enumerate(table.a)],
-        }
+        doc = {"family": config.family.label, "order": table.r}
+        if verified is not None:
+            doc["verified"] = dict(verified)
+        doc["values"] = [{"n": n, "value": str(v)} for n, v in enumerate(table.a)]
         print(json.dumps(doc, indent=2))
     else:
         width = len(str(table.n_max))

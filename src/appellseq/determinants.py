@@ -15,10 +15,13 @@ Two kernels evaluate it:
   recurrence det_n = sum_{l=1..n} (-1)^(l-1) D(l) det_{n-l}, which is the
   cofactor expansion along the first row.  One pass yields every minor,
   so a whole table costs O(n^2) rational operations.
-* `bareiss_det` clears the denominators of each row by that row's own
-  lcm and runs fraction-free (Bareiss) elimination over big integers, an
-  algebraically independent check on the minor recurrence.  Intermediate
-  divisions are exact, which keeps entry growth to single-minor size.
+* `bareiss_leading_minors` clears the denominators of each row by that
+  row's own lcm and runs fraction-free (Bareiss) elimination over big
+  integers, an algebraically independent check on the minor recurrence.
+  Each pivot is a leading minor, so one O(n^3) elimination of the
+  largest matrix yields the whole table, zero minors included.
+  Intermediate divisions are exact, which keeps entry growth to
+  single-minor size.  `bareiss_det` is its last minor.
 """
 
 from __future__ import annotations
@@ -73,64 +76,75 @@ def hessenberg_leading_minors(
     return dets
 
 
-def bareiss_det(
+def bareiss_leading_minors(
     matrix: Sequence[Sequence[Fraction]],
     stats: Optional[StatsDict] = None,
-) -> Fraction:
-    """Exact determinant of a rational matrix by fraction-free elimination.
+) -> list[Fraction]:
+    """Leading principal minors det_0=1, det_1, ..., det_N of a square
+    rational matrix, from one fraction-free elimination.
 
-    Row i is scaled by L_i, the lcm of its own denominators, the integer
-    determinant is computed by Bareiss elimination (with row pivoting; a
-    zero pivot column means the determinant is zero), and the result is
-    det / prod(L_i).  A lower Hessenberg row holds only the first few D
-    values, so its L_i is far smaller than the lcm over the whole matrix.
-    When `stats` is given, the largest bit length of any intermediate
-    integer entry is recorded under "max_num_bits".
+    Row i is scaled by L_i, the lcm of its own denominators, and Bareiss
+    elimination runs over the big integers.  The pivot at step k is the
+    (k+1)-th leading minor of the lifted matrix, so det_{k+1} is that
+    pivot (with the sign of the row swaps) over L_0...L_k.  A lower
+    Hessenberg row holds only the first few D values, so its L_i is far
+    smaller than the lcm over the whole matrix.
+
+    A zero pivot at step k means det_{k+1} = 0.  The pass then swaps in
+    the first row i > k that is nonzero in column k: by Sylvester's
+    identity det_{k+1}..det_i are all 0, and every larger leading block
+    holds the same rows as before the swap, so its minor is the swapped
+    matrix's minor with the sign flipped.  If no row qualifies, every
+    later minor is 0.  When `stats` is given, the largest bit length of
+    any intermediate integer entry is recorded under "max_num_bits".
     """
     n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    lifted = []
-    scale = 1
+    A = []
+    scales = [1]  # scales[m] = L_0 ... L_{m-1}
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
         row_scale = math.lcm(*(x.denominator for x in row))
-        lifted.append([x.numerator * (row_scale // x.denominator) for x in row])
-        scale *= row_scale
-    det = _bareiss_int(lifted, stats)
-    return Fraction(det, scale)
-
-
-def _bareiss_int(A: list[list[int]], stats: Optional[StatsDict]) -> int:
-    n = len(A)
+        A.append([x.numerator * (row_scale // x.denominator) for x in row])
+        scales.append(scales[-1] * row_scale)
+    dets = [_ONE]
     sign = 1
     prev = 1
     max_bits = 0
     track = stats is not None
-    for k in range(n - 1):
+    for k in range(n):
         if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if swap is None:
+                break
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+            dets += [_ZERO] * (swap + 1 - len(dets))
         Ak = A[k]
         pivot = Ak[k]
+        if len(dets) == k + 1:
+            dets.append(Fraction(sign * pivot, scales[k + 1]))
+        tail = Ak[k + 1 :]
         for i in range(k + 1, n):
             Ai = A[i]
             aik = Ai[k]
-            for j in range(k + 1, n):
-                # Sylvester's identity makes this division exact.
-                Ai[j] = (Ai[j] * pivot - aik * Ak[j]) // prev
-                if track:
-                    b = Ai[j].bit_length()
-                    if b > max_bits:
-                        max_bits = b
-            Ai[k] = 0
+            # Sylvester's identity makes each division exact.
+            Ai[k + 1 :] = [(x * pivot - aik * y) // prev for x, y in zip(Ai[k + 1 :], tail)]
+            if track:
+                max_bits = max(max_bits, *(x.bit_length() for x in Ai[k + 1 :]))
         prev = pivot
+    dets += [_ZERO] * (n + 1 - len(dets))
     if track:
         stats["max_num_bits"] = max(stats.get("max_num_bits", 0), max_bits)
-    return sign * A[n - 1][n - 1]
+    return dets
+
+
+def bareiss_det(
+    matrix: Sequence[Sequence[Fraction]],
+    stats: Optional[StatsDict] = None,
+) -> Fraction:
+    """Exact determinant of a rational matrix: the last leading minor
+    from `bareiss_leading_minors`."""
+    if not matrix:
+        raise ValueError("empty matrix")
+    return bareiss_leading_minors(matrix, stats)[-1]

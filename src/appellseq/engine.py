@@ -20,7 +20,9 @@ Three independent algorithms compute the same table a_0..a_{n_max}:
   they sort to, so it costs p(n) terms per n; a small-n oracle;
 * `related_numbers_determinant`: (-1)^n n! times the determinant of the
   unit-superdiagonal Hessenberg matrix over D_r(1)..D_r(n), with a choice
-  of two kernels.
+  of two kernels; each kernel takes every n from the leading minors of
+  one matrix (the Bareiss kernel in one O(n^3) elimination for the whole
+  table).
 
 Here D_r(e) is the ordinary coefficient of t^e in f(t)^r, equal to the
 weak-composition sum over d_{i_1}..d_{i_r}/(i_1!..i_r!); `compute_D`
@@ -48,7 +50,8 @@ from .arith import (
     sum_products,
 )
 from .determinants import (
-    bareiss_det,
+    bareiss_det,  # unused here; perfbench/spans.py wraps engine.bareiss_det
+    bareiss_leading_minors,
     hessenberg_leading_minors,
     related_matrix,
 )
@@ -227,6 +230,16 @@ def related_numbers_recurrence(
     return RelatedNumberTable(r=r, a=tuple(recurrence_values(D, n_max)), algorithm=RECURRENCE)
 
 
+def check_composition_cap(n_max: int, cap: int) -> None:
+    """Refuse a composition table past `cap` up front, rather than after
+    grinding through the small n; raises CombinatorialBlowupError."""
+    if n_max > cap:
+        raise CombinatorialBlowupError(
+            f"composition route cannot serve n_max={n_max}: "
+            f"enumeration cap is {cap}"
+        )
+
+
 def related_numbers_composition(
     seq: CoefficientSequence,
     r: int,
@@ -247,12 +260,7 @@ def related_numbers_composition(
     n_max past `cap` raises CombinatorialBlowupError.
     """
     n_max = seq._resolve(n_max)
-    if n_max > cap:
-        # refuse up front rather than after grinding through the small n
-        raise CombinatorialBlowupError(
-            f"composition route cannot serve n_max={n_max}: "
-            f"enumeration cap is {cap}"
-        )
+    check_composition_cap(n_max, cap)
     D = _power_table(seq, r, n_max, D)
     fact = _factorials(n_max)
     a = [_ONE]
@@ -280,29 +288,26 @@ def related_numbers_determinant(
 ) -> RelatedNumberTable:
     """a_n^(r) = (-1)^n n! det(M_n) over the Hessenberg matrix of D values.
 
-    kernel "hessenberg" evaluates all n in one O(n^2) minor-recurrence
-    pass; kernel "bareiss" runs an independent fraction-free elimination
-    per n.
+    Both kernels get every leading minor M_1..M_{n_max} from one pass:
+    kernel "hessenberg" by the O(n^2) minor recurrence, kernel "bareiss"
+    by one independent O(n^3) fraction-free elimination of M_{n_max}
+    for the whole table.
     """
     n_max = seq._resolve(n_max)
     D = _power_table(seq, r, n_max, D)
-    fact = _factorials(n_max)
     if kernel == "hessenberg":
         dets = hessenberg_leading_minors(D, n_max, stats=stats)
-        a = [
-            fact[n] * dets[n] if n % 2 == 0 else -fact[n] * dets[n]
-            for n in range(n_max + 1)
-        ]
         tag = DETERMINANT_HESSENBERG
     elif kernel == "bareiss":
-        a = [_ONE]
-        for n in range(1, n_max + 1):
-            det = bareiss_det(related_matrix(D, n), stats=stats)
-            a.append(fact[n] * det if n % 2 == 0 else -fact[n] * det)
+        dets = bareiss_leading_minors(related_matrix(D, n_max), stats=stats) if n_max else [_ONE]
         tag = DETERMINANT_BAREISS
     else:
         raise ValueError(f"unknown determinant kernel {kernel!r}")
-    return RelatedNumberTable(r=r, a=tuple(a), algorithm=tag)
+    fact = _factorials(n_max)
+    a = tuple(
+        fact[n] * dets[n] if n % 2 == 0 else -fact[n] * dets[n] for n in range(n_max + 1)
+    )
+    return RelatedNumberTable(r=r, a=a, algorithm=tag)
 
 
 def related_numbers_inversion(

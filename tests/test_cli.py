@@ -1,5 +1,7 @@
 import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 from appellseq import cli
 from appellseq.engine import VerificationReport
@@ -139,14 +141,39 @@ class TestComputeCommand:
         assert plain == checked
         assert plain[0] == 0
 
-    def test_composition_past_cap_with_check_exits_3(self, capsys):
+    def test_composition_past_cap_with_check_exits_3(self, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the cap was checked")
+
+        monkeypatch.setattr(cli, "family_coefficients", must_not_run)
+        monkeypatch.setattr(cli, "cross_verify", must_not_run)
         code, out, err = run(
             capsys, "compute", "--family", "bernoulli", "--n", "12", "--cap", "6",
             "--algo", "composition", "--check",
         )
         assert code == 3
         assert out == ""
-        assert "cap" in err
+        assert err.splitlines() == [
+            "error: composition route cannot serve n_max=12: enumeration cap is 6"
+        ]
+
+    def test_checked_json_names_each_route_range(self, capsys):
+        argv = ("compute", "--family", "euler", "--order", "2", "--n", "9", "--format", "json")
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        assert "verified" not in json.loads(plain)
+        code, checked, _ = run(capsys, *argv, "--check", "--cap", "7")
+        assert code == 0
+        doc = json.loads(checked)
+        assert doc["verified"] == {
+            "recurrence": 9,
+            "determinant:hessenberg": 9,
+            "determinant:bareiss": 9,
+            "inversion": 9,
+            "composition": 7,
+        }
+        del doc["verified"]
+        assert doc == json.loads(plain)
 
     def test_custom_family_round_trip(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
@@ -361,3 +388,28 @@ class TestBenchCommand:
             assert len({cell.value for cell in row.cells.values()}) == 1
             for cell in row.cells.values():
                 assert cell.seconds >= 0
+
+
+class TestBenchmarkTracer:
+    def test_install_and_uninstall_restore_every_name(self, capsys, monkeypatch):
+        # The benchmark's tracer wraps these names by getattr; a missing
+        # one would crash every traced run.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import spans
+
+        tracer = spans.Tracer(time.perf_counter)
+        tracer.install(cli)
+        patched = list(tracer._undo)
+        try:
+            wrapped = {(owner, attr) for owner, attr, _ in patched}
+            for name in ("bareiss_det", "hessenberg_leading_minors", "compositions"):
+                assert (cli.engine, name) in wrapped
+            code, _, _ = run(
+                capsys, "compute", "--family", "bernoulli", "--n", "8", "--check",
+                "--algo", "determinant", "--kernel", "bareiss",
+            )
+            assert code == 0
+        finally:
+            tracer.uninstall()
+        for owner, attr, original in patched:
+            assert getattr(owner, attr) is original, attr

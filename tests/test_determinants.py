@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from appellseq.determinants import (
     bareiss_det,
+    bareiss_leading_minors,
     hessenberg_leading_minors,
     related_matrix,
 )
+from appellseq.engine import compute_D
+from appellseq.families import FamilySpec, family_coefficients
 
 import oracles
 
@@ -152,6 +155,74 @@ class TestBareiss:
         n = len(rows)
         transposed = [[rows[j][i] for j in range(n)] for i in range(n)]
         assert bareiss_det(rows) == bareiss_det(transposed)
+
+
+# mostly zeros, so that zero pivots and row swaps are common
+sparse_rationals = st.one_of(st.just(F(0)), st.just(F(0)), rationals)
+
+
+def leading_gauss_minors(M):
+    return [F(1)] + [oracles.gauss_det([row[:m] for row in M[:m]]) for m in range(1, len(M) + 1)]
+
+
+class TestBareissLeadingMinors:
+    @settings(max_examples=100)
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(sparse_rationals, min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    def test_matches_gauss_on_every_leading_block(self, M):
+        assert bareiss_leading_minors(M) == leading_gauss_minors(M)
+
+    def test_swap_partner_beyond_the_block(self):
+        # column 0 is nonzero only in row 3, so det_1 = det_2 = det_3 = 0
+        M = [
+            [F(0), F(2), F(1), F(0)],
+            [F(0), F(1), F(3), F(1)],
+            [F(0), F(0), F(1), F(1, 2)],
+            [F(5), F(1), F(1), F(1)],
+        ]
+        minors = bareiss_leading_minors(M)
+        assert minors == leading_gauss_minors(M)
+        assert minors[1:4] == [0, 0, 0]
+        assert minors[4] == F(-5, 2)  # -5 times the minor of rows 0..2, columns 1..3
+
+    def test_all_zero_pivot_column(self):
+        # column 1 vanishes after one step of elimination: no row to swap in
+        M = [[F(1), F(2), F(3)], [F(2), F(4), F(5)], [F(3), F(6), F(7)]]
+        assert bareiss_leading_minors(M) == [1, 1, 0, 0]
+        M = [[F(1, 2), F(0), F(2)], [F(3), F(0), F(4)], [F(5), F(0), F(6)]]
+        assert bareiss_leading_minors(M) == [1, F(1, 2), 0, 0]
+
+    def test_empty_matrix_has_only_det_0(self):
+        assert bareiss_leading_minors([]) == [1]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            bareiss_leading_minors([[F(1), F(2)], [F(3)]])
+
+    @pytest.mark.parametrize(
+        "spec, zero_at",
+        [
+            (FamilySpec.bernoulli(), lambda n: n >= 3 and n % 2 == 1),
+            (FamilySpec.euler(), lambda n: n >= 2 and n % 2 == 0),
+        ],
+    )
+    def test_classical_zero_minors(self, spec, zero_at):
+        D = compute_D(family_coefficients(spec, 30), 1).D
+        minors = bareiss_leading_minors(related_matrix(D, 30))
+        assert minors == hessenberg_leading_minors(D, 30)
+        assert [n for n in range(31) if minors[n] == 0] == [n for n in range(31) if zero_at(n)]
+
+    def test_bernoulli_n40_peak_bits(self):
+        D = [F(1, math.factorial(e + 1)) for e in range(41)]
+        stats = {}
+        minors = bareiss_leading_minors(related_matrix(D, 40), stats=stats)
+        assert minors == hessenberg_leading_minors(D, 40)
+        assert stats["max_num_bits"] == 2798
 
 
 class TestKernelsAgree:

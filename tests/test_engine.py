@@ -168,6 +168,10 @@ class TestRouteAgreement:
             == DETERMINANT_BAREISS
         )
 
+    def test_both_kernels_serve_n_max_zero(self):
+        for kernel in ("hessenberg", "bareiss"):
+            assert related_numbers_determinant(bernoulli_seq(3), 1, 0, kernel=kernel).a == (1,)
+
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
             related_numbers_determinant(bernoulli_seq(3), 1, kernel="gauss")
