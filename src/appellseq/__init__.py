@@ -4,9 +4,10 @@ higher-order Appell sequences.
 Given f(t) = sum_n d_n t^n / n! with d_0 = 1, the related numbers of
 order r are defined by 1 / f(t)^r = sum_n a_n^(r) t^n / n!, and the
 attached polynomials are A_n^(r)(z) = sum_m binom(n, m) a_m^(r) z^(n-m).
-Three independent algorithms (a triangular recurrence, an alternating
-sum over compositions, and a lower-Hessenberg determinant with two
-kernels) compute the same numbers and can be cross-checked.
+Four independent routes compute the same numbers and are cross-checked:
+a triangular recurrence (series inversion of f^r), an alternating sum
+over compositions, a lower-Hessenberg determinant by Bareiss
+elimination, and the negative power f^(-r) taken straight from f.
 """
 
 from .arith import (
@@ -31,22 +32,20 @@ from .engine import (
     PowerCoefficientTable,
     RelatedNumberTable,
     VerificationReport,
-    alt_power_sum_check,
     appell_polynomial,
     compute_D,
     cross_verify,
     polynomial_derivative,
     polynomial_eval,
-    power_sum_check,
     related_numbers_composition,
     related_numbers_determinant,
     related_numbers_inversion,
+    related_numbers_negative_power,
     related_numbers_recurrence,
 )
 from .families import (
     FamilySpec,
     family_coefficients,
-    family_identity_checks,
     load_custom_family,
 )
 from .series import (
@@ -70,7 +69,6 @@ __all__ = [
     "RelatedNumberTable",
     "TruncatedSeries",
     "VerificationReport",
-    "alt_power_sum_check",
     "appell_polynomial",
     "bareiss_det",
     "bareiss_leading_minors",
@@ -79,18 +77,17 @@ __all__ = [
     "compute_D",
     "cross_verify",
     "family_coefficients",
-    "family_identity_checks",
     "format_rational",
     "hessenberg_leading_minors",
     "load_custom_family",
     "parse_rational",
     "polynomial_derivative",
     "polynomial_eval",
-    "power_sum_check",
     "related_matrix",
     "related_numbers_composition",
     "related_numbers_determinant",
     "related_numbers_inversion",
+    "related_numbers_negative_power",
     "related_numbers_recurrence",
     "rising_factorial",
 ]

@@ -161,15 +161,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _route_name(config: RunConfig) -> str:
     """The cross_verify table that the chosen --algo/--kernel prints."""
-    if config.algorithm == "determinant":
-        return (
-            engine.DETERMINANT_BAREISS
-            if config.kernel == "bareiss"
-            else engine.DETERMINANT_HESSENBERG
-        )
+    if config.algorithm == "determinant" and config.kernel == "bareiss":
+        return engine.DETERMINANT_BAREISS
     if config.algorithm == "composition":
         return engine.COMPOSITION
-    # "recurrence", or "all": any verified route will do.
+    # "recurrence", "all", or the Hessenberg kernel, which is the
+    # recurrence's own kernel: the same numbers.
     return engine.RECURRENCE
 
 

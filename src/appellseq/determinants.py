@@ -11,10 +11,11 @@ j <= i (0-indexed):
 
 Two kernels evaluate it:
 
-* `hessenberg_leading_minors` runs the O(n^2) leading-principal-minor
-  recurrence det_n = sum_{l=1..n} (-1)^(l-1) D(l) det_{n-l}, which is the
-  cofactor expansion along the first row.  One pass yields every minor,
-  so a whole table costs O(n^2) rational operations.
+* `hessenberg_leading_minors` takes every leading minor from the
+  cofactor expansion along the first row, det_n = sum_{l=1..n}
+  (-1)^(l-1) D(l) det_{n-l}.  That is (-1)^n times the series-inversion
+  recurrence, so it is one O(n^2) call of `TruncatedSeries.inverse`: the
+  same sum as the related-number recurrence, not a check on it.
 * `bareiss_leading_minors` clears the denominators of each row by that
   row's own lcm and runs fraction-free (Bareiss) elimination over big
   integers, an algebraically independent check on the minor recurrence.
@@ -30,7 +31,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import StatsDict, sum_products
+from .arith import StatsDict
+from .series import TruncatedSeries
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -56,24 +58,17 @@ def hessenberg_leading_minors(
 ) -> list[Fraction]:
     """Leading principal minors det_0=1, det_1, ..., det_{n_max}.
 
-    det_n is the determinant of the n x n matrix from `related_matrix`;
-    each is one `sum_products` call over the first-row cofactors.  When
-    `stats` is given, the largest lifted numerator bit length is recorded
-    under "max_num_bits".
+    det_n is the determinant of the n x n matrix from `related_matrix`,
+    and (-1)^n det_n is [t^n] of the inverse of 1 + sum_{k>=1} D(k) t^k
+    (D(0) is not read), with "max_num_bits" in `stats` as
+    `TruncatedSeries.inverse` records it.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if len(D) <= n_max:
         raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
-    dets = [_ONE]
-    for n in range(1, n_max + 1):
-        dets.append(
-            sum_products(
-                ((1 if l & 1 else -1, D[l], dets[n - l]) for l in range(1, n + 1)),
-                stats,
-            )
-        )
-    return dets
+    b = TruncatedSeries((_ONE, *D[1 : n_max + 1])).inverse(stats).coeffs
+    return [-x if n & 1 else x for n, x in enumerate(b)]
 
 
 def bareiss_leading_minors(

@@ -10,33 +10,33 @@ are the exponential coefficients of e^(zt)/f(t)^r.  With the classical
 choices of f this machinery produces Bernoulli, Euler and (hypergeometric)
 Cauchy numbers and polynomials.
 
-Three independent algorithms compute the same table a_0..a_{n_max}:
+Four algorithms compute the same table a_0..a_{n_max}:
 
 * `related_numbers_recurrence`: the O(n^2) convolution recurrence
-  a_n = -n! sum_{m<n} D_r(n-m) a_m / m!, the production path;
+  a_n = -n! sum_{m<n} D_r(n-m) a_m / m!, the production path, run by
+  `TruncatedSeries.inverse` (`related_numbers_inversion` and the
+  Hessenberg determinant kernel are aliases of it);
 * `related_numbers_composition`: the explicit alternating sum
   a_n = n! sum_k (-1)^k sum over strict compositions e_1+..+e_k = n of
   D_r(e_1)...D_r(e_k), with the compositions grouped by the partition
   they sort to, so it costs p(n) terms per n; a small-n oracle;
 * `related_numbers_determinant`: (-1)^n n! times the determinant of the
-  unit-superdiagonal Hessenberg matrix over D_r(1)..D_r(n), with a choice
-  of two kernels; each kernel takes every n from the leading minors of
-  one matrix (the Bareiss kernel in one O(n^3) elimination for the whole
-  table).
+  unit-superdiagonal Hessenberg matrix over D_r(1)..D_r(n), every n from
+  one O(n^3) Bareiss elimination;
+* `related_numbers_negative_power`: a_n = n! [t^n] f^(-r) from f itself.
 
 Here D_r(e) is the ordinary coefficient of t^e in f(t)^r, equal to the
 weak-composition sum over d_{i_1}..d_{i_r}/(i_1!..i_r!); `compute_D`
 raises f to the power r by Miller's recurrence (`TruncatedSeries.__pow__`).
 Every sum of products goes through `arith.sum_products`.  `cross_verify`
-computes D_r once, runs every route on it (plus direct series inversion
-of f^r) and reports the first disagreement, if any; agreement must be
-exact.
+runs these four on one D_r table (the negative power on f, which checks
+D_r) and reports the first disagreement, if any; agreement must be exact.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -65,6 +65,7 @@ COMPOSITION = "composition"
 DETERMINANT_HESSENBERG = "determinant:hessenberg"
 DETERMINANT_BAREISS = "determinant:bareiss"
 INVERSION = "inversion"
+NEGATIVE_POWER = "negative-power"
 
 
 class NormalizationError(ValueError):
@@ -94,13 +95,7 @@ class CoefficientSequence:
     def ordinary(self, n_max: Optional[int] = None) -> TruncatedSeries:
         """f(t) as an ordinary-coefficient series: c_m = d_m / m!."""
         n_max = self._resolve(n_max)
-        coeffs = []
-        fact = 1
-        for m, dm in enumerate(self.d[: n_max + 1]):
-            if m:
-                fact *= m
-            coeffs.append(dm / fact)
-        return TruncatedSeries(coeffs)
+        return TruncatedSeries(dm / f for dm, f in zip(self.d, _factorials(n_max)))
 
     def _resolve(self, n_max: Optional[int]) -> int:
         if n_max is None:
@@ -182,25 +177,23 @@ def _factorials(n_max: int) -> list[int]:
     return fact
 
 
+def _exponential(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    """n! c_n for the ordinary coefficients c_0, c_1, ... of a series."""
+    return [f * c for f, c in zip(_factorials(len(coeffs) - 1), coeffs)]
+
+
 def recurrence_values(
     D: Sequence[Fraction], n_max: int, stats: Optional[StatsDict] = None
 ) -> list[Fraction]:
     """a_0..a_{n_max} from a D table by the convolution recurrence.
 
-    Each a_n/n! = -sum_{m<n} D(n-m) a_m/m! is one `sum_products` call, so
-    with `stats` the recorded "max_num_bits" is the largest numerator the
-    lcm lifting produced.
+    a_n/n! = -sum_{m<n} D(n-m) a_m/m! is [t^n] of the inverse of
+    1 + sum_{k>=1} D(k) t^k (D(0) is not read), with "max_num_bits" in
+    `stats` as `TruncatedSeries.inverse` records it.
     """
     if len(D) <= n_max:
         raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
-    fact = _factorials(n_max)
-    a = [_ONE]
-    a_over_fact = [_ONE]  # a_m / m!
-    for n in range(1, n_max + 1):
-        s = sum_products(((1, D[n - m], a_over_fact[m]) for m in range(n)), stats)
-        a.append(-fact[n] * s)
-        a_over_fact.append(-s)  # a_n / n! without a second division
-    return a
+    return _exponential(TruncatedSeries((_ONE, *D[1 : n_max + 1])).inverse(stats).coeffs)
 
 
 def _power_table(
@@ -289,9 +282,8 @@ def related_numbers_determinant(
     """a_n^(r) = (-1)^n n! det(M_n) over the Hessenberg matrix of D values.
 
     Both kernels get every leading minor M_1..M_{n_max} from one pass:
-    kernel "hessenberg" by the O(n^2) minor recurrence, kernel "bareiss"
-    by one independent O(n^3) fraction-free elimination of M_{n_max}
-    for the whole table.
+    kernel "hessenberg" from the recurrence's kernel, kernel "bareiss"
+    by one independent O(n^3) fraction-free elimination of M_{n_max}.
     """
     n_max = seq._resolve(n_max)
     D = _power_table(seq, r, n_max, D)
@@ -303,11 +295,8 @@ def related_numbers_determinant(
         tag = DETERMINANT_BAREISS
     else:
         raise ValueError(f"unknown determinant kernel {kernel!r}")
-    fact = _factorials(n_max)
-    a = tuple(
-        fact[n] * dets[n] if n % 2 == 0 else -fact[n] * dets[n] for n in range(n_max + 1)
-    )
-    return RelatedNumberTable(r=r, a=a, algorithm=tag)
+    a = _exponential([-x if n & 1 else x for n, x in enumerate(dets)])
+    return RelatedNumberTable(r=r, a=tuple(a), algorithm=tag)
 
 
 def related_numbers_inversion(
@@ -316,18 +305,28 @@ def related_numbers_inversion(
     n_max: Optional[int] = None,
     D: Optional[Sequence[Fraction]] = None,
 ) -> RelatedNumberTable:
-    """a_n^(r) = n! [t^n] (f^r)^(-1), by direct truncated-series inversion."""
+    """a_n^(r) = n! [t^n] (f^r)^(-1): the recurrence's table, tagged INVERSION."""
+    return replace(related_numbers_recurrence(seq, r, n_max, D=D), algorithm=INVERSION)
+
+
+def related_numbers_negative_power(
+    seq: CoefficientSequence, r: int, n_max: Optional[int] = None
+) -> RelatedNumberTable:
+    """a_n^(r) = n! [t^n] f^(-r), by Miller's recurrence on f itself.
+
+    It never sees the D table, so it checks D_r too.  At r = 1 every
+    Miller weight ((r+1)k - n)/n is -1: it is the recurrence's own sum
+    run on f, and checks only D_1 = f.  For r >= 2 it is an
+    algebraically different recurrence.
+    """
     n_max = seq._resolve(n_max)
-    D = _power_table(seq, r, n_max, D)
-    inv = TruncatedSeries(D[: n_max + 1]).inverse()
-    fact = _factorials(n_max)
-    a = tuple(fact[n] * inv.coeffs[n] for n in range(n_max + 1))
-    return RelatedNumberTable(r=r, a=a, algorithm=INVERSION)
+    inv = seq.ordinary(n_max) ** -r
+    return RelatedNumberTable(r=r, a=tuple(_exponential(inv.coeffs)), algorithm=NEGATIVE_POWER)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of running every algorithm on one (sequence, r) pair."""
+    """Outcome of running every independent route on one (sequence, r) pair."""
 
     r: int
     n_max: int
@@ -381,27 +380,24 @@ def cross_verify(
     n_max: Optional[int] = None,
     cap: int = DEFAULT_COMPOSITION_CAP,
 ) -> VerificationReport:
-    """Run all algorithms and compare exactly, index by index.
+    """Run the four independent routes and compare exactly, index by index.
 
-    f^r is computed once and every route starts from that D table; the
-    routes differ in how they get from D to the related numbers.  The
-    composition route is only taken up to `cap`; the other four routes
-    cover the full range.  Disagreement is reported, not raised.
+    f^r is computed once for the routes that start from D; the negative
+    power starts from f, so a fault in D_r shows too.  The composition
+    route is only taken up to `cap`; the other three cover the full
+    range.  Disagreement is reported, not raised.
     """
     n_max = seq._resolve(n_max)
     D = compute_D(seq, r, n_max).D
     tables = {
         RECURRENCE: related_numbers_recurrence(seq, r, n_max, D=D).a,
-        DETERMINANT_HESSENBERG: related_numbers_determinant(
-            seq, r, n_max, kernel="hessenberg", D=D
-        ).a,
         DETERMINANT_BAREISS: related_numbers_determinant(
             seq, r, n_max, kernel="bareiss", D=D
         ).a,
-        INVERSION: related_numbers_inversion(seq, r, n_max, D=D).a,
         COMPOSITION: related_numbers_composition(
             seq, r, min(n_max, cap), cap=cap, D=D
         ).a,
+        NEGATIVE_POWER: related_numbers_negative_power(seq, r, n_max).a,
     }
     return VerificationReport(
         r=r, n_max=n_max, tables=tables, first_mismatch=first_disagreement(tables)
@@ -430,49 +426,3 @@ def polynomial_derivative(p: AppellPolynomial) -> tuple[Fraction, ...]:
     if p.n == 0:
         return (_ZERO,)
     return tuple(j * p.coeffs_in_z[j] for j in range(1, p.n + 1))
-
-
-def power_sum_check(n: int, m: int) -> tuple[Fraction, Fraction]:
-    """Both sides of sum_{j=1..m} j^n = (B_{n+1}(m+1) - B_{n+1}) / (n+1).
-
-    The left side is direct summation; the right side goes through the
-    classical Bernoulli family at order 1.  The two must be equal.
-    """
-    if n < 0 or m < 1:
-        raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
-    from .families import FamilySpec, family_coefficients
-
-    seq = family_coefficients(FamilySpec.bernoulli(), n + 1)
-    table = related_numbers_recurrence(seq, 1, n + 1)
-    poly = appell_polynomial(table, n + 1)
-    lhs = Fraction(sum(j**n for j in range(1, m + 1)))
-    # Telescoping B_{n+1}(z+1) - B_{n+1}(z) = (n+1) z^n covers j = 0..m, so
-    # the 0^n term (nonzero only at n = 0) must come back off.
-    rhs = (polynomial_eval(poly, m + 1) - table.a[n + 1]) / (n + 1)
-    if n == 0:
-        rhs -= 1
-    return lhs, rhs
-
-
-def alt_power_sum_check(n: int, m: int) -> tuple[Fraction, Fraction]:
-    """Both sides of the alternating power sum identity
-
-        sum_{j=1..m} (-1)^(j+1) j^n = -((-1)^m E_n(m+1) + E_n(0)) / 2
-
-    through the Euler family at order 1.  The two must be equal.
-    """
-    if n < 0 or m < 1:
-        raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
-    from .families import FamilySpec, family_coefficients
-
-    seq = family_coefficients(FamilySpec.euler(), n)
-    table = related_numbers_recurrence(seq, 1, n)
-    poly = appell_polynomial(table, n)
-    lhs = Fraction(sum(j**n if j % 2 else -(j**n) for j in range(1, m + 1)))
-    sign = 1 if m % 2 == 0 else -1
-    # E_n(1) + E_n(0) = 2 * 0^n, so the closed form picks up a 0^n term
-    # that only matters at n = 0.
-    rhs = -(sign * polynomial_eval(poly, m + 1) + table.a[n]) / 2
-    if n == 0:
-        rhs += 1
-    return lhs, rhs

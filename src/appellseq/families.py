@@ -24,7 +24,6 @@ from typing import Optional, Union
 
 from .arith import parse_rational
 from .engine import CoefficientSequence, NormalizationError
-from .series import TruncatedSeries
 
 BERNOULLI = "bernoulli"
 EULER = "euler"
@@ -137,58 +136,3 @@ def load_custom_family(path: Union[str, Path]) -> FamilySpec:
     if values[0] != 1:
         raise NormalizationError(f"{path}: d_0 must be 1 (got {values[0]})")
     return FamilySpec.custom(values)
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    """Result of comparing a family against a closed form, term by term."""
-
-    n_max: int
-    first_mismatch: Optional[int]
-
-    @property
-    def ok(self) -> bool:
-        return self.first_mismatch is None
-
-
-def family_identity_checks(spec: FamilySpec, n_max: int) -> IdentityCheck:
-    """Check the M = 1 hypergeometric Bernoulli closed form.
-
-    For hyper_bernoulli(1, N) the coefficients collapse to
-    d_n = n! N! / (N+n)!; any other spec is rejected.
-    """
-    if spec.kind != HYPER_BERNOULLI or spec.m != 1:
-        raise ValueError("closed-form check applies to hyper_bernoulli(1, N) only")
-    d = family_coefficients(spec, n_max).d
-    N = spec.n
-    first_bad = None
-    for n in range(n_max + 1):
-        expected = Fraction(1)
-        for i in range(n):  # n! N! / (N+n)! = prod_{i<n} (i+1)/(N+i+1)
-            expected *= Fraction(i + 1, N + i + 1)
-        if d[n] != expected:
-            first_bad = n
-            break
-    return IdentityCheck(n_max=n_max, first_mismatch=first_bad)
-
-
-def classical_cauchy_oracle(n_max: int) -> list[Fraction]:
-    """Cauchy numbers c_0..c_{n_max} straight from t/log(1+t).
-
-    Built from first principles: log(1+t)/t has ordinary coefficients
-    (-1)^n/(n+1), and c_n = n! [t^n] of its inverse.  Independent of the
-    hypergeometric route, so the two can check each other.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    log_over_t = TruncatedSeries(
-        Fraction(-1 if n % 2 else 1, n + 1) for n in range(n_max + 1)
-    )
-    inv = log_over_t.inverse()
-    out = []
-    fact = 1
-    for n in range(n_max + 1):
-        if n:
-            fact *= n
-        out.append(fact * inv.coeffs[n])
-    return out

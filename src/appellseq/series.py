@@ -9,15 +9,17 @@ The series here carry exponential generating functions in ordinary form:
 a sequence d_n with EGF sum(d_n t^n / n!) is stored as c_n = d_n / n!.
 Ordinary coefficients are the natural carrier for the Hasse-Teichmueller
 derivative H^(n), which maps c_m t^m to c_m C(m, n) t^(m-n), and for the
-determinant entries derived from it.
+determinant entries derived from it.  `inverse` is the package's one copy
+of the convolution recurrence behind the related numbers, and `**` takes
+any integer power by Miller's recurrence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
-from .arith import binomial, sum_products
+from .arith import StatsDict, binomial, sum_products
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -110,7 +112,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, r: int) -> "TruncatedSeries":
-        """r-th power for integer r >= 0, by J.C.P. Miller's recurrence.
+        """r-th power for any integer r, by J.C.P. Miller's recurrence.
 
         For g = f^r with f_0 != 0, differentiating g = f^r gives
         f g' = r f' g, and comparing the coefficients of t^(n-1):
@@ -120,16 +122,19 @@ class TruncatedSeries:
 
         O(K^2) operations for the whole prefix whatever r is (Knuth,
         TAOCP vol. 2, section 4.7).  A series with f_0 = 0 is t^v h with
-        h_0 != 0, and f^r = t^(vr) h^r.  The result keeps the order K.
+        h_0 != 0, and f^r = t^(vr) h^r, for r >= 0 only (NotInvertibleError
+        otherwise).  The result keeps the order K.
         """
-        if not isinstance(r, int) or r < 0:
-            raise ValueError(f"series power needs an integer exponent >= 0, got {r!r}")
+        if not isinstance(r, int):
+            raise ValueError(f"series power needs an integer exponent, got {r!r}")
         if r == 0:
             return TruncatedSeries.one(self.order)
         if r == 1:
             return self
         c = self.coeffs
         v = next((i for i, x in enumerate(c) if x), len(c))
+        if r < 0 and v:
+            raise NotInvertibleError("series with zero constant term has no negative power")
         shift = v * r
         if shift >= len(c):
             return TruncatedSeries.constant(_ZERO, self.order)
@@ -141,11 +146,12 @@ class TruncatedSeries:
             g.append(s / (n * h0))
         return TruncatedSeries([_ZERO] * shift + g)
 
-    def inverse(self) -> "TruncatedSeries":
+    def inverse(self, stats: Optional[StatsDict] = None) -> "TruncatedSeries":
         """Multiplicative inverse up to the truncation order.
 
         Uses the triangular recurrence b_0 = 1/a_0,
-        b_n = -(1/a_0) * sum_{j=1..n} a_j b_{n-j}.
+        b_n = -(1/a_0) * sum_{m<n} a_{n-m} b_m, the package's one copy of
+        it; `stats` gets the largest lifted numerator's "max_num_bits".
         """
         a = self.coeffs
         if a[0] == 0:
@@ -153,7 +159,7 @@ class TruncatedSeries:
         inv0 = _ONE / a[0]
         b = [inv0]
         for n in range(1, len(a)):
-            s = sum_products((1, a[j], b[n - j]) for j in range(1, n + 1))
+            s = sum_products(((1, a[n - m], b[m]) for m in range(n)), stats)
             b.append(-inv0 * s)
         return TruncatedSeries(b)
 

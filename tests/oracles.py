@@ -2,11 +2,17 @@
 
 Nothing here calls back into the package's algorithm code paths beyond
 trivially constructing TruncatedSeries values; the point is to have a
-second, dumber route to every quantity under test.
+second, dumber route to every quantity under test.  The exceptions are
+the power-sum checks, whose right sides are the package's Bernoulli and
+Euler tables under test, set against a direct summation.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
+from appellseq.engine import appell_polynomial, polynomial_eval, related_numbers_recurrence
+from appellseq.families import HYPER_BERNOULLI, FamilySpec, family_coefficients
 from appellseq.series import TruncatedSeries
 
 ZERO = Fraction(0)
@@ -187,3 +193,103 @@ def ht_quotient_weak_rhs(f, n):
             term = -term
         total = term if total is None else total + term
     return total.truncate(max(f.order - n, 0))
+
+
+def power_sum_check(n, m):
+    """Both sides of sum_{j=1..m} j^n = (B_{n+1}(m+1) - B_{n+1}) / (n+1).
+
+    The left side is direct summation; the right side goes through the
+    classical Bernoulli family at order 1.  The two must be equal.
+    """
+    if n < 0 or m < 1:
+        raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
+    seq = family_coefficients(FamilySpec.bernoulli(), n + 1)
+    table = related_numbers_recurrence(seq, 1, n + 1)
+    poly = appell_polynomial(table, n + 1)
+    lhs = Fraction(sum(j**n for j in range(1, m + 1)))
+    # Telescoping B_{n+1}(z+1) - B_{n+1}(z) = (n+1) z^n covers j = 0..m, so
+    # the 0^n term (nonzero only at n = 0) must come back off.
+    rhs = (polynomial_eval(poly, m + 1) - table.a[n + 1]) / (n + 1)
+    if n == 0:
+        rhs -= 1
+    return lhs, rhs
+
+
+def alt_power_sum_check(n, m):
+    """Both sides of the alternating power sum identity
+
+        sum_{j=1..m} (-1)^(j+1) j^n = -((-1)^m E_n(m+1) + E_n(0)) / 2
+
+    through the Euler family at order 1.  The two must be equal.
+    """
+    if n < 0 or m < 1:
+        raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
+    seq = family_coefficients(FamilySpec.euler(), n)
+    table = related_numbers_recurrence(seq, 1, n)
+    poly = appell_polynomial(table, n)
+    lhs = Fraction(sum(j**n if j % 2 else -(j**n) for j in range(1, m + 1)))
+    sign = 1 if m % 2 == 0 else -1
+    # E_n(1) + E_n(0) = 2 * 0^n, so the closed form picks up a 0^n term
+    # that only matters at n = 0.
+    rhs = -(sign * polynomial_eval(poly, m + 1) + table.a[n]) / 2
+    if n == 0:
+        rhs += 1
+    return lhs, rhs
+
+
+@dataclass(frozen=True)
+class IdentityCheck:
+    """Result of comparing a family against a closed form, term by term."""
+
+    n_max: int
+    first_mismatch: Optional[int]
+
+    @property
+    def ok(self):
+        return self.first_mismatch is None
+
+
+def family_identity_checks(spec, n_max):
+    """Check the M = 1 hypergeometric Bernoulli closed form.
+
+    For hyper_bernoulli(1, N) the coefficients collapse to
+    d_n = n! N! / (N+n)!; any other spec is rejected.
+    """
+    if spec.kind != HYPER_BERNOULLI or spec.m != 1:
+        raise ValueError("closed-form check applies to hyper_bernoulli(1, N) only")
+    d = family_coefficients(spec, n_max).d
+    N = spec.n
+    first_bad = None
+    for n in range(n_max + 1):
+        expected = ONE
+        for i in range(n):  # n! N! / (N+n)! = prod_{i<n} (i+1)/(N+i+1)
+            expected *= Fraction(i + 1, N + i + 1)
+        if d[n] != expected:
+            first_bad = n
+            break
+    return IdentityCheck(n_max=n_max, first_mismatch=first_bad)
+
+
+def classical_cauchy_oracle(n_max):
+    """Cauchy numbers c_0..c_{n_max} straight from t/log(1+t).
+
+    Built from first principles: log(1+t)/t has ordinary coefficients
+    l_n = (-1)^n/(n+1), its inverse has b_0 = 1 and
+    b_n = -sum_{j=1..n} l_j b_{n-j}, and c_n = n! b_n.  The inversion is
+    a plain loop rather than `TruncatedSeries.inverse`, so the oracle is
+    independent of the package's recurrence kernel as well as of the
+    hypergeometric route.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    log_over_t = [Fraction(-1 if n % 2 else 1, n + 1) for n in range(n_max + 1)]
+    b = [ONE]
+    for n in range(1, n_max + 1):
+        b.append(-sum((log_over_t[j] * b[n - j] for j in range(1, n + 1)), ZERO))
+    out = []
+    fact = 1
+    for n in range(n_max + 1):
+        if n:
+            fact *= n
+        out.append(fact * b[n])
+    return out

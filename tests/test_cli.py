@@ -125,7 +125,7 @@ class TestComputeCommand:
                 "--order", "3", "--n", "8", "--algo", algo, "--check", "--format", "csv",
             )
             assert code == 0
-            assert calls == [3]
+            assert calls == [3, -3]
             assert out.splitlines()[0] == "n,value"
 
     def test_check_prints_the_chosen_route(self, capsys):
@@ -167,10 +167,9 @@ class TestComputeCommand:
         doc = json.loads(checked)
         assert doc["verified"] == {
             "recurrence": 9,
-            "determinant:hessenberg": 9,
             "determinant:bareiss": 9,
-            "inversion": 9,
             "composition": 7,
+            "negative-power": 9,
         }
         del doc["verified"]
         assert doc == json.loads(plain)

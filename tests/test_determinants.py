@@ -78,6 +78,16 @@ class TestHessenbergMinors:
         for n in range(1, 5):
             assert minors[n] == oracles.gauss_det(related_matrix(D, n))
 
+    def test_d0_is_not_read(self):
+        # the matrix holds D(1)..D(n) only, so D(0) = 5 changes no minor
+        rng = random.Random(7)
+        D = [F(1)] + [oracles.rand_fraction(rng) for _ in range(8)]
+        D5 = [F(5)] + D[1:]
+        minors = hessenberg_leading_minors(D5, 8)
+        assert minors == hessenberg_leading_minors(D, 8)
+        for n in range(1, 9):
+            assert minors[n] == oracles.gauss_det(related_matrix(D5, n))
+
     def test_stats_record_bit_growth(self):
         D = [F(1)] + [F(97, 89)] * 30
         stats = {"max_num_bits": 3}

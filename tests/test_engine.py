@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from appellseq import engine
 from appellseq.arith import CombinatorialBlowupError
 from appellseq.engine import (
     COMPOSITION,
     DETERMINANT_BAREISS,
     DETERMINANT_HESSENBERG,
     INVERSION,
+    NEGATIVE_POWER,
     RECURRENCE,
     AppellPolynomial,
     CoefficientSequence,
@@ -18,13 +20,11 @@ from appellseq.engine import (
     PowerCoefficientTable,
     VerificationReport,
     appell_polynomial,
-    alt_power_sum_check,
     compute_D,
     cross_verify,
     first_disagreement,
     polynomial_derivative,
     polynomial_eval,
-    power_sum_check,
     recurrence_values,
     related_numbers_composition,
     related_numbers_determinant,
@@ -34,6 +34,7 @@ from appellseq.engine import (
 from appellseq.families import FamilySpec, family_coefficients
 
 import oracles
+from oracles import alt_power_sum_check, power_sum_check
 
 F = Fraction
 
@@ -104,6 +105,10 @@ class TestComputeD:
         a = recurrence_values(D, 20, stats=stats)
         assert a == recurrence_values(D, 20)
         assert stats["max_num_bits"] > 0
+
+    def test_recurrence_does_not_read_d0(self):
+        D = compute_D(bernoulli_seq(12), 2).D
+        assert recurrence_values((F(5),) + D[1:], 12) == recurrence_values(D, 12)
 
     def test_routes_take_a_shared_table(self):
         seq = bernoulli_seq(10)
@@ -192,13 +197,12 @@ class TestCrossVerify:
         report = cross_verify(bernoulli_seq(10), 2, 10)
         assert report.agree
         assert report.first_mismatch is None
-        assert "all 5 routes agree" in report.describe()
+        assert "all 4 routes agree" in report.describe()
         assert set(report.tables) == {
             RECURRENCE,
-            DETERMINANT_HESSENBERG,
             DETERMINANT_BAREISS,
-            INVERSION,
             COMPOSITION,
+            NEGATIVE_POWER,
         }
 
     def test_composition_capped_not_failed(self):
@@ -213,11 +217,26 @@ class TestCrossVerify:
         assert report.coverage[COMPOSITION] == 8
         assert report.coverage[RECURRENCE] == 14
         text = report.describe()
-        assert text.startswith("all 5 routes agree for r=1, n <= 14")
+        assert text.startswith("all 4 routes agree for r=1, n <= 14")
         assert "composition only n <= 8" in text
         # a route that covered the full range is not singled out
         full = cross_verify(bernoulli_seq(8), 1, 8, cap=8).describe()
-        assert full == "all 5 routes agree for r=1, n <= 8"
+        assert full == "all 4 routes agree for r=1, n <= 8"
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_doctored_power_table_is_caught(self, monkeypatch, r):
+        # Every route but the negative power starts from compute_D's table,
+        # so only that witness can see a wrong D_r(5).
+        def doctored(seq, r, n_max=None):
+            D = list(real_compute_D(seq, r, n_max).D)
+            D[5] += F(1, 7)
+            return PowerCoefficientTable(r=r, D=tuple(D))
+
+        real_compute_D = engine.compute_D
+        monkeypatch.setattr(engine, "compute_D", doctored)
+        report = cross_verify(family_coefficients(FamilySpec.hyper_cauchy(2, 3), 10), r, 10)
+        assert report.first_mismatch == 5
+        assert report.describe() == f"routes disagree first at n=5 (r={r})"
 
     def test_first_disagreement_detects_doctored_table(self):
         good = (F(1), F(-1, 2), F(1, 6))

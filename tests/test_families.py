@@ -4,13 +4,9 @@ from fractions import Fraction
 import pytest
 
 from appellseq.engine import NormalizationError
-from appellseq.families import (
-    FamilySpec,
-    classical_cauchy_oracle,
-    family_coefficients,
-    family_identity_checks,
-    load_custom_family,
-)
+from appellseq.families import FamilySpec, family_coefficients, load_custom_family
+
+from oracles import classical_cauchy_oracle, family_identity_checks
 
 F = Fraction
 

@@ -173,10 +173,21 @@ class TestArithmetic:
 
     def test_pow_rejects_bad_exponents(self):
         s = TruncatedSeries([1, 1])
-        with pytest.raises(ValueError):
-            s ** (-1)
+        assert s ** -1 == s.inverse()
         with pytest.raises(ValueError):
             s ** F(1, 2)
+
+    def test_negative_power_is_inverse_of_power(self):
+        for spec in (FamilySpec.bernoulli(), FamilySpec.hyper_cauchy(2, 3)):
+            f = family_coefficients(spec, 40).ordinary()
+            for r in (1, 2, 3, 16):
+                assert f**-r == (f**r).inverse(), (spec.label, r)
+
+    def test_negative_power_needs_nonzero_constant(self):
+        for s in (TruncatedSeries([0, 1, 1]), TruncatedSeries([0, 0])):
+            for r in (-1, -2):
+                with pytest.raises(NotInvertibleError):
+                    s**r
 
 
 class TestInverse:
