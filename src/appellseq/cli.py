@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import determinants, engine
 from .arith import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError, parse_rational
@@ -358,8 +358,21 @@ def _attach_negative_z(argv: Sequence[str]) -> list[str]:
     return out
 
 
+# (builder, parser): the parser `main` reuses and the function that built it
+_parser_cache: Optional[tuple[Callable, argparse.ArgumentParser]] = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on first use and again only when
+    `build_parser` has been replaced since (a tracer may wrap it)."""
+    global _parser_cache
+    if _parser_cache is None or _parser_cache[0] is not build_parser:
+        _parser_cache = (build_parser, build_parser())
+    return _parser_cache[1]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(
             _attach_negative_z(sys.argv[1:] if argv is None else argv)

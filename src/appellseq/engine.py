@@ -19,7 +19,8 @@ Four algorithms compute the same table a_0..a_{n_max}:
 * `related_numbers_composition`: the explicit alternating sum
   a_n = n! sum_k (-1)^k sum over strict compositions e_1+..+e_k = n of
   D_r(e_1)...D_r(e_k), with the compositions grouped by the partition
-  they sort to, so it costs p(n) terms per n; a small-n oracle;
+  they sort to, so it costs p(n) terms per n, summed over integers in
+  one walk of the partition tree for every n <= n_max; a small-n oracle;
 * `related_numbers_determinant`: (-1)^n n! times the determinant of the
   unit-superdiagonal Hessenberg matrix over D_r(1)..D_r(n), every n from
   one O(n^3) Bareiss elimination;
@@ -28,14 +29,15 @@ Four algorithms compute the same table a_0..a_{n_max}:
 Here D_r(e) is the ordinary coefficient of t^e in f(t)^r, equal to the
 weak-composition sum over d_{i_1}..d_{i_r}/(i_1!..i_r!); `compute_D`
 raises f to the power r by Miller's recurrence (`TruncatedSeries.__pow__`).
-Every sum of products goes through `arith.sum_products`.  `cross_verify`
+Every convolution goes through `arith.sum_products`; the composition
+sum lifts D_r to one common denominator itself.  `cross_verify`
 runs these four on one D_r table (the negative power on f, which checks
 D_r) and reports the first disagreement, if any; agreement must be exact.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -46,8 +48,6 @@ from .arith import (
     StatsDict,
     binomial,
     compositions,  # unused here; perfbench/spans.py wraps engine.compositions
-    partitions,
-    sum_products,
 )
 from .determinants import (
     bareiss_det,  # unused here; perfbench/spans.py wraps engine.bareiss_det
@@ -240,34 +240,53 @@ def related_numbers_composition(
     cap: int = DEFAULT_COMPOSITION_CAP,
     D: Optional[Sequence[Fraction]] = None,
 ) -> RelatedNumberTable:
-    """Explicit alternating sum over the strict compositions of each n.
+    """Explicit alternating sum over the partitions of each n.
 
-    The 2^(n-1) compositions are grouped by the partition lambda they sort
-    to, Faa di Bruno style:
+    The 2^(n-1) strict compositions of n are grouped by the partition
+    lambda they sort to, Faa di Bruno style:
 
         a_n = n! sum_lambda (-1)^l(lambda) l(lambda)!/prod_i m_i(lambda)!
                             * prod_j D_r(lambda_j),
 
     where l(lambda) is the number of parts and m_i(lambda) the number of
-    parts equal to i.  It is an oracle for small n, not a production path;
+    parts equal to i.  Every D_r(k) is lifted to N_k / L over one
+    L = lcm(den D_r(1..n_max)), and one walk of the tree whose nodes are
+    the partitions of every n <= n_max (parts non-increasing, each child
+    appends one part) carries l, the run m of the last part, the weight
+    l!/prod m_i! and the integer product of the N_k down to each node; a
+    node adds its weighted product to acc[n][l], and
+    a_n = n! sum_l (-1)^l acc[n][l] L^(n-l) / L^n.  Siblings share only
+    their parent's prefix product, so this is still one term per
+    partition.  It is an oracle for small n, not a production path;
     n_max past `cap` raises CombinatorialBlowupError.
     """
     n_max = seq._resolve(n_max)
     check_composition_cap(n_max, cap)
     D = _power_table(seq, r, n_max, D)
+    L = math.lcm(*(x.denominator for x in D[1 : n_max + 1]))
+    N = [x.numerator * (L // x.denominator) for x in D[: n_max + 1]]
+    acc = [[0] * (n + 1) for n in range(n_max + 1)]
+    # (n, last part, number of parts, run of the last part, weight, product)
+    stack = [(0, n_max, 0, 0, 1, 1)]
+    while stack:
+        n, top, parts, run, w, prod = stack.pop()
+        k = parts + 1  # the number of parts of each child
+        for e in range(min(top, n_max - n), 0, -1):
+            if not N[e]:
+                continue  # every partition below this child has product 0
+            m = run + 1 if e == top else 1
+            weight, product = w * k // m, prod * N[e]
+            acc[n + e][k] += weight * product
+            if n + e < n_max:
+                stack.append((n + e, e, k, m, weight, product))
     fact = _factorials(n_max)
+    L_pow = [L**i for i in range(n_max + 1)]
     a = [_ONE]
     for n in range(1, n_max + 1):
-        terms = []
-        for parts in partitions(n, cap=cap):
-            # the number of compositions that sort to this partition
-            orderings = fact[len(parts)]
-            prod = _ONE
-            for e, m in Counter(parts).items():
-                orderings //= fact[m]
-                prod *= D[e] ** m
-            terms.append((-orderings if len(parts) & 1 else orderings, prod, _ONE))
-        a.append(fact[n] * sum_products(terms))
+        total = sum(
+            (-c if k & 1 else c) * L_pow[n - k] for k, c in enumerate(acc[n]) if c
+        )
+        a.append(Fraction(fact[n] * total, L_pow[n]))
     return RelatedNumberTable(r=r, a=tuple(a), algorithm=COMPOSITION)
 
 

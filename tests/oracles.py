@@ -7,10 +7,13 @@ the power-sum checks, whose right sides are the package's Bernoulli and
 Euler tables under test, set against a direct summation.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import factorial
+from typing import Iterator, Optional
 
+from appellseq.arith import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError
 from appellseq.engine import appell_polynomial, polynomial_eval, related_numbers_recurrence
 from appellseq.families import HYPER_BERNOULLI, FamilySpec, family_coefficients
 from appellseq.series import TruncatedSeries
@@ -71,6 +74,60 @@ def iter_compositions(n, k, lo):
     for first in range(lo, n + 1):
         for rest in iter_compositions(n - first, k - 1, lo):
             yield (first,) + rest
+
+
+def partitions(
+    n: int, *, cap: int | None = DEFAULT_COMPOSITION_CAP
+) -> Iterator[tuple[int, ...]]:
+    """Enumerate the partitions of n as non-increasing tuples of parts >= 1.
+
+    The order is deterministic (reverse lexicographic, largest first part
+    first) and each partition is produced exactly once; n = 0 has the one
+    empty partition.  Sorting each strict composition of n into k parts
+    gives a partition with k parts, and each partition with multiplicities
+    m_i arises from k!/prod(m_i!) compositions.
+
+    Raises CombinatorialBlowupError when n exceeds `cap` (pass cap=None to
+    disable the guard).
+    """
+    if n < 0:
+        raise ValueError(f"partitions needs n >= 0, got {n}")
+    if cap is not None and n > cap:
+        raise CombinatorialBlowupError(
+            f"refusing to enumerate partitions of n={n}: "
+            f"enumeration cap is {cap}"
+        )
+    return _partitions(n, n)
+
+
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def composition_by_partitions(D, n_max):
+    """a_0..a_{n_max} by the alternating sum over partitions, one Fraction
+    product per partition and a fresh sum for every n:
+
+        a_n = n! sum_lambda (-1)^l(lambda) l(lambda)!/prod_i m_i(lambda)!
+                            * prod_j D(lambda_j).
+    """
+    out = [ONE]
+    for n in range(1, n_max + 1):
+        total = ZERO
+        for parts in partitions(n, cap=None):
+            orderings = factorial(len(parts))
+            prod = ONE
+            for e, m in Counter(parts).items():
+                orderings //= factorial(m)
+                prod *= D[e] ** m
+            total += -orderings * prod if len(parts) % 2 else orderings * prod
+        out.append(factorial(n) * total)
+    return out
 
 
 def weak_D(d, r, e):

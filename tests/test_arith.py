@@ -14,10 +14,11 @@ from appellseq.arith import (
     compositions,
     format_rational,
     parse_rational,
-    partitions,
     rising_factorial,
     sum_products,
 )
+
+from oracles import partitions
 
 
 class TestParseRational:

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from appellseq import cli
+from appellseq.arith import DEFAULT_COMPOSITION_CAP
 from appellseq.engine import VerificationReport
 from appellseq.families import family_coefficients
 from appellseq.series import TruncatedSeries
@@ -174,6 +175,19 @@ class TestComputeCommand:
         del doc["verified"]
         assert doc == json.loads(plain)
 
+    def test_default_cap_checks_composition_to_34(self, capsys):
+        code, out, _ = run(
+            capsys, "compute", "--family", "bernoulli", "--n", "40", "--check",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["verified"] == {
+            "recurrence": 40,
+            "determinant:bareiss": 40,
+            "composition": 34,
+            "negative-power": 40,
+        }
+
     def test_custom_family_round_trip(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text("# bernoulli by hand\n1\n1/2\n1/3\n1/4\n1/5\n")
@@ -183,6 +197,22 @@ class TestComputeCommand:
         )
         assert code == 0
         assert out.strip().splitlines()[1:] == ["0,1", "1,-1/2", "2,1/6", "3,0", "4,-1/30"]
+
+
+class TestParserCache:
+    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for _ in range(2):
+            code, _, _ = run(capsys, "poly", "--family", "euler", "--n", "3")
+            assert code == 0
+        assert len(built) == 1
 
 
 class TestUsageErrors:
@@ -247,8 +277,8 @@ class TestUsageErrors:
 class TestCapExit:
     def test_composition_past_cap_exits_3(self, capsys):
         code, _, err = run(
-            capsys, "compute", "--family", "bernoulli", "--n", "25",
-            "--algo", "composition",
+            capsys, "compute", "--family", "bernoulli",
+            "--n", str(DEFAULT_COMPOSITION_CAP + 1), "--algo", "composition",
         )
         assert code == 3
         assert "cap" in err
@@ -412,3 +442,24 @@ class TestBenchmarkTracer:
             tracer.uninstall()
         for owner, attr, original in patched:
             assert getattr(owner, attr) is original, attr
+
+    def test_cached_parser_is_traced_and_untraced(self, capsys, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import spans
+
+        build_parser = cli.build_parser
+        tracer = spans.Tracer(time.perf_counter)
+        tracer.install(cli)
+        try:
+            for _ in range(2):
+                code, _, _ = run(capsys, "poly", "--family", "euler", "--n", "3")
+                assert code == 0
+            names = [span[0] for span in tracer.spans]
+            assert names.count("cli.parse_args") == 2
+        finally:
+            tracer.uninstall()
+        assert cli.build_parser is build_parser
+        recorded = len(tracer.spans)
+        code, _, _ = run(capsys, "poly", "--family", "euler", "--n", "3")
+        assert code == 0
+        assert len(tracer.spans) == recorded

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appellseq import engine
-from appellseq.arith import CombinatorialBlowupError
+from appellseq.arith import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError
 from appellseq.engine import (
     COMPOSITION,
     DETERMINANT_BAREISS,
@@ -182,14 +182,54 @@ class TestRouteAgreement:
             related_numbers_determinant(bernoulli_seq(3), 1, kernel="gauss")
 
     def test_composition_cap(self):
-        seq = bernoulli_seq(25)
+        seq = bernoulli_seq(DEFAULT_COMPOSITION_CAP + 1)
         with pytest.raises(CombinatorialBlowupError):
-            related_numbers_composition(seq, 1, 25)
+            related_numbers_composition(seq, 1, DEFAULT_COMPOSITION_CAP + 1)
         # a tighter explicit cap trips earlier; a looser one lifts the guard
         with pytest.raises(CombinatorialBlowupError):
             related_numbers_composition(seq, 1, 8, cap=5)
         table = related_numbers_composition(seq, 1, 8, cap=8)
         assert table.a == related_numbers_recurrence(seq, 1, 8).a
+
+
+    def test_composition_matches_partition_oracle_on_random_sequences(self):
+        rng = random.Random(41)
+        entries = [F(0)] * 12 + [F(p, q) for p in range(-4, 5) if p for q in (1, 2, 3)]
+        tables_with_zeros = 0
+        for _ in range(200):
+            n_max = rng.randint(0, 12)
+            r = rng.randint(1, 4)
+            seq = CoefficientSequence.from_values(
+                [F(1)] + [rng.choice(entries) for _ in range(n_max)]
+            )
+            D = compute_D(seq, r, n_max).D
+            tables_with_zeros += 0 in D[1:]
+            got = related_numbers_composition(seq, r, n_max).a
+            assert list(got) == oracles.composition_by_partitions(D, n_max)
+        assert tables_with_zeros >= 40
+
+    @pytest.mark.parametrize(
+        "spec, r",
+        [
+            (FamilySpec.bernoulli(), 1),
+            (FamilySpec.euler(), 2),
+            (FamilySpec.hyper_bernoulli(2, 3), 3),
+            (FamilySpec.hyper_cauchy(2, 3), 2),
+        ],
+    )
+    def test_composition_matches_partition_oracle_on_catalog(self, spec, r):
+        seq = family_coefficients(spec, 22)
+        D = compute_D(seq, r, 22).D
+        got = related_numbers_composition(seq, r, 22, D=D).a
+        assert list(got) == oracles.composition_by_partitions(D, 22)
+
+    @pytest.mark.parametrize(
+        "spec, r", [(FamilySpec.bernoulli(), 1), (FamilySpec.hyper_cauchy(2, 3), 2)]
+    )
+    def test_composition_at_n_34(self, spec, r):
+        seq = family_coefficients(spec, 34)
+        D = compute_D(seq, r, 34).D
+        assert list(related_numbers_composition(seq, r, 34, D=D).a) == recurrence_values(D, 34)
 
 
 class TestCrossVerify:
