@@ -4,9 +4,8 @@ Every numeric value in this package is a `fractions.Fraction`: arbitrary
 precision, stored in lowest terms with a positive denominator, so equality
 is structural and safe for cross-algorithm comparison.  The helpers here
 add the wire format ("p/q" strings), the binomial convention used by the
-Hasse-Teichmueller derivative, rising factorials, composition
-enumeration, and `sum_products`, the one summation kernel that every
-convolution in the package goes through.
+Hasse-Teichmueller derivative, rising factorials and composition
+enumeration.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, MutableMapping, Optional, Union
+from typing import Iterator, MutableMapping, Union
 
 #: Largest n the composition route (and `compositions`) serves by default.
 #: The route walks every partition of every n <= n_max, and p(n) grows as
@@ -79,40 +78,6 @@ def rising_factorial(x: RationalLike, n: int) -> Fraction:
     for i in range(n):
         out *= x + i
     return out
-
-
-def sum_products(
-    terms: Iterable[tuple[int, Fraction, Fraction]],
-    stats: Optional[StatsDict] = None,
-) -> Fraction:
-    """Exact sum of w * x * y over the (w, x, y) terms, reduced once.
-
-    w is a small integer weight, x and y are Fractions.  Each product is
-    kept as the unreduced pair (w * x_num * y_num, x_den * y_den); every
-    pair is lifted to the lcm L of those denominators, the integer
-    numerators are added, and the sum over L is reduced by one gcd.
-    Adding the Fractions one at a time would pay a gcd per term.  Terms
-    with a zero factor are skipped; no terms sum to 0.
-
-    When `stats` is given, the bit length of the largest lifted numerator
-    (a lifted term or their sum) is recorded under "max_num_bits".
-    """
-    nums = []
-    dens = []
-    for w, x, y in terms:
-        num = w * x.numerator * y.numerator
-        if num:
-            nums.append(num)
-            dens.append(x.denominator * y.denominator)
-    if not nums:
-        return Fraction(0)
-    lcm = math.lcm(*dens)
-    lifted = [num * (lcm // den) for num, den in zip(nums, dens)]
-    total = sum(lifted)
-    if stats is not None:
-        bits = max(total.bit_length(), *(x.bit_length() for x in lifted))
-        stats["max_num_bits"] = max(stats.get("max_num_bits", 0), bits)
-    return Fraction(total, lcm)
 
 
 def compositions(

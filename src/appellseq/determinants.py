@@ -60,8 +60,9 @@ def hessenberg_leading_minors(
 
     det_n is the determinant of the n x n matrix from `related_matrix`,
     and (-1)^n det_n is [t^n] of the inverse of 1 + sum_{k>=1} D(k) t^k
-    (D(0) is not read), with "max_num_bits" in `stats` as
-    `TruncatedSeries.inverse` records it.
+    (D(0) is not read).  `stats` gets "max_num_bits" from
+    `TruncatedSeries.inverse`: the bit length of the largest integer dot
+    product |S| of its Miller loop.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")

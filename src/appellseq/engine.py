@@ -29,10 +29,12 @@ Four algorithms compute the same table a_0..a_{n_max}:
 Here D_r(e) is the ordinary coefficient of t^e in f(t)^r, equal to the
 weak-composition sum over d_{i_1}..d_{i_r}/(i_1!..i_r!); `compute_D`
 raises f to the power r by Miller's recurrence (`TruncatedSeries.__pow__`).
-Every convolution goes through `arith.sum_products`; the composition
-sum lifts D_r to one common denominator itself.  `cross_verify`
-runs these four on one D_r table (the negative power on f, which checks
-D_r) and reports the first disagreement, if any; agreement must be exact.
+Every convolution, f^r included, runs in one integer Miller loop over
+exponential coefficients behind `TruncatedSeries.__pow__` and `inverse`;
+the composition sum lifts D_r to one common denominator itself.
+`cross_verify` runs these four on one D_r table (the negative power on
+f, which checks D_r) and reports the first disagreement, if any;
+agreement must be exact.
 """
 
 from __future__ import annotations
@@ -188,8 +190,9 @@ def recurrence_values(
     """a_0..a_{n_max} from a D table by the convolution recurrence.
 
     a_n/n! = -sum_{m<n} D(n-m) a_m/m! is [t^n] of the inverse of
-    1 + sum_{k>=1} D(k) t^k (D(0) is not read), with "max_num_bits" in
-    `stats` as `TruncatedSeries.inverse` records it.
+    1 + sum_{k>=1} D(k) t^k (D(0) is not read).  `stats` gets
+    "max_num_bits" from `TruncatedSeries.inverse`: the bit length of the
+    largest integer dot product |S| of its Miller loop.
     """
     if len(D) <= n_max:
         raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")

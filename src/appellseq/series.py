@@ -9,17 +9,20 @@ The series here carry exponential generating functions in ordinary form:
 a sequence d_n with EGF sum(d_n t^n / n!) is stored as c_n = d_n / n!.
 Ordinary coefficients are the natural carrier for the Hasse-Teichmueller
 derivative H^(n), which maps c_m t^m to c_m C(m, n) t^(m-n), and for the
-determinant entries derived from it.  `inverse` is the package's one copy
-of the convolution recurrence behind the related numbers, and `**` takes
-any integer power by Miller's recurrence.
+determinant entries derived from it.  `**` (any integer power) and
+`inverse` (the power -1, the recurrence behind the related numbers) share
+one integer Miller loop over exponential coefficients, `_power`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from itertools import accumulate
+from operator import add, mul
+from typing import Iterable, Optional, Sequence, Union
 
-from .arith import StatsDict, binomial, sum_products
+from .arith import StatsDict, binomial
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -98,11 +101,10 @@ class TruncatedSeries:
 
     def __mul__(self, other: Union["TruncatedSeries", Scalar]) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
-            a, b = self.coeffs, other.coeffs
-            n_out = min(len(a), len(b))
+            (la, a), (lb, b) = _lift(self.coeffs), _lift(other.coeffs)
             return TruncatedSeries(
-                sum_products((1, a[j], b[n - j]) for j in range(n + 1))
-                for n in range(n_out)
+                Fraction(sum(map(mul, a[: n + 1], reversed(b[: n + 1]))), la * lb)
+                for n in range(min(len(a), len(b)))
             )
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
@@ -114,16 +116,18 @@ class TruncatedSeries:
     def __pow__(self, r: int) -> "TruncatedSeries":
         """r-th power for any integer r, by J.C.P. Miller's recurrence.
 
-        For g = f^r with f_0 != 0, differentiating g = f^r gives
-        f g' = r f' g, and comparing the coefficients of t^(n-1):
+        For g = f^r with f_0 = 1, f g' = r f' g gives
+        g_n = 1/n * sum_{k=1..n} ((r+1)k - n) f_k g_{n-k}.  Multiplied by
+        n!, it runs on the exponential coefficients F_k = k! f_k and
+        G_n = n! g_n with integer weights:
 
-            g_0 = f_0^r,
-            g_n = 1/(n f_0) * sum_{k=1..n} ((r+1)k - n) f_k g_{n-k},
+            G_0 = 1,
+            G_n = sum_{k=1..n} ((r+1) C(n-1, k-1) - C(n, k)) F_k G_{n-k},
 
-        O(K^2) operations for the whole prefix whatever r is (Knuth,
-        TAOCP vol. 2, section 4.7).  A series with f_0 = 0 is t^v h with
-        h_0 != 0, and f^r = t^(vr) h^r, for r >= 0 only (NotInvertibleError
-        otherwise).  The result keeps the order K.
+        O(K^2) operations whatever r is (Knuth, TAOCP vol. 2, 4.7), in
+        `_power`.  f_0 != 1 scales the result by f_0^r; f_0 = 0 means
+        f = t^v h with h_0 != 0, so f^r = t^(vr) h^r, for r >= 0 only
+        (NotInvertibleError otherwise).  The result keeps the order K.
         """
         if not isinstance(r, int):
             raise ValueError(f"series power needs an integer exponent, got {r!r}")
@@ -138,30 +142,19 @@ class TruncatedSeries:
         shift = v * r
         if shift >= len(c):
             return TruncatedSeries.constant(_ZERO, self.order)
-        h = c[v : v + len(c) - shift]
-        h0 = h[0]
-        g = [h0**r]
-        for n in range(1, len(h)):
-            s = sum_products(((r + 1) * k - n, h[k], g[n - k]) for k in range(1, n + 1))
-            g.append(s / (n * h0))
-        return TruncatedSeries([_ZERO] * shift + g)
+        return TruncatedSeries([_ZERO] * shift + _power(c[v : v + len(c) - shift], r))
 
     def inverse(self, stats: Optional[StatsDict] = None) -> "TruncatedSeries":
         """Multiplicative inverse up to the truncation order.
 
-        Uses the triangular recurrence b_0 = 1/a_0,
-        b_n = -(1/a_0) * sum_{m<n} a_{n-m} b_m, the package's one copy of
-        it; `stats` gets the largest lifted numerator's "max_num_bits".
+        b_0 = 1/a_0 and b_n = -(1/a_0) * sum_{m<n} a_{n-m} b_m, run as the
+        power -1, where Miller's weight is -C(n, k).  `stats` gets
+        "max_num_bits", the largest |S|.bit_length() of `_power`.
         """
         a = self.coeffs
         if a[0] == 0:
             raise NotInvertibleError("series with zero constant term has no inverse")
-        inv0 = _ONE / a[0]
-        b = [inv0]
-        for n in range(1, len(a)):
-            s = sum_products(((1, a[n - m], b[m]) for m in range(n)), stats)
-            b.append(-inv0 * s)
-        return TruncatedSeries(b)
+        return TruncatedSeries(_power(a, -1, stats))
 
     def ht(self, n: int) -> "TruncatedSeries":
         """Hasse-Teichmueller derivative of order n.
@@ -193,3 +186,43 @@ class TruncatedSeries:
                 f"coefficient {n} requested from a series truncated at order {self.order}"
             )
         return self.coeffs[n]
+
+
+def _lift(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """L = lcm(den xs) and the integer numerators x L."""
+    L = math.lcm(*(x.denominator for x in xs))
+    return L, [x.numerator * (L // x.denominator) for x in xs]
+
+
+def _power(c: Sequence[Fraction], r: int, stats: Optional[StatsDict] = None) -> list[Fraction]:
+    """Ordinary coefficients c_0^r G_n / n! of c^r, c_0 != 0, where G = F^r
+    on the exponential coefficients F_k = k! c_k / c_0 (see `__pow__`).
+
+    The one loop behind every power and inverse.  The weights
+    w_k = r C(n-1, k-1) - C(n-1, k) obey Pascal's rule themselves: the row
+    w_1..w_n of step n rolls forward to w_1 - 1, w_1 + w_2, ...,
+    w_{n-1} + w_n, r.  The sums run over integers: F_k = P_k / L over one
+    L = lcm(den F_1..F_K), and G_0..G_{n-1} = M_m / Q over one running Q.
+    The dot product S = sum_k w_k P_k M_{n-k} gives G_n = S / (L Q), one
+    gcd per n; when den G_n does not divide Q, Q rises to their lcm and
+    the stored M are rescaled.  `stats` gets the largest |S|.bit_length()
+    as "max_num_bits".
+    """
+    fact = list(accumulate(range(1, len(c)), mul, initial=1))
+    L, P = _lift([x * f / c[0] for x, f in zip(c[1:], fact[1:])])
+    scale = c[0] ** r
+    out, M, Q, w, peak = [scale], [1], 1, [r], 0
+    for f in fact[1:]:
+        S = sum(map(mul, map(mul, w, P), reversed(M)))
+        peak = max(peak, S.bit_length())
+        g = Fraction(S, L * Q)
+        if Q % g.denominator:
+            up = g.denominator // math.gcd(Q, g.denominator)
+            Q *= up
+            M = [m * up for m in M]
+        M.append(g.numerator * (Q // g.denominator))
+        out.append(scale * g / f)
+        w = [w[0] - 1, *map(add, w, w[1:]), r]
+    if stats is not None:
+        stats["max_num_bits"] = max(stats.get("max_num_bits", 0), peak)
+    return out

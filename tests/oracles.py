@@ -43,6 +43,15 @@ def naive_mul(a, b):
     return out
 
 
+def naive_inverse(a):
+    """Coefficients of 1/a by b_0 = 1/a_0, b_n = -(1/a_0) sum_{m<n} a_{n-m} b_m,
+    summed with plain Fraction addition."""
+    b = [ONE / a[0]]
+    for n in range(1, len(a)):
+        b.append(-sum((a[n - m] * b[m] for m in range(n)), ZERO) / a[0])
+    return b
+
+
 def gauss_det(matrix):
     """Determinant by plain fraction Gaussian elimination with pivoting."""
     n = len(matrix)

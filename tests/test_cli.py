@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from appellseq import cli
 from appellseq.arith import DEFAULT_COMPOSITION_CAP
@@ -272,6 +278,61 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
+
+
+int_options = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["x", "1.5", "", "-"]))
+# written as latin-1, so "\xff" is a byte that is not UTF-8
+custom_lines = st.one_of(
+    st.fractions(min_value=-99, max_value=99, max_denominator=99).map(str),
+    st.sampled_from(["1", "0", "1/0", "# note", "", "p/q", "1.5", "\xff", "2/-3"]),
+)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """(argv, custom file text or None): compute, poly or bench with drawn
+    family, sizes, --z, --format and --check, --n at most 12."""
+    command = draw(st.sampled_from(["compute", "poly", "bench"]))
+    family = draw(st.sampled_from(
+        ["bernoulli", "euler", "hyper-bernoulli", "hyper-cauchy", "custom", "pell"]
+    ))
+    argv = [command, "--family", family, "--n", draw(int_options)]
+    for option in ("--m", "--nn", "--order", "--cap"):
+        if draw(st.booleans()):
+            argv += [option, draw(int_options)]
+    text = None
+    if family == "custom" and draw(st.booleans()):
+        text = "\n".join(draw(st.lists(custom_lines, max_size=14)))
+        argv += ["--custom-path", "{path}"]
+    if draw(st.booleans()):
+        argv += ["--z", draw(st.one_of(
+            st.fractions(min_value=-9, max_value=9, max_denominator=9).map(str),
+            st.sampled_from(["1/0", "", "abc", "-x", "0.5"]),
+        ))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["csv", "json", "pretty", "xml"]))]
+    if draw(st.booleans()):
+        argv.append("--check")
+    return argv, text
+
+
+class TestArgvFuzz:
+    """Whatever the argv, `main` exits with a documented code and at most
+    one error line, in process."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fuzzed_argv())
+    def test_exit_codes_and_one_error_line(self, drawn):
+        argv, text = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "custom.txt"
+            if text is not None:
+                path.write_bytes(text.encode("latin-1"))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([a.replace("{path}", str(path)) for a in argv])
+        assert code in (0, 2, 3, 4), (argv, text, err.getvalue())
+        assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
 
 
 class TestCapExit:

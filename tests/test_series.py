@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from appellseq.determinants import hessenberg_leading_minors
+from appellseq.engine import recurrence_values
 from appellseq.families import FamilySpec, family_coefficients
 from appellseq.series import (
     InsufficientPrecisionError,
@@ -219,6 +221,57 @@ class TestInverse:
     def test_inverse_round_trip(self, s):
         assert s * s.inverse() == TruncatedSeries.one(s.order)
         assert s.inverse().inverse() == s
+
+
+PRIMES_ABOVE_40 = [p for p in range(41, 400) if all(p % q for q in range(2, 20))]
+
+
+def kernel_series(seed, order):
+    """c_0 not in {0, 1}, c_k = 0 at every k = 2 (mod 3), and every other
+    c_k over its own prime above the order, which k! cannot cancel: the
+    Miller loop's running denominator keeps growing."""
+    rng = random.Random(seed)
+    c0 = F(rng.choice([-3, -2, 3, 5]), rng.choice([1, 2, 7]))
+    primes = rng.sample(PRIMES_ABOVE_40, order)
+    rest = [0 if k % 3 == 2 else F(rng.randint(-50, 50) or 1, q) for k, q in enumerate(primes, 1)]
+    return TruncatedSeries([c0] + rest)
+
+
+class TestMillerKernel:
+    """`**` and `inverse` against plain-Fraction oracles."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 40])
+    def test_powers_and_inverse_match_naive_oracles(self, order):
+        for seed in (1, 2):
+            s = kernel_series(seed, order)
+            c = list(s.coeffs)
+            inv = oracles.naive_inverse(c)
+            assert list(s.inverse().coeffs) == inv
+            by_mul = inv
+            for r in range(-1, -6, -1):
+                assert list((s**r).coeffs) == by_mul, (seed, order, r)
+                assert by_mul == oracles.naive_inverse(list((s**-r).coeffs))
+                by_mul = oracles.naive_mul(by_mul, inv)
+            by_mul = c
+            for r in range(2, 17):
+                by_mul = oracles.naive_mul(by_mul, c)
+                assert list((s**r).coeffs) == by_mul, (seed, order, r)
+
+    def test_peak_bits_of_a_small_inverse(self):
+        # 1/(1 + t/2 + t^2/3 + t^3/5): F = 1, 1/2, 2/3, 6/5 over L = 30, so
+        # P = 15, 20, 36.  The dot products are S_1 = -15 (G_1 = -1/2, Q = 2),
+        # S_2 = -10 (G_2 = -1/6, Q = 6) and S_3 = 9 (G_3 = 1/20): 4 bits.
+        s = TruncatedSeries([1, F(1, 2), F(1, 3), F(1, 5)])
+        D = s.coeffs
+        stats = {}
+        assert s.inverse(stats).coeffs == (1, F(-1, 2), F(-1, 12), F(1, 120))
+        assert stats == {"max_num_bits": 4}
+        stats = {}
+        assert recurrence_values(D, 3, stats) == [1, F(-1, 2), F(-1, 6), F(1, 20)]
+        assert stats == {"max_num_bits": 4}
+        stats = {"max_num_bits": 3}
+        hessenberg_leading_minors(D, 3, stats)
+        assert stats == {"max_num_bits": 4}
 
 
 class TestHasseTeichmuller:
