@@ -5,9 +5,11 @@ Given f(t) = sum_n d_n t^n / n! with d_0 = 1, the related numbers of
 order r are defined by 1 / f(t)^r = sum_n a_n^(r) t^n / n!, and the
 attached polynomials are A_n^(r)(z) = sum_m binom(n, m) a_m^(r) z^(n-m).
 Four independent routes compute the same numbers and are cross-checked:
-a triangular recurrence (series inversion of f^r), an alternating sum
-over compositions, a lower-Hessenberg determinant by Bareiss
-elimination, and the negative power f^(-r) taken straight from f.
+the negative power f^(-r) taken straight from f by Miller's recurrence
+(the production route), and three witnesses over D_r = f^r: a
+triangular recurrence (series inversion of f^r), an alternating sum
+over compositions, and a lower-Hessenberg determinant by Bareiss
+elimination.
 """
 
 from .arith import (

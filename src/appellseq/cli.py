@@ -1,5 +1,5 @@
 """Command-line front end: compute tables, cross-verify, emit CSV/JSON,
-and run the determinant-kernel micro-benchmark.
+and run the per-n kernel micro-benchmark.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 enumeration cap
 exceeded, 4 cross-verification or kernel mismatch.
@@ -34,7 +34,7 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_MISMATCH = 4
 
-BENCH_METHODS = ("hessenberg", "bareiss", "recurrence")
+BENCH_METHODS = ("negative_power", "bareiss", "recurrence")
 
 
 class KernelMismatchError(RuntimeError):
@@ -98,6 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--algo",
         choices=["recurrence", "determinant", "composition", "all"],
         default="recurrence",
+        help=(
+            "recurrence (default): the production route, Miller's recurrence "
+            "on f^(-r); the paper's recurrence over D_r = f^r is a --check "
+            "witness"
+        ),
     )
     p_compute.add_argument(
         "--kernel", choices=["hessenberg", "bareiss"], default="hessenberg"
@@ -123,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.set_defaults(func=cmd_poly)
 
     p_bench = sub.add_parser(
-        "bench", help="time the determinant kernels and the recurrence per n"
+        "bench", help="time the production route, the D_r recurrence and Bareiss per n"
     )
     add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
@@ -163,11 +168,13 @@ def _route_name(config: RunConfig) -> str:
     """The cross_verify table that the chosen --algo/--kernel prints."""
     if config.algorithm == "determinant" and config.kernel == "bareiss":
         return engine.DETERMINANT_BAREISS
+    if config.algorithm == "determinant":
+        # the Hessenberg kernel is the D_r recurrence's own loop
+        return engine.RECURRENCE
     if config.algorithm == "composition":
         return engine.COMPOSITION
-    # "recurrence", "all", or the Hessenberg kernel, which is the
-    # recurrence's own kernel: the same numbers.
-    return engine.RECURRENCE
+    # "recurrence", the default, is served by the negative power; so is "all"
+    return engine.NEGATIVE_POWER
 
 
 def _compute_table(config: RunConfig, seq: CoefficientSequence) -> RelatedNumberTable:
@@ -180,7 +187,7 @@ def _compute_table(config: RunConfig, seq: CoefficientSequence) -> RelatedNumber
         return engine.related_numbers_composition(
             seq, config.order, config.n_max, cap=config.cap
         )
-    return engine.related_numbers_recurrence(seq, config.order, config.n_max)
+    return engine.related_numbers_negative_power(seq, config.order, config.n_max)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -228,7 +235,7 @@ def emit_table(
 def cmd_poly(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     seq = family_coefficients(config.family, config.n_max)
-    table = engine.related_numbers_recurrence(seq, config.order, config.n_max)
+    table = engine.related_numbers_negative_power(seq, config.order, config.n_max)
     poly = appell_polynomial(table, config.n_max)
     if args.z is not None:
         value = polynomial_eval(poly, parse_rational(args.z))
@@ -273,9 +280,11 @@ class BenchRow:
 def run_benchmark(spec: FamilySpec, r: int, n_max: int) -> list[BenchRow]:
     """Per-n wall time and peak intermediate size for every kernel.
 
-    The shared D table is prepared outside the timers, so each cell
-    measures determinant (or recurrence) evaluation only.  All methods
-    must produce identical values; otherwise no timings are reported.
+    The production route (Miller's loop on f^(-r)), the paper's D_r
+    recurrence and Bareiss are three different computations; the shared
+    D table is prepared outside the timers, so the D-based cells measure
+    determinant (or recurrence) evaluation only.  All methods must
+    produce identical values; otherwise no timings are reported.
     """
     seq = family_coefficients(spec, n_max)
     D = engine.compute_D(seq, r, n_max).D
@@ -288,10 +297,9 @@ def run_benchmark(spec: FamilySpec, r: int, n_max: int) -> list[BenchRow]:
 
         stats: dict[str, int] = {}
         t0 = time.perf_counter()
-        dets = determinants.hessenberg_leading_minors(D, n, stats=stats)
+        a = engine.related_numbers_negative_power(seq, r, n, stats=stats).a
         dt = time.perf_counter() - t0
-        value = fact * dets[n] if n % 2 == 0 else -fact * dets[n]
-        cells["hessenberg"] = BenchCell(dt, stats.get("max_num_bits", 0), value)
+        cells["negative_power"] = BenchCell(dt, stats.get("max_num_bits", 0), a[n])
 
         stats = {}
         if n == 0:

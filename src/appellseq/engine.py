@@ -12,10 +12,14 @@ Cauchy numbers and polynomials.
 
 Four algorithms compute the same table a_0..a_{n_max}:
 
-* `related_numbers_recurrence`: the O(n^2) convolution recurrence
-  a_n = -n! sum_{m<n} D_r(n-m) a_m / m!, the production path, run by
+* `related_numbers_negative_power`: a_n = n! [t^n] f^(-r), the production
+  path: one pass of J.C.P. Miller's recurrence for f^(-r), run by
+  `series.exponential_power` directly on d_0..d_{n_max}; it never builds
+  D_r and never leaves exponential form;
+* `related_numbers_recurrence`: the paper's O(n^2) convolution recurrence
+  a_n = -n! sum_{m<n} D_r(n-m) a_m / m!, the inverse of f^r run by
   `TruncatedSeries.inverse` (`related_numbers_inversion` and the
-  Hessenberg determinant kernel are aliases of it);
+  Hessenberg determinant kernel are aliases of it); a witness;
 * `related_numbers_composition`: the explicit alternating sum
   a_n = n! sum_k (-1)^k sum over strict compositions e_1+..+e_k = n of
   D_r(e_1)...D_r(e_k), with the compositions grouped by the partition
@@ -23,18 +27,16 @@ Four algorithms compute the same table a_0..a_{n_max}:
   one walk of the partition tree for every n <= n_max; a small-n oracle;
 * `related_numbers_determinant`: (-1)^n n! times the determinant of the
   unit-superdiagonal Hessenberg matrix over D_r(1)..D_r(n), every n from
-  one O(n^3) Bareiss elimination;
-* `related_numbers_negative_power`: a_n = n! [t^n] f^(-r) from f itself.
+  one O(n^3) Bareiss elimination.
 
 Here D_r(e) is the ordinary coefficient of t^e in f(t)^r, equal to the
 weak-composition sum over d_{i_1}..d_{i_r}/(i_1!..i_r!); `compute_D`
-raises f to the power r by Miller's recurrence (`TruncatedSeries.__pow__`).
-Every convolution, f^r included, runs in one integer Miller loop over
-exponential coefficients behind `TruncatedSeries.__pow__` and `inverse`;
-the composition sum lifts D_r to one common denominator itself.
-`cross_verify` runs these four on one D_r table (the negative power on
-f, which checks D_r) and reports the first disagreement, if any;
-agreement must be exact.
+runs Miller's loop on d_n at the power r.  f^(-r), f^r and the inverse
+of D_r all run in that one loop; the composition sum lifts D_r to one
+common denominator itself.
+`cross_verify` runs the three D-based routes on one D_r table and the
+negative power on f, which checks D_r, and reports the first
+disagreement, if any; agreement must be exact.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .determinants import (
     hessenberg_leading_minors,
     related_matrix,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, exponential_power
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -164,12 +166,13 @@ class AppellPolynomial:
 def compute_D(
     seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> PowerCoefficientTable:
-    """Ordinary coefficients of f(t)^r via truncated series power."""
+    """Ordinary coefficients of f(t)^r: Miller's loop on d_0..d_{n_max},
+    divided by n! once."""
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
     n_max = seq._resolve(n_max)
-    powered = seq.ordinary(n_max) ** r
-    return PowerCoefficientTable(r=r, D=powered.coeffs)
+    G = exponential_power(seq.d[: n_max + 1], r)
+    return PowerCoefficientTable(r=r, D=tuple(g / f for g, f in zip(G, _factorials(n_max))))
 
 
 def _factorials(n_max: int) -> list[int]:
@@ -216,7 +219,7 @@ def related_numbers_recurrence(
     n_max: Optional[int] = None,
     D: Optional[Sequence[Fraction]] = None,
 ) -> RelatedNumberTable:
-    """Production path: O(n^2) recurrence from the D table, a_0 = 1.
+    """The paper's O(n^2) recurrence from the D table, a_0 = 1; a witness.
 
     Pass `D` (D_r(0)..D_r(n_max) at least) to reuse a table already
     computed for this sequence and order; the other routes take it too.
@@ -332,18 +335,23 @@ def related_numbers_inversion(
 
 
 def related_numbers_negative_power(
-    seq: CoefficientSequence, r: int, n_max: Optional[int] = None
+    seq: CoefficientSequence,
+    r: int,
+    n_max: Optional[int] = None,
+    stats: Optional[StatsDict] = None,
 ) -> RelatedNumberTable:
-    """a_n^(r) = n! [t^n] f^(-r), by Miller's recurrence on f itself.
+    """Production path: a_n^(r) = n! [t^n] f^(-r), by Miller's recurrence
+    on d_0..d_{n_max} themselves, in one pass over exponential coefficients.
 
-    It never sees the D table, so it checks D_r too.  At r = 1 every
-    Miller weight ((r+1)k - n)/n is -1: it is the recurrence's own sum
-    run on f, and checks only D_1 = f.  For r >= 2 it is an
-    algebraically different recurrence.
+    It never sees the D table, so as a witness it checks D_r too.  At
+    r = 1 every Miller weight ((r+1)k - n)/n is -1: it is the D-recurrence's
+    own sum run on f, and checks only D_1 = f.  For r >= 2 it is an
+    algebraically different recurrence.  `stats` gets "max_num_bits" as
+    in `recurrence_values`.
     """
     n_max = seq._resolve(n_max)
-    inv = seq.ordinary(n_max) ** -r
-    return RelatedNumberTable(r=r, a=tuple(_exponential(inv.coeffs)), algorithm=NEGATIVE_POWER)
+    a = exponential_power(seq.d[: n_max + 1], -r, stats)
+    return RelatedNumberTable(r=r, a=tuple(a), algorithm=NEGATIVE_POWER)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ a sequence d_n with EGF sum(d_n t^n / n!) is stored as c_n = d_n / n!.
 Ordinary coefficients are the natural carrier for the Hasse-Teichmueller
 derivative H^(n), which maps c_m t^m to c_m C(m, n) t^(m-n), and for the
 determinant entries derived from it.  `**` (any integer power) and
-`inverse` (the power -1, the recurrence behind the related numbers) share
-one integer Miller loop over exponential coefficients, `_power`.
+`inverse` (the power -1) scale their coefficients around the package's
+one integer Miller loop, `exponential_power`, which works on exponential
+coefficients; the engine runs it directly on a family's d_n.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ class TruncatedSeries:
             G_n = sum_{k=1..n} ((r+1) C(n-1, k-1) - C(n, k)) F_k G_{n-k},
 
         O(K^2) operations whatever r is (Knuth, TAOCP vol. 2, 4.7), in
-        `_power`.  f_0 != 1 scales the result by f_0^r; f_0 = 0 means
+        `exponential_power`.  f_0 != 1 scales the result by f_0^r; f_0 = 0 means
         f = t^v h with h_0 != 0, so f^r = t^(vr) h^r, for r >= 0 only
         (NotInvertibleError otherwise).  The result keeps the order K.
         """
@@ -149,7 +150,7 @@ class TruncatedSeries:
 
         b_0 = 1/a_0 and b_n = -(1/a_0) * sum_{m<n} a_{n-m} b_m, run as the
         power -1, where Miller's weight is -C(n, k).  `stats` gets
-        "max_num_bits", the largest |S|.bit_length() of `_power`.
+        "max_num_bits", the largest |S|.bit_length() of `exponential_power`.
         """
         a = self.coeffs
         if a[0] == 0:
@@ -194,13 +195,14 @@ def _lift(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     return L, [x.numerator * (L // x.denominator) for x in xs]
 
 
-def _power(c: Sequence[Fraction], r: int, stats: Optional[StatsDict] = None) -> list[Fraction]:
-    """Ordinary coefficients c_0^r G_n / n! of c^r, c_0 != 0, where G = F^r
-    on the exponential coefficients F_k = k! c_k / c_0 (see `__pow__`).
+def exponential_power(
+    F: Sequence[Fraction], r: int, stats: Optional[StatsDict] = None
+) -> list[Fraction]:
+    """Exponential coefficients G_0..G_K of G = F^r, for F_0 = 1.
 
-    The one loop behind every power and inverse.  The weights
-    w_k = r C(n-1, k-1) - C(n-1, k) obey Pascal's rule themselves: the row
-    w_1..w_n of step n rolls forward to w_1 - 1, w_1 + w_2, ...,
+    The one loop behind every power and inverse (see `__pow__`).  The
+    weights w_k = r C(n-1, k-1) - C(n-1, k) obey Pascal's rule themselves:
+    the row w_1..w_n of step n rolls forward to w_1 - 1, w_1 + w_2, ...,
     w_{n-1} + w_n, r.  The sums run over integers: F_k = P_k / L over one
     L = lcm(den F_1..F_K), and G_0..G_{n-1} = M_m / Q over one running Q.
     The dot product S = sum_k w_k P_k M_{n-k} gives G_n = S / (L Q), one
@@ -208,11 +210,13 @@ def _power(c: Sequence[Fraction], r: int, stats: Optional[StatsDict] = None) -> 
     the stored M are rescaled.  `stats` gets the largest |S|.bit_length()
     as "max_num_bits".
     """
-    fact = list(accumulate(range(1, len(c)), mul, initial=1))
-    L, P = _lift([x * f / c[0] for x, f in zip(c[1:], fact[1:])])
-    scale = c[0] ** r
-    out, M, Q, w, peak = [scale], [1], 1, [r], 0
-    for f in fact[1:]:
+    if F[0] != 1:
+        raise ValueError(f"exponential power needs F_0 = 1, got {F[0]}")
+    if r == 1:
+        return [_ONE, *F[1:]]
+    L, P = _lift(F[1:])
+    out, M, Q, w, peak = [_ONE], [1], 1, [r], 0
+    for _ in P:
         S = sum(map(mul, map(mul, w, P), reversed(M)))
         peak = max(peak, S.bit_length())
         g = Fraction(S, L * Q)
@@ -221,8 +225,17 @@ def _power(c: Sequence[Fraction], r: int, stats: Optional[StatsDict] = None) -> 
             Q *= up
             M = [m * up for m in M]
         M.append(g.numerator * (Q // g.denominator))
-        out.append(scale * g / f)
+        out.append(g)
         w = [w[0] - 1, *map(add, w, w[1:]), r]
     if stats is not None:
         stats["max_num_bits"] = max(stats.get("max_num_bits", 0), peak)
     return out
+
+
+def _power(c: Sequence[Fraction], r: int, stats: Optional[StatsDict] = None) -> list[Fraction]:
+    """Ordinary coefficients c_0^r G_n / n! of c^r, c_0 != 0, where G is
+    `exponential_power` of F_k = k! c_k / c_0."""
+    fact = list(accumulate(range(1, len(c)), mul, initial=1))
+    G = exponential_power([x * f / c[0] for x, f in zip(c, fact)], r, stats)
+    scale = c[0] ** r
+    return [scale * g / f for g, f in zip(G, fact)]

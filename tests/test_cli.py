@@ -9,11 +9,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from appellseq import cli
+from appellseq import cli, engine, series
 from appellseq.arith import DEFAULT_COMPOSITION_CAP
 from appellseq.engine import VerificationReport
 from appellseq.families import family_coefficients
-from appellseq.series import TruncatedSeries
 
 F = Fraction
 
@@ -116,15 +115,22 @@ class TestComputeCommand:
         assert code == 0
         assert calls == [6]
 
-    def test_power_computed_once_per_check(self, capsys, monkeypatch):
+    @staticmethod
+    def count_miller_loops(monkeypatch) -> list:
+        """Record the exponent of every run of the one Miller loop."""
         calls = []
-        power = TruncatedSeries.__pow__
+        loop = series.exponential_power
 
-        def counted(series, r):
+        def counted(F, r, stats=None):
             calls.append(r)
-            return power(series, r)
+            return loop(F, r, stats)
 
-        monkeypatch.setattr(TruncatedSeries, "__pow__", counted)
+        for owner in (series, engine):
+            monkeypatch.setattr(owner, "exponential_power", counted)
+        return calls
+
+    def test_power_computed_once_per_check(self, capsys, monkeypatch):
+        calls = self.count_miller_loops(monkeypatch)
         for algo in ("recurrence", "determinant", "composition", "all"):
             calls.clear()
             code, out, _ = run(
@@ -132,21 +138,50 @@ class TestComputeCommand:
                 "--order", "3", "--n", "8", "--algo", algo, "--check", "--format", "csv",
             )
             assert code == 0
-            assert calls == [3, -3]
+            # f^r once, the D-recurrence witness's inverse of D_r, f^(-r) once
+            assert calls == [3, -1, -3]
             assert out.splitlines()[0] == "n,value"
 
+    def test_plain_requests_never_build_d(self, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("built D_r for a plain request")
+
+        calls = self.count_miller_loops(monkeypatch)
+        monkeypatch.setattr(engine, "compute_D", must_not_run)
+        for argv in (
+            ("compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "3",
+             "--order", "3", "--n", "8"),
+            ("poly", "--family", "euler", "--order", "3", "--n", "8", "--z", "1/3"),
+        ):
+            calls.clear()
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert calls == [-3]
+
     def test_check_prints_the_chosen_route(self, capsys):
-        plain = run(
-            capsys, "compute", "--family", "euler", "--order", "2", "--n", "10",
-            "--algo", "determinant", "--kernel", "bareiss", "--format", "csv",
-        )
-        checked = run(
-            capsys, "compute", "--family", "euler", "--order", "2", "--n", "10",
-            "--algo", "determinant", "--kernel", "bareiss", "--format", "csv",
-            "--check",
-        )
-        assert plain == checked
-        assert plain[0] == 0
+        for extra in (("--algo", "determinant", "--kernel", "bareiss"), ()):
+            plain = run(
+                capsys, "compute", "--family", "euler", "--order", "2", "--n", "10",
+                *extra, "--format", "csv",
+            )
+            checked = run(
+                capsys, "compute", "--family", "euler", "--order", "2", "--n", "10",
+                *extra, "--format", "csv", "--check",
+            )
+            assert plain == checked
+            assert plain[0] == 0
+        routes = {
+            (): engine.NEGATIVE_POWER,
+            ("--algo", "all"): engine.NEGATIVE_POWER,
+            ("--algo", "determinant"): engine.RECURRENCE,
+            ("--algo", "determinant", "--kernel", "bareiss"): engine.DETERMINANT_BAREISS,
+            ("--algo", "composition"): engine.COMPOSITION,
+        }
+        for extra, route in routes.items():
+            args = cli._parser().parse_args(
+                ["compute", "--family", "euler", "--n", "4", "--check", *extra]
+            )
+            assert cli._route_name(cli.config_from_args(args)) == route, extra
 
     def test_composition_past_cap_with_check_exits_3(self, capsys, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -438,7 +473,7 @@ class TestBenchCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == (
-            "n,hessenberg_seconds,hessenberg_max_num_bits,"
+            "n,negative_power_seconds,negative_power_max_num_bits,"
             "bareiss_seconds,bareiss_max_num_bits,"
             "recurrence_seconds,recurrence_max_num_bits,value"
         )
@@ -457,7 +492,7 @@ class TestBenchCommand:
         code, out, err = run(capsys, "bench", "--family", "bernoulli", "--n", "4")
         assert code == 4
         assert "disagreement at n=2" in err
-        assert "n,hessenberg_seconds" not in out
+        assert "n,negative_power_seconds" not in out
 
     def test_single_trivial_row(self, capsys):
         code, out, _ = run(capsys, "bench", "--family", "euler", "--n", "0")
@@ -474,7 +509,7 @@ class TestBenchCommand:
         rows = cli.run_benchmark(FamilySpec.euler(), 2, 5)
         assert [row.n for row in rows] == [0, 1, 2, 3, 4, 5]
         for row in rows:
-            assert set(row.cells) == {"hessenberg", "bareiss", "recurrence"}
+            assert set(row.cells) == {"negative_power", "bareiss", "recurrence"}
             assert len({cell.value for cell in row.cells.values()}) == 1
             for cell in row.cells.values():
                 assert cell.seconds >= 0

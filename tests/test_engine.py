@@ -29,9 +29,10 @@ from appellseq.engine import (
     related_numbers_composition,
     related_numbers_determinant,
     related_numbers_inversion,
+    related_numbers_negative_power,
     related_numbers_recurrence,
 )
-from appellseq.families import FamilySpec, family_coefficients
+from appellseq.families import FamilySpec, family_coefficients, load_custom_family
 
 import oracles
 from oracles import alt_power_sum_check, power_sum_check
@@ -230,6 +231,47 @@ class TestRouteAgreement:
         seq = family_coefficients(spec, 34)
         D = compute_D(seq, r, 34).D
         assert list(related_numbers_composition(seq, r, 34, D=D).a) == recurrence_values(D, 34)
+
+
+class TestProductionRoute:
+    """The production table, Miller's loop on f^(-r), must equal the paper's
+    D_r convolution recurrence exactly."""
+
+    ORDERS = (1, 2, 3, 7, 16)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec.bernoulli(),
+            FamilySpec.euler(),
+            FamilySpec.hyper_bernoulli(1, 1),
+            FamilySpec.hyper_bernoulli(2, 3),
+            FamilySpec.hyper_cauchy(1, 1),
+            FamilySpec.hyper_cauchy(3, 2),
+        ],
+        ids=lambda spec: spec.label,
+    )
+    def test_equals_d_recurrence_on_catalog(self, spec):
+        seq = family_coefficients(spec, 60)
+        for r in self.ORDERS:
+            table = related_numbers_negative_power(seq, r, 60)
+            assert table.algorithm == NEGATIVE_POWER
+            assert table.a == related_numbers_recurrence(seq, r, 60).a, (spec.label, r)
+
+    def test_equals_d_recurrence_on_custom_file(self, tmp_path):
+        rng = random.Random(9)
+        values = ["1"] + [
+            f"{rng.randint(-40, 40)}/{rng.choice((2, 3, 7, 11, 13, 49))}" for _ in range(60)
+        ]
+        path = tmp_path / "fam.txt"
+        path.write_text("\n".join(values) + "\n")
+        seq = family_coefficients(load_custom_family(path), 60)
+        assert any(d.denominator > 1 for d in seq.d)
+        for r in self.ORDERS:
+            assert (
+                related_numbers_negative_power(seq, r, 60).a
+                == related_numbers_recurrence(seq, r, 60).a
+            ), r
 
 
 class TestCrossVerify:

@@ -13,6 +13,7 @@ from appellseq.series import (
     InsufficientPrecisionError,
     NotInvertibleError,
     TruncatedSeries,
+    exponential_power,
 )
 
 import oracles
@@ -256,6 +257,19 @@ class TestMillerKernel:
             for r in range(2, 17):
                 by_mul = oracles.naive_mul(by_mul, c)
                 assert list((s**r).coeffs) == by_mul, (seed, order, r)
+
+    def test_exponential_power_on_exponential_coefficients(self):
+        # The engine's entry: E_k = k! c_k with c_0 = 1 in, n! [t^n] c^r out.
+        s = kernel_series(3, 20)
+        c = [x / s.coeffs[0] for x in s.coeffs]
+        fact = [math.factorial(k) for k in range(21)]
+        inv = oracles.naive_inverse(c)
+        oracle = {-2: oracles.naive_mul(inv, inv), -1: inv, 1: c, 2: oracles.naive_mul(c, c)}
+        E = [x * f for x, f in zip(c, fact)]
+        for r, want in oracle.items():
+            assert exponential_power(E, r) == [x * f for x, f in zip(want, fact)], r
+        with pytest.raises(ValueError, match="F_0 = 1"):
+            exponential_power([F(2), F(1)], -1)
 
     def test_peak_bits_of_a_small_inverse(self):
         # 1/(1 + t/2 + t^2/3 + t^3/5): F = 1, 1/2, 2/3, 6/5 over L = 30, so
