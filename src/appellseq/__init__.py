@@ -25,7 +25,6 @@ from .determinants import (
     bareiss_det,
     bareiss_leading_minors,
     hessenberg_leading_minors,
-    related_matrix,
 )
 from .engine import (
     AppellPolynomial,
@@ -85,7 +84,6 @@ __all__ = [
     "parse_rational",
     "polynomial_derivative",
     "polynomial_eval",
-    "related_matrix",
     "related_numbers_composition",
     "related_numbers_determinant",
     "related_numbers_inversion",

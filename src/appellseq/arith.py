@@ -56,8 +56,31 @@ def format_rational(x: RationalLike) -> str:
 
     Zero renders as "0".  This is the serialization used by every file and
     CLI format in the package, and it round-trips through parse_rational.
+    The output is str(Fraction(x)), but without Python's int->str digit
+    limit: the package's own results may run to any length.  Parsing
+    (`parse_rational`, custom files) keeps the limit.
     """
-    return str(Fraction(x))
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    try:
+        return str(x)
+    except ValueError:  # a numerator or denominator past the limit
+        if x.denominator == 1:
+            return _decimal(x.numerator)
+        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+
+
+def _decimal(x: int) -> str:
+    """str(x) for an int of any length.
+
+    An int past the interpreter's int->str digit limit is split by a power
+    of ten near half its digits, and the halves are rendered the same way.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        k = x.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+        hi, lo = divmod(abs(x), 10**k)
+        return ("-" if x < 0 else "") + _decimal(hi) + _decimal(lo).zfill(k)
 
 
 def binomial(n: int, k: int) -> int:

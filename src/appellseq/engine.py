@@ -27,7 +27,8 @@ Four algorithms compute the same table a_0..a_{n_max}:
   one walk of the partition tree for every n <= n_max; a small-n oracle;
 * `related_numbers_determinant`: (-1)^n n! times the determinant of the
   unit-superdiagonal Hessenberg matrix over D_r(1)..D_r(n), every n from
-  one O(n^3) Bareiss elimination.
+  one pass of Bareiss elimination on the matrix's band: O(n^2)
+  division-free integer steps, read straight from the D table.
 
 Here D_r(e) is the ordinary coefficient of t^e in f(t)^r, equal to the
 weak-composition sum over d_{i_1}..d_{i_r}/(i_1!..i_r!); `compute_D`
@@ -57,7 +58,6 @@ from .determinants import (
     bareiss_det,  # unused here; perfbench/spans.py wraps engine.bareiss_det
     bareiss_leading_minors,
     hessenberg_leading_minors,
-    related_matrix,
 )
 from .series import TruncatedSeries, exponential_power
 
@@ -95,11 +95,6 @@ class CoefficientSequence:
     @property
     def n_max(self) -> int:
         return len(self.d) - 1
-
-    def ordinary(self, n_max: Optional[int] = None) -> TruncatedSeries:
-        """f(t) as an ordinary-coefficient series: c_m = d_m / m!."""
-        n_max = self._resolve(n_max)
-        return TruncatedSeries(dm / f for dm, f in zip(self.d, _factorials(n_max)))
 
     def _resolve(self, n_max: Optional[int]) -> int:
         if n_max is None:
@@ -306,9 +301,10 @@ def related_numbers_determinant(
 ) -> RelatedNumberTable:
     """a_n^(r) = (-1)^n n! det(M_n) over the Hessenberg matrix of D values.
 
-    Both kernels get every leading minor M_1..M_{n_max} from one pass:
-    kernel "hessenberg" from the recurrence's kernel, kernel "bareiss"
-    by one independent O(n^3) fraction-free elimination of M_{n_max}.
+    Both kernels get every leading minor M_1..M_{n_max} from one O(n^2)
+    pass: kernel "hessenberg" from the recurrence's kernel, kernel
+    "bareiss" by independent fraction-free elimination on the band of
+    M_{n_max}, which never builds the matrix.
     """
     n_max = seq._resolve(n_max)
     D = _power_table(seq, r, n_max, D)
@@ -316,7 +312,7 @@ def related_numbers_determinant(
         dets = hessenberg_leading_minors(D, n_max, stats=stats)
         tag = DETERMINANT_HESSENBERG
     elif kernel == "bareiss":
-        dets = bareiss_leading_minors(related_matrix(D, n_max), stats=stats) if n_max else [_ONE]
+        dets = bareiss_leading_minors(D, n_max, stats=stats)
         tag = DETERMINANT_BAREISS
     else:
         raise ValueError(f"unknown determinant kernel {kernel!r}")

@@ -7,6 +7,7 @@ the power-sum checks, whose right sides are the package's Bernoulli and
 Euler tables under test, set against a direct summation.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,11 @@ def rand_series(rng, order, nonzero_constant=False):
         while c0 == 0:
             c0 = rand_fraction(rng)
     return TruncatedSeries([c0] + [rand_fraction(rng) for _ in range(order)])
+
+
+def ordinary(seq):
+    """f(t) as an ordinary-coefficient series: c_m = d_m / m!."""
+    return TruncatedSeries(dm / factorial(m) for m, dm in enumerate(seq.d))
 
 
 def naive_mul(a, b):
@@ -72,6 +78,92 @@ def gauss_det(matrix):
                 for j in range(k, n):
                     rows[i][j] -= factor * rows[k][j]
     return det
+
+
+# The Hessenberg matrix itself and Bareiss elimination of a general
+# matrix, with row swaps past zero pivots: the reference that the band
+# kernel `determinants.bareiss_leading_minors` is tested against.
+
+
+def related_matrix(D, n):
+    """The n x n unit-superdiagonal Hessenberg matrix over D(1)..D(n)."""
+    if n < 1:
+        raise ValueError(f"matrix size must be >= 1, got {n}")
+    if len(D) <= n:
+        raise ValueError(f"need D(0)..D({n}), got only {len(D)} entries")
+    rows = []
+    for i in range(n):
+        row = [D[i - j + 1] if j <= i else (ONE if j == i + 1 else ZERO) for j in range(n)]
+        rows.append(row)
+    return rows
+
+
+def bareiss_matrix_minors(matrix, stats=None):
+    """Leading principal minors det_0=1, det_1, ..., det_N of a square
+    rational matrix, from one fraction-free elimination.
+
+    Row i is scaled by L_i, the lcm of its own denominators, and Bareiss
+    elimination runs over the big integers.  The pivot at step k is the
+    (k+1)-th leading minor of the lifted matrix, so det_{k+1} is that
+    pivot (with the sign of the row swaps) over L_0...L_k.  A lower
+    Hessenberg row holds only the first few D values, so its L_i is far
+    smaller than the lcm over the whole matrix.
+
+    A zero pivot at step k means det_{k+1} = 0.  The pass then swaps in
+    the first row i > k that is nonzero in column k: by Sylvester's
+    identity det_{k+1}..det_i are all 0, and every larger leading block
+    holds the same rows as before the swap, so its minor is the swapped
+    matrix's minor with the sign flipped.  If no row qualifies, every
+    later minor is 0.  When `stats` is given, the largest bit length of
+    any intermediate integer entry is recorded under "max_num_bits".
+    """
+    n = len(matrix)
+    A = []
+    scales = [1]  # scales[m] = L_0 ... L_{m-1}
+    for row in matrix:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        row_scale = math.lcm(*(x.denominator for x in row))
+        A.append([x.numerator * (row_scale // x.denominator) for x in row])
+        scales.append(scales[-1] * row_scale)
+    dets = [ONE]
+    sign = 1
+    prev = 1
+    max_bits = 0
+    track = stats is not None
+    for k in range(n):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if swap is None:
+                break
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+            dets += [ZERO] * (swap + 1 - len(dets))
+        Ak = A[k]
+        pivot = Ak[k]
+        if len(dets) == k + 1:
+            dets.append(Fraction(sign * pivot, scales[k + 1]))
+        tail = Ak[k + 1 :]
+        for i in range(k + 1, n):
+            Ai = A[i]
+            aik = Ai[k]
+            # Sylvester's identity makes each division exact.
+            Ai[k + 1 :] = [(x * pivot - aik * y) // prev for x, y in zip(Ai[k + 1 :], tail)]
+            if track:
+                max_bits = max(max_bits, *(x.bit_length() for x in Ai[k + 1 :]))
+        prev = pivot
+    dets += [ZERO] * (n + 1 - len(dets))
+    if track:
+        stats["max_num_bits"] = max(stats.get("max_num_bits", 0), max_bits)
+    return dets
+
+
+def bareiss_matrix_det(matrix, stats=None):
+    """Exact determinant of a rational matrix: the last leading minor
+    from `bareiss_matrix_minors`."""
+    if not matrix:
+        raise ValueError("empty matrix")
+    return bareiss_matrix_minors(matrix, stats)[-1]
 
 
 def iter_compositions(n, k, lo):

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -53,6 +54,22 @@ class TestFormatRational:
         assert format_rational(Fraction(8, 4)) == "2"
         assert format_rational(5) == "5"
         assert format_rational(Fraction(0, 3)) == "0"
+
+    @pytest.mark.parametrize("digits", [4299, 4301, 9000, 30001])
+    def test_past_the_int_digit_limit(self, digits):
+        # Python refuses str() of an int past 4300 digits by default;
+        # the package's own results print in full regardless
+        saved = sys.get_int_max_str_digits()
+        big = 10 ** (digits - 1) + 7
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = [str(x) for x in (big, -big, Fraction(-big, 3), Fraction(5, big))]
+            sys.set_int_max_str_digits(4300)
+            got = [format_rational(x) for x in (big, -big, Fraction(-big, 3), Fraction(5, big))]
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert got == expected
+        assert len(got[0]) == digits
 
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
     def test_round_trip(self, p, q):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from appellseq import cli, engine, series
 from appellseq.arith import DEFAULT_COMPOSITION_CAP
 from appellseq.engine import VerificationReport
-from appellseq.families import family_coefficients
+from appellseq.families import FamilySpec, family_coefficients
 
 F = Fraction
 
@@ -275,6 +276,21 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    def test_huge_n_is_refused_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("family coefficients were built")
+
+        monkeypatch.setattr(cli, "family_coefficients", refuse)
+        for n in (cli.MAX_N + 1, 100_000_000):
+            for command in ("compute", "poly", "bench"):
+                code, out, err = run(capsys, command, "--family", "euler", "--n", str(n))
+                assert code == 2
+                assert out == ""
+                assert err.splitlines() == [f"error: --n must be <= {cli.MAX_N}, got {n}"]
+        # the limit itself is a valid size
+        config = cli.RunConfig(family=FamilySpec.euler(), order=1, n_max=cli.MAX_N)
+        assert config.n_max == cli.MAX_N
+
     def test_unknown_family_is_argparse_error(self, capsys):
         code, _, err = run(capsys, "compute", "--family", "pell", "--n", "3")
         assert code == 2
@@ -463,6 +479,77 @@ class TestPolyCommand:
             capsys, "poly", "--family", "euler", "--n", "2", "--z", "0.5"
         )
         assert code == 2
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    """Python's int<->str digit limit set to `digits` (0: no limit)."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestOutputPastTheDigitLimit:
+    """Values longer than Python's int->str limit (4300 digits by default)
+    still print in full: Euler a_4 at r = 10^1200 has about 4800 digits."""
+
+    ORDER = 10**1200
+
+    def expected(self):
+        seq = family_coefficients(FamilySpec.euler(), 4)
+        table = engine.related_numbers_negative_power(seq, self.ORDER, 4)
+        poly = engine.appell_polynomial(table, 4)
+        with int_digit_limit(0):
+            assert len(str(table.a[4].numerator)) > 4300
+            return (
+                [str(v) for v in table.a],
+                [str(c) for c in poly.coeffs_in_z],
+                str(engine.polynomial_eval(poly, 1)),
+            )
+
+    def test_compute_and_poly_in_every_format(self, capsys):
+        values, coeffs, at_one = self.expected()
+        args = ("--family", "euler", "--n", "4", "--order", str(self.ORDER))
+        with int_digit_limit(4300):
+            self.check_outputs(capsys, args, values, coeffs, at_one)
+
+    def check_outputs(self, capsys, args, values, coeffs, at_one):
+
+        code, out, err = run(capsys, "compute", *args, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["n,value"] + [f"{n},{v}" for n, v in enumerate(values)]
+
+        code, out, err = run(capsys, "compute", *args, "--format", "pretty")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"{n}  {v}" for n, v in enumerate(values)]
+
+        code, out, err = run(capsys, "compute", *args, "--format", "json")
+        assert (code, err) == (0, "")
+        assert [row["value"] for row in json.loads(out)["values"]] == values
+
+        code, out, err = run(capsys, "poly", *args, "--z", "1")
+        assert (code, out, err) == (0, at_one + "\n", "")
+        code, out, err = run(capsys, "poly", *args, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["coeffs"] == coeffs
+
+    def test_a_failed_row_prints_no_partial_table(self, capsys, monkeypatch):
+        def fail_on_the_last(x):
+            if x == values[-1]:
+                raise ValueError("cannot format")
+            return str(x)
+
+        seq = family_coefficients(FamilySpec.euler(), 4)
+        values = engine.related_numbers_negative_power(seq, 1, 4).a
+        monkeypatch.setattr(cli, "format_rational", fail_on_the_last)
+        for fmt in ("csv", "json", "pretty"):
+            code, out, err = run(
+                capsys, "compute", "--family", "euler", "--n", "4", "--format", fmt
+            )
+            assert (code, out, err) == (2, "", "error: cannot format\n")
 
 
 class TestBenchCommand:

@@ -3,19 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from appellseq import engine, series
 from appellseq.determinants import (
     bareiss_det,
     bareiss_leading_minors,
     hessenberg_leading_minors,
-    related_matrix,
 )
-from appellseq.engine import compute_D
+from appellseq.engine import compute_D, related_numbers_determinant, related_numbers_recurrence
 from appellseq.families import FamilySpec, family_coefficients
 
 import oracles
+from oracles import bareiss_matrix_det, bareiss_matrix_minors, related_matrix
 
 F = Fraction
 
@@ -102,37 +103,49 @@ class TestHessenbergMinors:
 
 
 class TestBareiss:
+    """Bareiss elimination of a general matrix (`oracles.bareiss_matrix_det`,
+    the reference for the band kernel) and the band kernel's `bareiss_det`."""
+
     def test_known_small_determinants(self):
-        assert bareiss_det([[F(3)]]) == 3
-        assert bareiss_det([[F(1), F(2)], [F(3), F(4)]]) == -2
-        assert bareiss_det([[F(1, 2), F(1)], [F(1, 6), F(1, 2)]]) == F(1, 12)
+        assert bareiss_matrix_det([[F(3)]]) == 3
+        assert bareiss_matrix_det([[F(1), F(2)], [F(3), F(4)]]) == -2
+        assert bareiss_matrix_det([[F(1, 2), F(1)], [F(1, 6), F(1, 2)]]) == F(1, 12)
+        # | 1/2  1  |
+        # | 1/6 1/2 |, the Hessenberg matrix over D = (1, 1/2, 1/6)
+        assert bareiss_det([F(1), F(1, 2), F(1, 6)], 2) == F(1, 12)
+        assert bareiss_det([F(1), F(3)], 1) == 3
+        assert bareiss_det([F(1)], 0) == 1
 
     def test_identity_and_permutation(self):
         eye = [[F(int(i == j)) for j in range(4)] for i in range(4)]
-        assert bareiss_det(eye) == 1
+        assert bareiss_matrix_det(eye) == 1
         # swapping two rows flips the sign; pivoting must handle the zeros
         perm = [eye[1], eye[0], eye[2], eye[3]]
-        assert bareiss_det(perm) == -1
+        assert bareiss_matrix_det(perm) == -1
 
     def test_singular_matrix(self):
-        assert bareiss_det([[F(1), F(2)], [F(2), F(4)]]) == 0
-        assert bareiss_det([[F(0), F(0)], [F(1), F(1)]]) == 0
+        assert bareiss_matrix_det([[F(1), F(2)], [F(2), F(4)]]) == 0
+        assert bareiss_matrix_det([[F(0), F(0)], [F(1), F(1)]]) == 0
 
     def test_zero_pivot_needs_row_swap(self):
         M = [[F(0), F(1)], [F(1), F(0)]]
-        assert bareiss_det(M) == -1
+        assert bareiss_matrix_det(M) == -1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bareiss_det([])
+            bareiss_matrix_det([])
         with pytest.raises(ValueError):
-            bareiss_det([[F(1), F(2)]])
+            bareiss_matrix_det([[F(1), F(2)]])
+        with pytest.raises(ValueError):
+            bareiss_det([F(1), F(2)], 2)
+        with pytest.raises(ValueError):
+            bareiss_det([F(1)], -1)
 
     def test_stats_record_bit_growth(self):
         D = [F(1)] + [F(12345, 678)] * 13
-        stats = {}
-        bareiss_det(related_matrix(D, 12), stats=stats)
-        assert stats["max_num_bits"] > 0
+        stats = {"max_num_bits": 3}
+        bareiss_det(D, 12, stats=stats)
+        assert stats["max_num_bits"] > 3  # updated by max, not replaced
 
     def test_rows_with_different_denominators(self):
         # each row is lifted by its own lcm: 6, 35, 1 and 22
@@ -142,13 +155,13 @@ class TestBareiss:
             [F(5), F(0), F(-2), F(1)],
             [F(7, 11), F(1), F(1, 2), F(-3)],
         ]
-        assert bareiss_det(M) == oracles.gauss_det(M)
+        assert bareiss_matrix_det(M) == oracles.gauss_det(M)
 
     def test_row_lift_keeps_bernoulli_entries_small(self):
         # the lcm over the whole n=40 matrix gave 6476-bit intermediates
         D = [F(1, math.factorial(e + 1)) for e in range(41)]
         stats = {}
-        det = bareiss_det(related_matrix(D, 40), stats=stats)
+        det = bareiss_det(D, 40, stats=stats)
         assert det == hessenberg_leading_minors(D, 40)[40]
         assert stats["max_num_bits"] < 6476
 
@@ -156,7 +169,7 @@ class TestBareiss:
     @given(matrix_strategy())
     def test_matches_gauss_elimination(self, M):
         rows = [[F(x) for x in row] for row in M]
-        assert bareiss_det(rows) == oracles.gauss_det(rows)
+        assert bareiss_matrix_det(rows) == oracles.gauss_det(rows)
 
     @settings(max_examples=30)
     @given(matrix_strategy(max_n=4))
@@ -164,7 +177,7 @@ class TestBareiss:
         rows = [[F(x) for x in row] for row in M]
         n = len(rows)
         transposed = [[rows[j][i] for j in range(n)] for i in range(n)]
-        assert bareiss_det(rows) == bareiss_det(transposed)
+        assert bareiss_matrix_det(rows) == bareiss_matrix_det(transposed)
 
 
 # mostly zeros, so that zero pivots and row swaps are common
@@ -176,6 +189,9 @@ def leading_gauss_minors(M):
 
 
 class TestBareissLeadingMinors:
+    """The band kernel, and the general elimination's row swaps past zero
+    pivots (which the band kernel does without)."""
+
     @settings(max_examples=100)
     @given(
         st.integers(0, 6).flatmap(
@@ -185,7 +201,7 @@ class TestBareissLeadingMinors:
         )
     )
     def test_matches_gauss_on_every_leading_block(self, M):
-        assert bareiss_leading_minors(M) == leading_gauss_minors(M)
+        assert bareiss_matrix_minors(M) == leading_gauss_minors(M)
 
     def test_swap_partner_beyond_the_block(self):
         # column 0 is nonzero only in row 3, so det_1 = det_2 = det_3 = 0
@@ -195,7 +211,7 @@ class TestBareissLeadingMinors:
             [F(0), F(0), F(1), F(1, 2)],
             [F(5), F(1), F(1), F(1)],
         ]
-        minors = bareiss_leading_minors(M)
+        minors = bareiss_matrix_minors(M)
         assert minors == leading_gauss_minors(M)
         assert minors[1:4] == [0, 0, 0]
         assert minors[4] == F(-5, 2)  # -5 times the minor of rows 0..2, columns 1..3
@@ -203,16 +219,22 @@ class TestBareissLeadingMinors:
     def test_all_zero_pivot_column(self):
         # column 1 vanishes after one step of elimination: no row to swap in
         M = [[F(1), F(2), F(3)], [F(2), F(4), F(5)], [F(3), F(6), F(7)]]
-        assert bareiss_leading_minors(M) == [1, 1, 0, 0]
+        assert bareiss_matrix_minors(M) == [1, 1, 0, 0]
         M = [[F(1, 2), F(0), F(2)], [F(3), F(0), F(4)], [F(5), F(0), F(6)]]
-        assert bareiss_leading_minors(M) == [1, F(1, 2), 0, 0]
+        assert bareiss_matrix_minors(M) == [1, F(1, 2), 0, 0]
 
     def test_empty_matrix_has_only_det_0(self):
-        assert bareiss_leading_minors([]) == [1]
+        assert bareiss_matrix_minors([]) == [1]
+        assert bareiss_leading_minors([F(1)], 0) == [1]
+        assert bareiss_leading_minors([F(7), F(2)], 0) == [1]  # D(0) is not read
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bareiss_leading_minors([[F(1), F(2)], [F(3)]])
+            bareiss_matrix_minors([[F(1), F(2)], [F(3)]])
+        with pytest.raises(ValueError):
+            bareiss_leading_minors([F(1)], -1)
+        with pytest.raises(ValueError):
+            bareiss_leading_minors([F(1), F(2)], 5)
 
     @pytest.mark.parametrize(
         "spec, zero_at",
@@ -223,16 +245,20 @@ class TestBareissLeadingMinors:
     )
     def test_classical_zero_minors(self, spec, zero_at):
         D = compute_D(family_coefficients(spec, 30), 1).D
-        minors = bareiss_leading_minors(related_matrix(D, 30))
+        minors = bareiss_leading_minors(D, 30)
         assert minors == hessenberg_leading_minors(D, 30)
         assert [n for n in range(31) if minors[n] == 0] == [n for n in range(31) if zero_at(n)]
 
     def test_bernoulli_n40_peak_bits(self):
         D = [F(1, math.factorial(e + 1)) for e in range(41)]
         stats = {}
-        minors = bareiss_leading_minors(related_matrix(D, 40), stats=stats)
+        minors = bareiss_leading_minors(D, 40, stats=stats)
         assert minors == hessenberg_leading_minors(D, 40)
         assert stats["max_num_bits"] == 2798
+        # the general elimination's entries peak at the same integer
+        general = {}
+        bareiss_matrix_minors(related_matrix(D, 40), stats=general)
+        assert general["max_num_bits"] == 2798
 
 
 class TestKernelsAgree:
@@ -242,4 +268,58 @@ class TestKernelsAgree:
             D = [F(1)] + [oracles.rand_fraction(rng) for _ in range(10)]
             minors = hessenberg_leading_minors(D, 10)
             for n in range(1, 11):
-                assert bareiss_det(related_matrix(D, n)) == minors[n]
+                assert bareiss_det(D, n) == minors[n]
+
+
+CATALOG = [
+    FamilySpec.bernoulli(),
+    FamilySpec.euler(),
+    FamilySpec.hyper_bernoulli(1, 1),
+    FamilySpec.hyper_bernoulli(2, 3),
+    FamilySpec.hyper_cauchy(1, 1),
+    FamilySpec.hyper_cauchy(3, 2),
+]
+
+
+class TestBandKernel:
+    """`bareiss_leading_minors` reads the D table's band and never builds
+    the matrix; its minors must equal the general elimination's exactly."""
+
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.label)
+    def test_matches_general_bareiss_and_gauss_on_catalog(self, spec):
+        seq = family_coefficients(spec, 60)
+        for r in (1, 2, 3, 7):
+            D = compute_D(seq, r, 60).D
+            minors = bareiss_leading_minors(D, 60)
+            assert minors == bareiss_matrix_minors(related_matrix(D, 60)), (spec.label, r)
+            for n in (1, 2, 5, 24):
+                assert minors[n] == oracles.gauss_det(related_matrix(D, n)), (spec.label, r, n)
+
+    @settings(max_examples=60)
+    @given(st.lists(sparse_rationals, min_size=1, max_size=10))
+    def test_zero_minors_of_sparse_tables(self, tail):
+        # mostly-zero D makes zero minors common; the band kernel neither
+        # divides nor swaps rows, so it must pass them through unchanged
+        D = [F(1), *tail]
+        n = len(tail)
+        minors = bareiss_leading_minors(D, n)
+        assume(0 in minors)
+        M = related_matrix(D, n)
+        assert minors == leading_gauss_minors(M)
+        assert minors == bareiss_matrix_minors(M)
+
+    def test_shares_no_code_with_the_recurrence(self, monkeypatch):
+        # the Miller loop runs f^r, the inverse of D_r and f^(-r); with it
+        # disabled the Bareiss route must still produce the whole table
+        seq = family_coefficients(FamilySpec.hyper_cauchy(2, 3), 40)
+        D = compute_D(seq, 3, 40).D
+        expected = related_numbers_recurrence(seq, 3, 40, D=D).a
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Bareiss route ran the Miller loop")
+
+        monkeypatch.setattr(series, "exponential_power", refuse)
+        monkeypatch.setattr(engine, "exponential_power", refuse)
+        with pytest.raises(AssertionError):
+            related_numbers_recurrence(seq, 3, 40, D=D)
+        assert related_numbers_determinant(seq, 3, 40, kernel="bareiss", D=D).a == expected
