@@ -3,7 +3,7 @@
 
 A quick way to eyeball the library's output against the literature:
 Bernoulli B_n, Euler E_n, Cauchy c_n, and one hypergeometric column of
-each kind, all cross-verified by four routes before printing.
+each kind, all cross-verified by every independent route before printing.
 
     python scripts/classical_tables.py --n 12
 """
@@ -11,7 +11,7 @@ each kind, all cross-verified by four routes before printing.
 import argparse
 import sys
 
-from appellseq.engine import RECURRENCE, cross_verify
+from appellseq.engine import NEGATIVE_POWER, cross_verify
 from appellseq.families import FamilySpec, family_coefficients
 
 COLUMNS = [
@@ -36,7 +36,7 @@ def main(argv=None) -> int:
         if not report.agree:
             print(f"{title}: {report.describe()}", file=sys.stderr)
             return 1
-        tables[title] = report.tables[RECURRENCE]
+        tables[title] = report.tables[NEGATIVE_POWER]
 
     widths = {
         title: max(len(title), max(len(str(v)) for v in values))

@@ -47,6 +47,11 @@ BENCH_METHODS = ("negative_power", "bareiss", "recurrence")
 #: times as long per doubling (one core of a 2-vCPU Xeon VM, Python 3.11).
 MAX_N = 10_000
 
+#: Largest n * bit_length(r), refused before any work: r adds about
+#: n * bits(r) bits to each value.  Euler `compute` takes 0.2 / 2.5 s at
+#: n = 25 / 400 with n * bits(r) near 2^16, and 1.0 / 23 s near 2^18.
+MAX_ORDER_WORK = 2**16
+
 
 class KernelMismatchError(RuntimeError):
     """Benchmark refused to report timings because the kernels disagreed."""
@@ -72,6 +77,12 @@ class RunConfig:
             raise ValueError(f"--n must be >= 0, got {self.n_max}")
         if self.n_max > MAX_N:
             raise ValueError(f"--n must be <= {MAX_N}, got {self.n_max}")
+        bits = self.order.bit_length()
+        if self.n_max * bits > MAX_ORDER_WORK:
+            raise ValueError(
+                f"--n times the bit length of --order must be <= {MAX_ORDER_WORK}, "
+                f"got {self.n_max} * {bits}"
+            )
         if self.cap < 0:
             raise ValueError(f"--cap must be >= 0, got {self.cap}")
 
@@ -181,8 +192,9 @@ def _route_name(config: RunConfig) -> str:
     """The cross_verify table that the chosen --algo/--kernel prints."""
     if config.algorithm == "determinant" and config.kernel == "bareiss":
         return engine.DETERMINANT_BAREISS
-    if config.algorithm == "determinant":
-        # the Hessenberg kernel is the D_r recurrence's own loop
+    if config.algorithm == "determinant" and config.order > 1:
+        # the Hessenberg kernel is the D_r recurrence's own loop, which at
+        # r = 1 is the negative power's
         return engine.RECURRENCE
     if config.algorithm == "composition":
         return engine.COMPOSITION

@@ -14,8 +14,9 @@ Two kernels evaluate it; neither builds the matrix:
 * `hessenberg_leading_minors` takes every leading minor from the
   cofactor expansion along the first row, det_n = sum_{l=1..n}
   (-1)^(l-1) D(l) det_{n-l}.  That is (-1)^n times the series-inversion
-  recurrence, so it is one O(n^2) call of `TruncatedSeries.inverse`: the
-  same sum as the related-number recurrence, not a check on it.
+  recurrence, so it is one O(n^2) run of `series.exponential_power` at
+  the power -1: the same sum as the related-number recurrence, not a
+  check on it.
 * `bareiss_leading_minors` clears the denominators of each row by that
   row's own lcm and runs fraction-free (Bareiss) elimination over big
   integers on the band of the matrix, an algebraically independent check
@@ -30,10 +31,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Optional, Sequence
 
 from .arith import StatsDict
-from .series import TruncatedSeries
+from .series import exponential_power
 
 _ONE = Fraction(1)
 
@@ -45,19 +48,19 @@ def hessenberg_leading_minors(
 ) -> list[Fraction]:
     """Leading principal minors det_0=1, det_1, ..., det_{n_max}.
 
-    det_n is the determinant of the n x n matrix over D(1)..D(n), and (-1)^n det_n is [t^n] of the inverse of 1 + sum_{k>=1} D(k) t^k
-    (D(0) is not read).  `stats` gets "max_num_bits" from
-    `TruncatedSeries.inverse`: the bit length of the largest integer dot
-    product |S| of its Miller loop.
+    det_n is the determinant of the n x n matrix over D(1)..D(n), and
+    (-1)^n n! det_n is the exponential coefficient of the inverse of
+    1 + sum_{k>=1} D(k) t^k (D(0) is not read): Miller's loop at the power
+    -1 on 1, 1! D(1), 2! D(2), ...  `stats` gets "max_num_bits" from
+    `exponential_power`: the bit length of its largest dot product |S|.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if len(D) <= n_max:
         raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
-    b = TruncatedSeries((_ONE, *D[1 : n_max + 1])).inverse(stats).coeffs
-    return [-x if n & 1 else x for n, x in enumerate(b)]
-
-
+    fact = list(accumulate(range(1, n_max + 1), mul, initial=1))
+    G = exponential_power([_ONE, *map(mul, fact[1:], D[1 : n_max + 1])], -1, stats)
+    return [(-g if n & 1 else g) / f for n, (g, f) in enumerate(zip(G, fact))]
 
 
 def bareiss_leading_minors(

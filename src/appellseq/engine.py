@@ -17,14 +17,14 @@ Four algorithms compute the same table a_0..a_{n_max}:
   `series.exponential_power` directly on d_0..d_{n_max}; it never builds
   D_r and never leaves exponential form;
 * `related_numbers_recurrence`: the paper's O(n^2) convolution recurrence
-  a_n = -n! sum_{m<n} D_r(n-m) a_m / m!, the inverse of f^r run by
-  `TruncatedSeries.inverse` (`related_numbers_inversion` and the
-  Hessenberg determinant kernel are aliases of it); a witness;
+  a_n = -n! sum_{m<n} D_r(n-m) a_m / m!, the inverse of f^r: the same
+  loop at the power -1 on the exponential coefficients n! D_r(n)
+  (`related_numbers_inversion` and the Hessenberg determinant kernel
+  are aliases of it); a witness for r >= 2;
 * `related_numbers_composition`: the explicit alternating sum
   a_n = n! sum_k (-1)^k sum over strict compositions e_1+..+e_k = n of
-  D_r(e_1)...D_r(e_k), with the compositions grouped by the partition
-  they sort to, so it costs p(n) terms per n, summed over integers in
-  one walk of the partition tree for every n <= n_max; a small-n oracle;
+  D_r(e_1)...D_r(e_k), read off the power triangle of
+  h = sum_{e>=1} D_r(e) t^e: O(n^3) integer products for every n;
 * `related_numbers_determinant`: (-1)^n n! times the determinant of the
   unit-superdiagonal Hessenberg matrix over D_r(1)..D_r(n), every n from
   one pass of Bareiss elimination on the matrix's band: O(n^2)
@@ -35,9 +35,11 @@ weak-composition sum over d_{i_1}..d_{i_r}/(i_1!..i_r!); `compute_D`
 runs Miller's loop on d_n at the power r.  f^(-r), f^r and the inverse
 of D_r all run in that one loop; the composition sum lifts D_r to one
 common denominator itself.
-`cross_verify` runs the three D-based routes on one D_r table and the
+`cross_verify` runs the D-based routes on one D_r table and the
 negative power on f, which checks D_r, and reports the first
-disagreement, if any; agreement must be exact.
+disagreement, if any; agreement must be exact.  At r = 1, D_1 = f and
+the D-recurrence is the negative power's own computation, so it is run
+and reported once, as the negative power.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .arith import (
@@ -59,7 +62,7 @@ from .determinants import (
     bareiss_leading_minors,
     hessenberg_leading_minors,
 )
-from .series import TruncatedSeries, exponential_power
+from .series import TruncatedSeries, exponential_power  # the first for perfbench/spans.py
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -177,24 +180,21 @@ def _factorials(n_max: int) -> list[int]:
     return fact
 
 
-def _exponential(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """n! c_n for the ordinary coefficients c_0, c_1, ... of a series."""
-    return [f * c for f, c in zip(_factorials(len(coeffs) - 1), coeffs)]
-
-
 def recurrence_values(
     D: Sequence[Fraction], n_max: int, stats: Optional[StatsDict] = None
 ) -> list[Fraction]:
     """a_0..a_{n_max} from a D table by the convolution recurrence.
 
     a_n/n! = -sum_{m<n} D(n-m) a_m/m! is [t^n] of the inverse of
-    1 + sum_{k>=1} D(k) t^k (D(0) is not read).  `stats` gets
-    "max_num_bits" from `TruncatedSeries.inverse`: the bit length of the
-    largest integer dot product |S| of its Miller loop.
+    1 + sum_{k>=1} D(k) t^k (D(0) is not read): Miller's loop at the
+    power -1 on the exponential coefficients 1, 1! D(1), 2! D(2), ...
+    gives a_n itself.  `stats` gets "max_num_bits" from
+    `exponential_power`: the bit length of its largest dot product |S|.
     """
     if len(D) <= n_max:
         raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
-    return _exponential(TruncatedSeries((_ONE, *D[1 : n_max + 1])).inverse(stats).coeffs)
+    fact = _factorials(n_max)
+    return exponential_power([_ONE, *map(mul, fact[1:], D[1 : n_max + 1])], -1, stats)
 
 
 def _power_table(
@@ -241,54 +241,32 @@ def related_numbers_composition(
     cap: int = DEFAULT_COMPOSITION_CAP,
     D: Optional[Sequence[Fraction]] = None,
 ) -> RelatedNumberTable:
-    """Explicit alternating sum over the partitions of each n.
+    """Explicit alternating sum over the compositions of each n.
 
-    The 2^(n-1) strict compositions of n are grouped by the partition
-    lambda they sort to, Faa di Bruno style:
-
-        a_n = n! sum_lambda (-1)^l(lambda) l(lambda)!/prod_i m_i(lambda)!
-                            * prod_j D_r(lambda_j),
-
-    where l(lambda) is the number of parts and m_i(lambda) the number of
-    parts equal to i.  Every D_r(k) is lifted to N_k / L over one
-    L = lcm(den D_r(1..n_max)), and one walk of the tree whose nodes are
-    the partitions of every n <= n_max (parts non-increasing, each child
-    appends one part) carries l, the run m of the last part, the weight
-    l!/prod m_i! and the integer product of the N_k down to each node; a
-    node adds its weighted product to acc[n][l], and
-    a_n = n! sum_l (-1)^l acc[n][l] L^(n-l) / L^n.  Siblings share only
-    their parent's prefix product, so this is still one term per
-    partition.  It is an oracle for small n, not a production path;
-    n_max past `cap` raises CombinatorialBlowupError.
+    The strict compositions e_1+..+e_k = n sum D_r(e_1)...D_r(e_k) to
+    [t^n] h^k for h(t) = sum_{e>=1} D_r(e) t^e, so a_n = n! sum_k (-1)^k
+    [t^n] h^k: Faa di Bruno's formula for 1/(1 + h) (Comtet, Advanced
+    Combinatorics, 3.3).  Every D_r(e) is lifted to N_e / L over one
+    L = lcm(den D_r(1..n_max)); row k+1 of the power triangle of -N(t)
+    is row k convolved with -N, one dot product per entry, O(n_max^3)
+    products over integers.  Entry [t^n] of row k enters the sum S_n
+    scaled by L^(n-k), and a_n = n! S_n / L^n.  It reads only the D
+    table: no Miller loop, no determinant.  n_max past `cap` raises
+    CombinatorialBlowupError.
     """
     n_max = seq._resolve(n_max)
     check_composition_cap(n_max, cap)
     D = _power_table(seq, r, n_max, D)
     L = math.lcm(*(x.denominator for x in D[1 : n_max + 1]))
-    N = [x.numerator * (L // x.denominator) for x in D[: n_max + 1]]
-    acc = [[0] * (n + 1) for n in range(n_max + 1)]
-    # (n, last part, number of parts, run of the last part, weight, product)
-    stack = [(0, n_max, 0, 0, 1, 1)]
-    while stack:
-        n, top, parts, run, w, prod = stack.pop()
-        k = parts + 1  # the number of parts of each child
-        for e in range(min(top, n_max - n), 0, -1):
-            if not N[e]:
-                continue  # every partition below this child has product 0
-            m = run + 1 if e == top else 1
-            weight, product = w * k // m, prod * N[e]
-            acc[n + e][k] += weight * product
-            if n + e < n_max:
-                stack.append((n + e, e, k, m, weight, product))
-    fact = _factorials(n_max)
+    N = [-x.numerator * (L // x.denominator) for x in D[1 : n_max + 1]]
     L_pow = [L**i for i in range(n_max + 1)]
-    a = [_ONE]
-    for n in range(1, n_max + 1):
-        total = sum(
-            (-c if k & 1 else c) * L_pow[n - k] for k, c in enumerate(acc[n]) if c
-        )
-        a.append(Fraction(fact[n] * total, L_pow[n]))
-    return RelatedNumberTable(r=r, a=tuple(a), algorithm=COMPOSITION)
+    S = [1] + [0] * n_max
+    row = N  # row[m] = [t^(k+m)] (-N(t))^k, here for k = 1
+    for k in range(1, n_max + 1):
+        S[k:] = map(add, S[k:], map(mul, row, L_pow))
+        row = [sum(map(mul, N[: m + 1], row[m::-1])) for m in range(len(row) - 1)]
+    a = tuple(Fraction(f * s, q) for f, s, q in zip(_factorials(n_max), S, L_pow))
+    return RelatedNumberTable(r=r, a=a, algorithm=COMPOSITION)
 
 
 def related_numbers_determinant(
@@ -316,8 +294,9 @@ def related_numbers_determinant(
         tag = DETERMINANT_BAREISS
     else:
         raise ValueError(f"unknown determinant kernel {kernel!r}")
-    a = _exponential([-x if n & 1 else x for n, x in enumerate(dets)])
-    return RelatedNumberTable(r=r, a=tuple(a), algorithm=tag)
+    signed = [-x if n & 1 else x for n, x in enumerate(dets)]
+    a = tuple(map(mul, _factorials(n_max), signed))
+    return RelatedNumberTable(r=r, a=a, algorithm=tag)
 
 
 def related_numbers_inversion(
@@ -340,9 +319,9 @@ def related_numbers_negative_power(
     on d_0..d_{n_max} themselves, in one pass over exponential coefficients.
 
     It never sees the D table, so as a witness it checks D_r too.  At
-    r = 1 every Miller weight ((r+1)k - n)/n is -1: it is the D-recurrence's
-    own sum run on f, and checks only D_1 = f.  For r >= 2 it is an
-    algebraically different recurrence.  `stats` gets "max_num_bits" as
+    r = 1 it is the D-recurrence itself, run on D_1 = f, and
+    `cross_verify` runs it once; for r >= 2 it is an algebraically
+    different recurrence.  `stats` gets "max_num_bits" as
     in `recurrence_values`.
     """
     n_max = seq._resolve(n_max)
@@ -406,25 +385,27 @@ def cross_verify(
     n_max: Optional[int] = None,
     cap: int = DEFAULT_COMPOSITION_CAP,
 ) -> VerificationReport:
-    """Run the four independent routes and compare exactly, index by index.
+    """Run every independent route once and compare exactly, index by index.
 
     f^r is computed once for the routes that start from D; the negative
-    power starts from f, so a fault in D_r shows too.  The composition
-    route is only taken up to `cap`; the other three cover the full
-    range.  Disagreement is reported, not raised.
+    power starts from f, so a fault in D_r shows too.  At r = 1 the
+    D-recurrence is the negative power's own loop on the same input, so
+    it is left out and three routes remain.  The composition route is
+    only taken up to `cap`; the others cover the full range.
+    Disagreement is reported, not raised.
     """
     n_max = seq._resolve(n_max)
     D = compute_D(seq, r, n_max).D
-    tables = {
-        RECURRENCE: related_numbers_recurrence(seq, r, n_max, D=D).a,
-        DETERMINANT_BAREISS: related_numbers_determinant(
-            seq, r, n_max, kernel="bareiss", D=D
-        ).a,
-        COMPOSITION: related_numbers_composition(
-            seq, r, min(n_max, cap), cap=cap, D=D
-        ).a,
-        NEGATIVE_POWER: related_numbers_negative_power(seq, r, n_max).a,
-    }
+    tables = {}
+    if r > 1:
+        tables[RECURRENCE] = related_numbers_recurrence(seq, r, n_max, D=D).a
+    tables[DETERMINANT_BAREISS] = related_numbers_determinant(
+        seq, r, n_max, kernel="bareiss", D=D
+    ).a
+    tables[COMPOSITION] = related_numbers_composition(
+        seq, r, min(n_max, cap), cap=cap, D=D
+    ).a
+    tables[NEGATIVE_POWER] = related_numbers_negative_power(seq, r, n_max).a
     return VerificationReport(
         r=r, n_max=n_max, tables=tables, first_mismatch=first_disagreement(tables)
     )

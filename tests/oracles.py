@@ -231,6 +231,45 @@ def composition_by_partitions(D, n_max):
     return out
 
 
+def composition_by_partition_walk(D, n_max):
+    """a_0..a_{n_max} by the alternating sum over partitions, summed over
+    integers in one walk of the partition tree for every n <= n_max.
+
+    Every D(k) is lifted to N_k / L over one L = lcm(den D(1..n_max)).
+    Each node of the tree is a partition of some n <= n_max (parts
+    non-increasing, each child appends one part); the walk carries the
+    number of parts l, the run m of the last part, the weight
+    l!/prod m_i! and the product of the N_k down to each node, which adds
+    its weighted product to acc[n][l].  Then
+
+        a_n = n! sum_l (-1)^l acc[n][l] L^(n-l) / L^n.
+
+    One term per partition, p(n) of them for each n: the reference the
+    package's power triangle is checked against.
+    """
+    L = math.lcm(*(x.denominator for x in D[1 : n_max + 1]))
+    N = [x.numerator * (L // x.denominator) for x in D[: n_max + 1]]
+    acc = [[0] * (n + 1) for n in range(n_max + 1)]
+    # (n, last part, number of parts, run of the last part, weight, product)
+    stack = [(0, n_max, 0, 0, 1, 1)]
+    while stack:
+        n, top, parts, run, w, prod = stack.pop()
+        k = parts + 1  # the number of parts of each child
+        for e in range(min(top, n_max - n), 0, -1):
+            if not N[e]:
+                continue  # every partition below this child has product 0
+            m = run + 1 if e == top else 1
+            weight, product = w * k // m, prod * N[e]
+            acc[n + e][k] += weight * product
+            if n + e < n_max:
+                stack.append((n + e, e, k, m, weight, product))
+    out = [ONE]
+    for n in range(1, n_max + 1):
+        total = sum((-c if k & 1 else c) * L ** (n - k) for k, c in enumerate(acc[n]))
+        out.append(Fraction(factorial(n) * total, L**n))
+    return out
+
+
 def weak_D(d, r, e):
     """D_r(e) as the literal weak-composition sum over d_i / i!."""
     fact = [1] * (e + 1)

@@ -114,8 +114,9 @@ class TestCriterion03:
             assert report.agree, (
                 f"routes disagree for r={r}, d={seq.d}: {report.describe()}"
             )
-        _pass(3, "recurrence, Bareiss determinant, composition sum and negative "
-                 "power f^(-r) agree on 100 random sequences x r in 1..4, n <= 12")
+        _pass(3, "recurrence (r >= 2), Bareiss determinant, composition sum and "
+                 "negative power f^(-r) agree on 100 random sequences x r in 1..4, "
+                 "n <= 12")
 
 
 class TestCriterion04:

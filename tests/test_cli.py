@@ -132,16 +132,19 @@ class TestComputeCommand:
 
     def test_power_computed_once_per_check(self, capsys, monkeypatch):
         calls = self.count_miller_loops(monkeypatch)
-        for algo in ("recurrence", "determinant", "composition", "all"):
-            calls.clear()
-            code, out, _ = run(
-                capsys, "compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "3",
-                "--order", "3", "--n", "8", "--algo", algo, "--check", "--format", "csv",
-            )
-            assert code == 0
-            # f^r once, the D-recurrence witness's inverse of D_r, f^(-r) once
-            assert calls == [3, -1, -3]
-            assert out.splitlines()[0] == "n,value"
+        for r in (1, 2, 3):
+            for algo in ("recurrence", "determinant", "composition", "all"):
+                calls.clear()
+                code, out, _ = run(
+                    capsys, "compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "3",
+                    "--order", str(r), "--n", "8", "--algo", algo, "--check",
+                    "--format", "csv",
+                )
+                assert code == 0
+                # f^r once, the D-recurrence witness's inverse of D_r, f^(-r)
+                # once; at r = 1 the witness is f^(-1) itself, run once
+                assert calls == ([1, -1] if r == 1 else [r, -1, -r]), (r, algo)
+                assert out.splitlines()[0] == "n,value"
 
     def test_plain_requests_never_build_d(self, capsys, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -159,6 +162,24 @@ class TestComputeCommand:
             assert (code, err) == (0, "")
             assert calls == [-3]
 
+    def test_no_request_builds_a_truncated_series(self, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a request built a TruncatedSeries")
+
+        monkeypatch.setattr(series.TruncatedSeries, "__init__", must_not_run)
+        family = ("--family", "hyper-cauchy", "--m", "2", "--nn", "3", "--n", "8")
+        for r in ("1", "2"):
+            for extra in (
+                ("compute", "--check"),
+                ("compute", "--algo", "all"),
+                ("compute", "--algo", "determinant"),
+                ("compute", "--algo", "composition"),
+                ("poly", "--z", "1/3"),
+                ("bench",),
+            ):
+                code, _, err = run(capsys, extra[0], *family, "--order", r, *extra[1:])
+                assert (code, err) == (0, ""), extra
+
     def test_check_prints_the_chosen_route(self, capsys):
         for extra in (("--algo", "determinant", "--kernel", "bareiss"), ()):
             plain = run(
@@ -174,7 +195,9 @@ class TestComputeCommand:
         routes = {
             (): engine.NEGATIVE_POWER,
             ("--algo", "all"): engine.NEGATIVE_POWER,
-            ("--algo", "determinant"): engine.RECURRENCE,
+            # at r = 1 the Hessenberg kernel's loop is the negative power
+            ("--algo", "determinant"): engine.NEGATIVE_POWER,
+            ("--algo", "determinant", "--order", "2"): engine.RECURRENCE,
             ("--algo", "determinant", "--kernel", "bareiss"): engine.DETERMINANT_BAREISS,
             ("--algo", "composition"): engine.COMPOSITION,
         }
@@ -217,16 +240,16 @@ class TestComputeCommand:
         del doc["verified"]
         assert doc == json.loads(plain)
 
-    def test_default_cap_checks_composition_to_34(self, capsys):
+    def test_default_cap_checks_every_route_to_40(self, capsys):
         code, out, _ = run(
             capsys, "compute", "--family", "bernoulli", "--n", "40", "--check",
             "--format", "json",
         )
         assert code == 0
+        # at r = 1 the D-recurrence is the negative power, reported once
         assert json.loads(out)["verified"] == {
-            "recurrence": 40,
             "determinant:bareiss": 40,
-            "composition": 34,
+            "composition": 40,
             "negative-power": 40,
         }
 
@@ -291,6 +314,32 @@ class TestUsageErrors:
         config = cli.RunConfig(family=FamilySpec.euler(), order=1, n_max=cli.MAX_N)
         assert config.n_max == cli.MAX_N
 
+    def test_huge_order_is_refused_before_any_work(self, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before --order was checked")
+
+        monkeypatch.setattr(cli, "family_coefficients", must_not_run)
+        monkeypatch.setattr(engine, "exponential_power", must_not_run)
+        for command in ("compute", "poly", "bench"):
+            code, out, err = run(
+                capsys, command, "--family", "euler", "--n", "300",
+                "--order", str(10**4000),
+            )
+            assert (code, out) == (2, "")
+            assert err.splitlines() == [
+                f"error: --n times the bit length of --order must be <= "
+                f"{cli.MAX_ORDER_WORK}, got 300 * 13288"
+            ]
+        # the budget bounds n * bits(r): the largest order of 218 bits
+        # passes at n = 300, one more bit does not
+        bits = cli.MAX_ORDER_WORK // 300
+        cli.RunConfig(family=FamilySpec.euler(), order=2**bits - 1, n_max=300)
+        code, _, err = run(
+            capsys, "compute", "--family", "euler", "--n", "300", "--order", str(2**bits)
+        )
+        assert code == 2
+        assert err.endswith(f"got 300 * {bits + 1}\n")
+
     def test_unknown_family_is_argparse_error(self, capsys):
         code, _, err = run(capsys, "compute", "--family", "pell", "--n", "3")
         assert code == 2
@@ -351,6 +400,10 @@ def fuzzed_argv(draw):
     for option in ("--m", "--nn", "--order", "--cap"):
         if draw(st.booleans()):
             argv += [option, draw(int_options)]
+    if draw(st.booleans()):
+        # up to 4500 digits: past the work budget at some --n, and past
+        # the interpreter's 4300-digit int parsing limit
+        argv += ["--order", "9" * draw(st.integers(15, 4500))]
     text = None
     if family == "custom" and draw(st.booleans()):
         text = "\n".join(draw(st.lists(custom_lines, max_size=14)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from appellseq import engine
+from appellseq import determinants, engine, series
 from appellseq.arith import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError
 from appellseq.engine import (
     COMPOSITION,
@@ -51,6 +51,16 @@ def sequence_strategy(max_len=9):
 
 def bernoulli_seq(n_max):
     return family_coefficients(FamilySpec.bernoulli(), n_max)
+
+
+CATALOG = [
+    FamilySpec.bernoulli(),
+    FamilySpec.euler(),
+    FamilySpec.hyper_bernoulli(1, 1),
+    FamilySpec.hyper_bernoulli(2, 3),
+    FamilySpec.hyper_cauchy(1, 1),
+    FamilySpec.hyper_cauchy(3, 2),
+]
 
 
 class TestCoefficientSequence:
@@ -233,24 +243,67 @@ class TestRouteAgreement:
         assert list(related_numbers_composition(seq, r, 34, D=D).a) == recurrence_values(D, 34)
 
 
+sparse_tables = st.lists(
+    st.one_of(st.just(F(0)), rationals), min_size=1, max_size=14
+).filter(lambda rest: rest.count(0) * 2 >= len(rest))
+
+
+class TestCompositionTriangle:
+    """The power triangle of h = sum D_r(e) t^e against the partition
+    walk it replaced, the production table and the D-recurrence."""
+
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.label)
+    def test_equals_partition_walk_on_catalog(self, spec):
+        seq = family_coefficients(spec, 34)
+        for r in (1, 2, 3, 7):
+            D = compute_D(seq, r, 34).D
+            got = related_numbers_composition(seq, r, 34, D=D).a
+            assert list(got) == oracles.composition_by_partition_walk(D, 34), r
+
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.label)
+    def test_equals_production_table_to_60(self, spec):
+        seq = family_coefficients(spec, 60)
+        for r in (1, 2, 7):
+            got = related_numbers_composition(seq, r, 60, cap=60)
+            assert got.a == related_numbers_negative_power(seq, r, 60).a, r
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_tables)
+    def test_sparse_tables(self, rest):
+        # at least half of D(1..n) is zero, so most products vanish
+        D = (F(1), *rest)
+        n = len(rest)
+        seq = CoefficientSequence.from_values([1] * (n + 1))  # only its length is read
+        got = list(related_numbers_composition(seq, 1, n, D=D).a)
+        assert got == oracles.composition_by_partition_walk(D, n)
+        assert got == oracles.composition_by_partitions(D, n)
+        assert got == recurrence_values(D, n)
+
+    def test_shares_no_code_with_the_other_witnesses(self, monkeypatch):
+        seq = family_coefficients(FamilySpec.hyper_cauchy(2, 3), 20)
+        D = compute_D(seq, 3, 20).D
+        expected = recurrence_values(D, 20)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the composition route ran another witness")
+
+        for owner, name in (
+            (series, "exponential_power"),
+            (engine, "exponential_power"),
+            (determinants, "bareiss_leading_minors"),
+            (engine, "bareiss_leading_minors"),
+        ):
+            monkeypatch.setattr(owner, name, must_not_run)
+        assert list(related_numbers_composition(seq, 3, 20, D=D).a) == expected
+
+
 class TestProductionRoute:
     """The production table, Miller's loop on f^(-r), must equal the paper's
     D_r convolution recurrence exactly."""
 
     ORDERS = (1, 2, 3, 7, 16)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            FamilySpec.bernoulli(),
-            FamilySpec.euler(),
-            FamilySpec.hyper_bernoulli(1, 1),
-            FamilySpec.hyper_bernoulli(2, 3),
-            FamilySpec.hyper_cauchy(1, 1),
-            FamilySpec.hyper_cauchy(3, 2),
-        ],
-        ids=lambda spec: spec.label,
-    )
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.label)
     def test_equals_d_recurrence_on_catalog(self, spec):
         seq = family_coefficients(spec, 60)
         for r in self.ORDERS:
@@ -292,18 +345,19 @@ class TestCrossVerify:
         report = cross_verify(bernoulli_seq(15), 1, 15, cap=10)
         assert report.agree
         assert len(report.tables[COMPOSITION]) == 11
-        assert len(report.tables[RECURRENCE]) == 16
+        assert len(report.tables[NEGATIVE_POWER]) == 16
 
     def test_capped_report_names_composition_range(self):
         report = cross_verify(bernoulli_seq(14), 1, 14, cap=8)
         assert report.coverage[COMPOSITION] == 8
-        assert report.coverage[RECURRENCE] == 14
+        assert report.coverage[NEGATIVE_POWER] == 14
         text = report.describe()
-        assert text.startswith("all 4 routes agree for r=1, n <= 14")
+        # at r = 1 the D-recurrence is the negative power: 3 routes, not 4
+        assert text.startswith("all 3 routes agree for r=1, n <= 14")
         assert "composition only n <= 8" in text
         # a route that covered the full range is not singled out
         full = cross_verify(bernoulli_seq(8), 1, 8, cap=8).describe()
-        assert full == "all 4 routes agree for r=1, n <= 8"
+        assert full == "all 3 routes agree for r=1, n <= 8"
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_doctored_power_table_is_caught(self, monkeypatch, r):
