@@ -40,7 +40,6 @@ from .engine import (
     polynomial_eval,
     related_numbers_composition,
     related_numbers_determinant,
-    related_numbers_inversion,
     related_numbers_negative_power,
     related_numbers_recurrence,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "polynomial_eval",
     "related_numbers_composition",
     "related_numbers_determinant",
-    "related_numbers_inversion",
     "related_numbers_negative_power",
     "related_numbers_recurrence",
     "rising_factorial",

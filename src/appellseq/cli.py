@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from . import determinants, engine
+from . import determinants, engine, families
 from .arith import (
     DEFAULT_COMPOSITION_CAP,
     CombinatorialBlowupError,
@@ -24,7 +24,6 @@ from .arith import (
     parse_rational,
 )
 from .engine import (
-    CoefficientSequence,
     NormalizationError,
     RelatedNumberTable,
     appell_polynomial,
@@ -39,8 +38,6 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_MISMATCH = 4
 
-BENCH_METHODS = ("negative_power", "bareiss", "recurrence")
-
 #: Largest --n a request may ask for, refused before any work.  The cost
 #: grows faster than n^2 with the digits of the values: a Bernoulli
 #: `compute` takes about 1.9 s at n=800 and 22 s at n=1600, more than ten
@@ -50,7 +47,27 @@ MAX_N = 10_000
 #: Largest n * bit_length(r), refused before any work: r adds about
 #: n * bits(r) bits to each value.  Euler `compute` takes 0.2 / 2.5 s at
 #: n = 25 / 400 with n * bits(r) near 2^16, and 1.0 / 23 s near 2^18.
+#: The same budget bounds n * (bits(M) + bits(N)) of the hypergeometric
+#: kinds, whose d_n carry about that many bits.
 MAX_ORDER_WORK = 2**16
+
+
+#: --algo -> (the cross_verify table it prints under --check, the route
+#: that computes that table alone from a sequence and a RunConfig)
+ROUTES = {
+    "recurrence": (
+        engine.NEGATIVE_POWER,
+        lambda seq, c: engine.related_numbers_negative_power(seq, c.order, c.n_max),
+    ),
+    "determinant": (
+        engine.DETERMINANT_BAREISS,
+        lambda seq, c: engine.related_numbers_determinant(seq, c.order, c.n_max),
+    ),
+    "composition": (
+        engine.COMPOSITION,
+        lambda seq, c: engine.related_numbers_composition(seq, c.order, c.n_max, cap=c.cap),
+    ),
+}
 
 
 class KernelMismatchError(RuntimeError):
@@ -65,7 +82,6 @@ class RunConfig:
     order: int
     n_max: int
     algorithm: str = "recurrence"
-    kernel: str = "hessenberg"
     fmt: str = "pretty"
     check: bool = False
     cap: int = DEFAULT_COMPOSITION_CAP
@@ -83,6 +99,13 @@ class RunConfig:
                 f"--n times the bit length of --order must be <= {MAX_ORDER_WORK}, "
                 f"got {self.n_max} * {bits}"
             )
+        if self.family.kind in (families.HYPER_BERNOULLI, families.HYPER_CAUCHY):
+            m_bits, nn_bits = self.family.m.bit_length(), self.family.n.bit_length()
+            if self.n_max * (m_bits + nn_bits) > MAX_ORDER_WORK:
+                raise ValueError(
+                    f"--n times the bit lengths of --m and --nn must be <= "
+                    f"{MAX_ORDER_WORK}, got {self.n_max} * ({m_bits} + {nn_bits})"
+                )
         if self.cap < 0:
             raise ValueError(f"--cap must be >= 0, got {self.cap}")
 
@@ -109,18 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, default=1, help="order r (default 1)")
         p.add_argument("--n", type=int, required=True, help="compute n = 0..N")
         p.add_argument("--custom-path", help="coefficient file for --family custom")
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=DEFAULT_COMPOSITION_CAP,
-            help=f"composition enumeration cap (default {DEFAULT_COMPOSITION_CAP})",
-        )
 
     p_compute = sub.add_parser("compute", help="tabulate a_n^(r) for n = 0..N")
     add_common(p_compute)
     p_compute.add_argument(
         "--algo",
-        choices=["recurrence", "determinant", "composition", "all"],
+        choices=list(ROUTES),
         default="recurrence",
         help=(
             "recurrence (default): the production route, Miller's recurrence "
@@ -129,7 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_compute.add_argument(
-        "--kernel", choices=["hessenberg", "bareiss"], default="hessenberg"
+        "--cap",
+        type=int,
+        default=DEFAULT_COMPOSITION_CAP,
+        help=f"composition enumeration cap (default {DEFAULT_COMPOSITION_CAP})",
     )
     p_compute.add_argument(
         "--format", dest="fmt", choices=["csv", "json", "pretty"], default="pretty"
@@ -152,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.set_defaults(func=cmd_poly)
 
     p_bench = sub.add_parser(
-        "bench", help="time the production route, the D_r recurrence and Bareiss per n"
+        "bench", help="time the production route, Bareiss and (r >= 2) the D_r recurrence per n"
     )
     add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
@@ -181,38 +201,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         order=args.order,
         n_max=args.n,
         algorithm=getattr(args, "algo", "recurrence"),
-        kernel=getattr(args, "kernel", "hessenberg"),
         fmt=getattr(args, "fmt", "pretty"),
         check=getattr(args, "check", False),
-        cap=args.cap,
+        cap=getattr(args, "cap", DEFAULT_COMPOSITION_CAP),
     )
-
-
-def _route_name(config: RunConfig) -> str:
-    """The cross_verify table that the chosen --algo/--kernel prints."""
-    if config.algorithm == "determinant" and config.kernel == "bareiss":
-        return engine.DETERMINANT_BAREISS
-    if config.algorithm == "determinant" and config.order > 1:
-        # the Hessenberg kernel is the D_r recurrence's own loop, which at
-        # r = 1 is the negative power's
-        return engine.RECURRENCE
-    if config.algorithm == "composition":
-        return engine.COMPOSITION
-    # "recurrence", the default, is served by the negative power; so is "all"
-    return engine.NEGATIVE_POWER
-
-
-def _compute_table(config: RunConfig, seq: CoefficientSequence) -> RelatedNumberTable:
-    algo = config.algorithm
-    if algo == "determinant":
-        return engine.related_numbers_determinant(
-            seq, config.order, config.n_max, kernel=config.kernel
-        )
-    if algo == "composition":
-        return engine.related_numbers_composition(
-            seq, config.order, config.n_max, cap=config.cap
-        )
-    return engine.related_numbers_negative_power(seq, config.order, config.n_max)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -221,16 +213,16 @@ def cmd_compute(args: argparse.Namespace) -> int:
         # before the family or any route is computed
         engine.check_composition_cap(config.n_max, config.cap)
     seq = family_coefficients(config.family, config.n_max)
-    if config.check or config.algorithm == "all":
+    route, compute_alone = ROUTES[config.algorithm]
+    if config.check:
         report = cross_verify(seq, config.order, config.n_max, cap=config.cap)
         if not report.agree:
             print(f"cross-verification failed: {report.describe()}", file=sys.stderr)
             return EXIT_MISMATCH
-        route = _route_name(config)
         table = RelatedNumberTable(r=config.order, a=report.tables[route], algorithm=route)
         emit_table(table, config, verified=report.coverage)
         return EXIT_OK
-    emit_table(_compute_table(config, seq), config)
+    emit_table(compute_alone(seq, config), config)
     return EXIT_OK
 
 
@@ -304,11 +296,13 @@ class BenchRow:
 def run_benchmark(spec: FamilySpec, r: int, n_max: int) -> list[BenchRow]:
     """Per-n wall time and peak intermediate size for every kernel.
 
-    The production route (Miller's loop on f^(-r)), the paper's D_r
-    recurrence and Bareiss are three different computations; the shared
-    D table is prepared outside the timers, so the D-based cells measure
-    determinant (or recurrence) evaluation only.  All methods must
-    produce identical values; otherwise no timings are reported.
+    The production route (Miller's loop on f^(-r)), Bareiss and, for
+    r >= 2, the paper's D_r recurrence are different computations; at
+    r = 1 that recurrence is the production route's own loop on the same
+    input, so it is not run.  The shared D table is prepared outside the
+    timers, so the D-based cells measure determinant (or recurrence)
+    evaluation only.  All methods must produce identical values;
+    otherwise no timings are reported.
     """
     seq = family_coefficients(spec, n_max)
     D = engine.compute_D(seq, r, n_max).D
@@ -332,11 +326,12 @@ def run_benchmark(spec: FamilySpec, r: int, n_max: int) -> list[BenchRow]:
         value = fact * det if n % 2 == 0 else -fact * det
         cells["bareiss"] = BenchCell(dt, stats.get("max_num_bits", 0), value)
 
-        stats = {}
-        t0 = time.perf_counter()
-        a = recurrence_values(D, n, stats=stats)
-        dt = time.perf_counter() - t0
-        cells["recurrence"] = BenchCell(dt, stats.get("max_num_bits", 0), a[n])
+        if r > 1:
+            stats = {}
+            t0 = time.perf_counter()
+            a = recurrence_values(D, n, stats=stats)
+            dt = time.perf_counter() - t0
+            cells["recurrence"] = BenchCell(dt, stats.get("max_num_bits", 0), a[n])
 
         rows.append(BenchRow(n=n, cells=cells))
 
@@ -353,17 +348,18 @@ def run_benchmark(spec: FamilySpec, r: int, n_max: int) -> list[BenchRow]:
 def cmd_bench(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     rows = run_benchmark(config.family, config.order, config.n_max)
+    methods = list(rows[0].cells)  # the kernels actually run, in run order
     header = ["n"]
-    for method in BENCH_METHODS:
+    for method in methods:
         header += [f"{method}_seconds", f"{method}_max_num_bits"]
     header.append("value")
     lines = [",".join(header)]
     for row in rows:
         cols = [str(row.n)]
-        for method in BENCH_METHODS:
+        for method in methods:
             cell = row.cells[method]
             cols += [f"{cell.seconds:.6f}", str(cell.max_num_bits)]
-        cols.append(format_rational(row.cells["recurrence"].value))
+        cols.append(format_rational(row.cells["negative_power"].value))
         lines.append(",".join(cols))
     print("\n".join(lines))
     return EXIT_OK

@@ -11,20 +11,21 @@ j <= i (0-indexed):
 
 Two kernels evaluate it; neither builds the matrix:
 
+* `bareiss_leading_minors`, the kernel of the determinant route, clears
+  the denominators of each row by that row's own lcm and runs
+  fraction-free (Bareiss) elimination over big integers on the band of
+  the matrix, algebraically independent of the recurrences.  Each pivot
+  is a leading minor, so one pass yields the whole table, zero minors
+  included.  A pivot row of a Hessenberg matrix has only two nonzero
+  entries, so each step updates one integer per row below it: O(n^2)
+  products and no division.  `bareiss_det` is its last minor.
 * `hessenberg_leading_minors` takes every leading minor from the
   cofactor expansion along the first row, det_n = sum_{l=1..n}
   (-1)^(l-1) D(l) det_{n-l}.  That is (-1)^n times the series-inversion
   recurrence, so it is one O(n^2) run of `series.exponential_power` at
   the power -1: the same sum as the related-number recurrence, not a
-  check on it.
-* `bareiss_leading_minors` clears the denominators of each row by that
-  row's own lcm and runs fraction-free (Bareiss) elimination over big
-  integers on the band of the matrix, an algebraically independent check
-  on the minor recurrence.  Each pivot is a leading minor, so one pass
-  yields the whole table, zero minors included.  A pivot row of a
-  Hessenberg matrix has only two nonzero entries, so each step updates
-  one integer per row below it: O(n^2) products and no division.
-  `bareiss_det` is its last minor.
+  check on it.  No route runs it; the tests use it as the reference for
+  the minor recurrence.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ are the exponential coefficients of e^(zt)/f(t)^r.  With the classical
 choices of f this machinery produces Bernoulli, Euler and (hypergeometric)
 Cauchy numbers and polynomials.
 
-Four algorithms compute the same table a_0..a_{n_max}:
+Four algorithms compute the same table a_0..a_{n_max}, each under one name:
 
 * `related_numbers_negative_power`: a_n = n! [t^n] f^(-r), the production
   path: one pass of J.C.P. Miller's recurrence for f^(-r), run by
@@ -18,9 +18,8 @@ Four algorithms compute the same table a_0..a_{n_max}:
   D_r and never leaves exponential form;
 * `related_numbers_recurrence`: the paper's O(n^2) convolution recurrence
   a_n = -n! sum_{m<n} D_r(n-m) a_m / m!, the inverse of f^r: the same
-  loop at the power -1 on the exponential coefficients n! D_r(n)
-  (`related_numbers_inversion` and the Hessenberg determinant kernel
-  are aliases of it); a witness for r >= 2;
+  loop at the power -1 on the exponential coefficients n! D_r(n); a
+  witness for r >= 2;
 * `related_numbers_composition`: the explicit alternating sum
   a_n = n! sum_k (-1)^k sum over strict compositions e_1+..+e_k = n of
   D_r(e_1)...D_r(e_k), read off the power triangle of
@@ -45,7 +44,7 @@ and reported once, as the negative power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
@@ -60,7 +59,7 @@ from .arith import (
 from .determinants import (
     bareiss_det,  # unused here; perfbench/spans.py wraps engine.bareiss_det
     bareiss_leading_minors,
-    hessenberg_leading_minors,
+    hessenberg_leading_minors,  # unused here; perfbench/spans.py wraps it
 )
 from .series import TruncatedSeries, exponential_power  # the first for perfbench/spans.py
 
@@ -69,9 +68,7 @@ _ONE = Fraction(1)
 
 RECURRENCE = "recurrence"
 COMPOSITION = "composition"
-DETERMINANT_HESSENBERG = "determinant:hessenberg"
 DETERMINANT_BAREISS = "determinant:bareiss"
-INVERSION = "inversion"
 NEGATIVE_POWER = "negative-power"
 
 
@@ -273,40 +270,25 @@ def related_numbers_determinant(
     seq: CoefficientSequence,
     r: int,
     n_max: Optional[int] = None,
-    kernel: str = "hessenberg",
     stats: Optional[StatsDict] = None,
     D: Optional[Sequence[Fraction]] = None,
 ) -> RelatedNumberTable:
     """a_n^(r) = (-1)^n n! det(M_n) over the Hessenberg matrix of D values.
 
-    Both kernels get every leading minor M_1..M_{n_max} from one O(n^2)
-    pass: kernel "hessenberg" from the recurrence's kernel, kernel
-    "bareiss" by independent fraction-free elimination on the band of
-    M_{n_max}, which never builds the matrix.
+    Every leading minor M_1..M_{n_max} comes from one O(n^2) pass of
+    fraction-free elimination on the band of M_{n_max}, which never
+    builds the matrix and shares no step with the recurrence.
     """
     n_max = seq._resolve(n_max)
     D = _power_table(seq, r, n_max, D)
-    if kernel == "hessenberg":
-        dets = hessenberg_leading_minors(D, n_max, stats=stats)
-        tag = DETERMINANT_HESSENBERG
-    elif kernel == "bareiss":
-        dets = bareiss_leading_minors(D, n_max, stats=stats)
-        tag = DETERMINANT_BAREISS
-    else:
-        raise ValueError(f"unknown determinant kernel {kernel!r}")
+    dets = bareiss_leading_minors(D, n_max, stats=stats)
     signed = [-x if n & 1 else x for n, x in enumerate(dets)]
     a = tuple(map(mul, _factorials(n_max), signed))
-    return RelatedNumberTable(r=r, a=a, algorithm=tag)
+    return RelatedNumberTable(r=r, a=a, algorithm=DETERMINANT_BAREISS)
 
 
-def related_numbers_inversion(
-    seq: CoefficientSequence,
-    r: int,
-    n_max: Optional[int] = None,
-    D: Optional[Sequence[Fraction]] = None,
-) -> RelatedNumberTable:
-    """a_n^(r) = n! [t^n] (f^r)^(-1): the recurrence's table, tagged INVERSION."""
-    return replace(related_numbers_recurrence(seq, r, n_max, D=D), algorithm=INVERSION)
+# unused here; perfbench/spans.py wraps engine.related_numbers_inversion
+related_numbers_inversion = related_numbers_recurrence
 
 
 def related_numbers_negative_power(
@@ -399,9 +381,7 @@ def cross_verify(
     tables = {}
     if r > 1:
         tables[RECURRENCE] = related_numbers_recurrence(seq, r, n_max, D=D).a
-    tables[DETERMINANT_BAREISS] = related_numbers_determinant(
-        seq, r, n_max, kernel="bareiss", D=D
-    ).a
+    tables[DETERMINANT_BAREISS] = related_numbers_determinant(seq, r, n_max, D=D).a
     tables[COMPOSITION] = related_numbers_composition(
         seq, r, min(n_max, cap), cap=cap, D=D
     ).a

@@ -23,6 +23,7 @@ from appellseq.engine import (
     polynomial_derivative,
     polynomial_eval,
     related_numbers_determinant,
+    related_numbers_negative_power,
     related_numbers_recurrence,
 )
 from appellseq.families import FamilySpec, family_coefficients
@@ -56,8 +57,7 @@ def bernoulli_tables():
     return {
         "seq": seq,
         "recurrence": related_numbers_recurrence(seq, 1, 20),
-        "hessenberg": related_numbers_determinant(seq, 1, 20, kernel="hessenberg"),
-        "bareiss": related_numbers_determinant(seq, 1, 20, kernel="bareiss"),
+        "determinant": related_numbers_determinant(seq, 1, 20),
     }
 
 
@@ -66,7 +66,7 @@ def cauchy_tables():
     seq = family_coefficients(FamilySpec.hyper_cauchy(1, 1), 20)
     return {
         "seq": seq,
-        "determinant": related_numbers_determinant(seq, 1, 20, kernel="hessenberg"),
+        "determinant": related_numbers_determinant(seq, 1, 20),
     }
 
 
@@ -87,12 +87,11 @@ def random_battery():
 class TestCriterion01:
     def test_criterion_01_bernoulli_determinant_vs_recurrence(self, bernoulli_tables):
         rec = bernoulli_tables["recurrence"].a
-        assert bernoulli_tables["hessenberg"].a == rec
-        assert bernoulli_tables["bareiss"].a == rec
+        assert bernoulli_tables["determinant"].a == rec
         spots = {1: F(-1, 2), 2: F(1, 6), 4: F(-1, 30), 12: F(-691, 2730)}
         for n, value in spots.items():
             assert rec[n] == value, f"B_{n} != {value}"
-        _pass(1, "Bernoulli determinant table equals recurrence for n <= 20, "
+        _pass(1, "Bernoulli Bareiss determinant table equals recurrence for n <= 20, "
                  "spot values B_1, B_2, B_4, B_12 exact")
 
 
@@ -103,7 +102,7 @@ class TestCriterion02:
         assert list(det) == oracle
         assert det[1] == F(1, 2)
         assert det[2] == F(-1, 6)
-        _pass(2, "hyper-Cauchy(1,1) determinant equals log(1+t)/t inversion "
+        _pass(2, "hyper-Cauchy(1,1) Bareiss determinant equals log(1+t)/t inversion "
                  "oracle for n <= 20, spot values c_1, c_2 exact")
 
 
@@ -125,7 +124,7 @@ class TestCriterion04:
     ):
         checked = 0
         D = compute_D(bernoulli_tables["seq"], 1, 20).D
-        for key in ("recurrence", "hessenberg", "bareiss"):
+        for key in ("recurrence", "determinant"):
             assert _residual_vanishes(D, bernoulli_tables[key].a) is None
             checked += 1
         D = compute_D(cauchy_tables["seq"], 1, 20).D
@@ -285,10 +284,9 @@ class TestCriterion10:
     def test_criterion_10_performance_sanity(self):
         seq = family_coefficients(FamilySpec.bernoulli(), 200)
         t0 = time.perf_counter()
-        hess = related_numbers_determinant(seq, 1, 200, kernel="hessenberg")
+        det = related_numbers_determinant(seq, 1, 200)
         elapsed = time.perf_counter() - t0
-        assert elapsed < 10.0, f"hessenberg n=200 took {elapsed:.2f}s"
-        bareiss = related_numbers_determinant(seq, 1, 60, kernel="bareiss")
-        assert bareiss.a == hess.a[:61]
-        _pass(10, f"hessenberg full table n=200 in {elapsed:.2f}s (< 10s); "
-                  "bareiss agrees up to n = 60")
+        assert elapsed < 10.0, f"Bareiss determinant n=200 took {elapsed:.2f}s"
+        assert det.a == related_numbers_negative_power(seq, 1, 200).a
+        _pass(10, f"Bareiss determinant full table n=200 in {elapsed:.2f}s (< 10s); "
+                  "the negative power agrees up to n = 200")

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 import time
@@ -61,7 +63,7 @@ class TestComputeCommand:
 
     def test_all_algorithms_give_same_output(self, capsys):
         outputs = set()
-        for algo in ("recurrence", "determinant", "composition", "all"):
+        for algo in ("recurrence", "determinant", "composition"):
             code, out, _ = run(
                 capsys, "compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "2",
                 "--n", "6", "--algo", algo, "--format", "csv",
@@ -70,17 +72,18 @@ class TestComputeCommand:
             outputs.add(out)
         assert len(outputs) == 1
 
-    def test_kernel_choice(self, capsys):
-        code_h, out_h, _ = run(
-            capsys, "compute", "--family", "bernoulli", "--n", "8",
-            "--algo", "determinant", "--kernel", "hessenberg", "--format", "csv",
-        )
-        code_b, out_b, _ = run(
-            capsys, "compute", "--family", "bernoulli", "--n", "8",
-            "--algo", "determinant", "--kernel", "bareiss", "--format", "csv",
-        )
-        assert code_h == code_b == 0
-        assert out_h == out_b
+    def test_retired_flags_exit_2(self, capsys):
+        # one name per route: no --kernel, no --algo all, and --cap only
+        # where the composition route can run
+        family = ("--family", "bernoulli", "--n", "8")
+        for argv in (
+            ("compute", *family, "--algo", "determinant", "--kernel", "bareiss"),
+            ("compute", *family, "--algo", "all"),
+            ("poly", *family, "--cap", "3"),
+            ("bench", *family, "--cap", "3"),
+        ):
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
 
     def test_check_flag_passes(self, capsys):
         code, out, err = run(
@@ -133,7 +136,7 @@ class TestComputeCommand:
     def test_power_computed_once_per_check(self, capsys, monkeypatch):
         calls = self.count_miller_loops(monkeypatch)
         for r in (1, 2, 3):
-            for algo in ("recurrence", "determinant", "composition", "all"):
+            for algo in ("recurrence", "determinant", "composition"):
                 calls.clear()
                 code, out, _ = run(
                     capsys, "compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "3",
@@ -171,7 +174,7 @@ class TestComputeCommand:
         for r in ("1", "2"):
             for extra in (
                 ("compute", "--check"),
-                ("compute", "--algo", "all"),
+                ("compute", "--algo", "determinant", "--check"),
                 ("compute", "--algo", "determinant"),
                 ("compute", "--algo", "composition"),
                 ("poly", "--z", "1/3"),
@@ -181,7 +184,7 @@ class TestComputeCommand:
                 assert (code, err) == (0, ""), extra
 
     def test_check_prints_the_chosen_route(self, capsys):
-        for extra in (("--algo", "determinant", "--kernel", "bareiss"), ()):
+        for extra in (("--algo", "determinant"), ("--algo", "composition"), ()):
             plain = run(
                 capsys, "compute", "--family", "euler", "--order", "2", "--n", "10",
                 *extra, "--format", "csv",
@@ -192,20 +195,33 @@ class TestComputeCommand:
             )
             assert plain == checked
             assert plain[0] == 0
-        routes = {
-            (): engine.NEGATIVE_POWER,
-            ("--algo", "all"): engine.NEGATIVE_POWER,
-            # at r = 1 the Hessenberg kernel's loop is the negative power
-            ("--algo", "determinant"): engine.NEGATIVE_POWER,
-            ("--algo", "determinant", "--order", "2"): engine.RECURRENCE,
-            ("--algo", "determinant", "--kernel", "bareiss"): engine.DETERMINANT_BAREISS,
-            ("--algo", "composition"): engine.COMPOSITION,
+        # every --algo names a table that cross_verify reports at every r
+        assert {algo: route for algo, (route, _) in cli.ROUTES.items()} == {
+            "recurrence": engine.NEGATIVE_POWER,
+            "determinant": engine.DETERMINANT_BAREISS,
+            "composition": engine.COMPOSITION,
         }
-        for extra, route in routes.items():
-            args = cli._parser().parse_args(
-                ["compute", "--family", "euler", "--n", "4", "--check", *extra]
+
+    def test_determinant_check_prints_the_bareiss_table(self, capsys, monkeypatch):
+        # mark the Bareiss table so that no other route's table can pass for it
+        marks = (F(1), *(F(1000 + n, 7) for n in range(1, 7)))
+
+        def marked(seq, r, n_max, cap):
+            report = engine.cross_verify(seq, r, n_max, cap=cap)
+            assert engine.DETERMINANT_BAREISS in report.tables
+            tables = {**report.tables, engine.DETERMINANT_BAREISS: marks}
+            return VerificationReport(r=r, n_max=n_max, tables=tables, first_mismatch=None)
+
+        monkeypatch.setattr(cli, "cross_verify", marked)
+        for r in ("1", "2"):
+            code, out, err = run(
+                capsys, "compute", "--family", "euler", "--order", r, "--n", "6",
+                "--algo", "determinant", "--check", "--format", "csv",
             )
-            assert cli._route_name(cli.config_from_args(args)) == route, extra
+            assert (code, err) == (0, "")
+            assert out.splitlines()[1:] == [
+                f"{n},{cli.format_rational(v)}" for n, v in enumerate(marks)
+            ]
 
     def test_composition_past_cap_with_check_exits_3(self, capsys, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -313,6 +329,33 @@ class TestUsageErrors:
         # the limit itself is a valid size
         config = cli.RunConfig(family=FamilySpec.euler(), order=1, n_max=cli.MAX_N)
         assert config.n_max == cli.MAX_N
+
+    def test_huge_family_parameters_are_refused_before_any_work(self, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before --m and --nn were checked")
+
+        monkeypatch.setattr(cli, "family_coefficients", must_not_run)
+        for command in ("compute", "poly", "bench"):
+            for family in ("hyper-bernoulli", "hyper-cauchy"):
+                for params in (("--m", str(10**1000)), ("--nn", str(10**1000))):
+                    code, out, err = run(
+                        capsys, command, "--family", family, "--n", "100", *params,
+                    )
+                    assert (code, out) == (2, ""), (command, family, params)
+                    assert err.splitlines() == [
+                        f"error: --n times the bit lengths of --m and --nn must be <= "
+                        f"{cli.MAX_ORDER_WORK}, got 100 * "
+                        + ("(3322 + 1)" if params[0] == "--m" else "(1 + 3322)")
+                    ]
+        # the budget bounds n * (bits(M) + bits(N)): at n = 256 and N = 1,
+        # M of 255 bits passes and one more bit does not
+        spec = FamilySpec.hyper_cauchy(2**255 - 1, 1)
+        cli.RunConfig(family=spec, order=1, n_max=256)
+        code, _, err = run(
+            capsys, "compute", "--family", "hyper-cauchy", "--n", "256", "--m", str(2**255)
+        )
+        assert code == 2
+        assert err.endswith("got 256 * (256 + 1)\n")
 
     def test_huge_order_is_refused_before_any_work(self, capsys, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -612,14 +655,25 @@ class TestBenchCommand:
         )
         assert code == 0
         lines = out.strip().splitlines()
+        # at r = 1 the D_r recurrence is the negative power's own loop
+        assert lines[0] == (
+            "n,negative_power_seconds,negative_power_max_num_bits,"
+            "bareiss_seconds,bareiss_max_num_bits,value"
+        )
+        assert len(lines) == 8
+        values = [line.split(",")[-1] for line in lines[1:]]
+        assert values == ["1", "-1/2", "1/6", "0", "-1/30", "0", "1/42"]
+        code, out, _ = run(
+            capsys, "bench", "--family", "bernoulli", "--order", "2", "--n", "3"
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
         assert lines[0] == (
             "n,negative_power_seconds,negative_power_max_num_bits,"
             "bareiss_seconds,bareiss_max_num_bits,"
             "recurrence_seconds,recurrence_max_num_bits,value"
         )
-        assert len(lines) == 8
-        values = [line.split(",")[-1] for line in lines[1:]]
-        assert values == ["1", "-1/2", "1/6", "0", "-1/30", "0", "1/42"]
+        assert [line.split(",")[-1] for line in lines[1:]] == ["1", "-1", "5/6", "-1/2"]
 
     def test_disagreement_refuses_timings(self, capsys, monkeypatch):
         def corrupted(D, n_max, stats=None):
@@ -629,7 +683,10 @@ class TestBenchCommand:
             return good
 
         monkeypatch.setattr(cli, "recurrence_values", corrupted)
-        code, out, err = run(capsys, "bench", "--family", "bernoulli", "--n", "4")
+        # the recurrence column runs at r >= 2 only
+        code, out, err = run(
+            capsys, "bench", "--family", "bernoulli", "--order", "2", "--n", "4"
+        )
         assert code == 4
         assert "disagreement at n=2" in err
         assert "n,negative_power_seconds" not in out
@@ -644,15 +701,17 @@ class TestBenchCommand:
         assert cols[-1] == "1"
 
     def test_run_benchmark_structure(self):
-        from appellseq.families import FamilySpec
-
-        rows = cli.run_benchmark(FamilySpec.euler(), 2, 5)
-        assert [row.n for row in rows] == [0, 1, 2, 3, 4, 5]
-        for row in rows:
-            assert set(row.cells) == {"negative_power", "bareiss", "recurrence"}
-            assert len({cell.value for cell in row.cells.values()}) == 1
-            for cell in row.cells.values():
-                assert cell.seconds >= 0
+        # at r = 1 the D_r recurrence is the negative power's own loop, so
+        # only r >= 2 times it
+        for r, methods in ((1, {"negative_power", "bareiss"}),
+                           (2, {"negative_power", "bareiss", "recurrence"})):
+            rows = cli.run_benchmark(FamilySpec.euler(), r, 5)
+            assert [row.n for row in rows] == [0, 1, 2, 3, 4, 5]
+            for row in rows:
+                assert set(row.cells) == methods, r
+                assert len({cell.value for cell in row.cells.values()}) == 1
+                for cell in row.cells.values():
+                    assert cell.seconds >= 0
 
 
 class TestBenchmarkTracer:
@@ -667,11 +726,16 @@ class TestBenchmarkTracer:
         patched = list(tracer._undo)
         try:
             wrapped = {(owner, attr) for owner, attr, _ in patched}
-            for name in ("bareiss_det", "hessenberg_leading_minors", "compositions"):
-                assert (cli.engine, name) in wrapped
+            for name in (
+                "hessenberg_leading_minors", "bareiss_det", "compositions",
+                "related_numbers_inversion", "recurrence_values",
+                "related_numbers_composition",
+            ):
+                assert (cli.engine, name) in wrapped, name
+            assert (cli.engine.TruncatedSeries, "__pow__") in wrapped
             code, _, _ = run(
                 capsys, "compute", "--family", "bernoulli", "--n", "8", "--check",
-                "--algo", "determinant", "--kernel", "bareiss",
+                "--algo", "determinant",
             )
             assert code == 0
         finally:
@@ -699,3 +763,18 @@ class TestBenchmarkTracer:
         code, _, _ = run(capsys, "poly", "--family", "euler", "--n", "3")
         assert code == 0
         assert len(tracer.spans) == recorded
+
+
+class TestReadmeFlags:
+    def test_flags_line_lists_exactly_the_compute_options(self):
+        # README's "Flags:" paragraph runs to the next blank line
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme[readme.index("\nFlags:") :].split("\n\n")[0]
+        documented = set(re.findall(r"`(--[a-z][a-z-]*)", paragraph))
+        parser = cli.build_parser()
+        subparsers = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        compute = subparsers.choices["compute"]
+        accepted = {s for a in compute._actions for s in a.option_strings} - {"-h", "--help"}
+        assert documented == accepted

@@ -322,4 +322,4 @@ class TestBandKernel:
         monkeypatch.setattr(engine, "exponential_power", refuse)
         with pytest.raises(AssertionError):
             related_numbers_recurrence(seq, 3, 40, D=D)
-        assert related_numbers_determinant(seq, 3, 40, kernel="bareiss", D=D).a == expected
+        assert related_numbers_determinant(seq, 3, 40, D=D).a == expected

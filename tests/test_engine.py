@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,6 @@ from appellseq.arith import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError
 from appellseq.engine import (
     COMPOSITION,
     DETERMINANT_BAREISS,
-    DETERMINANT_HESSENBERG,
-    INVERSION,
     NEGATIVE_POWER,
     RECURRENCE,
     AppellPolynomial,
@@ -28,7 +27,6 @@ from appellseq.engine import (
     recurrence_values,
     related_numbers_composition,
     related_numbers_determinant,
-    related_numbers_inversion,
     related_numbers_negative_power,
     related_numbers_recurrence,
 )
@@ -124,8 +122,8 @@ class TestComputeD:
     def test_routes_take_a_shared_table(self):
         seq = bernoulli_seq(10)
         D = compute_D(seq, 2, 10).D
-        assert related_numbers_inversion(seq, 2, 10, D=D) == related_numbers_inversion(seq, 2, 10)
-        assert related_numbers_recurrence(seq, 2, 10, D=D).a == related_numbers_inversion(seq, 2, 10).a
+        assert related_numbers_recurrence(seq, 2, 10, D=D) == related_numbers_recurrence(seq, 2, 10)
+        assert related_numbers_determinant(seq, 2, 10, D=D) == related_numbers_determinant(seq, 2, 10)
         with pytest.raises(ValueError, match="D"):
             related_numbers_recurrence(seq, 2, 10, D=D[:10])
 
@@ -166,31 +164,30 @@ class TestRouteAgreement:
     def test_all_routes_agree(self, seq, r):
         n_max = seq.n_max
         rec = related_numbers_recurrence(seq, r, n_max)
-        assert related_numbers_determinant(seq, r, n_max, kernel="hessenberg").a == rec.a
-        assert related_numbers_determinant(seq, r, n_max, kernel="bareiss").a == rec.a
+        # the minor recurrence: (-1)^n n! det M_n = a_n
+        minors = determinants.hessenberg_leading_minors(compute_D(seq, r, n_max).D, n_max)
+        fact = [math.factorial(n) for n in range(n_max + 1)]
+        assert tuple((-1) ** n * fact[n] * x for n, x in enumerate(minors)) == rec.a
+        assert related_numbers_determinant(seq, r, n_max).a == rec.a
         assert related_numbers_composition(seq, r, n_max).a == rec.a
-        assert related_numbers_inversion(seq, r, n_max).a == rec.a
+        assert related_numbers_negative_power(seq, r, n_max).a == rec.a
 
     def test_algorithm_tags(self):
         seq = bernoulli_seq(3)
+        assert related_numbers_recurrence(seq, 1).algorithm == RECURRENCE
         assert related_numbers_composition(seq, 1).algorithm == COMPOSITION
-        assert related_numbers_inversion(seq, 1).algorithm == INVERSION
-        assert (
-            related_numbers_determinant(seq, 1, kernel="hessenberg").algorithm
-            == DETERMINANT_HESSENBERG
-        )
-        assert (
-            related_numbers_determinant(seq, 1, kernel="bareiss").algorithm
-            == DETERMINANT_BAREISS
-        )
+        assert related_numbers_determinant(seq, 1).algorithm == DETERMINANT_BAREISS
+        assert related_numbers_negative_power(seq, 1).algorithm == NEGATIVE_POWER
 
     def test_both_kernels_serve_n_max_zero(self):
-        for kernel in ("hessenberg", "bareiss"):
-            assert related_numbers_determinant(bernoulli_seq(3), 1, 0, kernel=kernel).a == (1,)
+        seq = bernoulli_seq(3)
+        assert related_numbers_determinant(seq, 1, 0).a == (1,)
+        assert determinants.hessenberg_leading_minors(compute_D(seq, 1, 0).D, 0) == [1]
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            related_numbers_determinant(bernoulli_seq(3), 1, kernel="gauss")
+    def test_kernel_argument_is_gone(self):
+        # one determinant route, Bareiss: no knob to pick another
+        with pytest.raises(TypeError):
+            related_numbers_determinant(bernoulli_seq(3), 1, kernel="bareiss")
 
     def test_composition_cap(self):
         seq = bernoulli_seq(DEFAULT_COMPOSITION_CAP + 1)
