@@ -3,8 +3,9 @@
 Every numeric value in this package is a `fractions.Fraction`: arbitrary
 precision, stored in lowest terms with a positive denominator, so equality
 is structural and safe for cross-algorithm comparison.  The helpers here
-add the wire format ("p/q" strings), the binomial convention used by the
-Hasse-Teichmueller derivative, rising factorials and composition
+add the wire format ("p/q" strings), the lift of a list of rationals to
+integer numerators over one denominator, the binomial convention used by
+the Hasse-Teichmueller derivative, rising factorials and composition
 enumeration.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, MutableMapping, Union
+from typing import Iterator, MutableMapping, Sequence, Union
 
 #: Largest n the composition route (and `compositions`) serves by default.
 #: The route's power triangle costs O(n^3) products of numbers that grow
@@ -82,6 +83,12 @@ def _decimal(x: int) -> str:
         k = x.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
         hi, lo = divmod(abs(x), 10**k)
         return ("-" if x < 0 else "") + _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def lift(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """L = lcm(den xs) and the integer numerators x L."""
+    L = math.lcm(*(x.denominator for x in xs))
+    return L, [x.numerator * (L // x.denominator) for x in xs]
 
 
 def binomial(n: int, k: int) -> int:

@@ -26,9 +26,9 @@ from .arith import (
 from .engine import (
     NormalizationError,
     RelatedNumberTable,
-    appell_polynomial,
+    appell_polynomial,  # unused here; perfbench/spans.py wraps cli.appell_polynomial
     cross_verify,
-    polynomial_eval,
+    polynomial_eval,  # unused here; perfbench/spans.py wraps cli.polynomial_eval
     recurrence_values,
 )
 from .families import FamilySpec, family_coefficients, load_custom_family
@@ -48,7 +48,8 @@ MAX_N = 10_000
 #: n * bits(r) bits to each value.  Euler `compute` takes 0.2 / 2.5 s at
 #: n = 25 / 400 with n * bits(r) near 2^16, and 1.0 / 23 s near 2^18.
 #: The same budget bounds n * (bits(M) + bits(N)) of the hypergeometric
-#: kinds, whose d_n carry about that many bits.
+#: kinds, whose d_n carry about that many bits, and n * (bits(p) + bits(q))
+#: of a `poly --z p/q`, whose Horner sum carries about that many.
 MAX_ORDER_WORK = 2**16
 
 
@@ -166,9 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(p_poly)
     p_poly.add_argument("--z", help="evaluation point as p/q (omit to print coefficients)")
-    p_poly.add_argument(
-        "--format", dest="fmt", choices=["csv", "json", "pretty"], default="pretty"
-    )
+    p_poly.add_argument("--format", dest="fmt", choices=["json", "pretty"], default="pretty")
     p_poly.set_defaults(func=cmd_poly)
 
     p_bench = sub.add_parser(
@@ -248,35 +247,41 @@ def emit_table(
         print("\n".join(f"{n:>{width}}  {v}" for n, v in enumerate(values)))
 
 
+def parse_z(text: str, n: int) -> Fraction:
+    """The evaluation point p/q of `poly`, refused when n * (bits(p) +
+    bits(q)) passes MAX_ORDER_WORK."""
+    z = parse_rational(text)
+    p_bits, q_bits = z.numerator.bit_length(), z.denominator.bit_length()
+    if n * (p_bits + q_bits) > MAX_ORDER_WORK:
+        raise ValueError(
+            f"--n times the bit lengths of the numerator and denominator of --z "
+            f"must be <= {MAX_ORDER_WORK}, got {n} * ({p_bits} + {q_bits})"
+        )
+    return z
+
+
 def cmd_poly(args: argparse.Namespace) -> int:
+    """Coefficients of A_n^(r)(z), or its value at --z, from the integer
+    numerators M over Q of f^(-r): coefficient j is C(n, j) M_{n-j} / Q,
+    and every printed number is reduced once, as it is formatted."""
     config = config_from_args(args)
-    seq = family_coefficients(config.family, config.n_max)
-    table = engine.related_numbers_negative_power(seq, config.order, config.n_max)
-    poly = appell_polynomial(table, config.n_max)
-    if args.z is not None:
-        value = polynomial_eval(poly, parse_rational(args.z))
-        if config.fmt == "json":
-            doc = {
-                "family": config.family.label,
-                "order": poly.r,
-                "n": poly.n,
-                "z": args.z,
-                "value": format_rational(value),
-            }
-            print(json.dumps(doc, indent=2))
-        else:
-            print(format_rational(value))
+    n = config.n_max
+    z = None if args.z is None else parse_z(args.z, n)
+    seq = family_coefficients(config.family, n)
+    M, Q = engine.negative_power_numerators(seq, config.order, n)
+    N = engine.appell_numerators(M, n)
+    doc = {"family": config.family.label, "order": config.order, "n": n}
+    if z is None:
+        coeffs = [format_rational(Fraction(c, Q)) for c in N]
+        doc["coeffs"] = coeffs
+        text = ", ".join(coeffs)
     else:
-        if config.fmt == "json":
-            doc = {
-                "family": config.family.label,
-                "order": poly.r,
-                "n": poly.n,
-                "coeffs": [format_rational(c) for c in poly.coeffs_in_z],
-            }
-            print(json.dumps(doc, indent=2))
-        else:
-            print(", ".join(format_rational(c) for c in poly.coeffs_in_z))
+        H = engine.horner_numerator(N, z.numerator, z.denominator)
+        value = format_rational(Fraction(H, Q * z.denominator**n))
+        doc["z"] = args.z
+        doc["value"] = value
+        text = value
+    print(json.dumps(doc, indent=2) if config.fmt == "json" else text)
     return EXIT_OK
 
 

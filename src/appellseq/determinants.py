@@ -60,8 +60,8 @@ def hessenberg_leading_minors(
     if len(D) <= n_max:
         raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
     fact = list(accumulate(range(1, n_max + 1), mul, initial=1))
-    G = exponential_power([_ONE, *map(mul, fact[1:], D[1 : n_max + 1])], -1, stats)
-    return [(-g if n & 1 else g) / f for n, (g, f) in enumerate(zip(G, fact))]
+    M, Q = exponential_power([_ONE, *map(mul, fact[1:], D[1 : n_max + 1])], -1, stats)
+    return [Fraction(-m if n & 1 else m, Q * f) for n, (m, f) in enumerate(zip(M, fact))]
 
 
 def bareiss_leading_minors(

@@ -8,14 +8,20 @@ exponential coefficients of 1/f(t)^r, and the order-r Appell polynomials
 
 are the exponential coefficients of e^(zt)/f(t)^r.  With the classical
 choices of f this machinery produces Bernoulli, Euler and (hypergeometric)
-Cauchy numbers and polynomials.
+Cauchy numbers and polynomials.  The polynomials stay in integers until
+a value is made: over the denominator Q of a_0..a_n, the coefficient of
+z^j has the numerator C(n, j) M_{n-j} (`appell_numerators`), and the value
+at z = p/q is sum_j C(n, j) M_{n-j} p^j q^(n-j) / (Q q^n), the numerator by
+Horner's rule over integers (`horner_numerator`).
 
 Four algorithms compute the same table a_0..a_{n_max}, each under one name:
 
 * `related_numbers_negative_power`: a_n = n! [t^n] f^(-r), the production
   path: one pass of J.C.P. Miller's recurrence for f^(-r), run by
   `series.exponential_power` directly on d_0..d_{n_max}; it never builds
-  D_r and never leaves exponential form;
+  D_r and never leaves exponential form.  The loop hands back integer
+  numerators M_n over one denominator Q (`negative_power_numerators`),
+  and each a_n = M_n / Q is reduced once;
 * `related_numbers_recurrence`: the paper's O(n^2) convolution recurrence
   a_n = -n! sum_{m<n} D_r(n-m) a_m / m!, the inverse of f^r: the same
   loop at the power -1 on the exponential coefficients n! D_r(n); a
@@ -53,8 +59,8 @@ from .arith import (
     DEFAULT_COMPOSITION_CAP,
     CombinatorialBlowupError,
     StatsDict,
-    binomial,
     compositions,  # unused here; perfbench/spans.py wraps engine.compositions
+    lift,
 )
 from .determinants import (
     bareiss_det,  # unused here; perfbench/spans.py wraps engine.bareiss_det
@@ -162,12 +168,13 @@ def compute_D(
     seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> PowerCoefficientTable:
     """Ordinary coefficients of f(t)^r: Miller's loop on d_0..d_{n_max},
-    divided by n! once."""
+    each M_n / (Q n!) reduced once."""
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
     n_max = seq._resolve(n_max)
-    G = exponential_power(seq.d[: n_max + 1], r)
-    return PowerCoefficientTable(r=r, D=tuple(g / f for g, f in zip(G, _factorials(n_max))))
+    M, Q = exponential_power(seq.d[: n_max + 1], r)
+    D = tuple(Fraction(m, Q * f) for m, f in zip(M, _factorials(n_max)))
+    return PowerCoefficientTable(r=r, D=D)
 
 
 def _factorials(n_max: int) -> list[int]:
@@ -191,7 +198,8 @@ def recurrence_values(
     if len(D) <= n_max:
         raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
     fact = _factorials(n_max)
-    return exponential_power([_ONE, *map(mul, fact[1:], D[1 : n_max + 1])], -1, stats)
+    M, Q = exponential_power([_ONE, *map(mul, fact[1:], D[1 : n_max + 1])], -1, stats)
+    return [Fraction(m, Q) for m in M]
 
 
 def _power_table(
@@ -306,9 +314,21 @@ def related_numbers_negative_power(
     different recurrence.  `stats` gets "max_num_bits" as
     in `recurrence_values`.
     """
+    M, Q = negative_power_numerators(seq, r, n_max, stats)
+    return RelatedNumberTable(r=r, a=tuple(Fraction(m, Q) for m in M), algorithm=NEGATIVE_POWER)
+
+
+def negative_power_numerators(
+    seq: CoefficientSequence,
+    r: int,
+    n_max: Optional[int] = None,
+    stats: Optional[StatsDict] = None,
+) -> tuple[list[int], int]:
+    """(M, Q) with a_n^(r) = M_n / Q for n = 0..n_max: the state Miller's
+    loop for f^(-r) ends in, Q = lcm(den a_0..a_{n_max}), before any
+    Fraction is built."""
     n_max = seq._resolve(n_max)
-    a = exponential_power(seq.d[: n_max + 1], -r, stats)
-    return RelatedNumberTable(r=r, a=tuple(a), algorithm=NEGATIVE_POWER)
+    return exponential_power(seq.d[: n_max + 1], -r, stats)
 
 
 @dataclass(frozen=True)
@@ -391,21 +411,37 @@ def cross_verify(
     )
 
 
+def appell_numerators(A: Sequence[int], n: int) -> list[int]:
+    """C(n, j) A_{n-j} for j = 0..n: with a_m = A_m / Q, the numerators over
+    the same Q of the coefficients of z^0..z^n in A_n^(r)(z)."""
+    return [math.comb(n, j) * A[n - j] for j in range(n + 1)]
+
+
+def horner_numerator(N: Sequence[int], p: int, q: int) -> int:
+    """sum_j N_j p^j q^(k-j) for k = len(N) - 1: q^k times the value of
+    sum_j N_j z^j at z = p/q, by Horner's rule over integers."""
+    acc, q_pow = N[-1], 1
+    for c in reversed(N[:-1]):
+        q_pow *= q
+        acc = acc * p + c * q_pow
+    return acc
+
+
 def appell_polynomial(table: RelatedNumberTable, n: int) -> AppellPolynomial:
     """A_n^(r)(z) = sum_m C(n, m) a_m z^(n-m) from a computed table."""
     if n < 0 or n > table.n_max:
         raise ValueError(f"degree {n} outside the table range 0..{table.n_max}")
-    coeffs = tuple(binomial(n, j) * table.a[n - j] for j in range(n + 1))
+    Q, A = lift(table.a[: n + 1])
+    coeffs = tuple(Fraction(c, Q) for c in appell_numerators(A, n))
     return AppellPolynomial(n=n, r=table.r, coeffs_in_z=coeffs)
 
 
 def polynomial_eval(p: AppellPolynomial, z) -> Fraction:
-    """Exact value of the polynomial at a rational point (Horner)."""
+    """Exact value of the polynomial at a rational point: integer Horner
+    over the common denominator of its coefficients, reduced once."""
     z = Fraction(z)
-    acc = p.coeffs_in_z[-1]
-    for c in reversed(p.coeffs_in_z[:-1]):
-        acc = acc * z + c
-    return acc
+    Q, N = lift(p.coeffs_in_z)
+    return Fraction(horner_numerator(N, z.numerator, z.denominator), Q * z.denominator**p.n)
 
 
 def polynomial_derivative(p: AppellPolynomial) -> tuple[Fraction, ...]:

@@ -12,7 +12,9 @@ derivative H^(n), which maps c_m t^m to c_m C(m, n) t^(m-n), and for the
 determinant entries derived from it.  `**` (any integer power) and
 `inverse` (the power -1) scale their coefficients around the package's
 one integer Miller loop, `exponential_power`, which works on exponential
-coefficients; the engine runs it directly on a family's d_n.
+coefficients and returns them as integer numerators over one common
+denominator; the engine runs it directly on a family's d_n and builds
+each Fraction from that pair once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import accumulate
 from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import StatsDict, binomial
+from .arith import StatsDict, binomial, lift
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -102,7 +104,7 @@ class TruncatedSeries:
 
     def __mul__(self, other: Union["TruncatedSeries", Scalar]) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
-            (la, a), (lb, b) = _lift(self.coeffs), _lift(other.coeffs)
+            (la, a), (lb, b) = lift(self.coeffs), lift(other.coeffs)
             return TruncatedSeries(
                 Fraction(sum(map(mul, a[: n + 1], reversed(b[: n + 1]))), la * lb)
                 for n in range(min(len(a), len(b)))
@@ -189,53 +191,52 @@ class TruncatedSeries:
         return self.coeffs[n]
 
 
-def _lift(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """L = lcm(den xs) and the integer numerators x L."""
-    L = math.lcm(*(x.denominator for x in xs))
-    return L, [x.numerator * (L // x.denominator) for x in xs]
-
-
 def exponential_power(
     F: Sequence[Fraction], r: int, stats: Optional[StatsDict] = None
-) -> list[Fraction]:
-    """Exponential coefficients G_0..G_K of G = F^r, for F_0 = 1.
+) -> tuple[list[int], int]:
+    """Exponential coefficients G_0..G_K of G = F^r, for F_0 = 1, as the
+    integer numerators M_0..M_K over one denominator Q: G_n = M_n / Q,
+    with Q = lcm(den G_0..G_K).
 
     The one loop behind every power and inverse (see `__pow__`).  The
     weights w_k = r C(n-1, k-1) - C(n-1, k) obey Pascal's rule themselves:
     the row w_1..w_n of step n rolls forward to w_1 - 1, w_1 + w_2, ...,
     w_{n-1} + w_n, r.  The sums run over integers: F_k = P_k / L over one
     L = lcm(den F_1..F_K), and G_0..G_{n-1} = M_m / Q over one running Q.
-    The dot product S = sum_k w_k P_k M_{n-k} gives G_n = S / (L Q), one
-    gcd per n; when den G_n does not divide Q, Q rises to their lcm and
-    the stored M are rescaled.  `stats` gets the largest |S|.bit_length()
-    as "max_num_bits".
+    The dot product S = sum_k w_k P_k M_{n-k} gives G_n = S / (L Q),
+    reduced by one gcd; when den G_n does not divide Q, Q rises to their
+    lcm and the stored M are rescaled.  No Fraction is built: each caller
+    makes its values from (M, Q) once.  `stats` gets the largest
+    |S|.bit_length() as "max_num_bits".
     """
     if F[0] != 1:
         raise ValueError(f"exponential power needs F_0 = 1, got {F[0]}")
     if r == 1:
-        return [_ONE, *F[1:]]
-    L, P = _lift(F[1:])
-    out, M, Q, w, peak = [_ONE], [1], 1, [r], 0
+        L, P = lift(F)
+        return P, L
+    L, P = lift(F[1:])
+    M, Q, w, peak = [1], 1, [r], 0
     for _ in P:
         S = sum(map(mul, map(mul, w, P), reversed(M)))
         peak = max(peak, S.bit_length())
-        g = Fraction(S, L * Q)
-        if Q % g.denominator:
-            up = g.denominator // math.gcd(Q, g.denominator)
+        den = L * Q
+        g = math.gcd(S, den)
+        den //= g
+        if Q % den:
+            up = den // math.gcd(Q, den)
             Q *= up
             M = [m * up for m in M]
-        M.append(g.numerator * (Q // g.denominator))
-        out.append(g)
+        M.append(S // g * (Q // den))
         w = [w[0] - 1, *map(add, w, w[1:]), r]
     if stats is not None:
         stats["max_num_bits"] = max(stats.get("max_num_bits", 0), peak)
-    return out
+    return M, Q
 
 
 def _power(c: Sequence[Fraction], r: int, stats: Optional[StatsDict] = None) -> list[Fraction]:
     """Ordinary coefficients c_0^r G_n / n! of c^r, c_0 != 0, where G is
     `exponential_power` of F_k = k! c_k / c_0."""
     fact = list(accumulate(range(1, len(c)), mul, initial=1))
-    G = exponential_power([x * f / c[0] for x, f in zip(c, fact)], r, stats)
+    M, Q = exponential_power([x * f / c[0] for x, f in zip(c, fact)], r, stats)
     scale = c[0] ** r
-    return [scale * g / f for g, f in zip(G, fact)]
+    return [Fraction(scale.numerator * m, scale.denominator * Q * f) for m, f in zip(M, fact)]

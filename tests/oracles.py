@@ -270,6 +270,26 @@ def composition_by_partition_walk(D, n_max):
     return out
 
 
+def related_numbers_by_inversion(spec, r, n_max):
+    """a_0..a_{n_max} of order r as n! [t^n] (1/f)^r, by plain-Fraction
+    inversion and r - 1 Cauchy products."""
+    inv = naive_inverse([dm / factorial(m) for m, dm in enumerate(family_coefficients(spec, n_max).d)])
+    power = inv
+    for _ in range(r - 1):
+        power = naive_mul(power, inv)
+    return [x * factorial(n) for n, x in enumerate(power)]
+
+
+def appell_coefficients(a, n):
+    """Coefficients of z^0..z^n in A_n(z) = sum_m C(n, m) a_m z^(n-m)."""
+    return [math.comb(n, m) * a[m] for m in range(n, -1, -1)]
+
+
+def appell_value(a, n, z):
+    """A_n(z) = sum_m C(n, m) a_m z^(n-m), summed term by term."""
+    return sum((math.comb(n, m) * a[m] * z ** (n - m) for m in range(n + 1)), ZERO)
+
+
 def weak_D(d, r, e):
     """D_r(e) as the literal weak-composition sum over d_i / i!."""
     fact = [1] * (e + 1)

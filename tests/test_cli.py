@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -9,6 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,8 @@ from appellseq import cli, engine, series
 from appellseq.arith import DEFAULT_COMPOSITION_CAP
 from appellseq.engine import VerificationReport
 from appellseq.families import FamilySpec, family_coefficients
+
+import oracles
 
 F = Fraction
 
@@ -383,6 +387,31 @@ class TestUsageErrors:
         assert code == 2
         assert err.endswith(f"got 300 * {bits + 1}\n")
 
+    def test_poly_z_is_checked_before_any_work(self, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before --z was checked")
+
+        monkeypatch.setattr(cli, "family_coefficients", must_not_run)
+        for owner in (series, engine):
+            monkeypatch.setattr(owner, "exponential_power", must_not_run)
+        q = int("7" * 4000)
+        for n, z, message in (
+            ("200", f"1/{q}", f"--n times the bit lengths of the numerator and denominator "
+             f"of --z must be <= {cli.MAX_ORDER_WORK}, got 200 * (1 + {q.bit_length()})"),
+            ("1200", "abc", "not a p/q rational: 'abc'"),
+            ("3", "1/0", "zero denominator in '1/0'"),
+        ):
+            code, out, err = run(capsys, "poly", "--family", "euler", "--n", n, "--z", z)
+            assert (code, out) == (2, ""), z
+            assert err.splitlines() == [f"error: {message}"]
+        # the budget bounds n * (bits(p) + bits(q)): at n = 256 and q = 1,
+        # |p| of 255 bits passes and one more bit does not
+        for p in (2**255 - 1, -(2**255 - 1)):
+            assert cli.parse_z(str(p), 256) == p
+        for p in (2**255, -(2**255)):
+            with pytest.raises(ValueError, match=r"got 256 \* \(256 \+ 1\)$"):
+                cli.parse_z(str(p), 256)
+
     def test_unknown_family_is_argparse_error(self, capsys):
         code, _, err = run(capsys, "compute", "--family", "pell", "--n", "3")
         assert code == 2
@@ -575,6 +604,86 @@ class TestPolyCommand:
             capsys, "poly", "--family", "euler", "--n", "2", "--z", "0.5"
         )
         assert code == 2
+
+    def test_csv_format_is_refused(self, capsys):
+        # poly prints one list or one value, not n,value rows
+        code, out, err = run(
+            capsys, "poly", "--family", "bernoulli", "--n", "3", "--format", "csv"
+        )
+        assert (code, out) == (2, "")
+        assert "argument --format: invalid choice: 'csv'" in err
+
+    CATALOG = [
+        FamilySpec.bernoulli(),
+        FamilySpec.euler(),
+        FamilySpec.hyper_bernoulli(1, 1),
+        FamilySpec.hyper_bernoulli(2, 3),
+        FamilySpec.hyper_cauchy(1, 1),
+        FamilySpec.hyper_cauchy(3, 2),
+    ]
+    POINTS = ("0", "1", "-1/2", "7/3", "-9/4", "5", f"1/{7**20}")
+
+    def test_matches_the_plain_fraction_oracle(self, capsys):
+        for spec in self.CATALOG:
+            family = ["--family", spec.kind.replace("_", "-")]
+            if spec.m is not None:
+                family += ["--m", str(spec.m), "--nn", str(spec.n)]
+            for r in (1, 2, 3):
+                a = oracles.related_numbers_by_inversion(spec, r, 30)
+                for n in (0, 1, 7, 30):
+                    where = (spec.label, r, n)
+                    args = ["poly", *family, "--order", str(r), "--n", str(n)]
+                    coeffs = [str(c) for c in oracles.appell_coefficients(a, n)]
+                    code, out, err = run(capsys, *args)
+                    assert (code, out, err) == (0, ", ".join(coeffs) + "\n", ""), where
+                    code, out, err = run(capsys, *args, "--format", "json")
+                    assert (code, err) == (0, ""), where
+                    head = {"family": spec.label, "order": r, "n": n}
+                    assert json.loads(out) == {**head, "coeffs": coeffs}, where
+                    for z in self.POINTS:
+                        value = str(oracles.appell_value(a, n, F(z)))
+                        if z == "0":
+                            assert value == str(a[n]), where  # A_n(0) = a_n
+                        code, out, err = run(capsys, *args, f"--z={z}")
+                        assert (code, out, err) == (0, value + "\n", ""), (where, z)
+                        code, out, err = run(capsys, *args, f"--z={z}", "--format", "json")
+                        assert (code, err) == (0, ""), (where, z)
+                        assert json.loads(out) == {**head, "z": z, "value": value}, (where, z)
+                    code, out, err = run(capsys, *args, "--z", "-1/2")
+                    want = str(oracles.appell_value(a, n, F(-1, 2)))
+                    assert (code, out, err) == (0, want + "\n", ""), where
+
+
+class TestPolyOutputPin:
+    """The sha256 of everything `poly` prints over a fixed grid.  Any change
+    to a printed byte has to come with a new DIGEST, deliberately."""
+
+    FAMILIES = (
+        ("--family", "bernoulli"),
+        ("--family", "euler"),
+        ("--family", "hyper-bernoulli", "--m", "2", "--nn", "3"),
+        ("--family", "hyper-cauchy", "--m", "2", "--nn", "3"),
+    )
+    ORDERS = ("1", "2", "3", "7")
+    DEGREES = ("0", "1", "9", "24")
+    POINTS = (None, "0", "1", "-1/2", "7/3", "-9/4", f"1/{7**20}")
+    FORMATS = ("pretty", "json")
+    DIGEST = "aa697050e367acc24f277d1d59b3620f9de41d4f9d9901b023eb7d50c40388b5"
+
+    def test_output_digest(self, capsys):
+        digest = hashlib.sha256()
+        for family in self.FAMILIES:
+            for r in self.ORDERS:
+                for n in self.DEGREES:
+                    for z in self.POINTS:
+                        for fmt in self.FORMATS:
+                            argv = ["poly", *family, "--order", r, "--n", n, "--format", fmt]
+                            if z is not None:
+                                argv.append(f"--z={z}")
+                            code, out, err = run(capsys, *argv)
+                            assert (code, err) == (0, ""), argv
+                            digest.update(out.encode() + b"\0")
+        assert digest.hexdigest() == self.DIGEST
 
 
 @contextlib.contextmanager

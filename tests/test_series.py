@@ -238,25 +238,41 @@ def kernel_series(seed, order):
     return TruncatedSeries([c0] + rest)
 
 
+def loop_values(E, r):
+    """G_n = M_n / Q from `exponential_power(E, r)`, after checking that its
+    numerators are integers over Q = lcm(den G_0..G_K)."""
+    M, Q = exponential_power(E, r)
+    assert all(type(m) is int for m in M) and type(Q) is int
+    G = [F(m, Q) for m in M]
+    assert Q == math.lcm(*(g.denominator for g in G)), r
+    return G
+
+
 class TestMillerKernel:
-    """`**` and `inverse` against plain-Fraction oracles."""
+    """`**`, `inverse` and the loop's (M, Q) against plain-Fraction oracles."""
 
     @pytest.mark.parametrize("order", [0, 1, 2, 40])
     def test_powers_and_inverse_match_naive_oracles(self, order):
+        fact = [math.factorial(k) for k in range(order + 1)]
         for seed in (1, 2):
             s = kernel_series(seed, order)
             c = list(s.coeffs)
+            E = [x * f / c[0] for x, f in zip(c, fact)]
             inv = oracles.naive_inverse(c)
             assert list(s.inverse().coeffs) == inv
             by_mul = inv
             for r in range(-1, -6, -1):
                 assert list((s**r).coeffs) == by_mul, (seed, order, r)
                 assert by_mul == oracles.naive_inverse(list((s**-r).coeffs))
+                want = [x * f / c[0] ** r for x, f in zip(by_mul, fact)]
+                assert loop_values(E, r) == want, (seed, order, r)
                 by_mul = oracles.naive_mul(by_mul, inv)
             by_mul = c
             for r in range(2, 17):
                 by_mul = oracles.naive_mul(by_mul, c)
                 assert list((s**r).coeffs) == by_mul, (seed, order, r)
+                want = [x * f / c[0] ** r for x, f in zip(by_mul, fact)]
+                assert loop_values(E, r) == want, (seed, order, r)
 
     def test_exponential_power_on_exponential_coefficients(self):
         # The engine's entry: E_k = k! c_k with c_0 = 1 in, n! [t^n] c^r out.
@@ -267,7 +283,7 @@ class TestMillerKernel:
         oracle = {-2: oracles.naive_mul(inv, inv), -1: inv, 1: c, 2: oracles.naive_mul(c, c)}
         E = [x * f for x, f in zip(c, fact)]
         for r, want in oracle.items():
-            assert exponential_power(E, r) == [x * f for x, f in zip(want, fact)], r
+            assert loop_values(E, r) == [x * f for x, f in zip(want, fact)], r
         with pytest.raises(ValueError, match="F_0 = 1"):
             exponential_power([F(2), F(1)], -1)
 
@@ -275,8 +291,15 @@ class TestMillerKernel:
         # 1/(1 + t/2 + t^2/3 + t^3/5): F = 1, 1/2, 2/3, 6/5 over L = 30, so
         # P = 15, 20, 36.  The dot products are S_1 = -15 (G_1 = -1/2, Q = 2),
         # S_2 = -10 (G_2 = -1/6, Q = 6) and S_3 = 9 (G_3 = 1/20): 4 bits.
+        # The loop ends on Q = lcm(2, 6, 20) = 60.
         s = TruncatedSeries([1, F(1, 2), F(1, 3), F(1, 5)])
         D = s.coeffs
+        stats = {}
+        assert exponential_power([1, F(1, 2), F(2, 3), F(6, 5)], -1, stats) == (
+            [60, -30, -10, 3],
+            60,
+        )
+        assert stats == {"max_num_bits": 4}
         stats = {}
         assert s.inverse(stats).coeffs == (1, F(-1, 2), F(-1, 12), F(1, 120))
         assert stats == {"max_num_bits": 4}
