@@ -36,7 +36,7 @@ def main(argv=None) -> int:
         if not report.agree:
             print(f"{title}: {report.describe()}", file=sys.stderr)
             return 1
-        tables[title] = report.tables[NEGATIVE_POWER]
+        tables[title] = report.table(NEGATIVE_POWER)
 
     widths = {
         title: max(len(title), max(len(str(v)) for v in values))

@@ -24,6 +24,15 @@ from typing import Iterator, MutableMapping, Sequence, Union
 #: of 34; past the cap it is refused.
 DEFAULT_COMPOSITION_CAP = 50
 
+#: Largest n * bit_length(max_e |N_e|) the composition route takes on, where
+#: N_e are the D_r(1..n) lifted to integers over one denominator: the
+#: triangle's products grow with those bits as well as with n.  Euler at
+#: n = 50 costs 0.06 / 0.08 / 0.56 / 9.0 s at about 11 000 / 96 000 /
+#: 495 000 / 3.3 M (r = 1, 2^40, 2^200, 2^1310 - 1; same machine as above).
+#: Past it, `--algo composition` is refused and `--check` takes the
+#: composition leg to the largest n inside it.
+MAX_COMPOSITION_WORK = 2**18
+
 RationalLike = Union[Fraction, int]
 
 #: Optional per-call statistics; kernels record "max_num_bits" in it.

@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from . import determinants, engine, families
 from .arith import (
     DEFAULT_COMPOSITION_CAP,
+    MAX_COMPOSITION_WORK,
     CombinatorialBlowupError,
     format_rational,
     parse_rational,
@@ -49,7 +50,10 @@ MAX_N = 10_000
 #: n = 25 / 400 with n * bits(r) near 2^16, and 1.0 / 23 s near 2^18.
 #: The same budget bounds n * (bits(M) + bits(N)) of the hypergeometric
 #: kinds, whose d_n carry about that many bits, and n * (bits(p) + bits(q))
-#: of a `poly --z p/q`, whose Horner sum carries about that many.
+#: of a `poly --z p/q`, whose Horner sum carries about that many, and
+#: n * (bits(numerator) + bits(denominator)) of the largest custom-file d_k,
+#: k <= n: a 400-line file of 4000-digit values took 7.5 / 75 / 163 s at
+#: n = 10 / 20 / 25.
 MAX_ORDER_WORK = 2**16
 
 
@@ -107,6 +111,17 @@ class RunConfig:
                     f"--n times the bit lengths of --m and --nn must be <= "
                     f"{MAX_ORDER_WORK}, got {self.n_max} * ({m_bits} + {nn_bits})"
                 )
+        if self.family.kind == families.CUSTOM:
+            bits = max(
+                d.numerator.bit_length() + d.denominator.bit_length()
+                for d in self.family.values[: self.n_max + 1]
+            )
+            if self.n_max * bits > MAX_ORDER_WORK:
+                raise ValueError(
+                    f"--n times the largest bit length of numerator plus denominator "
+                    f"of the --custom-path values d_0..d_n must be <= {MAX_ORDER_WORK}, "
+                    f"got {self.n_max} * {bits}"
+                )
         if self.cap < 0:
             raise ValueError(f"--cap must be >= 0, got {self.cap}")
 
@@ -150,7 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_COMPOSITION_CAP,
-        help=f"composition enumeration cap (default {DEFAULT_COMPOSITION_CAP})",
+        help=(
+            f"composition enumeration cap (default {DEFAULT_COMPOSITION_CAP}); the "
+            f"route also stops where n times the bit length of its lifted D_r "
+            f"passes {MAX_COMPOSITION_WORK}"
+        ),
     )
     p_compute.add_argument(
         "--format", dest="fmt", choices=["csv", "json", "pretty"], default="pretty"
@@ -218,7 +237,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if not report.agree:
             print(f"cross-verification failed: {report.describe()}", file=sys.stderr)
             return EXIT_MISMATCH
-        table = RelatedNumberTable(r=config.order, a=report.tables[route], algorithm=route)
+        # only the composition leg can stop short: at its work bound
+        engine.check_composition_reach(config.n_max, report.coverage[route])
+        table = RelatedNumberTable(r=config.order, a=report.table(route), algorithm=route)
         emit_table(table, config, verified=report.coverage)
         return EXIT_OK
     emit_table(compute_alone(seq, config), config)

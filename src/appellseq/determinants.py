@@ -11,14 +11,18 @@ j <= i (0-indexed):
 
 Two kernels evaluate it; neither builds the matrix:
 
-* `bareiss_leading_minors`, the kernel of the determinant route, clears
+* `bareiss_numerators`, the kernel of the determinant route, clears
   the denominators of each row by that row's own lcm and runs
   fraction-free (Bareiss) elimination over big integers on the band of
   the matrix, algebraically independent of the recurrences.  Each pivot
   is a leading minor, so one pass yields the whole table, zero minors
   included.  A pivot row of a Hessenberg matrix has only two nonzero
   entries, so each step updates one integer per row below it: O(n^2)
-  products and no division.  `bareiss_det` is its last minor.
+  products and no division.  It takes D as integer numerators and
+  denominators and returns each minor as a pivot over its scale, the
+  product of the row lifts, unreduced: `engine.cross_verify` compares
+  them as they are.  `bareiss_leading_minors` reduces them to Fractions
+  and `bareiss_det` is its last minor.
 * `hessenberg_leading_minors` takes every leading minor from the
   cofactor expansion along the first row, det_n = sum_{l=1..n}
   (-1)^(l-1) D(l) det_{n-l}.  That is (-1)^n times the series-inversion
@@ -70,7 +74,27 @@ def bareiss_leading_minors(
     stats: Optional[StatsDict] = None,
 ) -> list[Fraction]:
     """Leading principal minors det_0=1, det_1, ..., det_{n_max}, by
-    fraction-free elimination on the band of the Hessenberg matrix.
+    `bareiss_numerators` on the numerators and denominators of D, each
+    minor reduced once."""
+    if len(D) <= n_max:
+        raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
+    D = D[: n_max + 1]
+    pivots, scales = bareiss_numerators(
+        [x.numerator for x in D], [x.denominator for x in D], n_max, stats
+    )
+    return list(map(Fraction, pivots, scales))
+
+
+def bareiss_numerators(
+    num: Sequence[int],
+    den: Sequence[int],
+    n_max: int,
+    stats: Optional[StatsDict] = None,
+) -> tuple[list[int], list[int]]:
+    """Leading principal minors det_0=1, det_1, ..., det_{n_max} over
+    D(e) = num[e] / den[e] in lowest terms (den[e] > 0), by fraction-free
+    elimination on the band of the Hessenberg matrix, as integer pairs:
+    det_k = pivots[k] / scales[k] with scales[k] > 0, not reduced.
 
     Row i is lifted by L_i = lcm(den D(1..i+1)), the lcm of its own
     entries.  Before step k, c_i (i >= k) is the minor of the lifted
@@ -88,17 +112,15 @@ def bareiss_leading_minors(
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if len(D) <= n_max:
-        raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
-    num = [x.numerator for x in D[: n_max + 1]]
-    den = [x.denominator for x in D[: n_max + 1]]
+    if len(num) <= n_max:
+        raise ValueError(f"need D(0)..D({n_max}), got only {len(num)} entries")
     lifts = []  # lifts[i] = L_i
     lift = 1
     for e in range(1, n_max + 1):
         lift = math.lcm(lift, den[e])
         lifts.append(lift)
     c = [L // den[i + 1] * num[i + 1] for i, L in enumerate(lifts)]
-    dets = [_ONE]
+    pivots, scales = [1], [1]
     scale = 1  # L_0 ... L_k
     max_bits = 0
     track = stats is not None
@@ -107,14 +129,15 @@ def bareiss_leading_minors(
             max_bits = max(max_bits, *(x.bit_length() for x in c[k:]))
         pivot = c[k]
         scale *= Lk
-        dets.append(Fraction(pivot, scale))
+        pivots.append(pivot)
+        scales.append(scale)
         c[k + 1 :] = [
             lifts[i] // den[i - k] * num[i - k] * pivot - Lk * c[i]
             for i in range(k + 1, n_max)
         ]
     if track:
         stats["max_num_bits"] = max(stats.get("max_num_bits", 0), max_bits)
-    return dets
+    return pivots, scales
 
 
 def bareiss_det(

@@ -37,14 +37,16 @@ Four algorithms compute the same table a_0..a_{n_max}, each under one name:
 
 Here D_r(e) is the ordinary coefficient of t^e in f(t)^r, equal to the
 weak-composition sum over d_{i_1}..d_{i_r}/(i_1!..i_r!); `compute_D`
-runs Miller's loop on d_n at the power r.  f^(-r), f^r and the inverse
-of D_r all run in that one loop; the composition sum lifts D_r to one
-common denominator itself.
-`cross_verify` runs the D-based routes on one D_r table and the
-negative power on f, which checks D_r, and reports the first
-disagreement, if any; agreement must be exact.  At r = 1, D_1 = f and
-the D-recurrence is the negative power's own computation, so it is run
-and reported once, as the negative power.
+runs Miller's loop on d_n at the power r (`power_numerators`).  f^(-r),
+f^r and the inverse of D_r all run in that one loop; the composition
+sum lifts D_r to one common denominator itself.
+
+Each route has one integer kernel that returns its table as numerators
+over positive denominators, unreduced: the loops their (M, Q), Bareiss
+(+-n! p_n, s_n) (`determinant_numerators`), the composition sum
+(n! S_n, L^n) (`composition_numerators`).  The `related_numbers_*`
+functions reduce each value to a Fraction once; `cross_verify` compares
+the tables by cross-multiplication and reduces none.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .arith import (
     DEFAULT_COMPOSITION_CAP,
+    MAX_COMPOSITION_WORK,
     CombinatorialBlowupError,
     StatsDict,
     compositions,  # unused here; perfbench/spans.py wraps engine.compositions
@@ -64,10 +67,14 @@ from .arith import (
 )
 from .determinants import (
     bareiss_det,  # unused here; perfbench/spans.py wraps engine.bareiss_det
-    bareiss_leading_minors,
+    bareiss_numerators,
     hessenberg_leading_minors,  # unused here; perfbench/spans.py wraps it
 )
-from .series import TruncatedSeries, exponential_power  # the first for perfbench/spans.py
+from .series import (  # TruncatedSeries for perfbench/spans.py
+    TruncatedSeries,
+    exponential_power,
+    exponential_power_numerators,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -167,14 +174,34 @@ class AppellPolynomial:
 def compute_D(
     seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> PowerCoefficientTable:
-    """Ordinary coefficients of f(t)^r: Miller's loop on d_0..d_{n_max},
-    each M_n / (Q n!) reduced once."""
+    """Ordinary coefficients of f(t)^r: `power_numerators`, each
+    M_n / (Q n!) reduced once."""
+    M, Q = power_numerators(seq, r, n_max)
+    D = tuple(Fraction(m, Q * f) for m, f in zip(M, _factorials(len(M) - 1)))
+    return PowerCoefficientTable(r=r, D=D)
+
+
+def power_numerators(
+    seq: CoefficientSequence, r: int, n_max: Optional[int] = None
+) -> tuple[list[int], int]:
+    """(M, Q) with n! D_r(n) = M_n / Q for n = 0..n_max: Miller's loop on
+    d_0..d_{n_max} at the power r, before any Fraction is built."""
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
     n_max = seq._resolve(n_max)
-    M, Q = exponential_power(seq.d[: n_max + 1], r)
-    D = tuple(Fraction(m, Q * f) for m, f in zip(M, _factorials(n_max)))
-    return PowerCoefficientTable(r=r, D=D)
+    return exponential_power(seq.d[: n_max + 1], r)
+
+
+def reduced_power_table(M: Sequence[int], Q: int) -> tuple[list[int], list[int]]:
+    """D_r(n) = M_n / (Q n!) from `power_numerators`, as numerators over
+    positive denominators in lowest terms: one gcd each, no Fraction."""
+    num, den = [], []
+    for m, f in zip(M, _factorials(len(M) - 1)):
+        d = Q * f
+        g = math.gcd(m, d)
+        num.append(m // g)
+        den.append(d // g)
+    return num, den
 
 
 def _factorials(n_max: int) -> list[int]:
@@ -213,6 +240,22 @@ def _power_table(
     return D
 
 
+def _power_pairs(
+    seq: CoefficientSequence, r: int, n_max: int, D: Optional[Sequence[Fraction]]
+) -> tuple[list[int], list[int]]:
+    """D_r(0..n_max) as numerators over denominators in lowest terms: read
+    off the given D table, or reduced from f^r's (M, Q) afresh."""
+    if D is None:
+        return reduced_power_table(*power_numerators(seq, r, n_max))
+    D = _power_table(seq, r, n_max, D)[: n_max + 1]
+    return [x.numerator for x in D], [x.denominator for x in D]
+
+
+def _reduced(pair: tuple[Sequence[int], Sequence[int]]) -> tuple[Fraction, ...]:
+    """The values num[n] / den[n] of an integer pair, each reduced once."""
+    return tuple(map(Fraction, *pair))
+
+
 def related_numbers_recurrence(
     seq: CoefficientSequence,
     r: int,
@@ -239,6 +282,46 @@ def check_composition_cap(n_max: int, cap: int) -> None:
         )
 
 
+def composition_reach(num: Sequence[int], den: Sequence[int], n_max: int) -> int:
+    """Largest m <= n_max with m bits(max_{e<=m} |N_e|) at most
+    MAX_COMPOSITION_WORK, where N_e = D_r(e) L_m over
+    L_m = lcm(den D_r(1..m)).  The product never falls as m grows."""
+    L, top = 1, 0  # L_m and the largest |N_e| over it
+    for m in range(1, n_max + 1):
+        up = den[m] // math.gcd(L, den[m])
+        L *= up
+        top = max(top * up, abs(num[m]) * (L // den[m]))
+        if m * top.bit_length() > MAX_COMPOSITION_WORK:
+            return m - 1
+    return n_max
+
+
+def check_composition_reach(n_max: int, reach: int) -> None:
+    """Refuse a composition table past `reach`, its `composition_reach`;
+    raises CombinatorialBlowupError."""
+    if reach < n_max:
+        raise CombinatorialBlowupError(
+            f"composition route cannot serve n_max={n_max}: n times the bit length "
+            f"of the lifted D_r(1..n) passes {MAX_COMPOSITION_WORK} at n={reach + 1}"
+        )
+
+
+def composition_numerators(
+    num: Sequence[int], den: Sequence[int], n_max: int
+) -> tuple[list[int], list[int]]:
+    """The composition route's a_0..a_{n_max} from D_r(e) = num[e] / den[e]
+    in lowest terms, as (n! S_n, L^n): see `related_numbers_composition`."""
+    L = math.lcm(*den[1 : n_max + 1])
+    N = [-x * (L // d) for x, d in zip(num[1 : n_max + 1], den[1 : n_max + 1])]
+    L_pow = [L**i for i in range(n_max + 1)]
+    S = [1] + [0] * n_max
+    row = N  # row[m] = [t^(k+m)] (-N(t))^k, here for k = 1
+    for k in range(1, n_max + 1):
+        S[k:] = map(add, S[k:], map(mul, row, L_pow))
+        row = [sum(map(mul, N[: m + 1], row[m::-1])) for m in range(len(row) - 1)]
+    return list(map(mul, _factorials(n_max), S)), L_pow
+
+
 def related_numbers_composition(
     seq: CoefficientSequence,
     r: int,
@@ -256,22 +339,32 @@ def related_numbers_composition(
     is row k convolved with -N, one dot product per entry, O(n_max^3)
     products over integers.  Entry [t^n] of row k enters the sum S_n
     scaled by L^(n-k), and a_n = n! S_n / L^n.  It reads only the D
-    table: no Miller loop, no determinant.  n_max past `cap` raises
-    CombinatorialBlowupError.
+    table: no Miller loop, no determinant.  n_max past `cap`, or past
+    the work bound of `composition_reach`, raises
+    CombinatorialBlowupError before the triangle is built.
     """
     n_max = seq._resolve(n_max)
     check_composition_cap(n_max, cap)
-    D = _power_table(seq, r, n_max, D)
-    L = math.lcm(*(x.denominator for x in D[1 : n_max + 1]))
-    N = [-x.numerator * (L // x.denominator) for x in D[1 : n_max + 1]]
-    L_pow = [L**i for i in range(n_max + 1)]
-    S = [1] + [0] * n_max
-    row = N  # row[m] = [t^(k+m)] (-N(t))^k, here for k = 1
-    for k in range(1, n_max + 1):
-        S[k:] = map(add, S[k:], map(mul, row, L_pow))
-        row = [sum(map(mul, N[: m + 1], row[m::-1])) for m in range(len(row) - 1)]
-    a = tuple(Fraction(f * s, q) for f, s, q in zip(_factorials(n_max), S, L_pow))
+    num, den = _power_pairs(seq, r, n_max, D)
+    check_composition_reach(n_max, composition_reach(num, den, n_max))
+    a = _reduced(composition_numerators(num, den, n_max))
     return RelatedNumberTable(r=r, a=a, algorithm=COMPOSITION)
+
+
+def determinant_numerators(
+    num: Sequence[int],
+    den: Sequence[int],
+    n_max: int,
+    stats: Optional[StatsDict] = None,
+) -> tuple[list[int], list[int]]:
+    """The determinant route's a_0..a_{n_max} from D_r(e) = num[e] / den[e]
+    in lowest terms, as ((-1)^n n! p_n, s_n) over the leading minors
+    det_n = p_n / s_n of `bareiss_numerators`."""
+    pivots, scales = bareiss_numerators(num, den, n_max, stats=stats)
+    signed = [
+        -f * p if n & 1 else f * p for n, (f, p) in enumerate(zip(_factorials(n_max), pivots))
+    ]
+    return signed, scales
 
 
 def related_numbers_determinant(
@@ -288,10 +381,8 @@ def related_numbers_determinant(
     builds the matrix and shares no step with the recurrence.
     """
     n_max = seq._resolve(n_max)
-    D = _power_table(seq, r, n_max, D)
-    dets = bareiss_leading_minors(D, n_max, stats=stats)
-    signed = [-x if n & 1 else x for n, x in enumerate(dets)]
-    a = tuple(map(mul, _factorials(n_max), signed))
+    num, den = _power_pairs(seq, r, n_max, D)
+    a = _reduced(determinant_numerators(num, den, n_max, stats))
     return RelatedNumberTable(r=r, a=a, algorithm=DETERMINANT_BAREISS)
 
 
@@ -333,11 +424,16 @@ def negative_power_numerators(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of running every independent route on one (sequence, r) pair."""
+    """Outcome of running every independent route on one (sequence, r) pair.
+
+    `pairs` maps each route to its table as it was compared: (num, den),
+    integer numerators over positive denominators.  `table` reduces one
+    route's values to Fractions on demand.
+    """
 
     r: int
     n_max: int
-    tables: Mapping[str, tuple[Fraction, ...]] = field(repr=False)
+    pairs: Mapping[str, tuple[Sequence[int], Sequence[int]]] = field(repr=False)
     first_mismatch: Optional[int]
 
     @property
@@ -347,12 +443,21 @@ class VerificationReport:
     @property
     def coverage(self) -> dict[str, int]:
         """Largest n each route computed; every route starts at n = 0."""
-        return {name: len(table) - 1 for name, table in self.tables.items()}
+        return {name: len(num) - 1 for name, (num, _) in self.pairs.items()}
+
+    def table(self, name: str) -> tuple[Fraction, ...]:
+        """Route `name`'s values, each reduced once."""
+        return _reduced(self.pairs[name])
+
+    @property
+    def tables(self) -> dict[str, tuple[Fraction, ...]]:
+        """Every route's values, reduced: `table` for each route."""
+        return {name: self.table(name) for name in self.pairs}
 
     def describe(self) -> str:
         if self.agree:
             text = (
-                f"all {len(self.tables)} routes agree for r={self.r}, "
+                f"all {len(self.pairs)} routes agree for r={self.r}, "
                 f"n <= {self.n_max}"
             )
             for name, top in self.coverage.items():
@@ -363,22 +468,39 @@ class VerificationReport:
 
 
 def first_disagreement(tables: Mapping[str, Sequence[Fraction]]) -> Optional[int]:
+    """Smallest index where the given tables differ, or None if they agree:
+    `first_disagreement_pairs` on their numerators and denominators."""
+    return first_disagreement_pairs(
+        {
+            name: ([x.numerator for x in t], [x.denominator for x in t])
+            for name, t in tables.items()
+        }
+    )
+
+
+def first_disagreement_pairs(
+    pairs: Mapping[str, tuple[Sequence[int], Sequence[int]]],
+) -> Optional[int]:
     """Smallest index where the given tables differ, or None if they agree.
 
-    Tables may have different lengths; each index is compared across every
-    table long enough to contain it.
+    Each table is (num, den), the values num[n] / den[n] with den[n] > 0
+    in any terms: u/d = u'/d' exactly when u d' = u' d.  Tables may have
+    different lengths; each is compared with the longest one on the
+    indices it contains.
     """
-    longest = max(len(t) for t in tables.values())
-    for n in range(longest):
-        seen = None
-        for t in tables.values():
-            if n >= len(t):
-                continue
-            if seen is None:
-                seen = t[n]
-            elif t[n] != seen:
-                return n
-    return None
+    ref = max(pairs.values(), key=lambda pair: len(pair[0]))
+    ref_num, ref_den = ref
+    first = None
+    for pair in pairs.values():
+        if pair is ref:
+            continue
+        num, den = pair
+        for n, (x, y) in enumerate(zip(map(mul, num, ref_den), map(mul, ref_num, den))):
+            if x != y:
+                if first is None or n < first:
+                    first = n
+                break
+    return first
 
 
 def cross_verify(
@@ -389,26 +511,33 @@ def cross_verify(
 ) -> VerificationReport:
     """Run every independent route once and compare exactly, index by index.
 
-    f^r is computed once for the routes that start from D; the negative
-    power starts from f, so a fault in D_r shows too.  At r = 1 the
-    D-recurrence is the negative power's own loop on the same input, so
-    it is left out and three routes remain.  The composition route is
-    only taken up to `cap`; the others cover the full range.
-    Disagreement is reported, not raised.
+    f^r is computed once, as (M, Q): the D-recurrence runs the Miller loop
+    on M over Q, and Bareiss and the composition sum read each
+    D_r(e) = M_e / (Q e!) reduced by one gcd.  The negative power starts
+    from f, so a fault in D_r shows too.  At r = 1 the D-recurrence is the
+    negative power's own loop on the same input, so it is left out and
+    three routes remain.  The composition route is only taken up to `cap`
+    and `composition_reach`; the others cover the full range.  No value
+    is reduced; disagreement is reported, not raised.
     """
     n_max = seq._resolve(n_max)
-    D = compute_D(seq, r, n_max).D
-    tables = {}
+    M, Q = power_numerators(seq, r, n_max)
+    num, den = reduced_power_table(M, Q)
+    pairs = {}
     if r > 1:
-        tables[RECURRENCE] = related_numbers_recurrence(seq, r, n_max, D=D).a
-    tables[DETERMINANT_BAREISS] = related_numbers_determinant(seq, r, n_max, D=D).a
-    tables[COMPOSITION] = related_numbers_composition(
-        seq, r, min(n_max, cap), cap=cap, D=D
-    ).a
-    tables[NEGATIVE_POWER] = related_numbers_negative_power(seq, r, n_max).a
+        pairs[RECURRENCE] = _over_one(*exponential_power_numerators(M, Q, -1))
+    pairs[DETERMINANT_BAREISS] = determinant_numerators(num, den, n_max)
+    reach = composition_reach(num, den, min(n_max, cap))
+    pairs[COMPOSITION] = composition_numerators(num, den, reach)
+    pairs[NEGATIVE_POWER] = _over_one(*negative_power_numerators(seq, r, n_max))
     return VerificationReport(
-        r=r, n_max=n_max, tables=tables, first_mismatch=first_disagreement(tables)
+        r=r, n_max=n_max, pairs=pairs, first_mismatch=first_disagreement_pairs(pairs)
     )
+
+
+def _over_one(M: list[int], Q: int) -> tuple[list[int], list[int]]:
+    """The loop's (M, Q) as a table pair: every M_n over the same Q."""
+    return M, [Q] * len(M)
 
 
 def appell_numerators(A: Sequence[int], n: int) -> list[int]:

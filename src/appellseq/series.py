@@ -11,10 +11,13 @@ Ordinary coefficients are the natural carrier for the Hasse-Teichmueller
 derivative H^(n), which maps c_m t^m to c_m C(m, n) t^(m-n), and for the
 determinant entries derived from it.  `**` (any integer power) and
 `inverse` (the power -1) scale their coefficients around the package's
-one integer Miller loop, `exponential_power`, which works on exponential
-coefficients and returns them as integer numerators over one common
-denominator; the engine runs it directly on a family's d_n and builds
-each Fraction from that pair once.
+one integer Miller loop, `exponential_power_numerators`, which works on
+exponential coefficients given as integer numerators over one
+denominator and returns its result the same way.  `exponential_power`
+lifts a list of rationals to that form and runs the loop; the engine
+runs it directly on a family's d_n, and the D-recurrence witness feeds
+the loop's own output for f^r back into it with no Fraction in between.
+Each caller builds a Fraction only for a value it hands out.
 """
 
 from __future__ import annotations
@@ -198,23 +201,35 @@ def exponential_power(
     integer numerators M_0..M_K over one denominator Q: G_n = M_n / Q,
     with Q = lcm(den G_0..G_K).
 
-    The one loop behind every power and inverse (see `__pow__`).  The
-    weights w_k = r C(n-1, k-1) - C(n-1, k) obey Pascal's rule themselves:
-    the row w_1..w_n of step n rolls forward to w_1 - 1, w_1 + w_2, ...,
-    w_{n-1} + w_n, r.  The sums run over integers: F_k = P_k / L over one
-    L = lcm(den F_1..F_K), and G_0..G_{n-1} = M_m / Q over one running Q.
-    The dot product S = sum_k w_k P_k M_{n-k} gives G_n = S / (L Q),
+    Lifts F to integer numerators over L = lcm(den F) and runs the one
+    loop, `exponential_power_numerators`, on them (see `__pow__`).
+    """
+    L, P = lift(F)
+    return exponential_power_numerators(P, L, r, stats)
+
+
+def exponential_power_numerators(
+    P: Sequence[int], L: int, r: int, stats: Optional[StatsDict] = None
+) -> tuple[list[int], int]:
+    """`exponential_power` of F_k = P_k / L (L > 0, P_0 = L so F_0 = 1),
+    as (M, Q): G_n = M_n / Q.  For r != 1, Q = lcm(den G_0..G_K) whatever
+    L is; at r = 1 the result is (P, L) itself.
+
+    The package's one Miller loop (see `__pow__`).  The weights
+    w_k = r C(n-1, k-1) - C(n-1, k) obey Pascal's rule themselves: the
+    row w_1..w_n of step n rolls forward to w_1 - 1, w_1 + w_2, ...,
+    w_{n-1} + w_n, r.  G_0..G_{n-1} are kept as M_m / Q over one running
+    Q; the dot product S = sum_k w_k P_k M_{n-k} gives G_n = S / (L Q),
     reduced by one gcd; when den G_n does not divide Q, Q rises to their
     lcm and the stored M are rescaled.  No Fraction is built: each caller
-    makes its values from (M, Q) once.  `stats` gets the largest
-    |S|.bit_length() as "max_num_bits".
+    makes its values from (M, Q) once, or compares them as they are.
+    `stats` gets the largest |S|.bit_length() as "max_num_bits".
     """
-    if F[0] != 1:
-        raise ValueError(f"exponential power needs F_0 = 1, got {F[0]}")
+    if P[0] != L:
+        raise ValueError(f"exponential power needs F_0 = 1, got {Fraction(P[0], L)}")
     if r == 1:
-        L, P = lift(F)
-        return P, L
-    L, P = lift(F[1:])
+        return list(P), L
+    P = P[1:]
     M, Q, w, peak = [1], 1, [r], 0
     for _ in P:
         S = sum(map(mul, map(mul, w, P), reversed(M)))

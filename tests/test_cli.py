@@ -99,7 +99,7 @@ class TestComputeCommand:
 
     def test_check_failure_exits_4(self, capsys, monkeypatch):
         bad = VerificationReport(
-            r=1, n_max=2, tables={"a": (F(1),), "b": (F(2),)}, first_mismatch=0
+            r=1, n_max=2, pairs={"a": ([1], [1]), "b": ([2], [1])}, first_mismatch=0
         )
         monkeypatch.setattr(cli, "cross_verify", lambda *a, **k: bad)
         code, out, err = run(
@@ -125,16 +125,17 @@ class TestComputeCommand:
 
     @staticmethod
     def count_miller_loops(monkeypatch) -> list:
-        """Record the exponent of every run of the one Miller loop."""
+        """Record the exponent of every run of the one Miller loop, whether
+        it is entered through `exponential_power` or on numerators."""
         calls = []
-        loop = series.exponential_power
+        loop = series.exponential_power_numerators
 
-        def counted(F, r, stats=None):
+        def counted(P, L, r, stats=None):
             calls.append(r)
-            return loop(F, r, stats)
+            return loop(P, L, r, stats)
 
         for owner in (series, engine):
-            monkeypatch.setattr(owner, "exponential_power", counted)
+            monkeypatch.setattr(owner, "exponential_power_numerators", counted)
         return calls
 
     def test_power_computed_once_per_check(self, capsys, monkeypatch):
@@ -212,9 +213,14 @@ class TestComputeCommand:
 
         def marked(seq, r, n_max, cap):
             report = engine.cross_verify(seq, r, n_max, cap=cap)
-            assert engine.DETERMINANT_BAREISS in report.tables
-            tables = {**report.tables, engine.DETERMINANT_BAREISS: marks}
-            return VerificationReport(r=r, n_max=n_max, tables=tables, first_mismatch=None)
+            assert engine.DETERMINANT_BAREISS in report.pairs
+            pairs = {
+                **report.pairs,
+                engine.DETERMINANT_BAREISS: (
+                    [x.numerator for x in marks], [x.denominator for x in marks]
+                ),
+            }
+            return VerificationReport(r=r, n_max=n_max, pairs=pairs, first_mismatch=None)
 
         monkeypatch.setattr(cli, "cross_verify", marked)
         for r in ("1", "2"):
@@ -412,6 +418,41 @@ class TestUsageErrors:
             with pytest.raises(ValueError, match=r"got 256 \* \(256 \+ 1\)$"):
                 cli.parse_z(str(p), 256)
 
+    def test_huge_custom_values_are_refused_before_any_work(self, capsys, monkeypatch, tmp_path):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the custom values were checked")
+
+        monkeypatch.setattr(cli, "family_coefficients", must_not_run)
+        for owner in (series, engine):
+            monkeypatch.setattr(owner, "exponential_power_numerators", must_not_run)
+        q = int("7" * 4000)
+        path = tmp_path / "big.txt"
+        path.write_text("1\n" + "".join(f"{k}/{q}\n" for k in range(1, 30)))
+        for command in ("compute", "poly", "bench"):
+            for n in (10, 25):
+                code, out, err = run(
+                    capsys, command, "--family", "custom", "--custom-path", str(path),
+                    "--n", str(n),
+                )
+                assert (code, out) == (2, ""), (command, n)
+                bits = n.bit_length() + q.bit_length()
+                assert err.splitlines() == [
+                    f"error: --n times the largest bit length of numerator plus "
+                    f"denominator of the --custom-path values d_0..d_n must be <= "
+                    f"{cli.MAX_ORDER_WORK}, got {n} * {bits}"
+                ]
+        # the budget bounds n * max(bits(num d_k) + bits(den d_k)) over k <= n:
+        # at n = 256, d_k of 255 + 1 bits passes and one more bit does not,
+        # and a larger d_k past n is not read
+        spec = FamilySpec.custom([1] * 256 + [2**255 - 1, 2**4000])
+        cli.RunConfig(family=spec, order=1, n_max=256)
+        path.write_text("1\n" * 256 + f"{2**255}\n")
+        code, _, err = run(
+            capsys, "compute", "--family", "custom", "--custom-path", str(path), "--n", "256"
+        )
+        assert code == 2
+        assert err.endswith("got 256 * 257\n")
+
     def test_unknown_family_is_argparse_error(self, capsys):
         code, _, err = run(capsys, "compute", "--family", "pell", "--n", "3")
         assert code == 2
@@ -535,6 +576,63 @@ class TestCapExit:
             "--algo", "composition", "--cap", "5",
         )
         assert code == 3
+
+
+class TestCompositionWorkExit:
+    """The composition route past MAX_COMPOSITION_WORK: Euler at n = 50 and
+    r = 2^1310 - 1 lifts D_r(1..n) to about 17 500 bits each, and the
+    triangle took 9.7 s where the production route takes 0.4 s."""
+
+    ARGV = ("compute", "--family", "euler", "--n", "50", "--order", str(2**1310 - 1))
+    MESSAGE = (
+        f"error: composition route cannot serve n_max=50: n times the bit length "
+        f"of the lifted D_r(1..n) passes {cli.MAX_COMPOSITION_WORK} at n=15"
+    )
+
+    def test_algo_composition_exits_3_before_the_triangle(self, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("built the triangle past the work bound")
+
+        monkeypatch.setattr(engine, "composition_numerators", must_not_run)
+        code, out, err = run(capsys, *self.ARGV, "--algo", "composition")
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [self.MESSAGE]
+
+    def test_check_stops_the_composition_leg_inside_the_bound(self, capsys):
+        code, out, err = run(capsys, *self.ARGV, "--check", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verified"] == {
+            "recurrence": 50,
+            "determinant:bareiss": 50,
+            "composition": 14,
+            "negative-power": 50,
+        }
+        # the composition table alone cannot be printed to n = 50
+        code, out, err = run(capsys, *self.ARGV, "--check", "--algo", "composition")
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [self.MESSAGE]
+
+    # (family flags, r, n, cap): the sizes of the benchmark's `verify` requests
+    VERIFY_SIZED = (
+        (("--family", "bernoulli"), 1, 40, 14),
+        (("--family", "bernoulli"), 1, 36, 15),
+        (("--family", "bernoulli"), 2, 36, 15),
+        (("--family", "euler"), 1, 36, 15),
+        (("--family", "euler"), 2, 36, 15),
+        (("--family", "hyper-bernoulli", "--m", "2", "--nn", "3"), 1, 36, 15),
+        (("--family", "hyper-cauchy", "--m", "2", "--nn", "3"), 1, 48, 14),
+    )
+
+    def test_verify_sized_requests_keep_full_composition_coverage(self, capsys):
+        for family, r, n, cap in self.VERIFY_SIZED:
+            code, out, err = run(
+                capsys, "compute", *family, "--order", str(r), "--n", str(n),
+                "--cap", str(cap), "--check", "--format", "json",
+            )
+            assert (code, err) == (0, ""), family
+            verified = json.loads(out)["verified"]
+            assert verified.pop("composition") == cap, family
+            assert set(verified.values()) == {n}, family
 
 
 class TestPolyCommand:
@@ -683,6 +781,40 @@ class TestPolyOutputPin:
                             code, out, err = run(capsys, *argv)
                             assert (code, err) == (0, ""), argv
                             digest.update(out.encode() + b"\0")
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestComputeOutputPin:
+    """The sha256 of everything `compute` prints, with its exit code, over
+    a fixed grid of families, orders, sizes, routes and formats.  The
+    checked modes print the table of their route as `cross_verify` left
+    it; any change to a printed byte has to come with a new DIGEST,
+    deliberately."""
+
+    FAMILIES = TestPolyOutputPin.FAMILIES
+    ORDERS = ("1", "2", "3", "7")
+    DEGREES = ("0", "1", "9", "24")
+    MODES = (
+        (),
+        ("--check",),
+        ("--algo", "determinant", "--check"),
+        ("--algo", "composition", "--check"),
+    )
+    FORMATS = ("csv", "json", "pretty")
+    DIGEST = "fd9d97af793081d556b909f6062d4aeca497083ff1ef217e9f4a71d41ccd3e2c"
+
+    def test_output_digest(self, capsys):
+        digest = hashlib.sha256()
+        for family in self.FAMILIES:
+            for r in self.ORDERS:
+                for n in self.DEGREES:
+                    for mode in self.MODES:
+                        for fmt in self.FORMATS:
+                            argv = ["compute", *family, "--order", r, "--n", n, *mode,
+                                    "--format", fmt]
+                            code, out, err = run(capsys, *argv)
+                            assert err == "", argv
+                            digest.update(f"{code}\0{out}\0".encode())
         assert digest.hexdigest() == self.DIGEST
 
 
@@ -887,3 +1019,11 @@ class TestReadmeFlags:
         compute = subparsers.choices["compute"]
         accepted = {s for a in compute._actions for s in a.option_strings} - {"-h", "--help"}
         assert documented == accepted
+
+    def test_every_stated_budget_is_a_cli_constant(self):
+        # every number README writes with a thousands space is one of the
+        # budgets, and each budget is written there
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        grouped = re.findall(r"\b\d{1,3}(?: \d{3})+\b", readme)
+        stated = {int(x.replace(" ", "")) for x in grouped}
+        assert stated == {cli.MAX_N, cli.MAX_ORDER_WORK, cli.MAX_COMPOSITION_WORK}

@@ -22,6 +22,7 @@ from appellseq.engine import (
     compute_D,
     cross_verify,
     first_disagreement,
+    first_disagreement_pairs,
     polynomial_derivative,
     polynomial_eval,
     recurrence_values,
@@ -287,8 +288,10 @@ class TestCompositionTriangle:
         for owner, name in (
             (series, "exponential_power"),
             (engine, "exponential_power"),
-            (determinants, "bareiss_leading_minors"),
-            (engine, "bareiss_leading_minors"),
+            (series, "exponential_power_numerators"),
+            (engine, "exponential_power_numerators"),
+            (determinants, "bareiss_numerators"),
+            (engine, "bareiss_numerators"),
         ):
             monkeypatch.setattr(owner, name, must_not_run)
         assert list(related_numbers_composition(seq, 3, 20, D=D).a) == expected
@@ -358,15 +361,16 @@ class TestCrossVerify:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_doctored_power_table_is_caught(self, monkeypatch, r):
-        # Every route but the negative power starts from compute_D's table,
-        # so only that witness can see a wrong D_r(5).
+        # Every route but the negative power starts from f^r's (M, Q), so
+        # only that witness can see a wrong D_r(5) = M_5 / (Q 5!).
         def doctored(seq, r, n_max=None):
-            D = list(real_compute_D(seq, r, n_max).D)
-            D[5] += F(1, 7)
-            return PowerCoefficientTable(r=r, D=tuple(D))
+            M, Q = real_power_numerators(seq, r, n_max)
+            M = list(M)
+            M[5] += 1
+            return M, Q
 
-        real_compute_D = engine.compute_D
-        monkeypatch.setattr(engine, "compute_D", doctored)
+        real_power_numerators = engine.power_numerators
+        monkeypatch.setattr(engine, "power_numerators", doctored)
         report = cross_verify(family_coefficients(FamilySpec.hyper_cauchy(2, 3), 10), r, 10)
         assert report.first_mismatch == 5
         assert report.describe() == f"routes disagree first at n=5 (r={r})"
@@ -380,10 +384,130 @@ class TestCrossVerify:
         assert first_disagreement({"a": good, "b": good[:2]}) is None
         assert first_disagreement({"a": good, "b": (F(1), F(1, 3))}) == 1
         report = VerificationReport(
-            r=1, n_max=2, tables={"a": good, "b": bad}, first_mismatch=2
+            r=1, n_max=2, pairs={"a": ([1, -1, 1], [1, 2, 6]), "b": ([1, -1, 1], [1, 2, 7])},
+            first_mismatch=2,
         )
         assert not report.agree
         assert "disagree first at n=2" in report.describe()
+
+
+class TestIntegerComparison:
+    """`first_disagreement_pairs` compares u/d with u'/d' as u d' == u' d,
+    and `cross_verify` reports a one-unit change in any route's
+    numerators at its index."""
+
+    def test_equal_rationals_written_differently_agree(self):
+        assert first_disagreement_pairs({"a": ([2], [4]), "b": ([1], [2])}) is None
+        assert first_disagreement_pairs({"a": ([-3], [6]), "b": ([-1], [2])}) is None
+        assert first_disagreement_pairs({"a": ([1, -3], [1, 6]), "b": ([1, 1], [1, 2])}) == 1
+        assert first_disagreement_pairs({"a": ([0, 4], [5, 8]), "b": ([0, 1], [1, 2])}) is None
+
+    def test_unequal_lengths_compare_the_shared_prefix(self):
+        full = ([1, 2, 3], [1, 1, 1])
+        assert first_disagreement_pairs({"a": full, "b": ([2, 4], [2, 2])}) is None
+        assert first_disagreement_pairs({"a": ([2, 4], [2, 2]), "b": full}) is None
+        assert first_disagreement_pairs({"a": ([2], [2]), "b": full, "c": ([1, 2], [1, 1])}) is None
+        # b and c differ from each other where both are shorter than a
+        short = {"b": ([1, 2], [1, 1]), "c": ([1, 5], [1, 2])}
+        assert first_disagreement_pairs({"a": full, **short}) == 1
+        # the smallest index over every table, not the first table's
+        late, early = ([1, 2, 4], [1, 1, 1]), ([1, 3, 3], [1, 1, 1])
+        assert first_disagreement_pairs({"a": full, "b": late, "c": early}) == 1
+
+    # the engine name of each route's kernel, as cross_verify calls it; at
+    # r >= 2 only the D-recurrence calls the Miller loop on numerators
+    KERNELS = {
+        RECURRENCE: "exponential_power_numerators",
+        DETERMINANT_BAREISS: "determinant_numerators",
+        COMPOSITION: "composition_numerators",
+        NEGATIVE_POWER: "negative_power_numerators",
+    }
+
+    @pytest.mark.parametrize("route", list(KERNELS))
+    def test_one_unit_in_any_route_is_reported_at_its_index(self, monkeypatch, route):
+        seq = family_coefficients(FamilySpec.hyper_cauchy(2, 3), 12)
+        kernel = getattr(engine, self.KERNELS[route])
+        for k in (0, 1, 5, 12):
+
+            def nudged(*args, **kwargs):
+                num, den = kernel(*args, **kwargs)
+                num = list(num)
+                num[k] += 1
+                return num, den
+
+            monkeypatch.setattr(engine, self.KERNELS[route], nudged)
+            report = cross_verify(seq, 2, 12)
+            assert set(report.pairs) == set(self.KERNELS)
+            assert report.first_mismatch == k, (route, k)
+        monkeypatch.undo()
+        assert cross_verify(seq, 2, 12).agree
+
+    def test_tables_are_reduced_on_demand(self, monkeypatch):
+        seq = family_coefficients(FamilySpec.hyper_bernoulli(2, 3), 14)
+        report = cross_verify(seq, 3, 14)
+        assert report.agree
+        expected = related_numbers_negative_power(seq, 3, 14).a
+        for name in report.pairs:
+            assert report.table(name) == expected, name
+        assert report.tables == {name: expected for name in report.pairs}
+        # a report is made without building a Fraction from any table
+        built = []
+        real_new = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counted)
+        report = cross_verify(seq, 3, 14)
+        assert built == []
+        report.table(NEGATIVE_POWER)
+        assert len(built) == 15
+
+
+class TestCompositionWorkBound:
+    """`composition_reach`: the largest n whose n * bits(max |N_e|) stays
+    inside MAX_COMPOSITION_WORK, N_e the D_r(1..n) over their lcm."""
+
+    @staticmethod
+    def work(D, n):
+        L = math.lcm(*(x.denominator for x in D[1 : n + 1]))
+        return n * max((abs(x.numerator) * (L // x.denominator) for x in D[1 : n + 1]),
+                       default=0).bit_length()
+
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.label)
+    def test_reach_is_the_largest_n_inside_the_bound(self, monkeypatch, spec):
+        seq = family_coefficients(spec, 40)
+        for r in (1, 3):
+            D = compute_D(seq, r, 40).D
+            num, den = [x.numerator for x in D], [x.denominator for x in D]
+            work = [self.work(D, n) for n in range(41)]
+            assert work == sorted(work)
+            for bound in (0, work[1], work[10] - 1, work[10], work[40] - 1, work[40]):
+                monkeypatch.setattr(engine, "MAX_COMPOSITION_WORK", bound)
+                expected = max(n for n in range(41) if work[n] <= bound)
+                assert engine.composition_reach(num, den, 40) == expected, (r, bound)
+                assert engine.composition_reach(num, den, 7) == min(7, expected)
+
+    def test_route_refuses_past_the_bound_before_the_triangle(self, monkeypatch):
+        seq = family_coefficients(FamilySpec.euler(), 20)
+        D = compute_D(seq, 2, 20).D
+        monkeypatch.setattr(engine, "MAX_COMPOSITION_WORK", self.work(D, 12))
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("built the triangle past the work bound")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "composition_numerators", must_not_run)
+            with pytest.raises(CombinatorialBlowupError, match="n_max=20: .* at n=13$"):
+                related_numbers_composition(seq, 2, 20, D=D)
+        assert related_numbers_composition(seq, 2, 12).a == related_numbers_negative_power(
+            seq, 2, 12
+        ).a
+        report = cross_verify(seq, 2, 20)
+        assert report.agree
+        assert report.coverage[COMPOSITION] == 12
+        assert report.describe() == "all 4 routes agree for r=2, n <= 20, composition only n <= 12"
 
 
 class TestAppellPolynomials:
