@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from . import determinants, engine, families
+from . import engine, families
 from .arith import (
     DEFAULT_COMPOSITION_CAP,
     MAX_COMPOSITION_WORK,
@@ -26,11 +27,9 @@ from .arith import (
 )
 from .engine import (
     NormalizationError,
-    RelatedNumberTable,
     appell_polynomial,  # unused here; perfbench/spans.py wraps cli.appell_polynomial
     cross_verify,
     polynomial_eval,  # unused here; perfbench/spans.py wraps cli.polynomial_eval
-    recurrence_values,
 )
 from .families import FamilySpec, family_coefficients, load_custom_family
 
@@ -62,15 +61,15 @@ MAX_ORDER_WORK = 2**16
 ROUTES = {
     "recurrence": (
         engine.NEGATIVE_POWER,
-        lambda seq, c: engine.related_numbers_negative_power(seq, c.order, c.n_max),
+        lambda seq, c: engine.related_numbers_negative_power(seq, c.order, c.n_max).a,
     ),
     "determinant": (
         engine.DETERMINANT_BAREISS,
-        lambda seq, c: engine.related_numbers_determinant(seq, c.order, c.n_max),
+        lambda seq, c: engine.related_numbers_determinant(seq, c.order, c.n_max).a,
     ),
     "composition": (
         engine.COMPOSITION,
-        lambda seq, c: engine.related_numbers_composition(seq, c.order, c.n_max, cap=c.cap),
+        lambda seq, c: engine.related_numbers_composition(seq, c.order, c.n_max, cap=c.cap).a,
     ),
 }
 
@@ -232,40 +231,44 @@ def cmd_compute(args: argparse.Namespace) -> int:
         engine.check_composition_cap(config.n_max, config.cap)
     seq = family_coefficients(config.family, config.n_max)
     route, compute_alone = ROUTES[config.algorithm]
-    if config.check:
-        report = cross_verify(seq, config.order, config.n_max, cap=config.cap)
-        if not report.agree:
-            print(f"cross-verification failed: {report.describe()}", file=sys.stderr)
-            return EXIT_MISMATCH
-        # only the composition leg can stop short: at its work bound
-        engine.check_composition_reach(config.n_max, report.coverage[route])
-        table = RelatedNumberTable(r=config.order, a=report.table(route), algorithm=route)
-        emit_table(table, config, verified=report.coverage)
+    if not config.check:
+        emit_table(compute_alone(seq, config), config)
         return EXIT_OK
-    emit_table(compute_alone(seq, config), config)
+    if config.algorithm == "composition":
+        # the composition table is printed, so a leg that would stop short
+        # of --n at its work bound is refused as soon as D_r is known
+        report = engine._cross_verify(
+            seq, config.order, config.n_max, config.cap, whole_composition=True
+        )
+    else:
+        report = cross_verify(seq, config.order, config.n_max, cap=config.cap)
+    if not report.agree:
+        print(f"cross-verification failed: {report.describe()}", file=sys.stderr)
+        return EXIT_MISMATCH
+    emit_table(report.table(route), config, verified=report.coverage)
     return EXIT_OK
 
 
 def emit_table(
-    table: RelatedNumberTable,
+    values: Sequence[Fraction],
     config: RunConfig,
     verified: Optional[Mapping[str, int]] = None,
 ):
-    """Print the table; JSON also maps each cross-verified route to the
+    """Print a_0..a_n; JSON also maps each cross-verified route to the
     largest n it covered, when `verified` is given.  Every row is
     formatted before any is printed."""
-    values = [format_rational(v) for v in table.a]
+    rows = [format_rational(v) for v in values]
     if config.fmt == "csv":
-        print("\n".join(["n,value", *(f"{n},{v}" for n, v in enumerate(values))]))
+        print("\n".join(["n,value", *(f"{n},{v}" for n, v in enumerate(rows))]))
     elif config.fmt == "json":
-        doc = {"family": config.family.label, "order": table.r}
+        doc = {"family": config.family.label, "order": config.order}
         if verified is not None:
             doc["verified"] = dict(verified)
-        doc["values"] = [{"n": n, "value": v} for n, v in enumerate(values)]
+        doc["values"] = [{"n": n, "value": v} for n, v in enumerate(rows)]
         print(json.dumps(doc, indent=2))
     else:
-        width = len(str(table.n_max))
-        print("\n".join(f"{n:>{width}}  {v}" for n, v in enumerate(values)))
+        width = len(str(len(rows) - 1))
+        print("\n".join(f"{n:>{width}}  {v}" for n, v in enumerate(rows)))
 
 
 def parse_z(text: str, n: int) -> Fraction:
@@ -320,45 +323,33 @@ class BenchRow:
 
 
 def run_benchmark(spec: FamilySpec, r: int, n_max: int) -> list[BenchRow]:
-    """Per-n wall time and peak intermediate size for every kernel.
+    """Per-n wall time and peak intermediate size of each kernel that
+    `--check` runs, on its table to n.
 
-    The production route (Miller's loop on f^(-r)), Bareiss and, for
-    r >= 2, the paper's D_r recurrence are different computations; at
-    r = 1 that recurrence is the production route's own loop on the same
-    input, so it is not run.  The shared D table is prepared outside the
-    timers, so the D-based cells measure determinant (or recurrence)
-    evaluation only.  All methods must produce identical values;
-    otherwise no timings are reported.
+    The production route's `negative_power_numerators` (Miller's loop on
+    f^(-r)), Bareiss's `determinant_numerators` and, for r >= 2, the
+    paper's D_r recurrence (the loop at the power -1 on n! D_r(n)) are
+    different computations; at r = 1 that recurrence is the production
+    loop on the same input, so it is not run.  f^r, the reduced D_r and
+    the recurrence's lifted input are prepared outside the timers.  All
+    kernels must produce identical values; otherwise no timings are
+    reported.
     """
     seq = family_coefficients(spec, n_max)
-    D = engine.compute_D(seq, r, n_max).D
-    fact = 1
+    M, Q = engine.power_numerators(seq, r, n_max)
+    num, den = engine.reduced_power_table(M, Q)
+    L = 1  # lcm(den k! D_r(k), k <= n): the D-recurrence's input lifted to n
     rows = []
     for n in range(n_max + 1):
-        if n:
-            fact *= n
-        cells: dict[str, BenchCell] = {}
-
-        stats: dict[str, int] = {}
-        t0 = time.perf_counter()
-        a = engine.related_numbers_negative_power(seq, r, n, stats=stats).a
-        dt = time.perf_counter() - t0
-        cells["negative_power"] = BenchCell(dt, stats.get("max_num_bits", 0), a[n])
-
-        stats = {}
-        t0 = time.perf_counter()
-        det = determinants.bareiss_det(D, n, stats=stats)
-        dt = time.perf_counter() - t0
-        value = fact * det if n % 2 == 0 else -fact * det
-        cells["bareiss"] = BenchCell(dt, stats.get("max_num_bits", 0), value)
-
+        dt, bits, (A, QA) = _timed(engine.negative_power_numerators, seq, r, n)
+        cells = {"negative_power": BenchCell(dt, bits, Fraction(A[n], QA))}
+        dt, bits, (signed, scales) = _timed(engine.determinant_numerators, num, den, n)
+        cells["bareiss"] = BenchCell(dt, bits, Fraction(signed[n], scales[n]))
         if r > 1:
-            stats = {}
-            t0 = time.perf_counter()
-            a = recurrence_values(D, n, stats=stats)
-            dt = time.perf_counter() - t0
-            cells["recurrence"] = BenchCell(dt, stats.get("max_num_bits", 0), a[n])
-
+            L = math.lcm(L, Q // math.gcd(M[n], Q))
+            P = [m // (Q // L) for m in M[: n + 1]]
+            dt, bits, (A, QA) = _timed(engine.exponential_power_numerators, P, L, -1)
+            cells["recurrence"] = BenchCell(dt, bits, Fraction(A[n], QA))
         rows.append(BenchRow(n=n, cells=cells))
 
     for row in rows:
@@ -369,6 +360,14 @@ def run_benchmark(spec: FamilySpec, r: int, n_max: int) -> list[BenchRow]:
                 f"kernel disagreement at n={row.n}: {detail}; refusing to emit timings"
             )
     return rows
+
+
+def _timed(kernel: Callable, *args) -> tuple[float, int, tuple]:
+    """Wall seconds and "max_num_bits" of one kernel call, and its result."""
+    stats: dict[str, int] = {}
+    t0 = time.perf_counter()
+    result = kernel(*args, stats)
+    return time.perf_counter() - t0, stats.get("max_num_bits", 0), result
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

@@ -44,7 +44,10 @@ sum lifts D_r to one common denominator itself.
 Each route has one integer kernel that returns its table as numerators
 over positive denominators, unreduced: the loops their (M, Q), Bareiss
 (+-n! p_n, s_n) (`determinant_numerators`), the composition sum
-(n! S_n, L^n) (`composition_numerators`).  The `related_numbers_*`
+(n! S_n, L^n) (`composition_numerators`).  It is the route's one way
+in: the `related_numbers_*` functions, `cross_verify` and the CLI's
+`bench` all run it, and the D-based kernels get D_r only from f^r's
+(M, Q) through `reduced_power_table`.  The `related_numbers_*`
 functions reduce each value to a Fraction once; `cross_verify` compares
 the tables by cross-multiplication and reduces none.
 """
@@ -174,10 +177,8 @@ class AppellPolynomial:
 def compute_D(
     seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> PowerCoefficientTable:
-    """Ordinary coefficients of f(t)^r: `power_numerators`, each
-    M_n / (Q n!) reduced once."""
-    M, Q = power_numerators(seq, r, n_max)
-    D = tuple(Fraction(m, Q * f) for m, f in zip(M, _factorials(len(M) - 1)))
+    """Ordinary coefficients of f(t)^r: `reduced_power_table` as Fractions."""
+    D = _reduced(reduced_power_table(*power_numerators(seq, r, n_max)))
     return PowerCoefficientTable(r=r, D=D)
 
 
@@ -214,7 +215,8 @@ def _factorials(n_max: int) -> list[int]:
 def recurrence_values(
     D: Sequence[Fraction], n_max: int, stats: Optional[StatsDict] = None
 ) -> list[Fraction]:
-    """a_0..a_{n_max} from a D table by the convolution recurrence.
+    """a_0..a_{n_max} from a D table by the convolution recurrence (no
+    route calls it; perfbench/spans.py wraps engine.recurrence_values).
 
     a_n/n! = -sum_{m<n} D(n-m) a_m/m! is [t^n] of the inverse of
     1 + sum_{k>=1} D(k) t^k (D(0) is not read): Miller's loop at the
@@ -229,47 +231,20 @@ def recurrence_values(
     return [Fraction(m, Q) for m in M]
 
 
-def _power_table(
-    seq: CoefficientSequence, r: int, n_max: int, D: Optional[Sequence[Fraction]]
-) -> Sequence[Fraction]:
-    """The given D table, checked to reach n_max, or f^r computed afresh."""
-    if D is None:
-        return compute_D(seq, r, n_max).D
-    if len(D) <= n_max:
-        raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
-    return D
-
-
-def _power_pairs(
-    seq: CoefficientSequence, r: int, n_max: int, D: Optional[Sequence[Fraction]]
-) -> tuple[list[int], list[int]]:
-    """D_r(0..n_max) as numerators over denominators in lowest terms: read
-    off the given D table, or reduced from f^r's (M, Q) afresh."""
-    if D is None:
-        return reduced_power_table(*power_numerators(seq, r, n_max))
-    D = _power_table(seq, r, n_max, D)[: n_max + 1]
-    return [x.numerator for x in D], [x.denominator for x in D]
-
-
 def _reduced(pair: tuple[Sequence[int], Sequence[int]]) -> tuple[Fraction, ...]:
     """The values num[n] / den[n] of an integer pair, each reduced once."""
     return tuple(map(Fraction, *pair))
 
 
 def related_numbers_recurrence(
-    seq: CoefficientSequence,
-    r: int,
-    n_max: Optional[int] = None,
-    D: Optional[Sequence[Fraction]] = None,
+    seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> RelatedNumberTable:
-    """The paper's O(n^2) recurrence from the D table, a_0 = 1; a witness.
-
-    Pass `D` (D_r(0)..D_r(n_max) at least) to reuse a table already
-    computed for this sequence and order; the other routes take it too.
-    """
+    """The paper's O(n^2) recurrence over D_r, a_0 = 1; a witness: the
+    Miller loop at the power -1 on f^r's own (M, Q), n! D_r(n) = M_n / Q,
+    as `cross_verify` runs it."""
     n_max = seq._resolve(n_max)
-    D = _power_table(seq, r, n_max, D)
-    return RelatedNumberTable(r=r, a=tuple(recurrence_values(D, n_max)), algorithm=RECURRENCE)
+    M, Q = exponential_power_numerators(*power_numerators(seq, r, n_max), -1)
+    return RelatedNumberTable(r=r, a=tuple(Fraction(m, Q) for m in M), algorithm=RECURRENCE)
 
 
 def check_composition_cap(n_max: int, cap: int) -> None:
@@ -327,7 +302,6 @@ def related_numbers_composition(
     r: int,
     n_max: Optional[int] = None,
     cap: int = DEFAULT_COMPOSITION_CAP,
-    D: Optional[Sequence[Fraction]] = None,
 ) -> RelatedNumberTable:
     """Explicit alternating sum over the compositions of each n.
 
@@ -345,7 +319,7 @@ def related_numbers_composition(
     """
     n_max = seq._resolve(n_max)
     check_composition_cap(n_max, cap)
-    num, den = _power_pairs(seq, r, n_max, D)
+    num, den = reduced_power_table(*power_numerators(seq, r, n_max))
     check_composition_reach(n_max, composition_reach(num, den, n_max))
     a = _reduced(composition_numerators(num, den, n_max))
     return RelatedNumberTable(r=r, a=a, algorithm=COMPOSITION)
@@ -368,11 +342,7 @@ def determinant_numerators(
 
 
 def related_numbers_determinant(
-    seq: CoefficientSequence,
-    r: int,
-    n_max: Optional[int] = None,
-    stats: Optional[StatsDict] = None,
-    D: Optional[Sequence[Fraction]] = None,
+    seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> RelatedNumberTable:
     """a_n^(r) = (-1)^n n! det(M_n) over the Hessenberg matrix of D values.
 
@@ -381,8 +351,8 @@ def related_numbers_determinant(
     builds the matrix and shares no step with the recurrence.
     """
     n_max = seq._resolve(n_max)
-    num, den = _power_pairs(seq, r, n_max, D)
-    a = _reduced(determinant_numerators(num, den, n_max, stats))
+    num, den = reduced_power_table(*power_numerators(seq, r, n_max))
+    a = _reduced(determinant_numerators(num, den, n_max))
     return RelatedNumberTable(r=r, a=a, algorithm=DETERMINANT_BAREISS)
 
 
@@ -391,10 +361,7 @@ related_numbers_inversion = related_numbers_recurrence
 
 
 def related_numbers_negative_power(
-    seq: CoefficientSequence,
-    r: int,
-    n_max: Optional[int] = None,
-    stats: Optional[StatsDict] = None,
+    seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> RelatedNumberTable:
     """Production path: a_n^(r) = n! [t^n] f^(-r), by Miller's recurrence
     on d_0..d_{n_max} themselves, in one pass over exponential coefficients.
@@ -402,10 +369,9 @@ def related_numbers_negative_power(
     It never sees the D table, so as a witness it checks D_r too.  At
     r = 1 it is the D-recurrence itself, run on D_1 = f, and
     `cross_verify` runs it once; for r >= 2 it is an algebraically
-    different recurrence.  `stats` gets "max_num_bits" as
-    in `recurrence_values`.
+    different recurrence.
     """
-    M, Q = negative_power_numerators(seq, r, n_max, stats)
+    M, Q = negative_power_numerators(seq, r, n_max)
     return RelatedNumberTable(r=r, a=tuple(Fraction(m, Q) for m in M), algorithm=NEGATIVE_POWER)
 
 
@@ -417,7 +383,8 @@ def negative_power_numerators(
 ) -> tuple[list[int], int]:
     """(M, Q) with a_n^(r) = M_n / Q for n = 0..n_max: the state Miller's
     loop for f^(-r) ends in, Q = lcm(den a_0..a_{n_max}), before any
-    Fraction is built."""
+    Fraction is built.  `stats` gets "max_num_bits": the bit length of
+    the loop's largest dot product |S|."""
     n_max = seq._resolve(n_max)
     return exponential_power(seq.d[: n_max + 1], -r, stats)
 
@@ -449,11 +416,6 @@ class VerificationReport:
         """Route `name`'s values, each reduced once."""
         return _reduced(self.pairs[name])
 
-    @property
-    def tables(self) -> dict[str, tuple[Fraction, ...]]:
-        """Every route's values, reduced: `table` for each route."""
-        return {name: self.table(name) for name in self.pairs}
-
     def describe(self) -> str:
         if self.agree:
             text = (
@@ -465,17 +427,6 @@ class VerificationReport:
                     text += f", {name} only n <= {top}"
             return text
         return f"routes disagree first at n={self.first_mismatch} (r={self.r})"
-
-
-def first_disagreement(tables: Mapping[str, Sequence[Fraction]]) -> Optional[int]:
-    """Smallest index where the given tables differ, or None if they agree:
-    `first_disagreement_pairs` on their numerators and denominators."""
-    return first_disagreement_pairs(
-        {
-            name: ([x.numerator for x in t], [x.denominator for x in t])
-            for name, t in tables.items()
-        }
-    )
 
 
 def first_disagreement_pairs(
@@ -520,14 +471,24 @@ def cross_verify(
     and `composition_reach`; the others cover the full range.  No value
     is reduced; disagreement is reported, not raised.
     """
-    n_max = seq._resolve(n_max)
+    return _cross_verify(seq, r, seq._resolve(n_max), cap, whole_composition=False)
+
+
+def _cross_verify(
+    seq: CoefficientSequence, r: int, n_max: int, cap: int, whole_composition: bool
+) -> VerificationReport:
+    """`cross_verify`; with `whole_composition`, a composition leg that
+    would stop short of n_max raises CombinatorialBlowupError as soon as
+    D_r is known, before any route runs."""
     M, Q = power_numerators(seq, r, n_max)
     num, den = reduced_power_table(M, Q)
+    reach = composition_reach(num, den, min(n_max, cap))
+    if whole_composition:
+        check_composition_reach(n_max, reach)
     pairs = {}
     if r > 1:
         pairs[RECURRENCE] = _over_one(*exponential_power_numerators(M, Q, -1))
     pairs[DETERMINANT_BAREISS] = determinant_numerators(num, den, n_max)
-    reach = composition_reach(num, den, min(n_max, cap))
     pairs[COMPOSITION] = composition_numerators(num, den, reach)
     pairs[NEGATIVE_POWER] = _over_one(*negative_power_numerators(seq, r, n_max))
     return VerificationReport(

@@ -612,6 +612,20 @@ class TestCompositionWorkExit:
         assert (code, out) == (3, "")
         assert err.splitlines() == [self.MESSAGE]
 
+    def test_check_refuses_as_soon_as_d_is_known(self, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran a route past the composition work bound")
+
+        for name in ("determinant_numerators", "negative_power_numerators",
+                     "composition_numerators"):
+            monkeypatch.setattr(engine, name, must_not_run)
+        calls = TestComputeCommand.count_miller_loops(monkeypatch)
+        code, out, err = run(capsys, *self.ARGV, "--check", "--algo", "composition")
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [self.MESSAGE]
+        # f^r only: neither the D-recurrence nor the negative power ran
+        assert calls == [2**1310 - 1]
+
     # (family flags, r, n, cap): the sizes of the benchmark's `verify` requests
     VERIFY_SIZED = (
         (("--family", "bernoulli"), 1, 40, 14),
@@ -784,6 +798,29 @@ class TestPolyOutputPin:
         assert digest.hexdigest() == self.DIGEST
 
 
+class TestBenchOutputPin:
+    """The sha256 of what `bench` prints, with its exit code, over a fixed
+    grid, the `*_seconds` columns removed: the values and the peak bits of
+    every kernel.  Any change to a pinned byte has to come with a new
+    DIGEST, deliberately."""
+
+    FAMILIES = TestPolyOutputPin.FAMILIES
+    ORDERS = ("1", "2", "3", "7")
+    DIGEST = "ab75d72502b5894e53b14ab8a6f2c67b94067f0d633e34d94280bc0a1c875cc6"
+
+    def test_output_digest(self, capsys):
+        digest = hashlib.sha256()
+        for family in self.FAMILIES:
+            for r in self.ORDERS:
+                code, out, err = run(capsys, "bench", *family, "--order", r, "--n", "16")
+                assert err == "", (family, r)
+                rows = [line.split(",") for line in out.splitlines()]
+                keep = [i for i, name in enumerate(rows[0]) if not name.endswith("_seconds")]
+                text = "\n".join(",".join(row[i] for i in keep) for row in rows)
+                digest.update(f"{code}\0{text}\0".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestComputeOutputPin:
     """The sha256 of everything `compute` prints, with its exit code, over
     a fixed grid of families, orders, sizes, routes and formats.  The
@@ -917,13 +954,15 @@ class TestBenchCommand:
         assert [line.split(",")[-1] for line in lines[1:]] == ["1", "-1", "5/6", "-1/2"]
 
     def test_disagreement_refuses_timings(self, capsys, monkeypatch):
-        def corrupted(D, n_max, stats=None):
-            good = cli.engine.recurrence_values(D, n_max, stats=stats)
-            if n_max >= 2:
-                good[2] += 1
-            return good
+        loop = engine.exponential_power_numerators
 
-        monkeypatch.setattr(cli, "recurrence_values", corrupted)
+        def corrupted(P, L, r, stats=None):
+            M, Q = loop(P, L, r, stats)
+            if r == -1 and len(M) > 2:  # the D-recurrence's inverse of D_r
+                M[2] += 1
+            return M, Q
+
+        monkeypatch.setattr(engine, "exponential_power_numerators", corrupted)
         # the recurrence column runs at r >= 2 only
         code, out, err = run(
             capsys, "bench", "--family", "bernoulli", "--order", "2", "--n", "4"
@@ -1019,6 +1058,28 @@ class TestReadmeFlags:
         compute = subparsers.choices["compute"]
         accepted = {s for a in compute._actions for s in a.option_strings} - {"-h", "--help"}
         assert documented == accepted
+
+    def test_library_example_holds(self):
+        # the code block of "Library surface", run as written, gives the
+        # results its comments state
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("\n## Library surface") :]
+        block = section.split("```python\n")[1].split("```")[0]
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        # each commented line that assigns nothing states its own value
+        checks = [
+            (code, comment.strip())
+            for code, _, comment in (line.partition("#") for line in block.splitlines())
+            if comment and " = " not in code
+        ]
+        assert [comment for _, comment in checks] == [
+            "Fraction(-691, 2730)", "True", "B_4(1/2) = 7/240",
+        ]
+        values = [eval(code, namespace) for code, _ in checks]
+        assert values == [F(-691, 2730), True, F(7, 240)]
+        for value, (_, comment) in zip(values, checks):
+            assert comment.endswith((repr(value), str(value))), comment
 
     def test_every_stated_budget_is_a_cli_constant(self):
         # every number README writes with a thousands space is one of the

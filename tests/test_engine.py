@@ -21,7 +21,6 @@ from appellseq.engine import (
     appell_polynomial,
     compute_D,
     cross_verify,
-    first_disagreement,
     first_disagreement_pairs,
     polynomial_derivative,
     polynomial_eval,
@@ -50,6 +49,17 @@ def sequence_strategy(max_len=9):
 
 def bernoulli_seq(n_max):
     return family_coefficients(FamilySpec.bernoulli(), n_max)
+
+
+def pair(D):
+    """A D table as the numerators and denominators the kernels take."""
+    return [x.numerator for x in D], [x.denominator for x in D]
+
+
+def composition_table(D, n):
+    """The composition kernel on D's numerators and denominators, each
+    value reduced once."""
+    return list(map(F, *engine.composition_numerators(*pair(D), n)))
 
 
 CATALOG = [
@@ -120,14 +130,6 @@ class TestComputeD:
         D = compute_D(bernoulli_seq(12), 2).D
         assert recurrence_values((F(5),) + D[1:], 12) == recurrence_values(D, 12)
 
-    def test_routes_take_a_shared_table(self):
-        seq = bernoulli_seq(10)
-        D = compute_D(seq, 2, 10).D
-        assert related_numbers_recurrence(seq, 2, 10, D=D) == related_numbers_recurrence(seq, 2, 10)
-        assert related_numbers_determinant(seq, 2, 10, D=D) == related_numbers_determinant(seq, 2, 10)
-        with pytest.raises(ValueError, match="D"):
-            related_numbers_recurrence(seq, 2, 10, D=D[:10])
-
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             compute_D(bernoulli_seq(3), 0)
@@ -190,6 +192,18 @@ class TestRouteAgreement:
         with pytest.raises(TypeError):
             related_numbers_determinant(bernoulli_seq(3), 1, kernel="bareiss")
 
+    def test_d_table_and_stats_arguments_are_gone(self):
+        # every route computes D_r itself, from f^r's (M, Q)
+        seq = bernoulli_seq(3)
+        D = compute_D(seq, 1, 3).D
+        for route in (
+            related_numbers_recurrence, related_numbers_composition, related_numbers_determinant,
+        ):
+            with pytest.raises(TypeError):
+                route(seq, 1, 3, D=D)
+        with pytest.raises(TypeError):
+            related_numbers_determinant(seq, 1, 3, stats={})
+
     def test_composition_cap(self):
         seq = bernoulli_seq(DEFAULT_COMPOSITION_CAP + 1)
         with pytest.raises(CombinatorialBlowupError):
@@ -229,8 +243,7 @@ class TestRouteAgreement:
     def test_composition_matches_partition_oracle_on_catalog(self, spec, r):
         seq = family_coefficients(spec, 22)
         D = compute_D(seq, r, 22).D
-        got = related_numbers_composition(seq, r, 22, D=D).a
-        assert list(got) == oracles.composition_by_partitions(D, 22)
+        assert composition_table(D, 22) == oracles.composition_by_partitions(D, 22)
 
     @pytest.mark.parametrize(
         "spec, r", [(FamilySpec.bernoulli(), 1), (FamilySpec.hyper_cauchy(2, 3), 2)]
@@ -238,7 +251,7 @@ class TestRouteAgreement:
     def test_composition_at_n_34(self, spec, r):
         seq = family_coefficients(spec, 34)
         D = compute_D(seq, r, 34).D
-        assert list(related_numbers_composition(seq, r, 34, D=D).a) == recurrence_values(D, 34)
+        assert composition_table(D, 34) == recurrence_values(D, 34)
 
 
 sparse_tables = st.lists(
@@ -255,8 +268,8 @@ class TestCompositionTriangle:
         seq = family_coefficients(spec, 34)
         for r in (1, 2, 3, 7):
             D = compute_D(seq, r, 34).D
-            got = related_numbers_composition(seq, r, 34, D=D).a
-            assert list(got) == oracles.composition_by_partition_walk(D, 34), r
+            got = composition_table(D, 34)
+            assert got == oracles.composition_by_partition_walk(D, 34), r
 
     @pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.label)
     def test_equals_production_table_to_60(self, spec):
@@ -271,8 +284,7 @@ class TestCompositionTriangle:
         # at least half of D(1..n) is zero, so most products vanish
         D = (F(1), *rest)
         n = len(rest)
-        seq = CoefficientSequence.from_values([1] * (n + 1))  # only its length is read
-        got = list(related_numbers_composition(seq, 1, n, D=D).a)
+        got = composition_table(D, n)
         assert got == oracles.composition_by_partition_walk(D, n)
         assert got == oracles.composition_by_partitions(D, n)
         assert got == recurrence_values(D, n)
@@ -294,7 +306,7 @@ class TestCompositionTriangle:
             (engine, "bareiss_numerators"),
         ):
             monkeypatch.setattr(owner, name, must_not_run)
-        assert list(related_numbers_composition(seq, 3, 20, D=D).a) == expected
+        assert composition_table(D, 20) == expected
 
 
 class TestProductionRoute:
@@ -333,7 +345,7 @@ class TestCrossVerify:
         assert report.agree
         assert report.first_mismatch is None
         assert "all 4 routes agree" in report.describe()
-        assert set(report.tables) == {
+        assert set(report.pairs) == {
             RECURRENCE,
             DETERMINANT_BAREISS,
             COMPOSITION,
@@ -344,8 +356,8 @@ class TestCrossVerify:
         # past the cap the composition route shortens instead of raising
         report = cross_verify(bernoulli_seq(15), 1, 15, cap=10)
         assert report.agree
-        assert len(report.tables[COMPOSITION]) == 11
-        assert len(report.tables[NEGATIVE_POWER]) == 16
+        assert len(report.table(COMPOSITION)) == 11
+        assert len(report.table(NEGATIVE_POWER)) == 16
 
     def test_capped_report_names_composition_range(self):
         report = cross_verify(bernoulli_seq(14), 1, 14, cap=8)
@@ -376,17 +388,11 @@ class TestCrossVerify:
         assert report.describe() == f"routes disagree first at n=5 (r={r})"
 
     def test_first_disagreement_detects_doctored_table(self):
-        good = (F(1), F(-1, 2), F(1, 6))
-        bad = (F(1), F(-1, 2), F(1, 7))
-        assert first_disagreement({"a": good, "b": good}) is None
-        assert first_disagreement({"a": good, "b": bad}) == 2
-        # shorter tables only constrain the indices they cover
-        assert first_disagreement({"a": good, "b": good[:2]}) is None
-        assert first_disagreement({"a": good, "b": (F(1), F(1, 3))}) == 1
+        pairs = {"a": ([1, -1, 1], [1, 2, 6]), "b": ([1, -1, 1], [1, 2, 7])}
         report = VerificationReport(
-            r=1, n_max=2, pairs={"a": ([1, -1, 1], [1, 2, 6]), "b": ([1, -1, 1], [1, 2, 7])},
-            first_mismatch=2,
+            r=1, n_max=2, pairs=pairs, first_mismatch=first_disagreement_pairs(pairs)
         )
+        assert report.first_mismatch == 2
         assert not report.agree
         assert "disagree first at n=2" in report.describe()
 
@@ -401,6 +407,15 @@ class TestIntegerComparison:
         assert first_disagreement_pairs({"a": ([-3], [6]), "b": ([-1], [2])}) is None
         assert first_disagreement_pairs({"a": ([1, -3], [1, 6]), "b": ([1, 1], [1, 2])}) == 1
         assert first_disagreement_pairs({"a": ([0, 4], [5, 8]), "b": ([0, 1], [1, 2])}) is None
+
+    def test_doctored_table_is_found_at_its_index(self):
+        good = ([1, -1, 1], [1, 2, 6])
+        bad = ([1, -1, 1], [1, 2, 7])
+        assert first_disagreement_pairs({"a": good, "b": good}) is None
+        assert first_disagreement_pairs({"a": good, "b": bad}) == 2
+        # shorter tables only constrain the indices they cover
+        assert first_disagreement_pairs({"a": good, "b": ([1, -1], [1, 2])}) is None
+        assert first_disagreement_pairs({"a": good, "b": ([1, 1], [1, 3])}) == 1
 
     def test_unequal_lengths_compare_the_shared_prefix(self):
         full = ([1, 2, 3], [1, 1, 1])
@@ -449,7 +464,8 @@ class TestIntegerComparison:
         expected = related_numbers_negative_power(seq, 3, 14).a
         for name in report.pairs:
             assert report.table(name) == expected, name
-        assert report.tables == {name: expected for name in report.pairs}
+        tables = {name: report.table(name) for name in report.pairs}
+        assert tables == {name: expected for name in report.pairs}
         # a report is made without building a Fraction from any table
         built = []
         real_new = F.__new__
@@ -500,7 +516,7 @@ class TestCompositionWorkBound:
         with monkeypatch.context() as patch:
             patch.setattr(engine, "composition_numerators", must_not_run)
             with pytest.raises(CombinatorialBlowupError, match="n_max=20: .* at n=13$"):
-                related_numbers_composition(seq, 2, 20, D=D)
+                related_numbers_composition(seq, 2, 20)
         assert related_numbers_composition(seq, 2, 12).a == related_numbers_negative_power(
             seq, 2, 12
         ).a
