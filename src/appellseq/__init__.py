@@ -15,16 +15,8 @@ determinant by Bareiss elimination.
 from .arith import (
     DEFAULT_COMPOSITION_CAP,
     CombinatorialBlowupError,
-    binomial,
-    compositions,
     format_rational,
     parse_rational,
-    rising_factorial,
-)
-from .determinants import (
-    bareiss_det,
-    bareiss_leading_minors,
-    hessenberg_leading_minors,
 )
 from .engine import (
     AppellPolynomial,
@@ -36,7 +28,6 @@ from .engine import (
     appell_polynomial,
     compute_D,
     cross_verify,
-    polynomial_derivative,
     polynomial_eval,
     related_numbers_composition,
     related_numbers_determinant,
@@ -70,22 +61,15 @@ __all__ = [
     "TruncatedSeries",
     "VerificationReport",
     "appell_polynomial",
-    "bareiss_det",
-    "bareiss_leading_minors",
-    "binomial",
-    "compositions",
     "compute_D",
     "cross_verify",
     "family_coefficients",
     "format_rational",
-    "hessenberg_leading_minors",
     "load_custom_family",
     "parse_rational",
-    "polynomial_derivative",
     "polynomial_eval",
     "related_numbers_composition",
     "related_numbers_determinant",
     "related_numbers_negative_power",
     "related_numbers_recurrence",
-    "rising_factorial",
 ]

@@ -4,9 +4,7 @@ Every numeric value in this package is a `fractions.Fraction`: arbitrary
 precision, stored in lowest terms with a positive denominator, so equality
 is structural and safe for cross-algorithm comparison.  The helpers here
 add the wire format ("p/q" strings), the lift of a list of rationals to
-integer numerators over one denominator, the binomial convention used by
-the Hasse-Teichmueller derivative, rising factorials and composition
-enumeration.
+integer numerators over one denominator, and composition enumeration.
 """
 
 from __future__ import annotations
@@ -98,26 +96,6 @@ def lift(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """L = lcm(den xs) and the integer numerators x L."""
     L = math.lcm(*(x.denominator for x in xs))
     return L, [x.numerator * (L // x.denominator) for x in xs]
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the convention that k < 0 or k > n gives 0."""
-    if n < 0:
-        raise ValueError(f"binomial needs n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def rising_factorial(x: RationalLike, n: int) -> Fraction:
-    """Rising factorial x(x+1)...(x+n-1); the empty product (n = 0) is 1."""
-    if n < 0:
-        raise ValueError(f"rising_factorial needs n >= 0, got {n}")
-    x = Fraction(x)
-    out = Fraction(1)
-    for i in range(n):
-        out *= x + i
-    return out
 
 
 def compositions(

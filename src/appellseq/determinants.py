@@ -14,22 +14,26 @@ Two kernels evaluate it; neither builds the matrix:
 * `bareiss_numerators`, the kernel of the determinant route, clears
   the denominators of each row by that row's own lcm and runs
   fraction-free (Bareiss) elimination over big integers on the band of
-  the matrix, algebraically independent of the recurrences.  Each pivot
-  is a leading minor, so one pass yields the whole table, zero minors
-  included.  A pivot row of a Hessenberg matrix has only two nonzero
-  entries, so each step updates one integer per row below it: O(n^2)
-  products and no division.  It takes D as integer numerators and
-  denominators and returns each minor as a pivot over its scale, the
-  product of the row lifts, unreduced: `engine.cross_verify` compares
-  them as they are.  `bareiss_leading_minors` reduces them to Fractions
-  and `bareiss_det` is its last minor.
+  the matrix.  Each pivot is a leading minor, so one pass yields the
+  whole table, zero minors included.  A pivot row of a Hessenberg
+  matrix has only two nonzero entries, so each step updates one integer
+  per row below it: O(n^2) products and no division.  It takes D as
+  integer numerators and denominators and returns each minor as a pivot
+  over its scale, the product of the row lifts, unreduced:
+  `engine.cross_verify` compares them as they are.  `bareiss_det`
+  reduces the last one.  The pass shares no code with the Miller loop,
+  but it is not a different formula: without its lifts the update is
+  c_i <- D(i-k) det_{k+1} - c_i, which ends in exactly the cofactor
+  recurrence below, run forward.  As a witness it checks the integer
+  bookkeeping (lifts, gcds, rescales) of the other routes, not their
+  algebra.
 * `hessenberg_leading_minors` takes every leading minor from the
   cofactor expansion along the first row, det_n = sum_{l=1..n}
   (-1)^(l-1) D(l) det_{n-l}.  That is (-1)^n times the series-inversion
   recurrence, so it is one O(n^2) run of `series.exponential_power` at
-  the power -1: the same sum as the related-number recurrence, not a
-  check on it.  No route runs it; the tests use it as the reference for
-  the minor recurrence.
+  the power -1, and `engine.recurrence_values` reads a_n = (-1)^n n!
+  det_n off it.  No route runs either; the tests use them as the
+  reference for the recurrence.
 """
 
 from __future__ import annotations
@@ -66,23 +70,6 @@ def hessenberg_leading_minors(
     fact = list(accumulate(range(1, n_max + 1), mul, initial=1))
     M, Q = exponential_power([_ONE, *map(mul, fact[1:], D[1 : n_max + 1])], -1, stats)
     return [Fraction(-m if n & 1 else m, Q * f) for n, (m, f) in enumerate(zip(M, fact))]
-
-
-def bareiss_leading_minors(
-    D: Sequence[Fraction],
-    n_max: int,
-    stats: Optional[StatsDict] = None,
-) -> list[Fraction]:
-    """Leading principal minors det_0=1, det_1, ..., det_{n_max}, by
-    `bareiss_numerators` on the numerators and denominators of D, each
-    minor reduced once."""
-    if len(D) <= n_max:
-        raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
-    D = D[: n_max + 1]
-    pivots, scales = bareiss_numerators(
-        [x.numerator for x in D], [x.denominator for x in D], n_max, stats
-    )
-    return list(map(Fraction, pivots, scales))
 
 
 def bareiss_numerators(
@@ -145,6 +132,10 @@ def bareiss_det(
     n: int,
     stats: Optional[StatsDict] = None,
 ) -> Fraction:
-    """det of the n x n Hessenberg matrix over D(1)..D(n): the last
-    leading minor from `bareiss_leading_minors` (1 at n = 0)."""
-    return bareiss_leading_minors(D, n, stats)[-1]
+    """det of the n x n Hessenberg matrix over D(1)..D(n) (1 at n = 0):
+    the last pivot of `bareiss_numerators` over its scale."""
+    D = D[: n + 1]
+    pivots, scales = bareiss_numerators(
+        [x.numerator for x in D], [x.denominator for x in D], n, stats
+    )
+    return Fraction(pivots[-1], scales[-1])

@@ -71,16 +71,13 @@ from .arith import (
 from .determinants import (
     bareiss_det,  # unused here; perfbench/spans.py wraps engine.bareiss_det
     bareiss_numerators,
-    hessenberg_leading_minors,  # unused here; perfbench/spans.py wraps it
+    hessenberg_leading_minors,
 )
 from .series import (  # TruncatedSeries for perfbench/spans.py
     TruncatedSeries,
     exponential_power,
     exponential_power_numerators,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 RECURRENCE = "recurrence"
 COMPOSITION = "composition"
@@ -219,16 +216,14 @@ def recurrence_values(
     route calls it; perfbench/spans.py wraps engine.recurrence_values).
 
     a_n/n! = -sum_{m<n} D(n-m) a_m/m! is [t^n] of the inverse of
-    1 + sum_{k>=1} D(k) t^k (D(0) is not read): Miller's loop at the
-    power -1 on the exponential coefficients 1, 1! D(1), 2! D(2), ...
-    gives a_n itself.  `stats` gets "max_num_bits" from
-    `exponential_power`: the bit length of its largest dot product |S|.
+    1 + sum_{k>=1} D(k) t^k (D(0) is not read), so a_n = (-1)^n n! det_n
+    over the leading minors of `hessenberg_leading_minors`, which runs
+    that loop and records its "max_num_bits" in `stats`.
     """
-    if len(D) <= n_max:
-        raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
-    fact = _factorials(n_max)
-    M, Q = exponential_power([_ONE, *map(mul, fact[1:], D[1 : n_max + 1])], -1, stats)
-    return [Fraction(m, Q) for m in M]
+    minors = hessenberg_leading_minors(D, n_max, stats=stats)
+    return [
+        -f * x if n & 1 else f * x for n, (f, x) in enumerate(zip(_factorials(n_max), minors))
+    ]
 
 
 def _reduced(pair: tuple[Sequence[int], Sequence[int]]) -> tuple[Fraction, ...]:
@@ -348,7 +343,8 @@ def related_numbers_determinant(
 
     Every leading minor M_1..M_{n_max} comes from one O(n^2) pass of
     fraction-free elimination on the band of M_{n_max}, which never
-    builds the matrix and shares no step with the recurrence.
+    builds the matrix and shares no code with the Miller loop, though
+    it is the cofactor recurrence run forward (see `determinants`).
     """
     n_max = seq._resolve(n_max)
     num, den = reduced_power_table(*power_numerators(seq, r, n_max))
@@ -532,10 +528,3 @@ def polynomial_eval(p: AppellPolynomial, z) -> Fraction:
     z = Fraction(z)
     Q, N = lift(p.coeffs_in_z)
     return Fraction(horner_numerator(N, z.numerator, z.denominator), Q * z.denominator**p.n)
-
-
-def polynomial_derivative(p: AppellPolynomial) -> tuple[Fraction, ...]:
-    """Formal d/dz of the coefficient vector (ascending powers)."""
-    if p.n == 0:
-        return (_ZERO,)
-    return tuple(j * p.coeffs_in_z[j] for j in range(1, p.n + 1))

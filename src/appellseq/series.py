@@ -28,7 +28,7 @@ from itertools import accumulate
 from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import StatsDict, binomial, lift
+from .arith import StatsDict, lift
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -150,17 +150,16 @@ class TruncatedSeries:
             return TruncatedSeries.constant(_ZERO, self.order)
         return TruncatedSeries([_ZERO] * shift + _power(c[v : v + len(c) - shift], r))
 
-    def inverse(self, stats: Optional[StatsDict] = None) -> "TruncatedSeries":
+    def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the truncation order.
 
         b_0 = 1/a_0 and b_n = -(1/a_0) * sum_{m<n} a_{n-m} b_m, run as the
-        power -1, where Miller's weight is -C(n, k).  `stats` gets
-        "max_num_bits", the largest |S|.bit_length() of `exponential_power`.
+        power -1, where Miller's weight is -C(n, k).
         """
         a = self.coeffs
         if a[0] == 0:
             raise NotInvertibleError("series with zero constant term has no inverse")
-        return TruncatedSeries(_power(a, -1, stats))
+        return TruncatedSeries(_power(a, -1))
 
     def ht(self, n: int) -> "TruncatedSeries":
         """Hasse-Teichmueller derivative of order n.
@@ -174,7 +173,7 @@ class TruncatedSeries:
         if n == 0:
             return self
         cs = self.coeffs
-        out = [cs[m] * binomial(m, n) for m in range(n, len(cs))]
+        out = [cs[m] * math.comb(m, n) for m in range(n, len(cs))]
         if not out:
             out = [_ZERO]
         return TruncatedSeries(out)
@@ -248,10 +247,10 @@ def exponential_power_numerators(
     return M, Q
 
 
-def _power(c: Sequence[Fraction], r: int, stats: Optional[StatsDict] = None) -> list[Fraction]:
+def _power(c: Sequence[Fraction], r: int) -> list[Fraction]:
     """Ordinary coefficients c_0^r G_n / n! of c^r, c_0 != 0, where G is
     `exponential_power` of F_k = k! c_k / c_0."""
     fact = list(accumulate(range(1, len(c)), mul, initial=1))
-    M, Q = exponential_power([x * f / c[0] for x, f in zip(c, fact)], r, stats)
+    M, Q = exponential_power([x * f / c[0] for x, f in zip(c, fact)], r)
     scale = c[0] ** r
     return [Fraction(scale.numerator * m, scale.denominator * Q * f) for m, f in zip(M, fact)]

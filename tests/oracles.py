@@ -82,7 +82,7 @@ def gauss_det(matrix):
 
 # The Hessenberg matrix itself and Bareiss elimination of a general
 # matrix, with row swaps past zero pivots: the reference that the band
-# kernel `determinants.bareiss_leading_minors` is tested against.
+# kernel `determinants.bareiss_numerators` is tested against.
 
 
 def related_matrix(D, n):
@@ -288,6 +288,24 @@ def appell_coefficients(a, n):
 def appell_value(a, n, z):
     """A_n(z) = sum_m C(n, m) a_m z^(n-m), summed term by term."""
     return sum((math.comb(n, m) * a[m] * z ** (n - m) for m in range(n + 1)), ZERO)
+
+
+def polynomial_derivative(p):
+    """Formal d/dz of the coefficient vector (ascending powers)."""
+    if p.n == 0:
+        return (ZERO,)
+    return tuple(j * p.coeffs_in_z[j] for j in range(1, p.n + 1))
+
+
+def rising_factorial(x, n):
+    """Rising factorial x(x+1)...(x+n-1); the empty product (n = 0) is 1."""
+    if n < 0:
+        raise ValueError(f"rising_factorial needs n >= 0, got {n}")
+    x = Fraction(x)
+    out = Fraction(1)
+    for i in range(n):
+        out *= x + i
+    return out
 
 
 def weak_D(d, r, e):

@@ -14,13 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from appellseq.arith import rising_factorial
 from appellseq.engine import (
     CoefficientSequence,
     appell_polynomial,
     compute_D,
     cross_verify,
-    polynomial_derivative,
     polynomial_eval,
     related_numbers_determinant,
     related_numbers_negative_power,
@@ -29,7 +27,13 @@ from appellseq.engine import (
 from appellseq.families import FamilySpec, family_coefficients
 
 import oracles
-from oracles import alt_power_sum_check, classical_cauchy_oracle, power_sum_check
+from oracles import (
+    alt_power_sum_check,
+    classical_cauchy_oracle,
+    polynomial_derivative,
+    power_sum_check,
+    rising_factorial,
+)
 
 F = Fraction
 SEED = 746353

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from appellseq.arith import (
     DEFAULT_COMPOSITION_CAP,
     CombinatorialBlowupError,
-    binomial,
     compositions,
     format_rational,
     parse_rational,
-    rising_factorial,
 )
 
-from oracles import partitions
+from oracles import partitions, rising_factorial
 
 
 class TestParseRational:
@@ -75,22 +73,6 @@ class TestFormatRational:
     def test_round_trip(self, p, q):
         x = Fraction(p, q)
         assert parse_rational(format_rational(x)) == x
-
-
-class TestBinomial:
-    def test_matches_math_comb_in_range(self):
-        for n in range(10):
-            for k in range(n + 1):
-                assert binomial(n, k) == math.comb(n, k)
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(5, -1) == 0
-        assert binomial(5, 6) == 0
-        assert binomial(0, 1) == 0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
 
 
 class TestRisingFactorial:

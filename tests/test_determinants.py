@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from appellseq import engine, series
 from appellseq.determinants import (
     bareiss_det,
-    bareiss_leading_minors,
+    bareiss_numerators,
     hessenberg_leading_minors,
 )
 from appellseq.engine import compute_D, determinant_numerators, related_numbers_recurrence
@@ -21,6 +21,19 @@ from oracles import bareiss_matrix_det, bareiss_matrix_minors, related_matrix
 F = Fraction
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def bareiss_leading_minors(D, n_max, stats=None):
+    """Leading principal minors det_0=1, det_1, ..., det_{n_max}, by
+    `bareiss_numerators` on the numerators and denominators of D, each
+    minor reduced once."""
+    if len(D) <= n_max:
+        raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
+    D = D[: n_max + 1]
+    pivots, scales = bareiss_numerators(
+        [x.numerator for x in D], [x.denominator for x in D], n_max, stats
+    )
+    return list(map(Fraction, pivots, scales))
 
 
 def matrix_strategy(max_n=5):

@@ -22,7 +22,6 @@ from appellseq.engine import (
     compute_D,
     cross_verify,
     first_disagreement_pairs,
-    polynomial_derivative,
     polynomial_eval,
     recurrence_values,
     related_numbers_composition,
@@ -33,7 +32,7 @@ from appellseq.engine import (
 from appellseq.families import FamilySpec, family_coefficients, load_custom_family
 
 import oracles
-from oracles import alt_power_sum_check, power_sum_check
+from oracles import alt_power_sum_check, polynomial_derivative, power_sum_check
 
 F = Fraction
 
@@ -623,3 +622,26 @@ class TestPowerSums:
             power_sum_check(2, 0)
         with pytest.raises(ValueError):
             alt_power_sum_check(2, 0)
+
+
+class TestPackageSurface:
+    def test_star_import_binds_exactly_all(self):
+        import appellseq
+
+        namespace = {}
+        exec("from appellseq import *", namespace)
+        del namespace["__builtins__"]
+        assert len(appellseq.__all__) == len(set(appellseq.__all__))
+        assert set(namespace) == set(appellseq.__all__)
+
+    def test_test_helpers_are_not_exported(self):
+        # reached only by tests or by the benchmark's tracer, which reads
+        # them from `engine`
+        import appellseq
+
+        for name in (
+            "binomial", "rising_factorial", "polynomial_derivative",
+            "bareiss_leading_minors", "bareiss_det", "compositions",
+            "hessenberg_leading_minors",
+        ):
+            assert name not in appellseq.__all__, name

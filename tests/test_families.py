@@ -74,7 +74,7 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 1), (4, 7)])
     def test_hypergeometric_match_rising_factorial_forms(self, m, n):
-        from appellseq.arith import rising_factorial
+        from oracles import rising_factorial
 
         bern = family_coefficients(FamilySpec.hyper_bernoulli(m, n), 30).d
         cauchy = family_coefficients(FamilySpec.hyper_cauchy(m, n), 30).d
@@ -140,7 +140,7 @@ class TestTelescoping:
     def test_rising_factorial_ratio_collapses(self):
         # (N)^(n) / (N+1)^(n) = N / (N+n), the step that turns the
         # hypergeometric Cauchy coefficients into the display entries
-        from appellseq.arith import rising_factorial
+        from oracles import rising_factorial
 
         for N in range(1, 6):
             for n in range(11):
