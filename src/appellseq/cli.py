@@ -56,21 +56,11 @@ MAX_N = 10_000
 MAX_ORDER_WORK = 2**16
 
 
-#: --algo -> (the cross_verify table it prints under --check, the route
-#: that computes that table alone from a sequence and a RunConfig)
+#: --algo -> the route whose table `compute` prints, checked or not
 ROUTES = {
-    "recurrence": (
-        engine.NEGATIVE_POWER,
-        lambda seq, c: engine.related_numbers_negative_power(seq, c.order, c.n_max).a,
-    ),
-    "determinant": (
-        engine.DETERMINANT_BAREISS,
-        lambda seq, c: engine.related_numbers_determinant(seq, c.order, c.n_max).a,
-    ),
-    "composition": (
-        engine.COMPOSITION,
-        lambda seq, c: engine.related_numbers_composition(seq, c.order, c.n_max, cap=c.cap).a,
-    ),
+    "recurrence": engine.NEGATIVE_POWER,
+    "determinant": engine.DETERMINANT_BAREISS,
+    "composition": engine.COMPOSITION,
 }
 
 
@@ -97,32 +87,25 @@ class RunConfig:
             raise ValueError(f"--n must be >= 0, got {self.n_max}")
         if self.n_max > MAX_N:
             raise ValueError(f"--n must be <= {MAX_N}, got {self.n_max}")
-        bits = self.order.bit_length()
-        if self.n_max * bits > MAX_ORDER_WORK:
-            raise ValueError(
-                f"--n times the bit length of --order must be <= {MAX_ORDER_WORK}, "
-                f"got {self.n_max} * {bits}"
-            )
-        if self.family.kind in (families.HYPER_BERNOULLI, families.HYPER_CAUCHY):
-            m_bits, nn_bits = self.family.m.bit_length(), self.family.n.bit_length()
-            if self.n_max * (m_bits + nn_bits) > MAX_ORDER_WORK:
-                raise ValueError(
-                    f"--n times the bit lengths of --m and --nn must be <= "
-                    f"{MAX_ORDER_WORK}, got {self.n_max} * ({m_bits} + {nn_bits})"
-                )
-        if self.family.kind == families.CUSTOM:
-            bits = max(
-                d.numerator.bit_length() + d.denominator.bit_length()
-                for d in self.family.values[: self.n_max + 1]
-            )
-            if self.n_max * bits > MAX_ORDER_WORK:
-                raise ValueError(
-                    f"--n times the largest bit length of numerator plus denominator "
-                    f"of the --custom-path values d_0..d_n must be <= {MAX_ORDER_WORK}, "
-                    f"got {self.n_max} * {bits}"
-                )
+        n, spec = self.n_max, self.family
+        admit(n, "the bit length of --order", self.order.bit_length())
+        if spec.kind in (families.HYPER_BERNOULLI, families.HYPER_CAUCHY):
+            admit(n, "the bit lengths of --m and --nn", spec.m.bit_length(), spec.n.bit_length())
+        if spec.kind == families.CUSTOM:
+            bits = max(d.numerator.bit_length() + d.denominator.bit_length()
+                       for d in spec.values[: n + 1])
+            admit(n, "the largest bit length of numerator plus denominator of the "
+                  "--custom-path values d_0..d_n", bits)
         if self.cap < 0:
             raise ValueError(f"--cap must be >= 0, got {self.cap}")
+
+
+def admit(n: int, what: str, *bits: int) -> None:
+    """Refuse a request whose --n times the sum of `bits` passes
+    MAX_ORDER_WORK, with a ValueError that says what was measured."""
+    if n * sum(bits) > MAX_ORDER_WORK:
+        got = bits[0] if len(bits) == 1 else f"({' + '.join(map(str, bits))})"
+        raise ValueError(f"--n times {what} must be <= {MAX_ORDER_WORK}, got {n} * {got}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,18 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def family_from_args(args: argparse.Namespace) -> FamilySpec:
-    name = args.family
-    if name == "bernoulli":
-        return FamilySpec.bernoulli()
-    if name == "euler":
-        return FamilySpec.euler()
-    if name == "hyper-bernoulli":
-        return FamilySpec.hyper_bernoulli(args.m, args.nn)
-    if name == "hyper-cauchy":
-        return FamilySpec.hyper_cauchy(args.m, args.nn)
+    if args.family != "custom":
+        return FamilySpec(args.family.replace("-", "_"), args.m, args.nn)
     if not args.custom_path:
         raise ValueError("--family custom requires --custom-path")
-    return load_custom_family(args.custom_path)
+    return load_custom_family(args.custom_path, args.n)
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -226,26 +202,22 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     config = config_from_args(args)
-    if config.algorithm == "composition":
-        # before the family or any route is computed
-        engine.check_composition_cap(config.n_max, config.cap)
-    seq = family_coefficients(config.family, config.n_max)
-    route, compute_alone = ROUTES[config.algorithm]
-    if not config.check:
-        emit_table(compute_alone(seq, config), config)
-        return EXIT_OK
-    if config.algorithm == "composition":
-        # the composition table is printed, so a leg that would stop short
-        # of --n at its work bound is refused as soon as D_r is known
-        report = engine._cross_verify(
-            seq, config.order, config.n_max, config.cap, whole_composition=True
-        )
+    route, cap, n = ROUTES[config.algorithm], config.cap, config.n_max
+    if route == engine.COMPOSITION:
+        # refused past --cap before the family is built; the printed table
+        # must then be whole, and is refused at its work bound once D_r is
+        # known, before any route runs
+        engine.check_composition_cap(n, cap)
+        cap = None
+    seq = family_coefficients(config.family, n)
+    if config.check:
+        report = cross_verify(seq, config.order, n, cap=cap)
     else:
-        report = cross_verify(seq, config.order, config.n_max, cap=config.cap)
+        report = engine.run_routes(seq, config.order, n, (route,), cap)
     if not report.agree:
         print(f"cross-verification failed: {report.describe()}", file=sys.stderr)
         return EXIT_MISMATCH
-    emit_table(report.table(route), config, verified=report.coverage)
+    emit_table(report.table(route), config, verified=report.coverage if config.check else None)
     return EXIT_OK
 
 
@@ -275,12 +247,8 @@ def parse_z(text: str, n: int) -> Fraction:
     """The evaluation point p/q of `poly`, refused when n * (bits(p) +
     bits(q)) passes MAX_ORDER_WORK."""
     z = parse_rational(text)
-    p_bits, q_bits = z.numerator.bit_length(), z.denominator.bit_length()
-    if n * (p_bits + q_bits) > MAX_ORDER_WORK:
-        raise ValueError(
-            f"--n times the bit lengths of the numerator and denominator of --z "
-            f"must be <= {MAX_ORDER_WORK}, got {n} * ({p_bits} + {q_bits})"
-        )
+    what = "the bit lengths of the numerator and denominator of --z"
+    admit(n, what, z.numerator.bit_length(), z.denominator.bit_length())
     return z
 
 
@@ -302,38 +270,28 @@ def cmd_poly(args: argparse.Namespace) -> int:
     else:
         H = engine.horner_numerator(N, z.numerator, z.denominator)
         value = format_rational(Fraction(H, Q * z.denominator**n))
-        doc["z"] = args.z
+        doc["z"] = format_rational(z)
         doc["value"] = value
         text = value
     print(json.dumps(doc, indent=2) if config.fmt == "json" else text)
     return EXIT_OK
 
 
-@dataclass
-class BenchCell:
-    seconds: float
-    max_num_bits: int
-    value: Fraction
-
-
-@dataclass
-class BenchRow:
-    n: int
-    cells: dict[str, BenchCell]
-
-
-def run_benchmark(spec: FamilySpec, r: int, n_max: int) -> list[BenchRow]:
+def run_benchmark(
+    spec: FamilySpec, r: int, n_max: int
+) -> list[tuple[int, dict[str, tuple[float, int, Fraction]]]]:
     """Per-n wall time and peak intermediate size of each kernel that
-    `--check` runs, on its table to n.
+    `--check` runs, on its table to n: rows (n, {kernel: (seconds,
+    max_num_bits, a_n)}).
 
     The production route's `negative_power_numerators` (Miller's loop on
     f^(-r)), Bareiss's `determinant_numerators` and, for r >= 2, the
     paper's D_r recurrence (the loop at the power -1 on n! D_r(n)) are
     different computations; at r = 1 that recurrence is the production
     loop on the same input, so it is not run.  f^r, the reduced D_r and
-    the recurrence's lifted input are prepared outside the timers.  All
-    kernels must produce identical values; otherwise no timings are
-    reported.
+    the recurrence's lifted input are prepared outside the timers.  The
+    kernels' a_n are compared at each n as it is timed; on any
+    disagreement no timings are reported.
     """
     seq = family_coefficients(spec, n_max)
     M, Q = engine.power_numerators(seq, r, n_max)
@@ -342,23 +300,20 @@ def run_benchmark(spec: FamilySpec, r: int, n_max: int) -> list[BenchRow]:
     rows = []
     for n in range(n_max + 1):
         dt, bits, (A, QA) = _timed(engine.negative_power_numerators, seq, r, n)
-        cells = {"negative_power": BenchCell(dt, bits, Fraction(A[n], QA))}
+        cells = {"negative_power": (dt, bits, Fraction(A[n], QA))}
         dt, bits, (signed, scales) = _timed(engine.determinant_numerators, num, den, n)
-        cells["bareiss"] = BenchCell(dt, bits, Fraction(signed[n], scales[n]))
+        cells["bareiss"] = (dt, bits, Fraction(signed[n], scales[n]))
         if r > 1:
             L = math.lcm(L, Q // math.gcd(M[n], Q))
             P = [m // (Q // L) for m in M[: n + 1]]
             dt, bits, (A, QA) = _timed(engine.exponential_power_numerators, P, L, -1)
-            cells["recurrence"] = BenchCell(dt, bits, Fraction(A[n], QA))
-        rows.append(BenchRow(n=n, cells=cells))
-
-    for row in rows:
-        values = {m: c.value for m, c in row.cells.items()}
-        if len(set(values.values())) != 1:
-            detail = ", ".join(f"{m}={format_rational(v)}" for m, v in values.items())
+            cells["recurrence"] = (dt, bits, Fraction(A[n], QA))
+        if len({value for _, _, value in cells.values()}) != 1:
+            detail = ", ".join(f"{m}={format_rational(v)}" for m, (_, _, v) in cells.items())
             raise KernelMismatchError(
-                f"kernel disagreement at n={row.n}: {detail}; refusing to emit timings"
+                f"kernel disagreement at n={n}: {detail}; refusing to emit timings"
             )
+        rows.append((n, cells))
     return rows
 
 
@@ -373,18 +328,15 @@ def _timed(kernel: Callable, *args) -> tuple[float, int, tuple]:
 def cmd_bench(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     rows = run_benchmark(config.family, config.order, config.n_max)
-    methods = list(rows[0].cells)  # the kernels actually run, in run order
     header = ["n"]
-    for method in methods:
+    for method in rows[0][1]:  # the kernels actually run, in run order
         header += [f"{method}_seconds", f"{method}_max_num_bits"]
-    header.append("value")
-    lines = [",".join(header)]
-    for row in rows:
-        cols = [str(row.n)]
-        for method in methods:
-            cell = row.cells[method]
-            cols += [f"{cell.seconds:.6f}", str(cell.max_num_bits)]
-        cols.append(format_rational(row.cells["negative_power"].value))
+    lines = [",".join([*header, "value"])]
+    for n, cells in rows:
+        cols = [str(n)]
+        for seconds, bits, _ in cells.values():
+            cols += [f"{seconds:.6f}", str(bits)]
+        cols.append(format_rational(cells["negative_power"][2]))
         lines.append(",".join(cols))
     print("\n".join(lines))
     return EXIT_OK

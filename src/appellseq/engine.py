@@ -44,11 +44,12 @@ sum lifts D_r to one common denominator itself.
 Each route has one integer kernel that returns its table as numerators
 over positive denominators, unreduced: the loops their (M, Q), Bareiss
 (+-n! p_n, s_n) (`determinant_numerators`), the composition sum
-(n! S_n, L^n) (`composition_numerators`).  It is the route's one way
-in: the `related_numbers_*` functions, `cross_verify` and the CLI's
-`bench` all run it, and the D-based kernels get D_r only from f^r's
-(M, Q) through `reduced_power_table`.  The `related_numbers_*`
-functions reduce each value to a Fraction once; `cross_verify` compares
+(n! S_n, L^n) (`composition_numerators`).  One function, `run_routes`,
+feeds them: f^r once, D_r reduced once (`reduced_power_table`), the
+composition leg cut at its cap and work bound once.  The
+`related_numbers_*` functions, `cross_verify` and the CLI all go
+through it, and the CLI's `bench` times the same kernels.  A route's
+table is reduced to Fractions once, on demand; `cross_verify` compares
 the tables by cross-multiplication and reduces none.
 """
 
@@ -235,11 +236,8 @@ def related_numbers_recurrence(
     seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> RelatedNumberTable:
     """The paper's O(n^2) recurrence over D_r, a_0 = 1; a witness: the
-    Miller loop at the power -1 on f^r's own (M, Q), n! D_r(n) = M_n / Q,
-    as `cross_verify` runs it."""
-    n_max = seq._resolve(n_max)
-    M, Q = exponential_power_numerators(*power_numerators(seq, r, n_max), -1)
-    return RelatedNumberTable(r=r, a=tuple(Fraction(m, Q) for m in M), algorithm=RECURRENCE)
+    Miller loop at the power -1 on f^r's own (M, Q), n! D_r(n) = M_n / Q."""
+    return _route_table(seq, r, n_max, RECURRENCE)
 
 
 def check_composition_cap(n_max: int, cap: int) -> None:
@@ -264,16 +262,6 @@ def composition_reach(num: Sequence[int], den: Sequence[int], n_max: int) -> int
         if m * top.bit_length() > MAX_COMPOSITION_WORK:
             return m - 1
     return n_max
-
-
-def check_composition_reach(n_max: int, reach: int) -> None:
-    """Refuse a composition table past `reach`, its `composition_reach`;
-    raises CombinatorialBlowupError."""
-    if reach < n_max:
-        raise CombinatorialBlowupError(
-            f"composition route cannot serve n_max={n_max}: n times the bit length "
-            f"of the lifted D_r(1..n) passes {MAX_COMPOSITION_WORK} at n={reach + 1}"
-        )
 
 
 def composition_numerators(
@@ -312,12 +300,8 @@ def related_numbers_composition(
     the work bound of `composition_reach`, raises
     CombinatorialBlowupError before the triangle is built.
     """
-    n_max = seq._resolve(n_max)
-    check_composition_cap(n_max, cap)
-    num, den = reduced_power_table(*power_numerators(seq, r, n_max))
-    check_composition_reach(n_max, composition_reach(num, den, n_max))
-    a = _reduced(composition_numerators(num, den, n_max))
-    return RelatedNumberTable(r=r, a=a, algorithm=COMPOSITION)
+    check_composition_cap(seq._resolve(n_max), cap)
+    return _route_table(seq, r, n_max, COMPOSITION)
 
 
 def determinant_numerators(
@@ -346,10 +330,7 @@ def related_numbers_determinant(
     builds the matrix and shares no code with the Miller loop, though
     it is the cofactor recurrence run forward (see `determinants`).
     """
-    n_max = seq._resolve(n_max)
-    num, den = reduced_power_table(*power_numerators(seq, r, n_max))
-    a = _reduced(determinant_numerators(num, den, n_max))
-    return RelatedNumberTable(r=r, a=a, algorithm=DETERMINANT_BAREISS)
+    return _route_table(seq, r, n_max, DETERMINANT_BAREISS)
 
 
 # unused here; perfbench/spans.py wraps engine.related_numbers_inversion
@@ -367,8 +348,7 @@ def related_numbers_negative_power(
     `cross_verify` runs it once; for r >= 2 it is an algebraically
     different recurrence.
     """
-    M, Q = negative_power_numerators(seq, r, n_max)
-    return RelatedNumberTable(r=r, a=tuple(Fraction(m, Q) for m in M), algorithm=NEGATIVE_POWER)
+    return _route_table(seq, r, n_max, NEGATIVE_POWER)
 
 
 def negative_power_numerators(
@@ -454,42 +434,72 @@ def cross_verify(
     seq: CoefficientSequence,
     r: int,
     n_max: Optional[int] = None,
-    cap: int = DEFAULT_COMPOSITION_CAP,
+    cap: Optional[int] = DEFAULT_COMPOSITION_CAP,
 ) -> VerificationReport:
     """Run every independent route once and compare exactly, index by index.
 
-    f^r is computed once, as (M, Q): the D-recurrence runs the Miller loop
-    on M over Q, and Bareiss and the composition sum read each
-    D_r(e) = M_e / (Q e!) reduced by one gcd.  The negative power starts
-    from f, so a fault in D_r shows too.  At r = 1 the D-recurrence is the
-    negative power's own loop on the same input, so it is left out and
-    three routes remain.  The composition route is only taken up to `cap`
-    and `composition_reach`; the others cover the full range.  No value
-    is reduced; disagreement is reported, not raised.
+    At r = 1 the D-recurrence is the negative power's own loop on the same
+    input, so it is left out and three routes remain.  The composition
+    route is only taken up to `cap` and `composition_reach`; the others
+    cover the full range.  With cap None the composition table must be
+    whole (see `run_routes`).  No value is reduced; disagreement is
+    reported, not raised.
     """
-    return _cross_verify(seq, r, seq._resolve(n_max), cap, whole_composition=False)
+    routes = (DETERMINANT_BAREISS, COMPOSITION, NEGATIVE_POWER)
+    return run_routes(seq, r, n_max, (RECURRENCE, *routes) if r > 1 else routes, cap)
 
 
-def _cross_verify(
-    seq: CoefficientSequence, r: int, n_max: int, cap: int, whole_composition: bool
+def run_routes(
+    seq: CoefficientSequence,
+    r: int,
+    n_max: Optional[int],
+    routes: Sequence[str],
+    cap: Optional[int] = None,
 ) -> VerificationReport:
-    """`cross_verify`; with `whole_composition`, a composition leg that
-    would stop short of n_max raises CombinatorialBlowupError as soon as
-    D_r is known, before any route runs."""
-    M, Q = power_numerators(seq, r, n_max)
-    num, den = reduced_power_table(M, Q)
-    reach = composition_reach(num, den, min(n_max, cap))
-    if whole_composition:
-        check_composition_reach(n_max, reach)
+    """Each of `routes` run once on (seq, r) to n_max, compared as
+    `cross_verify` compares them; the one place that feeds the routes.
+
+    f^r is computed once, as (M, Q), when a D-based route is asked for:
+    the D-recurrence runs the Miller loop on M over Q, and Bareiss and
+    the composition sum read each D_r(e) = M_e / (Q e!) reduced by one
+    gcd.  The negative power starts from f, so a fault in D_r shows too.
+    The composition leg runs to min(n_max, cap), cut short at its
+    `composition_reach`; with cap None it must reach n_max, and a work
+    bound short of it raises CombinatorialBlowupError as soon as D_r is
+    known, before any route runs.
+    """
+    n_max = seq._resolve(n_max)
     pairs = {}
-    if r > 1:
+    if set(routes) - {NEGATIVE_POWER}:
+        M, Q = power_numerators(seq, r, n_max)
+        num, den = reduced_power_table(M, Q)
+    if COMPOSITION in routes:
+        reach = composition_reach(num, den, n_max if cap is None else min(n_max, cap))
+        if cap is None and reach < n_max:
+            raise CombinatorialBlowupError(
+                f"composition route cannot serve n_max={n_max}: n times the bit length "
+                f"of the lifted D_r(1..n) passes {MAX_COMPOSITION_WORK} at n={reach + 1}"
+            )
+    if RECURRENCE in routes:
         pairs[RECURRENCE] = _over_one(*exponential_power_numerators(M, Q, -1))
-    pairs[DETERMINANT_BAREISS] = determinant_numerators(num, den, n_max)
-    pairs[COMPOSITION] = composition_numerators(num, den, reach)
-    pairs[NEGATIVE_POWER] = _over_one(*negative_power_numerators(seq, r, n_max))
+    if DETERMINANT_BAREISS in routes:
+        pairs[DETERMINANT_BAREISS] = determinant_numerators(num, den, n_max)
+    if COMPOSITION in routes:
+        pairs[COMPOSITION] = composition_numerators(num, den, reach)
+    if NEGATIVE_POWER in routes:
+        pairs[NEGATIVE_POWER] = _over_one(*negative_power_numerators(seq, r, n_max))
     return VerificationReport(
         r=r, n_max=n_max, pairs=pairs, first_mismatch=first_disagreement_pairs(pairs)
     )
+
+
+def _route_table(
+    seq: CoefficientSequence, r: int, n_max: Optional[int], route: str
+) -> RelatedNumberTable:
+    """`route`'s table alone, its composition leg whole, each value
+    reduced once."""
+    a = run_routes(seq, r, n_max, (route,)).table(route)
+    return RelatedNumberTable(r=r, a=a, algorithm=route)
 
 
 def _over_one(M: list[int], Q: int) -> tuple[list[int], list[int]]:

@@ -115,22 +115,26 @@ def family_coefficients(spec: FamilySpec, n_max: int) -> CoefficientSequence:
     return CoefficientSequence(tuple(d))
 
 
-def load_custom_family(path: Union[str, Path]) -> FamilySpec:
-    """Read a custom family file: one "p/q" per line, d_0 first.
+def load_custom_family(path: Union[str, Path], n_max: Optional[int] = None) -> FamilySpec:
+    """Read a custom family file: one "p/q" per line, d_0 first, up to
+    d_{n_max} (every value when n_max is None); no line past it is parsed.
 
     Blank lines and lines starting with '#' are ignored.  The first value
     must equal 1 (the normalization every algorithm assumes).
     """
     path = Path(path)
     values = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            values.append(parse_rational(line))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    with path.open(encoding="utf-8") as lines:
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                values.append(parse_rational(line))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if len(values) - 1 == n_max:
+                break
     if not values:
         raise ValueError(f"{path}: no coefficients found")
     if values[0] != 1:

@@ -156,10 +156,7 @@ class TruncatedSeries:
         b_0 = 1/a_0 and b_n = -(1/a_0) * sum_{m<n} a_{n-m} b_m, run as the
         power -1, where Miller's weight is -C(n, k).
         """
-        a = self.coeffs
-        if a[0] == 0:
-            raise NotInvertibleError("series with zero constant term has no inverse")
-        return TruncatedSeries(_power(a, -1))
+        return self**-1
 
     def ht(self, n: int) -> "TruncatedSeries":
         """Hasse-Teichmueller derivative of order n.

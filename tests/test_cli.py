@@ -102,11 +102,31 @@ class TestComputeCommand:
             r=1, n_max=2, pairs={"a": ([1], [1]), "b": ([2], [1])}, first_mismatch=0
         )
         monkeypatch.setattr(cli, "cross_verify", lambda *a, **k: bad)
-        code, out, err = run(
-            capsys, "compute", "--family", "bernoulli", "--n", "2", "--check"
-        )
-        assert code == 4
-        assert "cross-verification failed" in err
+        for algo in cli.ROUTES:
+            code, out, err = run(
+                capsys, "compute", "--family", "bernoulli", "--n", "2", "--algo", algo,
+                "--check",
+            )
+            assert (code, out) == (4, ""), algo
+            assert "cross-verification failed" in err
+
+    def test_every_check_goes_through_cli_cross_verify(self, capsys, monkeypatch):
+        # the name the benchmark's tracer wraps sees each checked table once
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return engine.cross_verify(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cross_verify", counted)
+        family = ("--family", "euler", "--order", "2", "--n", "6")
+        for algo in cli.ROUTES:
+            calls.clear()
+            code, _, err = run(capsys, "compute", *family, "--algo", algo, "--check")
+            assert (code, err, len(calls)) == (0, "", 1), algo
+            calls.clear()
+            code, _, err = run(capsys, "compute", *family, "--algo", algo)
+            assert (code, err, calls) == (0, "", []), algo
 
     def test_family_coefficients_built_once(self, capsys, monkeypatch):
         calls = []
@@ -201,7 +221,7 @@ class TestComputeCommand:
             assert plain == checked
             assert plain[0] == 0
         # every --algo names a table that cross_verify reports at every r
-        assert {algo: route for algo, (route, _) in cli.ROUTES.items()} == {
+        assert cli.ROUTES == {
             "recurrence": engine.NEGATIVE_POWER,
             "determinant": engine.DETERMINANT_BAREISS,
             "composition": engine.COMPOSITION,
@@ -471,6 +491,16 @@ class TestUsageErrors:
         assert code == 2
         assert "bad.txt:2" in err
 
+    def test_custom_file_is_read_to_d_n_only(self, capsys, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("1\n1/2\n1/3\nnope\n")
+        argv = ("compute", "--family", "custom", "--custom-path", str(path), "--format", "csv")
+        code, out, err = run(capsys, *argv, "--n", "2")
+        assert (code, out, err) == (0, "n,value\n0,1\n1,-1/2\n2,1/6\n", "")
+        code, out, err = run(capsys, *argv, "--n", "3")
+        assert (code, out) == (2, "")
+        assert "long.txt:4" in err
+
     def test_unnormalized_custom_file(self, capsys, tmp_path):
         path = tmp_path / "head.txt"
         path.write_text("2\n1\n")
@@ -693,6 +723,17 @@ class TestPolyCommand:
         # E_3(2) = 8 - 6 + 1/4
         assert Fraction(doc["value"]) == F(9, 4)
         assert doc["z"] == "2"
+
+    def test_json_writes_z_in_lowest_terms(self, capsys):
+        for z, canonical in (("2/4", "1/2"), ("+3/6", "1/2"), ("-0/7", "0"), (" 1 / 2", "1/2")):
+            code, out, err = run(
+                capsys, "poly", "--family", "bernoulli", "--n", "2", f"--z={z}",
+                "--format", "json",
+            )
+            assert (code, err) == (0, ""), z
+            doc = json.loads(out)
+            assert doc["z"] == canonical, z
+            assert doc["value"] == str(F(canonical) ** 2 - F(canonical) + F(1, 6)), z
 
     def test_zero_denominator_z_is_usage_error(self, capsys):
         code, out, err = run(
@@ -986,12 +1027,12 @@ class TestBenchCommand:
         for r, methods in ((1, {"negative_power", "bareiss"}),
                            (2, {"negative_power", "bareiss", "recurrence"})):
             rows = cli.run_benchmark(FamilySpec.euler(), r, 5)
-            assert [row.n for row in rows] == [0, 1, 2, 3, 4, 5]
-            for row in rows:
-                assert set(row.cells) == methods, r
-                assert len({cell.value for cell in row.cells.values()}) == 1
-                for cell in row.cells.values():
-                    assert cell.seconds >= 0
+            assert [n for n, _ in rows] == [0, 1, 2, 3, 4, 5]
+            for _, cells in rows:
+                assert set(cells) == methods, r
+                assert len({value for _, _, value in cells.values()}) == 1
+                for seconds, bits, _ in cells.values():
+                    assert seconds >= 0 and bits >= 0
 
 
 class TestBenchmarkTracer:
@@ -1080,6 +1121,23 @@ class TestReadmeFlags:
         assert values == [F(-691, 2730), True, F(7, 240)]
         for value, (_, comment) in zip(values, checks):
             assert comment.endswith((repr(value), str(value))), comment
+
+    def test_command_line_examples_run(self, capsys, tmp_path):
+        # each command of "Command line", run in process as written (a
+        # temporary file stands in for my_family.txt), exits 0 and says
+        # nothing on stderr
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("\n## Command line") :]
+        block = section.split("```\n")[1]
+        family = tmp_path / "my_family.txt"
+        family.write_text("".join(f"1/{k + 1}\n" for k in range(9)))
+        commands = [line.partition("#")[0].split() for line in block.splitlines()]
+        assert commands and all(argv[0] == "appellseq" for argv in commands)
+        for argv in commands:
+            argv = [str(family) if a == "my_family.txt" else a for a in argv[1:]]
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out, argv
 
     def test_every_stated_budget_is_a_cli_constant(self):
         # every number README writes with a thousands space is one of the

@@ -109,6 +109,17 @@ class TestCustomFile:
         with pytest.raises(ValueError, match="bad.txt:3"):
             load_custom_family(path)
 
+    def test_reading_stops_after_d_n(self, tmp_path):
+        # a malformed line past d_{n_max} is never parsed; at or before
+        # it, it is reported with its line
+        path = tmp_path / "long.txt"
+        path.write_bytes(b"1\n# note\n\n1/2\r\n1/3\roops\n")
+        assert load_custom_family(path, 0).values == (1,)
+        assert load_custom_family(path, 2).values == (1, F(1, 2), F(1, 3))
+        for n_max in (3, None):
+            with pytest.raises(ValueError, match="long.txt:6"):
+                load_custom_family(path, n_max)
+
     def test_unnormalized_head_rejected(self, tmp_path):
         path = tmp_path / "head.txt"
         path.write_text("3\n1/2\n")
