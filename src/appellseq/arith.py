@@ -1,10 +1,7 @@
-"""Exact scalar arithmetic and combinatorial primitives.
-
-Every numeric value in this package is a `fractions.Fraction`: arbitrary
-precision, stored in lowest terms with a positive denominator, so equality
-is structural and safe for cross-algorithm comparison.  The helpers here
-add the wire format ("p/q" strings), the lift of a list of rationals to
-integer numerators over one denominator, and composition enumeration.
+"""Exact scalar arithmetic and combinatorial primitives: the wire format
+("p/q" strings, parsed to a `Fraction` and printed from a Fraction or an
+integer pair), the lift of rationals to integer numerators over one
+denominator, and composition enumeration.
 """
 
 from __future__ import annotations
@@ -12,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, MutableMapping, Sequence, Union
+from typing import Iterator, MutableMapping, Sequence
 
 #: Largest n the composition route (and `compositions`) serves by default.
 #: The route's power triangle costs O(n^3) products of numbers that grow
@@ -30,8 +27,6 @@ DEFAULT_COMPOSITION_CAP = 50
 #: Past it, `--algo composition` is refused and `--check` takes the
 #: composition leg to the largest n inside it.
 MAX_COMPOSITION_WORK = 2**18
-
-RationalLike = Union[Fraction, int]
 
 #: Optional per-call statistics; kernels record "max_num_bits" in it.
 StatsDict = MutableMapping[str, int]
@@ -60,7 +55,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(x: RationalLike) -> str:
+def format_rational(x: Fraction) -> str:
     """Render a rational as "p/q" in lowest terms, or "p" when q == 1.
 
     Zero renders as "0".  This is the serialization used by every file and
@@ -69,13 +64,19 @@ def format_rational(x: RationalLike) -> str:
     limit: the package's own results may run to any length.  Parsing
     (`parse_rational`, custom files) keeps the limit.
     """
-    x = x if isinstance(x, Fraction) else Fraction(x)
+    return format_ratio(x.numerator, x.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """`format_rational(Fraction(num, den))`, den > 0, by one gcd and no
+    Fraction."""
+    g = math.gcd(num, den)
+    if g > 1:
+        num, den = num // g, den // g
     try:
-        return str(x)
+        return f"{num}/{den}" if den > 1 else str(num)
     except ValueError:  # a numerator or denominator past the limit
-        if x.denominator == 1:
-            return _decimal(x.numerator)
-        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+        return _decimal(num) + (f"/{_decimal(den)}" if den > 1 else "")
 
 
 def _decimal(x: int) -> str:

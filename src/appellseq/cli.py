@@ -22,6 +22,7 @@ from .arith import (
     DEFAULT_COMPOSITION_CAP,
     MAX_COMPOSITION_WORK,
     CombinatorialBlowupError,
+    format_ratio,
     format_rational,
     parse_rational,
 )
@@ -81,14 +82,8 @@ class RunConfig:
     cap: int = DEFAULT_COMPOSITION_CAP
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"--order must be >= 1, got {self.order}")
-        if self.n_max < 0:
-            raise ValueError(f"--n must be >= 0, got {self.n_max}")
-        if self.n_max > MAX_N:
-            raise ValueError(f"--n must be <= {MAX_N}, got {self.n_max}")
+        check_sizes(self.order, self.n_max)
         n, spec = self.n_max, self.family
-        admit(n, "the bit length of --order", self.order.bit_length())
         if spec.kind in (families.HYPER_BERNOULLI, families.HYPER_CAUCHY):
             admit(n, "the bit lengths of --m and --nn", spec.m.bit_length(), spec.n.bit_length())
         if spec.kind == families.CUSTOM:
@@ -98,6 +93,17 @@ class RunConfig:
                   "--custom-path values d_0..d_n", bits)
         if self.cap < 0:
             raise ValueError(f"--cap must be >= 0, got {self.cap}")
+
+
+def check_sizes(order: int, n: int) -> None:
+    """Refuse --order and --n out of range or past MAX_ORDER_WORK."""
+    if order < 1:
+        raise ValueError(f"--order must be >= 1, got {order}")
+    if n < 0:
+        raise ValueError(f"--n must be >= 0, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"--n must be <= {MAX_N}, got {n}")
+    admit(n, "the bit length of --order", order.bit_length())
 
 
 def admit(n: int, what: str, *bits: int) -> None:
@@ -181,6 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def family_from_args(args: argparse.Namespace) -> FamilySpec:
+    if args.family.startswith("hyper-") and min(args.m, args.nn) < 1:
+        raise ValueError(f"--family {args.family} needs --m >= 1 and --nn >= 1")
     if args.family != "custom":
         return FamilySpec(args.family.replace("-", "_"), args.m, args.nn)
     if not args.custom_path:
@@ -189,6 +197,7 @@ def family_from_args(args: argparse.Namespace) -> FamilySpec:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    check_sizes(args.order, args.n)  # before a custom file is read
     return RunConfig(
         family=family_from_args(args),
         order=args.order,
@@ -217,19 +226,19 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if not report.agree:
         print(f"cross-verification failed: {report.describe()}", file=sys.stderr)
         return EXIT_MISMATCH
-    emit_table(report.table(route), config, verified=report.coverage if config.check else None)
+    emit_table(report.pairs[route], config, verified=report.coverage if config.check else None)
     return EXIT_OK
 
 
 def emit_table(
-    values: Sequence[Fraction],
+    pair: tuple[Sequence[int], Sequence[int]],
     config: RunConfig,
     verified: Optional[Mapping[str, int]] = None,
 ):
-    """Print a_0..a_n; JSON also maps each cross-verified route to the
-    largest n it covered, when `verified` is given.  Every row is
-    formatted before any is printed."""
-    rows = [format_rational(v) for v in values]
+    """Print a_0..a_n from a route's (numerators, denominators); JSON also
+    maps each cross-verified route to the largest n it covered, when
+    `verified` is given.  Every row is formatted before any is printed."""
+    rows = list(map(format_ratio, *pair))
     if config.fmt == "csv":
         print("\n".join(["n,value", *(f"{n},{v}" for n, v in enumerate(rows))]))
     elif config.fmt == "json":
@@ -264,12 +273,12 @@ def cmd_poly(args: argparse.Namespace) -> int:
     N = engine.appell_numerators(M, n)
     doc = {"family": config.family.label, "order": config.order, "n": n}
     if z is None:
-        coeffs = [format_rational(Fraction(c, Q)) for c in N]
+        coeffs = [format_ratio(c, Q) for c in N]
         doc["coeffs"] = coeffs
         text = ", ".join(coeffs)
     else:
         H = engine.horner_numerator(N, z.numerator, z.denominator)
-        value = format_rational(Fraction(H, Q * z.denominator**n))
+        value = format_ratio(H, Q * z.denominator**n)
         doc["z"] = format_rational(z)
         doc["value"] = value
         text = value
@@ -279,19 +288,18 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 def run_benchmark(
     spec: FamilySpec, r: int, n_max: int
-) -> list[tuple[int, dict[str, tuple[float, int, Fraction]]]]:
+) -> list[tuple[int, dict[str, tuple[float, int, str]]]]:
     """Per-n wall time and peak intermediate size of each kernel that
     `--check` runs, on its table to n: rows (n, {kernel: (seconds,
-    max_num_bits, a_n)}).
+    max_num_bits, a_n in lowest terms as printed)}).
 
-    The production route's `negative_power_numerators` (Miller's loop on
-    f^(-r)), Bareiss's `determinant_numerators` and, for r >= 2, the
-    paper's D_r recurrence (the loop at the power -1 on n! D_r(n)) are
-    different computations; at r = 1 that recurrence is the production
-    loop on the same input, so it is not run.  f^r, the reduced D_r and
-    the recurrence's lifted input are prepared outside the timers.  The
-    kernels' a_n are compared at each n as it is timed; on any
-    disagreement no timings are reported.
+    The kernels are the production route's `negative_power_numerators`,
+    Bareiss's `determinant_numerators` and, for r >= 2, the paper's D_r
+    recurrence (the loop at the power -1 on n! D_r(n); at r = 1 it is the
+    production loop on the same input, so it is not run).  f^r, the
+    reduced D_r and the recurrence's lifted input are prepared outside
+    the timers.  The kernels' a_n are compared at each n as it is timed;
+    on any disagreement no timings are reported.
     """
     seq = family_coefficients(spec, n_max)
     M, Q = engine.power_numerators(seq, r, n_max)
@@ -300,16 +308,16 @@ def run_benchmark(
     rows = []
     for n in range(n_max + 1):
         dt, bits, (A, QA) = _timed(engine.negative_power_numerators, seq, r, n)
-        cells = {"negative_power": (dt, bits, Fraction(A[n], QA))}
+        cells = {"negative_power": (dt, bits, format_ratio(A[n], QA))}
         dt, bits, (signed, scales) = _timed(engine.determinant_numerators, num, den, n)
-        cells["bareiss"] = (dt, bits, Fraction(signed[n], scales[n]))
+        cells["bareiss"] = (dt, bits, format_ratio(signed[n], scales[n]))
         if r > 1:
             L = math.lcm(L, Q // math.gcd(M[n], Q))
             P = [m // (Q // L) for m in M[: n + 1]]
             dt, bits, (A, QA) = _timed(engine.exponential_power_numerators, P, L, -1)
-            cells["recurrence"] = (dt, bits, Fraction(A[n], QA))
+            cells["recurrence"] = (dt, bits, format_ratio(A[n], QA))
         if len({value for _, _, value in cells.values()}) != 1:
-            detail = ", ".join(f"{m}={format_rational(v)}" for m, (_, _, v) in cells.items())
+            detail = ", ".join(f"{m}={v}" for m, (_, _, v) in cells.items())
             raise KernelMismatchError(
                 f"kernel disagreement at n={n}: {detail}; refusing to emit timings"
             )
@@ -336,7 +344,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         cols = [str(n)]
         for seconds, bits, _ in cells.values():
             cols += [f"{seconds:.6f}", str(bits)]
-        cols.append(format_rational(cells["negative_power"][2]))
+        cols.append(cells["negative_power"][2])
         lines.append(",".join(cols))
     print("\n".join(lines))
     return EXIT_OK

@@ -1,56 +1,38 @@
 """Related numbers and polynomials of higher-order Appell sequences.
 
 A normalized coefficient sequence d_0=1, d_1, d_2, ... defines the series
-f(t) = sum(d_n t^n / n!).  The order-r related numbers a_n^(r) are the
+f(t) = sum(d_n t^n / n!).  A `CoefficientSequence` keeps it as integer
+numerators over one denominator, d_n = P_n / L; its Fractions `.d` are
+built only on demand.  The order-r related numbers a_n^(r) are the
 exponential coefficients of 1/f(t)^r, and the order-r Appell polynomials
 
     A_n^(r)(z) = sum_{m=0..n} C(n, m) a_m^(r) z^(n-m)
 
 are the exponential coefficients of e^(zt)/f(t)^r.  With the classical
 choices of f this machinery produces Bernoulli, Euler and (hypergeometric)
-Cauchy numbers and polynomials.  The polynomials stay in integers until
-a value is made: over the denominator Q of a_0..a_n, the coefficient of
-z^j has the numerator C(n, j) M_{n-j} (`appell_numerators`), and the value
-at z = p/q is sum_j C(n, j) M_{n-j} p^j q^(n-j) / (Q q^n), the numerator by
-Horner's rule over integers (`horner_numerator`).
+Cauchy numbers and polynomials.
 
-Four algorithms compute the same table a_0..a_{n_max}, each under one name:
+Four routes compute the same table a_0..a_{n_max}:
 
-* `related_numbers_negative_power`: a_n = n! [t^n] f^(-r), the production
-  path: one pass of J.C.P. Miller's recurrence for f^(-r), run by
-  `series.exponential_power` directly on d_0..d_{n_max}; it never builds
-  D_r and never leaves exponential form.  The loop hands back integer
-  numerators M_n over one denominator Q (`negative_power_numerators`),
-  and each a_n = M_n / Q is reduced once;
+* `related_numbers_negative_power`, the production route: a_n = n! [t^n]
+  f^(-r), one pass of J.C.P. Miller's recurrence on the (P, L) of
+  d_0..d_{n_max}, giving a_n = M_n / Q (`negative_power_numerators`);
 * `related_numbers_recurrence`: the paper's O(n^2) convolution recurrence
-  a_n = -n! sum_{m<n} D_r(n-m) a_m / m!, the inverse of f^r: the same
-  loop at the power -1 on the exponential coefficients n! D_r(n); a
-  witness for r >= 2;
-* `related_numbers_composition`: the explicit alternating sum
-  a_n = n! sum_k (-1)^k sum over strict compositions e_1+..+e_k = n of
-  D_r(e_1)...D_r(e_k), read off the power triangle of
-  h = sum_{e>=1} D_r(e) t^e: O(n^3) integer products for every n;
+  a_n = -n! sum_{m<n} D_r(n-m) a_m / m!, the same loop at the power -1 on
+  the exponential coefficients n! D_r(n); a witness for r >= 2;
+* `related_numbers_composition`: the explicit alternating sum over the
+  compositions of n, read off the power triangle of sum_{e>=1} D_r(e) t^e;
 * `related_numbers_determinant`: (-1)^n n! times the determinant of the
-  unit-superdiagonal Hessenberg matrix over D_r(1)..D_r(n), every n from
-  one pass of Bareiss elimination on the matrix's band: O(n^2)
-  division-free integer steps, read straight from the D table.
+  unit-superdiagonal Hessenberg matrix over D_r(1)..D_r(n), by Bareiss
+  elimination on its band.
 
-Here D_r(e) is the ordinary coefficient of t^e in f(t)^r, equal to the
-weak-composition sum over d_{i_1}..d_{i_r}/(i_1!..i_r!); `compute_D`
-runs Miller's loop on d_n at the power r (`power_numerators`).  f^(-r),
-f^r and the inverse of D_r all run in that one loop; the composition
-sum lifts D_r to one common denominator itself.
-
-Each route has one integer kernel that returns its table as numerators
-over positive denominators, unreduced: the loops their (M, Q), Bareiss
-(+-n! p_n, s_n) (`determinant_numerators`), the composition sum
-(n! S_n, L^n) (`composition_numerators`).  One function, `run_routes`,
-feeds them: f^r once, D_r reduced once (`reduced_power_table`), the
-composition leg cut at its cap and work bound once.  The
-`related_numbers_*` functions, `cross_verify` and the CLI all go
-through it, and the CLI's `bench` times the same kernels.  A route's
-table is reduced to Fractions once, on demand; `cross_verify` compares
-the tables by cross-multiplication and reduces none.
+D_r(e) = [t^e] f(t)^r comes from the same loop at the power r
+(`power_numerators`).  Each route has one integer kernel that returns its
+table as numerators over positive denominators, unreduced, and one
+function, `run_routes`, feeds them for the `related_numbers_*` functions,
+`cross_verify` and the CLI.  `cross_verify` compares the tables by
+cross-multiplication, the CLI prints each value from its integer pair,
+and only the library's tables are reduced to Fractions, on demand.
 """
 
 from __future__ import annotations
@@ -67,6 +49,7 @@ from .arith import (
     CombinatorialBlowupError,
     StatsDict,
     compositions,  # unused here; perfbench/spans.py wraps engine.compositions
+    format_ratio,
     lift,
 )
 from .determinants import (
@@ -92,23 +75,40 @@ class NormalizationError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """Exponential coefficients d_0..d_{n_max} of f(t), with d_0 = 1."""
+    """Exponential coefficients d_0..d_{n_max} of f(t), d_0 = 1, kept as
+    integer numerators over one denominator: d_n = P[n] / L."""
 
-    d: tuple[Fraction, ...]
+    P: tuple[int, ...]
+    L: int = 1
 
     def __post_init__(self):
-        if not self.d:
+        if not self.P:
             raise NormalizationError("empty coefficient sequence: d_0 must be 1")
-        if self.d[0] != 1:
-            raise NormalizationError(f"d_0 must be 1 (got {self.d[0]})")
+        if self.L < 1:
+            raise ValueError(f"L must be >= 1, got {self.L}")
+        if self.P[0] != self.L:
+            raise NormalizationError(f"d_0 must be 1 (got {format_ratio(self.P[0], self.L)})")
 
     @classmethod
     def from_values(cls, values: Iterable) -> "CoefficientSequence":
-        return cls(tuple(Fraction(v) for v in values))
+        L, P = lift(list(map(Fraction, values)))
+        return cls(tuple(P), L)
+
+    @property
+    def d(self) -> tuple[Fraction, ...]:
+        """d_0..d_{n_max} as Fractions, built on each call."""
+        return _reduced(_over_one(self.P, self.L))
+
+    def prefix(self, n_max: Optional[int] = None) -> tuple[Sequence[int], int]:
+        """(P_0..P_{n_max}, L) reduced by gcd(P_0..P_{n_max}) (P_0 = L),
+        so that L = lcm(den d_0..d_{n_max})."""
+        P = self.P[: self._resolve(n_max) + 1]
+        g = math.gcd(*P)
+        return [p // g for p in P], self.L // g
 
     @property
     def n_max(self) -> int:
-        return len(self.d) - 1
+        return len(self.P) - 1
 
     def _resolve(self, n_max: Optional[int]) -> int:
         if n_max is None:
@@ -187,8 +187,8 @@ def power_numerators(
     d_0..d_{n_max} at the power r, before any Fraction is built."""
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
-    n_max = seq._resolve(n_max)
-    return exponential_power(seq.d[: n_max + 1], r)
+    P, L = seq.prefix(n_max)
+    return exponential_power(P, r, L=L)
 
 
 def reduced_power_table(M: Sequence[int], Q: int) -> tuple[list[int], list[int]]:
@@ -213,14 +213,9 @@ def _factorials(n_max: int) -> list[int]:
 def recurrence_values(
     D: Sequence[Fraction], n_max: int, stats: Optional[StatsDict] = None
 ) -> list[Fraction]:
-    """a_0..a_{n_max} from a D table by the convolution recurrence (no
-    route calls it; perfbench/spans.py wraps engine.recurrence_values).
-
-    a_n/n! = -sum_{m<n} D(n-m) a_m/m! is [t^n] of the inverse of
-    1 + sum_{k>=1} D(k) t^k (D(0) is not read), so a_n = (-1)^n n! det_n
-    over the leading minors of `hessenberg_leading_minors`, which runs
-    that loop and records its "max_num_bits" in `stats`.
-    """
+    """a_0..a_{n_max} of the convolution recurrence on a D table, as
+    (-1)^n n! det_n over the leading minors of `hessenberg_leading_minors`
+    (no route calls it; perfbench/spans.py wraps engine.recurrence_values)."""
     minors = hessenberg_leading_minors(D, n_max, stats=stats)
     return [
         -f * x if n & 1 else f * x for n, (f, x) in enumerate(zip(_factorials(n_max), minors))
@@ -361,8 +356,8 @@ def negative_power_numerators(
     loop for f^(-r) ends in, Q = lcm(den a_0..a_{n_max}), before any
     Fraction is built.  `stats` gets "max_num_bits": the bit length of
     the loop's largest dot product |S|."""
-    n_max = seq._resolve(n_max)
-    return exponential_power(seq.d[: n_max + 1], -r, stats)
+    P, L = seq.prefix(n_max)
+    return exponential_power(P, -r, stats, L=L)
 
 
 @dataclass(frozen=True)

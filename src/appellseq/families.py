@@ -17,12 +17,13 @@ Bernoulli and Cauchy numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .arith import parse_rational
+from .arith import lift, parse_rational
 from .engine import CoefficientSequence, NormalizationError
 
 BERNOULLI = "bernoulli"
@@ -85,34 +86,44 @@ class FamilySpec:
 
 
 def family_coefficients(spec: FamilySpec, n_max: int) -> CoefficientSequence:
-    """Exact d_0..d_{n_max} for the given family; d_0 = 1 in every kind."""
+    """Exact d_0..d_{n_max} for the given family (d_0 = 1), as integer
+    numerators over one denominator, built with no Fraction: Bernoulli
+    over lcm(1..n_max+1), Euler over 2, a custom list lifted once, the
+    hypergeometric kinds over products of their denominators' factors,
+    which `CoefficientSequence.prefix` reduces by one gcd."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    m, nn, k_max = spec.m, spec.n, range(n_max + 1)
     if spec.kind == BERNOULLI:
-        d = [Fraction(1, n + 1) for n in range(n_max + 1)]
+        L = math.lcm(*range(1, n_max + 2))
+        P = [L // (k + 1) for k in k_max]
     elif spec.kind == EULER:
-        d = [Fraction(1)] + [Fraction(1, 2)] * n_max
+        L, P = 2, [2] + [1] * n_max
     elif spec.kind == HYPER_BERNOULLI:
-        # d_n = d_{n-1} (M+n-1)/(M+N+n-1): each rising factorial gains one
-        # factor per step, O(n) products for the table.
-        d = [Fraction(1)]
-        for k in range(n_max):
-            d.append(d[-1] * Fraction(spec.m + k, spec.m + spec.n + k))
+        # d_k = (M)^(k) (M+N+k)^(n_max-k) / (M+N)^(n_max), O(n) products
+        L = rest = math.prod(range(m + nn, m + nn + n_max))
+        P, top = [], 1
+        for k in k_max:
+            P.append(top * rest)
+            top *= m + k
+            rest //= m + nn + k
     elif spec.kind == HYPER_CAUCHY:
-        # d_n = -d_{n-1} (M+n-1)(N+n-1)/(N+n), likewise incremental.
-        d = [Fraction(1)]
-        for k in range(n_max):
-            d.append(d[-1] * Fraction(-(spec.m + k) * (spec.n + k), spec.n + 1 + k))
+        # (N)^(k) / (N+1)^(k) = N / (N+k), so d_k = (-1)^k N (M)^(k) / (N+k)
+        L = math.lcm(*range(nn, nn + n_max + 1))
+        P, top = [], nn
+        for k in k_max:
+            P.append((-top if k & 1 else top) * (L // (nn + k)))
+            top *= m + k
     elif spec.kind == CUSTOM:
         if n_max >= len(spec.values):
             raise ValueError(
                 f"custom family provides d_0..d_{len(spec.values) - 1}, "
                 f"cannot serve n_max={n_max}"
             )
-        d = list(spec.values[: n_max + 1])
+        L, P = lift(spec.values[: n_max + 1])
     else:  # pragma: no cover - kinds are validated on construction
         raise ValueError(f"unknown family kind {spec.kind!r}")
-    return CoefficientSequence(tuple(d))
+    return CoefficientSequence(tuple(P), L)
 
 
 def load_custom_family(path: Union[str, Path], n_max: Optional[int] = None) -> FamilySpec:

@@ -11,13 +11,10 @@ Ordinary coefficients are the natural carrier for the Hasse-Teichmueller
 derivative H^(n), which maps c_m t^m to c_m C(m, n) t^(m-n), and for the
 determinant entries derived from it.  `**` (any integer power) and
 `inverse` (the power -1) scale their coefficients around the package's
-one integer Miller loop, `exponential_power_numerators`, which works on
-exponential coefficients given as integer numerators over one
-denominator and returns its result the same way.  `exponential_power`
-lifts a list of rationals to that form and runs the loop; the engine
-runs it directly on a family's d_n, and the D-recurrence witness feeds
-the loop's own output for f^r back into it with no Fraction in between.
-Each caller builds a Fraction only for a value it hands out.
+one integer Miller loop, `exponential_power_numerators`, on exponential
+coefficients kept as integer numerators over one denominator, in and
+out.  `exponential_power` runs it on rationals it lifts to that form, or
+on numerators as the engine keeps a family's d_n.
 """
 
 from __future__ import annotations
@@ -191,17 +188,22 @@ class TruncatedSeries:
 
 
 def exponential_power(
-    F: Sequence[Fraction], r: int, stats: Optional[StatsDict] = None
+    F: Sequence[Scalar],
+    r: int,
+    stats: Optional[StatsDict] = None,
+    L: Optional[int] = None,
 ) -> tuple[list[int], int]:
     """Exponential coefficients G_0..G_K of G = F^r, for F_0 = 1, as the
     integer numerators M_0..M_K over one denominator Q: G_n = M_n / Q,
     with Q = lcm(den G_0..G_K).
 
-    Lifts F to integer numerators over L = lcm(den F) and runs the one
-    loop, `exponential_power_numerators`, on them (see `__pow__`).
+    The one loop, `exponential_power_numerators` (see `__pow__`), on
+    F_k = F[k] / L: integers over the given L, or else rationals lifted
+    to integer numerators over L = lcm(den F).
     """
-    L, P = lift(F)
-    return exponential_power_numerators(P, L, r, stats)
+    if L is None:
+        L, F = lift(F)
+    return exponential_power_numerators(F, L, r, stats)
 
 
 def exponential_power_numerators(

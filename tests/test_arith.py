@@ -11,6 +11,7 @@ from appellseq.arith import (
     DEFAULT_COMPOSITION_CAP,
     CombinatorialBlowupError,
     compositions,
+    format_ratio,
     format_rational,
     parse_rational,
 )
@@ -68,6 +69,27 @@ class TestFormatRational:
             sys.set_int_max_str_digits(saved)
         assert got == expected
         assert len(got[0]) == digits
+
+    def test_pair_prints_what_the_fraction_prints(self):
+        # zero, negative numerators, den = 1, unreduced pairs, and values
+        # past Python's int->str digit limit
+        saved = sys.get_int_max_str_digits()
+        big = 10**5000 + 3
+        pairs = [(0, 1), (0, 7), (-3, 1), (-6, 4), (-5, 3), (9, 1), (12, 3), (6, 4),
+                 (10 * big, 20), (-big * 6, 4 * big), (big, 3), (7, big), (-2 * big, 6)]
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = [str(Fraction(num, den)) for num, den in pairs]
+            sys.set_int_max_str_digits(4300)
+            got = [format_ratio(num, den) for num, den in pairs]
+            assert got == [format_rational(Fraction(num, den)) for num, den in pairs]
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert got == expected
+
+    @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+    def test_pair_matches_fraction(self, p, q):
+        assert format_ratio(p, q) == str(Fraction(p, q))
 
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
     def test_round_trip(self, p, q):

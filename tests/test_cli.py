@@ -518,6 +518,33 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    def test_refused_n_is_answered_before_the_custom_file_is_read(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("read the custom file before --n was checked")
+
+        monkeypatch.setattr(cli, "load_custom_family", must_not_run)
+        path = tmp_path / "fam.txt"
+        path.write_text("1\n1/2\n")
+        too_big = str(cli.MAX_N + 1)
+        for n, message in (("-1", "--n must be >= 0, got -1"),
+                           (too_big, f"--n must be <= {cli.MAX_N}, got {too_big}")):
+            for command in ("compute", "poly", "bench"):
+                code, out, err = run(
+                    capsys, command, "--family", "custom", "--custom-path", str(path),
+                    "--n", n,
+                )
+                assert (code, out, err) == (2, "", f"error: {message}\n"), (command, n)
+
+    def test_hypergeometric_parameters_are_named_as_flags(self, capsys):
+        for family, m, nn in (("hyper-cauchy", "0", "3"), ("hyper-bernoulli", "2", "-1")):
+            code, out, err = run(
+                capsys, "poly", "--family", family, "--m", m, "--nn", nn, "--n", "3"
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: --family {family} needs --m >= 1 and --nn >= 1\n"
+
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
@@ -896,6 +923,30 @@ class TestComputeOutputPin:
         assert digest.hexdigest() == self.DIGEST
 
 
+class TestNoFractionOnTheRequestPath:
+    """Plain `compute` and `poly` without --z run from the family's integer
+    numerators to the printed digit: no Fraction is built on the way."""
+
+    def test_plain_requests_build_no_fraction(self, capsys, monkeypatch):
+        from appellseq import families
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction was built on the request path")
+
+        for module in (families, engine, series, cli):
+            monkeypatch.setattr(module, "Fraction", refuse)
+        monkeypatch.setattr(F, "__new__", refuse)
+        for family in TestPolyOutputPin.FAMILIES:
+            for fmt in ("csv", "json", "pretty"):
+                argv = ["compute", *family, "--order", "3", "--n", "12", "--format", fmt]
+                code, out, err = run(capsys, *argv)
+                assert (code, err) == (0, ""), argv
+            for fmt in ("json", "pretty"):
+                argv = ["poly", *family, "--order", "2", "--n", "9", "--format", fmt]
+                code, out, err = run(capsys, *argv)
+                assert (code, err) == (0, ""), argv
+
+
 @contextlib.contextmanager
 def int_digit_limit(digits):
     """Python's int<->str digit limit set to `digits` (0: no limit)."""
@@ -952,14 +1003,14 @@ class TestOutputPastTheDigitLimit:
         assert json.loads(out)["coeffs"] == coeffs
 
     def test_a_failed_row_prints_no_partial_table(self, capsys, monkeypatch):
-        def fail_on_the_last(x):
-            if x == values[-1]:
+        def fail_on_the_last(num, den):
+            if F(num, den) == values[-1]:
                 raise ValueError("cannot format")
-            return str(x)
+            return str(F(num, den))
 
         seq = family_coefficients(FamilySpec.euler(), 4)
         values = engine.related_numbers_negative_power(seq, 1, 4).a
-        monkeypatch.setattr(cli, "format_rational", fail_on_the_last)
+        monkeypatch.setattr(cli, "format_ratio", fail_on_the_last)
         for fmt in ("csv", "json", "pretty"):
             code, out, err = run(
                 capsys, "compute", "--family", "euler", "--n", "4", "--format", fmt

@@ -96,6 +96,60 @@ class TestCoefficients:
             family_coefficients(FamilySpec.bernoulli(), -1)
 
 
+def fraction_d(spec, n_max):
+    """d_0..d_{n_max} of `spec` as Fractions, from the definitions."""
+    from oracles import rising_factorial
+
+    m, nn = spec.m, spec.n
+    if spec.kind == "custom":
+        return spec.values[: n_max + 1]
+    return tuple(
+        {
+            "bernoulli": lambda: F(1, k + 1),
+            "euler": lambda: F(1, 2 if k else 1),
+            "hyper_bernoulli": lambda: rising_factorial(m, k) / rising_factorial(m + nn, k),
+            "hyper_cauchy": lambda: (-1) ** k * rising_factorial(m, k)
+            * rising_factorial(nn, k) / rising_factorial(nn + 1, k),
+        }[spec.kind]()
+        for k in range(n_max + 1)
+    )
+
+
+INTEGER_FORM_SPECS = [
+    FamilySpec.bernoulli(),
+    FamilySpec.euler(),
+    FamilySpec.hyper_bernoulli(1, 1),
+    FamilySpec.hyper_bernoulli(2, 3),
+    FamilySpec.hyper_bernoulli(5, 2),
+    FamilySpec.hyper_cauchy(1, 1),
+    FamilySpec.hyper_cauchy(2, 3),
+    FamilySpec.hyper_cauchy(3, 2),
+    FamilySpec.custom([1, F(-1, 2), F(1, 12), 0, F(-1, 720), F(7, 6), -3] + [F(k, 9) for k in range(54)]),
+]
+
+
+class TestIntegerForm:
+    """A sequence is kept as integer numerators P over one denominator L."""
+
+    @pytest.mark.parametrize("spec", INTEGER_FORM_SPECS, ids=lambda spec: spec.label)
+    def test_numerators_over_L_are_the_fraction_d(self, spec):
+        for n in (0, 1, 2, 24, 60):
+            seq = family_coefficients(spec, n)
+            assert seq.P[0] == seq.L >= 1
+            assert tuple(F(p, seq.L) for p in seq.P) == fraction_d(spec, n), n
+            assert seq.d == fraction_d(spec, n), n
+
+    @pytest.mark.parametrize("spec", INTEGER_FORM_SPECS, ids=lambda spec: spec.label)
+    def test_a_prefix_comes_back_over_its_own_minimal_L(self, spec):
+        seq = family_coefficients(spec, 60)
+        for n in (0, 1, 2, 24, 60):
+            d = fraction_d(spec, n)
+            P, L = seq.prefix(n)
+            assert L == math.lcm(*(x.denominator for x in d)), n
+            assert tuple(F(p, L) for p in P) == d, n
+            assert tuple(P) == tuple(family_coefficients(spec, n).prefix()[0]), n
+
+
 class TestCustomFile:
     def test_load_with_comments_and_blanks(self, tmp_path):
         path = tmp_path / "family.txt"
