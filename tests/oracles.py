@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import add, mul
 from typing import Iterator, Optional
 
 from appellseq.arith import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError
@@ -56,6 +57,30 @@ def naive_inverse(a):
     for n in range(1, len(a)):
         b.append(-sum((a[n - m] * b[m] for m in range(n)), ZERO) / a[0])
     return b
+
+
+def global_lift_power(P, L, r):
+    """(M, Q) of Miller's loop for F^r, F_k = P_k / L, with every F_k
+    lifted once over the one L of the whole prefix and each weight
+    multiplied in first: the form `series.exponential_power_numerators`
+    had before it lifted over a running gcd chain, kept as the reference
+    for its (M, Q)."""
+    if r == 1:
+        return list(P), L
+    P = P[1:]
+    M, Q, w = [1], 1, [r]
+    for _ in P:
+        S = sum(map(mul, map(mul, w, P), reversed(M)))
+        den = L * Q
+        g = math.gcd(S, den)
+        den //= g
+        if Q % den:
+            up = den // math.gcd(Q, den)
+            Q *= up
+            M = [m * up for m in M]
+        M.append(S // g * (Q // den))
+        w = [w[0] - 1, *map(add, w, w[1:]), r]
+    return M, Q
 
 
 def gauss_det(matrix):

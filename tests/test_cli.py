@@ -869,24 +869,34 @@ class TestPolyOutputPin:
 class TestBenchOutputPin:
     """The sha256 of what `bench` prints, with its exit code, over a fixed
     grid, the `*_seconds` columns removed: the values and the peak bits of
-    every kernel.  Any change to a pinned byte has to come with a new
-    DIGEST, deliberately."""
+    every kernel (DIGEST), and of its `n` and `value` columns alone
+    (VALUE_DIGEST).  Any change to a pinned byte has to come with a new
+    digest, deliberately."""
 
     FAMILIES = TestPolyOutputPin.FAMILIES
     ORDERS = ("1", "2", "3", "7")
     DIGEST = "ab75d72502b5894e53b14ab8a6f2c67b94067f0d633e34d94280bc0a1c875cc6"
+    VALUE_DIGEST = "4a0cf05f5a9821dc5afdbc74dd71ab79199198e9ad2e453224a0665ee6fcf296"
 
-    def test_output_digest(self, capsys):
+    def digest(self, capsys, columns):
         digest = hashlib.sha256()
         for family in self.FAMILIES:
             for r in self.ORDERS:
                 code, out, err = run(capsys, "bench", *family, "--order", r, "--n", "16")
                 assert err == "", (family, r)
                 rows = [line.split(",") for line in out.splitlines()]
-                keep = [i for i, name in enumerate(rows[0]) if not name.endswith("_seconds")]
+                keep = [i for i, name in enumerate(rows[0]) if columns(name)]
                 text = "\n".join(",".join(row[i] for i in keep) for row in rows)
                 digest.update(f"{code}\0{text}\0".encode())
-        assert digest.hexdigest() == self.DIGEST
+        return digest.hexdigest()
+
+    def test_output_digest(self, capsys):
+        assert self.digest(capsys, lambda name: not name.endswith("_seconds")) == self.DIGEST
+
+    def test_value_digest(self, capsys):
+        # the a_n alone: the peak bits may move with the kernels' operand
+        # sizes, the values may not
+        assert self.digest(capsys, lambda name: name in ("n", "value")) == self.VALUE_DIGEST
 
 
 class TestComputeOutputPin:

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appellseq.determinants import hessenberg_leading_minors
-from appellseq.engine import recurrence_values
+from appellseq.engine import power_numerators, recurrence_values
 from appellseq.families import FamilySpec, family_coefficients
 from appellseq.series import (
     InsufficientPrecisionError,
     NotInvertibleError,
     TruncatedSeries,
     exponential_power,
+    exponential_power_numerators,
 )
 
 import oracles
@@ -289,7 +290,8 @@ class TestMillerKernel:
 
     def test_peak_bits_of_a_small_inverse(self):
         # 1/(1 + t/2 + t^2/3 + t^3/5): F = 1, 1/2, 2/3, 6/5 over L = 30, so
-        # P = 15, 20, 36.  The dot products are S_1 = -15 (G_1 = -1/2, Q = 2),
+        # P = 15, 20, 36.  The first lift looks past n = 3, so F stays over
+        # L = 30 (gcd(30, 15, 20, 36) = 1) from step 1 on.  The dot products are S_1 = -15 (G_1 = -1/2, Q = 2),
         # S_2 = -10 (G_2 = -1/6, Q = 6) and S_3 = 9 (G_3 = 1/20): 4 bits.
         # The loop ends on Q = lcm(2, 6, 20) = 60.
         s = TruncatedSeries([1, F(1, 2), F(1, 3), F(1, 5)])
@@ -307,6 +309,43 @@ class TestMillerKernel:
         stats = {"max_num_bits": 3}
         hessenberg_leading_minors(D, 3, stats)
         assert stats == {"max_num_bits": 4}
+
+
+# every catalogue kind, and a custom list whose denominators bring new
+# primes in late (97 at k = 90, 101 at k = 150), so F is lifted again
+# long after its first jump
+LIFT_SPECS = [
+    FamilySpec.bernoulli(),
+    FamilySpec.euler(),
+    FamilySpec.hyper_bernoulli(1, 1),
+    FamilySpec.hyper_bernoulli(2, 3),
+    FamilySpec.hyper_cauchy(1, 1),
+    FamilySpec.hyper_cauchy(3, 2),
+    FamilySpec.custom(
+        [1] + [F(1, 97) if k == 90 else F(1, 101) if k == 150 else F(k, 2) for k in range(1, 201)]
+    ),
+]
+
+
+class TestRunningLift:
+    """The loop lifts F over the lcm of the denominators its next steps
+    read; its (M, Q) must be the global-lift reference's, bit for bit."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 7, 16])
+    @pytest.mark.parametrize("spec", LIFT_SPECS, ids=lambda spec: spec.label)
+    def test_matches_the_global_lift(self, spec, r):
+        seq = family_coefficients(spec, 200)
+        for n in (0, 1, 9, 10, 200):
+            P, L = seq.prefix(n)
+            power = power_numerators(seq, r, n)
+            assert power == oracles.global_lift_power(P, L, r), (n, "f^r")
+            for what, (A, B), s in (
+                (f"f^{-r}", (P, L), -r),
+                ("inverse of f^r", power, -1),
+            ):
+                M, Q = exponential_power_numerators(A, B, s)
+                assert (M, Q) == oracles.global_lift_power(A, B, s), (n, what)
+                assert Q == math.lcm(*(F(m, Q).denominator for m in M)), (n, what)
 
 
 class TestHasseTeichmuller:
