@@ -41,8 +41,9 @@ EXIT_MISMATCH = 4
 
 #: Largest --n a request may ask for, refused before any work.  The cost
 #: grows faster than n^2 with the digits of the values: a Bernoulli
-#: `compute` takes about 1.9 s at n=800 and 22 s at n=1600, more than ten
-#: times as long per doubling (one core of a 2-vCPU Xeon VM, Python 3.11).
+#: `compute` takes about 0.65 s at n=800 and 8.1 s at n=1600, more than ten
+#: times as long per doubling (one core of a 2-vCPU Intel Xeon VM, Python
+#: 3.11.7, whole process).
 MAX_N = 10_000
 
 #: Largest n * bit_length(r), refused before any work: r adds about

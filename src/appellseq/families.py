@@ -135,12 +135,15 @@ def load_custom_family(path: Union[str, Path], n_max: Optional[int] = None) -> F
     """
     path = Path(path)
     values = []
-    with path.open(encoding="utf-8") as lines:
+    # bytes that are not UTF-8 are kept as surrogates and decoded strictly
+    # line by line, so the error names its line: a strict read fails on a
+    # chunk read ahead, at no known line
+    with path.open(encoding="utf-8", errors="surrogateescape") as lines:
         for lineno, raw in enumerate(lines, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
             try:
+                line = raw.encode("utf-8", "surrogateescape").decode("utf-8").strip()
+                if not line or line.startswith("#"):
+                    continue
                 values.append(parse_rational(line))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc

@@ -13,8 +13,11 @@ determinant entries derived from it.  `**` (any integer power) and
 `inverse` (the power -1) scale their coefficients around the package's
 one integer Miller loop, `exponential_power_numerators`, on exponential
 coefficients kept as integer numerators over one denominator, in and
-out.  `exponential_power` runs it on rationals it lifts to that form, or
-on numerators as the engine keeps a family's d_n.
+out.  Inside, each step reads its F over the lcm of only the
+denominators read so far (looked up a few steps ahead), not of the whole
+prefix, and multiplies each weight in last.  `exponential_power` runs it
+on rationals it lifts to that form, or on numerators as the engine keeps
+a family's d_n.
 """
 
 from __future__ import annotations
@@ -216,23 +219,37 @@ def exponential_power_numerators(
     The package's one Miller loop (see `__pow__`).  The weights
     w_k = r C(n-1, k-1) - C(n-1, k) obey Pascal's rule themselves: the
     row w_1..w_n of step n rolls forward to w_1 - 1, w_1 + w_2, ...,
-    w_{n-1} + w_n, r.  G_0..G_{n-1} are kept as M_m / Q over one running
-    Q; the dot product S = sum_k w_k P_k M_{n-k} gives G_n = S / (L Q),
-    reduced by one gcd; when den G_n does not divide Q, Q rises to their
-    lcm and the stored M are rescaled.  No Fraction is built: each caller
-    makes its values from (M, Q) once, or compares them as they are.
-    `stats` gets the largest |S|.bit_length() as "max_num_bits".
+    w_{n-1} + w_n, r.  F_1..F_n are kept as integers P_k / c over L / c,
+    for a c that divides L and every P_k read so far, so L / c is the
+    lcm of only the denominators the steps have needed.  When P_n is not
+    a multiple of c, c drops to gcd(c, P_n..P_{n+8}), eight steps ahead
+    so that such re-lifts stay rare, and the stored F are rescaled.
+    G_0..G_{n-1} are kept as M_m / Q over one running Q; the dot product
+    S = sum_k w_k F_k M_{n-k}, with each weight multiplied in last so a
+    zero M costs nothing, gives G_n = S / ((L / c) Q), reduced by one
+    gcd; when den G_n does not divide Q, Q rises to their lcm and the
+    stored M are rescaled.  No Fraction is built: each caller makes its
+    values from (M, Q) once, or compares them as they are.  `stats` gets
+    the largest |S|.bit_length() as "max_num_bits".
     """
     if P[0] != L:
         raise ValueError(f"exponential power needs F_0 = 1, got {Fraction(P[0], L)}")
     if r == 1:
         return list(P), L
     P = P[1:]
-    M, Q, w, peak = [1], 1, [r], 0
-    for _ in P:
-        S = sum(map(mul, map(mul, w, P), reversed(M)))
-        peak = max(peak, S.bit_length())
-        den = L * Q
+    M, Q, w, F, c, Lc, peak = [1], 1, [r], [], L, 1, 0
+    for k, p in enumerate(P):  # step n = k + 1 reads p = P_n
+        if p % c:
+            up = c
+            c = math.gcd(c, *P[k : k + 9])
+            up //= c
+            F = [f * up for f in F]
+            Lc = L // c
+        F.append(p // c)
+        S = sum(map(mul, w, map(mul, F, reversed(M))))
+        if stats is not None:
+            peak = max(peak, S.bit_length())
+        den = Lc * Q
         g = math.gcd(S, den)
         den //= g
         if Q % den:

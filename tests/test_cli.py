@@ -491,6 +491,15 @@ class TestUsageErrors:
         assert code == 2
         assert "bad.txt:2" in err
 
+    def test_custom_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"\xff\xfe1\n")
+        code, out, err = run(
+            capsys, "compute", "--family", "custom", "--custom-path", str(path), "--n", "0"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}:1: ") and err.count("\n") == 1, err
+
     def test_custom_file_is_read_to_d_n_only(self, capsys, tmp_path):
         path = tmp_path / "long.txt"
         path.write_text("1\n1/2\n1/3\nnope\n")
@@ -875,7 +884,7 @@ class TestBenchOutputPin:
 
     FAMILIES = TestPolyOutputPin.FAMILIES
     ORDERS = ("1", "2", "3", "7")
-    DIGEST = "ab75d72502b5894e53b14ab8a6f2c67b94067f0d633e34d94280bc0a1c875cc6"
+    DIGEST = "9df12aaf7cd57193cd44b96474a726cebcfb218ed5ff6392d396c38c1a89a7a0"
     VALUE_DIGEST = "4a0cf05f5a9821dc5afdbc74dd71ab79199198e9ad2e453224a0665ee6fcf296"
 
     def digest(self, capsys, columns):

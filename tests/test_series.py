@@ -291,8 +291,9 @@ class TestMillerKernel:
     def test_peak_bits_of_a_small_inverse(self):
         # 1/(1 + t/2 + t^2/3 + t^3/5): F = 1, 1/2, 2/3, 6/5 over L = 30, so
         # P = 15, 20, 36.  The first lift looks past n = 3, so F stays over
-        # L = 30 (gcd(30, 15, 20, 36) = 1) from step 1 on.  The dot products are S_1 = -15 (G_1 = -1/2, Q = 2),
-        # S_2 = -10 (G_2 = -1/6, Q = 6) and S_3 = 9 (G_3 = 1/20): 4 bits.
+        # L = 30 (gcd(30, 15, 20, 36) = 1) from step 1 on.  The dot
+        # products are S_1 = -15 (G_1 = -1/2, Q = 2), S_2 = -10
+        # (G_2 = -1/6, Q = 6) and S_3 = 9 (G_3 = 1/20): 4 bits.
         # The loop ends on Q = lcm(2, 6, 20) = 60.
         s = TruncatedSeries([1, F(1, 2), F(1, 3), F(1, 5)])
         D = s.coeffs
