@@ -1,7 +1,7 @@
 """Exact scalar arithmetic and combinatorial primitives: the wire format
 ("p/q" strings, parsed to a `Fraction` and printed from a Fraction or an
 integer pair), the lift of rationals to integer numerators over one
-denominator, and composition enumeration.
+denominator, the factorial prefix 0!..n! and composition enumeration.
 """
 
 from __future__ import annotations
@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Iterator, MutableMapping, Sequence
 
 #: Largest n the composition route (and `compositions`) serves by default.
@@ -91,6 +93,11 @@ def _decimal(x: int) -> str:
         k = x.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
         hi, lo = divmod(abs(x), 10**k)
         return ("-" if x < 0 else "") + _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def factorials(n_max: int) -> list[int]:
+    """0!, 1!, ..., n_max!."""
+    return list(accumulate(range(1, n_max + 1), mul, initial=1))
 
 
 def lift(xs: Sequence[Fraction]) -> tuple[int, list[int]]:

@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
 from operator import mul
 from typing import Optional, Sequence
 
-from .arith import StatsDict
+from .arith import StatsDict, factorials
 from .series import exponential_power
 
 _ONE = Fraction(1)
@@ -67,7 +66,7 @@ def hessenberg_leading_minors(
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if len(D) <= n_max:
         raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
-    fact = list(accumulate(range(1, n_max + 1), mul, initial=1))
+    fact = factorials(n_max)
     M, Q = exponential_power([_ONE, *map(mul, fact[1:], D[1 : n_max + 1])], -1, stats)
     return [Fraction(-m if n & 1 else m, Q * f) for n, (m, f) in enumerate(zip(M, fact))]
 

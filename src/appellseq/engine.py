@@ -49,6 +49,7 @@ from .arith import (
     CombinatorialBlowupError,
     StatsDict,
     compositions,  # unused here; perfbench/spans.py wraps engine.compositions
+    factorials,
     format_ratio,
     lift,
 )
@@ -195,19 +196,12 @@ def reduced_power_table(M: Sequence[int], Q: int) -> tuple[list[int], list[int]]
     """D_r(n) = M_n / (Q n!) from `power_numerators`, as numerators over
     positive denominators in lowest terms: one gcd each, no Fraction."""
     num, den = [], []
-    for m, f in zip(M, _factorials(len(M) - 1)):
+    for m, f in zip(M, factorials(len(M) - 1)):
         d = Q * f
         g = math.gcd(m, d)
         num.append(m // g)
         den.append(d // g)
     return num, den
-
-
-def _factorials(n_max: int) -> list[int]:
-    fact = [1] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        fact[n] = fact[n - 1] * n
-    return fact
 
 
 def recurrence_values(
@@ -218,7 +212,7 @@ def recurrence_values(
     (no route calls it; perfbench/spans.py wraps engine.recurrence_values)."""
     minors = hessenberg_leading_minors(D, n_max, stats=stats)
     return [
-        -f * x if n & 1 else f * x for n, (f, x) in enumerate(zip(_factorials(n_max), minors))
+        -f * x if n & 1 else f * x for n, (f, x) in enumerate(zip(factorials(n_max), minors))
     ]
 
 
@@ -272,7 +266,7 @@ def composition_numerators(
     for k in range(1, n_max + 1):
         S[k:] = map(add, S[k:], map(mul, row, L_pow))
         row = [sum(map(mul, N[: m + 1], row[m::-1])) for m in range(len(row) - 1)]
-    return list(map(mul, _factorials(n_max), S)), L_pow
+    return list(map(mul, factorials(n_max), S)), L_pow
 
 
 def related_numbers_composition(
@@ -310,7 +304,7 @@ def determinant_numerators(
     det_n = p_n / s_n of `bareiss_numerators`."""
     pivots, scales = bareiss_numerators(num, den, n_max, stats=stats)
     signed = [
-        -f * p if n & 1 else f * p for n, (f, p) in enumerate(zip(_factorials(n_max), pivots))
+        -f * p if n & 1 else f * p for n, (f, p) in enumerate(zip(factorials(n_max), pivots))
     ]
     return signed, scales
 

@@ -15,20 +15,26 @@ one integer Miller loop, `exponential_power_numerators`, on exponential
 coefficients kept as integer numerators over one denominator, in and
 out.  Inside, each step reads its F over the lcm of only the
 denominators read so far (looked up a few steps ahead), not of the whole
-prefix, and multiplies each weight in last.  `exponential_power` runs it
-on rationals it lifts to that form, or on numerators as the engine keeps
-a family's d_n.
+prefix, and multiplies each weight in last.  On a prefix of at least
+SHIFT_MIN_TERMS = 160 terms it may run on binomially shifted coefficients
+H_k = F_k C(k+m, m), m <= 8: since C(n, k) / C(k+m, m) =
+C(n+m, k+m) / C(n+m, m), step n takes the weights
+C(n+m, k+m) ((r+1) k - n) and divides by n C(n+m, m), and the m whose
+H_0..H_16 lift to the fewest bits makes the large F small (Bernoulli's
+1/(k+1) becomes H_k = 1 at m = 1).  `exponential_power` runs it on
+rationals it lifts to that form, or on numerators as the engine keeps a
+family's d_n.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import count
 from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import StatsDict, lift
+from .arith import StatsDict, factorials, lift
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -216,48 +222,115 @@ def exponential_power_numerators(
     as (M, Q): G_n = M_n / Q.  For r != 1, Q = lcm(den G_0..G_K) whatever
     L is; at r = 1 the result is (P, L) itself.
 
-    The package's one Miller loop (see `__pow__`).  The weights
-    w_k = r C(n-1, k-1) - C(n-1, k) obey Pascal's rule themselves: the
-    row w_1..w_n of step n rolls forward to w_1 - 1, w_1 + w_2, ...,
-    w_{n-1} + w_n, r.  F_1..F_n are kept as integers P_k / c over L / c,
-    for a c that divides L and every P_k read so far, so L / c is the
-    lcm of only the denominators the steps have needed.  When P_n is not
-    a multiple of c, c drops to gcd(c, P_n..P_{n+8}), eight steps ahead
-    so that such re-lifts stay rare, and the stored F are rescaled.
-    G_0..G_{n-1} are kept as M_m / Q over one running Q; the dot product
-    S = sum_k w_k F_k M_{n-k}, with each weight multiplied in last so a
-    zero M costs nothing, gives G_n = S / ((L / c) Q), reduced by one
-    gcd; when den G_n does not divide Q, Q rises to their lcm and the
-    stored M are rescaled.  No Fraction is built: each caller makes its
-    values from (M, Q) once, or compares them as they are.  `stats` gets
-    the largest |S|.bit_length() as "max_num_bits".
+    The package's one Miller loop (see `__pow__`).  On a prefix of fewer
+    than SHIFT_MIN_TERMS terms it runs on F as given, with the weights
+    w_k = r C(n-1, k-1) - C(n-1, k), which obey Pascal's rule
+    themselves: the row w_1..w_n of step n rolls forward to w_1 - 1,
+    w_1 + w_2, ..., w_{n-1} + w_n, r.  On a longer prefix it may run on
+    binomially shifted coefficients instead: write F_k = H_k / C(k+m, m);
+    since C(n, k) / C(k+m, m) = C(n+m, k+m) / C(n+m, m), the step
+    n G_n = sum_k C(n, k) ((r+1) k - n) F_k G_{n-k} becomes
+
+        n C(n+m, m) G_n = sum_{k=1..n} C(n+m, k+m) ((r+1) k - n) H_k G_{n-k},
+
+    on the numerators P_k C(k+m, m) of H over the same L, with the row
+    C(n+m, 0..n+m) rolled by Pascal's rule, the linear factor counted
+    off, and n C(n+m, m) joining the step's divisor.  `_shift` picks m:
+    d_k = 1/(k+1) (Bernoulli) takes m = 1 and H_k = 1, so the large F_k
+    become small integers; m = 0 is the unshifted loop.  Either way F
+    (or H) is kept as integers P_k / c over L / c, for a c that divides
+    L and every P_k read so far, so L / c is the lcm of only the
+    denominators the steps have needed.  When P_n is not a multiple of
+    c, c drops to gcd(c, P_n..P_{n+8}), eight steps ahead so that such
+    re-lifts stay rare, and the stored F are rescaled.  G_0..G_{n-1} are
+    kept as M_m / Q over one running Q; the dot product S, with each
+    weight multiplied in last so a zero M costs nothing, gives G_n = S
+    over (L / c) Q times the step's divisor, reduced by one gcd; when den
+    G_n does not divide Q, Q rises to their lcm and the stored M are
+    rescaled.  No Fraction is built: each caller makes its values from
+    (M, Q) once, or compares them as they are.  `stats` gets the largest
+    |S|.bit_length() of the form that ran as "max_num_bits".
     """
     if P[0] != L:
         raise ValueError(f"exponential power needs F_0 = 1, got {Fraction(P[0], L)}")
     if r == 1:
         return list(P), L
+    return _miller(P, L, r, _shift(P), stats)
+
+
+#: Shortest prefix d_0..d_K (K + 1 terms) on which the loop may shift.
+#: The shifted step costs one more product per term, which pays only once
+#: the operands are large: at Bernoulli (m = 1), hyper-Bernoulli(2, 3)
+#: (m = 4) and hyper-Cauchy(2, 3) (m = 3), r in {1, 3}, the shifted loop
+#: took 1.22-1.33x the unshifted loop's time at K = 40, 1.13-1.21x at
+#: K = 60, 0.95-1.02x at K = 140 and 0.93-0.99x at K = 160 (0.72x for
+#: Bernoulli at K = 400; one core of a 2-vCPU Intel Xeon VM, Python
+#: 3.11.7, best of 7).
+SHIFT_MIN_TERMS = 160
+#: Largest shift m tried.  hyper-Bernoulli(M, N) takes m = M + N - 1, so
+#: 8 serves M + N <= 9; the D_2 table of hyper-Bernoulli(2, 3) takes 8.
+#: Each m tried costs one pass over the probe, 2-6 us.
+SHIFT_MAX = 8
+#: `_shift` reads d_0..d_SHIFT_PROBE, enough for the denominators of every
+#: m <= SHIFT_MAX to show.  The choice then costs 22-50 us, 0.8-1.5 % of
+#: the loop at SHIFT_MIN_TERMS (Bernoulli, Euler, hyper-Bernoulli(2, 3),
+#: hyper-Cauchy(2, 3), r = -1; same machine).
+SHIFT_PROBE = 16
+
+
+def _shift(P: Sequence[int]) -> int:
+    """The loop's shift for F_k = P_k / L: 0 on a prefix shorter than
+    SHIFT_MIN_TERMS, else the m in 0..SHIFT_MAX whose numerators
+    P_k C(k+m, m), k <= SHIFT_PROBE, divided by their gcd have the fewest
+    bits in all (P_0 = L is among them, so the lifted denominator counts
+    too); the smallest such m."""
+    if len(P) < SHIFT_MIN_TERMS:
+        return 0
+
+    def bits(m: int) -> int:
+        H = [p * math.comb(k + m, m) for k, p in enumerate(P[: SHIFT_PROBE + 1])]
+        g = math.gcd(*H)
+        return sum((h // g).bit_length() for h in H)
+
+    return min(range(SHIFT_MAX + 1), key=bits)
+
+
+def _miller(
+    P: Sequence[int], L: int, r: int, m: int, stats: Optional[StatsDict] = None
+) -> tuple[list[int], int]:
+    """`exponential_power_numerators` at shift m (see there), r != 1."""
+    if m:
+        P = [p * math.comb(k + m, m) for k, p in enumerate(P)]
     P = P[1:]
-    M, Q, w, F, c, Lc, peak = [1], 1, [r], [], L, 1, 0
-    for k, p in enumerate(P):  # step n = k + 1 reads p = P_n
+    M, Q, F, c, Lc, peak = [1], 1, [], L, 1, 0
+    w = [r]  # the weights of step 1, at m = 0
+    row = [math.comb(m + 1, j) for j in range(m + 2)]  # C(n+m, j) at step n = 1
+    for n, p in enumerate(P, 1):  # step n reads p = P_n
         if p % c:
             up = c
-            c = math.gcd(c, *P[k : k + 9])
+            c = math.gcd(c, *P[n - 1 : n + 8])
             up //= c
             F = [f * up for f in F]
             Lc = L // c
         F.append(p // c)
-        S = sum(map(mul, w, map(mul, F, reversed(M))))
+        if m:
+            terms = map(mul, count(r + 1 - n, r + 1), map(mul, F, reversed(M)))
+            S = sum(map(mul, row[m + 1 :], terms))
+            den = Lc * Q * n * row[m]
+            row = [1, *map(add, row, row[1:]), 1]
+        else:
+            S = sum(map(mul, w, map(mul, F, reversed(M))))
+            den = Lc * Q
+            w = [w[0] - 1, *map(add, w, w[1:]), r]
         if stats is not None:
             peak = max(peak, S.bit_length())
-        den = Lc * Q
         g = math.gcd(S, den)
         den //= g
         if Q % den:
             up = den // math.gcd(Q, den)
             Q *= up
-            M = [m * up for m in M]
+            M = [x * up for x in M]
         M.append(S // g * (Q // den))
-        w = [w[0] - 1, *map(add, w, w[1:]), r]
     if stats is not None:
         stats["max_num_bits"] = max(stats.get("max_num_bits", 0), peak)
     return M, Q
@@ -266,7 +339,7 @@ def exponential_power_numerators(
 def _power(c: Sequence[Fraction], r: int) -> list[Fraction]:
     """Ordinary coefficients c_0^r G_n / n! of c^r, c_0 != 0, where G is
     `exponential_power` of F_k = k! c_k / c_0."""
-    fact = list(accumulate(range(1, len(c)), mul, initial=1))
+    fact = factorials(len(c) - 1)
     M, Q = exponential_power([x * f / c[0] for x, f in zip(c, fact)], r)
     scale = c[0] ** r
     return [Fraction(scale.numerator * m, scale.denominator * Q * f) for m, f in zip(M, fact)]

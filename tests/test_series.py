@@ -9,10 +9,15 @@ from hypothesis import strategies as st
 from appellseq.determinants import hessenberg_leading_minors
 from appellseq.engine import power_numerators, recurrence_values
 from appellseq.families import FamilySpec, family_coefficients
+from appellseq.arith import lift
 from appellseq.series import (
+    SHIFT_MAX,
+    SHIFT_MIN_TERMS,
     InsufficientPrecisionError,
     NotInvertibleError,
     TruncatedSeries,
+    _miller,
+    _shift,
     exponential_power,
     exponential_power_numerators,
 )
@@ -330,12 +335,25 @@ LIFT_SPECS = [
 
 class TestRunningLift:
     """The loop lifts F over the lcm of the denominators its next steps
-    read; its (M, Q) must be the global-lift reference's, bit for bit."""
+    read; its (M, Q) must be the global-lift reference's, bit for bit.
+    At n = 200 f^(-r) runs at the shift pinned in SHIFTS, so these rows
+    cover the shifted loop wherever that shift is not 0."""
+
+    SHIFTS = {
+        "bernoulli": 1,
+        "euler": 0,
+        "hyper-bernoulli(1,1)": 1,
+        "hyper-bernoulli(2,3)": 4,
+        "hyper-cauchy(1,1)": 1,
+        "hyper-cauchy(3,2)": 0,
+        "custom": 0,
+    }
 
     @pytest.mark.parametrize("r", [1, 2, 3, 7, 16])
     @pytest.mark.parametrize("spec", LIFT_SPECS, ids=lambda spec: spec.label)
     def test_matches_the_global_lift(self, spec, r):
         seq = family_coefficients(spec, 200)
+        assert _shift(seq.prefix(200)[0]) == self.SHIFTS[spec.label]
         for n in (0, 1, 9, 10, 200):
             P, L = seq.prefix(n)
             power = power_numerators(seq, r, n)
@@ -347,6 +365,60 @@ class TestRunningLift:
                 M, Q = exponential_power_numerators(A, B, s)
                 assert (M, Q) == oracles.global_lift_power(A, B, s), (n, what)
                 assert Q == math.lcm(*(F(m, Q).denominator for m in M)), (n, what)
+
+
+def shifted_peak_bits(P, L, m, G):
+    """The bit length of the largest |S| of the loop at shift m on
+    F_k = P_k / L, from its values G: step n's S is G_n times the step's
+    divisor before reduction, (L / c) Q n C(n+m, m) ((L / c) Q at m = 0),
+    where Q = lcm(den G_0..G_{n-1}) and c is the running lift over the
+    shifted numerators P_k C(k+m, m), which drops to
+    gcd(c, H_n..H_{n+8}) at each H_n it does not divide."""
+    H = [p * math.comb(k + m, m) for k, p in enumerate(P)]
+    c, Q, peak = L, 1, 0
+    for n in range(1, len(H)):
+        if H[n] % c:
+            c = math.gcd(c, *H[n : n + 9])
+        Q = math.lcm(Q, G[n - 1].denominator)
+        S = G[n] * (L // c) * Q * (n * math.comb(n + m, m) if m else 1)
+        assert S.denominator == 1, n
+        peak = max(peak, S.numerator.bit_length())
+    return peak
+
+
+class TestShiftedLoop:
+    """The loop on the binomially shifted coefficients H_k = F_k C(k+m, m),
+    at every shift it may take, and the choice of that shift."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(rationals, max_size=30),
+        st.sampled_from([-16, -3, -2, -1, 2, 3, 7, 2**40 + 3]),
+    )
+    def test_every_shift_matches_the_global_lift(self, tail, r):
+        L, P = lift([F(1), *tail])
+        want = oracles.global_lift_power(P, L, r)
+        G = [F(x, want[1]) for x in want[0]]
+        for m in range(SHIFT_MAX + 1):
+            stats = {}
+            assert _miller(P, L, r, m, stats) == want, m
+            assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}, m
+
+    @pytest.mark.parametrize(
+        "spec, m",
+        [(FamilySpec.bernoulli(), 1), (FamilySpec.hyper_bernoulli(2, 3), 4), (FamilySpec.euler(), 0)],
+        ids=lambda x: getattr(x, "label", x),
+    )
+    def test_shift_pins(self, spec, m):
+        # d_k = 1/(k+1) over C(k+1, 1) is 1; hyper-Bernoulli(2, 3)'s
+        # d_k = 24/((k+2)(k+3)(k+4)) over C(k+4, 4) is k+1; Euler's 1/2
+        # gains nothing.  A prefix one term short of SHIFT_MIN_TERMS, and
+        # the bench grid's n = 16, run unshifted.
+        seq = family_coefficients(spec, 200)
+        assert _shift(seq.prefix(SHIFT_MIN_TERMS - 1)[0]) == m
+        assert _shift(seq.prefix(200)[0]) == m
+        assert _shift(seq.prefix(SHIFT_MIN_TERMS - 2)[0]) == 0
+        assert _shift(seq.prefix(16)[0]) == 0
 
 
 class TestHasseTeichmuller:
