@@ -46,6 +46,13 @@ EXIT_MISMATCH = 4
 #: 3.11.7, whole process).
 MAX_N = 10_000
 
+#: Largest `bench` --n, refused before any work.  `run_benchmark` runs
+#: every kernel again at each n = 0..N, so its work grows about like N^6:
+#: 0.5-1.1 s at N = 100 and 4.2-6.9 s at N = 150 (Bernoulli, Euler r = 2,
+#: hyper-Bernoulli(2, 3) r = 13, hyper-Cauchy(2, 3) r = 16; same machine,
+#: whole process).  An interim bound: one run per kernel would lift it.
+MAX_BENCH_N = 100
+
 #: Largest n * bit_length(r), refused before any work: r adds about
 #: n * bits(r) bits to each value.  Euler `compute` takes 0.2 / 2.5 s at
 #: n = 25 / 400 with n * bits(r) near 2^16, and 1.0 / 23 s near 2^18.
@@ -238,7 +245,11 @@ def emit_table(
 ):
     """Print a_0..a_n from a route's (numerators, denominators); JSON also
     maps each cross-verified route to the largest n it covered, when
-    `verified` is given.  Every row is formatted before any is printed."""
+    `verified` is given.  Every row is formatted before any is printed.
+
+    JSON prints what `json.dumps(doc, indent=2)` would, but only the
+    header goes through `json`, whose indenting encoder is pure Python:
+    each value is digits, "-" and "/", which need no escaping."""
     rows = list(map(format_ratio, *pair))
     if config.fmt == "csv":
         print("\n".join(["n,value", *(f"{n},{v}" for n, v in enumerate(rows))]))
@@ -246,8 +257,10 @@ def emit_table(
         doc = {"family": config.family.label, "order": config.order}
         if verified is not None:
             doc["verified"] = dict(verified)
-        doc["values"] = [{"n": n, "value": v} for n, v in enumerate(rows)]
-        print(json.dumps(doc, indent=2))
+        values = ",\n".join(
+            f'    {{\n      "n": {n},\n      "value": "{v}"\n    }}' for n, v in enumerate(rows)
+        )
+        print(f'{json.dumps(doc, indent=2)[:-2]},\n  "values": [\n{values}\n  ]\n}}')
     else:
         width = len(str(len(rows) - 1))
         print("\n".join(f"{n:>{width}}  {v}" for n, v in enumerate(rows)))
@@ -300,8 +313,11 @@ def run_benchmark(
     production loop on the same input, so it is not run).  f^r, the
     reduced D_r and the recurrence's lifted input are prepared outside
     the timers.  The kernels' a_n are compared at each n as it is timed;
-    on any disagreement no timings are reported.
+    on any disagreement no timings are reported.  An n_max past
+    MAX_BENCH_N is refused before any work.
     """
+    if n_max > MAX_BENCH_N:
+        raise ValueError(f"bench --n must be <= {MAX_BENCH_N}, got {n_max}")
     seq = family_coefficients(spec, n_max)
     M, Q = engine.power_numerators(seq, r, n_max)
     num, den = engine.reduced_power_table(M, Q)

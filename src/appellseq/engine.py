@@ -60,7 +60,6 @@ from .determinants import (
 )
 from .series import (  # TruncatedSeries for perfbench/spans.py
     TruncatedSeries,
-    exponential_power,
     exponential_power_numerators,
 )
 
@@ -189,7 +188,7 @@ def power_numerators(
     if r < 1:
         raise ValueError(f"order r must be >= 1, got {r}")
     P, L = seq.prefix(n_max)
-    return exponential_power(P, r, L=L)
+    return exponential_power_numerators(P, L, r)
 
 
 def reduced_power_table(M: Sequence[int], Q: int) -> tuple[list[int], list[int]]:
@@ -351,7 +350,7 @@ def negative_power_numerators(
     Fraction is built.  `stats` gets "max_num_bits": the bit length of
     the loop's largest dot product |S|."""
     P, L = seq.prefix(n_max)
-    return exponential_power(P, -r, stats, L=L)
+    return exponential_power_numerators(P, L, -r, stats)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ H_k = F_k C(k+m, m), m <= 8: since C(n, k) / C(k+m, m) =
 C(n+m, k+m) / C(n+m, m), step n takes the weights
 C(n+m, k+m) ((r+1) k - n) and divides by n C(n+m, m), and the m whose
 H_0..H_16 lift to the fewest bits makes the large F small (Bernoulli's
-1/(k+1) becomes H_k = 1 at m = 1).  `exponential_power` runs it on
-rationals it lifts to that form, or on numerators as the engine keeps a
-family's d_n.
+1/(k+1) becomes H_k = 1 at m = 1).  A step skips the products by a
+flat F and by a vanished parity of G (see `exponential_power_numerators`).
+`exponential_power` lifts rationals to that form for `**` and `inverse`.
 """
 
 from __future__ import annotations
@@ -197,22 +197,17 @@ class TruncatedSeries:
 
 
 def exponential_power(
-    F: Sequence[Scalar],
-    r: int,
-    stats: Optional[StatsDict] = None,
-    L: Optional[int] = None,
+    F: Sequence[Scalar], r: int, stats: Optional[StatsDict] = None
 ) -> tuple[list[int], int]:
     """Exponential coefficients G_0..G_K of G = F^r, for F_0 = 1, as the
     integer numerators M_0..M_K over one denominator Q: G_n = M_n / Q,
     with Q = lcm(den G_0..G_K).
 
-    The one loop, `exponential_power_numerators` (see `__pow__`), on
-    F_k = F[k] / L: integers over the given L, or else rationals lifted
-    to integer numerators over L = lcm(den F).
+    The one loop, `exponential_power_numerators` (see `__pow__`), on the
+    rationals F lifted to integer numerators over L = lcm(den F).
     """
-    if L is None:
-        L, F = lift(F)
-    return exponential_power_numerators(F, L, r, stats)
+    L, P = lift(F)
+    return exponential_power_numerators(P, L, r, stats)
 
 
 def exponential_power_numerators(
@@ -244,11 +239,23 @@ def exponential_power_numerators(
     c, c drops to gcd(c, P_n..P_{n+8}), eight steps ahead so that such
     re-lifts stay rare, and the stored F are rescaled.  G_0..G_{n-1} are
     kept as M_m / Q over one running Q; the dot product S, with each
-    weight multiplied in last so a zero M costs nothing, gives G_n = S
-    over (L / c) Q times the step's divisor, reduced by one gcd; when den
-    G_n does not divide Q, Q rises to their lcm and the stored M are
-    rescaled.  No Fraction is built: each caller makes its values from
-    (M, Q) once, or compares them as they are.  `stats` gets the largest
+    weight multiplied in last, gives G_n = S over (L / c) Q times the
+    step's divisor, reduced by one gcd; when den G_n does not divide Q,
+    Q rises to their lcm and the stored M are rescaled.
+
+    Two rules drop only products by exactly 1 or 0, so S is the same
+    integer.  Flat F: while F_1 = ... = F_n (a re-lift scales every F
+    alike, so it keeps this), S is summed without F and multiplied by
+    F_1 once; Euler's F_k and Bernoulli's H_k at m = 1 are all 1.
+    Vanished parity: on a prefix of at least SHIFT_MIN_TERMS terms, the
+    loop keeps, for each parity, the last j with M_j != 0, past which
+    every M_j of that parity is 0 (Bernoulli's odd j >= 3 and Euler's
+    even j >= 2 at r = -1, both parities past the degree of a polynomial
+    power).  When more than two terms of step n read such zeros, it sums
+    each parity in step-2 slices, from that last nonzero M_j down.
+
+    No Fraction is built: each caller makes its values from (M, Q) once,
+    or compares them as they are.  `stats` gets the largest
     |S|.bit_length() of the form that ran as "max_num_bits".
     """
     if P[0] != L:
@@ -301,8 +308,10 @@ def _miller(
     """`exponential_power_numerators` at shift m (see there), r != 1."""
     if m:
         P = [p * math.comb(k + m, m) for k, p in enumerate(P)]
+    gate = len(P) >= SHIFT_MIN_TERMS  # the parity skip pays only on long prefixes
     P = P[1:]
     M, Q, F, c, Lc, peak = [1], 1, [], L, 1, 0
+    flat, last = True, [0, -1]  # F_1 = ... = F_n; the last j of each parity with M_j != 0
     w = [r]  # the weights of step 1, at m = 0
     row = [math.comb(m + 1, j) for j in range(m + 2)]  # C(n+m, j) at step n = 1
     for n, p in enumerate(P, 1):  # step n reads p = P_n
@@ -313,13 +322,32 @@ def _miller(
             F = [f * up for f in F]
             Lc = L // c
         F.append(p // c)
+        flat = flat and F[-1] == F[0]
+        # term i reads M_{n-1-i}, a zero for each i < n-1-last[z] of M_j's parity z
+        if gate and (n - 1 - last[0]) // 2 + (n - 1 - last[1]) // 2 > 2:
+            S = 0
+            for i in (n - 1 - last[0], n - 1 - last[1]):
+                if i < n:
+                    x = M[n - 1 - i :: -2]
+                    if not flat:
+                        x = map(mul, F[i::2], x)
+                    if m:
+                        x = map(mul, count((r + 1) * (i + 1) - n, 2 * (r + 1)), x)
+                        S += sum(map(mul, row[m + 1 + i :: 2], x))
+                    else:
+                        S += sum(map(mul, w[i::2], x))
+        else:
+            x = reversed(M) if flat else map(mul, F, reversed(M))
+            if m:
+                S = sum(map(mul, row[m + 1 :], map(mul, count(r + 1 - n, r + 1), x)))
+            else:
+                S = sum(map(mul, w, x))
+        if flat:
+            S *= F[0]
         if m:
-            terms = map(mul, count(r + 1 - n, r + 1), map(mul, F, reversed(M)))
-            S = sum(map(mul, row[m + 1 :], terms))
             den = Lc * Q * n * row[m]
             row = [1, *map(add, row, row[1:]), 1]
         else:
-            S = sum(map(mul, w, map(mul, F, reversed(M))))
             den = Lc * Q
             w = [w[0] - 1, *map(add, w, w[1:]), r]
         if stats is not None:
@@ -330,6 +358,8 @@ def _miller(
             up = den // math.gcd(Q, den)
             Q *= up
             M = [x * up for x in M]
+        if S:
+            last[n % 2] = n
         M.append(S // g * (Q // den))
     if stats is not None:
         stats["max_num_bits"] = max(stats.get("max_num_bits", 0), peak)

@@ -52,6 +52,22 @@ class TestComputeCommand:
         assert [v["n"] for v in doc["values"]] == [0, 1, 2, 3]
         assert [Fraction(v["value"]) for v in doc["values"]] == [1, -1, F(1, 2), F(1, 2)]
 
+    @pytest.mark.parametrize("label", ["euler", 'custom "q\u00fc\u2211" \\ \n'])
+    @pytest.mark.parametrize("verified", [None, {"recurrence": 0, "negative-power": 4}])
+    @pytest.mark.parametrize("pair", [([1], [1]), ([-3, 0, 5, -691], [2, 1, 6, 2730])])
+    def test_json_is_what_json_dumps_prints(self, capsys, label, verified, pair):
+        # the values array is written without `json`, the header with it,
+        # so a label that needs escaping (a quote, non-ASCII) is escaped
+        config = argparse.Namespace(
+            family=argparse.Namespace(label=label), order=3, fmt="json"
+        )
+        cli.emit_table(pair, config, verified)
+        doc = {"family": label, "order": 3}
+        if verified is not None:
+            doc["verified"] = verified
+        doc["values"] = [{"n": n, "value": str(F(p, q))} for n, (p, q) in enumerate(zip(*pair))]
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
     def test_pretty_output(self, capsys):
         code, out, _ = run(capsys, "compute", "--family", "bernoulli", "--n", "2")
         assert code == 0
@@ -392,7 +408,7 @@ class TestUsageErrors:
             raise AssertionError("ran before --order was checked")
 
         monkeypatch.setattr(cli, "family_coefficients", must_not_run)
-        monkeypatch.setattr(engine, "exponential_power", must_not_run)
+        monkeypatch.setattr(engine, "exponential_power_numerators", must_not_run)
         for command in ("compute", "poly", "bench"):
             code, out, err = run(
                 capsys, command, "--family", "euler", "--n", "300",
@@ -419,7 +435,7 @@ class TestUsageErrors:
 
         monkeypatch.setattr(cli, "family_coefficients", must_not_run)
         for owner in (series, engine):
-            monkeypatch.setattr(owner, "exponential_power", must_not_run)
+            monkeypatch.setattr(owner, "exponential_power_numerators", must_not_run)
         q = int("7" * 4000)
         for n, z, message in (
             ("200", f"1/{q}", f"--n times the bit lengths of the numerator and denominator "
@@ -1090,6 +1106,22 @@ class TestBenchCommand:
         cols = lines[1].split(",")
         assert cols[0] == "0"
         assert cols[-1] == "1"
+
+    def test_large_n_is_refused_before_any_work(self, capsys, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "family_coefficients", reached)
+        n = str(cli.MAX_BENCH_N + 1)
+        code, out, err = run(capsys, "bench", "--family", "bernoulli", "--n", n)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: bench --n must be <= {cli.MAX_BENCH_N}, got {n}"]
+        # the limit itself is admitted: the run gets as far as the family
+        with pytest.raises(Reached):
+            cli.main(["bench", "--family", "bernoulli", "--n", str(cli.MAX_BENCH_N)])
 
     def test_run_benchmark_structure(self):
         # at r = 1 the D_r recurrence is the negative power's own loop, so

@@ -421,6 +421,124 @@ class TestShiftedLoop:
         assert _shift(seq.prefix(16)[0]) == 0
 
 
+def flat_run(P, m):
+    """The largest n with H_1 = ... = H_n, H_k = P_k C(k+m, m): the steps
+    that the loop at shift m sums without F."""
+    H = [p * math.comb(k + m, m) for k, p in enumerate(P)]
+    return next((k - 1 for k in range(2, len(H)) if H[k] != H[1]), len(H) - 1)
+
+
+def vanished_from(M, z):
+    """The least j of parity z with M_i = 0 at every i >= j of that parity."""
+    return max((j for j in range(z, len(M), 2) if M[j]), default=z - 2) + 2
+
+
+def bernoulli_with(k, value, n=200):
+    """Bernoulli's d_0..d_n with d_k replaced by `value`."""
+    d = list(family_coefficients(FamilySpec.bernoulli(), n).d)
+    d[k] = F(value)
+    return d
+
+
+class TestSkippedProducts:
+    """A step drops the products by a flat F (F_1 = ... = F_n) and by the
+    M_j of a parity that has vanished; S, and with it (M, Q) and the peak
+    bits, must stay the global-lift reference's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, SHIFT_MAX),
+        rationals.filter(lambda a: a not in (0, 1)),
+        st.integers(1, 30),
+        st.integers(2, 40),
+        st.sampled_from([-16, -3, -1, 2, 7]),
+    )
+    def test_flat_tails_match_the_global_lift(self, m, a, K, b, r):
+        # d_k = a / C(k+m, m) makes H_k = a at shift m; from k = b on (when
+        # b <= K) a new prime denominator ends the run and lifts F again
+        d = [F(1)] + [a / math.comb(k + m, m) for k in range(1, K + 1)]
+        if b <= K:
+            d[b] /= 97
+        L, P = lift(d)
+        assert flat_run(P, m) == min(b - 1, K)
+        want = oracles.global_lift_power(P, L, r)
+        G = [F(x, want[1]) for x in want[0]]
+        stats = {}
+        assert _miller(P, L, r, m, stats) == want
+        assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.sampled_from([FamilySpec.bernoulli(), FamilySpec.euler()]),
+        st.integers(1, SHIFT_MIN_TERMS + 9),
+        rationals,
+        st.sampled_from([-3, -1, 2]),
+    )
+    def test_doctored_long_prefixes_match_the_global_lift(self, spec, k, value, r):
+        # one d_k changed anywhere in a prefix long enough for the parity
+        # skip: it ends the flat run there and may revive a vanished parity
+        d = list(family_coefficients(spec, SHIFT_MIN_TERMS + 9).d)
+        d[k] = value
+        L, P = lift(d)
+        want = oracles.global_lift_power(P, L, r)
+        G = [F(x, want[1]) for x in want[0]]
+        stats = {}
+        assert exponential_power_numerators(P, L, r, stats) == want
+        assert stats == {"max_num_bits": shifted_peak_bits(P, L, _shift(P), G)}
+
+    # (d_0..d_200, r): a vanished parity (Bernoulli's odd j >= 3, Euler's
+    # even j >= 2, both parities of the polynomial (1+t)^8 past 8, every
+    # odd j of the even cosh(t)^(-3)); a custom list flat at m = 1 up to
+    # k = 150; Bernoulli with d_170 changed, whose odd G_j turn nonzero
+    # at 171
+    LONG = {
+        "bernoulli": (family_coefficients(FamilySpec.bernoulli(), 200).d, -1),
+        "euler": (family_coefficients(FamilySpec.euler(), 200).d, -1),
+        "hyper-cauchy(3,2)": (family_coefficients(FamilySpec.hyper_cauchy(3, 2), 200).d, -4),
+        "cosh": ([1 - k % 2 for k in range(201)], -3),
+        "flat to 150": ([1] + [F(1, k + 1 + (k > 150)) for k in range(1, 201)], -1),
+        "bernoulli, d_170 changed": (bernoulli_with(170, F(1, 3)), -1),
+    }
+
+    @pytest.mark.parametrize("name", list(LONG))
+    def test_long_inputs_match_the_global_lift(self, name):
+        # at every shift: the linear factor (r+1) k - n is constant at
+        # r = -1, and a polynomial's sliced sums are all 0, so cosh(t)^(-3)
+        # is the one that checks the factor's step-2 slices
+        d, r = self.LONG[name]
+        L, P = lift(d)
+        want = oracles.global_lift_power(P, L, r)
+        G = [F(x, want[1]) for x in want[0]]
+        for m in range(SHIFT_MAX + 1):
+            stats = {}
+            assert _miller(P, L, r, m, stats) == want, m
+            assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}, m
+
+    def test_skip_pins(self):
+        # the inputs above have the property they are there for, at the
+        # shift the loop takes on them
+        def run(name):
+            d, r = self.LONG[name]
+            L, P = lift(d)
+            m = _shift(P)
+            M, _ = oracles.global_lift_power(P, L, r)
+            return flat_run(P, m), vanished_from(M, 0), vanished_from(M, 1)
+
+        assert run("bernoulli") == (200, 202, 3)
+        assert run("euler") == (200, 2, 201)
+        assert run("hyper-cauchy(3,2)")[1:] == (10, 9)
+        assert run("cosh")[1:] == (202, 1)
+        assert run("flat to 150") == (150, 202, 201)
+        assert run("bernoulli, d_170 changed") == (169, 202, 201)
+        L, P = lift(self.LONG["bernoulli, d_170 changed"][0])
+        M, _ = oracles.global_lift_power(P, L, -1)
+        assert not any(M[3:171:2]) and M[171]
+        # hyper-Bernoulli(1, 2), as in the order workload, is flat at its
+        # shift m = 2 (H_k = 1), and the prefixes run there are long
+        P, _ = family_coefficients(FamilySpec.hyper_bernoulli(1, 2), 200).prefix(200)
+        assert _shift(P) == 2 and flat_run(P, 2) == 200
+
+
 class TestHasseTeichmuller:
     def test_definition_spot_check(self):
         # c_m t^m -> C(m, n) c_m t^(m-n)
