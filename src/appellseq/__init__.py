@@ -4,12 +4,8 @@ higher-order Appell sequences.
 Given f(t) = sum_n d_n t^n / n! with d_0 = 1, the related numbers of
 order r are defined by 1 / f(t)^r = sum_n a_n^(r) t^n / n!, and the
 attached polynomials are A_n^(r)(z) = sum_m binom(n, m) a_m^(r) z^(n-m).
-Four routes compute the same numbers and are cross-checked: the
-negative power f^(-r) taken straight from f by Miller's recurrence (the
-production route), and three witnesses over D_r = f^r: a triangular
-recurrence (series inversion of f^r; at r = 1 the negative power
-itself), an alternating sum over compositions, and a lower-Hessenberg
-determinant by Bareiss elimination.
+Four routes compute the same numbers and are cross-checked; the
+docstring of `appellseq.engine` lists them.
 """
 
 from .arith import (

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 import time
@@ -53,6 +52,15 @@ MAX_N = 10_000
 #: whole process).  An interim bound: one run per kernel would lift it.
 MAX_BENCH_N = 100
 
+#: Largest `bench` n^2 * bits, bits summing what `admit` counts (--order,
+#: --m and --nn, or the largest custom value), refused before any work:
+#: `bench` reruns every kernel at each n.  Euler --order 2^600 took
+#: 0.14 / 0.89 / 5.3 / 74 s at N = 20 / 40 / 60 / 100 and hyper-Cauchy
+#: --m 2^300 --nn 2^300 0.77 / 10.2 s at N = 20 / 40; at N = 100 Euler
+#: --order 2^25 (26 bits) took 1.4 s, hyper-Cauchy --m 4096 --nn 4096 (27)
+#: 3.4 s and both (52) 33 s, Bernoulli 0.4-0.8 s (same machine, whole process).
+MAX_BENCH_WORK = 2**18
+
 #: Largest n * bit_length(r), refused before any work: r adds about
 #: n * bits(r) bits to each value.  Euler `compute` takes 0.2 / 2.5 s at
 #: n = 25 / 400 with n * bits(r) near 2^16, and 1.0 / 23 s near 2^18.
@@ -79,7 +87,8 @@ class KernelMismatchError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Everything one CLI invocation needs."""
+    """Everything one CLI invocation needs; `bench` holds it to
+    MAX_BENCH_WORK too."""
 
     family: FamilySpec
     order: int
@@ -88,38 +97,48 @@ class RunConfig:
     fmt: str = "pretty"
     check: bool = False
     cap: int = DEFAULT_COMPOSITION_CAP
+    bench: bool = False
 
     def __post_init__(self):
-        check_sizes(self.order, self.n_max)
         n, spec = self.n_max, self.family
+        bits = check_sizes(self.order, n)
         if spec.kind in (families.HYPER_BERNOULLI, families.HYPER_CAUCHY):
-            admit(n, "the bit lengths of --m and --nn", spec.m.bit_length(), spec.n.bit_length())
+            bits += admit(n, "the bit lengths of --m and --nn", spec.m.bit_length(),
+                          spec.n.bit_length())
         if spec.kind == families.CUSTOM:
-            bits = max(d.numerator.bit_length() + d.denominator.bit_length()
-                       for d in spec.values[: n + 1])
-            admit(n, "the largest bit length of numerator plus denominator of the "
-                  "--custom-path values d_0..d_n", bits)
+            top = max(d.numerator.bit_length() + d.denominator.bit_length()
+                      for d in spec.values[: n + 1])
+            bits += admit(n, "the largest bit length of numerator plus denominator of the "
+                          "--custom-path values d_0..d_n", top)
+        if self.bench and n * n * bits > MAX_BENCH_WORK:
+            raise ValueError(
+                f"bench --n squared times the bit lengths of --order and of the family's "
+                f"parameters or values must be <= {MAX_BENCH_WORK}, got {n}^2 * {bits}"
+            )
         if self.cap < 0:
             raise ValueError(f"--cap must be >= 0, got {self.cap}")
 
 
-def check_sizes(order: int, n: int) -> None:
-    """Refuse --order and --n out of range or past MAX_ORDER_WORK."""
+def check_sizes(order: int, n: int) -> int:
+    """Refuse --order and --n out of range or past MAX_ORDER_WORK, and
+    return the bit length of --order."""
     if order < 1:
         raise ValueError(f"--order must be >= 1, got {order}")
     if n < 0:
         raise ValueError(f"--n must be >= 0, got {n}")
     if n > MAX_N:
         raise ValueError(f"--n must be <= {MAX_N}, got {n}")
-    admit(n, "the bit length of --order", order.bit_length())
+    return admit(n, "the bit length of --order", order.bit_length())
 
 
-def admit(n: int, what: str, *bits: int) -> None:
+def admit(n: int, what: str, *bits: int) -> int:
     """Refuse a request whose --n times the sum of `bits` passes
-    MAX_ORDER_WORK, with a ValueError that says what was measured."""
+    MAX_ORDER_WORK, with a ValueError that says what was measured, and
+    return that sum."""
     if n * sum(bits) > MAX_ORDER_WORK:
         got = bits[0] if len(bits) == 1 else f"({' + '.join(map(str, bits))})"
         raise ValueError(f"--n times {what} must be <= {MAX_ORDER_WORK}, got {n} * {got}")
+    return sum(bits)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,6 +233,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         fmt=getattr(args, "fmt", "pretty"),
         check=getattr(args, "check", False),
         cap=getattr(args, "cap", DEFAULT_COMPOSITION_CAP),
+        bench=args.command == "bench",
     )
 
 
@@ -321,18 +341,15 @@ def run_benchmark(
     seq = family_coefficients(spec, n_max)
     M, Q = engine.power_numerators(seq, r, n_max)
     num, den = engine.reduced_power_table(M, Q)
-    L = 1  # lcm(den k! D_r(k), k <= n): the D-recurrence's input lifted to n
+    power = engine.CoefficientSequence(M, Q)  # k! D_r(k) = M_k / Q
     rows = []
     for n in range(n_max + 1):
-        dt, bits, (A, QA) = _timed(engine.negative_power_numerators, seq, r, n)
-        cells = {"negative_power": (dt, bits, format_ratio(A[n], QA))}
-        dt, bits, (signed, scales) = _timed(engine.determinant_numerators, num, den, n)
-        cells["bareiss"] = (dt, bits, format_ratio(signed[n], scales[n]))
+        cells = {
+            "negative_power": _timed(engine.negative_power_numerators, seq, r, n),
+            "bareiss": _timed(engine.determinant_numerators, num, den, n),
+        }
         if r > 1:
-            L = math.lcm(L, Q // math.gcd(M[n], Q))
-            P = [m // (Q // L) for m in M[: n + 1]]
-            dt, bits, (A, QA) = _timed(engine.exponential_power_numerators, P, L, -1)
-            cells["recurrence"] = (dt, bits, format_ratio(A[n], QA))
+            cells["recurrence"] = _timed(engine.exponential_power_numerators, *power.prefix(n), -1)
         if len({value for _, _, value in cells.values()}) != 1:
             detail = ", ".join(f"{m}={v}" for m, (_, _, v) in cells.items())
             raise KernelMismatchError(
@@ -342,12 +359,15 @@ def run_benchmark(
     return rows
 
 
-def _timed(kernel: Callable, *args) -> tuple[float, int, tuple]:
-    """Wall seconds and "max_num_bits" of one kernel call, and its result."""
+def _timed(kernel: Callable, *args) -> tuple[float, int, str]:
+    """Wall seconds and "max_num_bits" of one kernel call, and the last
+    value of its table, (M, Q) or (numerators, denominators), as printed."""
     stats: dict[str, int] = {}
     t0 = time.perf_counter()
-    result = kernel(*args, stats)
-    return time.perf_counter() - t0, stats.get("max_num_bits", 0), result
+    num, den = kernel(*args, stats)
+    dt = time.perf_counter() - t0
+    value = format_ratio(num[-1], den if isinstance(den, int) else den[-1])
+    return dt, stats.get("max_num_bits", 0), value
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

@@ -24,7 +24,7 @@ Four routes compute the same table a_0..a_{n_max}:
   compositions of n, read off the power triangle of sum_{e>=1} D_r(e) t^e;
 * `related_numbers_determinant`: (-1)^n n! times the determinant of the
   unit-superdiagonal Hessenberg matrix over D_r(1)..D_r(n), by Bareiss
-  elimination on its band.
+  elimination on its band (`determinant_numerators`).
 
 D_r(e) = [t^e] f(t)^r comes from the same loop at the power r
 (`power_numerators`).  Each route has one integer kernel that returns its
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -53,13 +54,9 @@ from .arith import (
     format_ratio,
     lift,
 )
-from .determinants import (
-    bareiss_det,  # unused here; perfbench/spans.py wraps engine.bareiss_det
-    bareiss_numerators,
-    hessenberg_leading_minors,
-)
 from .series import (  # TruncatedSeries for perfbench/spans.py
     TruncatedSeries,
+    exponential_power,
     exponential_power_numerators,
 )
 
@@ -206,13 +203,31 @@ def reduced_power_table(M: Sequence[int], Q: int) -> tuple[list[int], list[int]]
 def recurrence_values(
     D: Sequence[Fraction], n_max: int, stats: Optional[StatsDict] = None
 ) -> list[Fraction]:
-    """a_0..a_{n_max} of the convolution recurrence on a D table, as
-    (-1)^n n! det_n over the leading minors of `hessenberg_leading_minors`
-    (no route calls it; perfbench/spans.py wraps engine.recurrence_values)."""
-    minors = hessenberg_leading_minors(D, n_max, stats=stats)
-    return [
-        -f * x if n & 1 else f * x for n, (f, x) in enumerate(zip(factorials(n_max), minors))
-    ]
+    """a_0..a_{n_max} of the convolution recurrence on a D table: a_n = M_n / Q
+    from `exponential_power` at -1 on 1, 1! D(1), 2! D(2), ... (D(0) is not
+    read), the cofactor recurrence of the Hessenberg minors times (-1)^n n!.
+    No route calls it; perfbench/spans.py wraps it."""
+    _check_table(D, n_max)
+    E = map(mul, factorials(n_max)[1:], D[1 : n_max + 1])
+    M, Q = exponential_power([1, *E], -1, stats)
+    return [Fraction(m, Q) for m in M]
+
+
+def _check_table(D: Sequence, n_max: int) -> None:
+    """Refuse an n_max below 0 or past the end of the table D(0)..."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if len(D) <= n_max:
+        raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
+
+
+def hessenberg_leading_minors(
+    D: Sequence[Fraction], n_max: int, stats: Optional[StatsDict] = None
+) -> list[Fraction]:
+    """Leading minors det_n = (-1)^n a_n / n!, n <= n_max, of the Hessenberg
+    matrix over D, from `recurrence_values`.  Kept for perfbench/spans.py."""
+    a = recurrence_values(D, n_max, stats=stats)
+    return [(-x if n & 1 else x) / f for n, (x, f) in enumerate(zip(a, factorials(n_max)))]
 
 
 def _reduced(pair: tuple[Sequence[int], Sequence[int]]) -> tuple[Fraction, ...]:
@@ -299,25 +314,65 @@ def determinant_numerators(
     stats: Optional[StatsDict] = None,
 ) -> tuple[list[int], list[int]]:
     """The determinant route's a_0..a_{n_max} from D_r(e) = num[e] / den[e]
-    in lowest terms, as ((-1)^n n! p_n, s_n) over the leading minors
-    det_n = p_n / s_n of `bareiss_numerators`."""
-    pivots, scales = bareiss_numerators(num, den, n_max, stats=stats)
-    signed = [
-        -f * p if n & 1 else f * p for n, (f, p) in enumerate(zip(factorials(n_max), pivots))
-    ]
+    in lowest terms (den[e] > 0), as ((-1)^n n! p_n, s_n), unreduced, over
+    the leading minors det_n = p_n / s_n of the Hessenberg matrix
+
+        | D(1)  1                 |
+        | D(2)  D(1)  1           |
+        | ...               1     |
+        | D(n)  ...   D(2)  D(1)  |
+
+    by fraction-free (Bareiss) elimination on its band.  Row i is lifted
+    by L_i = lcm(den D(1..i+1)).  Before step k, c_i (i >= k) is the
+    minor of the lifted matrix on rows 0..k-1, i and columns 0..k, so the
+    pivot p_k = c_k gives det_{k+1} = p_k / (L_0...L_k), and expanding the
+    next minor along column k+1 (row k holds L_k, row i holds L_i D(i-k))
+    gives c_i <- L_i D(i-k) p_k - L_k c_i for i > k: O(n^2) products, no
+    division, no row swap, so a zero minor passes through like any other.
+    Without its lifts that update is the cofactor recurrence run forward,
+    so as a witness it checks the other routes' integer bookkeeping, not
+    their algebra.  D(0) is not read.  `stats` gets "max_num_bits": the
+    bit length of the largest |c_i|.
+    """
+    _check_table(num, n_max)
+    lifts = list(accumulate(den[1 : n_max + 1], math.lcm))  # lifts[i] = L_i
+    c = [L // den[i + 1] * num[i + 1] for i, L in enumerate(lifts)]
+    signed, scales = [1], [1]
+    sign_fact, scale, peak = 1, 1, 0  # (-1)^k k!, L_0 ... L_{k-1}
+    for k, Lk in enumerate(lifts):
+        if stats is not None:  # c[k:] is what step k-1 left, or the lifted column 0
+            peak = max(peak, *(x.bit_length() for x in c[k:]))
+        pivot = c[k]
+        sign_fact *= -k - 1
+        scale *= Lk
+        signed.append(sign_fact * pivot)
+        scales.append(scale)
+        c[k + 1 :] = [
+            lifts[i] // den[i - k] * num[i - k] * pivot - Lk * c[i]
+            for i in range(k + 1, n_max)
+        ]
+    if stats is not None:
+        stats["max_num_bits"] = max(stats.get("max_num_bits", 0), peak)
     return signed, scales
+
+
+def bareiss_det(
+    D: Sequence[Fraction], n: int, stats: Optional[StatsDict] = None
+) -> Fraction:
+    """det of the n x n Hessenberg matrix over D(1)..D(n) (1 at n = 0), from
+    `determinant_numerators`.  Kept for perfbench/spans.py."""
+    D = D[: n + 1]
+    signed, scales = determinant_numerators(
+        [x.numerator for x in D], [x.denominator for x in D], n, stats
+    )
+    return Fraction(signed[-1] * (-1) ** n, scales[-1] * math.factorial(n))
 
 
 def related_numbers_determinant(
     seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> RelatedNumberTable:
-    """a_n^(r) = (-1)^n n! det(M_n) over the Hessenberg matrix of D values.
-
-    Every leading minor M_1..M_{n_max} comes from one O(n^2) pass of
-    fraction-free elimination on the band of M_{n_max}, which never
-    builds the matrix and shares no code with the Miller loop, though
-    it is the cofactor recurrence run forward (see `determinants`).
-    """
+    """a_n^(r) = (-1)^n n! det M_n over the Hessenberg matrix M_n of D_r,
+    every M_n from one Bareiss pass, `determinant_numerators`."""
     return _route_table(seq, r, n_max, DETERMINANT_BAREISS)
 
 
@@ -328,14 +383,9 @@ related_numbers_inversion = related_numbers_recurrence
 def related_numbers_negative_power(
     seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> RelatedNumberTable:
-    """Production path: a_n^(r) = n! [t^n] f^(-r), by Miller's recurrence
-    on d_0..d_{n_max} themselves, in one pass over exponential coefficients.
-
-    It never sees the D table, so as a witness it checks D_r too.  At
-    r = 1 it is the D-recurrence itself, run on D_1 = f, and
-    `cross_verify` runs it once; for r >= 2 it is an algebraically
-    different recurrence.
-    """
+    """Production path: a_n^(r) = n! [t^n] f^(-r), Miller's loop on
+    d_0..d_{n_max} themselves.  It never sees the D table, so as a witness
+    it checks D_r too; at r = 1 it is the D-recurrence (see `cross_verify`)."""
     return _route_table(seq, r, n_max, NEGATIVE_POWER)
 
 
@@ -450,8 +500,7 @@ def run_routes(
     f^r is computed once, as (M, Q), when a D-based route is asked for:
     the D-recurrence runs the Miller loop on M over Q, and Bareiss and
     the composition sum read each D_r(e) = M_e / (Q e!) reduced by one
-    gcd.  The negative power starts from f, so a fault in D_r shows too.
-    The composition leg runs to min(n_max, cap), cut short at its
+    gcd.  The composition leg runs to min(n_max, cap), cut short at its
     `composition_reach`; with cap None it must reach n_max, and a work
     bound short of it raises CombinatorialBlowupError as soon as D_r is
     known, before any route runs.

@@ -9,21 +9,8 @@ The series here carry exponential generating functions in ordinary form:
 a sequence d_n with EGF sum(d_n t^n / n!) is stored as c_n = d_n / n!.
 Ordinary coefficients are the natural carrier for the Hasse-Teichmueller
 derivative H^(n), which maps c_m t^m to c_m C(m, n) t^(m-n), and for the
-determinant entries derived from it.  `**` (any integer power) and
-`inverse` (the power -1) scale their coefficients around the package's
-one integer Miller loop, `exponential_power_numerators`, on exponential
-coefficients kept as integer numerators over one denominator, in and
-out.  Inside, each step reads its F over the lcm of only the
-denominators read so far (looked up a few steps ahead), not of the whole
-prefix, and multiplies each weight in last.  On a prefix of at least
-SHIFT_MIN_TERMS = 160 terms it may run on binomially shifted coefficients
-H_k = F_k C(k+m, m), m <= 8: since C(n, k) / C(k+m, m) =
-C(n+m, k+m) / C(n+m, m), step n takes the weights
-C(n+m, k+m) ((r+1) k - n) and divides by n C(n+m, m), and the m whose
-H_0..H_16 lift to the fewest bits makes the large F small (Bernoulli's
-1/(k+1) becomes H_k = 1 at m = 1).  A step skips the products by a
-flat F and by a vanished parity of G (see `exponential_power_numerators`).
-`exponential_power` lifts rationals to that form for `**` and `inverse`.
+determinant entries derived from it.  `**` and `inverse` run the
+package's one integer Miller loop, stated in `exponential_power_numerators`.
 """
 
 from __future__ import annotations
@@ -126,21 +113,8 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, r: int) -> "TruncatedSeries":
-        """r-th power for any integer r, by J.C.P. Miller's recurrence.
-
-        For g = f^r with f_0 = 1, f g' = r f' g gives
-        g_n = 1/n * sum_{k=1..n} ((r+1)k - n) f_k g_{n-k}.  Multiplied by
-        n!, it runs on the exponential coefficients F_k = k! f_k and
-        G_n = n! g_n with integer weights:
-
-            G_0 = 1,
-            G_n = sum_{k=1..n} ((r+1) C(n-1, k-1) - C(n, k)) F_k G_{n-k},
-
-        O(K^2) operations whatever r is (Knuth, TAOCP vol. 2, 4.7), in
-        `exponential_power`.  f_0 != 1 scales the result by f_0^r; f_0 = 0 means
-        f = t^v h with h_0 != 0, so f^r = t^(vr) h^r, for r >= 0 only
-        (NotInvertibleError otherwise).  The result keeps the order K.
-        """
+        """f^r for any integer r, by `exponential_power_numerators`; a zero
+        c_0 needs r >= 0 (NotInvertibleError otherwise).  The order K stays."""
         if not isinstance(r, int):
             raise ValueError(f"series power needs an integer exponent, got {r!r}")
         if r == 0:
@@ -157,11 +131,7 @@ class TruncatedSeries:
         return TruncatedSeries([_ZERO] * shift + _power(c[v : v + len(c) - shift], r))
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse up to the truncation order.
-
-        b_0 = 1/a_0 and b_n = -(1/a_0) * sum_{m<n} a_{n-m} b_m, run as the
-        power -1, where Miller's weight is -C(n, k).
-        """
+        """Multiplicative inverse up to the truncation order: the power -1."""
         return self**-1
 
     def ht(self, n: int) -> "TruncatedSeries":
@@ -199,13 +169,9 @@ class TruncatedSeries:
 def exponential_power(
     F: Sequence[Scalar], r: int, stats: Optional[StatsDict] = None
 ) -> tuple[list[int], int]:
-    """Exponential coefficients G_0..G_K of G = F^r, for F_0 = 1, as the
-    integer numerators M_0..M_K over one denominator Q: G_n = M_n / Q,
-    with Q = lcm(den G_0..G_K).
-
-    The one loop, `exponential_power_numerators` (see `__pow__`), on the
-    rationals F lifted to integer numerators over L = lcm(den F).
-    """
+    """G = F^r for rationals F_0 = 1, F_1, ..., F_K as (M, Q), G_n = M_n / Q
+    with Q = lcm(den G_0..G_K): `exponential_power_numerators` on F lifted
+    to integer numerators over L = lcm(den F)."""
     L, P = lift(F)
     return exponential_power_numerators(P, L, r, stats)
 
@@ -217,14 +183,17 @@ def exponential_power_numerators(
     as (M, Q): G_n = M_n / Q.  For r != 1, Q = lcm(den G_0..G_K) whatever
     L is; at r = 1 the result is (P, L) itself.
 
-    The package's one Miller loop (see `__pow__`).  On a prefix of fewer
-    than SHIFT_MIN_TERMS terms it runs on F as given, with the weights
-    w_k = r C(n-1, k-1) - C(n-1, k), which obey Pascal's rule
-    themselves: the row w_1..w_n of step n rolls forward to w_1 - 1,
-    w_1 + w_2, ..., w_{n-1} + w_n, r.  On a longer prefix it may run on
+    The package's one Miller loop.  For g = f^r with f_0 = 1, f g' = r f' g
+    gives g_n = 1/n sum_{k=1..n} ((r+1) k - n) f_k g_{n-k}, O(K^2)
+    operations whatever r is (J.C.P. Miller; Knuth, TAOCP vol. 2, 4.7).
+    Times n!, it runs on the exponential coefficients F_k = k! f_k and
+    G_n = n! g_n: G_0 = 1 and n G_n = sum_k C(n, k) ((r+1) k - n) F_k G_{n-k}.
+    On a prefix of fewer than SHIFT_MIN_TERMS terms it runs on F as given,
+    with the integer weights w_k = r C(n-1, k-1) - C(n-1, k), which obey
+    Pascal's rule themselves: the row w_1..w_n of step n rolls forward to
+    w_1 - 1, w_1 + w_2, ..., w_{n-1} + w_n, r.  On a longer prefix it may run on
     binomially shifted coefficients instead: write F_k = H_k / C(k+m, m);
-    since C(n, k) / C(k+m, m) = C(n+m, k+m) / C(n+m, m), the step
-    n G_n = sum_k C(n, k) ((r+1) k - n) F_k G_{n-k} becomes
+    since C(n, k) / C(k+m, m) = C(n+m, k+m) / C(n+m, m), the step becomes
 
         n C(n+m, m) G_n = sum_{k=1..n} C(n+m, k+m) ((r+1) k - n) H_k G_{n-k},
 

@@ -107,7 +107,7 @@ def gauss_det(matrix):
 
 # The Hessenberg matrix itself and Bareiss elimination of a general
 # matrix, with row swaps past zero pivots: the reference that the band
-# kernel `determinants.bareiss_numerators` is tested against.
+# kernel `engine.determinant_numerators` is tested against.
 
 
 def related_matrix(D, n):

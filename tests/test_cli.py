@@ -1123,6 +1123,67 @@ class TestBenchCommand:
         with pytest.raises(Reached):
             cli.main(["bench", "--family", "bernoulli", "--n", str(cli.MAX_BENCH_N)])
 
+    # (the sum of the bits that `admit` counts, argv): each ran for 30 s
+    # or more; the first is admitted with its --order or its --m and --nn
+    # alone
+    HEAVY = (
+        (52, ["--family", "hyper-cauchy", "--m", "4096", "--nn", "4096",
+              "--order", str(2**25), "--n", "100"]),
+        (601, ["--family", "euler", "--order", str(2**600), "--n", "100"]),
+        (603, ["--family", "hyper-cauchy", "--m", str(2**300), "--nn", str(2**300),
+               "--n", "100"]),
+    )
+
+    def test_large_work_is_refused_before_any_work(self, capsys, monkeypatch, tmp_path):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "family_coefficients", reached)
+        # d_1..d_20 = 2^1000 count 1001 + 1 bits: 20 * 1002 is inside the
+        # one-run budget, 20^2 * (1 + 1002) is not
+        path = tmp_path / "big.txt"
+        path.write_text("1\n" + f"{2**1000}\n" * 20)
+        custom = (1003, ["--family", "custom", "--custom-path", str(path), "--n", "20"])
+        for bits, argv in (*self.HEAVY, custom):
+            n = int(argv[-1])
+            assert n * n * bits > cli.MAX_BENCH_WORK
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, "bench", *argv)
+            assert time.perf_counter() - t0 < 1, argv
+            assert (code, out) == (2, ""), argv
+            assert err.splitlines() == [
+                "error: bench --n squared times the bit lengths of --order and of the "
+                f"family's parameters or values must be <= {cli.MAX_BENCH_WORK}, "
+                f"got {n}^2 * {bits}"
+            ]
+            # one run of each is admitted: the request gets as far as the family
+            with pytest.raises(Reached):
+                cli.main(["compute", *argv])
+
+    def test_every_bench_call_here_is_admitted(self):
+        # the pinned grid, the argv of the other bench tests, and the
+        # sizes the MAX_BENCH_N comment measured, all at their largest n
+        calls = [
+            [*family, "--order", r, "--n", "16"]
+            for family in TestBenchOutputPin.FAMILIES for r in TestBenchOutputPin.ORDERS
+        ]
+        calls += [
+            ["--family", "bernoulli", "--order", "2", "--n", "4"],
+            ["--family", "euler", "--order", "2", "--n", "5"],
+            ["--family", "bernoulli", "--n", str(cli.MAX_BENCH_N)],
+            ["--family", "euler", "--order", "2", "--n", str(cli.MAX_BENCH_N)],
+            ["--family", "hyper-bernoulli", "--m", "2", "--nn", "3", "--order", "13",
+             "--n", str(cli.MAX_BENCH_N)],
+            ["--family", "hyper-cauchy", "--m", "2", "--nn", "3", "--order", "16",
+             "--n", str(cli.MAX_BENCH_N)],
+        ]
+        parser = cli.build_parser()
+        for argv in calls:
+            assert cli.config_from_args(parser.parse_args(["bench", *argv])).bench, argv
+
     def test_run_benchmark_structure(self):
         # at r = 1 the D_r recurrence is the negative power's own loop, so
         # only r >= 2 times it
@@ -1189,6 +1250,17 @@ class TestBenchmarkTracer:
 
 
 class TestReadmeFlags:
+    def test_layout_names_exactly_the_modules(self):
+        # the file names at the start of the src/appellseq/ lines of
+        # README's "Layout" block
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text()
+        block = readme[readme.index("\n## Layout") :].split("```")[1]
+        listing = block[block.index("src/appellseq/") : block.index("\ntests/")]
+        documented = re.findall(r"^  (\S+\.py) ", listing, re.M)
+        modules = sorted(p.name for p in (root / "src" / "appellseq").glob("*.py"))
+        assert sorted(documented) == modules
+
     def test_flags_line_lists_exactly_the_compute_options(self):
         # README's "Flags:" paragraph runs to the next blank line
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

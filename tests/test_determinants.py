@@ -7,12 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from appellseq import engine, series
-from appellseq.determinants import (
+from appellseq.arith import factorials
+from appellseq.engine import (
     bareiss_det,
-    bareiss_numerators,
+    compute_D,
+    determinant_numerators,
     hessenberg_leading_minors,
+    related_numbers_recurrence,
 )
-from appellseq.engine import compute_D, determinant_numerators, related_numbers_recurrence
 from appellseq.families import FamilySpec, family_coefficients
 
 import oracles
@@ -25,15 +27,18 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 def bareiss_leading_minors(D, n_max, stats=None):
     """Leading principal minors det_0=1, det_1, ..., det_{n_max}, by
-    `bareiss_numerators` on the numerators and denominators of D, each
-    minor reduced once."""
+    `determinant_numerators` on the numerators and denominators of D:
+    det_n = (-1)^n signed_n / (n! s_n), each minor reduced once."""
     if len(D) <= n_max:
         raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
     D = D[: n_max + 1]
-    pivots, scales = bareiss_numerators(
+    signed, scales = determinant_numerators(
         [x.numerator for x in D], [x.denominator for x in D], n_max, stats
     )
-    return list(map(Fraction, pivots, scales))
+    return [
+        Fraction(-x if n & 1 else x, f * s)
+        for n, (x, s, f) in enumerate(zip(signed, scales, factorials(n_max)))
+    ]
 
 
 def matrix_strategy(max_n=5):

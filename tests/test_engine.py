@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from appellseq import determinants, engine, series
+from appellseq import engine, series
 from appellseq.arith import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError
 from appellseq.engine import (
     COMPOSITION,
@@ -167,7 +167,7 @@ class TestRouteAgreement:
         n_max = seq.n_max
         rec = related_numbers_recurrence(seq, r, n_max)
         # the minor recurrence: (-1)^n n! det M_n = a_n
-        minors = determinants.hessenberg_leading_minors(compute_D(seq, r, n_max).D, n_max)
+        minors = engine.hessenberg_leading_minors(compute_D(seq, r, n_max).D, n_max)
         fact = [math.factorial(n) for n in range(n_max + 1)]
         assert tuple((-1) ** n * fact[n] * x for n, x in enumerate(minors)) == rec.a
         assert related_numbers_determinant(seq, r, n_max).a == rec.a
@@ -184,7 +184,7 @@ class TestRouteAgreement:
     def test_both_kernels_serve_n_max_zero(self):
         seq = bernoulli_seq(3)
         assert related_numbers_determinant(seq, 1, 0).a == (1,)
-        assert determinants.hessenberg_leading_minors(compute_D(seq, 1, 0).D, 0) == [1]
+        assert engine.hessenberg_leading_minors(compute_D(seq, 1, 0).D, 0) == [1]
 
     def test_kernel_argument_is_gone(self):
         # one determinant route, Bareiss: no knob to pick another
@@ -300,8 +300,7 @@ class TestCompositionTriangle:
             (series, "exponential_power"),
             (series, "exponential_power_numerators"),
             (engine, "exponential_power_numerators"),
-            (determinants, "bareiss_numerators"),
-            (engine, "bareiss_numerators"),
+            (engine, "determinant_numerators"),
         ):
             monkeypatch.setattr(owner, name, must_not_run)
         assert composition_table(D, 20) == expected
@@ -643,7 +642,7 @@ class TestPackageSurface:
 
         for name in (
             "binomial", "rising_factorial", "polynomial_derivative",
-            "bareiss_leading_minors", "bareiss_det", "compositions",
-            "hessenberg_leading_minors",
+            "determinant_numerators", "recurrence_values",
+            "hessenberg_leading_minors", "bareiss_det", "compositions",
         ):
             assert name not in appellseq.__all__, name

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from appellseq.determinants import hessenberg_leading_minors
-from appellseq.engine import power_numerators, recurrence_values
+from appellseq.engine import hessenberg_leading_minors, power_numerators, recurrence_values
 from appellseq.families import FamilySpec, family_coefficients
 from appellseq.arith import lift
 from appellseq.series import (
