@@ -12,7 +12,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -54,12 +54,14 @@ MAX_BENCH_N = 100
 
 #: Largest `bench` n^2 * bits, bits summing what `admit` counts (--order,
 #: --m and --nn, or the largest custom value), refused before any work:
-#: `bench` reruns every kernel at each n.  Euler --order 2^600 took
-#: 0.14 / 0.89 / 5.3 / 74 s at N = 20 / 40 / 60 / 100 and hyper-Cauchy
-#: --m 2^300 --nn 2^300 0.77 / 10.2 s at N = 20 / 40; at N = 100 Euler
-#: --order 2^25 (26 bits) took 1.4 s, hyper-Cauchy --m 4096 --nn 4096 (27)
-#: 3.4 s and both (52) 33 s, Bernoulli 0.4-0.8 s (same machine, whole process).
-MAX_BENCH_WORK = 2**18
+#: `bench` reruns every kernel at each n, and its cost grows faster than
+#: the bits.  At N = 100 Euler --order 2^600 took 74 s and --order 2^25
+#: (26 bits) 1.4 s, but hyper-Cauchy --m 2048 --nn 1024 --order 4 (26)
+#: 7.1 s and --m 128 --nn 128 --order 512 (26) 11.9 s.  On this bound,
+#: hyper-Cauchy with --m, --nn and an --order >= 2 all raised took
+#: 0.75-3.4 s at N = 36-100 (N = 70 the slowest), Bernoulli 0.6 s at
+#: N = 100 (same machine, whole process).
+MAX_BENCH_WORK = 2**17
 
 #: Largest n * bit_length(r), refused before any work: r adds about
 #: n * bits(r) bits to each value.  Euler `compute` takes 0.2 / 2.5 s at
@@ -87,8 +89,8 @@ class KernelMismatchError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Everything one CLI invocation needs; `bench` holds it to
-    MAX_BENCH_WORK too."""
+    """Everything one CLI invocation needs.  `bits` sums the bit lengths
+    that `admit` counted, for `bench`'s MAX_BENCH_WORK."""
 
     family: FamilySpec
     order: int
@@ -97,24 +99,19 @@ class RunConfig:
     fmt: str = "pretty"
     check: bool = False
     cap: int = DEFAULT_COMPOSITION_CAP
-    bench: bool = False
+    bits: int = field(init=False)
 
     def __post_init__(self):
         n, spec = self.n_max, self.family
-        bits = check_sizes(self.order, n)
+        self.bits = check_sizes(self.order, n)
         if spec.kind in (families.HYPER_BERNOULLI, families.HYPER_CAUCHY):
-            bits += admit(n, "the bit lengths of --m and --nn", spec.m.bit_length(),
-                          spec.n.bit_length())
+            self.bits += admit(n, "the bit lengths of --m and --nn", spec.m.bit_length(),
+                               spec.n.bit_length())
         if spec.kind == families.CUSTOM:
             top = max(d.numerator.bit_length() + d.denominator.bit_length()
                       for d in spec.values[: n + 1])
-            bits += admit(n, "the largest bit length of numerator plus denominator of the "
-                          "--custom-path values d_0..d_n", top)
-        if self.bench and n * n * bits > MAX_BENCH_WORK:
-            raise ValueError(
-                f"bench --n squared times the bit lengths of --order and of the family's "
-                f"parameters or values must be <= {MAX_BENCH_WORK}, got {n}^2 * {bits}"
-            )
+            self.bits += admit(n, "the largest bit length of numerator plus denominator of "
+                               "the --custom-path values d_0..d_n", top)
         if self.cap < 0:
             raise ValueError(f"--cap must be >= 0, got {self.cap}")
 
@@ -233,7 +230,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         fmt=getattr(args, "fmt", "pretty"),
         check=getattr(args, "check", False),
         cap=getattr(args, "cap", DEFAULT_COMPOSITION_CAP),
-        bench=args.command == "bench",
     )
 
 
@@ -344,12 +340,13 @@ def run_benchmark(
     power = engine.CoefficientSequence(M, Q)  # k! D_r(k) = M_k / Q
     rows = []
     for n in range(n_max + 1):
-        cells = {
-            "negative_power": _timed(engine.negative_power_numerators, seq, r, n),
-            "bareiss": _timed(engine.determinant_numerators, num, den, n),
-        }
+        dt, bits, (A, QA) = _timed(engine.negative_power_numerators, seq, r, n)
+        cells = {"negative_power": (dt, bits, format_ratio(A[n], QA))}
+        dt, bits, (signed, scales) = _timed(engine.determinant_numerators, num, den, n)
+        cells["bareiss"] = (dt, bits, format_ratio(signed[n], scales[n]))
         if r > 1:
-            cells["recurrence"] = _timed(engine.exponential_power_numerators, *power.prefix(n), -1)
+            dt, bits, (A, QA) = _timed(engine.exponential_power_numerators, *power.prefix(n), -1)
+            cells["recurrence"] = (dt, bits, format_ratio(A[n], QA))
         if len({value for _, _, value in cells.values()}) != 1:
             detail = ", ".join(f"{m}={v}" for m, (_, _, v) in cells.items())
             raise KernelMismatchError(
@@ -359,19 +356,22 @@ def run_benchmark(
     return rows
 
 
-def _timed(kernel: Callable, *args) -> tuple[float, int, str]:
-    """Wall seconds and "max_num_bits" of one kernel call, and the last
-    value of its table, (M, Q) or (numerators, denominators), as printed."""
+def _timed(kernel: Callable, *args) -> tuple[float, int, tuple]:
+    """Wall seconds and "max_num_bits" of one kernel call, and its result."""
     stats: dict[str, int] = {}
     t0 = time.perf_counter()
-    num, den = kernel(*args, stats)
-    dt = time.perf_counter() - t0
-    value = format_ratio(num[-1], den if isinstance(den, int) else den[-1])
-    return dt, stats.get("max_num_bits", 0), value
+    result = kernel(*args, stats)
+    return time.perf_counter() - t0, stats.get("max_num_bits", 0), result
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     config = config_from_args(args)
+    if config.n_max**2 * config.bits > MAX_BENCH_WORK:
+        raise ValueError(
+            f"bench --n squared times the bit lengths of --order and of the family's "
+            f"parameters or values must be <= {MAX_BENCH_WORK}, "
+            f"got {config.n_max}^2 * {config.bits}"
+        )
     rows = run_benchmark(config.family, config.order, config.n_max)
     header = ["n"]
     for method in rows[0][1]:  # the kernels actually run, in run order

@@ -110,12 +110,7 @@ class CoefficientSequence:
     def _resolve(self, n_max: Optional[int]) -> int:
         if n_max is None:
             return self.n_max
-        if n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {n_max}")
-        if n_max > self.n_max:
-            raise ValueError(
-                f"sequence provides d_0..d_{self.n_max}, cannot serve n_max={n_max}"
-            )
+        _check_table(self.P, n_max)
         return n_max
 
 
@@ -214,11 +209,11 @@ def recurrence_values(
 
 
 def _check_table(D: Sequence, n_max: int) -> None:
-    """Refuse an n_max below 0 or past the end of the table D(0)..."""
+    """Refuse an n_max below 0 or past the end of the table D[0]..."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if len(D) <= n_max:
-        raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
+        raise ValueError(f"need entries 0..{n_max}, got only {len(D)}")
 
 
 def hessenberg_leading_minors(
