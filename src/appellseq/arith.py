@@ -22,12 +22,14 @@ from typing import Iterator, MutableMapping, Sequence
 DEFAULT_COMPOSITION_CAP = 50
 
 #: Largest n * bit_length(max_e |N_e|) the composition route takes on, where
-#: N_e are the D_r(1..n) lifted to integers over one denominator: the
-#: triangle's products grow with those bits as well as with n.  Euler at
-#: n = 50 costs 0.06 / 0.08 / 0.56 / 9.0 s at about 11 000 / 96 000 /
-#: 495 000 / 3.3 M (r = 1, 2^40, 2^200, 2^1310 - 1; same machine as above).
-#: Past it, `--algo composition` is refused and `--check` takes the
-#: composition leg to the largest n inside it.
+#: N_e are f's d_1/1!..d_n/n! lifted to integers over one denominator: the
+#: triangle's products grow with those bits as well as with n, and r adds
+#: only the weights C(r+k-1, k).  Its kernel at n = 50 costs, on Euler
+#: (about 10 750), 0.035 / 0.12 / 0.44 s at r = 1, 2^200, 2^1310 - 1, and
+#: at the bound 0.14 s on hyper-Cauchy (2^109, 1) but 15.6 s on
+#: hyper-Bernoulli (2^106, 1) (same machine as above).  Past it, `--algo
+#: composition` is refused and `--check` takes the composition leg to the
+#: largest n inside it.
 MAX_COMPOSITION_WORK = 2**18
 
 #: Optional per-call statistics; kernels record "max_num_bits" in it.

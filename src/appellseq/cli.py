@@ -90,7 +90,8 @@ class KernelMismatchError(RuntimeError):
 @dataclass
 class RunConfig:
     """Everything one CLI invocation needs.  `bits` sums the bit lengths
-    that `admit` counted, for `bench`'s MAX_BENCH_WORK."""
+    that `admit` counted, for `bench`'s MAX_BENCH_WORK; with r > 1 that
+    sum, too, is held to MAX_ORDER_WORK."""
 
     family: FamilySpec
     order: int
@@ -103,15 +104,19 @@ class RunConfig:
 
     def __post_init__(self):
         n, spec = self.n_max, self.family
-        self.bits = check_sizes(self.order, n)
+        order_bits, family_bits = check_sizes(self.order, n), 0
         if spec.kind in (families.HYPER_BERNOULLI, families.HYPER_CAUCHY):
-            self.bits += admit(n, "the bit lengths of --m and --nn", spec.m.bit_length(),
-                               spec.n.bit_length())
+            family_bits = admit(n, "the bit lengths of --m and --nn", spec.m.bit_length(),
+                                spec.n.bit_length())
         if spec.kind == families.CUSTOM:
             top = max(d.numerator.bit_length() + d.denominator.bit_length()
                       for d in spec.values[: n + 1])
-            self.bits += admit(n, "the largest bit length of numerator plus denominator of "
-                               "the --custom-path values d_0..d_n", top)
+            family_bits = admit(n, "the largest bit length of numerator plus denominator of "
+                                "the --custom-path values d_0..d_n", top)
+        if self.order > 1:  # r = 1 adds no bits to the family's values
+            admit(n, "the bit lengths of --order and of the family's parameters or values",
+                  order_bits, family_bits)
+        self.bits = order_bits + family_bits
         if self.cap < 0:
             raise ValueError(f"--cap must be >= 0, got {self.cap}")
 
@@ -179,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_COMPOSITION_CAP,
         help=(
             f"composition enumeration cap (default {DEFAULT_COMPOSITION_CAP}); the "
-            f"route also stops where n times the bit length of its lifted D_r "
-            f"passes {MAX_COMPOSITION_WORK}"
+            f"route also stops where n times the bit length of its lifted "
+            f"d_e/e! passes {MAX_COMPOSITION_WORK}"
         ),
     )
     p_compute.add_argument(
@@ -238,8 +243,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     route, cap, n = ROUTES[config.algorithm], config.cap, config.n_max
     if route == engine.COMPOSITION:
         # refused past --cap before the family is built; the printed table
-        # must then be whole, and is refused at its work bound once D_r is
-        # known, before any route runs
+        # must then be whole, and is refused at its work bound from d,
+        # before f^r is built and before any route runs
         engine.check_composition_cap(n, cap)
         cap = None
     seq = family_coefficients(config.family, n)

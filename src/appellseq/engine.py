@@ -20,8 +20,8 @@ Four routes compute the same table a_0..a_{n_max}:
 * `related_numbers_recurrence`: the paper's O(n^2) convolution recurrence
   a_n = -n! sum_{m<n} D_r(n-m) a_m / m!, the same loop at the power -1 on
   the exponential coefficients n! D_r(n); a witness for r >= 2;
-* `related_numbers_composition`: the explicit alternating sum over the
-  compositions of n, read off the power triangle of sum_{e>=1} D_r(e) t^e;
+* `related_numbers_composition`: the explicit sum over the compositions
+  of n, read off d itself, not D_r (`composition_numerators`);
 * `related_numbers_determinant`: (-1)^n n! times the determinant of the
   unit-superdiagonal Hessenberg matrix over D_r(1)..D_r(n), by Bareiss
   elimination on its band (`determinant_numerators`).
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -184,8 +184,9 @@ def power_numerators(
 
 
 def reduced_power_table(M: Sequence[int], Q: int) -> tuple[list[int], list[int]]:
-    """D_r(n) = M_n / (Q n!) from `power_numerators`, as numerators over
-    positive denominators in lowest terms: one gcd each, no Fraction."""
+    """D_r(n) = M_n / (Q n!) from `power_numerators` (d_n / n! from
+    `seq.prefix`), as numerators over positive denominators in lowest
+    terms: one gcd each, no Fraction."""
     num, den = [], []
     for m, f in zip(M, factorials(len(M) - 1)):
         d = Q * f
@@ -250,8 +251,8 @@ def check_composition_cap(n_max: int, cap: int) -> None:
 
 def composition_reach(num: Sequence[int], den: Sequence[int], n_max: int) -> int:
     """Largest m <= n_max with m bits(max_{e<=m} |N_e|) at most
-    MAX_COMPOSITION_WORK, where N_e = D_r(e) L_m over
-    L_m = lcm(den D_r(1..m)).  The product never falls as m grows."""
+    MAX_COMPOSITION_WORK, where N_e = c_e L_m over L_m = lcm(den c_1..c_m),
+    c_e = num[e] / den[e].  The product never falls as m grows."""
     L, top = 1, 0  # L_m and the largest |N_e| over it
     for m in range(1, n_max + 1):
         up = den[m] // math.gcd(L, den[m])
@@ -263,17 +264,29 @@ def composition_reach(num: Sequence[int], den: Sequence[int], n_max: int) -> int
 
 
 def composition_numerators(
-    num: Sequence[int], den: Sequence[int], n_max: int
+    num: Sequence[int], den: Sequence[int], r: int, n_max: int
 ) -> tuple[list[int], list[int]]:
-    """The composition route's a_0..a_{n_max} from D_r(e) = num[e] / den[e]
-    in lowest terms, as (n! S_n, L^n): see `related_numbers_composition`."""
+    """The composition route's a_0..a_{n_max}, as (n! S_n, L^n), from f's
+    ordinary coefficients c_e = d_e / e! = num[e] / den[e] in lowest terms.
+
+    The Hasse-Teichmueller chain rule on 1/f^r = (1 + g)^(-r), g = f - 1,
+    gives a_n = n! sum_k C(-r, k) [t^n] g^k, C(-r, k) = (-1)^k C(r+k-1, k),
+    and [t^n] g^k sums c_(e_1)...c_(e_k) over the compositions
+    e_1+..+e_k = n (Faa di Bruno; Comtet, Advanced Combinatorics, 3.3).
+    Every c_e is lifted to N_e / L over L = lcm(den c_1..c_{n_max}); row
+    k+1 of the power triangle of -N(t) is row k convolved with -N, one dot
+    product per entry, O(n_max^3) products over integers.  Entry [t^n] of
+    row k enters S_n weighted by C(r+k-1, k) and scaled by L^(n-k).  At
+    r = 1 on a D table in place of f's it gives the coefficients of 1/D.
+    """
     L = math.lcm(*den[1 : n_max + 1])
     N = [-x * (L // d) for x, d in zip(num[1 : n_max + 1], den[1 : n_max + 1])]
     L_pow = [L**i for i in range(n_max + 1)]
     S = [1] + [0] * n_max
-    row = N  # row[m] = [t^(k+m)] (-N(t))^k, here for k = 1
+    row, weight = N, 1  # row[m] = [t^(k+m)] (-N(t))^k, here for k = 1
     for k in range(1, n_max + 1):
-        S[k:] = map(add, S[k:], map(mul, row, L_pow))
+        weight = weight * (r + k - 1) // k  # C(r+k-1, k)
+        S[k:] = map(add, S[k:], map(mul, map(mul, row, L_pow), repeat(weight)))
         row = [sum(map(mul, N[: m + 1], row[m::-1])) for m in range(len(row) - 1)]
     return list(map(mul, factorials(n_max), S)), L_pow
 
@@ -284,20 +297,10 @@ def related_numbers_composition(
     n_max: Optional[int] = None,
     cap: int = DEFAULT_COMPOSITION_CAP,
 ) -> RelatedNumberTable:
-    """Explicit alternating sum over the compositions of each n.
-
-    The strict compositions e_1+..+e_k = n sum D_r(e_1)...D_r(e_k) to
-    [t^n] h^k for h(t) = sum_{e>=1} D_r(e) t^e, so a_n = n! sum_k (-1)^k
-    [t^n] h^k: Faa di Bruno's formula for 1/(1 + h) (Comtet, Advanced
-    Combinatorics, 3.3).  Every D_r(e) is lifted to N_e / L over one
-    L = lcm(den D_r(1..n_max)); row k+1 of the power triangle of -N(t)
-    is row k convolved with -N, one dot product per entry, O(n_max^3)
-    products over integers.  Entry [t^n] of row k enters the sum S_n
-    scaled by L^(n-k), and a_n = n! S_n / L^n.  It reads only the D
-    table: no Miller loop, no determinant.  n_max past `cap`, or past
-    the work bound of `composition_reach`, raises
-    CombinatorialBlowupError before the triangle is built.
-    """
+    """a_n^(r) by the sum over compositions that `composition_numerators`
+    states, read off d alone: no f^r, no Miller loop, no determinant.
+    n_max past `cap`, or past the work bound of `composition_reach`,
+    raises CombinatorialBlowupError before the triangle is built."""
     check_composition_cap(seq._resolve(n_max), cap)
     return _route_table(seq, r, n_max, COMPOSITION)
 
@@ -492,32 +495,33 @@ def run_routes(
     """Each of `routes` run once on (seq, r) to n_max, compared as
     `cross_verify` compares them; the one place that feeds the routes.
 
-    f^r is computed once, as (M, Q), when a D-based route is asked for:
-    the D-recurrence runs the Miller loop on M over Q, and Bareiss and
-    the composition sum read each D_r(e) = M_e / (Q e!) reduced by one
-    gcd.  The composition leg runs to min(n_max, cap), cut short at its
+    The composition sum reads f's ordinary coefficients d_e / e!, reduced
+    by one gcd each, up to min(n_max, cap) and cut short at their
     `composition_reach`; with cap None it must reach n_max, and a work
-    bound short of it raises CombinatorialBlowupError as soon as D_r is
-    known, before any route runs.
+    bound short of it raises CombinatorialBlowupError before f^r is built
+    and before any route runs.  f^r is computed once, as (M, Q), only for
+    the D-recurrence, which runs the Miller loop on M over Q, and for
+    Bareiss, which reads each D_r(e) = M_e / (Q e!) reduced by one gcd.
     """
     n_max = seq._resolve(n_max)
     pairs = {}
-    if set(routes) - {NEGATIVE_POWER}:
-        M, Q = power_numerators(seq, r, n_max)
-        num, den = reduced_power_table(M, Q)
     if COMPOSITION in routes:
-        reach = composition_reach(num, den, n_max if cap is None else min(n_max, cap))
+        top = n_max if cap is None else min(n_max, cap)
+        c_num, c_den = reduced_power_table(*seq.prefix(top))
+        reach = composition_reach(c_num, c_den, top)
         if cap is None and reach < n_max:
             raise CombinatorialBlowupError(
                 f"composition route cannot serve n_max={n_max}: n times the bit length "
-                f"of the lifted D_r(1..n) passes {MAX_COMPOSITION_WORK} at n={reach + 1}"
+                f"of the lifted d_1/1!..d_n/n! passes {MAX_COMPOSITION_WORK} at n={reach + 1}"
             )
+    if RECURRENCE in routes or DETERMINANT_BAREISS in routes:
+        M, Q = power_numerators(seq, r, n_max)
     if RECURRENCE in routes:
         pairs[RECURRENCE] = _over_one(*exponential_power_numerators(M, Q, -1))
     if DETERMINANT_BAREISS in routes:
-        pairs[DETERMINANT_BAREISS] = determinant_numerators(num, den, n_max)
+        pairs[DETERMINANT_BAREISS] = determinant_numerators(*reduced_power_table(M, Q), n_max)
     if COMPOSITION in routes:
-        pairs[COMPOSITION] = composition_numerators(num, den, reach)
+        pairs[COMPOSITION] = composition_numerators(c_num, c_den, r, reach)
     if NEGATIVE_POWER in routes:
         pairs[NEGATIVE_POWER] = _over_one(*negative_power_numerators(seq, r, n_max))
     return VerificationReport(

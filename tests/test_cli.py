@@ -403,6 +403,39 @@ class TestUsageErrors:
         assert code == 2
         assert err.endswith("got 256 * (256 + 1)\n")
 
+    def test_order_and_family_together_are_refused_before_any_work(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before --order and the family were checked together")
+
+        monkeypatch.setattr(cli, "family_coefficients", must_not_run)
+        # each passes alone (100 * 601, 100 * 602), their sum does not
+        path = tmp_path / "big.txt"
+        path.write_text("1\n" + f"{2**600}\n" * 100)
+        what = "the bit lengths of --order and of the family's parameters or values"
+        for family, bits in (
+            (("--family", "hyper-cauchy", "--m", str(2**300), "--nn", str(2**300)), 602),
+            (("--family", "hyper-bernoulli", "--m", str(2**300), "--nn", str(2**300)), 602),
+            (("--family", "custom", "--custom-path", str(path)), 602),
+        ):
+            for command in ("compute", "poly", "bench"):
+                code, out, err = run(
+                    capsys, command, *family, "--order", str(2**600), "--n", "100",
+                )
+                assert (code, out) == (2, ""), (command, family)
+                assert err.splitlines() == [
+                    f"error: --n times {what} must be <= {cli.MAX_ORDER_WORK}, "
+                    f"got 100 * (601 + {bits})"
+                ]
+        # the sum at the budget is admitted, and so is r = 1 beside a family
+        # that fills the budget alone
+        spec = FamilySpec.hyper_cauchy(2**127 - 1, 1)
+        cli.RunConfig(family=spec, order=2**127, n_max=256)
+        cli.RunConfig(family=FamilySpec.hyper_cauchy(2**255 - 1, 1), order=1, n_max=256)
+        with pytest.raises(ValueError, match=r"got 256 \* \(129 \+ 128\)$"):
+            cli.RunConfig(family=spec, order=2**128, n_max=256)
+
     def test_huge_order_is_refused_before_any_work(self, capsys, monkeypatch):
         def must_not_run(*args, **kwargs):
             raise AssertionError("ran before --order was checked")
@@ -661,14 +694,14 @@ class TestCapExit:
 
 
 class TestCompositionWorkExit:
-    """The composition route past MAX_COMPOSITION_WORK: Euler at n = 50 and
-    r = 2^1310 - 1 lifts D_r(1..n) to about 17 500 bits each, and the
-    triangle took 9.7 s where the production route takes 0.4 s."""
+    """The composition route past MAX_COMPOSITION_WORK: hyper-Cauchy with
+    M = 2^300 lifts d_1/1!..d_n/n! past the bound at n = 30.  The bound
+    reads d alone, so it is met or refused before f^r is built."""
 
-    ARGV = ("compute", "--family", "euler", "--n", "50", "--order", str(2**1310 - 1))
+    ARGV = ("compute", "--family", "hyper-cauchy", "--m", str(2**300), "--n", "50")
     MESSAGE = (
         f"error: composition route cannot serve n_max=50: n times the bit length "
-        f"of the lifted D_r(1..n) passes {cli.MAX_COMPOSITION_WORK} at n=15"
+        f"of the lifted d_1/1!..d_n/n! passes {cli.MAX_COMPOSITION_WORK} at n=30"
     )
 
     def test_algo_composition_exits_3_before_the_triangle(self, capsys, monkeypatch):
@@ -676,17 +709,18 @@ class TestCompositionWorkExit:
             raise AssertionError("built the triangle past the work bound")
 
         monkeypatch.setattr(engine, "composition_numerators", must_not_run)
+        calls = TestComputeCommand.count_miller_loops(monkeypatch)
         code, out, err = run(capsys, *self.ARGV, "--algo", "composition")
         assert (code, out) == (3, "")
         assert err.splitlines() == [self.MESSAGE]
+        assert calls == []
 
     def test_check_stops_the_composition_leg_inside_the_bound(self, capsys):
         code, out, err = run(capsys, *self.ARGV, "--check", "--format", "json")
         assert (code, err) == (0, "")
         assert json.loads(out)["verified"] == {
-            "recurrence": 50,
             "determinant:bareiss": 50,
-            "composition": 14,
+            "composition": 29,
             "negative-power": 50,
         }
         # the composition table alone cannot be printed to n = 50
@@ -702,11 +736,37 @@ class TestCompositionWorkExit:
                      "composition_numerators"):
             monkeypatch.setattr(engine, name, must_not_run)
         calls = TestComputeCommand.count_miller_loops(monkeypatch)
-        code, out, err = run(capsys, *self.ARGV, "--check", "--algo", "composition")
-        assert (code, out) == (3, "")
-        assert err.splitlines() == [self.MESSAGE]
-        # f^r only: neither the D-recurrence nor the negative power ran
-        assert calls == [2**1310 - 1]
+        for r in ("1", "2"):
+            code, out, err = run(capsys, *self.ARGV, "--order", r, "--check",
+                                 "--algo", "composition")
+            assert (code, out) == (3, "")
+            assert err.splitlines() == [self.MESSAGE]
+        # no loop ran: not f^r, not the D-recurrence, not the negative power
+        assert calls == []
+
+    def test_high_order_is_covered_in_full(self, capsys):
+        # Euler at r = 2^1310 - 1 lifts D_r(1..n) to about 17 500 bits each,
+        # past the bound from n = 15; f's own d_e/e! stay small at any r
+        argv = ("compute", "--family", "euler", "--n", "50", "--order", str(2**1310 - 1))
+        code, out, err = run(capsys, *argv, "--check", "--format", "json")
+        assert (code, err) == (0, "")
+        assert set(json.loads(out)["verified"].values()) == {50}
+        production = run(capsys, *argv, "--format", "csv")
+        assert production[0] == 0
+        assert run(capsys, *argv, "--algo", "composition", "--format", "csv") == production
+
+    def test_plain_composition_runs_no_miller_loop(self, capsys, monkeypatch):
+        calls = TestComputeCommand.count_miller_loops(monkeypatch)
+        for r in ("1", "2", "7"):
+            plain = run(capsys, "compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "3",
+                        "--order", r, "--n", "12", "--format", "csv")
+            assert calls == [-int(r)]
+            calls.clear()
+            composition = run(capsys, "compute", "--family", "hyper-cauchy", "--m", "2",
+                              "--nn", "3", "--order", r, "--n", "12", "--format", "csv",
+                              "--algo", "composition")
+            assert composition == plain
+            assert calls == [], r
 
     # (family flags, r, n, cap): the sizes of the benchmark's `verify` requests
     VERIFY_SIZED = (

@@ -56,9 +56,9 @@ def pair(D):
 
 
 def composition_table(D, n):
-    """The composition kernel on D's numerators and denominators, each
-    value reduced once."""
-    return list(map(F, *engine.composition_numerators(*pair(D), n)))
+    """The composition kernel at r = 1 on D's numerators and denominators,
+    the exponential coefficients of 1/D, each value reduced once."""
+    return list(map(F, *engine.composition_numerators(*pair(D), 1, n)))
 
 
 CATALOG = [
@@ -259,8 +259,9 @@ sparse_tables = st.lists(
 
 
 class TestCompositionTriangle:
-    """The power triangle of h = sum D_r(e) t^e against the partition
-    walk it replaced, the production table and the D-recurrence."""
+    """The power triangle of h = sum D_r(e) t^e at r = 1 against the
+    partition walk it replaced and the D-recurrence, and the route on f
+    itself against the production table."""
 
     @pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.label)
     def test_equals_partition_walk_on_catalog(self, spec):
@@ -292,6 +293,7 @@ class TestCompositionTriangle:
         seq = family_coefficients(FamilySpec.hyper_cauchy(2, 3), 20)
         D = compute_D(seq, 3, 20).D
         expected = recurrence_values(D, 20)
+        production = {r: related_numbers_negative_power(seq, r, 20).a for r in (2, 7)}
 
         def must_not_run(*args, **kwargs):
             raise AssertionError("the composition route ran another witness")
@@ -300,10 +302,22 @@ class TestCompositionTriangle:
             (series, "exponential_power"),
             (series, "exponential_power_numerators"),
             (engine, "exponential_power_numerators"),
+            (engine, "power_numerators"),
             (engine, "determinant_numerators"),
         ):
             monkeypatch.setattr(owner, name, must_not_run)
         assert composition_table(D, 20) == expected
+        # the route reads f's (P, L) alone: no f^r, no loop, no determinant
+        for r, a in production.items():
+            assert related_numbers_composition(seq, r, 20).a == a, r
+
+    @settings(max_examples=40, deadline=None)
+    @given(sequence_strategy(max_len=9), st.integers(1, 20))
+    def test_weights_on_f_give_the_negative_power(self, seq, r):
+        # row k of f - 1's triangle weighted by C(r+k-1, k) sums to f^(-r)
+        num, den = engine.reduced_power_table(*seq.prefix())
+        got = list(map(F, *engine.composition_numerators(num, den, r, seq.n_max)))
+        assert got == list(related_numbers_negative_power(seq, r).a)
 
 
 class TestProductionRoute:
@@ -370,8 +384,9 @@ class TestCrossVerify:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_doctored_power_table_is_caught(self, monkeypatch, r):
-        # Every route but the negative power starts from f^r's (M, Q), so
-        # only that witness can see a wrong D_r(5) = M_5 / (Q 5!).
+        # The D-recurrence and Bareiss start from f^r's (M, Q); the negative
+        # power and the composition sum read f, so both see a wrong
+        # D_r(5) = M_5 / (Q 5!).
         def doctored(seq, r, n_max=None):
             M, Q = real_power_numerators(seq, r, n_max)
             M = list(M)
@@ -483,7 +498,8 @@ class TestIntegerComparison:
 
 class TestCompositionWorkBound:
     """`composition_reach`: the largest n whose n * bits(max |N_e|) stays
-    inside MAX_COMPOSITION_WORK, N_e the D_r(1..n) over their lcm."""
+    inside MAX_COMPOSITION_WORK, N_e f's d_1/1!..d_n/n! over their lcm;
+    it does not depend on r."""
 
     @staticmethod
     def work(D, n):
@@ -494,20 +510,19 @@ class TestCompositionWorkBound:
     @pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.label)
     def test_reach_is_the_largest_n_inside_the_bound(self, monkeypatch, spec):
         seq = family_coefficients(spec, 40)
-        for r in (1, 3):
-            D = compute_D(seq, r, 40).D
-            num, den = [x.numerator for x in D], [x.denominator for x in D]
-            work = [self.work(D, n) for n in range(41)]
-            assert work == sorted(work)
-            for bound in (0, work[1], work[10] - 1, work[10], work[40] - 1, work[40]):
-                monkeypatch.setattr(engine, "MAX_COMPOSITION_WORK", bound)
-                expected = max(n for n in range(41) if work[n] <= bound)
-                assert engine.composition_reach(num, den, 40) == expected, (r, bound)
-                assert engine.composition_reach(num, den, 7) == min(7, expected)
+        D = compute_D(seq, 1, 40).D  # D_1(e) = d_e / e!
+        num, den = pair(D)
+        work = [self.work(D, n) for n in range(41)]
+        assert work == sorted(work)
+        for bound in (0, work[1], work[10] - 1, work[10], work[40] - 1, work[40]):
+            monkeypatch.setattr(engine, "MAX_COMPOSITION_WORK", bound)
+            expected = max(n for n in range(41) if work[n] <= bound)
+            assert engine.composition_reach(num, den, 40) == expected, bound
+            assert engine.composition_reach(num, den, 7) == min(7, expected)
 
     def test_route_refuses_past_the_bound_before_the_triangle(self, monkeypatch):
         seq = family_coefficients(FamilySpec.euler(), 20)
-        D = compute_D(seq, 2, 20).D
+        D = compute_D(seq, 1, 20).D  # f's table, whatever r the route serves
         monkeypatch.setattr(engine, "MAX_COMPOSITION_WORK", self.work(D, 12))
 
         def must_not_run(*args, **kwargs):
