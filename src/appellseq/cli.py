@@ -40,9 +40,9 @@ EXIT_MISMATCH = 4
 
 #: Largest --n a request may ask for, refused before any work.  The cost
 #: grows faster than n^2 with the digits of the values: a Bernoulli
-#: `compute` takes about 0.25 s at n=800 and 2.4 s at n=1600, about ten
-#: times as long per doubling (one core of a 2-vCPU Intel Xeon VM, Python
-#: 3.11.7, whole process).
+#: `compute` takes 0.31-0.48 s at n=800 and 2.2-2.7 s at n=1600, five to
+#: seven times as long per doubling (one core of a 2-vCPU Intel Xeon VM,
+#: Python 3.11.7, whole process, three runs each).
 MAX_N = 10_000
 
 #: Largest `bench` --n, refused before any work.  `run_benchmark` runs

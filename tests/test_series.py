@@ -3,19 +3,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from appellseq.engine import hessenberg_leading_minors, power_numerators, recurrence_values
 from appellseq.families import FamilySpec, family_coefficients
+from appellseq import series
 from appellseq.arith import lift
 from appellseq.series import (
+    SEIDEL_MAX_SHIFT,
     SHIFT_MAX,
     SHIFT_MIN_TERMS,
     InsufficientPrecisionError,
     NotInvertibleError,
     TruncatedSeries,
     _miller,
+    _seidel,
     _shift,
     exponential_power,
     exponential_power_numerators,
@@ -335,8 +338,13 @@ LIFT_SPECS = [
 class TestRunningLift:
     """The loop lifts F over the lcm of the denominators its next steps
     read; its (M, Q) must be the global-lift reference's, bit for bit.
-    At n = 200 f^(-r) runs at the shift pinned in SHIFTS, so these rows
-    cover the shifted loop wherever that shift is not 0."""
+    At n = 200 f^r and f^(-r) run at the shift pinned in SHIFTS.  There
+    the Bernoulli and hyper-Bernoulli(1,1) rows are flat and run on
+    `_seidel`'s difference table, as Euler's do at every n; the
+    hyper-Bernoulli(2,3) and hyper-Cauchy(1,1) rows run the shifted
+    `_miller`, the others the unshifted one, as does the inverse of f^r
+    past n = 1.  `TestShiftedLoop` and `TestSkippedProducts` call
+    `_miller` itself at every shift."""
 
     SHIFTS = {
         "bernoulli": 1,
@@ -536,6 +544,72 @@ class TestSkippedProducts:
         # shift m = 2 (H_k = 1), and the prefixes run there are long
         P, _ = family_coefficients(FamilySpec.hyper_bernoulli(1, 2), 200).prefix(200)
         assert _shift(P) == 2 and flat_run(P, 2) == 200
+
+
+class TestDifferenceTable:
+    """A flat input at a shift m <= SEIDEL_MAX_SHIFT runs each step on
+    `_seidel`'s difference table of G; its S, and with it (M, Q) and the
+    peak bits, must stay the global-lift reference's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, SEIDEL_MAX_SHIFT),
+        rationals,
+        st.integers(0, 30),
+        st.sampled_from([-16, -3, -2, -1, 2, 3, 7, 2**40 + 3]),
+    )
+    @example(2, F(0), 30, -1)
+    @example(1, F(-7, 3), 30, 2**40 + 3)
+    @example(0, F(-1), 30, -16)
+    def test_flat_inputs_match_the_global_lift(self, m, a, K, r):
+        # d_k = a / C(k+m, m) makes every H_k = P_k C(k+m, m) the numerator of a over L
+        L, P = lift([F(1)] + [a / math.comb(k + m, m) for k in range(1, K + 1)])
+        h = P[K] * math.comb(K + m, m)
+        assert all(P[k] * math.comb(k + m, m) == h for k in range(1, K + 1))
+        want = oracles.global_lift_power(P, L, r)
+        G = [F(x, want[1]) for x in want[0]]
+        stats = {}
+        assert _seidel(L, h, K, r, m, stats) == want
+        assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}
+
+    TABLE = [
+        (FamilySpec.euler(), 10),
+        (FamilySpec.euler(), 200),
+        (FamilySpec.bernoulli(), 200),
+        (FamilySpec.hyper_bernoulli(1, 2), 200),
+    ]
+    LOOP = [
+        (FamilySpec.bernoulli(), SHIFT_MIN_TERMS - 2),
+        (FamilySpec.hyper_bernoulli(1, 3), 200),
+        (FamilySpec.hyper_bernoulli(2, 3), 200),
+        (FamilySpec.hyper_cauchy(1, 1), 200),
+        (FamilySpec.hyper_cauchy(3, 2), 200),
+    ]
+
+    @staticmethod
+    def run_without(monkeypatch, name, d, r):
+        # the power of d_0..d_K with series.`name` made to fail
+        def fail(*args):
+            raise AssertionError(f"{name} ran")
+
+        L, P = lift(d)
+        want = oracles.global_lift_power(P, L, r)
+        monkeypatch.setattr(series, name, fail)
+        assert exponential_power_numerators(P, L, r) == want
+
+    @pytest.mark.parametrize("r", [-1, 2])
+    @pytest.mark.parametrize("spec, n", TABLE, ids=lambda x: getattr(x, "label", x))
+    def test_flat_families_take_the_table(self, monkeypatch, spec, n, r):
+        self.run_without(monkeypatch, "_miller", family_coefficients(spec, n).d, r)
+
+    @pytest.mark.parametrize("r", [-1, 2])
+    @pytest.mark.parametrize("spec, n", LOOP, ids=lambda x: getattr(x, "label", x))
+    def test_other_inputs_take_the_loop(self, monkeypatch, spec, n, r):
+        self.run_without(monkeypatch, "_seidel", family_coefficients(spec, n).d, r)
+
+    @pytest.mark.parametrize("k", [1, 100, 200])
+    def test_one_changed_term_takes_the_loop(self, monkeypatch, k):
+        self.run_without(monkeypatch, "_seidel", bernoulli_with(k, F(1, 3)), -1)
 
 
 class TestHasseTeichmuller:
