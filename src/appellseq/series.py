@@ -212,23 +212,20 @@ def exponential_power_numerators(
     kept as M_m / Q over one running Q; the dot product S, with each
     weight multiplied in last, gives G_n = S over (L / c) Q times the
     step's divisor, reduced by one gcd; when den G_n does not divide Q,
-    Q rises to their lcm and the stored M are rescaled.
+    Q rises to their lcm and the stored M are rescaled (`_reduced`).
 
-    A flat input, H_1 = ... = H_K at the m picked, with m at most
-    SEIDEL_MAX_SHIFT (Euler at m = 0, Bernoulli at m = 1 and
-    hyper-Bernoulli(1, 2) at m = 2 on a long prefix), runs each step's S
-    as additions on a difference table of G: `_seidel` states how.
-    Elsewhere two rules drop only products by exactly 1 or 0, so S is
-    the same integer.  Flat F: while F_1 = ... = F_n (a re-lift scales
-    every F alike, so it keeps this), S is summed without F and
-    multiplied by F_1 once; hyper-Bernoulli(1, N) at m = N >= 3 is flat
-    throughout.
+    A flat input, H_1 = ... = H_K at the m picked (Euler at m = 0 at
+    every length; Bernoulli at m = 1 and hyper-Bernoulli(1, N) at m = N
+    on a long prefix), runs each step's S as additions on a difference
+    table of G: `_seidel` states how.  Elsewhere one rule drops only
+    products by 0, so S is the same integer.
     Vanished parity: on a prefix of at least SHIFT_MIN_TERMS terms, the
     loop keeps, for each parity, the last j with M_j != 0, past which
-    every M_j of that parity is 0 (Bernoulli's odd j >= 3 and Euler's
-    even j >= 2 at r = -1, both parities past the degree of a polynomial
-    power).  When more than two terms of step n read such zeros, it sums
-    each parity in step-2 slices, from that last nonzero M_j down.
+    every M_j of that parity is 0 (both parities past the degree of a
+    polynomial power, as for hyper-Cauchy(3, 2) at r = -4; Bernoulli's
+    odd j >= 3 at r = -1 when one d_k is changed late).  When more than
+    two terms of step n read such zeros, it sums each parity in step-2
+    slices, from that last nonzero M_j down.
 
     No Fraction is built: each caller makes its values from (M, Q) once,
     or compares them as they are.  `stats` gets the largest
@@ -240,7 +237,7 @@ def exponential_power_numerators(
         return list(P), L
     m, K = _shift(P), len(P) - 1
     h = P[K] * math.comb(K + m, m)
-    if m <= SEIDEL_MAX_SHIFT and all(P[k] * math.comb(k + m, m) == h for k in range(1, K)):
+    if all(P[k] * math.comb(k + m, m) == h for k in range(1, K)):
         return _seidel(L, h, K, r, m, stats)
     return _miller(P, L, r, m, stats)
 
@@ -282,20 +279,10 @@ def _shift(P: Sequence[int]) -> int:
     return min(range(SHIFT_MAX + 1), key=bits)
 
 
-#: Largest shift at which a flat H runs on the difference table (`_seidel`)
-#: in place of `_miller`.  Up to m = 2 a step's multiples C(i+m, m-1) G_n
-#: come from `repeat` or `count`; a larger m needs one more pass per step
-#: to build them.  So built, the table ran 1.09-1.38x the loop's speed at
-#: m = 3 and 1.01-1.22x at m = 4 (hyper-Bernoulli(1, 3) and (1, 4),
-#: n = 200-280, r in {-3, -1, 2, 3}; same machine), on families that no
-#: benchmark workload runs.
-SEIDEL_MAX_SHIFT = 2
-
-
 def _seidel(
     L: int, h: int, K: int, r: int, m: int, stats: Optional[StatsDict] = None
 ) -> tuple[list[int], int]:
-    """`exponential_power_numerators` at shift m <= 2 of a flat H:
+    """`exponential_power_numerators` at shift m of a flat H:
     H_k = P_k C(k+m, m) = h over L for 1 <= k <= K.  Each step is the
     loop's own S, found by additions on a running difference table of
     G (L. Seidel, 1877; D. Dumont, Matrices d'Euler-Seidel, 1981).
@@ -316,31 +303,34 @@ def _seidel(
     table m rows down.  By the hockey stick, e_{n-1} = V(n+m-1) and
     sum e = V(n+m), so a step's two values cost one sum.  Pascal's rule
     moves the table on with one `accumulate`: the next e_0 is G_n, and
-    the next e_{i+1} is the next e_i plus e_i plus C(i+m, m-1) G_n
-    (0, G_n and (i+2) G_n at m = 0, 1, 2).  The table takes additions
-    only, a step's few products are by h and small factors, and S, hence
-    (M, Q) and "max_num_bits", is the loop's bit for bit: c = gcd(L, h)
-    is the loop's lift after its first step, and the reduction is its.
+    the next e_{i+1} is the next e_i plus e_i plus C(i+m, m-1) G_n.
+    Those multiples are 0, G_n and (i+2) G_n at m = 0, 1, 2, counted
+    off by additions; past m = 2 they take one product each, by a
+    stored binomial, and so built the table still ran 1.07-1.60x
+    `_miller`'s speed (hyper-Bernoulli(1, N), N = 3..8, n = 200-280,
+    r in {-1, 2, 3}; one core of a 2-vCPU Intel Xeon VM, Python
+    3.11.7).  A step's few other products are by h and small factors,
+    and S, hence (M, Q) and "max_num_bits", is the loop's bit for bit:
+    c = gcd(L, h) is the loop's lift after its first step, and the
+    reduction is `_reduced`, as in `_miller`.  That call costs both
+    kernels 3-7 % at n = 12-30 and nothing measurable from n = 60 on
+    (same machine).
     """
     c = math.gcd(L, h)
     h, Lc = h // c, L // c
+    b = [math.comb(i + m, m - 1) for i in range(K)] if m > 2 else ()
     M, Q, e, peak = [1], 1, [1], 0
     for n in range(1, K + 1):
         lo, hi, k = e[-1], sum(e), n if m else 1
         S = h * (r * k * hi - (r + 1) * (k + m) * (hi - lo))
         peak = max(peak, S.bit_length())
-        den = Lc * Q * k * math.comb(k + m, m)
-        g = math.gcd(S, den)
-        den //= g
-        if Q % den:
-            up = den // math.gcd(Q, den)
-            Q *= up
+        S, Q, up = _reduced(S, Lc * Q * k * math.comb(k + m, m), Q)
+        if up > 1:
             M = [x * up for x in M]
             e = [x * up for x in e]
-        S = S // g * (Q // den)
         M.append(S)
         if m:
-            e = map(add, e, count(2 * S, S) if m == 2 else repeat(S))
+            e = map(add, e, map(S.__mul__, b) if b else count(2 * S, S) if m == 2 else repeat(S))
         e = list(accumulate(e, initial=S))
     if stats is not None:
         stats["max_num_bits"] = max(stats.get("max_num_bits", 0), peak)
@@ -356,7 +346,7 @@ def _miller(
     gate = len(P) >= SHIFT_MIN_TERMS  # the parity skip pays only on long prefixes
     P = P[1:]
     M, Q, F, c, Lc, peak = [1], 1, [], L, 1, 0
-    flat, last = True, [0, -1]  # F_1 = ... = F_n; the last j of each parity with M_j != 0
+    last = [0, -1]  # the last j of each parity with M_j != 0
     w = [r]  # the weights of step 1, at m = 0
     row = [math.comb(m + 1, j) for j in range(m + 2)]  # C(n+m, j) at step n = 1
     for n, p in enumerate(P, 1):  # step n reads p = P_n
@@ -367,28 +357,23 @@ def _miller(
             F = [f * up for f in F]
             Lc = L // c
         F.append(p // c)
-        flat = flat and F[-1] == F[0]
         # term i reads M_{n-1-i}, a zero for each i < n-1-last[z] of M_j's parity z
         if gate and (n - 1 - last[0]) // 2 + (n - 1 - last[1]) // 2 > 2:
             S = 0
             for i in (n - 1 - last[0], n - 1 - last[1]):
                 if i < n:
-                    x = M[n - 1 - i :: -2]
-                    if not flat:
-                        x = map(mul, F[i::2], x)
+                    x = map(mul, F[i::2], M[n - 1 - i :: -2])
                     if m:
                         x = map(mul, count((r + 1) * (i + 1) - n, 2 * (r + 1)), x)
                         S += sum(map(mul, row[m + 1 + i :: 2], x))
                     else:
                         S += sum(map(mul, w[i::2], x))
         else:
-            x = reversed(M) if flat else map(mul, F, reversed(M))
+            x = map(mul, F, reversed(M))
             if m:
                 S = sum(map(mul, row[m + 1 :], map(mul, count(r + 1 - n, r + 1), x)))
             else:
                 S = sum(map(mul, w, x))
-        if flat:
-            S *= F[0]
         if m:
             den = Lc * Q * n * row[m]
             row = [1, *map(add, row, row[1:]), 1]
@@ -397,18 +382,27 @@ def _miller(
             w = [w[0] - 1, *map(add, w, w[1:]), r]
         if stats is not None:
             peak = max(peak, S.bit_length())
-        g = math.gcd(S, den)
-        den //= g
-        if Q % den:
-            up = den // math.gcd(Q, den)
-            Q *= up
+        S, Q, up = _reduced(S, den, Q)
+        if up > 1:
             M = [x * up for x in M]
         if S:
             last[n % 2] = n
-        M.append(S // g * (Q // den))
+        M.append(S)
     if stats is not None:
         stats["max_num_bits"] = max(stats.get("max_num_bits", 0), peak)
     return M, Q
+
+
+def _reduced(S: int, den: int, Q: int) -> tuple[int, int, int]:
+    """A step's G_n = S / den over the running Q, by one gcd: its
+    numerator, the new Q and the factor up by which Q rose.  Q rises to
+    lcm(Q, den G_n) when den G_n does not divide it (else up = 1), and
+    the caller rescales its stored numerators by up."""
+    g = math.gcd(S, den)
+    den //= g
+    up = den // math.gcd(Q, den) if Q % den else 1
+    Q *= up
+    return S // g * (Q // den), Q, up
 
 
 def _power(c: Sequence[Fraction], r: int) -> list[Fraction]:

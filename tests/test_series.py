@@ -11,7 +11,6 @@ from appellseq.families import FamilySpec, family_coefficients
 from appellseq import series
 from appellseq.arith import lift
 from appellseq.series import (
-    SEIDEL_MAX_SHIFT,
     SHIFT_MAX,
     SHIFT_MIN_TERMS,
     InsufficientPrecisionError,
@@ -429,8 +428,8 @@ class TestShiftedLoop:
 
 
 def flat_run(P, m):
-    """The largest n with H_1 = ... = H_n, H_k = P_k C(k+m, m): the steps
-    that the loop at shift m sums without F."""
+    """The largest n with H_1 = ... = H_n, H_k = P_k C(k+m, m); the input
+    takes `_seidel` when that is all of it, at the shift it takes."""
     H = [p * math.comb(k + m, m) for k, p in enumerate(P)]
     return next((k - 1 for k in range(2, len(H)) if H[k] != H[1]), len(H) - 1)
 
@@ -448,9 +447,11 @@ def bernoulli_with(k, value, n=200):
 
 
 class TestSkippedProducts:
-    """A step drops the products by a flat F (F_1 = ... = F_n) and by the
-    M_j of a parity that has vanished; S, and with it (M, Q) and the peak
-    bits, must stay the global-lift reference's."""
+    """A step drops the products by the M_j of a parity that has
+    vanished; S, and with it (M, Q) and the peak bits, must stay the
+    global-lift reference's.  Inputs flat for a while, which
+    `exponential_power_numerators` sends to `_seidel` only when flat
+    throughout, run `_miller` here at every shift."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -523,7 +524,8 @@ class TestSkippedProducts:
 
     def test_skip_pins(self):
         # the inputs above have the property they are there for, at the
-        # shift the loop takes on them
+        # shift the loop takes on them; the flat run of H, 200 for the
+        # inputs that take `_seidel`
         def run(name):
             d, r = self.LONG[name]
             L, P = lift(d)
@@ -547,13 +549,13 @@ class TestSkippedProducts:
 
 
 class TestDifferenceTable:
-    """A flat input at a shift m <= SEIDEL_MAX_SHIFT runs each step on
+    """A flat input, at any shift m, runs each step on
     `_seidel`'s difference table of G; its S, and with it (M, Q) and the
     peak bits, must stay the global-lift reference's."""
 
     @settings(max_examples=80, deadline=None)
     @given(
-        st.integers(0, SEIDEL_MAX_SHIFT),
+        st.integers(0, SHIFT_MAX),
         rationals,
         st.integers(0, 30),
         st.sampled_from([-16, -3, -2, -1, 2, 3, 7, 2**40 + 3]),
@@ -577,10 +579,11 @@ class TestDifferenceTable:
         (FamilySpec.euler(), 200),
         (FamilySpec.bernoulli(), 200),
         (FamilySpec.hyper_bernoulli(1, 2), 200),
+        (FamilySpec.hyper_bernoulli(1, 3), 200),
+        (FamilySpec.hyper_bernoulli(1, 8), 200),
     ]
     LOOP = [
         (FamilySpec.bernoulli(), SHIFT_MIN_TERMS - 2),
-        (FamilySpec.hyper_bernoulli(1, 3), 200),
         (FamilySpec.hyper_bernoulli(2, 3), 200),
         (FamilySpec.hyper_cauchy(1, 1), 200),
         (FamilySpec.hyper_cauchy(3, 2), 200),
