@@ -1,17 +1,19 @@
 """Exact scalar arithmetic and combinatorial primitives: the wire format
 ("p/q" strings, parsed to a `Fraction` and printed from a Fraction or an
 integer pair), the lift of rationals to integer numerators over one
-denominator, the factorial prefix 0!..n! and composition enumeration.
+denominator, the factorial prefix 0!..n!, composition enumeration and
+the kernels' per-call statistics.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import time
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Iterator, MutableMapping, Sequence
+from typing import Any, Callable, Iterator, MutableMapping, Optional, Sequence
 
 #: Largest n the composition route (and `compositions`) serves by default.
 #: The route's power triangle costs O(n^3) products of numbers that grow
@@ -32,8 +34,11 @@ DEFAULT_COMPOSITION_CAP = 50
 #: largest n inside it.
 MAX_COMPOSITION_WORK = 2**18
 
-#: Optional per-call statistics; kernels record "max_num_bits" in it.
-StatsDict = MutableMapping[str, int]
+#: Optional per-call statistics of a kernel: "max_num_bits", the bit length
+#: of its largest intermediate, and, when the caller puts a list under
+#: "steps", one row appended to it per output index n: (seconds since the
+#: kernel started when a_n was known, the running peak bits).
+StatsDict = MutableMapping[str, Any]
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
 
@@ -41,6 +46,16 @@ _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
 class CombinatorialBlowupError(ValueError):
     """Raised when an enumeration of compositions or partitions would exceed
     the configured cap."""
+
+
+def step_rows(stats: Optional[StatsDict]) -> Optional[Callable[[int], None]]:
+    """None when `stats` asks for no "steps" rows, else a function that
+    appends the next row from the running peak, after index 0's (0.0, 0)."""
+    if stats is None or "steps" not in stats:
+        return None
+    steps, start = stats["steps"], time.perf_counter()
+    steps.append((0.0, 0))
+    return lambda peak: steps.append((time.perf_counter() - start, peak))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
@@ -45,22 +44,19 @@ EXIT_MISMATCH = 4
 #: Python 3.11.7, whole process, three runs each).
 MAX_N = 10_000
 
-#: Largest `bench` --n, refused before any work.  `run_benchmark` runs
-#: every kernel again at each n = 0..N, so its work grows about like N^6:
-#: 0.5-1.1 s at N = 100 and 4.2-6.9 s at N = 150 (Bernoulli, Euler r = 2,
-#: hyper-Bernoulli(2, 3) r = 13, hyper-Cauchy(2, 3) r = 16; same machine,
-#: whole process).  An interim bound: one run per kernel would lift it.
+#: Largest `bench` --n, refused before any work.  One run per kernel to N
+#: took 0.03-0.08 s at N = 100 (Bernoulli, Euler r = 2, hyper-Cauchy(2, 3)
+#: r = 16, hyper-Bernoulli(2, 3) r = 13; one core of a 2-vCPU Intel Xeon VM,
+#: Python 3.11.7, in process), not the 0.4-1.3 s of a rerun at each n.  An
+#: interim bound, until one from the bit-growth cost model replaces it.
 MAX_BENCH_N = 100
 
 #: Largest `bench` n^2 * bits, bits summing what `admit` counts (--order,
-#: --m and --nn, or the largest custom value), refused before any work:
-#: `bench` reruns every kernel at each n, and its cost grows faster than
-#: the bits.  At N = 100 Euler --order 2^600 took 74 s and --order 2^25
-#: (26 bits) 1.4 s, but hyper-Cauchy --m 2048 --nn 1024 --order 4 (26)
-#: 7.1 s and --m 128 --nn 128 --order 512 (26) 11.9 s.  On this bound,
-#: hyper-Cauchy with --m, --nn and an --order >= 2 all raised took
-#: 0.75-3.4 s at N = 36-100 (N = 70 the slowest), Bernoulli 0.6 s at
-#: N = 100 (same machine, whole process).
+#: --m and --nn, or the largest custom value), refused before any work.
+#: Fitted to runs of every kernel at each n, it refuses more than one run
+#: needs: at N = 100 Euler --order 2^600 takes 3.5 s (74 s rerun) and
+#: hyper-Cauchy --m 4096 --nn 4096 --order 2^25 1.9 s, but hyper-Cauchy
+#: --m 2^300 --nn 2^300 92 s (same machine); all three stay refused.
 MAX_BENCH_WORK = 2**17
 
 #: Largest n * bit_length(r), refused before any work: r adds about
@@ -206,9 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--format", dest="fmt", choices=["json", "pretty"], default="pretty")
     p_poly.set_defaults(func=cmd_poly)
 
-    p_bench = sub.add_parser(
-        "bench", help="time the production route, Bareiss and (r >= 2) the D_r recurrence per n"
-    )
+    p_bench = sub.add_parser("bench", help="time the production route, Bareiss and (r >= 2) "
+                             "the D_r recurrence in one run to N, with a row at each n")
     add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -324,49 +319,36 @@ def cmd_poly(args: argparse.Namespace) -> int:
 def run_benchmark(
     spec: FamilySpec, r: int, n_max: int
 ) -> list[tuple[int, dict[str, tuple[float, int, str]]]]:
-    """Per-n wall time and peak intermediate size of each kernel that
-    `--check` runs, on its table to n: rows (n, {kernel: (seconds,
-    max_num_bits, a_n in lowest terms as printed)}).
-
-    The kernels are the production route's `negative_power_numerators`,
-    Bareiss's `determinant_numerators` and, for r >= 2, the paper's D_r
-    recurrence (the loop at the power -1 on n! D_r(n); at r = 1 it is the
-    production loop on the same input, so it is not run).  f^r, the
-    reduced D_r and the recurrence's lifted input are prepared outside
-    the timers.  The kernels' a_n are compared at each n as it is timed;
-    on any disagreement no timings are reported.  An n_max past
-    MAX_BENCH_N is refused before any work.
+    """Seconds into its run and running peak bits at each n of each kernel
+    that `--check` runs, from one `engine.run_routes` to n_max and the
+    kernels' "steps" rows: (n, {kernel: (seconds, max_num_bits, a_n as
+    printed)}).  The kernels are the production route's, Bareiss's and,
+    for r >= 2, the paper's D_r recurrence (at r = 1 it is the production
+    loop on the same input).  On any disagreement, found as `--check`
+    finds it, no timings are reported.  An n_max past MAX_BENCH_N is
+    refused before any work.
     """
     if n_max > MAX_BENCH_N:
         raise ValueError(f"bench --n must be <= {MAX_BENCH_N}, got {n_max}")
+    kernels = {"negative_power": engine.NEGATIVE_POWER, "bareiss": engine.DETERMINANT_BAREISS}
+    if r > 1:
+        kernels["recurrence"] = engine.RECURRENCE
+    stats = {route: {"steps": []} for route in kernels.values()}
     seq = family_coefficients(spec, n_max)
-    M, Q = engine.power_numerators(seq, r, n_max)
-    num, den = engine.reduced_power_table(M, Q)
-    power = engine.CoefficientSequence(M, Q)  # k! D_r(k) = M_k / Q
+    report = engine.run_routes(seq, r, n_max, tuple(stats), stats=stats)
     rows = []
     for n in range(n_max + 1):
-        dt, bits, (A, QA) = _timed(engine.negative_power_numerators, seq, r, n)
-        cells = {"negative_power": (dt, bits, format_ratio(A[n], QA))}
-        dt, bits, (signed, scales) = _timed(engine.determinant_numerators, num, den, n)
-        cells["bareiss"] = (dt, bits, format_ratio(signed[n], scales[n]))
-        if r > 1:
-            dt, bits, (A, QA) = _timed(engine.exponential_power_numerators, *power.prefix(n), -1)
-            cells["recurrence"] = (dt, bits, format_ratio(A[n], QA))
-        if len({value for _, _, value in cells.values()}) != 1:
+        cells = {}
+        for name, route in kernels.items():
+            num, den = report.pairs[route]
+            cells[name] = (*stats[route]["steps"][n], format_ratio(num[n], den[n]))
+        if n == report.first_mismatch:
             detail = ", ".join(f"{m}={v}" for m, (_, _, v) in cells.items())
             raise KernelMismatchError(
                 f"kernel disagreement at n={n}: {detail}; refusing to emit timings"
             )
         rows.append((n, cells))
     return rows
-
-
-def _timed(kernel: Callable, *args) -> tuple[float, int, tuple]:
-    """Wall seconds and "max_num_bits" of one kernel call, and its result."""
-    stats: dict[str, int] = {}
-    t0 = time.perf_counter()
-    result = kernel(*args, stats)
-    return time.perf_counter() - t0, stats.get("max_num_bits", 0), result
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -378,16 +360,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"got {config.n_max}^2 * {config.bits}"
         )
     rows = run_benchmark(config.family, config.order, config.n_max)
-    header = ["n"]
-    for method in rows[0][1]:  # the kernels actually run, in run order
-        header += [f"{method}_seconds", f"{method}_max_num_bits"]
-    lines = [",".join([*header, "value"])]
+    lines = [",".join(["n", *(f"{k}_seconds,{k}_max_num_bits" for k in rows[0][1]), "value"])]
     for n, cells in rows:
-        cols = [str(n)]
-        for seconds, bits, _ in cells.values():
-            cols += [f"{seconds:.6f}", str(bits)]
-        cols.append(cells["negative_power"][2])
-        lines.append(",".join(cols))
+        timings = (f"{seconds:.6f},{bits}" for seconds, bits, _ in cells.values())
+        lines.append(",".join([str(n), *timings, cells["negative_power"][2]]))
     print("\n".join(lines))
     return EXIT_OK
 

@@ -53,6 +53,7 @@ from .arith import (
     factorials,
     format_ratio,
     lift,
+    step_rows,
 )
 from .series import (  # TruncatedSeries for perfbench/spans.py
     TruncatedSeries,
@@ -94,7 +95,7 @@ class CoefficientSequence:
     @property
     def d(self) -> tuple[Fraction, ...]:
         """d_0..d_{n_max} as Fractions, built on each call."""
-        return _reduced(_over_one(self.P, self.L))
+        return _fractions(_over_one(self.P, self.L))
 
     def prefix(self, n_max: Optional[int] = None) -> tuple[Sequence[int], int]:
         """(P_0..P_{n_max}, L) reduced by gcd(P_0..P_{n_max}) (P_0 = L),
@@ -168,7 +169,7 @@ def compute_D(
     seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> PowerCoefficientTable:
     """Ordinary coefficients of f(t)^r: `reduced_power_table` as Fractions."""
-    D = _reduced(reduced_power_table(*power_numerators(seq, r, n_max)))
+    D = _fractions(reduced_power_table(*power_numerators(seq, r, n_max)))
     return PowerCoefficientTable(r=r, D=D)
 
 
@@ -226,7 +227,7 @@ def hessenberg_leading_minors(
     return [(-x if n & 1 else x) / f for n, (x, f) in enumerate(zip(a, factorials(n_max)))]
 
 
-def _reduced(pair: tuple[Sequence[int], Sequence[int]]) -> tuple[Fraction, ...]:
+def _fractions(pair: tuple[Sequence[int], Sequence[int]]) -> tuple[Fraction, ...]:
     """The values num[n] / den[n] of an integer pair, each reduced once."""
     return tuple(map(Fraction, *pair))
 
@@ -330,9 +331,11 @@ def determinant_numerators(
     Without its lifts that update is the cofactor recurrence run forward,
     so as a witness it checks the other routes' integer bookkeeping, not
     their algebra.  D(0) is not read.  `stats` gets "max_num_bits": the
-    bit length of the largest |c_i|.
+    bit length of the largest |c_i|, and "steps" (`StatsDict`), whose row
+    of n comes with p_{n-1}, so after the band rows up to n_max.
     """
     _check_table(num, n_max)
+    step = step_rows(stats)
     lifts = list(accumulate(den[1 : n_max + 1], math.lcm))  # lifts[i] = L_i
     c = [L // den[i + 1] * num[i + 1] for i, L in enumerate(lifts)]
     signed, scales = [1], [1]
@@ -345,6 +348,8 @@ def determinant_numerators(
         scale *= Lk
         signed.append(sign_fact * pivot)
         scales.append(scale)
+        if step:
+            step(peak)
         c[k + 1 :] = [
             lifts[i] // den[i - k] * num[i - k] * pivot - Lk * c[i]
             for i in range(k + 1, n_max)
@@ -395,8 +400,8 @@ def negative_power_numerators(
 ) -> tuple[list[int], int]:
     """(M, Q) with a_n^(r) = M_n / Q for n = 0..n_max: the state Miller's
     loop for f^(-r) ends in, Q = lcm(den a_0..a_{n_max}), before any
-    Fraction is built.  `stats` gets "max_num_bits": the bit length of
-    the loop's largest dot product |S|."""
+    Fraction is built.  `stats` gets "max_num_bits", the bit length of
+    the loop's largest dot product |S|, and "steps" (`StatsDict`)."""
     P, L = seq.prefix(n_max)
     return exponential_power_numerators(P, L, -r, stats)
 
@@ -426,7 +431,7 @@ class VerificationReport:
 
     def table(self, name: str) -> tuple[Fraction, ...]:
         """Route `name`'s values, each reduced once."""
-        return _reduced(self.pairs[name])
+        return _fractions(self.pairs[name])
 
     def describe(self) -> str:
         if self.agree:
@@ -451,17 +456,12 @@ def first_disagreement_pairs(
     different lengths; each is compared with the longest one on the
     indices it contains.
     """
-    ref = max(pairs.values(), key=lambda pair: len(pair[0]))
-    ref_num, ref_den = ref
+    ref_num, ref_den = ref = max(pairs.values(), key=lambda pair: len(pair[0]))
     first = None
-    for pair in pairs.values():
-        if pair is ref:
-            continue
-        num, den = pair
+    for num, den in (pair for pair in pairs.values() if pair is not ref):
         for n, (x, y) in enumerate(zip(map(mul, num, ref_den), map(mul, ref_num, den))):
             if x != y:
-                if first is None or n < first:
-                    first = n
+                first = n if first is None else min(first, n)
                 break
     return first
 
@@ -491,9 +491,12 @@ def run_routes(
     n_max: Optional[int],
     routes: Sequence[str],
     cap: Optional[int] = None,
+    stats: Optional[Mapping[str, StatsDict]] = None,
 ) -> VerificationReport:
     """Each of `routes` run once on (seq, r) to n_max, compared as
     `cross_verify` compares them; the one place that feeds the routes.
+    `stats` maps a route to the stats dict its kernel is given; the
+    composition sum takes none.
 
     The composition sum reads f's ordinary coefficients d_e / e!, reduced
     by one gcd each, up to min(n_max, cap) and cut short at their
@@ -504,7 +507,6 @@ def run_routes(
     Bareiss, which reads each D_r(e) = M_e / (Q e!) reduced by one gcd.
     """
     n_max = seq._resolve(n_max)
-    pairs = {}
     if COMPOSITION in routes:
         top = n_max if cap is None else min(n_max, cap)
         c_num, c_den = reduced_power_table(*seq.prefix(top))
@@ -516,14 +518,16 @@ def run_routes(
             )
     if RECURRENCE in routes or DETERMINANT_BAREISS in routes:
         M, Q = power_numerators(seq, r, n_max)
-    if RECURRENCE in routes:
-        pairs[RECURRENCE] = _over_one(*exponential_power_numerators(M, Q, -1))
-    if DETERMINANT_BAREISS in routes:
-        pairs[DETERMINANT_BAREISS] = determinant_numerators(*reduced_power_table(M, Q), n_max)
-    if COMPOSITION in routes:
-        pairs[COMPOSITION] = composition_numerators(c_num, c_den, r, reach)
-    if NEGATIVE_POWER in routes:
-        pairs[NEGATIVE_POWER] = _over_one(*negative_power_numerators(seq, r, n_max))
+    kernels = {  # route -> its table from its kernel's stats, in the report's order
+        RECURRENCE: lambda s: _over_one(*exponential_power_numerators(M, Q, -1, s)),
+        DETERMINANT_BAREISS: lambda s: determinant_numerators(
+            *reduced_power_table(M, Q), n_max, s
+        ),
+        COMPOSITION: lambda s: composition_numerators(c_num, c_den, r, reach),
+        NEGATIVE_POWER: lambda s: _over_one(*negative_power_numerators(seq, r, n_max, s)),
+    }
+    stats = stats or {}
+    pairs = {route: run(stats.get(route)) for route, run in kernels.items() if route in routes}
     return VerificationReport(
         r=r, n_max=n_max, pairs=pairs, first_mismatch=first_disagreement_pairs(pairs)
     )

@@ -23,7 +23,7 @@ from itertools import accumulate, count, repeat
 from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import StatsDict, factorials, lift
+from .arith import StatsDict, factorials, lift, step_rows
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -229,7 +229,8 @@ def exponential_power_numerators(
 
     No Fraction is built: each caller makes its values from (M, Q) once,
     or compares them as they are.  `stats` gets the largest
-    |S|.bit_length() of the form that ran as "max_num_bits".
+    |S|.bit_length() of the form that ran as "max_num_bits", and "steps"
+    (`arith.StatsDict`).
     """
     if P[0] != L:
         raise ValueError(f"exponential power needs F_0 = 1, got {Fraction(P[0], L)}")
@@ -319,7 +320,7 @@ def _seidel(
     c = math.gcd(L, h)
     h, Lc = h // c, L // c
     b = [math.comb(i + m, m - 1) for i in range(K)] if m > 2 else ()
-    M, Q, e, peak = [1], 1, [1], 0
+    M, Q, e, peak, step = [1], 1, [1], 0, step_rows(stats)
     for n in range(1, K + 1):
         lo, hi, k = e[-1], sum(e), n if m else 1
         S = h * (r * k * hi - (r + 1) * (k + m) * (hi - lo))
@@ -329,6 +330,8 @@ def _seidel(
             M = [x * up for x in M]
             e = [x * up for x in e]
         M.append(S)
+        if step:
+            step(peak)
         if m:
             e = map(add, e, map(S.__mul__, b) if b else count(2 * S, S) if m == 2 else repeat(S))
         e = list(accumulate(e, initial=S))
@@ -345,7 +348,7 @@ def _miller(
         P = [p * math.comb(k + m, m) for k, p in enumerate(P)]
     gate = len(P) >= SHIFT_MIN_TERMS  # the parity skip pays only on long prefixes
     P = P[1:]
-    M, Q, F, c, Lc, peak = [1], 1, [], L, 1, 0
+    M, Q, F, c, Lc, peak, step = [1], 1, [], L, 1, 0, step_rows(stats)
     last = [0, -1]  # the last j of each parity with M_j != 0
     w = [r]  # the weights of step 1, at m = 0
     row = [math.comb(m + 1, j) for j in range(m + 2)]  # C(n+m, j) at step n = 1
@@ -388,6 +391,8 @@ def _miller(
         if S:
             last[n % 2] = n
         M.append(S)
+        if step:
+            step(peak)
     if stats is not None:
         stats["max_num_bits"] = max(stats.get("max_num_bits", 0), peak)
     return M, Q

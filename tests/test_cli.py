@@ -960,7 +960,7 @@ class TestBenchOutputPin:
 
     FAMILIES = TestPolyOutputPin.FAMILIES
     ORDERS = ("1", "2", "3", "7")
-    DIGEST = "9df12aaf7cd57193cd44b96474a726cebcfb218ed5ff6392d396c38c1a89a7a0"
+    DIGEST = "77766648a7fffbc393a968d0ae655a47be274d6179388e2bb1eb17909771dc62"
     VALUE_DIGEST = "4a0cf05f5a9821dc5afdbc74dd71ab79199198e9ad2e453224a0665ee6fcf296"
 
     def digest(self, capsys, columns):
@@ -1264,6 +1264,70 @@ class TestBenchCommand:
                 assert len({value for _, _, value in cells.values()}) == 1
                 for seconds, bits, _ in cells.values():
                     assert seconds >= 0 and bits >= 0
+
+    def test_each_kernel_runs_once(self, capsys, monkeypatch):
+        calls = []
+        for name in ("power_numerators", "negative_power_numerators", "determinant_numerators"):
+            def counted(*args, kernel=getattr(engine, name), name=name):
+                calls.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(engine, name, counted)
+        for r in ("1", "2"):
+            calls.clear()
+            code, _, err = run(capsys, "bench", "--family", "bernoulli", "--order", r, "--n", "12")
+            assert (code, err) == (0, "")
+            assert sorted(calls) == [
+                "determinant_numerators", "negative_power_numerators", "power_numerators"
+            ], r
+
+    # (family flags, its spec, r): Euler's flat input takes the
+    # difference-table kernel, the others and every D-recurrence the
+    # Miller loop
+    REQUESTS = (
+        (["--family", "euler"], FamilySpec.euler(), 2),
+        (["--family", "bernoulli"], FamilySpec.bernoulli(), 1),
+        (["--family", "bernoulli"], FamilySpec.bernoulli(), 3),
+        (["--family", "hyper-cauchy", "--m", "2", "--nn", "3"], FamilySpec.hyper_cauchy(2, 3), 3),
+    )
+
+    @staticmethod
+    def bench_columns(capsys, family, r, n):
+        code, out, err = run(capsys, "bench", *family, "--order", str(r), "--n", str(n))
+        assert (code, err) == (0, "")
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert [int(row[0]) for row in rows] == list(range(n + 1))
+        return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+    def test_seconds_and_bits_never_fall(self, capsys):
+        for family, _, r in self.REQUESTS:
+            for name, column in self.bench_columns(capsys, family, r, 24).items():
+                if name.endswith(("_seconds", "_max_num_bits")):
+                    values = list(map(float, column))
+                    assert values == sorted(values), (family, r, name)
+
+    def test_last_bits_are_those_of_one_kernel_call(self, capsys):
+        n = 24
+        for family, spec, r in self.REQUESTS:
+            columns = self.bench_columns(capsys, family, r, n)
+            seq = family_coefficients(spec, n)
+            M, Q = engine.power_numerators(seq, r, n)
+            calls = {
+                "negative_power": lambda stats: engine.negative_power_numerators(seq, r, n, stats),
+                "bareiss": lambda stats: engine.determinant_numerators(
+                    *engine.reduced_power_table(M, Q), n, stats
+                ),
+                "recurrence": lambda stats: series.exponential_power_numerators(M, Q, -1, stats),
+            }
+            if r == 1:  # the D-recurrence is the negative power's own loop
+                del calls["recurrence"]
+            assert [name for name in columns if name.endswith("_max_num_bits")] == [
+                f"{name}_max_num_bits" for name in calls
+            ]
+            for name, call in calls.items():
+                stats = {}
+                call(stats)
+                assert int(columns[f"{name}_max_num_bits"][-1]) == stats["max_num_bits"], name
 
 
 class TestBenchmarkTracer:
