@@ -34,10 +34,11 @@ DEFAULT_COMPOSITION_CAP = 50
 #: largest n inside it.
 MAX_COMPOSITION_WORK = 2**18
 
-#: Optional per-call statistics of a kernel: "max_num_bits", the bit length
-#: of its largest intermediate, and, when the caller puts a list under
+#: Optional per-call statistics of a kernel, kept by `step_rows`:
+#: "max_num_bits", the bit length of its largest intermediate (or the
+#: value already there, if larger), and, when the caller puts a list under
 #: "steps", one row appended to it per output index n: (seconds since the
-#: kernel started when a_n was known, the running peak bits).
+#: kernel started when a_n was known, this call's running peak bits).
 StatsDict = MutableMapping[str, Any]
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
@@ -49,13 +50,20 @@ class CombinatorialBlowupError(ValueError):
 
 
 def step_rows(stats: Optional[StatsDict]) -> Optional[Callable[[int], None]]:
-    """None when `stats` asks for no "steps" rows, else a function that
-    appends the next row from the running peak, after index 0's (0.0, 0)."""
-    if stats is None or "steps" not in stats:
+    """None when `stats` is None, else a kernel's one step recorder, called
+    at each n >= 1 with the bits of step n's largest intermediate: it
+    keeps `stats` (`StatsDict`), whose rows start with index 0's (0.0, 0)."""
+    if stats is None:
         return None
-    steps, start = stats["steps"], time.perf_counter()
+    stats.setdefault("max_num_bits", 0)
+    steps, start = stats.get("steps", []), time.perf_counter()
     steps.append((0.0, 0))
-    return lambda peak: steps.append((time.perf_counter() - start, peak))
+
+    def step(bits: int) -> None:
+        steps.append((time.perf_counter() - start, max(steps[-1][1], bits)))
+        stats["max_num_bits"] = max(stats["max_num_bits"], bits)
+
+    return step
 
 
 def parse_rational(text: str) -> Fraction:

@@ -322,17 +322,17 @@ def run_benchmark(
     """Seconds into its run and running peak bits at each n of each kernel
     that `--check` runs, from one `engine.run_routes` to n_max and the
     kernels' "steps" rows: (n, {kernel: (seconds, max_num_bits, a_n as
-    printed)}).  The kernels are the production route's, Bareiss's and,
-    for r >= 2, the paper's D_r recurrence (at r = 1 it is the production
-    loop on the same input).  On any disagreement, found as `--check`
+    printed)}).  The kernels are those of `engine.check_routes(r)` but the
+    composition sum: the production route's, Bareiss's and, for r >= 2,
+    the paper's D_r recurrence.  On any disagreement, found as `--check`
     finds it, no timings are reported.  An n_max past MAX_BENCH_N is
     refused before any work.
     """
     if n_max > MAX_BENCH_N:
         raise ValueError(f"bench --n must be <= {MAX_BENCH_N}, got {n_max}")
-    kernels = {"negative_power": engine.NEGATIVE_POWER, "bareiss": engine.DETERMINANT_BAREISS}
-    if r > 1:
-        kernels["recurrence"] = engine.RECURRENCE
+    columns = {"negative_power": engine.NEGATIVE_POWER, "bareiss": engine.DETERMINANT_BAREISS,
+               "recurrence": engine.RECURRENCE}
+    kernels = {k: route for k, route in columns.items() if route in engine.check_routes(r)}
     stats = {route: {"steps": []} for route in kernels.values()}
     seq = family_coefficients(spec, n_max)
     report = engine.run_routes(seq, r, n_max, tuple(stats), stats=stats)

@@ -339,23 +339,19 @@ def determinant_numerators(
     lifts = list(accumulate(den[1 : n_max + 1], math.lcm))  # lifts[i] = L_i
     c = [L // den[i + 1] * num[i + 1] for i, L in enumerate(lifts)]
     signed, scales = [1], [1]
-    sign_fact, scale, peak = 1, 1, 0  # (-1)^k k!, L_0 ... L_{k-1}
+    sign_fact, scale = 1, 1  # (-1)^k k!, L_0 ... L_{k-1}
     for k, Lk in enumerate(lifts):
-        if stats is not None:  # c[k:] is what step k-1 left, or the lifted column 0
-            peak = max(peak, *(x.bit_length() for x in c[k:]))
+        if step:  # c[k:] is what step k-1 left, or the lifted column 0
+            step(max(map(int.bit_length, c[k:])))
         pivot = c[k]
         sign_fact *= -k - 1
         scale *= Lk
         signed.append(sign_fact * pivot)
         scales.append(scale)
-        if step:
-            step(peak)
         c[k + 1 :] = [
             lifts[i] // den[i - k] * num[i - k] * pivot - Lk * c[i]
             for i in range(k + 1, n_max)
         ]
-    if stats is not None:
-        stats["max_num_bits"] = max(stats.get("max_num_bits", 0), peak)
     return signed, scales
 
 
@@ -388,7 +384,7 @@ def related_numbers_negative_power(
 ) -> RelatedNumberTable:
     """Production path: a_n^(r) = n! [t^n] f^(-r), Miller's loop on
     d_0..d_{n_max} themselves.  It never sees the D table, so as a witness
-    it checks D_r too; at r = 1 it is the D-recurrence (see `cross_verify`)."""
+    it checks D_r too; at r = 1 it is the D-recurrence (see `check_routes`)."""
     return _route_table(seq, r, n_max, NEGATIVE_POWER)
 
 
@@ -472,17 +468,20 @@ def cross_verify(
     n_max: Optional[int] = None,
     cap: Optional[int] = DEFAULT_COMPOSITION_CAP,
 ) -> VerificationReport:
-    """Run every independent route once and compare exactly, index by index.
-
-    At r = 1 the D-recurrence is the negative power's own loop on the same
-    input, so it is left out and three routes remain.  The composition
-    route is only taken up to `cap` and `composition_reach`; the others
-    cover the full range.  With cap None the composition table must be
-    whole (see `run_routes`).  No value is reduced; disagreement is
-    reported, not raised.
+    """Run every route of `check_routes(r)` once and compare exactly, index
+    by index.  The composition route is only taken up to `cap` and
+    `composition_reach`; the others cover the full range.  With cap None
+    the composition table must be whole (see `run_routes`).  No value is
+    reduced; disagreement is reported, not raised.
     """
+    return run_routes(seq, r, n_max, check_routes(r), cap)
+
+
+def check_routes(r: int) -> tuple[str, ...]:
+    """The routes `--check` runs at order r: at r = 1 the D-recurrence is
+    the negative power's own loop on the same input, so it is left out."""
     routes = (DETERMINANT_BAREISS, COMPOSITION, NEGATIVE_POWER)
-    return run_routes(seq, r, n_max, (RECURRENCE, *routes) if r > 1 else routes, cap)
+    return (RECURRENCE, *routes) if r > 1 else routes
 
 
 def run_routes(
@@ -519,12 +518,12 @@ def run_routes(
     if RECURRENCE in routes or DETERMINANT_BAREISS in routes:
         M, Q = power_numerators(seq, r, n_max)
     kernels = {  # route -> its table from its kernel's stats, in the report's order
-        RECURRENCE: lambda s: _over_one(*exponential_power_numerators(M, Q, -1, s)),
+        RECURRENCE: lambda s: _over_one(*exponential_power_numerators(M, Q, -1, stats=s)),
         DETERMINANT_BAREISS: lambda s: determinant_numerators(
-            *reduced_power_table(M, Q), n_max, s
+            *reduced_power_table(M, Q), n_max, stats=s
         ),
         COMPOSITION: lambda s: composition_numerators(c_num, c_den, r, reach),
-        NEGATIVE_POWER: lambda s: _over_one(*negative_power_numerators(seq, r, n_max, s)),
+        NEGATIVE_POWER: lambda s: _over_one(*negative_power_numerators(seq, r, n_max, stats=s)),
     }
     stats = stats or {}
     pairs = {route: run(stats.get(route)) for route, run in kernels.items() if route in routes}

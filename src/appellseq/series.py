@@ -199,9 +199,11 @@ def exponential_power_numerators(
 
         n C(n+m, m) G_n = sum_{k=1..n} C(n+m, k+m) ((r+1) k - n) H_k G_{n-k},
 
-    on the numerators P_k C(k+m, m) of H over the same L, with the row
-    C(n+m, 0..n+m) rolled by Pascal's rule, the linear factor counted
-    off, and n C(n+m, m) joining the step's divisor.  `_shift` picks m:
+    on the numerators P_k C(k+m, m) of H over the same L, built once here
+    for the flat test and the loop.  Each step forms its weights
+    w_k = C(n+m, k+m) ((r+1) k - n) once, from the row C(n+m, 0..n+m)
+    rolled by Pascal's rule (w_1 = r at step 1, as at m = 0), and
+    n C(n+m, m) joins the step's divisor.  `_shift` picks m:
     d_k = 1/(k+1) (Bernoulli) takes m = 1 and H_k = 1, so the large F_k
     become small integers; m = 0 is the unshifted loop.  Either way F
     (or H) is kept as integers P_k / c over L / c, for a c that divides
@@ -228,19 +230,18 @@ def exponential_power_numerators(
     slices, from that last nonzero M_j down.
 
     No Fraction is built: each caller makes its values from (M, Q) once,
-    or compares them as they are.  `stats` gets the largest
-    |S|.bit_length() of the form that ran as "max_num_bits", and "steps"
-    (`arith.StatsDict`).
+    or compares them as they are.  Each step hands the |S|.bit_length()
+    of the form that ran to `arith.step_rows`, which keeps `stats`.
     """
     if P[0] != L:
         raise ValueError(f"exponential power needs F_0 = 1, got {Fraction(P[0], L)}")
     if r == 1:
         return list(P), L
-    m, K = _shift(P), len(P) - 1
-    h = P[K] * math.comb(K + m, m)
-    if all(P[k] * math.comb(k + m, m) == h for k in range(1, K)):
-        return _seidel(L, h, K, r, m, stats)
-    return _miller(P, L, r, m, stats)
+    m = _shift(P)
+    H = [p * math.comb(k + m, m) for k, p in enumerate(P)]
+    if len(set(H[1:])) < 2:
+        return _seidel(L, H[-1], len(H) - 1, r, m, stats)
+    return _miller(H, L, r, m, stats)
 
 
 #: Shortest prefix d_0..d_K (K + 1 terms) on which the loop may shift.
@@ -320,42 +321,38 @@ def _seidel(
     c = math.gcd(L, h)
     h, Lc = h // c, L // c
     b = [math.comb(i + m, m - 1) for i in range(K)] if m > 2 else ()
-    M, Q, e, peak, step = [1], 1, [1], 0, step_rows(stats)
+    M, Q, e, step = [1], 1, [1], step_rows(stats)
     for n in range(1, K + 1):
         lo, hi, k = e[-1], sum(e), n if m else 1
         S = h * (r * k * hi - (r + 1) * (k + m) * (hi - lo))
-        peak = max(peak, S.bit_length())
+        if step:
+            step(S.bit_length())
         S, Q, up = _reduced(S, Lc * Q * k * math.comb(k + m, m), Q)
         if up > 1:
             M = [x * up for x in M]
             e = [x * up for x in e]
         M.append(S)
-        if step:
-            step(peak)
         if m:
             e = map(add, e, map(S.__mul__, b) if b else count(2 * S, S) if m == 2 else repeat(S))
         e = list(accumulate(e, initial=S))
-    if stats is not None:
-        stats["max_num_bits"] = max(stats.get("max_num_bits", 0), peak)
     return M, Q
 
 
 def _miller(
-    P: Sequence[int], L: int, r: int, m: int, stats: Optional[StatsDict] = None
+    H: Sequence[int], L: int, r: int, m: int, stats: Optional[StatsDict] = None
 ) -> tuple[list[int], int]:
-    """`exponential_power_numerators` at shift m (see there), r != 1."""
-    if m:
-        P = [p * math.comb(k + m, m) for k, p in enumerate(P)]
-    gate = len(P) >= SHIFT_MIN_TERMS  # the parity skip pays only on long prefixes
-    P = P[1:]
-    M, Q, F, c, Lc, peak, step = [1], 1, [], L, 1, 0, step_rows(stats)
+    """`exponential_power_numerators` at shift m (see there), r != 1, on
+    the shifted numerators H_k = P_k C(k+m, m) over L."""
+    gate = len(H) >= SHIFT_MIN_TERMS  # the parity skip pays only on long prefixes
+    H = H[1:]
+    M, Q, F, c, Lc, step = [1], 1, [], L, 1, step_rows(stats)
     last = [0, -1]  # the last j of each parity with M_j != 0
-    w = [r]  # the weights of step 1, at m = 0
+    w = [r]  # the weights of step 1, at every m
     row = [math.comb(m + 1, j) for j in range(m + 2)]  # C(n+m, j) at step n = 1
-    for n, p in enumerate(P, 1):  # step n reads p = P_n
+    for n, p in enumerate(H, 1):  # step n reads p = H_n
         if p % c:
             up = c
-            c = math.gcd(c, *P[n - 1 : n + 8])
+            c = math.gcd(c, *H[n - 1 : n + 8])
             up //= c
             F = [f * up for f in F]
             Lc = L // c
@@ -365,36 +362,24 @@ def _miller(
             S = 0
             for i in (n - 1 - last[0], n - 1 - last[1]):
                 if i < n:
-                    x = map(mul, F[i::2], M[n - 1 - i :: -2])
-                    if m:
-                        x = map(mul, count((r + 1) * (i + 1) - n, 2 * (r + 1)), x)
-                        S += sum(map(mul, row[m + 1 + i :: 2], x))
-                    else:
-                        S += sum(map(mul, w[i::2], x))
+                    S += sum(map(mul, w[i::2], map(mul, F[i::2], M[n - 1 - i :: -2])))
         else:
-            x = map(mul, F, reversed(M))
-            if m:
-                S = sum(map(mul, row[m + 1 :], map(mul, count(r + 1 - n, r + 1), x)))
-            else:
-                S = sum(map(mul, w, x))
+            S = sum(map(mul, w, map(mul, F, reversed(M))))
+        if step:
+            step(S.bit_length())
         if m:
             den = Lc * Q * n * row[m]
             row = [1, *map(add, row, row[1:]), 1]
+            w = list(map(mul, row[m + 1 :], count(r - n, r + 1)))  # step n + 1's
         else:
             den = Lc * Q
             w = [w[0] - 1, *map(add, w, w[1:]), r]
-        if stats is not None:
-            peak = max(peak, S.bit_length())
         S, Q, up = _reduced(S, den, Q)
         if up > 1:
             M = [x * up for x in M]
         if S:
             last[n % 2] = n
         M.append(S)
-        if step:
-            step(peak)
-    if stats is not None:
-        stats["max_num_bits"] = max(stats.get("max_num_bits", 0), peak)
     return M, Q
 
 

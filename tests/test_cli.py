@@ -1268,9 +1268,9 @@ class TestBenchCommand:
     def test_each_kernel_runs_once(self, capsys, monkeypatch):
         calls = []
         for name in ("power_numerators", "negative_power_numerators", "determinant_numerators"):
-            def counted(*args, kernel=getattr(engine, name), name=name):
+            def counted(*args, kernel=getattr(engine, name), name=name, **kwargs):
                 calls.append(name)
-                return kernel(*args)
+                return kernel(*args, **kwargs)
 
             monkeypatch.setattr(engine, name, counted)
         for r in ("1", "2"):
@@ -1358,6 +1358,25 @@ class TestBenchmarkTracer:
             tracer.uninstall()
         for owner, attr, original in patched:
             assert getattr(owner, attr) is original, attr
+
+    def test_hooked_kernel_runs_under_bench(self, capsys, monkeypatch):
+        # a span with a stats hook puts "stats" into the keywords when they
+        # lack it, so `run_routes` must hand each kernel its stats by keyword
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import spans
+
+        tracer = spans.Tracer(time.perf_counter)
+        name = "engine.negative_power_numerators"
+        kernel = tracer.span(name, engine.negative_power_numerators, stats_hook=True)
+        monkeypatch.setattr(engine, "negative_power_numerators", kernel)
+        code, out, err = run(
+            capsys, "bench", "--family", "bernoulli", "--order", "2", "--n", "12"
+        )
+        assert (code, err) == (0, "")
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        bits = int(rows[-1][header.index("negative_power_max_num_bits")])
+        assert bits == tracer.peak_bits[(name, None)] > 0
+        assert [span[0] for span in tracer.spans] == [name]
 
     def test_cached_parser_is_traced_and_untraced(self, capsys, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))

@@ -399,6 +399,13 @@ class TestCrossVerify:
         assert report.first_mismatch == 5
         assert report.describe() == f"routes disagree first at n=5 (r={r})"
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_report_runs_the_check_routes(self, r):
+        # at r = 1 the D-recurrence is the negative power's own loop
+        report = cross_verify(bernoulli_seq(6), r, 6)
+        assert tuple(report.pairs) == engine.check_routes(r)
+        assert (RECURRENCE in report.pairs) == (r > 1)
+
     def test_first_disagreement_detects_doctored_table(self):
         pairs = {"a": ([1, -1, 1], [1, 2, 6]), "b": ([1, -1, 1], [1, 2, 7])}
         report = VerificationReport(
@@ -407,6 +414,68 @@ class TestCrossVerify:
         assert report.first_mismatch == 2
         assert not report.agree
         assert "disagree first at n=2" in report.describe()
+
+
+def fail(*args, **kwargs):
+    raise AssertionError("the other kernel ran")
+
+
+class TestStepRows:
+    """Each integer kernel hands every step's bits to `arith.step_rows`:
+    n + 1 rows, index 0's (0.0, 0) first, seconds and peaks that never
+    fall, the last peak the call's "max_num_bits", and a reused dict
+    that keeps the larger max.  The loops run past SHIFT_MIN_TERMS, where
+    they shift and skip products."""
+
+    N = series.SHIFT_MIN_TERMS + 10
+    # case -> (spec, r, the shift the loop takes at N, the kernel that must not run)
+    LOOPS = {
+        "shifted _miller": (FamilySpec.hyper_cauchy(2, 3), -2, 3, "_seidel"),
+        "_seidel at m = 1": (FamilySpec.bernoulli(), -1, 1, "_miller"),
+        "_seidel at m = 0": (FamilySpec.euler(), 2, 0, "_miller"),
+    }
+    CASES = [*LOOPS, "determinant_numerators"]
+
+    def kernel(self, monkeypatch, case):
+        """The case's kernel as a function of its stats dict, and its n_max."""
+        if case == "determinant_numerators":
+            n = 60
+            seq = family_coefficients(FamilySpec.hyper_cauchy(2, 3), n)
+            D = engine.reduced_power_table(*engine.power_numerators(seq, 3, n))
+            return lambda stats: engine.determinant_numerators(*D, n, stats), n
+        spec, r, m, other = self.LOOPS[case]
+        P, L = family_coefficients(spec, self.N).prefix()
+        assert series._shift(P) == m
+        monkeypatch.setattr(series, other, fail)
+        return lambda stats: series.exponential_power_numerators(P, L, r, stats), self.N
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows(self, monkeypatch, case):
+        run, n = self.kernel(monkeypatch, case)
+        stats = {"steps": []}
+        run(stats)
+        assert len(stats["steps"]) == n + 1
+        assert stats["steps"][0] == (0.0, 0)
+        seconds, peaks = map(list, zip(*stats["steps"]))
+        assert seconds == sorted(seconds) and peaks == sorted(peaks)
+        assert peaks[-1] == stats["max_num_bits"] > 0
+        plain = {}
+        run(plain)
+        assert plain == {"max_num_bits": peaks[-1]}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_reused_dict_keeps_the_larger_max(self, monkeypatch, case):
+        run, _ = self.kernel(monkeypatch, case)
+        fresh = {}
+        run(fresh)
+        peak = fresh["max_num_bits"]
+        for before in (1, peak + 1):
+            stats = {"max_num_bits": before, "steps": []}
+            run(stats)
+            assert stats["max_num_bits"] == max(before, peak)
+            assert stats["steps"][-1][1] == peak  # the rows hold this call's peak
+        run(fresh)
+        assert fresh == {"max_num_bits": peak}
 
 
 class TestIntegerComparison:

@@ -407,7 +407,8 @@ class TestShiftedLoop:
         G = [F(x, want[1]) for x in want[0]]
         for m in range(SHIFT_MAX + 1):
             stats = {}
-            assert _miller(P, L, r, m, stats) == want, m
+            H = [p * math.comb(k + m, m) for k, p in enumerate(P)]
+            assert _miller(H, L, r, m, stats) == want, m
             assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}, m
 
     @pytest.mark.parametrize(
@@ -472,7 +473,8 @@ class TestSkippedProducts:
         want = oracles.global_lift_power(P, L, r)
         G = [F(x, want[1]) for x in want[0]]
         stats = {}
-        assert _miller(P, L, r, m, stats) == want
+        H = [p * math.comb(k + m, m) for k, p in enumerate(P)]
+        assert _miller(H, L, r, m, stats) == want
         assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}
 
     @settings(max_examples=12, deadline=None)
@@ -519,7 +521,8 @@ class TestSkippedProducts:
         G = [F(x, want[1]) for x in want[0]]
         for m in range(SHIFT_MAX + 1):
             stats = {}
-            assert _miller(P, L, r, m, stats) == want, m
+            H = [p * math.comb(k + m, m) for k, p in enumerate(P)]
+            assert _miller(H, L, r, m, stats) == want, m
             assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}, m
 
     def test_skip_pins(self):
