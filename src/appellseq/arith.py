@@ -18,9 +18,8 @@ from typing import Any, Callable, Iterator, MutableMapping, Optional, Sequence
 #: Largest n the composition route (and `compositions`) serves by default.
 #: The route's power triangle costs O(n^3) products of numbers that grow
 #: with n: 7 / 17 / 60 / 170 ms at n <= 34 / 40 / 50 / 60 (Bernoulli,
-#: r = 1, one core of a 2-vCPU Xeon VM, Python 3.11).  At 50 it costs
-#: about half of what the partition walk it replaced cost at the old cap
-#: of 34; past the cap it is refused.
+#: r = 1, one core of a 2-vCPU Xeon VM, Python 3.11); past the cap it is
+#: refused.
 DEFAULT_COMPOSITION_CAP = 50
 
 #: Largest n * bit_length(max_e |N_e|) the composition route takes on, where

@@ -47,14 +47,14 @@ MAX_N = 10_000
 #: Largest `bench` --n, refused before any work.  One run per kernel to N
 #: took 0.03-0.08 s at N = 100 (Bernoulli, Euler r = 2, hyper-Cauchy(2, 3)
 #: r = 16, hyper-Bernoulli(2, 3) r = 13; one core of a 2-vCPU Intel Xeon VM,
-#: Python 3.11.7, in process), not the 0.4-1.3 s of a rerun at each n.  An
-#: interim bound, until one from the bit-growth cost model replaces it.
+#: Python 3.11.7, in process).  An interim bound, until one from the
+#: bit-growth cost model replaces it.
 MAX_BENCH_N = 100
 
 #: Largest `bench` n^2 * bits, bits summing what `admit` counts (--order,
 #: --m and --nn, or the largest custom value), refused before any work.
 #: Fitted to runs of every kernel at each n, it refuses more than one run
-#: needs: at N = 100 Euler --order 2^600 takes 3.5 s (74 s rerun) and
+#: needs: at N = 100 Euler --order 2^600 takes 3.5 s and
 #: hyper-Cauchy --m 4096 --nn 4096 --order 2^25 1.9 s, but hyper-Cauchy
 #: --m 2^300 --nn 2^300 92 s (same machine); all three stay refused.
 MAX_BENCH_WORK = 2**17

@@ -240,10 +240,11 @@ def related_numbers_recurrence(
     return _route_table(seq, r, n_max, RECURRENCE)
 
 
-def check_composition_cap(n_max: int, cap: int) -> None:
-    """Refuse a composition table past `cap` up front, rather than after
-    grinding through the small n; raises CombinatorialBlowupError."""
-    if n_max > cap:
+def check_composition_cap(n_max: int, cap: Optional[int]) -> None:
+    """Refuse a composition table past `cap` (None: no cap) up front,
+    rather than after grinding through the small n; raises
+    CombinatorialBlowupError."""
+    if cap is not None and n_max > cap:
         raise CombinatorialBlowupError(
             f"composition route cannot serve n_max={n_max}: "
             f"enumeration cap is {cap}"
@@ -296,12 +297,13 @@ def related_numbers_composition(
     seq: CoefficientSequence,
     r: int,
     n_max: Optional[int] = None,
-    cap: int = DEFAULT_COMPOSITION_CAP,
+    cap: Optional[int] = DEFAULT_COMPOSITION_CAP,
 ) -> RelatedNumberTable:
     """a_n^(r) by the sum over compositions that `composition_numerators`
     states, read off d alone: no f^r, no Miller loop, no determinant.
-    n_max past `cap`, or past the work bound of `composition_reach`,
-    raises CombinatorialBlowupError before the triangle is built."""
+    n_max past `cap` (None: no cap, as in `cross_verify`), or past the
+    work bound of `composition_reach`, raises CombinatorialBlowupError
+    before the triangle is built."""
     check_composition_cap(seq._resolve(n_max), cap)
     return _route_table(seq, r, n_max, COMPOSITION)
 

@@ -221,13 +221,10 @@ def exponential_power_numerators(
     on a long prefix), runs each step's S as additions on a difference
     table of G: `_seidel` states how.  Elsewhere one rule drops only
     products by 0, so S is the same integer.
-    Vanished parity: on a prefix of at least SHIFT_MIN_TERMS terms, the
-    loop keeps, for each parity, the last j with M_j != 0, past which
-    every M_j of that parity is 0 (both parities past the degree of a
-    polynomial power, as for hyper-Cauchy(3, 2) at r = -4; Bernoulli's
-    odd j >= 3 at r = -1 when one d_k is changed late).  When more than
-    two terms of step n read such zeros, it sums each parity in step-2
-    slices, from that last nonzero M_j down.
+    Zero tail: the loop keeps the last j with M_j != 0, past which every
+    M_j read so far is 0 (past the degree of a polynomial power, as for
+    hyper-Cauchy(3, 2) at r = -4).  When more than two terms of step n
+    read such zeros, it sums from that last nonzero M_j down.
 
     No Fraction is built: each caller makes its values from (M, Q) once,
     or compares them as they are.  Each step hands the |S|.bit_length()
@@ -343,10 +340,9 @@ def _miller(
 ) -> tuple[list[int], int]:
     """`exponential_power_numerators` at shift m (see there), r != 1, on
     the shifted numerators H_k = P_k C(k+m, m) over L."""
-    gate = len(H) >= SHIFT_MIN_TERMS  # the parity skip pays only on long prefixes
     H = H[1:]
     M, Q, F, c, Lc, step = [1], 1, [], L, 1, step_rows(stats)
-    last = [0, -1]  # the last j of each parity with M_j != 0
+    last = 0  # the last j with M_j != 0
     w = [r]  # the weights of step 1, at every m
     row = [math.comb(m + 1, j) for j in range(m + 2)]  # C(n+m, j) at step n = 1
     for n, p in enumerate(H, 1):  # step n reads p = H_n
@@ -357,12 +353,9 @@ def _miller(
             F = [f * up for f in F]
             Lc = L // c
         F.append(p // c)
-        # term i reads M_{n-1-i}, a zero for each i < n-1-last[z] of M_j's parity z
-        if gate and (n - 1 - last[0]) // 2 + (n - 1 - last[1]) // 2 > 2:
-            S = 0
-            for i in (n - 1 - last[0], n - 1 - last[1]):
-                if i < n:
-                    S += sum(map(mul, w[i::2], map(mul, F[i::2], M[n - 1 - i :: -2])))
+        i = n - 1 - last  # term k < i reads M_{n-1-k} = 0
+        if i > 2:
+            S = sum(map(mul, w[i:], map(mul, F[i:], M[last::-1])))
         else:
             S = sum(map(mul, w, map(mul, F, reversed(M))))
         if step:
@@ -378,7 +371,7 @@ def _miller(
         if up > 1:
             M = [x * up for x in M]
         if S:
-            last[n % 2] = n
+            last = n
         M.append(S)
     return M, Q
 

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -80,6 +81,16 @@ class TestComputeCommand:
         )
         assert code == 0
         assert out.strip().splitlines()[1:] == ["0,1", "1,1/2", "2,-1/6"]
+
+    def test_polynomial_power_closed_form(self, capsys):
+        # hyper-Cauchy(3, 2) has f = (1+t)^(-2), so at order 4 a_n = n! C(8, n)
+        code, out, _ = run(
+            capsys, "compute", "--family", "hyper-cauchy", "--m", "3", "--nn", "2",
+            "--order", "4", "--n", "200", "--format", "csv",
+        )
+        assert code == 0
+        want = [f"{n},{math.factorial(n) * math.comb(8, n)}" for n in range(201)]
+        assert out.strip().splitlines() == ["n,value", *want]
 
     def test_all_algorithms_give_same_output(self, capsys):
         outputs = set()

@@ -609,6 +609,49 @@ class TestCompositionWorkBound:
         assert report.coverage[COMPOSITION] == 12
         assert report.describe() == "all 4 routes agree for r=2, n <= 20, composition only n <= 12"
 
+    def test_no_cap_needs_the_whole_table(self, monkeypatch):
+        # cap=None means no cap in both functions: the composition table
+        # must reach n_max, past the default cap too, and a work bound
+        # short of n_max raises before any route runs
+        n = DEFAULT_COMPOSITION_CAP + 1
+        seq = family_coefficients(FamilySpec.euler(), n)
+        table = related_numbers_composition(seq, 2, n, cap=None)
+        assert table.a == related_numbers_negative_power(seq, 2, n).a
+        assert cross_verify(seq, 2, n, cap=None).coverage[COMPOSITION] == n
+        D = compute_D(seq, 1, 20).D
+        monkeypatch.setattr(engine, "MAX_COMPOSITION_WORK", self.work(D, 12))
+        for kernel in ("composition_numerators", "power_numerators",
+                       "negative_power_numerators", "determinant_numerators"):
+            monkeypatch.setattr(engine, kernel, fail)
+        for route in (related_numbers_composition, cross_verify):
+            with pytest.raises(CombinatorialBlowupError, match="n_max=20: .* at n=13$"):
+                route(seq, 2, 20, cap=None)
+
+
+class TestPolynomialPowers:
+    """hyper-Cauchy(N+1, N) has f = 2F1(N+1, N; N+1; -t) = (1+t)^(-N), so
+    a_n^(r) = n! [t^n] (1+t)^(N r) = n! C(N r, n), 0 for every n > N r."""
+
+    CASES = [(1, 3), (2, 4), (3, 2)]
+
+    @staticmethod
+    def closed_form(N, r, n_max):
+        return tuple(math.factorial(n) * math.comb(N * r, n) for n in range(n_max + 1))
+
+    @pytest.mark.parametrize("N, r", CASES)
+    def test_every_route_gives_the_closed_form(self, N, r):
+        report = cross_verify(family_coefficients(FamilySpec.hyper_cauchy(N + 1, N), 40), r, 40)
+        assert report.agree and set(report.coverage.values()) == {40}
+        for route in report.pairs:
+            assert report.table(route) == self.closed_form(N, r, 40), route
+
+    @pytest.mark.parametrize("N, r", CASES)
+    def test_closed_form_past_the_shift_threshold(self, N, r):
+        seq = family_coefficients(FamilySpec.hyper_cauchy(N + 1, N), 200)
+        assert seq.n_max + 1 >= series.SHIFT_MIN_TERMS
+        M, Q = engine.negative_power_numerators(seq, r, 200)
+        assert tuple(F(m, Q) for m in M) == self.closed_form(N, r, 200)
+
 
 class TestAppellPolynomials:
     def test_bernoulli_polynomials(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from appellseq.engine import hessenberg_leading_minors, power_numerators, recurrence_values
 from appellseq.families import FamilySpec, family_coefficients
-from appellseq import series
+from appellseq import engine, series
 from appellseq.arith import lift
 from appellseq.series import (
     SHIFT_MAX,
@@ -448,9 +448,9 @@ def bernoulli_with(k, value, n=200):
 
 
 class TestSkippedProducts:
-    """A step drops the products by the M_j of a parity that has
-    vanished; S, and with it (M, Q) and the peak bits, must stay the
-    global-lift reference's.  Inputs flat for a while, which
+    """A step drops the products by the M_j of G's zero tail, past the
+    last nonzero M_j; S, and with it (M, Q) and the peak bits, must stay
+    the global-lift reference's.  Inputs flat for a while, which
     `exponential_power_numerators` sends to `_seidel` only when flat
     throughout, run `_miller` here at every shift."""
 
@@ -485,8 +485,8 @@ class TestSkippedProducts:
         st.sampled_from([-3, -1, 2]),
     )
     def test_doctored_long_prefixes_match_the_global_lift(self, spec, k, value, r):
-        # one d_k changed anywhere in a prefix long enough for the parity
-        # skip: it ends the flat run there and may revive a vanished parity
+        # one d_k changed anywhere in a long prefix: it ends the flat run
+        # there and may revive a vanished parity
         d = list(family_coefficients(spec, SHIFT_MIN_TERMS + 9).d)
         d[k] = value
         L, P = lift(d)
@@ -496,15 +496,20 @@ class TestSkippedProducts:
         assert exponential_power_numerators(P, L, r, stats) == want
         assert stats == {"max_num_bits": shifted_peak_bits(P, L, _shift(P), G)}
 
-    # (d_0..d_200, r): a vanished parity (Bernoulli's odd j >= 3, Euler's
-    # even j >= 2, both parities of the polynomial (1+t)^8 past 8, every
-    # odd j of the even cosh(t)^(-3)); a custom list flat at m = 1 up to
-    # k = 150; Bernoulli with d_170 changed, whose odd G_j turn nonzero
-    # at 171
+    # (d_0..d_n, r), n = 200 unless named: the zero tail of the polynomial
+    # (1+t)^8, every G_j past 8, which the loop skips, at n = 200 and at
+    # n = 60, below SHIFT_MIN_TERMS; a single vanished parity, summed in
+    # full with its zeros (Bernoulli's odd j >= 3, Euler's even j >= 2,
+    # every odd j of the even cosh(t)^(-3), Bernoulli with d_170 changed,
+    # whose odd G_j are 0 from 3 to 169 and turn nonzero at 171); a custom
+    # list flat at m = 1 up to k = 150
     LONG = {
         "bernoulli": (family_coefficients(FamilySpec.bernoulli(), 200).d, -1),
         "euler": (family_coefficients(FamilySpec.euler(), 200).d, -1),
         "hyper-cauchy(3,2)": (family_coefficients(FamilySpec.hyper_cauchy(3, 2), 200).d, -4),
+        "hyper-cauchy(3,2), n = 60": (
+            family_coefficients(FamilySpec.hyper_cauchy(3, 2), 60).d, -4
+        ),
         "cosh": ([1 - k % 2 for k in range(201)], -3),
         "flat to 150": ([1] + [F(1, k + 1 + (k > 150)) for k in range(1, 201)], -1),
         "bernoulli, d_170 changed": (bernoulli_with(170, F(1, 3)), -1),
@@ -512,9 +517,8 @@ class TestSkippedProducts:
 
     @pytest.mark.parametrize("name", list(LONG))
     def test_long_inputs_match_the_global_lift(self, name):
-        # at every shift: the linear factor (r+1) k - n is constant at
-        # r = -1, and a polynomial's sliced sums are all 0, so cosh(t)^(-3)
-        # is the one that checks the factor's step-2 slices
+        # at every shift; the linear factor (r+1) k - n is constant at
+        # r = -1, so the two polynomial powers check it on the skipping sum
         d, r = self.LONG[name]
         L, P = lift(d)
         want = oracles.global_lift_power(P, L, r)
@@ -539,6 +543,7 @@ class TestSkippedProducts:
         assert run("bernoulli") == (200, 202, 3)
         assert run("euler") == (200, 2, 201)
         assert run("hyper-cauchy(3,2)")[1:] == (10, 9)
+        assert run("hyper-cauchy(3,2), n = 60")[1:] == (10, 9)
         assert run("cosh")[1:] == (202, 1)
         assert run("flat to 150") == (150, 202, 201)
         assert run("bernoulli, d_170 changed") == (169, 202, 201)
@@ -549,6 +554,28 @@ class TestSkippedProducts:
         # shift m = 2 (H_k = 1), and the prefixes run there are long
         P, _ = family_coefficients(FamilySpec.hyper_bernoulli(1, 2), 200).prefix(200)
         assert _shift(P) == 2 and flat_run(P, 2) == 200
+
+    def test_zero_tail_costs_no_products(self, monkeypatch):
+        # hyper-Cauchy(3, 2) at r = 4: a_n = n! C(8, n), so from step 12 on,
+        # when more than two terms read zeros, a step multiplies only
+        # a_0..a_8 by their two factors, at any length
+        calls = []
+
+        def counted(x, y):
+            calls.append(None)
+            return x * y
+
+        seq = family_coefficients(FamilySpec.hyper_cauchy(3, 2), 120)
+        monkeypatch.setattr(series, "mul", counted)
+        counts = []
+        for n in (12, 60, 120):
+            del calls[:]
+            M, Q = engine.negative_power_numerators(seq, 4, n)
+            assert [F(m, Q) for m in M] == [math.perm(8, j) for j in range(n + 1)]
+            counts.append(len(calls))
+        assert 120 < SHIFT_MIN_TERMS
+        assert counts[1] - counts[0] == 2 * 9 * 48
+        assert counts[2] - counts[1] == 2 * 9 * 60
 
 
 class TestDifferenceTable:
