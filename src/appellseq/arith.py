@@ -28,9 +28,9 @@ DEFAULT_COMPOSITION_CAP = 50
 #: only the weights C(r+k-1, k).  Its kernel at n = 50 costs, on Euler
 #: (about 10 750), 0.035 / 0.12 / 0.44 s at r = 1, 2^200, 2^1310 - 1, and
 #: at the bound 0.14 s on hyper-Cauchy (2^109, 1) but 15.6 s on
-#: hyper-Bernoulli (2^106, 1) (same machine as above).  Past it, `--algo
-#: composition` is refused and `--check` takes the composition leg to the
-#: largest n inside it.
+#: hyper-Bernoulli (2^106, 1) (same machine as above).  Past it, a whole
+#: composition table is refused and `--check` takes the composition leg to
+#: the largest n inside it.
 MAX_COMPOSITION_WORK = 2**18
 
 #: Optional per-call statistics of a kernel, kept by `step_rows`:

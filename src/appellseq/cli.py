@@ -1,8 +1,9 @@
 """Command-line front end: compute tables, cross-verify, emit CSV/JSON,
 and run the per-n kernel micro-benchmark.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 enumeration cap
-exceeded, 4 cross-verification or kernel mismatch.
+`compute` and `poly` print the production route's table; `compute
+--check` first verifies it against every witness.  Exit codes: 0 success,
+2 usage or configuration error, 4 cross-verification or kernel mismatch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from . import engine, families
 from .arith import (
     DEFAULT_COMPOSITION_CAP,
     MAX_COMPOSITION_WORK,
-    CombinatorialBlowupError,
     format_ratio,
     format_rational,
     parse_rational,
@@ -34,7 +34,6 @@ from .families import FamilySpec, family_coefficients, load_custom_family
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_CAP = 3
 EXIT_MISMATCH = 4
 
 #: Largest --n a request may ask for, refused before any work.  The cost
@@ -71,14 +70,6 @@ MAX_BENCH_WORK = 2**17
 MAX_ORDER_WORK = 2**16
 
 
-#: --algo -> the route whose table `compute` prints, checked or not
-ROUTES = {
-    "recurrence": engine.NEGATIVE_POWER,
-    "determinant": engine.DETERMINANT_BAREISS,
-    "composition": engine.COMPOSITION,
-}
-
-
 class KernelMismatchError(RuntimeError):
     """Benchmark refused to report timings because the kernels disagreed."""
 
@@ -92,7 +83,6 @@ class RunConfig:
     family: FamilySpec
     order: int
     n_max: int
-    algorithm: str = "recurrence"
     fmt: str = "pretty"
     check: bool = False
     cap: int = DEFAULT_COMPOSITION_CAP
@@ -165,23 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="tabulate a_n^(r) for n = 0..N")
     add_common(p_compute)
     p_compute.add_argument(
-        "--algo",
-        choices=list(ROUTES),
-        default="recurrence",
-        help=(
-            "recurrence (default): the production route, Miller's recurrence "
-            "on f^(-r); the paper's recurrence over D_r = f^r is a --check "
-            "witness"
-        ),
-    )
-    p_compute.add_argument(
         "--cap",
         type=int,
         default=DEFAULT_COMPOSITION_CAP,
         help=(
-            f"composition enumeration cap (default {DEFAULT_COMPOSITION_CAP}); the "
-            f"route also stops where n times the bit length of its lifted "
-            f"d_e/e! passes {MAX_COMPOSITION_WORK}"
+            f"how far --check takes the composition witness (default "
+            f"{DEFAULT_COMPOSITION_CAP}); it also stops where n times the bit "
+            f"length of its lifted d_e/e! passes {MAX_COMPOSITION_WORK}"
         ),
     )
     p_compute.add_argument(
@@ -226,7 +206,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         family=family_from_args(args),
         order=args.order,
         n_max=args.n,
-        algorithm=getattr(args, "algo", "recurrence"),
         fmt=getattr(args, "fmt", "pretty"),
         check=getattr(args, "check", False),
         cap=getattr(args, "cap", DEFAULT_COMPOSITION_CAP),
@@ -235,22 +214,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     config = config_from_args(args)
-    route, cap, n = ROUTES[config.algorithm], config.cap, config.n_max
-    if route == engine.COMPOSITION:
-        # refused past --cap before the family is built; the printed table
-        # must then be whole, and is refused at its work bound from d,
-        # before f^r is built and before any route runs
-        engine.check_composition_cap(n, cap)
-        cap = None
-    seq = family_coefficients(config.family, n)
+    seq = family_coefficients(config.family, config.n_max)
     if config.check:
-        report = cross_verify(seq, config.order, n, cap=cap)
+        report = cross_verify(seq, config.order, config.n_max, cap=config.cap)
     else:
-        report = engine.run_routes(seq, config.order, n, (route,), cap)
+        report = engine.run_routes(seq, config.order, config.n_max, (engine.NEGATIVE_POWER,))
     if not report.agree:
         print(f"cross-verification failed: {report.describe()}", file=sys.stderr)
         return EXIT_MISMATCH
-    emit_table(report.pairs[route], config, verified=report.coverage if config.check else None)
+    emit_table(report.pairs[engine.NEGATIVE_POWER], config,
+               report.coverage if config.check else None)
     return EXIT_OK
 
 
@@ -407,9 +380,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except CombinatorialBlowupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except KernelMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

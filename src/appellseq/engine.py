@@ -123,8 +123,7 @@ class PowerCoefficientTable:
     D: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"order r must be >= 1, got {self.r}")
+        _check_order(self.r)
         if not self.D or self.D[0] != 1:
             raise ValueError("D_r(0) must be 1 for a normalized sequence")
 
@@ -142,8 +141,7 @@ class RelatedNumberTable:
     algorithm: str
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"order r must be >= 1, got {self.r}")
+        _check_order(self.r)
         if not self.a or self.a[0] != 1:
             raise ValueError("a_0 must be 1 for a normalized sequence")
 
@@ -178,8 +176,7 @@ def power_numerators(
 ) -> tuple[list[int], int]:
     """(M, Q) with n! D_r(n) = M_n / Q for n = 0..n_max: Miller's loop on
     d_0..d_{n_max} at the power r, before any Fraction is built."""
-    if r < 1:
-        raise ValueError(f"order r must be >= 1, got {r}")
+    _check_order(r)
     P, L = seq.prefix(n_max)
     return exponential_power_numerators(P, L, r)
 
@@ -210,6 +207,18 @@ def recurrence_values(
     return [Fraction(m, Q) for m in M]
 
 
+def _check_order(r: int) -> None:
+    """Refuse an order r below 1."""
+    if r < 1:
+        raise ValueError(f"order r must be >= 1, got {r}")
+
+
+def _check_cap(cap: Optional[int]) -> None:
+    """Refuse a composition cap below 0 (None: no cap)."""
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+
+
 def _check_table(D: Sequence, n_max: int) -> None:
     """Refuse an n_max below 0 or past the end of the table D[0]..."""
     if n_max < 0:
@@ -238,17 +247,6 @@ def related_numbers_recurrence(
     """The paper's O(n^2) recurrence over D_r, a_0 = 1; a witness: the
     Miller loop at the power -1 on f^r's own (M, Q), n! D_r(n) = M_n / Q."""
     return _route_table(seq, r, n_max, RECURRENCE)
-
-
-def check_composition_cap(n_max: int, cap: Optional[int]) -> None:
-    """Refuse a composition table past `cap` (None: no cap) up front,
-    rather than after grinding through the small n; raises
-    CombinatorialBlowupError."""
-    if cap is not None and n_max > cap:
-        raise CombinatorialBlowupError(
-            f"composition route cannot serve n_max={n_max}: "
-            f"enumeration cap is {cap}"
-        )
 
 
 def composition_reach(num: Sequence[int], den: Sequence[int], n_max: int) -> int:
@@ -303,8 +301,13 @@ def related_numbers_composition(
     states, read off d alone: no f^r, no Miller loop, no determinant.
     n_max past `cap` (None: no cap, as in `cross_verify`), or past the
     work bound of `composition_reach`, raises CombinatorialBlowupError
-    before the triangle is built."""
-    check_composition_cap(seq._resolve(n_max), cap)
+    before the triangle is built; a cap below 0 raises ValueError."""
+    _check_cap(cap)
+    n_max = seq._resolve(n_max)
+    if cap is not None and n_max > cap:
+        raise CombinatorialBlowupError(
+            f"composition route cannot serve n_max={n_max}: enumeration cap is {cap}"
+        )
     return _route_table(seq, r, n_max, COMPOSITION)
 
 
@@ -399,7 +402,9 @@ def negative_power_numerators(
     """(M, Q) with a_n^(r) = M_n / Q for n = 0..n_max: the state Miller's
     loop for f^(-r) ends in, Q = lcm(den a_0..a_{n_max}), before any
     Fraction is built.  `stats` gets "max_num_bits", the bit length of
-    the loop's largest dot product |S|, and "steps" (`StatsDict`)."""
+    the loop's largest dot product |S|, and "steps" (`StatsDict`).  An
+    order r below 1 raises ValueError before the loop runs."""
+    _check_order(r)
     P, L = seq.prefix(n_max)
     return exponential_power_numerators(P, L, -r, stats)
 
@@ -473,8 +478,9 @@ def cross_verify(
     """Run every route of `check_routes(r)` once and compare exactly, index
     by index.  The composition route is only taken up to `cap` and
     `composition_reach`; the others cover the full range.  With cap None
-    the composition table must be whole (see `run_routes`).  No value is
-    reduced; disagreement is reported, not raised.
+    the composition table must be whole (see `run_routes`); a cap below 0
+    raises ValueError before any route runs.  No value is reduced;
+    disagreement is reported, not raised.
     """
     return run_routes(seq, r, n_max, check_routes(r), cap)
 
@@ -507,6 +513,7 @@ def run_routes(
     the D-recurrence, which runs the Miller loop on M over Q, and for
     Bareiss, which reads each D_r(e) = M_e / (Q e!) reduced by one gcd.
     """
+    _check_cap(cap)
     n_max = seq._resolve(n_max)
     if COMPOSITION in routes:
         top = n_max if cap is None else min(n_max, cap)

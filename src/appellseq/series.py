@@ -228,7 +228,8 @@ def exponential_power_numerators(
 
     No Fraction is built: each caller makes its values from (M, Q) once,
     or compares them as they are.  Each step hands the |S|.bit_length()
-    of the form that ran to `arith.step_rows`, which keeps `stats`.
+    of the form that ran to `arith.step_rows`, which keeps `stats`; at
+    r = 1 no loop runs and `stats` is left as given.
     """
     if P[0] != L:
         raise ValueError(f"exponential power needs F_0 = 1, got {Fraction(P[0], L)}")

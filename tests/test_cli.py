@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appellseq import cli, engine, series
-from appellseq.arith import DEFAULT_COMPOSITION_CAP
 from appellseq.engine import VerificationReport
 from appellseq.families import FamilySpec, family_coefficients
 
@@ -92,24 +91,15 @@ class TestComputeCommand:
         want = [f"{n},{math.factorial(n) * math.comb(8, n)}" for n in range(201)]
         assert out.strip().splitlines() == ["n,value", *want]
 
-    def test_all_algorithms_give_same_output(self, capsys):
-        outputs = set()
-        for algo in ("recurrence", "determinant", "composition"):
-            code, out, _ = run(
-                capsys, "compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "2",
-                "--n", "6", "--algo", algo, "--format", "csv",
-            )
-            assert code == 0
-            outputs.add(out)
-        assert len(outputs) == 1
-
     def test_retired_flags_exit_2(self, capsys):
-        # one name per route: no --kernel, no --algo all, and --cap only
-        # where the composition route can run
+        # compute prints the production table, so it takes no --algo and
+        # no --kernel; --cap only where --check can run the composition leg
         family = ("--family", "bernoulli", "--n", "8")
         for argv in (
             ("compute", *family, "--algo", "determinant", "--kernel", "bareiss"),
             ("compute", *family, "--algo", "all"),
+            ("compute", *family, "--algo", "determinant"),
+            ("compute", *family, "--algo", "composition"),
             ("poly", *family, "--cap", "3"),
             ("bench", *family, "--cap", "3"),
         ):
@@ -129,13 +119,9 @@ class TestComputeCommand:
             r=1, n_max=2, pairs={"a": ([1], [1]), "b": ([2], [1])}, first_mismatch=0
         )
         monkeypatch.setattr(cli, "cross_verify", lambda *a, **k: bad)
-        for algo in cli.ROUTES:
-            code, out, err = run(
-                capsys, "compute", "--family", "bernoulli", "--n", "2", "--algo", algo,
-                "--check",
-            )
-            assert (code, out) == (4, ""), algo
-            assert "cross-verification failed" in err
+        code, out, err = run(capsys, "compute", "--family", "bernoulli", "--n", "2", "--check")
+        assert (code, out) == (4, "")
+        assert "cross-verification failed" in err
 
     def test_every_check_goes_through_cli_cross_verify(self, capsys, monkeypatch):
         # the name the benchmark's tracer wraps sees each checked table once
@@ -147,13 +133,11 @@ class TestComputeCommand:
 
         monkeypatch.setattr(cli, "cross_verify", counted)
         family = ("--family", "euler", "--order", "2", "--n", "6")
-        for algo in cli.ROUTES:
-            calls.clear()
-            code, _, err = run(capsys, "compute", *family, "--algo", algo, "--check")
-            assert (code, err, len(calls)) == (0, "", 1), algo
-            calls.clear()
-            code, _, err = run(capsys, "compute", *family, "--algo", algo)
-            assert (code, err, calls) == (0, "", []), algo
+        code, _, err = run(capsys, "compute", *family, "--check")
+        assert (code, err, len(calls)) == (0, "", 1)
+        calls.clear()
+        code, _, err = run(capsys, "compute", *family)
+        assert (code, err, calls) == (0, "", [])
 
     def test_family_coefficients_built_once(self, capsys, monkeypatch):
         calls = []
@@ -188,18 +172,16 @@ class TestComputeCommand:
     def test_power_computed_once_per_check(self, capsys, monkeypatch):
         calls = self.count_miller_loops(monkeypatch)
         for r in (1, 2, 3):
-            for algo in ("recurrence", "determinant", "composition"):
-                calls.clear()
-                code, out, _ = run(
-                    capsys, "compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "3",
-                    "--order", str(r), "--n", "8", "--algo", algo, "--check",
-                    "--format", "csv",
-                )
-                assert code == 0
-                # f^r once, the D-recurrence witness's inverse of D_r, f^(-r)
-                # once; at r = 1 the witness is f^(-1) itself, run once
-                assert calls == ([1, -1] if r == 1 else [r, -1, -r]), (r, algo)
-                assert out.splitlines()[0] == "n,value"
+            calls.clear()
+            code, out, _ = run(
+                capsys, "compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "3",
+                "--order", str(r), "--n", "8", "--check", "--format", "csv",
+            )
+            assert code == 0
+            # f^r once, the D-recurrence witness's inverse of D_r, f^(-r)
+            # once; at r = 1 the witness is f^(-1) itself, run once
+            assert calls == ([1, -1] if r == 1 else [r, -1, -r]), r
+            assert out.splitlines()[0] == "n,value"
 
     def test_plain_requests_never_build_d(self, capsys, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -226,75 +208,11 @@ class TestComputeCommand:
         for r in ("1", "2"):
             for extra in (
                 ("compute", "--check"),
-                ("compute", "--algo", "determinant", "--check"),
-                ("compute", "--algo", "determinant"),
-                ("compute", "--algo", "composition"),
                 ("poly", "--z", "1/3"),
                 ("bench",),
             ):
                 code, _, err = run(capsys, extra[0], *family, "--order", r, *extra[1:])
                 assert (code, err) == (0, ""), extra
-
-    def test_check_prints_the_chosen_route(self, capsys):
-        for extra in (("--algo", "determinant"), ("--algo", "composition"), ()):
-            plain = run(
-                capsys, "compute", "--family", "euler", "--order", "2", "--n", "10",
-                *extra, "--format", "csv",
-            )
-            checked = run(
-                capsys, "compute", "--family", "euler", "--order", "2", "--n", "10",
-                *extra, "--format", "csv", "--check",
-            )
-            assert plain == checked
-            assert plain[0] == 0
-        # every --algo names a table that cross_verify reports at every r
-        assert cli.ROUTES == {
-            "recurrence": engine.NEGATIVE_POWER,
-            "determinant": engine.DETERMINANT_BAREISS,
-            "composition": engine.COMPOSITION,
-        }
-
-    def test_determinant_check_prints_the_bareiss_table(self, capsys, monkeypatch):
-        # mark the Bareiss table so that no other route's table can pass for it
-        marks = (F(1), *(F(1000 + n, 7) for n in range(1, 7)))
-
-        def marked(seq, r, n_max, cap):
-            report = engine.cross_verify(seq, r, n_max, cap=cap)
-            assert engine.DETERMINANT_BAREISS in report.pairs
-            pairs = {
-                **report.pairs,
-                engine.DETERMINANT_BAREISS: (
-                    [x.numerator for x in marks], [x.denominator for x in marks]
-                ),
-            }
-            return VerificationReport(r=r, n_max=n_max, pairs=pairs, first_mismatch=None)
-
-        monkeypatch.setattr(cli, "cross_verify", marked)
-        for r in ("1", "2"):
-            code, out, err = run(
-                capsys, "compute", "--family", "euler", "--order", r, "--n", "6",
-                "--algo", "determinant", "--check", "--format", "csv",
-            )
-            assert (code, err) == (0, "")
-            assert out.splitlines()[1:] == [
-                f"{n},{cli.format_rational(v)}" for n, v in enumerate(marks)
-            ]
-
-    def test_composition_past_cap_with_check_exits_3(self, capsys, monkeypatch):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("ran before the cap was checked")
-
-        monkeypatch.setattr(cli, "family_coefficients", must_not_run)
-        monkeypatch.setattr(cli, "cross_verify", must_not_run)
-        code, out, err = run(
-            capsys, "compute", "--family", "bernoulli", "--n", "12", "--cap", "6",
-            "--algo", "composition", "--check",
-        )
-        assert code == 3
-        assert out == ""
-        assert err.splitlines() == [
-            "error: composition route cannot serve n_max=12: enumeration cap is 6"
-        ]
 
     def test_checked_json_names_each_route_range(self, capsys):
         argv = ("compute", "--family", "euler", "--order", "2", "--n", "9", "--format", "json")
@@ -674,19 +592,11 @@ class TestArgvFuzz:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main([a.replace("{path}", str(path)) for a in argv])
-        assert code in (0, 2, 3, 4), (argv, text, err.getvalue())
+        assert code in (0, 2, 4), (argv, text, err.getvalue())
         assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
 
 
 class TestCapExit:
-    def test_composition_past_cap_exits_3(self, capsys):
-        code, _, err = run(
-            capsys, "compute", "--family", "bernoulli",
-            "--n", str(DEFAULT_COMPOSITION_CAP + 1), "--algo", "composition",
-        )
-        assert code == 3
-        assert "cap" in err
-
     def test_negative_cap_is_usage_error(self, capsys):
         code, out, err = run(
             capsys, "compute", "--family", "bernoulli", "--n", "5",
@@ -696,35 +606,13 @@ class TestCapExit:
         assert out == ""
         assert err.startswith("error: --cap")
 
-    def test_cap_flag_lowers_threshold(self, capsys):
-        code, _, err = run(
-            capsys, "compute", "--family", "bernoulli", "--n", "10",
-            "--algo", "composition", "--cap", "5",
-        )
-        assert code == 3
-
 
 class TestCompositionWorkExit:
-    """The composition route past MAX_COMPOSITION_WORK: hyper-Cauchy with
-    M = 2^300 lifts d_1/1!..d_n/n! past the bound at n = 30.  The bound
-    reads d alone, so it is met or refused before f^r is built."""
+    """`--check` stops the composition leg at MAX_COMPOSITION_WORK:
+    hyper-Cauchy with M = 2^300 lifts d_1/1!..d_n/n! past the bound at
+    n = 30, and the other routes still cover the full range."""
 
     ARGV = ("compute", "--family", "hyper-cauchy", "--m", str(2**300), "--n", "50")
-    MESSAGE = (
-        f"error: composition route cannot serve n_max=50: n times the bit length "
-        f"of the lifted d_1/1!..d_n/n! passes {cli.MAX_COMPOSITION_WORK} at n=30"
-    )
-
-    def test_algo_composition_exits_3_before_the_triangle(self, capsys, monkeypatch):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("built the triangle past the work bound")
-
-        monkeypatch.setattr(engine, "composition_numerators", must_not_run)
-        calls = TestComputeCommand.count_miller_loops(monkeypatch)
-        code, out, err = run(capsys, *self.ARGV, "--algo", "composition")
-        assert (code, out) == (3, "")
-        assert err.splitlines() == [self.MESSAGE]
-        assert calls == []
 
     def test_check_stops_the_composition_leg_inside_the_bound(self, capsys):
         code, out, err = run(capsys, *self.ARGV, "--check", "--format", "json")
@@ -734,26 +622,6 @@ class TestCompositionWorkExit:
             "composition": 29,
             "negative-power": 50,
         }
-        # the composition table alone cannot be printed to n = 50
-        code, out, err = run(capsys, *self.ARGV, "--check", "--algo", "composition")
-        assert (code, out) == (3, "")
-        assert err.splitlines() == [self.MESSAGE]
-
-    def test_check_refuses_as_soon_as_d_is_known(self, capsys, monkeypatch):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("ran a route past the composition work bound")
-
-        for name in ("determinant_numerators", "negative_power_numerators",
-                     "composition_numerators"):
-            monkeypatch.setattr(engine, name, must_not_run)
-        calls = TestComputeCommand.count_miller_loops(monkeypatch)
-        for r in ("1", "2"):
-            code, out, err = run(capsys, *self.ARGV, "--order", r, "--check",
-                                 "--algo", "composition")
-            assert (code, out) == (3, "")
-            assert err.splitlines() == [self.MESSAGE]
-        # no loop ran: not f^r, not the D-recurrence, not the negative power
-        assert calls == []
 
     def test_high_order_is_covered_in_full(self, capsys):
         # Euler at r = 2^1310 - 1 lifts D_r(1..n) to about 17 500 bits each,
@@ -764,20 +632,6 @@ class TestCompositionWorkExit:
         assert set(json.loads(out)["verified"].values()) == {50}
         production = run(capsys, *argv, "--format", "csv")
         assert production[0] == 0
-        assert run(capsys, *argv, "--algo", "composition", "--format", "csv") == production
-
-    def test_plain_composition_runs_no_miller_loop(self, capsys, monkeypatch):
-        calls = TestComputeCommand.count_miller_loops(monkeypatch)
-        for r in ("1", "2", "7"):
-            plain = run(capsys, "compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "3",
-                        "--order", r, "--n", "12", "--format", "csv")
-            assert calls == [-int(r)]
-            calls.clear()
-            composition = run(capsys, "compute", "--family", "hyper-cauchy", "--m", "2",
-                              "--nn", "3", "--order", r, "--n", "12", "--format", "csv",
-                              "--algo", "composition")
-            assert composition == plain
-            assert calls == [], r
 
     # (family flags, r, n, cap): the sizes of the benchmark's `verify` requests
     VERIFY_SIZED = (
@@ -997,22 +851,17 @@ class TestBenchOutputPin:
 
 class TestComputeOutputPin:
     """The sha256 of everything `compute` prints, with its exit code, over
-    a fixed grid of families, orders, sizes, routes and formats.  The
-    checked modes print the table of their route as `cross_verify` left
-    it; any change to a printed byte has to come with a new DIGEST,
-    deliberately."""
+    a fixed grid of families, orders, sizes, modes (plain or checked) and
+    formats.  The checked mode prints the production table as
+    `cross_verify` left it; any change to a printed byte has to come with
+    a new DIGEST, deliberately."""
 
     FAMILIES = TestPolyOutputPin.FAMILIES
     ORDERS = ("1", "2", "3", "7")
     DEGREES = ("0", "1", "9", "24")
-    MODES = (
-        (),
-        ("--check",),
-        ("--algo", "determinant", "--check"),
-        ("--algo", "composition", "--check"),
-    )
+    MODES = ((), ("--check",))
     FORMATS = ("csv", "json", "pretty")
-    DIGEST = "fd9d97af793081d556b909f6062d4aeca497083ff1ef217e9f4a71d41ccd3e2c"
+    DIGEST = "474fa129b36e6f588ef9774622648d51f0e4efc1a8cd3ea5953f35a38ca3ced4"
 
     def test_output_digest(self, capsys):
         digest = hashlib.sha256()
@@ -1360,10 +1209,7 @@ class TestBenchmarkTracer:
             ):
                 assert (cli.engine, name) in wrapped, name
             assert (cli.engine.TruncatedSeries, "__pow__") in wrapped
-            code, _, _ = run(
-                capsys, "compute", "--family", "bernoulli", "--n", "8", "--check",
-                "--algo", "determinant",
-            )
+            code, _, _ = run(capsys, "compute", "--family", "bernoulli", "--n", "8", "--check")
             assert code == 0
         finally:
             tracer.uninstall()

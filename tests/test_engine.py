@@ -349,6 +349,18 @@ class TestProductionRoute:
                 == related_numbers_recurrence(seq, r, 60).a
             ), r
 
+    @pytest.mark.parametrize("r", [0, -1, -3])
+    def test_order_below_1_is_refused_before_the_loop(self, monkeypatch, r):
+        # as `power_numerators` refuses it; at r = -1 the loop would give
+        # f's own table and leave `stats` empty
+        monkeypatch.setattr(engine, "exponential_power_numerators", fail)
+        seq = bernoulli_seq(5)
+        message = rf"^order r must be >= 1, got {r}$"
+        with pytest.raises(ValueError, match=message):
+            engine.negative_power_numerators(seq, r, 5, stats={"steps": []})
+        with pytest.raises(ValueError, match=message):
+            engine.run_routes(seq, r, 5, (NEGATIVE_POWER,))
+
 
 class TestCrossVerify:
     def test_agreement_report(self):
@@ -405,6 +417,19 @@ class TestCrossVerify:
         report = cross_verify(bernoulli_seq(6), r, 6)
         assert tuple(report.pairs) == engine.check_routes(r)
         assert (RECURRENCE in report.pairs) == (r > 1)
+
+    @pytest.mark.parametrize("cap", [-1, -7])
+    def test_negative_cap_is_refused_as_the_cap(self, monkeypatch, cap):
+        # one ValueError that names the cap, from both functions that take
+        # one, before any route runs
+        for name in ("power_numerators", "negative_power_numerators",
+                     "composition_numerators", "determinant_numerators"):
+            monkeypatch.setattr(engine, name, fail)
+        seq = bernoulli_seq(5)
+        for call in (cross_verify, related_numbers_composition):
+            with pytest.raises(ValueError, match=rf"^cap must be >= 0, got {cap}$") as info:
+                call(seq, 1, 5, cap=cap)
+            assert not isinstance(info.value, CombinatorialBlowupError), call
 
     def test_first_disagreement_detects_doctored_table(self):
         pairs = {"a": ([1, -1, 1], [1, 2, 6]), "b": ([1, -1, 1], [1, 2, 7])}
