@@ -14,7 +14,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import engine, families
 from .arith import (
@@ -129,8 +129,25 @@ def admit(n: int, what: str, *bits: int) -> int:
     return sum(bits)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A top-level parser that parses a subcommand's argv once."""
+
+    commands: Mapping[str, argparse.ArgumentParser]  # set by build_parser
+
+    def parse_known_args(self, args=None, namespace=None):
+        if args and args[0] in self.commands:
+            return self.commands[args[0]].parse_known_args(args[1:], namespace)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI's parser.  When argv[0] names a subcommand, its parser alone
+    reads argv[1:], one pass over the tokens; argparse's own path would
+    classify every token at the top level first and then parse them all
+    again.  It prints, and exits with, what that path would, but leaves
+    no `command` in the namespace.  No argv, `-h` and an unknown command
+    still take argparse's own path."""
+    parser = _Parser(
         prog="appellseq",
         description=(
             "Exact related numbers a_n^(r) and polynomials A_n^(r)(z) of "
@@ -138,7 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Bernoulli and Cauchy)."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
+    parser.commands = sub.choices
 
     def add_common(p: argparse.ArgumentParser):
         p.add_argument(
@@ -234,11 +253,7 @@ def emit_table(
 ):
     """Print a_0..a_n from a route's (numerators, denominators); JSON also
     maps each cross-verified route to the largest n it covered, when
-    `verified` is given.  Every row is formatted before any is printed.
-
-    JSON prints what `json.dumps(doc, indent=2)` would, but only the
-    header goes through `json`, whose indenting encoder is pure Python:
-    each value is digits, "-" and "/", which need no escaping."""
+    `verified` is given.  Every row is formatted before any is printed."""
     rows = list(map(format_ratio, *pair))
     if config.fmt == "csv":
         print("\n".join(["n,value", *(f"{n},{v}" for n, v in enumerate(rows))]))
@@ -246,13 +261,22 @@ def emit_table(
         doc = {"family": config.family.label, "order": config.order}
         if verified is not None:
             doc["verified"] = dict(verified)
-        values = ",\n".join(
-            f'    {{\n      "n": {n},\n      "value": "{v}"\n    }}' for n, v in enumerate(rows)
-        )
-        print(f'{json.dumps(doc, indent=2)[:-2]},\n  "values": [\n{values}\n  ]\n}}')
+        print(json_with_list(doc, "values", (
+            f'{{\n      "n": {n},\n      "value": "{v}"\n    }}' for n, v in enumerate(rows)
+        )))
     else:
         width = len(str(len(rows) - 1))
         print("\n".join(f"{n:>{width}}  {v}" for n, v in enumerate(rows)))
+
+
+def json_with_list(doc: dict, key: str, items: Iterable[str]) -> str:
+    """`json.dumps({**doc, key: [...]}, indent=2)` for a non-empty doc and
+    list, the list given as the JSON text of its items, each indented as
+    the list's item.  Only doc goes through `json`, whose indenting
+    encoder is pure Python: each value printed here is digits, "-" and
+    "/", which need no escaping."""
+    head = json.dumps(doc, indent=2)[:-2]
+    return f'{head},\n  "{key}": [\n    ' + ",\n    ".join(items) + "\n  ]\n}"
 
 
 def parse_z(text: str, n: int) -> Fraction:
@@ -277,15 +301,16 @@ def cmd_poly(args: argparse.Namespace) -> int:
     doc = {"family": config.family.label, "order": config.order, "n": n}
     if z is None:
         coeffs = [format_ratio(c, Q) for c in N]
-        doc["coeffs"] = coeffs
-        text = ", ".join(coeffs)
-    else:
-        H = engine.horner_numerator(N, z.numerator, z.denominator)
-        value = format_ratio(H, Q * z.denominator**n)
-        doc["z"] = format_rational(z)
-        doc["value"] = value
-        text = value
-    print(json.dumps(doc, indent=2) if config.fmt == "json" else text)
+        if config.fmt == "json":
+            print(json_with_list(doc, "coeffs", (f'"{c}"' for c in coeffs)))
+        else:
+            print(", ".join(coeffs))
+        return EXIT_OK
+    H = engine.horner_numerator(N, z.numerator, z.denominator)
+    value = format_ratio(H, Q * z.denominator**n)
+    doc["z"] = format_rational(z)
+    doc["value"] = value
+    print(json.dumps(doc, indent=2) if config.fmt == "json" else value)
     return EXIT_OK
 
 

@@ -512,7 +512,9 @@ def run_routes(
     and before any route runs.  f^r is computed once, as (M, Q), only for
     the D-recurrence, which runs the Miller loop on M over Q, and for
     Bareiss, which reads each D_r(e) = M_e / (Q e!) reduced by one gcd.
+    An order r below 1 raises ValueError before any of that.
     """
+    _check_order(r)
     _check_cap(cap)
     n_max = seq._resolve(n_max)
     if COMPOSITION in routes:

@@ -190,22 +190,22 @@ def exponential_power_numerators(
     operations whatever r is (J.C.P. Miller; Knuth, TAOCP vol. 2, 4.7).
     Times n!, it runs on the exponential coefficients F_k = k! f_k and
     G_n = n! g_n: G_0 = 1 and n G_n = sum_k C(n, k) ((r+1) k - n) F_k G_{n-k}.
-    On a prefix of fewer than SHIFT_MIN_TERMS terms it runs on F as given,
-    with the integer weights w_k = r C(n-1, k-1) - C(n-1, k), which obey
-    Pascal's rule themselves: the row w_1..w_n of step n rolls forward to
-    w_1 - 1, w_1 + w_2, ..., w_{n-1} + w_n, r.  On a longer prefix it may run on
-    binomially shifted coefficients instead: write F_k = H_k / C(k+m, m);
-    since C(n, k) / C(k+m, m) = C(n+m, k+m) / C(n+m, m), the step becomes
+    Unshifted (m = 0) it runs on F as given, with the integer weights
+    w_k = r C(n-1, k-1) - C(n-1, k), which obey Pascal's rule themselves:
+    the row w_1..w_n of step n rolls forward to w_1 - 1, w_1 + w_2, ...,
+    w_{n-1} + w_n, r.  It may run on binomially shifted coefficients
+    instead: write F_k = H_k / C(k+m, m); since C(n, k) / C(k+m, m) =
+    C(n+m, k+m) / C(n+m, m), the step becomes
 
         n C(n+m, m) G_n = sum_{k=1..n} C(n+m, k+m) ((r+1) k - n) H_k G_{n-k},
 
     on the numerators P_k C(k+m, m) of H over the same L, built once here
-    for the flat test and the loop.  Each step forms its weights
+    for the loop.  Each step forms its weights
     w_k = C(n+m, k+m) ((r+1) k - n) once, from the row C(n+m, 0..n+m)
     rolled by Pascal's rule (w_1 = r at step 1, as at m = 0), and
-    n C(n+m, m) joins the step's divisor.  `_shift` picks m:
-    d_k = 1/(k+1) (Bernoulli) takes m = 1 and H_k = 1, so the large F_k
-    become small integers; m = 0 is the unshifted loop.  Either way F
+    n C(n+m, m) joins the step's divisor.  `_shift` picks the loop's m,
+    0 below SHIFT_MIN_TERMS terms: hyper-Bernoulli(2, 3) takes m = 4 and
+    H_k = k + 1, so the large F_k become small integers.  Either way F
     (or H) is kept as integers P_k / c over L / c, for a c that divides
     L and every P_k read so far, so L / c is the lcm of only the
     denominators the steps have needed.  When P_n is not a multiple of
@@ -216,11 +216,14 @@ def exponential_power_numerators(
     step's divisor, reduced by one gcd; when den G_n does not divide Q,
     Q rises to their lcm and the stored M are rescaled (`_reduced`).
 
-    A flat input, H_1 = ... = H_K at the m picked (Euler at m = 0 at
-    every length; Bernoulli at m = 1 and hyper-Bernoulli(1, N) at m = N
-    on a long prefix), runs each step's S as additions on a difference
-    table of G: `_seidel` states how.  Elsewhere one rule drops only
-    products by 0, so S is the same integer.
+    A flat input, H_1 = ... = H_K at some m <= SHIFT_MAX, runs each
+    step's S at that m as additions on a difference table of G, at any
+    length: `_seidel` states how.  Euler is flat at m = 0, Bernoulli
+    (d_k = 1/(k+1), H_k = 1) at m = 1 and hyper-Bernoulli(1, N) at m = N.
+    P_1 (m+1) = P_2 C(m+2, 2) fixes the one m to test (m = 0 when K < 2
+    or P_2 = 0), and the test stops at the first H_k that differs; only
+    an input that is not flat reaches `_shift`.  The loop's one other
+    rule drops only products by 0, so S is the same integer.
     Zero tail: the loop keeps the last j with M_j != 0, past which every
     M_j read so far is 0 (past the degree of a polynomial power, as for
     hyper-Cauchy(3, 2) at r = -4).  When more than two terms of step n
@@ -235,21 +238,26 @@ def exponential_power_numerators(
         raise ValueError(f"exponential power needs F_0 = 1, got {Fraction(P[0], L)}")
     if r == 1:
         return list(P), L
+    K = len(P) - 1
+    # P_1 (m+1) = P_2 C(m+2, 2) fixes the only m at which H can be flat
+    m = 2 * P[1] // P[2] - 2 if K > 1 and P[2] else 0
+    if 0 <= m <= SHIFT_MAX:
+        h = P[K] * math.comb(K + m, m)
+        if all(P[k] * math.comb(k + m, m) == h for k in range(1, K)):
+            return _seidel(L, h, K, r, m, stats)
     m = _shift(P)
-    H = [p * math.comb(k + m, m) for k, p in enumerate(P)]
-    if len(set(H[1:])) < 2:
-        return _seidel(L, H[-1], len(H) - 1, r, m, stats)
-    return _miller(H, L, r, m, stats)
+    return _miller([p * math.comb(k + m, m) for k, p in enumerate(P)], L, r, m, stats)
 
 
-#: Shortest prefix d_0..d_K (K + 1 terms) on which the loop may shift.
-#: The shifted step costs one more product per term, which pays only once
-#: the operands are large: at Bernoulli (m = 1), hyper-Bernoulli(2, 3)
-#: (m = 4) and hyper-Cauchy(2, 3) (m = 3), r in {1, 3}, the shifted loop
-#: took 1.22-1.33x the unshifted loop's time at K = 40, 1.13-1.21x at
-#: K = 60, 0.95-1.02x at K = 140 and 0.93-0.99x at K = 160 (0.72x for
-#: Bernoulli at K = 400; one core of a 2-vCPU Intel Xeon VM, Python
-#: 3.11.7, best of 7).
+#: Shortest prefix d_0..d_K (K + 1 terms) that `_shift` probes for the
+#: loop's shift; a flat input takes `_seidel` at its shift at any length,
+#: without the probe.  The shifted loop step costs one more product per
+#: term, which pays only once the operands are large: at Bernoulli
+#: (m = 1), hyper-Bernoulli(2, 3) (m = 4) and hyper-Cauchy(2, 3) (m = 3),
+#: r in {1, 3}, the shifted loop took 1.22-1.33x the unshifted loop's
+#: time at K = 40, 1.13-1.21x at K = 60, 0.95-1.02x at K = 140 and
+#: 0.93-0.99x at K = 160 (0.72x for Bernoulli at K = 400; one core of a
+#: 2-vCPU Intel Xeon VM, Python 3.11.7, best of 7).
 SHIFT_MIN_TERMS = 160
 #: Largest shift m tried.  hyper-Bernoulli(M, N) takes m = M + N - 1, so
 #: 8 serves M + N <= 9; the D_2 table of hyper-Bernoulli(2, 3) takes 8.
@@ -263,11 +271,12 @@ SHIFT_PROBE = 16
 
 
 def _shift(P: Sequence[int]) -> int:
-    """The loop's shift for F_k = P_k / L: 0 on a prefix shorter than
-    SHIFT_MIN_TERMS, else the m in 0..SHIFT_MAX whose numerators
-    P_k C(k+m, m), k <= SHIFT_PROBE, divided by their gcd have the fewest
-    bits in all (P_0 = L is among them, so the lifted denominator counts
-    too); the smallest such m."""
+    """The loop's shift for F_k = P_k / L on an input that is not flat (a
+    flat one takes `_seidel` at its own shift at any length): 0 on a
+    prefix shorter than SHIFT_MIN_TERMS, else the m in 0..SHIFT_MAX whose
+    numerators P_k C(k+m, m), k <= SHIFT_PROBE, divided by their gcd have
+    the fewest bits in all (P_0 = L is among them, so the lifted
+    denominator counts too); the smallest such m."""
     if len(P) < SHIFT_MIN_TERMS:
         return 0
 

@@ -271,6 +271,79 @@ class TestParserCache:
         assert len(built) == 1
 
 
+class TestParseOnce:
+    """A known subcommand's argv is read by that subcommand's parser alone,
+    in one pass; what it prints and exits with, usage and errors
+    included, is what argparse's own two-pass path gives."""
+
+    ARGVS = (
+        (),
+        ("--help",),
+        ("nope",),
+        ("compute", "-h"),
+        ("poly", "--help"),
+        ("bench", "-h"),
+        ("compute", "--family", "bernoulli"),
+        ("poly", "--family", "euler", "--n", "3", "--bogus"),
+        ("compute", "--family", "euler", "--n", "x"),
+        ("poly",),
+        ("bench", "--family", "euler", "--n", "3", "extra"),
+    )
+    # exit code, stdout and stderr of each of ARGVS at 80 columns, taken
+    # with Python 3.11 on argparse's own two-pass path
+    DIGEST = "b0fdd5e4e448521c034b50151ab408bf2b9baa1e3ff5df6faf6511e20c88baf1"
+    GOOD = (
+        ("compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "3", "--n", "4", "--check"),
+        ("poly", "--family", "euler", "--order", "2", "--n", "3", "--z", "-1/2"),
+        ("bench", "--family", "bernoulli", "--n", "2"),
+    )
+
+    @staticmethod
+    def argparse_path(monkeypatch):
+        monkeypatch.setattr(cli._Parser, "parse_known_args",
+                            argparse.ArgumentParser.parse_known_args)
+
+    def test_a_subcommand_is_parsed_in_one_pass(self, capsys, monkeypatch):
+        passes = []
+        parse = argparse.ArgumentParser._parse_known_args
+
+        def counted(parser, *args):
+            passes.append(parser.prog)
+            return parse(parser, *args)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args", counted)
+        parser = cli.build_parser()
+        for argv in self.GOOD:
+            del passes[:]
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert passes == [f"appellseq {argv[0]}"], argv
+            args = vars(parser.parse_args(cli._attach_negative_z(argv)))
+            with monkeypatch.context() as patched:
+                self.argparse_path(patched)
+                two_pass = vars(parser.parse_args(cli._attach_negative_z(argv)))
+            # nothing reads the subcommand's name back
+            assert args == {k: v for k, v in two_pass.items() if k != "command"}, argv
+
+    def test_prints_what_argparse_own_path_prints(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in self.ARGVS:
+            got = run(capsys, *argv)
+            with monkeypatch.context() as patched:
+                self.argparse_path(patched)
+                assert run(capsys, *argv) == got, argv
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="argparse words its usage differently in other versions")
+    def test_usage_digest(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        digest = hashlib.sha256()
+        for argv in self.ARGVS:
+            code, out, err = run(capsys, *argv)
+            digest.update(f"{code}\0{out}\0{err}\0".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestUsageErrors:
     def test_custom_without_path(self, capsys):
         code, _, err = run(capsys, "compute", "--family", "custom", "--n", "3")
@@ -825,7 +898,7 @@ class TestBenchOutputPin:
 
     FAMILIES = TestPolyOutputPin.FAMILIES
     ORDERS = ("1", "2", "3", "7")
-    DIGEST = "77766648a7fffbc393a968d0ae655a47be274d6179388e2bb1eb17909771dc62"
+    DIGEST = "479e34c78858ab8f748d8320d7508855db5fa7e89cd13001282caa2dd7248cf2"
     VALUE_DIGEST = "4a0cf05f5a9821dc5afdbc74dd71ab79199198e9ad2e453224a0665ee6fcf296"
 
     def digest(self, capsys, columns):
@@ -956,6 +1029,29 @@ class TestOutputPastTheDigitLimit:
         code, out, err = run(capsys, "poly", *args, "--format", "json")
         assert (code, err) == (0, "")
         assert json.loads(out)["coeffs"] == coeffs
+
+    def test_poly_json_is_what_json_dumps_prints(self, capsys):
+        # `poly --format json` writes its coefficient array itself; Euler's
+        # at ORDER has values past the digit limit
+        hyper = ["--family", "hyper-cauchy", "--m", "2", "--nn", "3", "--order", "3"]
+        requests = [("hyper-cauchy(2,3)", 3, hyper, n) for n in (0, 1, 60)]
+        requests.append(("euler", self.ORDER, ["--family", "euler", "--order", str(self.ORDER)], 4))
+        longest = 0
+        with int_digit_limit(4300):
+            for label, r, args, n in requests:
+                for z in (None, "-7/3"):
+                    argv = ["poly", *args, "--n", str(n)] + ([] if z is None else [f"--z={z}"])
+                    code, text, err = run(capsys, *argv)
+                    assert (code, err) == (0, ""), argv
+                    doc = {"family": label, "order": r, "n": n}
+                    if z is None:
+                        doc["coeffs"] = text.rstrip("\n").split(", ")
+                        longest = max(longest, *map(len, doc["coeffs"]))
+                    else:
+                        doc.update(z=z, value=text.rstrip("\n"))
+                    want = json.dumps(doc, indent=2) + "\n"
+                    assert run(capsys, *argv, "--format", "json") == (0, want, ""), argv
+        assert longest > 4300
 
     def test_a_failed_row_prints_no_partial_table(self, capsys, monkeypatch):
         def fail_on_the_last(num, den):

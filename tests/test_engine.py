@@ -319,6 +319,20 @@ class TestCompositionTriangle:
         got = list(map(F, *engine.composition_numerators(num, den, r, seq.n_max)))
         assert got == list(related_numbers_negative_power(seq, r).a)
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_order_below_1_is_refused_before_any_input(self, monkeypatch, r):
+        # the sum itself takes any r: alone it gave 1, 0, 0, ... at r = 0
+        # and f's own d_n at r = -1
+        for name in ("reduced_power_table", "composition_numerators",
+                     "exponential_power_numerators"):
+            monkeypatch.setattr(engine, name, fail)
+        seq = bernoulli_seq(5)
+        message = rf"^order r must be >= 1, got {r}$"
+        with pytest.raises(ValueError, match=message):
+            engine.run_routes(seq, r, 5, (COMPOSITION,))
+        with pytest.raises(ValueError, match=message):
+            related_numbers_composition(seq, r, 5)
+
 
 class TestProductionRoute:
     """The production table, Miller's loop on f^(-r), must equal the paper's

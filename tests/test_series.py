@@ -337,9 +337,9 @@ LIFT_SPECS = [
 class TestRunningLift:
     """The loop lifts F over the lcm of the denominators its next steps
     read; its (M, Q) must be the global-lift reference's, bit for bit.
-    At n = 200 f^r and f^(-r) run at the shift pinned in SHIFTS.  There
-    the Bernoulli and hyper-Bernoulli(1,1) rows are flat and run on
-    `_seidel`'s difference table, as Euler's do at every n; the
+    At n = 200 f^r and f^(-r) run at the shift pinned in SHIFTS.  The
+    Bernoulli, hyper-Bernoulli(1,1) and Euler rows are flat and run on
+    `_seidel`'s difference table at every n; at n = 200 the
     hyper-Bernoulli(2,3) and hyper-Cauchy(1,1) rows run the shifted
     `_miller`, the others the unshifted one, as does the inverse of f^r
     past n = 1.  `TestShiftedLoop` and `TestSkippedProducts` call
@@ -412,20 +412,31 @@ class TestShiftedLoop:
             assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}, m
 
     @pytest.mark.parametrize(
-        "spec, m",
-        [(FamilySpec.bernoulli(), 1), (FamilySpec.hyper_bernoulli(2, 3), 4), (FamilySpec.euler(), 0)],
-        ids=lambda x: getattr(x, "label", x),
+        "spec, long, short",
+        [
+            pytest.param(FamilySpec.bernoulli(), 1, 1, id="bernoulli-1"),
+            pytest.param(FamilySpec.hyper_bernoulli(2, 3), 4, 0, id="hyper-bernoulli(2,3)-4"),
+            pytest.param(FamilySpec.euler(), 0, 0, id="euler-0"),
+        ],
     )
-    def test_shift_pins(self, spec, m):
-        # d_k = 1/(k+1) over C(k+1, 1) is 1; hyper-Bernoulli(2, 3)'s
-        # d_k = 24/((k+2)(k+3)(k+4)) over C(k+4, 4) is k+1; Euler's 1/2
-        # gains nothing.  A prefix one term short of SHIFT_MIN_TERMS, and
-        # the bench grid's n = 16, run unshifted.
+    def test_shift_pins(self, monkeypatch, spec, long, short):
+        # The shift each prefix runs at, from SHIFT_MIN_TERMS terms on and
+        # below (one term short of it, and the bench grid's n = 16).
+        # d_k = 1/(k+1) over C(k+1, 1) is 1, flat, so Bernoulli takes m = 1
+        # at any length, as Euler's flat 1/2 takes m = 0;
+        # hyper-Bernoulli(2, 3)'s d_k = 24/((k+2)(k+3)(k+4)) over C(k+4, 4)
+        # is k+1, not flat: the probe shifts it only on a long prefix.
+        taken = []
+        for name in ("_seidel", "_miller"):
+            def record(*args, kernel=getattr(series, name)):
+                taken.append(args[-2])  # both kernels take (..., m, stats)
+                return kernel(*args)
+
+            monkeypatch.setattr(series, name, record)
         seq = family_coefficients(spec, 200)
-        assert _shift(seq.prefix(SHIFT_MIN_TERMS - 1)[0]) == m
-        assert _shift(seq.prefix(200)[0]) == m
-        assert _shift(seq.prefix(SHIFT_MIN_TERMS - 2)[0]) == 0
-        assert _shift(seq.prefix(16)[0]) == 0
+        for K in (SHIFT_MIN_TERMS - 1, 200, SHIFT_MIN_TERMS - 2, 16):
+            exponential_power_numerators(*seq.prefix(K), -1)
+        assert taken == [long, long, short, short]
 
 
 def flat_run(P, m):
@@ -579,9 +590,9 @@ class TestSkippedProducts:
 
 
 class TestDifferenceTable:
-    """A flat input, at any shift m, runs each step on
-    `_seidel`'s difference table of G; its S, and with it (M, Q) and the
-    peak bits, must stay the global-lift reference's."""
+    """A flat input, at any shift m <= SHIFT_MAX and any length, runs each
+    step on `_seidel`'s difference table of G; its S, and with it (M, Q)
+    and the peak bits, must stay the global-lift reference's."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -607,13 +618,14 @@ class TestDifferenceTable:
     TABLE = [
         (FamilySpec.euler(), 10),
         (FamilySpec.euler(), 200),
+        (FamilySpec.bernoulli(), SHIFT_MIN_TERMS - 2),
         (FamilySpec.bernoulli(), 200),
         (FamilySpec.hyper_bernoulli(1, 2), 200),
         (FamilySpec.hyper_bernoulli(1, 3), 200),
         (FamilySpec.hyper_bernoulli(1, 8), 200),
     ]
     LOOP = [
-        (FamilySpec.bernoulli(), SHIFT_MIN_TERMS - 2),
+        (FamilySpec.hyper_bernoulli(2, 3), 16),
         (FamilySpec.hyper_bernoulli(2, 3), 200),
         (FamilySpec.hyper_cauchy(1, 1), 200),
         (FamilySpec.hyper_cauchy(3, 2), 200),
