@@ -12,7 +12,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -74,37 +73,41 @@ class KernelMismatchError(RuntimeError):
     """Benchmark refused to report timings because the kernels disagreed."""
 
 
-@dataclass
 class RunConfig:
     """Everything one CLI invocation needs.  `bits` sums the bit lengths
     that `admit` counted, for `bench`'s MAX_BENCH_WORK; with r > 1 that
     sum, too, is held to MAX_ORDER_WORK."""
 
-    family: FamilySpec
-    order: int
-    n_max: int
-    fmt: str = "pretty"
-    check: bool = False
-    cap: int = DEFAULT_COMPOSITION_CAP
-    bits: int = field(init=False)
-
-    def __post_init__(self):
-        n, spec = self.n_max, self.family
-        order_bits, family_bits = check_sizes(self.order, n), 0
-        if spec.kind in (families.HYPER_BERNOULLI, families.HYPER_CAUCHY):
-            family_bits = admit(n, "the bit lengths of --m and --nn", spec.m.bit_length(),
-                                spec.n.bit_length())
-        if spec.kind == families.CUSTOM:
+    def __init__(
+        self,
+        family: FamilySpec,
+        order: int,
+        n_max: int,
+        fmt: str = "pretty",
+        check: bool = False,
+        cap: int = DEFAULT_COMPOSITION_CAP,
+    ):
+        self.family = family
+        self.order = order
+        self.n_max = n_max
+        self.fmt = fmt
+        self.check = check
+        self.cap = cap
+        order_bits, family_bits = check_sizes(order, n_max), 0
+        if family.kind in (families.HYPER_BERNOULLI, families.HYPER_CAUCHY):
+            family_bits = admit(n_max, "the bit lengths of --m and --nn", family.m.bit_length(),
+                                family.n.bit_length())
+        if family.kind == families.CUSTOM:
             top = max(d.numerator.bit_length() + d.denominator.bit_length()
-                      for d in spec.values[: n + 1])
-            family_bits = admit(n, "the largest bit length of numerator plus denominator of "
+                      for d in family.values[: n_max + 1])
+            family_bits = admit(n_max, "the largest bit length of numerator plus denominator of "
                                 "the --custom-path values d_0..d_n", top)
-        if self.order > 1:  # r = 1 adds no bits to the family's values
-            admit(n, "the bit lengths of --order and of the family's parameters or values",
+        if order > 1:  # r = 1 adds no bits to the family's values
+            admit(n_max, "the bit lengths of --order and of the family's parameters or values",
                   order_bits, family_bits)
         self.bits = order_bits + family_bits
-        if self.cap < 0:
-            raise ValueError(f"--cap must be >= 0, got {self.cap}")
+        if cap < 0:
+            raise ValueError(f"--cap must be >= 0, got {cap}")
 
 
 def check_sizes(order: int, n: int) -> int:

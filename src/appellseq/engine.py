@@ -38,7 +38,6 @@ and only the library's tables are reduced to Fractions, on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul
@@ -71,21 +70,57 @@ class NormalizationError(ValueError):
     """A coefficient sequence whose leading entry is not 1."""
 
 
-@dataclass(frozen=True)
-class CoefficientSequence:
+_set = object.__setattr__  # sets a Record's field; only its __init__ calls it
+
+
+class Record:
+    """An immutable value object over the fields its class names in
+    `__slots__`, in constructor order: `==` and `hash` over its class and
+    those fields, `repr` over the fields but `_hidden`, as a frozen
+    dataclass has them, and any attribute assignment or deletion raises
+    AttributeError.  Each `__init__` sets its fields once, each with its
+    own `_set` call.  `copy` and `pickle` rebuild it through `__init__`."""
+
+    __slots__ = ()
+    _hidden = ()
+
+    def __reduce__(self):
+        return self.__class__, tuple(map(getattr, repeat(self), self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__reduce__() == other.__reduce__()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        fields = (f"{k}={getattr(self, k)!r}" for k in self.__slots__ if k not in self._hidden)
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CoefficientSequence(Record):
     """Exponential coefficients d_0..d_{n_max} of f(t), d_0 = 1, kept as
     integer numerators over one denominator: d_n = P[n] / L."""
 
-    P: tuple[int, ...]
-    L: int = 1
+    __slots__ = ("P", "L")
 
-    def __post_init__(self):
-        if not self.P:
+    def __init__(self, P: tuple[int, ...], L: int = 1):
+        if not P:
             raise NormalizationError("empty coefficient sequence: d_0 must be 1")
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
-        if self.P[0] != self.L:
-            raise NormalizationError(f"d_0 must be 1 (got {format_ratio(self.P[0], self.L)})")
+        if L < 1:
+            raise ValueError(f"L must be >= 1, got {L}")
+        if P[0] != L:
+            raise NormalizationError(f"d_0 must be 1 (got {format_ratio(P[0], L)})")
+        _set(self, "P", P)
+        _set(self, "L", L)
 
     @classmethod
     def from_values(cls, values: Iterable) -> "CoefficientSequence":
@@ -115,52 +150,52 @@ class CoefficientSequence:
         return n_max
 
 
-@dataclass(frozen=True)
-class PowerCoefficientTable:
+class PowerCoefficientTable(Record):
     """D_r(e) = [t^e] f(t)^r for e = 0..n_max (ordinary coefficients)."""
 
-    r: int
-    D: tuple[Fraction, ...]
+    __slots__ = ("r", "D")
 
-    def __post_init__(self):
-        _check_order(self.r)
-        if not self.D or self.D[0] != 1:
+    def __init__(self, r: int, D: tuple[Fraction, ...]):
+        _check_order(r)
+        if not D or D[0] != 1:
             raise ValueError("D_r(0) must be 1 for a normalized sequence")
+        _set(self, "r", r)
+        _set(self, "D", D)
 
     @property
     def n_max(self) -> int:
         return len(self.D) - 1
 
 
-@dataclass(frozen=True)
-class RelatedNumberTable:
+class RelatedNumberTable(Record):
     """a_n^(r) for n = 0..n_max, tagged with the algorithm that made it."""
 
-    r: int
-    a: tuple[Fraction, ...]
-    algorithm: str
+    __slots__ = ("r", "a", "algorithm")
 
-    def __post_init__(self):
-        _check_order(self.r)
-        if not self.a or self.a[0] != 1:
+    def __init__(self, r: int, a: tuple[Fraction, ...], algorithm: str):
+        _check_order(r)
+        if not a or a[0] != 1:
             raise ValueError("a_0 must be 1 for a normalized sequence")
+        _set(self, "r", r)
+        _set(self, "a", a)
+        _set(self, "algorithm", algorithm)
 
     @property
     def n_max(self) -> int:
         return len(self.a) - 1
 
 
-@dataclass(frozen=True)
-class AppellPolynomial:
+class AppellPolynomial(Record):
     """A_n^(r)(z) as the coefficient vector of z^0..z^n (ascending)."""
 
-    n: int
-    r: int
-    coeffs_in_z: tuple[Fraction, ...]
+    __slots__ = ("n", "r", "coeffs_in_z")
 
-    def __post_init__(self):
-        if len(self.coeffs_in_z) != self.n + 1:
+    def __init__(self, n: int, r: int, coeffs_in_z: tuple[Fraction, ...]):
+        if len(coeffs_in_z) != n + 1:
             raise ValueError("coefficient vector must have length n + 1")
+        _set(self, "n", n)
+        _set(self, "r", r)
+        _set(self, "coeffs_in_z", coeffs_in_z)
 
 
 def compute_D(
@@ -409,19 +444,28 @@ def negative_power_numerators(
     return exponential_power_numerators(P, L, -r, stats)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of running every independent route on one (sequence, r) pair.
 
     `pairs` maps each route to its table as it was compared: (num, den),
     integer numerators over positive denominators.  `table` reduces one
-    route's values to Fractions on demand.
+    route's values to Fractions on demand.  `repr` leaves `pairs` out.
     """
 
-    r: int
-    n_max: int
-    pairs: Mapping[str, tuple[Sequence[int], Sequence[int]]] = field(repr=False)
-    first_mismatch: Optional[int]
+    __slots__ = ("r", "n_max", "pairs", "first_mismatch")
+    _hidden = ("pairs",)
+
+    def __init__(
+        self,
+        r: int,
+        n_max: int,
+        pairs: Mapping[str, tuple[Sequence[int], Sequence[int]]],
+        first_mismatch: Optional[int],
+    ):
+        _set(self, "r", r)
+        _set(self, "n_max", n_max)
+        _set(self, "pairs", pairs)
+        _set(self, "first_mismatch", first_mismatch)
 
     @property
     def agree(self) -> bool:

@@ -18,13 +18,12 @@ Bernoulli and Cauchy numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Union
+from os import PathLike
+from typing import Optional
 
 from .arith import lift, parse_rational
-from .engine import CoefficientSequence, NormalizationError
+from .engine import CoefficientSequence, NormalizationError, Record, _set
 
 BERNOULLI = "bernoulli"
 EULER = "euler"
@@ -35,28 +34,32 @@ CUSTOM = "custom"
 _PARAMETRIC_KINDS = (HYPER_BERNOULLI, HYPER_CAUCHY)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """A named generating family, or a custom coefficient list."""
 
-    kind: str
-    m: Optional[int] = None
-    n: Optional[int] = None
-    values: Optional[tuple[Fraction, ...]] = None
+    __slots__ = ("kind", "m", "n", "values")
 
-    def __post_init__(self):
-        if self.kind in _PARAMETRIC_KINDS:
-            if self.m is None or self.n is None or self.m < 1 or self.n < 1:
-                raise ValueError(
-                    f"{self.kind} needs integer parameters M >= 1 and N >= 1"
-                )
-        elif self.kind == CUSTOM:
-            if not self.values:
+    def __init__(
+        self,
+        kind: str,
+        m: Optional[int] = None,
+        n: Optional[int] = None,
+        values: Optional[tuple[Fraction, ...]] = None,
+    ):
+        if kind in _PARAMETRIC_KINDS:
+            if m is None or n is None or m < 1 or n < 1:
+                raise ValueError(f"{kind} needs integer parameters M >= 1 and N >= 1")
+        elif kind == CUSTOM:
+            if not values:
                 raise ValueError("custom family needs a nonempty value list")
-            if self.values[0] != 1:
-                raise NormalizationError(f"d_0 must be 1 (got {self.values[0]})")
-        elif self.kind not in (BERNOULLI, EULER):
-            raise ValueError(f"unknown family kind {self.kind!r}")
+            if values[0] != 1:
+                raise NormalizationError(f"d_0 must be 1 (got {values[0]})")
+        elif kind not in (BERNOULLI, EULER):
+            raise ValueError(f"unknown family kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "values", values)
 
     @classmethod
     def bernoulli(cls) -> "FamilySpec":
@@ -126,19 +129,20 @@ def family_coefficients(spec: FamilySpec, n_max: int) -> CoefficientSequence:
     return CoefficientSequence(tuple(P), L)
 
 
-def load_custom_family(path: Union[str, Path], n_max: Optional[int] = None) -> FamilySpec:
+def load_custom_family(path: str | PathLike, n_max: Optional[int] = None) -> FamilySpec:
     """Read a custom family file: one "p/q" per line, d_0 first, up to
     d_{n_max} (every value when n_max is None); no line past it is parsed.
 
-    Blank lines and lines starting with '#' are ignored.  The first value
-    must equal 1 (the normalization every algorithm assumes).
+    Blank lines and lines starting with '#' are ignored; the file may
+    start with one UTF-8 byte-order mark.  The first value must equal 1
+    (the normalization every algorithm assumes).
     """
-    path = Path(path)
     values = []
     # bytes that are not UTF-8 are kept as surrogates and decoded strictly
     # line by line, so the error names its line: a strict read fails on a
-    # chunk read ahead, at no known line
-    with path.open(encoding="utf-8", errors="surrogateescape") as lines:
+    # chunk read ahead, at no known line.  "utf-8-sig" drops one BOM at the
+    # start of the file, and no U+FEFF after it
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as lines:
         for lineno, raw in enumerate(lines, 1):
             try:
                 line = raw.encode("utf-8", "surrogateescape").decode("utf-8").strip()

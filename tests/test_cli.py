@@ -551,6 +551,16 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}:1: ") and err.count("\n") == 1, err
 
+    def test_custom_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        outputs = []
+        for name, head in (("plain.txt", b""), ("bom.txt", b"\xef\xbb\xbf")):
+            path = tmp_path / name
+            path.write_bytes(head + b"1\n1/2\n1/3\n")
+            outputs.append(run(
+                capsys, "compute", "--family", "custom", "--custom-path", str(path), "--n", "2"
+            ))
+        assert outputs[0] == outputs[1] == (0, "0  1\n1  -1/2\n2  1/6\n", "")
+
     def test_custom_file_is_read_to_d_n_only(self, capsys, tmp_path):
         path = tmp_path / "long.txt"
         path.write_text("1\n1/2\n1/3\nnope\n")

@@ -1,6 +1,12 @@
+import copy
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -812,3 +818,117 @@ class TestPackageSurface:
             "hessenberg_leading_minors", "bareiss_det", "compositions",
         ):
             assert name not in appellseq.__all__, name
+
+    def test_cli_import_loads_no_dataclasses_inspect_or_pathlib(self):
+        # a fresh interpreter, since pytest itself imports dataclasses, and
+        # without site, whose .pth files may import pathlib
+        import appellseq
+
+        src = str(Path(appellseq.__file__).resolve().parents[1])
+        code = "import sys, appellseq.cli; print(*sorted(sys.modules))"
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        loaded = set(result.stdout.split())
+        assert "appellseq.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "pathlib"}, loaded
+
+
+class TestRecords:
+    """The library's value records, as they behaved when they were frozen
+    dataclasses: constructors, validation, ==, hash, repr, immutability."""
+
+    def records(self):
+        seq = CoefficientSequence((6, 3, 2), 6)
+        table = related_numbers_negative_power(seq, 1)
+        report = cross_verify(bernoulli_seq(2), 1, 2)
+        return {
+            "FamilySpec(kind='hyper_cauchy', m=2, n=3, values=None)":
+                FamilySpec.hyper_cauchy(2, 3),
+            "FamilySpec(kind='euler', m=None, n=None, values=None)":
+                FamilySpec(kind="euler", m=None, n=None, values=None),
+            "FamilySpec(kind='custom', m=None, n=None, "
+            "values=(Fraction(1, 1), Fraction(1, 2)))": FamilySpec.custom([1, F(1, 2)]),
+            "CoefficientSequence(P=(6, 3, 2), L=6)": seq,
+            "CoefficientSequence(P=(1,), L=1)": CoefficientSequence((1,)),
+            "PowerCoefficientTable(r=2, D=(Fraction(1, 1), Fraction(1, 1), Fraction(7, 12)))":
+                compute_D(seq, 2),
+            "RelatedNumberTable(r=1, a=(Fraction(1, 1), Fraction(-1, 2), Fraction(1, 6)), "
+            "algorithm='negative-power')": table,
+            "AppellPolynomial(n=2, r=1, coeffs_in_z=(Fraction(1, 6), Fraction(-1, 1), "
+            "Fraction(1, 1)))": appell_polynomial(table, 2),
+            "VerificationReport(r=1, n_max=2, first_mismatch=None)": report,
+        }
+
+    def test_repr(self):
+        for text, record in self.records().items():
+            assert repr(record) == text
+
+    def test_equal_records_are_equal_and_hash_equal(self):
+        again = self.records()
+        for text, record in self.records().items():
+            assert record == again[text] and not record != again[text], text
+            assert record != text and record != (), text
+            if isinstance(record, VerificationReport):
+                with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                    hash(record)
+            else:
+                assert hash(record) == hash(again[text]), text
+        assert FamilySpec.euler() == FamilySpec("euler") != FamilySpec.bernoulli()
+        assert CoefficientSequence((6, 3, 2), 6) != CoefficientSequence((2, 1), 2)
+        assert len({FamilySpec.euler(), FamilySpec("euler"), FamilySpec.bernoulli()}) == 2
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        for text, record in self.records().items():
+            name = text[text.index("(") + 1 : text.index("=")]  # the first field
+            value = getattr(record, name)
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+            with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+                record.extra = 1
+            assert getattr(record, name) is value
+
+    def test_copy_and_pickle_round_trip(self):
+        for record in self.records().values():
+            for twin in (copy.copy(record), copy.deepcopy(record),
+                         pickle.loads(pickle.dumps(record))):
+                assert type(twin) is type(record) and twin == record
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: CoefficientSequence(()), NormalizationError,
+         "empty coefficient sequence: d_0 must be 1"),
+        (lambda: CoefficientSequence((1,), 0), ValueError, "L must be >= 1, got 0"),
+        (lambda: CoefficientSequence((2, 1), 3), NormalizationError, "d_0 must be 1 (got 2/3)"),
+        (lambda: PowerCoefficientTable(0, (F(1),)), ValueError, "order r must be >= 1, got 0"),
+        (lambda: PowerCoefficientTable(1, ()), ValueError,
+         "D_r(0) must be 1 for a normalized sequence"),
+        (lambda: PowerCoefficientTable(1, (F(2),)), ValueError,
+         "D_r(0) must be 1 for a normalized sequence"),
+        (lambda: engine.RelatedNumberTable(0, (F(1),), "x"), ValueError,
+         "order r must be >= 1, got 0"),
+        (lambda: engine.RelatedNumberTable(1, (F(2),), "x"), ValueError,
+         "a_0 must be 1 for a normalized sequence"),
+        (lambda: AppellPolynomial(2, 1, (F(1),)), ValueError,
+         "coefficient vector must have length n + 1"),
+        (lambda: FamilySpec("hyper_cauchy", 0, 1), ValueError,
+         "hyper_cauchy needs integer parameters M >= 1 and N >= 1"),
+        (lambda: FamilySpec("hyper_bernoulli", 1, None), ValueError,
+         "hyper_bernoulli needs integer parameters M >= 1 and N >= 1"),
+        (lambda: FamilySpec("custom"), ValueError, "custom family needs a nonempty value list"),
+        (lambda: FamilySpec("custom", values=(F(2),)), NormalizationError,
+         "d_0 must be 1 (got 2)"),
+        (lambda: FamilySpec("nope"), ValueError, "unknown family kind 'nope'"),
+        (lambda: CoefficientSequence(), TypeError, "missing 1 required positional argument: 'P'"),
+        (lambda: FamilySpec("euler", 1, 2, None, 5), TypeError,
+         "takes from 2 to 5 positional arguments but 6 were given"),
+        (lambda: CoefficientSequence(P=(1,), Q=2), TypeError,
+         "got an unexpected keyword argument 'Q'"),
+    ])
+    def test_validation_errors(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert type(info.value) is error
+        assert str(info.value).endswith(message), str(info.value)

@@ -174,6 +174,18 @@ class TestCustomFile:
             with pytest.raises(ValueError, match="long.txt:6"):
                 load_custom_family(path, n_max)
 
+    def test_one_byte_order_mark_may_open_the_file(self, tmp_path):
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(b"1\n1/2\n1/3\n")
+        bom.write_bytes(b"\xef\xbb\xbf1\n1/2\n1/3\n")
+        assert load_custom_family(bom) == load_custom_family(plain)
+        # a U+FEFF anywhere else is not part of a p/q
+        for lineno, text in ((3, "1\n1/2\n\ufeff1/3\n"), (1, "\ufeff\ufeff1\n1/2\n")):
+            path = tmp_path / "feff.txt"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match=f"feff.txt:{lineno}: not a p/q rational"):
+                load_custom_family(path)
+
     def test_unnormalized_head_rejected(self, tmp_path):
         path = tmp_path / "head.txt"
         path.write_text("3\n1/2\n")
