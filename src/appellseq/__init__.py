@@ -36,7 +36,6 @@ from .families import (
     load_custom_family,
 )
 from .series import (
-    InsufficientPrecisionError,
     NotInvertibleError,
     TruncatedSeries,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "CombinatorialBlowupError",
     "DEFAULT_COMPOSITION_CAP",
     "FamilySpec",
-    "InsufficientPrecisionError",
     "NormalizationError",
     "NotInvertibleError",
     "PowerCoefficientTable",

@@ -1,8 +1,8 @@
 """Exact scalar arithmetic and combinatorial primitives: the wire format
 ("p/q" strings, parsed to a `Fraction` and printed from a Fraction or an
 integer pair), the lift of rationals to integer numerators over one
-denominator, the factorial prefix 0!..n!, composition enumeration and
-the kernels' per-call statistics.
+denominator, the factorial prefix 0!..n!, the integer convolution,
+composition enumeration and the kernels' per-call statistics.
 """
 
 from __future__ import annotations
@@ -128,6 +128,12 @@ def lift(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """L = lcm(den xs) and the integer numerators x L."""
     L = math.lcm(*(x.denominator for x in xs))
     return L, [x.numerator * (L // x.denominator) for x in xs]
+
+
+def convolve(a: Sequence[int], b: Sequence[int], k: int) -> list[int]:
+    """The first k terms sum_{j<=n} a_j b_(n-j), n < k, of the Cauchy
+    product of two integer lists, k <= min(len(a), len(b))."""
+    return [sum(map(mul, a[: n + 1], b[n::-1])) for n in range(k)]
 
 
 def compositions(

@@ -49,6 +49,7 @@ from .arith import (
     CombinatorialBlowupError,
     StatsDict,
     compositions,  # unused here; perfbench/spans.py wraps engine.compositions
+    convolve,
     factorials,
     format_ratio,
     lift,
@@ -322,7 +323,7 @@ def composition_numerators(
     for k in range(1, n_max + 1):
         weight = weight * (r + k - 1) // k  # C(r+k-1, k)
         S[k:] = map(add, S[k:], map(mul, map(mul, row, L_pow), repeat(weight)))
-        row = [sum(map(mul, N[: m + 1], row[m::-1])) for m in range(len(row) - 1)]
+        row = convolve(N, row, len(row) - 1)
     return list(map(mul, factorials(n_max), S)), L_pow
 
 
@@ -556,8 +557,21 @@ def run_routes(
     and before any route runs.  f^r is computed once, as (M, Q), only for
     the D-recurrence, which runs the Miller loop on M over Q, and for
     Bareiss, which reads each D_r(e) = M_e / (Q e!) reduced by one gcd.
-    An order r below 1 raises ValueError before any of that.
+    An order r below 1 raises ValueError before any of that, and so does
+    an empty `routes` or a name in it that is not one of the four routes.
     """
+    # route -> its table from its kernel's stats, in the report's order; each
+    # reads what the lines below compute for the routes asked for
+    kernels = {
+        RECURRENCE: lambda s: _over_one(*exponential_power_numerators(M, Q, -1, stats=s)),
+        DETERMINANT_BAREISS: lambda s: determinant_numerators(
+            *reduced_power_table(M, Q), n_max, stats=s
+        ),
+        COMPOSITION: lambda s: composition_numerators(c_num, c_den, r, reach),
+        NEGATIVE_POWER: lambda s: _over_one(*negative_power_numerators(seq, r, n_max, stats=s)),
+    }
+    if not routes or set(routes) - kernels.keys():
+        raise ValueError(f"routes must be one or more of {', '.join(kernels)}, got {routes!r}")
     _check_order(r)
     _check_cap(cap)
     n_max = seq._resolve(n_max)
@@ -572,14 +586,6 @@ def run_routes(
             )
     if RECURRENCE in routes or DETERMINANT_BAREISS in routes:
         M, Q = power_numerators(seq, r, n_max)
-    kernels = {  # route -> its table from its kernel's stats, in the report's order
-        RECURRENCE: lambda s: _over_one(*exponential_power_numerators(M, Q, -1, stats=s)),
-        DETERMINANT_BAREISS: lambda s: determinant_numerators(
-            *reduced_power_table(M, Q), n_max, stats=s
-        ),
-        COMPOSITION: lambda s: composition_numerators(c_num, c_den, r, reach),
-        NEGATIVE_POWER: lambda s: _over_one(*negative_power_numerators(seq, r, n_max, stats=s)),
-    }
     stats = stats or {}
     pairs = {route: run(stats.get(route)) for route, run in kernels.items() if route in routes}
     return VerificationReport(

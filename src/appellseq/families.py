@@ -47,7 +47,7 @@ class FamilySpec(Record):
         values: Optional[tuple[Fraction, ...]] = None,
     ):
         if kind in _PARAMETRIC_KINDS:
-            if m is None or n is None or m < 1 or n < 1:
+            if type(m) is not int or type(n) is not int or m < 1 or n < 1:
                 raise ValueError(f"{kind} needs integer parameters M >= 1 and N >= 1")
         elif kind == CUSTOM:
             if not values:

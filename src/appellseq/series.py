@@ -23,20 +23,13 @@ from itertools import accumulate, count, repeat
 from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import StatsDict, factorials, lift, step_rows
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .arith import StatsDict, convolve, factorials, lift, step_rows
 
 Scalar = Union[Fraction, int]
 
 
 class NotInvertibleError(ZeroDivisionError):
     """Inversion of a series whose constant term is zero."""
-
-
-class InsufficientPrecisionError(ValueError):
-    """A coefficient past the truncation order was requested."""
 
 
 class TruncatedSeries:
@@ -55,15 +48,6 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    @classmethod
-    def constant(cls, value: Scalar, order: int = 0) -> "TruncatedSeries":
-        """The constant series `value` known through `order`."""
-        return cls((Fraction(value),) + (_ZERO,) * order)
-
-    @classmethod
-    def one(cls, order: int = 0) -> "TruncatedSeries":
-        return cls.constant(_ONE, order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -77,60 +61,58 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs[: order + 1])
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+        if isinstance(other, TruncatedSeries):
+            return self.coeffs == other.coeffs
+        return NotImplemented
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries([{', '.join(str(c) for c in self.coeffs)}])"
+        return f"TruncatedSeries([{', '.join(map(str, self.coeffs))}])"
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
+        return self * -1
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return TruncatedSeries(map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other if isinstance(other, TruncatedSeries) else NotImplemented
 
     def __mul__(self, other: Union["TruncatedSeries", Scalar]) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             (la, a), (lb, b) = lift(self.coeffs), lift(other.coeffs)
-            return TruncatedSeries(
-                Fraction(sum(map(mul, a[: n + 1], reversed(b[: n + 1]))), la * lb)
-                for n in range(min(len(a), len(b)))
-            )
+            L = la * lb
+            return TruncatedSeries(Fraction(x, L) for x in convolve(a, b, min(len(a), len(b))))
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return TruncatedSeries(tuple(x * c for x in self.coeffs))
+            return TruncatedSeries(x * other for x in self.coeffs)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, r: int) -> "TruncatedSeries":
-        """f^r for any integer r, by `exponential_power_numerators`; a zero
-        c_0 needs r >= 0 (NotInvertibleError otherwise).  The order K stays."""
+        """f^r for any integer r, the order K kept.  With c_v the first
+        nonzero coefficient, f^r = c_v^r t^(v r) (f / (c_v t^v))^r, whose
+        ordinary coefficients are G_n / n! for G the `exponential_power`
+        of F_k = k! c_(v+k) / c_v; a zero c_0 needs r >= 0
+        (NotInvertibleError otherwise)."""
         if not isinstance(r, int):
             raise ValueError(f"series power needs an integer exponent, got {r!r}")
         if r == 0:
-            return TruncatedSeries.one(self.order)
+            return TruncatedSeries([1] + [0] * self.order)
         if r == 1:
             return self
         c = self.coeffs
         v = next((i for i, x in enumerate(c) if x), len(c))
         if r < 0 and v:
             raise NotInvertibleError("series with zero constant term has no negative power")
-        shift = v * r
-        if shift >= len(c):
-            return TruncatedSeries.constant(_ZERO, self.order)
-        return TruncatedSeries([_ZERO] * shift + _power(c[v : v + len(c) - shift], r))
+        K = len(c) - v * r  # the terms of (f / (c_v t^v))^r inside the order
+        if K <= 0:
+            return TruncatedSeries([0] * len(c))
+        fact = factorials(K - 1)
+        M, Q = exponential_power([x * f / c[v] for x, f in zip(c[v:], fact)], r)
+        scale = c[v] ** r / Q
+        return TruncatedSeries([0] * (v * r) + [scale * m / f for m, f in zip(M, fact)])
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the truncation order: the power -1."""
@@ -147,25 +129,9 @@ class TruncatedSeries:
             raise ValueError(f"derivative order must be >= 0, got {n}")
         if n == 0:
             return self
-        cs = self.coeffs
-        out = [cs[m] * math.comb(m, n) for m in range(n, len(cs))]
-        if not out:
-            out = [_ZERO]
-        return TruncatedSeries(out)
-
-    def ht_at_zero(self, n: int) -> Fraction:
-        """Constant term of the order-n Hasse-Teichmueller derivative.
-
-        Since C(n, n) = 1 this is just c_n; asking past the truncation
-        order raises instead of inventing a value.
-        """
-        if n < 0:
-            raise ValueError(f"derivative order must be >= 0, got {n}")
-        if n > self.order:
-            raise InsufficientPrecisionError(
-                f"coefficient {n} requested from a series truncated at order {self.order}"
-            )
-        return self.coeffs[n]
+        return TruncatedSeries(
+            [c * math.comb(m, n) for m, c in enumerate(self.coeffs[n:], n)] or [0]
+        )
 
 
 def exponential_power(
@@ -396,12 +362,3 @@ def _reduced(S: int, den: int, Q: int) -> tuple[int, int, int]:
     up = den // math.gcd(Q, den) if Q % den else 1
     Q *= up
     return S // g * (Q // den), Q, up
-
-
-def _power(c: Sequence[Fraction], r: int) -> list[Fraction]:
-    """Ordinary coefficients c_0^r G_n / n! of c^r, c_0 != 0, where G is
-    `exponential_power` of F_k = k! c_k / c_0."""
-    fact = factorials(len(c) - 1)
-    M, Q = exponential_power([x * f / c[0] for x, f in zip(c, fact)], r)
-    scale = c[0] ** r
-    return [Fraction(scale.numerator * m, scale.denominator * Q * f) for m, f in zip(M, fact)]

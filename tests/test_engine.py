@@ -382,6 +382,24 @@ class TestProductionRoute:
             engine.run_routes(seq, r, 5, (NEGATIVE_POWER,))
 
 
+class TestRunRoutes:
+    @pytest.mark.parametrize(
+        "routes", [(), ("foo",), (NEGATIVE_POWER, "foo"), NEGATIVE_POWER]
+    )
+    def test_route_names_are_checked_before_any_work(self, monkeypatch, routes):
+        # an empty selection once failed in max(); an unknown name beside a
+        # known one was dropped, and "all 1 routes agree" reported; a bare
+        # name is a sequence of one-letter names
+        for name in ("reduced_power_table", "power_numerators", "exponential_power_numerators"):
+            monkeypatch.setattr(engine, name, fail)
+        message = (
+            "^routes must be one or more of recurrence, determinant:bareiss, "
+            "composition, negative-power, got "
+        )
+        with pytest.raises(ValueError, match=message):
+            engine.run_routes(bernoulli_seq(5), 1, 3, routes)
+
+
 class TestCrossVerify:
     def test_agreement_report(self):
         report = cross_verify(bernoulli_seq(10), 2, 10)

@@ -29,6 +29,21 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             FamilySpec.hyper_cauchy(m, n)
 
+    def test_float_parameter_refused(self):
+        # it once gave float numerators, and the loop a TypeError on them
+        with pytest.raises(ValueError, match="integer parameters"):
+            FamilySpec.hyper_cauchy(1.5, 2)
+
+    def test_integral_float_parameter_refused(self):
+        with pytest.raises(ValueError, match="integer parameters"):
+            FamilySpec.hyper_bernoulli(2.0, 3)
+
+    def test_bool_parameter_refused(self):
+        # it once made the label hyper-cauchy(True,2)
+        for m, n in ((True, 2), (2, True)):
+            with pytest.raises(ValueError, match="integer parameters"):
+                FamilySpec.hyper_cauchy(m, n)
+
     def test_custom_requires_normalized_head(self):
         with pytest.raises(ValueError):
             FamilySpec.custom([])

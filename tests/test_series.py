@@ -13,7 +13,6 @@ from appellseq.arith import lift
 from appellseq.series import (
     SHIFT_MAX,
     SHIFT_MIN_TERMS,
-    InsufficientPrecisionError,
     NotInvertibleError,
     TruncatedSeries,
     _miller,
@@ -56,20 +55,14 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             s.coeffs = (F(3),)
 
-    def test_constant_and_one(self):
-        assert TruncatedSeries.constant(5, 3).coeffs == (5, 0, 0, 0)
-        assert TruncatedSeries.one().coeffs == (1,)
-        assert TruncatedSeries.one(2).order == 2
-
     def test_order(self):
         assert TruncatedSeries([1]).order == 0
         assert TruncatedSeries([1, 2, 3]).order == 2
 
-    def test_equality_and_hash(self):
+    def test_equality(self):
         a = TruncatedSeries([1, F(1, 2)])
         b = TruncatedSeries([F(2, 2), F(2, 4)])
         assert a == b
-        assert hash(a) == hash(b)
         assert a != TruncatedSeries([1, F(1, 2), 0])  # different order
         assert a != "not a series"
 
@@ -127,7 +120,7 @@ class TestArithmetic:
 
     def test_mul_by_one_is_identity(self):
         a = TruncatedSeries([F(2, 3), -1, F(5, 7)])
-        assert a * TruncatedSeries.one(2) == a
+        assert a * TruncatedSeries([1, 0, 0]) == a
 
     @given(
         st.lists(rationals, min_size=1, max_size=8),
@@ -150,14 +143,14 @@ class TestArithmetic:
 
     @given(series_strategy(max_order=6), st.integers(0, 5))
     def test_pow_matches_repeated_mul(self, s, r):
-        by_mul = TruncatedSeries.one(s.order)
+        by_mul = TruncatedSeries([1] + [0] * s.order)
         for _ in range(r):
             by_mul = by_mul * s
         assert s**r == by_mul
 
     def test_pow_zero_keeps_order(self):
         s = TruncatedSeries([2, 3, 4])
-        assert s**0 == TruncatedSeries.one(2)
+        assert s**0 == TruncatedSeries([1, 0, 0])
 
     def test_binomial_cube(self):
         s = TruncatedSeries([1, 1, 0, 0])
@@ -207,7 +200,7 @@ class TestInverse:
         assert s.inverse().coeffs == (1, 1, 1, 1, 1)
 
     def test_constant_scaling(self):
-        s = TruncatedSeries.constant(F(2, 3), 2)
+        s = TruncatedSeries([F(2, 3), 0, 0])
         assert s.inverse().coeffs == (F(3, 2), 0, 0)
 
     def test_one_plus_t(self):
@@ -227,7 +220,7 @@ class TestInverse:
     @settings(max_examples=50)
     @given(series_strategy(max_order=7, nonzero_constant=True))
     def test_inverse_round_trip(self, s):
-        assert s * s.inverse() == TruncatedSeries.one(s.order)
+        assert s * s.inverse() == TruncatedSeries([1] + [0] * s.order)
         assert s.inverse().inverse() == s
 
 
@@ -686,18 +679,6 @@ class TestHasseTeichmuller:
     @given(series_strategy(max_order=8), st.integers(0, 6))
     def test_matches_classical_derivative(self, s, n):
         assert s.ht(n) == oracles.ht_by_differentiation(s, n)
-
-    def test_ht_at_zero_is_coefficient(self):
-        s = TruncatedSeries([5, 7, 11])
-        assert s.ht_at_zero(0) == 5
-        assert s.ht_at_zero(2) == 11
-
-    def test_ht_at_zero_past_order_raises(self):
-        s = TruncatedSeries([5, 7])
-        with pytest.raises(InsufficientPrecisionError):
-            s.ht_at_zero(2)
-        with pytest.raises(ValueError):
-            s.ht_at_zero(-1)
 
 
 class TestProductRuleSmall:
