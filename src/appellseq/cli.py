@@ -94,7 +94,7 @@ class RunConfig:
         self.check = check
         self.cap = cap
         order_bits, family_bits = check_sizes(order, n_max), 0
-        if family.kind in (families.HYPER_BERNOULLI, families.HYPER_CAUCHY):
+        if family.m is not None:  # a hypergeometric kind
             family_bits = admit(n_max, "the bit lengths of --m and --nn", family.m.bit_length(),
                                 family.n.bit_length())
         if family.kind == families.CUSTOM:
@@ -213,10 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def family_from_args(args: argparse.Namespace) -> FamilySpec:
-    if args.family.startswith("hyper-") and min(args.m, args.nn) < 1:
-        raise ValueError(f"--family {args.family} needs --m >= 1 and --nn >= 1")
-    if args.family != "custom":
+    if args.family.startswith("hyper-"):
+        if min(args.m, args.nn) < 1:
+            raise ValueError(f"--family {args.family} needs --m >= 1 and --nn >= 1")
         return FamilySpec(args.family.replace("-", "_"), args.m, args.nn)
+    if args.family != "custom":
+        return FamilySpec(args.family)
     if not args.custom_path:
         raise ValueError("--family custom requires --custom-path")
     return load_custom_family(args.custom_path, args.n)

@@ -49,13 +49,15 @@ class FamilySpec(Record):
         if kind in _PARAMETRIC_KINDS:
             if type(m) is not int or type(n) is not int or m < 1 or n < 1:
                 raise ValueError(f"{kind} needs integer parameters M >= 1 and N >= 1")
+        elif kind not in (BERNOULLI, EULER, CUSTOM):
+            raise ValueError(f"unknown family kind {kind!r}")
+        elif m is not None or n is not None:
+            raise ValueError(f"{kind} takes no parameters M and N")
         elif kind == CUSTOM:
             if not values:
                 raise ValueError("custom family needs a nonempty value list")
             if values[0] != 1:
                 raise NormalizationError(f"d_0 must be 1 (got {values[0]})")
-        elif kind not in (BERNOULLI, EULER):
-            raise ValueError(f"unknown family kind {kind!r}")
         _set(self, "kind", kind)
         _set(self, "m", m)
         _set(self, "n", n)
@@ -117,15 +119,13 @@ def family_coefficients(spec: FamilySpec, n_max: int) -> CoefficientSequence:
         for k in k_max:
             P.append((-top if k & 1 else top) * (L // (nn + k)))
             top *= m + k
-    elif spec.kind == CUSTOM:
+    else:  # custom; `FamilySpec` admits no other kind
         if n_max >= len(spec.values):
             raise ValueError(
                 f"custom family provides d_0..d_{len(spec.values) - 1}, "
                 f"cannot serve n_max={n_max}"
             )
         L, P = lift(spec.values[: n_max + 1])
-    else:  # pragma: no cover - kinds are validated on construction
-        raise ValueError(f"unknown family kind {spec.kind!r}")
     return CoefficientSequence(tuple(P), L)
 
 

@@ -12,7 +12,8 @@ derivative H^(n), which maps c_m t^m to c_m C(m, n) t^(m-n), and for the
 determinant entries derived from it.  `**` and `inverse` run the
 package's one integer Miller loop, stated in `exponential_power_numerators`;
 on a flat input its steps are sums on a difference table, stated in
-`_seidel`.
+`_seidel`, and on a long hyper-Cauchy-like input they run on the ordinary
+coefficients themselves, by Horner's rule (`_ordinary`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class TruncatedSeries:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        cs = tuple(map(Fraction, coeffs))
         if not cs:
             raise ValueError("a truncated series needs at least its constant term")
         object.__setattr__(self, "coeffs", cs)
@@ -182,6 +183,24 @@ def exponential_power_numerators(
     step's divisor, reduced by one gcd; when den G_n does not divide Q,
     Q rises to their lcm and the stored M are rescaled (`_reduced`).
 
+    The third form runs on the ordinary coefficients c_k = F_k / k! =
+    P_k / (L k!) and keeps G exponential: since C(n, k) k! = n! / (n-k)!,
+
+        G_n = sum_{j=0..n-1} (n-1)! / j! (r n - (r+1) j) c_{n-j} G_j,
+
+    which `_ordinary` sums by Horner's rule on the falling factorial,
+    S <- S j + (r n - (r+1) j) C_{n-j} M_j for j = 0..n-1, so the large
+    running sum is only ever multiplied by the word-sized j, never by a
+    weight.  The c_k are kept in lowest terms as C_k over Lc, the lcm of
+    the denominators read so far, rescaled when Lc rises (`_reduced`), and
+    G_n = S / (Lc Q).  It pays where F_k carries a k!: hyper-Cauchy's
+    d_k carry (M)^(k), so at hyper-Cauchy(2, 3), n = 220 the shifted
+    numerators H_k reach 1423 bits and the C_k 312.  On a prefix of at
+    least SHIFT_MIN_TERMS terms that is not flat, `_shift` weighs this
+    lift against the shifts m = 0..SHIFT_MAX by the same bit rule: every
+    hyper-Cauchy kind takes it, and hyper-Bernoulli, whose ordinary lift
+    is the far larger one, keeps its shift.
+
     A flat input, H_1 = ... = H_K at some m <= SHIFT_MAX, runs each
     step's S at that m as additions on a difference table of G, at any
     length: `_seidel` states how.  Euler is flat at m = 0, Bernoulli
@@ -193,7 +212,9 @@ def exponential_power_numerators(
     Zero tail: the loop keeps the last j with M_j != 0, past which every
     M_j read so far is 0 (past the degree of a polynomial power, as for
     hyper-Cauchy(3, 2) at r = -4).  When more than two terms of step n
-    read such zeros, it sums from that last nonzero M_j down.
+    read such zeros, it sums from that last nonzero M_j down; `_ordinary`
+    stops Horner's rule there and multiplies once by the rest of
+    (n-1)! / j!.
 
     No Fraction is built: each caller makes its values from (M, Q) once,
     or compares them as they are.  Each step hands the |S|.bit_length()
@@ -212,6 +233,8 @@ def exponential_power_numerators(
         if all(P[k] * math.comb(k + m, m) == h for k in range(1, K)):
             return _seidel(L, h, K, r, m, stats)
     m = _shift(P)
+    if m < 0:
+        return _ordinary(P, L, r, stats)
     return _miller([p * math.comb(k + m, m) for k, p in enumerate(P)], L, r, m, stats)
 
 
@@ -227,31 +250,42 @@ def exponential_power_numerators(
 SHIFT_MIN_TERMS = 160
 #: Largest shift m tried.  hyper-Bernoulli(M, N) takes m = M + N - 1, so
 #: 8 serves M + N <= 9; the D_2 table of hyper-Bernoulli(2, 3) takes 8.
-#: Each m tried costs one pass over the probe, 2-6 us.
+#: Each m tried costs one pass over the probe, about 10 us.
 SHIFT_MAX = 8
 #: `_shift` reads d_0..d_SHIFT_PROBE, enough for the denominators of every
-#: m <= SHIFT_MAX to show.  The choice then costs 22-50 us, 0.8-1.5 % of
-#: the loop at SHIFT_MIN_TERMS (Bernoulli, Euler, hyper-Bernoulli(2, 3),
-#: hyper-Cauchy(2, 3), r = -1; same machine).
-SHIFT_PROBE = 16
+#: m <= SHIFT_MAX to show, and for the ordinary lift's k! to outgrow a
+#: shift's: at 17 terms hyper-Cauchy(2, 3) read 442 bits at m = 3 and 457
+#: ordinary, which picked the slower loop; at 33 terms, 1968 and 1517.
+#: The choice then costs 80-230 us: 0.9-1.9 % of the loop it picks for at
+#: 160-200 terms, under 0.3 % at 400 (hyper-Bernoulli(2, 3) and (3, 3),
+#: hyper-Cauchy(1, 1) and (2, 3), r = -1), and 3-13 % of hyper-Cauchy(3,
+#: 2)'s 0.6-4 ms polynomial powers (one core of a 2-vCPU Intel Xeon VM,
+#: Python 3.11.7, best of 7).
+SHIFT_PROBE = 32
 
 
 def _shift(P: Sequence[int]) -> int:
     """The loop's shift for F_k = P_k / L on an input that is not flat (a
-    flat one takes `_seidel` at its own shift at any length): 0 on a
-    prefix shorter than SHIFT_MIN_TERMS, else the m in 0..SHIFT_MAX whose
-    numerators P_k C(k+m, m), k <= SHIFT_PROBE, divided by their gcd have
-    the fewest bits in all (P_0 = L is among them, so the lifted
-    denominator counts too); the smallest such m."""
+    flat one takes `_seidel` at its own shift at any length), or -1 for
+    the ordinary lift that `_ordinary` runs on: 0 on a prefix shorter
+    than SHIFT_MIN_TERMS, else the m in -1..SHIFT_MAX whose numerators
+    over k <= K = SHIFT_PROBE, P_k C(k+m, m) or, at -1, P_k K! / k!,
+    divided by their gcd have the fewest bits in all (P_0 = L is among
+    them, so the lifted denominator counts too); the smallest such m."""
     if len(P) < SHIFT_MIN_TERMS:
         return 0
+    g = math.gcd(*P[: SHIFT_PROBE + 1])  # common to every candidate
+    P = [p // g for p in P[: SHIFT_PROBE + 1]]
 
-    def bits(m: int) -> int:
-        H = [p * math.comb(k + m, m) for k, p in enumerate(P[: SHIFT_PROBE + 1])]
+    def bits(m):
+        H = [
+            p * (math.comb(k + m, m) if m >= 0 else math.perm(SHIFT_PROBE, SHIFT_PROBE - k))
+            for k, p in enumerate(P)
+        ]
         g = math.gcd(*H)
         return sum((h // g).bit_length() for h in H)
 
-    return min(range(SHIFT_MAX + 1), key=bits)
+    return min(range(-1, SHIFT_MAX + 1), key=bits)
 
 
 def _seidel(
@@ -352,11 +386,39 @@ def _miller(
     return M, Q
 
 
+def _ordinary(P, L, r, stats=None):
+    """`exponential_power_numerators` on the ordinary coefficients
+    c_k = P_k / (L k!), r != 1: the third form there, by Horner's rule on
+    the falling factorial (n-1)! / j!.  Its step's S is G_n Lc Q."""
+    M, Q, C, Lc, fact, last, step = [1], 1, [0], 1, L, 0, step_rows(stats)
+    for n, p in enumerate(P[1:], 1):
+        fact *= n
+        c, Lc, up = _reduced(p, fact, Lc)
+        if up > 1:
+            C = [x * up for x in C]
+        C.append(c)
+        terms = map(mul, map(mul, count(r * n, -r - 1), reversed(C)), M[: last + 1])
+        S = 0
+        for j, t in enumerate(terms):  # t = (r n - (r+1) j) C_{n-j} M_j
+            S = S * j + t
+        S *= math.perm(n - 1, n - 1 - last)
+        if step:
+            step(S.bit_length())
+        S, Q, up = _reduced(S, Lc * Q, Q)
+        if up > 1:
+            M = [x * up for x in M]
+        if S:
+            last = n
+        M.append(S)
+    return M, Q
+
+
 def _reduced(S: int, den: int, Q: int) -> tuple[int, int, int]:
     """A step's G_n = S / den over the running Q, by one gcd: its
     numerator, the new Q and the factor up by which Q rose.  Q rises to
     lcm(Q, den G_n) when den G_n does not divide it (else up = 1), and
-    the caller rescales its stored numerators by up."""
+    the caller rescales its stored numerators by up.  `_ordinary` lifts
+    each c_n = P_n / (L n!) over its running Lc the same way."""
     g = math.gcd(S, den)
     den //= g
     up = den // math.gcd(Q, den) if Q % den else 1

@@ -615,6 +615,20 @@ class TestUsageErrors:
             assert (code, out) == (2, "")
             assert err == f"error: --family {family} needs --m >= 1 and --nn >= 1\n"
 
+    def test_family_spec_is_the_catalogue_one(self):
+        # --m and --nn reach the spec only for the hypergeometric kinds, so
+        # a Bernoulli request names the same family, as a value and a key,
+        # as FamilySpec.bernoulli(), whatever --m it was given
+        parser = cli.build_parser()
+        for argv, want in (
+            (["--family", "bernoulli"], FamilySpec.bernoulli()),
+            (["--family", "euler", "--m", "5", "--nn", "7"], FamilySpec.euler()),
+            (["--family", "hyper-cauchy", "--m", "2", "--nn", "3"],
+             FamilySpec.hyper_cauchy(2, 3)),
+        ):
+            spec = cli.family_from_args(parser.parse_args(["compute", *argv, "--n", "4"]))
+            assert spec == want and hash(spec) == hash(want), argv
+
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()

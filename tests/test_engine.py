@@ -488,12 +488,14 @@ class TestStepRows:
     n + 1 rows, index 0's (0.0, 0) first, seconds and peaks that never
     fall, the last peak the call's "max_num_bits", and a reused dict
     that keeps the larger max.  The loops run past SHIFT_MIN_TERMS, where
-    they shift and skip products."""
+    they shift or take the ordinary lift, and skip products."""
 
     N = series.SHIFT_MIN_TERMS + 10
-    # case -> (spec, r, the shift the loop takes at N, the kernel that must not run)
+    # case -> (spec, r, the shift the loop takes at N, -1 for the ordinary
+    # lift, the kernel that must not run)
     LOOPS = {
-        "shifted _miller": (FamilySpec.hyper_cauchy(2, 3), -2, 3, "_seidel"),
+        "shifted _miller": (FamilySpec.hyper_bernoulli(2, 3), -2, 4, "_ordinary"),
+        "_ordinary": (FamilySpec.hyper_cauchy(2, 3), -2, -1, "_miller"),
         "_seidel at m = 1": (FamilySpec.bernoulli(), -1, 1, "_miller"),
         "_seidel at m = 0": (FamilySpec.euler(), 2, 0, "_miller"),
     }

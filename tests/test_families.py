@@ -38,6 +38,16 @@ class TestFamilySpec:
         with pytest.raises(ValueError, match="integer parameters"):
             FamilySpec.hyper_bernoulli(2.0, 3)
 
+    @pytest.mark.parametrize("kind", ["bernoulli", "euler", "custom"])
+    @pytest.mark.parametrize("m,n", [(1, 1), (2.5, "x"), (None, 1), (1, None)])
+    def test_kinds_without_parameters_refuse_them(self, kind, m, n):
+        # a Bernoulli spec built with M = N = 1 once differed from
+        # FamilySpec.bernoulli() as a value and as a key
+        values = (Fraction(1),) if kind == "custom" else None
+        with pytest.raises(ValueError, match=f"^{kind} takes no parameters M and N"):
+            FamilySpec(kind, m, n, values)
+        FamilySpec(kind, values=values)  # None for both is the one accepted form
+
     def test_bool_parameter_refused(self):
         # it once made the label hyper-cauchy(True,2)
         for m, n in ((True, 2), (2, True)):

@@ -1,17 +1,28 @@
 """The values the integer kernels return, pinned by one sha256 (VALUE).
 
 The grid reaches what the CLI pins do not: `_shift`'s probe (n = 200 is
-past SHIFT_MIN_TERMS), `_seidel` past m = 2 (hyper-Bernoulli(1, 3) takes
-m = 3), and the zero tail at r >= 2 (hyper-Cauchy(3, 2) is a polynomial
-power).  Each entry is the values alone: the loop's (M, Q), whose Q is
-the least common denominator, and each witness's pair with every value
-in lowest terms.  So a change that keeps every value keeps the digest,
-however it forms them, and any wrong value moves it.  Integers are
-hashed in hexadecimal, which has no digit limit.
+past SHIFT_MIN_TERMS), `_ordinary` (hyper-Cauchy at n = 200), `_seidel`
+past m = 2 (hyper-Bernoulli(1, 3) takes m = 3), and the zero tail at
+r >= 2 (hyper-Cauchy(3, 2) is a polynomial power).  Each entry is the
+values alone: the loop's (M, Q), whose Q is the least common
+denominator, and each witness's pair with every value in lowest terms.
+So a change that keeps every value keeps the digest, however it forms
+them, and any wrong value moves it.  Integers are hashed in
+hexadecimal, which has no digit limit.
+
+`test_value_digest_on_other_interpreters` computes the same digest under
+every other CPython >= 3.10 it finds, as `python -S` with only `src` and
+this directory on the path (the package is stdlib-only, so no pytest is
+needed there).  Run this file as a script to print the digest.
 """
 
 import hashlib
+import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from appellseq.engine import (
     composition_numerators,
@@ -61,8 +72,58 @@ def kernel_runs():
             yield f"{spec.label} r={r} composition", lowest_terms(S, L_pow)
 
 
-def test_value_digest():
+def value_digest():
     digest = hashlib.sha256()
     for label, integers in kernel_runs():
         digest.update(f"{label}\0{','.join(map(hex, integers))}\0".encode())
-    assert digest.hexdigest() == VALUE
+    return digest.hexdigest()
+
+
+def test_value_digest():
+    assert value_digest() == VALUE
+
+
+HERE = Path(__file__).resolve().parent
+VERSION = "import sys; print(sys.implementation.name, *sys.version_info[:3])"
+
+
+def other_interpreters():
+    """{version: executable} for every CPython >= 3.10 other than this one
+    among the python3.N names on PATH and pyenv's versions.  A name on
+    PATH may be a shim with no interpreter behind it, so each candidate
+    runs and reports its own version, and only a clean exit counts."""
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    candidates = {*filter(None, (shutil.which(f"python3.{minor}") for minor in range(10, 30)))}
+    candidates.update(map(str, pyenv.glob("versions/*/bin/python")))
+    runs = {exe: subprocess.Popen([exe, "-S", "-c", VERSION], stdout=subprocess.PIPE,
+                                  stderr=subprocess.DEVNULL, text=True)
+            for exe in sorted(candidates)}
+    mine = ("cpython", *sys.version_info[:3])
+    found = {}
+    for exe, run in runs.items():
+        out = run.communicate(timeout=60)[0].split()
+        if run.returncode == 0 and len(out) == 4 and out[0] == "cpython":
+            version = ("cpython", *map(int, out[1:]))
+            if version >= ("cpython", 3, 10) and version != mine:
+                found.setdefault(version, exe)
+    return found
+
+
+def test_value_digest_on_other_interpreters():
+    import pytest  # here, so that the file runs as a script without it
+
+    found = other_interpreters()
+    if not found:
+        pytest.skip("no other CPython >= 3.10 found on PATH or under pyenv")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(HERE.parent / "src"), str(HERE)])}
+    runs = {version: subprocess.Popen([exe, "-S", str(Path(__file__).resolve())],
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                      text=True, env=env)
+            for version, exe in found.items()}
+    for version, run in runs.items():
+        out, err = run.communicate(timeout=120)
+        assert (run.returncode, out.strip()) == (0, VALUE), (version, err)
+
+
+if __name__ == "__main__":
+    print(value_digest())

@@ -16,6 +16,7 @@ from appellseq.series import (
     NotInvertibleError,
     TruncatedSeries,
     _miller,
+    _ordinary,
     _seidel,
     _shift,
     exponential_power,
@@ -330,21 +331,22 @@ LIFT_SPECS = [
 class TestRunningLift:
     """The loop lifts F over the lcm of the denominators its next steps
     read; its (M, Q) must be the global-lift reference's, bit for bit.
-    At n = 200 f^r and f^(-r) run at the shift pinned in SHIFTS.  The
-    Bernoulli, hyper-Bernoulli(1,1) and Euler rows are flat and run on
-    `_seidel`'s difference table at every n; at n = 200 the
-    hyper-Bernoulli(2,3) and hyper-Cauchy(1,1) rows run the shifted
-    `_miller`, the others the unshifted one, as does the inverse of f^r
-    past n = 1.  `TestShiftedLoop` and `TestSkippedProducts` call
-    `_miller` itself at every shift."""
+    At n = 200 f^r and f^(-r) run at the shift pinned in SHIFTS, where -1
+    is `_ordinary`'s lift.  The Bernoulli, hyper-Bernoulli(1,1) and Euler
+    rows are flat and run on `_seidel`'s difference table at every n; at
+    n = 200 the hyper-Bernoulli(2,3) row runs the shifted `_miller`, the
+    hyper-Cauchy rows `_ordinary`, and the custom row the unshifted
+    `_miller`.  The inverse of f^r takes whichever kernel its own input
+    picks.  `TestShiftedLoop` and `TestSkippedProducts` call `_miller`
+    itself at every shift, and `TestOrdinaryLoop` calls `_ordinary`."""
 
     SHIFTS = {
         "bernoulli": 1,
         "euler": 0,
         "hyper-bernoulli(1,1)": 1,
         "hyper-bernoulli(2,3)": 4,
-        "hyper-cauchy(1,1)": 1,
-        "hyper-cauchy(3,2)": 0,
+        "hyper-cauchy(1,1)": -1,
+        "hyper-cauchy(3,2)": -1,
         "custom": 0,
     }
 
@@ -380,6 +382,21 @@ def shifted_peak_bits(P, L, m, G):
             c = math.gcd(c, *H[n : n + 9])
         Q = math.lcm(Q, G[n - 1].denominator)
         S = G[n] * (L // c) * Q * (n * math.comb(n + m, m) if m else 1)
+        assert S.denominator == 1, n
+        peak = max(peak, S.numerator.bit_length())
+    return peak
+
+
+def ordinary_peak_bits(P, L, G):
+    """The bit length of the largest |S| of `_ordinary` on F_k = P_k / L,
+    from its values G: step n's S is G_n Lc_n Q, where Lc_n is the lcm of
+    the denominators of the ordinary coefficients c_k = P_k / (L k!),
+    k <= n, and Q = lcm(den G_0..G_{n-1})."""
+    Lc, Q, peak = 1, 1, 0
+    for n in range(1, len(P)):
+        Lc = math.lcm(Lc, F(P[n], L * math.factorial(n)).denominator)
+        Q = math.lcm(Q, G[n - 1].denominator)
+        S = G[n] * Lc * Q
         assert S.denominator == 1, n
         peak = max(peak, S.numerator.bit_length())
     return peak
@@ -430,6 +447,98 @@ class TestShiftedLoop:
         for K in (SHIFT_MIN_TERMS - 1, 200, SHIFT_MIN_TERMS - 2, 16):
             exponential_power_numerators(*seq.prefix(K), -1)
         assert taken == [long, long, short, short]
+
+
+# d_k = (-2)^k k! (k^2 + 1) / (k + 3): a custom list whose numerators grow
+# factorially, as hyper-Cauchy's do
+FACTORIAL = FamilySpec.custom(
+    [1] + [F((-2) ** k * math.factorial(k) * (k * k + 1), k + 3) for k in range(1, 401)]
+)
+
+
+class TestOrdinaryLoop:
+    """The loop on the ordinary coefficients c_k = F_k / k!, by Horner's
+    rule on the falling factorial (n-1)! / j!, and the pick that sends an
+    input there."""
+
+    # (spec, r, K): the zero tail of hyper-Cauchy(3, 2), a polynomial power
+    # at r = -4, and r + 1 = 0 at r = -1, where the linear factor is
+    # constant; each pair at 160 and 200 terms, the first of each spec at
+    # 400 too (those runs take 0.2-0.4 s each)
+    VALUES = [
+        (spec, r, K)
+        for spec, rs in (
+            (FamilySpec.hyper_cauchy(1, 1), (-1, 3)),
+            (FamilySpec.hyper_cauchy(2, 3), (-16, 2)),
+            (FamilySpec.hyper_cauchy(3, 2), (-4, 3)),
+            (FamilySpec.hyper_cauchy(7, 1), (2, -1)),
+            (FamilySpec.hyper_cauchy(1024, 3), (3, -4)),
+            (FACTORIAL, (-1, -16, 2)),
+        )
+        for r in rs
+        for K in (160, 200, 400)[: 3 if r == rs[0] else 2]
+    ]
+
+    @pytest.mark.parametrize(
+        "spec, r, K", VALUES, ids=[f"{spec.label}-{r}-{K}" for spec, r, K in VALUES]
+    )
+    def test_matches_the_global_lift(self, spec, r, K):
+        P, L = family_coefficients(spec, K).prefix()
+        want = oracles.global_lift_power(P, L, r)
+        stats = {}
+        assert _ordinary(P, L, r, stats) == want
+        if K == 160:
+            G = [F(x, want[1]) for x in want[0]]
+            assert stats == {"max_num_bits": ordinary_peak_bits(P, L, G)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(rationals, max_size=30),
+        st.sampled_from([-16, -3, -1, 0, 2, 3, 7, 2**40 + 3]),
+        st.integers(0, 30),
+    )
+    def test_short_inputs_match_the_global_lift(self, tail, r, zeros):
+        # a zero tail from d_zeros on, when zeros <= len(tail)
+        tail = [0 if k >= zeros else x for k, x in enumerate(tail, 1)]
+        L, P = lift([F(1), *tail])
+        want = oracles.global_lift_power(P, L, r)
+        G = [F(x, want[1]) for x in want[0]]
+        stats = {}
+        assert _ordinary(P, L, r, stats) == want
+        assert stats == {"max_num_bits": ordinary_peak_bits(P, L, G)}
+
+    # the kernel each catalogue kind takes at 200 terms
+    KERNELS = [
+        (FamilySpec.bernoulli(), "_seidel"),
+        (FamilySpec.euler(), "_seidel"),
+        (FamilySpec.hyper_bernoulli(1, 3), "_seidel"),
+        (FamilySpec.hyper_bernoulli(2, 3), "_miller"),
+        (FamilySpec.hyper_bernoulli(5, 3), "_miller"),
+        (FamilySpec.hyper_cauchy(1, 1), "_ordinary"),
+        (FamilySpec.hyper_cauchy(2, 3), "_ordinary"),
+        (FamilySpec.hyper_cauchy(3, 2), "_ordinary"),
+        (FamilySpec.hyper_cauchy(1024, 3), "_ordinary"),
+        (FACTORIAL, "_ordinary"),
+    ]
+
+    @pytest.mark.parametrize("spec, kernel", KERNELS, ids=lambda x: getattr(x, "label", x))
+    def test_dispatch_pins(self, monkeypatch, spec, kernel):
+        taken = []
+        for name in ("_seidel", "_miller", "_ordinary"):
+            def record(*args, name=name, kernel=getattr(series, name)):
+                taken.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(series, name, record)
+        seq = family_coefficients(spec, 200)
+        for r in (-1, 3):
+            exponential_power_numerators(*seq.prefix(200), r)
+        assert taken == [kernel, kernel]
+        # no prefix shorter than SHIFT_MIN_TERMS takes the ordinary lift
+        assert not any(_shift(seq.prefix(K)[0]) for K in range(SHIFT_MIN_TERMS - 1))
+        del taken[:]
+        exponential_power_numerators(*seq.prefix(SHIFT_MIN_TERMS - 2), -1)
+        assert taken == ["_seidel" if kernel == "_seidel" else "_miller"]
 
 
 def flat_run(P, m):
@@ -532,21 +641,25 @@ class TestSkippedProducts:
             H = [p * math.comb(k + m, m) for k, p in enumerate(P)]
             assert _miller(H, L, r, m, stats) == want, m
             assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}, m
+        stats = {}
+        assert _ordinary(P, L, r, stats) == want
+        assert stats == {"max_num_bits": ordinary_peak_bits(P, L, G)}
 
     def test_skip_pins(self):
         # the inputs above have the property they are there for, at the
         # shift the loop takes on them; the flat run of H, 200 for the
-        # inputs that take `_seidel`
+        # inputs that take `_seidel`, and None for the 200 terms of
+        # hyper-Cauchy(3, 2), which take `_ordinary`, with the same zero tail
         def run(name):
             d, r = self.LONG[name]
             L, P = lift(d)
             m = _shift(P)
             M, _ = oracles.global_lift_power(P, L, r)
-            return flat_run(P, m), vanished_from(M, 0), vanished_from(M, 1)
+            return flat_run(P, m) if m >= 0 else None, vanished_from(M, 0), vanished_from(M, 1)
 
         assert run("bernoulli") == (200, 202, 3)
         assert run("euler") == (200, 2, 201)
-        assert run("hyper-cauchy(3,2)")[1:] == (10, 9)
+        assert run("hyper-cauchy(3,2)") == (None, 10, 9)
         assert run("hyper-cauchy(3,2), n = 60")[1:] == (10, 9)
         assert run("cosh")[1:] == (202, 1)
         assert run("flat to 150") == (150, 202, 201)
