@@ -69,59 +69,6 @@ MAX_BENCH_WORK = 2**17
 MAX_ORDER_WORK = 2**16
 
 
-class KernelMismatchError(RuntimeError):
-    """Benchmark refused to report timings because the kernels disagreed."""
-
-
-class RunConfig:
-    """Everything one CLI invocation needs.  `bits` sums the bit lengths
-    that `admit` counted, for `bench`'s MAX_BENCH_WORK; with r > 1 that
-    sum, too, is held to MAX_ORDER_WORK."""
-
-    def __init__(
-        self,
-        family: FamilySpec,
-        order: int,
-        n_max: int,
-        fmt: str = "pretty",
-        check: bool = False,
-        cap: int = DEFAULT_COMPOSITION_CAP,
-    ):
-        self.family = family
-        self.order = order
-        self.n_max = n_max
-        self.fmt = fmt
-        self.check = check
-        self.cap = cap
-        order_bits, family_bits = check_sizes(order, n_max), 0
-        if family.m is not None:  # a hypergeometric kind
-            family_bits = admit(n_max, "the bit lengths of --m and --nn", family.m.bit_length(),
-                                family.n.bit_length())
-        if family.kind == families.CUSTOM:
-            top = max(d.numerator.bit_length() + d.denominator.bit_length()
-                      for d in family.values[: n_max + 1])
-            family_bits = admit(n_max, "the largest bit length of numerator plus denominator of "
-                                "the --custom-path values d_0..d_n", top)
-        if order > 1:  # r = 1 adds no bits to the family's values
-            admit(n_max, "the bit lengths of --order and of the family's parameters or values",
-                  order_bits, family_bits)
-        self.bits = order_bits + family_bits
-        if cap < 0:
-            raise ValueError(f"--cap must be >= 0, got {cap}")
-
-
-def check_sizes(order: int, n: int) -> int:
-    """Refuse --order and --n out of range or past MAX_ORDER_WORK, and
-    return the bit length of --order."""
-    if order < 1:
-        raise ValueError(f"--order must be >= 1, got {order}")
-    if n < 0:
-        raise ValueError(f"--n must be >= 0, got {n}")
-    if n > MAX_N:
-        raise ValueError(f"--n must be <= {MAX_N}, got {n}")
-    return admit(n, "the bit length of --order", order.bit_length())
-
-
 def admit(n: int, what: str, *bits: int) -> int:
     """Refuse a request whose --n times the sum of `bits` passes
     MAX_ORDER_WORK, with a ValueError that says what was measured, and
@@ -224,46 +171,66 @@ def family_from_args(args: argparse.Namespace) -> FamilySpec:
     return load_custom_family(args.custom_path, args.n)
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    check_sizes(args.order, args.n)  # before a custom file is read
-    return RunConfig(
-        family=family_from_args(args),
-        order=args.order,
-        n_max=args.n,
-        fmt=getattr(args, "fmt", "pretty"),
-        check=getattr(args, "check", False),
-        cap=getattr(args, "cap", DEFAULT_COMPOSITION_CAP),
-    )
+def config_from_args(args: argparse.Namespace) -> tuple[FamilySpec, int]:
+    """Admit every size of a request, in the order it is refused, and
+    return its family and the sum of the bit lengths `admit` counted
+    (--order's, and --m's and --nn's or the largest custom value's);
+    with r > 1 that sum, too, is held to MAX_ORDER_WORK.  --order and
+    --n are checked before a custom file is opened."""
+    order, n = args.order, args.n
+    if order < 1:
+        raise ValueError(f"--order must be >= 1, got {order}")
+    if n < 0:
+        raise ValueError(f"--n must be >= 0, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"--n must be <= {MAX_N}, got {n}")
+    order_bits = admit(n, "the bit length of --order", order.bit_length())
+    family, family_bits = family_from_args(args), 0
+    if family.m is not None:  # a hypergeometric kind
+        family_bits = admit(n, "the bit lengths of --m and --nn", family.m.bit_length(),
+                            family.n.bit_length())
+    elif family.kind == families.CUSTOM:  # read to d_n only
+        top = max(d.numerator.bit_length() + d.denominator.bit_length() for d in family.values)
+        family_bits = admit(n, "the largest bit length of numerator plus denominator of "
+                            "the --custom-path values d_0..d_n", top)
+    if order > 1:  # r = 1 adds no bits to the family's values
+        admit(n, "the bit lengths of --order and of the family's parameters or values",
+              order_bits, family_bits)
+    if getattr(args, "cap", 0) < 0:
+        raise ValueError(f"--cap must be >= 0, got {args.cap}")
+    return family, order_bits + family_bits
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    seq = family_coefficients(config.family, config.n_max)
-    if config.check:
-        report = cross_verify(seq, config.order, config.n_max, cap=config.cap)
+    family, _ = config_from_args(args)
+    seq = family_coefficients(family, args.n)
+    if args.check:
+        report = cross_verify(seq, args.order, args.n, cap=args.cap)
     else:
-        report = engine.run_routes(seq, config.order, config.n_max, (engine.NEGATIVE_POWER,))
+        report = engine.run_routes(seq, args.order, args.n, (engine.NEGATIVE_POWER,))
     if not report.agree:
         print(f"cross-verification failed: {report.describe()}", file=sys.stderr)
         return EXIT_MISMATCH
-    emit_table(report.pairs[engine.NEGATIVE_POWER], config,
-               report.coverage if config.check else None)
+    emit_table(report.pairs[engine.NEGATIVE_POWER], args, family.label,
+               report.coverage if args.check else None)
     return EXIT_OK
 
 
 def emit_table(
     pair: tuple[Sequence[int], Sequence[int]],
-    config: RunConfig,
+    args: argparse.Namespace,
+    label: str,
     verified: Optional[Mapping[str, int]] = None,
 ):
-    """Print a_0..a_n from a route's (numerators, denominators); JSON also
-    maps each cross-verified route to the largest n it covered, when
-    `verified` is given.  Every row is formatted before any is printed."""
+    """Print a_0..a_n from a route's (numerators, denominators) in
+    `args.fmt`; JSON also maps each cross-verified route to the largest n
+    it covered, when `verified` is given.  Every row is formatted before
+    any is printed."""
     rows = list(map(format_ratio, *pair))
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         print("\n".join(["n,value", *(f"{n},{v}" for n, v in enumerate(rows))]))
-    elif config.fmt == "json":
-        doc = {"family": config.family.label, "order": config.order}
+    elif args.fmt == "json":
+        doc = {"family": label, "order": args.order}
         if verified is not None:
             doc["verified"] = dict(verified)
         print(json_with_list(doc, "values", (
@@ -297,16 +264,16 @@ def cmd_poly(args: argparse.Namespace) -> int:
     """Coefficients of A_n^(r)(z), or its value at --z, from the integer
     numerators M over Q of f^(-r): coefficient j is C(n, j) M_{n-j} / Q,
     and every printed number is reduced once, as it is formatted."""
-    config = config_from_args(args)
-    n = config.n_max
+    family, _ = config_from_args(args)
+    n = args.n
     z = None if args.z is None else parse_z(args.z, n)
-    seq = family_coefficients(config.family, n)
-    M, Q = engine.negative_power_numerators(seq, config.order, n)
+    seq = family_coefficients(family, n)
+    M, Q = engine.negative_power_numerators(seq, args.order, n)
     N = engine.appell_numerators(M, n)
-    doc = {"family": config.family.label, "order": config.order, "n": n}
+    doc = {"family": family.label, "order": args.order, "n": n}
     if z is None:
         coeffs = [format_ratio(c, Q) for c in N]
-        if config.fmt == "json":
+        if args.fmt == "json":
             print(json_with_list(doc, "coeffs", (f'"{c}"' for c in coeffs)))
         else:
             print(", ".join(coeffs))
@@ -315,58 +282,46 @@ def cmd_poly(args: argparse.Namespace) -> int:
     value = format_ratio(H, Q * z.denominator**n)
     doc["z"] = format_rational(z)
     doc["value"] = value
-    print(json.dumps(doc, indent=2) if config.fmt == "json" else value)
+    print(json.dumps(doc, indent=2) if args.fmt == "json" else value)
     return EXIT_OK
 
 
-def run_benchmark(
-    spec: FamilySpec, r: int, n_max: int
-) -> list[tuple[int, dict[str, tuple[float, int, str]]]]:
-    """Seconds into its run and running peak bits at each n of each kernel
-    that `--check` runs, from one `engine.run_routes` to n_max and the
-    kernels' "steps" rows: (n, {kernel: (seconds, max_num_bits, a_n as
-    printed)}).  The kernels are those of `engine.check_routes(r)` but the
-    composition sum: the production route's, Bareiss's and, for r >= 2,
-    the paper's D_r recurrence.  On any disagreement, found as `--check`
-    finds it, no timings are reported.  An n_max past MAX_BENCH_N is
-    refused before any work.
-    """
+def cmd_bench(args: argparse.Namespace) -> int:
+    """CSV of the seconds into its run and the running peak bits at each n
+    of each kernel that `--check` runs but the composition sum, from one
+    `engine.run_routes` to --n and the kernels' "steps" rows, then the
+    production value.  The kernels are the production route's, Bareiss's
+    and, for r >= 2, the paper's D_r recurrence.  On any disagreement,
+    found as `--check` finds it, no timings are printed.  Past
+    MAX_BENCH_WORK, and then past MAX_BENCH_N, a request is refused
+    before any work."""
+    family, bits = config_from_args(args)
+    n_max, r = args.n, args.order
+    if n_max**2 * bits > MAX_BENCH_WORK:
+        raise ValueError(
+            f"bench --n squared times the bit lengths of --order and of the family's "
+            f"parameters or values must be <= {MAX_BENCH_WORK}, got {n_max}^2 * {bits}"
+        )
     if n_max > MAX_BENCH_N:
         raise ValueError(f"bench --n must be <= {MAX_BENCH_N}, got {n_max}")
     columns = {"negative_power": engine.NEGATIVE_POWER, "bareiss": engine.DETERMINANT_BAREISS,
                "recurrence": engine.RECURRENCE}
     kernels = {k: route for k, route in columns.items() if route in engine.check_routes(r)}
     stats = {route: {"steps": []} for route in kernels.values()}
-    seq = family_coefficients(spec, n_max)
-    report = engine.run_routes(seq, r, n_max, tuple(stats), stats=stats)
-    rows = []
-    for n in range(n_max + 1):
-        cells = {}
-        for name, route in kernels.items():
-            num, den = report.pairs[route]
-            cells[name] = (*stats[route]["steps"][n], format_ratio(num[n], den[n]))
-        if n == report.first_mismatch:
-            detail = ", ".join(f"{m}={v}" for m, (_, _, v) in cells.items())
-            raise KernelMismatchError(
-                f"kernel disagreement at n={n}: {detail}; refusing to emit timings"
-            )
-        rows.append((n, cells))
-    return rows
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    if config.n_max**2 * config.bits > MAX_BENCH_WORK:
-        raise ValueError(
-            f"bench --n squared times the bit lengths of --order and of the family's "
-            f"parameters or values must be <= {MAX_BENCH_WORK}, "
-            f"got {config.n_max}^2 * {config.bits}"
-        )
-    rows = run_benchmark(config.family, config.order, config.n_max)
-    lines = [",".join(["n", *(f"{k}_seconds,{k}_max_num_bits" for k in rows[0][1]), "value"])]
-    for n, cells in rows:
-        timings = (f"{seconds:.6f},{bits}" for seconds, bits, _ in cells.values())
-        lines.append(",".join([str(n), *timings, cells["negative_power"][2]]))
+    report = engine.run_routes(family_coefficients(family, n_max), r, n_max, tuple(stats),
+                               stats=stats)
+    n, pairs = report.first_mismatch, report.pairs
+    if n is not None:
+        detail = ", ".join(f"{k}={format_ratio(pairs[route][0][n], pairs[route][1][n])}"
+                           for k, route in kernels.items())
+        print(f"error: kernel disagreement at n={n}: {detail}; refusing to emit timings",
+              file=sys.stderr)
+        return EXIT_MISMATCH
+    lines = [",".join(["n", *(f"{k}_seconds,{k}_max_num_bits" for k in kernels), "value"])]
+    for n, value in enumerate(map(format_ratio, *pairs[engine.NEGATIVE_POWER])):
+        timings = (f"{seconds:.6f},{peak}" for seconds, peak in
+                   (kernel["steps"][n] for kernel in stats.values()))
+        lines.append(",".join([str(n), *timings, value]))
     print("\n".join(lines))
     return EXIT_OK
 
@@ -410,9 +365,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except KernelMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except (NormalizationError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

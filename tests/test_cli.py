@@ -30,6 +30,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def admitted(*argv):
+    """(family, bits) that `config_from_args` admits for `compute` with
+    these flags; a refusal raises its ValueError."""
+    return cli.config_from_args(cli.build_parser().parse_args(["compute", *argv]))
+
+
 class TestComputeCommand:
     def test_csv_output(self, capsys):
         code, out, err = run(
@@ -58,10 +64,7 @@ class TestComputeCommand:
     def test_json_is_what_json_dumps_prints(self, capsys, label, verified, pair):
         # the values array is written without `json`, the header with it,
         # so a label that needs escaping (a quote, non-ASCII) is escaped
-        config = argparse.Namespace(
-            family=argparse.Namespace(label=label), order=3, fmt="json"
-        )
-        cli.emit_table(pair, config, verified)
+        cli.emit_table(pair, argparse.Namespace(order=3, fmt="json"), label, verified)
         doc = {"family": label, "order": 3}
         if verified is not None:
             doc["verified"] = verified
@@ -375,8 +378,7 @@ class TestUsageErrors:
                 assert out == ""
                 assert err.splitlines() == [f"error: --n must be <= {cli.MAX_N}, got {n}"]
         # the limit itself is a valid size
-        config = cli.RunConfig(family=FamilySpec.euler(), order=1, n_max=cli.MAX_N)
-        assert config.n_max == cli.MAX_N
+        assert admitted("--family", "euler", "--n", str(cli.MAX_N)) == (FamilySpec.euler(), 1)
 
     def test_huge_family_parameters_are_refused_before_any_work(self, capsys, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -397,8 +399,7 @@ class TestUsageErrors:
                     ]
         # the budget bounds n * (bits(M) + bits(N)): at n = 256 and N = 1,
         # M of 255 bits passes and one more bit does not
-        spec = FamilySpec.hyper_cauchy(2**255 - 1, 1)
-        cli.RunConfig(family=spec, order=1, n_max=256)
+        admitted("--family", "hyper-cauchy", "--m", str(2**255 - 1), "--n", "256")
         code, _, err = run(
             capsys, "compute", "--family", "hyper-cauchy", "--n", "256", "--m", str(2**255)
         )
@@ -432,11 +433,11 @@ class TestUsageErrors:
                 ]
         # the sum at the budget is admitted, and so is r = 1 beside a family
         # that fills the budget alone
-        spec = FamilySpec.hyper_cauchy(2**127 - 1, 1)
-        cli.RunConfig(family=spec, order=2**127, n_max=256)
-        cli.RunConfig(family=FamilySpec.hyper_cauchy(2**255 - 1, 1), order=1, n_max=256)
+        family = ("--family", "hyper-cauchy", "--m", str(2**127 - 1), "--n", "256")
+        admitted(*family, "--order", str(2**127))
+        admitted("--family", "hyper-cauchy", "--m", str(2**255 - 1), "--n", "256")
         with pytest.raises(ValueError, match=r"got 256 \* \(129 \+ 128\)$"):
-            cli.RunConfig(family=spec, order=2**128, n_max=256)
+            admitted(*family, "--order", str(2**128))
 
     def test_huge_order_is_refused_before_any_work(self, capsys, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -457,7 +458,7 @@ class TestUsageErrors:
         # the budget bounds n * bits(r): the largest order of 218 bits
         # passes at n = 300, one more bit does not
         bits = cli.MAX_ORDER_WORK // 300
-        cli.RunConfig(family=FamilySpec.euler(), order=2**bits - 1, n_max=300)
+        admitted("--family", "euler", "--n", "300", "--order", str(2**bits - 1))
         code, _, err = run(
             capsys, "compute", "--family", "euler", "--n", "300", "--order", str(2**bits)
         )
@@ -515,8 +516,8 @@ class TestUsageErrors:
         # the budget bounds n * max(bits(num d_k) + bits(den d_k)) over k <= n:
         # at n = 256, d_k of 255 + 1 bits passes and one more bit does not,
         # and a larger d_k past n is not read
-        spec = FamilySpec.custom([1] * 256 + [2**255 - 1, 2**4000])
-        cli.RunConfig(family=spec, order=1, n_max=256)
+        path.write_text("1\n" * 256 + f"{2**255 - 1}\n{2**4000}\n")
+        admitted("--family", "custom", "--custom-path", str(path), "--n", "256")
         path.write_text("1\n" * 256 + f"{2**255}\n")
         code, _, err = run(
             capsys, "compute", "--family", "custom", "--custom-path", str(path), "--n", "256"
@@ -606,6 +607,22 @@ class TestUsageErrors:
                     "--n", n,
                 )
                 assert (code, out, err) == (2, "", f"error: {message}\n"), (command, n)
+
+    def test_sizes_are_refused_before_a_missing_custom_file_is_opened(self, capsys, tmp_path):
+        # README: an --n out of range is refused before the file is opened;
+        # so is an --order below 1
+        path = str(tmp_path / "absent.txt")
+        too_big = str(cli.MAX_N + 1)
+        for sizes, message in (
+            (("--n", too_big), f"--n must be <= {cli.MAX_N}, got {too_big}"),
+            (("--n", "-1"), "--n must be >= 0, got -1"),
+            (("--n", "3", "--order", "0"), "--order must be >= 1, got 0"),
+        ):
+            for command in ("compute", "poly", "bench"):
+                code, out, err = run(
+                    capsys, command, "--family", "custom", "--custom-path", path, *sizes
+                )
+                assert (code, out, err) == (2, "", f"error: {message}\n"), (command, sizes)
 
     def test_hypergeometric_parameters_are_named_as_flags(self, capsys):
         for family, m, nn in (("hyper-cauchy", "0", "3"), ("hyper-bernoulli", "2", "-1")):
@@ -1203,6 +1220,17 @@ class TestBenchCommand:
             with pytest.raises(Reached):
                 cli.main(["compute", *argv])
 
+    def test_work_is_refused_before_n(self, capsys):
+        # past both bench bounds, the MAX_BENCH_WORK line is the one printed
+        code, out, err = run(
+            capsys, "bench", "--family", "euler", "--order", str(2**600), "--n", "101"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: bench --n squared times the bit lengths of --order and of the "
+            f"family's parameters or values must be <= {cli.MAX_BENCH_WORK}, got 101^2 * 601"
+        ]
+
     def test_every_bench_call_here_is_admitted(self, monkeypatch):
         class Reached(Exception):
             pass
@@ -1232,18 +1260,19 @@ class TestBenchCommand:
             with pytest.raises(Reached):
                 cli.main(["bench", *argv])
 
-    def test_run_benchmark_structure(self):
+    def test_kernel_columns_at_orders_1_and_2(self, capsys):
         # at r = 1 the D_r recurrence is the negative power's own loop, so
         # only r >= 2 times it
-        for r, methods in ((1, {"negative_power", "bareiss"}),
-                           (2, {"negative_power", "bareiss", "recurrence"})):
-            rows = cli.run_benchmark(FamilySpec.euler(), r, 5)
-            assert [n for n, _ in rows] == [0, 1, 2, 3, 4, 5]
-            for _, cells in rows:
-                assert set(cells) == methods, r
-                assert len({value for _, _, value in cells.values()}) == 1
-                for seconds, bits, _ in cells.values():
-                    assert seconds >= 0 and bits >= 0
+        for r, pairs in ((1, 2), (2, 3)):
+            code, out, err = run(capsys, "bench", "--family", "euler", "--order", str(r),
+                                 "--n", "5")
+            assert (code, err) == (0, "")
+            header, *rows = [line.split(",") for line in out.splitlines()]
+            assert len(header) == 2 + 2 * pairs, r
+            assert [row[0] for row in rows] == ["0", "1", "2", "3", "4", "5"]
+            for row in rows:
+                assert len(row) == len(header)
+                assert all(float(cell) >= 0 for cell in row[1:-1]), (r, row)
 
     def test_each_kernel_runs_once(self, capsys, monkeypatch):
         calls = []

@@ -1,4 +1,5 @@
-"""The values the integer kernels return, pinned by one sha256 (VALUE).
+"""The values the integer kernels return, pinned by one sha256 (VALUE),
+and the bit growth they record, pinned by another (COST).
 
 The grid reaches what the CLI pins do not: `_shift`'s probe (n = 200 is
 past SHIFT_MIN_TERMS), `_ordinary` (hyper-Cauchy at n = 200), `_seidel`
@@ -10,10 +11,18 @@ So a change that keeps every value keeps the digest, however it forms
 them, and any wrong value moves it.  Integers are hashed in
 hexadecimal, which has no digit limit.
 
-`test_value_digest_on_other_interpreters` computes the same digest under
+COST hashes, for the same grid, each stats-keeping kernel run's
+"max_num_bits" and the running peak bits of each of its "steps" rows,
+never their seconds: the Miller loop for f^(-r) and for f^r (through
+`exponential_power_numerators`, as `power_numerators` keeps no stats) at
+every (family, r, n), and Bareiss at WITNESS_N.  A change to a kernel's
+operands may move it while VALUE stays; its new pin then says which
+columns moved.
+
+`test_value_digest_on_other_interpreters` computes both digests under
 every other CPython >= 3.10 it finds, as `python -S` with only `src` and
 this directory on the path (the package is stdlib-only, so no pytest is
-needed there).  Run this file as a script to print the digest.
+needed there).  Run this file as a script to print both digests.
 """
 
 import hashlib
@@ -32,6 +41,7 @@ from appellseq.engine import (
     reduced_power_table,
 )
 from appellseq.families import FamilySpec, family_coefficients
+from appellseq.series import exponential_power_numerators
 
 FAMILIES = (
     FamilySpec.bernoulli(),
@@ -47,6 +57,7 @@ SIZES = (40, 200)
 WITNESS_N = 40
 
 VALUE = "7f25da8c8853188c15b6d016548637aee343bef0a27c8791ccb55be8dd1c801e"
+COST = "79e1e5277adca091848e6a99980fbcd89f923c15e32aca419205d1918c61125b"
 
 
 def lowest_terms(num, den):
@@ -81,6 +92,40 @@ def value_digest():
 
 def test_value_digest():
     assert value_digest() == VALUE
+
+
+def peak_bits(kernel, *args):
+    """A kernel run's "max_num_bits" and the running peak of each of its
+    "steps" rows."""
+    stats = {"steps": []}
+    kernel(*args, stats=stats)
+    return [stats.get("max_num_bits", 0), *(bits for _, bits in stats["steps"])]
+
+
+def cost_runs():
+    """(label, peak bits) for every stats-keeping kernel run of the grid."""
+    for spec in FAMILIES:
+        seq = family_coefficients(spec, max(SIZES))
+        for r in ORDERS:
+            for n in SIZES:
+                yield f"{spec.label} r={r} n={n} f^-r", peak_bits(
+                    negative_power_numerators, seq, r, n)
+                yield f"{spec.label} r={r} n={n} f^r", peak_bits(
+                    exponential_power_numerators, *seq.prefix(n), r)
+            num, den = reduced_power_table(*power_numerators(seq, r, WITNESS_N))
+            yield f"{spec.label} r={r} bareiss", peak_bits(
+                determinant_numerators, num, den, WITNESS_N)
+
+
+def cost_digest():
+    digest = hashlib.sha256()
+    for label, bits in cost_runs():
+        digest.update(f"{label}\0{','.join(map(str, bits))}\0".encode())
+    return digest.hexdigest()
+
+
+def test_cost_digest():
+    assert cost_digest() == COST
 
 
 HERE = Path(__file__).resolve().parent
@@ -122,8 +167,9 @@ def test_value_digest_on_other_interpreters():
             for version, exe in found.items()}
     for version, run in runs.items():
         out, err = run.communicate(timeout=120)
-        assert (run.returncode, out.strip()) == (0, VALUE), (version, err)
+        assert (run.returncode, out.split()) == (0, [VALUE, COST]), (version, err)
 
 
 if __name__ == "__main__":
     print(value_digest())
+    print(cost_digest())
