@@ -2,7 +2,9 @@
 ("p/q" strings, parsed to a `Fraction` and printed from a Fraction or an
 integer pair), the lift of rationals to integer numerators over one
 denominator, the factorial prefix 0!..n!, the integer convolution,
-composition enumeration and the kernels' per-call statistics.
+composition enumeration, the kernels' per-call statistics, and `Record`,
+the immutable value base of the package's records and of
+`series.TruncatedSeries`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 import re
 import time
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Any, Callable, Iterator, MutableMapping, Optional, Sequence
 
@@ -46,6 +48,48 @@ _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
 class CombinatorialBlowupError(ValueError):
     """Raised when an enumeration of compositions or partitions would exceed
     the configured cap."""
+
+
+_set = object.__setattr__  # sets a Record's field; only Record.__init__ calls it
+
+
+class Record:
+    """An immutable value object over the fields its class names in
+    `__slots__`, in constructor order: `==` and `hash` over its class and
+    those fields, `repr` over the fields but `_hidden`, as a frozen
+    dataclass has them, and any attribute assignment or deletion raises
+    AttributeError.  `Record.__init__(self, *values)` sets the fields
+    once, in `__slots__` order; a subclass's `__init__` validates its
+    arguments and then makes that one call.  `copy` and `pickle` rebuild
+    a record through its class's `__init__`."""
+
+    __slots__ = ()
+    _hidden = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __reduce__(self):
+        return self.__class__, tuple(map(getattr, repeat(self), self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__reduce__() == other.__reduce__()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        fields = (f"{k}={getattr(self, k)!r}" for k in self.__slots__ if k not in self._hidden)
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def step_rows(stats: Optional[StatsDict]) -> Optional[Callable[[int], None]]:

@@ -24,7 +24,6 @@ from .arith import (
     parse_rational,
 )
 from .engine import (
-    NormalizationError,
     appell_polynomial,  # unused here; perfbench/spans.py wraps cli.appell_polynomial
     cross_verify,
     polynomial_eval,  # unused here; perfbench/spans.py wraps cli.polynomial_eval
@@ -365,7 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except (NormalizationError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:  # NormalizationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -47,6 +47,7 @@ from .arith import (
     DEFAULT_COMPOSITION_CAP,
     MAX_COMPOSITION_WORK,
     CombinatorialBlowupError,
+    Record,
     StatsDict,
     compositions,  # unused here; perfbench/spans.py wraps engine.compositions
     convolve,
@@ -71,42 +72,6 @@ class NormalizationError(ValueError):
     """A coefficient sequence whose leading entry is not 1."""
 
 
-_set = object.__setattr__  # sets a Record's field; only its __init__ calls it
-
-
-class Record:
-    """An immutable value object over the fields its class names in
-    `__slots__`, in constructor order: `==` and `hash` over its class and
-    those fields, `repr` over the fields but `_hidden`, as a frozen
-    dataclass has them, and any attribute assignment or deletion raises
-    AttributeError.  Each `__init__` sets its fields once, each with its
-    own `_set` call.  `copy` and `pickle` rebuild it through `__init__`."""
-
-    __slots__ = ()
-    _hidden = ()
-
-    def __reduce__(self):
-        return self.__class__, tuple(map(getattr, repeat(self), self.__slots__))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.__reduce__() == other.__reduce__()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.__reduce__())
-
-    def __repr__(self):
-        fields = (f"{k}={getattr(self, k)!r}" for k in self.__slots__ if k not in self._hidden)
-        return f"{self.__class__.__qualname__}({', '.join(fields)})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 class CoefficientSequence(Record):
     """Exponential coefficients d_0..d_{n_max} of f(t), d_0 = 1, kept as
     integer numerators over one denominator: d_n = P[n] / L."""
@@ -120,8 +85,7 @@ class CoefficientSequence(Record):
             raise ValueError(f"L must be >= 1, got {L}")
         if P[0] != L:
             raise NormalizationError(f"d_0 must be 1 (got {format_ratio(P[0], L)})")
-        _set(self, "P", P)
-        _set(self, "L", L)
+        Record.__init__(self, P, L)
 
     @classmethod
     def from_values(cls, values: Iterable) -> "CoefficientSequence":
@@ -160,8 +124,7 @@ class PowerCoefficientTable(Record):
         _check_order(r)
         if not D or D[0] != 1:
             raise ValueError("D_r(0) must be 1 for a normalized sequence")
-        _set(self, "r", r)
-        _set(self, "D", D)
+        Record.__init__(self, r, D)
 
     @property
     def n_max(self) -> int:
@@ -177,9 +140,7 @@ class RelatedNumberTable(Record):
         _check_order(r)
         if not a or a[0] != 1:
             raise ValueError("a_0 must be 1 for a normalized sequence")
-        _set(self, "r", r)
-        _set(self, "a", a)
-        _set(self, "algorithm", algorithm)
+        Record.__init__(self, r, a, algorithm)
 
     @property
     def n_max(self) -> int:
@@ -194,9 +155,7 @@ class AppellPolynomial(Record):
     def __init__(self, n: int, r: int, coeffs_in_z: tuple[Fraction, ...]):
         if len(coeffs_in_z) != n + 1:
             raise ValueError("coefficient vector must have length n + 1")
-        _set(self, "n", n)
-        _set(self, "r", r)
-        _set(self, "coeffs_in_z", coeffs_in_z)
+        Record.__init__(self, n, r, coeffs_in_z)
 
 
 def compute_D(
@@ -463,10 +422,7 @@ class VerificationReport(Record):
         pairs: Mapping[str, tuple[Sequence[int], Sequence[int]]],
         first_mismatch: Optional[int],
     ):
-        _set(self, "r", r)
-        _set(self, "n_max", n_max)
-        _set(self, "pairs", pairs)
-        _set(self, "first_mismatch", first_mismatch)
+        Record.__init__(self, r, n_max, pairs, first_mismatch)
 
     @property
     def agree(self) -> bool:

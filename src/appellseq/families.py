@@ -22,8 +22,8 @@ from fractions import Fraction
 from os import PathLike
 from typing import Optional
 
-from .arith import lift, parse_rational
-from .engine import CoefficientSequence, NormalizationError, Record, _set
+from .arith import Record, lift, parse_rational
+from .engine import CoefficientSequence, NormalizationError
 
 BERNOULLI = "bernoulli"
 EULER = "euler"
@@ -58,10 +58,7 @@ class FamilySpec(Record):
                 raise ValueError("custom family needs a nonempty value list")
             if values[0] != 1:
                 raise NormalizationError(f"d_0 must be 1 (got {values[0]})")
-        _set(self, "kind", kind)
-        _set(self, "m", m)
-        _set(self, "n", n)
-        _set(self, "values", values)
+        Record.__init__(self, kind, m, n, values)
 
     @classmethod
     def bernoulli(cls) -> "FamilySpec":

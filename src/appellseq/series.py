@@ -24,7 +24,7 @@ from itertools import accumulate, count, repeat
 from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import StatsDict, convolve, factorials, lift, step_rows
+from .arith import Record, StatsDict, convolve, factorials, lift, step_rows
 
 Scalar = Union[Fraction, int]
 
@@ -33,10 +33,12 @@ class NotInvertibleError(ZeroDivisionError):
     """Inversion of a series whose constant term is zero."""
 
 
-class TruncatedSeries:
-    """Immutable prefix c_0..c_K of a formal power series over Fraction."""
+class TruncatedSeries(Record):
+    """Immutable prefix c_0..c_K of a formal power series over Fraction:
+    a `Record` over `coeffs`, but not hashable."""
 
     __slots__ = ("coeffs",)
+    __hash__ = None
 
     coeffs: tuple[Fraction, ...]
 
@@ -44,10 +46,7 @@ class TruncatedSeries:
         cs = tuple(map(Fraction, coeffs))
         if not cs:
             raise ValueError("a truncated series needs at least its constant term")
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
+        Record.__init__(self, cs)
 
     @property
     def order(self) -> int:
@@ -60,11 +59,6 @@ class TruncatedSeries:
         if order >= self.order:
             return self
         return TruncatedSeries(self.coeffs[: order + 1])
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TruncatedSeries):
-            return self.coeffs == other.coeffs
-        return NotImplemented
 
     def __repr__(self) -> str:
         return f"TruncatedSeries([{', '.join(map(str, self.coeffs))}])"
@@ -207,14 +201,15 @@ def exponential_power_numerators(
     (d_k = 1/(k+1), H_k = 1) at m = 1 and hyper-Bernoulli(1, N) at m = N.
     P_1 (m+1) = P_2 C(m+2, 2) fixes the one m to test (m = 0 when K < 2
     or P_2 = 0), and the test stops at the first H_k that differs; only
-    an input that is not flat reaches `_shift`.  The loop's one other
-    rule drops only products by 0, so S is the same integer.
-    Zero tail: the loop keeps the last j with M_j != 0, past which every
-    M_j read so far is 0 (past the degree of a polynomial power, as for
-    hyper-Cauchy(3, 2) at r = -4).  When more than two terms of step n
-    read such zeros, it sums from that last nonzero M_j down; `_ordinary`
-    stops Horner's rule there and multiplies once by the rest of
-    (n-1)! / j!.
+    an input that is not flat reaches `_shift`.
+    Zero tail: only the ordinary form stops at G's zero tail.
+    `_ordinary` keeps the last j with M_j != 0, past which every M_j
+    read so far is 0 (past the degree of a polynomial power, as for
+    hyper-Cauchy(3, 2) at r = -4, which runs on `_ordinary` from
+    SHIFT_MIN_TERMS terms on), stops Horner's rule there and multiplies
+    once by the rest of (n-1)! / j!.  It drops only products by 0, so S
+    is the same integer.  The shifted and unshifted forms sum every
+    term.
 
     No Fraction is built: each caller makes its values from (M, Q) once,
     or compares them as they are.  Each step hands the |S|.bit_length()
@@ -352,7 +347,6 @@ def _miller(
     the shifted numerators H_k = P_k C(k+m, m) over L."""
     H = H[1:]
     M, Q, F, c, Lc, step = [1], 1, [], L, 1, step_rows(stats)
-    last = 0  # the last j with M_j != 0
     w = [r]  # the weights of step 1, at every m
     row = [math.comb(m + 1, j) for j in range(m + 2)]  # C(n+m, j) at step n = 1
     for n, p in enumerate(H, 1):  # step n reads p = H_n
@@ -363,11 +357,7 @@ def _miller(
             F = [f * up for f in F]
             Lc = L // c
         F.append(p // c)
-        i = n - 1 - last  # term k < i reads M_{n-1-k} = 0
-        if i > 2:
-            S = sum(map(mul, w[i:], map(mul, F[i:], M[last::-1])))
-        else:
-            S = sum(map(mul, w, map(mul, F, reversed(M))))
+        S = sum(map(mul, w, map(mul, F, reversed(M))))
         if step:
             step(S.bit_length())
         if m:
@@ -380,8 +370,6 @@ def _miller(
         S, Q, up = _reduced(S, den, Q)
         if up > 1:
             M = [x * up for x in M]
-        if S:
-            last = n
         M.append(S)
     return M, Q
 

@@ -582,6 +582,16 @@ class TestUsageErrors:
         assert code == 2
         assert "d_0 must be 1" in err
 
+    @pytest.mark.parametrize("command", ["compute", "poly"])
+    def test_unnormalized_custom_file_prints_one_error_line(self, capsys, tmp_path, command):
+        # NormalizationError reaches `main` as the ValueError it is
+        path = tmp_path / "head.txt"
+        path.write_text("1/2\n1\n")
+        code, out, err = run(
+            capsys, command, "--family", "custom", "--custom-path", str(path), "--n", "1",
+        )
+        assert (code, out, err) == (2, "", f"error: {path}: d_0 must be 1 (got 1/2)\n")
+
     def test_missing_custom_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "compute", "--family", "custom",

@@ -854,6 +854,22 @@ class TestPackageSurface:
         assert "appellseq.cli" in loaded
         assert not loaded & {"dataclasses", "inspect", "pathlib"}, loaded
 
+    def test_no_module_imports_a_private_name_of_another(self):
+        # a name that starts with "_" stays inside its module: no relative
+        # `from .x import _y` anywhere in the package
+        import ast
+        import appellseq
+
+        found = []
+        for path in sorted(Path(appellseq.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    found += [
+                        f"{path.name}: from {'.' * node.level}{node.module or ''} import {a.name}"
+                        for a in node.names if a.name.startswith("_")
+                    ]
+        assert found == []
+
 
 class TestRecords:
     """The library's value records, as they behaved when they were frozen

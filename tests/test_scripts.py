@@ -15,3 +15,22 @@ def test_classical_tables_prints_verified_columns(capsys, monkeypatch):
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
     assert sorted(rows, key=int) == [str(n) for n in range(7)]
     assert rows["6"][0] == "1/42"  # B_6
+
+
+def test_traffic_counts_the_loop_forms_of_verify(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import traffic
+
+    assert traffic.main(["--workload", "verify", "--seed", "1"]) == 0
+    head, *rows = capsys.readouterr().out.splitlines()
+    assert head.split() == ["workload", "seed", "form", "calls", "steps", "past", "tail"]
+    table = {}
+    for row in rows:
+        workload, seed, name, m, calls, steps, past = row.replace(" m=", " ").split()
+        assert (workload, seed, name) in {("verify", "1", "_miller"), ("verify", "1", "_seidel")}
+        table[name, int(m)] = int(calls), int(steps), int(past)
+    # --check at r <= 2 runs the unshifted loop, and the difference table
+    # on Bernoulli and Euler; no step of theirs reads a zero tail
+    assert table[("_miller", 0)][0] > 0
+    assert all(calls <= steps and past == 0 for calls, steps, past in table.values())
+    assert traffic.past_tail_steps([1, 2, 0, 0, 0, 0, 5, 0]) == 2  # steps 5 and 6

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -55,6 +57,20 @@ class TestConstruction:
         s = TruncatedSeries([1, 2])
         with pytest.raises(AttributeError):
             s.coeffs = (F(3),)
+
+    def test_field_cannot_be_deleted(self):
+        s = TruncatedSeries([1, 2])
+        with pytest.raises(AttributeError):
+            del s.coeffs
+        assert s.coeffs == (1, 2)
+
+    def test_copy_and_pickle_round_trip_but_no_hash(self):
+        s = TruncatedSeries([1, F(-1, 2), 0])
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert type(twin) is TruncatedSeries and twin == s
+            assert twin.coeffs == s.coeffs and twin != TruncatedSeries([1, F(-1, 2)])
+        with pytest.raises(TypeError, match="unhashable type: 'TruncatedSeries'"):
+            hash(s)
 
     def test_order(self):
         assert TruncatedSeries([1]).order == 0
@@ -561,9 +577,9 @@ def bernoulli_with(k, value, n=200):
 
 
 class TestSkippedProducts:
-    """A step drops the products by the M_j of G's zero tail, past the
-    last nonzero M_j; S, and with it (M, Q) and the peak bits, must stay
-    the global-lift reference's.  Inputs flat for a while, which
+    """`_ordinary` drops the products by the M_j of G's zero tail, past
+    the last nonzero M_j, and `_miller` sums them; either way S, and with
+    it (M, Q) and the peak bits, must stay the global-lift reference's.  Inputs flat for a while, which
     `exponential_power_numerators` sends to `_seidel` only when flat
     throughout, run `_miller` here at every shift."""
 
@@ -610,7 +626,7 @@ class TestSkippedProducts:
         assert stats == {"max_num_bits": shifted_peak_bits(P, L, _shift(P), G)}
 
     # (d_0..d_n, r), n = 200 unless named: the zero tail of the polynomial
-    # (1+t)^8, every G_j past 8, which the loop skips, at n = 200 and at
+    # (1+t)^8, every G_j past 8, which `_ordinary` skips, at n = 200 and at
     # n = 60, below SHIFT_MIN_TERMS; a single vanished parity, summed in
     # full with its zeros (Bernoulli's odd j >= 3, Euler's even j >= 2,
     # every odd j of the even cosh(t)^(-3), Bernoulli with d_170 changed,
@@ -631,7 +647,7 @@ class TestSkippedProducts:
     @pytest.mark.parametrize("name", list(LONG))
     def test_long_inputs_match_the_global_lift(self, name):
         # at every shift; the linear factor (r+1) k - n is constant at
-        # r = -1, so the two polynomial powers check it on the skipping sum
+        # r = -1, so the two polynomial powers check it on `_ordinary`'s skipping sum
         d, r = self.LONG[name]
         L, P = lift(d)
         want = oracles.global_lift_power(P, L, r)
@@ -673,26 +689,28 @@ class TestSkippedProducts:
         assert _shift(P) == 2 and flat_run(P, 2) == 200
 
     def test_zero_tail_costs_no_products(self, monkeypatch):
-        # hyper-Cauchy(3, 2) at r = 4: a_n = n! C(8, n), so from step 12 on,
-        # when more than two terms read zeros, a step multiplies only
-        # a_0..a_8 by their two factors, at any length
+        # hyper-Cauchy(3, 2) at r = 4: a_n = n! C(8, n), and from
+        # SHIFT_MIN_TERMS terms on the power takes `_ordinary`, whose step
+        # past the zero tail multiplies only a_0..a_8 by their two factors
+        # (and one more product, pulled before a_0..a_8 run out), at any
+        # length
         calls = []
 
         def counted(x, y):
             calls.append(None)
             return x * y
 
-        seq = family_coefficients(FamilySpec.hyper_cauchy(3, 2), 120)
+        seq = family_coefficients(FamilySpec.hyper_cauchy(3, 2), 400)
+        assert _shift(seq.prefix(SHIFT_MIN_TERMS)[0]) == -1
         monkeypatch.setattr(series, "mul", counted)
         counts = []
-        for n in (12, 60, 120):
+        for n in (SHIFT_MIN_TERMS, 200, 400):
             del calls[:]
             M, Q = engine.negative_power_numerators(seq, 4, n)
             assert [F(m, Q) for m in M] == [math.perm(8, j) for j in range(n + 1)]
             counts.append(len(calls))
-        assert 120 < SHIFT_MIN_TERMS
-        assert counts[1] - counts[0] == 2 * 9 * 48
-        assert counts[2] - counts[1] == 2 * 9 * 60
+        assert counts[1] - counts[0] == (2 * 9 + 1) * (200 - SHIFT_MIN_TERMS)
+        assert counts[2] - counts[1] == (2 * 9 + 1) * 200
 
 
 class TestDifferenceTable:
