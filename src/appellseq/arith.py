@@ -1,9 +1,9 @@
 """Exact scalar arithmetic and combinatorial primitives: the wire format
 ("p/q" strings, parsed to a `Fraction` and printed from a Fraction or an
 integer pair), the lift of rationals to integer numerators over one
-denominator, the factorial prefix 0!..n!, the integer convolution,
-composition enumeration, the kernels' per-call statistics, and `Record`,
-the immutable value base of the package's records and of
+denominator, the factorial prefix 0!..n!, the integer convolution, the
+composition route's size bounds, the kernels' per-call statistics, and
+`Record`, the immutable value base of the package's records and of
 `series.TruncatedSeries`.
 """
 
@@ -15,24 +15,17 @@ import time
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Any, Callable, Iterator, MutableMapping, Optional, Sequence
+from typing import Any, Callable, MutableMapping, Optional, Sequence
 
-#: Largest n the composition route (and `compositions`) serves by default.
-#: The route's power triangle costs O(n^3) products of numbers that grow
-#: with n: 7 / 17 / 60 / 170 ms at n <= 34 / 40 / 50 / 60 (Bernoulli,
-#: r = 1, one core of a 2-vCPU Xeon VM, Python 3.11); past the cap it is
-#: refused.
+#: Largest n the composition route serves by default: its power triangle
+#: costs O(n^3) products of numbers that grow with n.
 DEFAULT_COMPOSITION_CAP = 50
 
 #: Largest n * bit_length(max_e |N_e|) the composition route takes on, where
 #: N_e are f's d_1/1!..d_n/n! lifted to integers over one denominator: the
 #: triangle's products grow with those bits as well as with n, and r adds
-#: only the weights C(r+k-1, k).  Its kernel at n = 50 costs, on Euler
-#: (about 10 750), 0.035 / 0.12 / 0.44 s at r = 1, 2^200, 2^1310 - 1, and
-#: at the bound 0.14 s on hyper-Cauchy (2^109, 1) but 15.6 s on
-#: hyper-Bernoulli (2^106, 1) (same machine as above).  Past it, a whole
-#: composition table is refused and `--check` takes the composition leg to
-#: the largest n inside it.
+#: only the weights C(r+k-1, k).  Past it, a whole composition table is
+#: refused and `--check` takes the composition leg to the largest n inside it.
 MAX_COMPOSITION_WORK = 2**18
 
 #: Optional per-call statistics of a kernel, kept by `step_rows`:
@@ -46,8 +39,9 @@ _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
 
 
 class CombinatorialBlowupError(ValueError):
-    """Raised when an enumeration of compositions or partitions would exceed
-    the configured cap."""
+    """Raised when a composition table would pass the route's cap on n
+    (DEFAULT_COMPOSITION_CAP, or the caller's) or its work bound,
+    MAX_COMPOSITION_WORK."""
 
 
 _set = object.__setattr__  # sets a Record's field; only Record.__init__ calls it
@@ -178,42 +172,3 @@ def convolve(a: Sequence[int], b: Sequence[int], k: int) -> list[int]:
     """The first k terms sum_{j<=n} a_j b_(n-j), n < k, of the Cauchy
     product of two integer lists, k <= min(len(a), len(b))."""
     return [sum(map(mul, a[: n + 1], b[n::-1])) for n in range(k)]
-
-
-def compositions(
-    n: int,
-    k: int,
-    *,
-    weak: bool = False,
-    cap: int | None = DEFAULT_COMPOSITION_CAP,
-) -> Iterator[tuple[int, ...]]:
-    """Enumerate the compositions of n into exactly k parts, lexicographically.
-
-    Strict compositions (the default) have every part >= 1 and number
-    C(n-1, k-1); weak compositions allow zero parts and number
-    C(n+k-1, k-1).  The order is deterministic (ascending lexicographic),
-    and each tuple is produced exactly once.
-
-    Raises CombinatorialBlowupError when n exceeds `cap` (pass cap=None to
-    disable the guard).
-    """
-    if n < 0:
-        raise ValueError(f"compositions needs n >= 0, got {n}")
-    if k < 1:
-        raise ValueError(f"compositions needs k >= 1, got {k}")
-    if cap is not None and n > cap:
-        raise CombinatorialBlowupError(
-            f"refusing to enumerate compositions of n={n}: "
-            f"enumeration cap is {cap}"
-        )
-    return _compositions(n, k, 0 if weak else 1)
-
-
-def _compositions(n: int, k: int, lo: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        if n >= lo:
-            yield (n,)
-        return
-    for first in range(lo, n - lo * (k - 1) + 1):
-        for rest in _compositions(n - first, k - 1, lo):
-            yield (first,) + rest

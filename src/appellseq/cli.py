@@ -34,37 +34,26 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 4
 
-#: Largest --n a request may ask for, refused before any work.  The cost
-#: grows faster than n^2 with the digits of the values: a Bernoulli
-#: `compute` takes 0.31-0.48 s at n=800 and 2.2-2.7 s at n=1600, five to
-#: seven times as long per doubling (one core of a 2-vCPU Intel Xeon VM,
-#: Python 3.11.7, whole process, three runs each).
+#: Largest --n a request may ask for, refused before any work: the cost
+#: grows faster than n^2 with the digits of the values.
 MAX_N = 10_000
 
-#: Largest `bench` --n, refused before any work.  One run per kernel to N
-#: took 0.03-0.08 s at N = 100 (Bernoulli, Euler r = 2, hyper-Cauchy(2, 3)
-#: r = 16, hyper-Bernoulli(2, 3) r = 13; one core of a 2-vCPU Intel Xeon VM,
-#: Python 3.11.7, in process).  An interim bound, until one from the
-#: bit-growth cost model replaces it.
+#: Largest `bench` --n, refused before any work; an interim bound, until
+#: one from the bit-growth cost model replaces it.
 MAX_BENCH_N = 100
 
 #: Largest `bench` n^2 * bits, bits summing what `admit` counts (--order,
-#: --m and --nn, or the largest custom value), refused before any work.
-#: Fitted to runs of every kernel at each n, it refuses more than one run
-#: needs: at N = 100 Euler --order 2^600 takes 3.5 s and
-#: hyper-Cauchy --m 4096 --nn 4096 --order 2^25 1.9 s, but hyper-Cauchy
-#: --m 2^300 --nn 2^300 92 s (same machine); all three stay refused.
+#: --m and --nn, or the largest custom value), refused before any work:
+#: `bench` runs every kernel at each n, so it takes more than one run needs.
 MAX_BENCH_WORK = 2**17
 
 #: Largest n * bit_length(r), refused before any work: r adds about
-#: n * bits(r) bits to each value.  Euler `compute` takes 0.2 / 2.5 s at
-#: n = 25 / 400 with n * bits(r) near 2^16, and 1.0 / 23 s near 2^18.
-#: The same budget bounds n * (bits(M) + bits(N)) of the hypergeometric
-#: kinds, whose d_n carry about that many bits, and n * (bits(p) + bits(q))
-#: of a `poly --z p/q`, whose Horner sum carries about that many, and
+#: n * bits(r) bits to each value.  The same budget bounds
+#: n * (bits(M) + bits(N)) of the hypergeometric kinds, whose d_n carry
+#: about that many bits, and n * (bits(p) + bits(q)) of a `poly --z p/q`,
+#: whose Horner sum carries about that many, and
 #: n * (bits(numerator) + bits(denominator)) of the largest custom-file d_k,
-#: k <= n: a 400-line file of 4000-digit values took 7.5 / 75 / 163 s at
-#: n = 10 / 20 / 25.
+#: k <= n.
 MAX_ORDER_WORK = 2**16
 
 

@@ -49,7 +49,6 @@ from .arith import (
     CombinatorialBlowupError,
     Record,
     StatsDict,
-    compositions,  # unused here; perfbench/spans.py wraps engine.compositions
     convolve,
     factorials,
     format_ratio,
@@ -58,7 +57,6 @@ from .arith import (
 )
 from .series import (  # TruncatedSeries for perfbench/spans.py
     TruncatedSeries,
-    exponential_power,
     exponential_power_numerators,
 )
 
@@ -78,19 +76,19 @@ class CoefficientSequence(Record):
 
     __slots__ = ("P", "L")
 
-    def __init__(self, P: tuple[int, ...], L: int = 1):
+    def __init__(self, P: Sequence[int], L: int = 1):
         if not P:
             raise NormalizationError("empty coefficient sequence: d_0 must be 1")
         if L < 1:
             raise ValueError(f"L must be >= 1, got {L}")
         if P[0] != L:
             raise NormalizationError(f"d_0 must be 1 (got {format_ratio(P[0], L)})")
-        Record.__init__(self, P, L)
+        Record.__init__(self, tuple(P), L)
 
     @classmethod
     def from_values(cls, values: Iterable) -> "CoefficientSequence":
         L, P = lift(list(map(Fraction, values)))
-        return cls(tuple(P), L)
+        return cls(P, L)
 
     @property
     def d(self) -> tuple[Fraction, ...]:
@@ -120,11 +118,11 @@ class PowerCoefficientTable(Record):
 
     __slots__ = ("r", "D")
 
-    def __init__(self, r: int, D: tuple[Fraction, ...]):
+    def __init__(self, r: int, D: Sequence[Fraction]):
         _check_order(r)
         if not D or D[0] != 1:
             raise ValueError("D_r(0) must be 1 for a normalized sequence")
-        Record.__init__(self, r, D)
+        Record.__init__(self, r, tuple(D))
 
     @property
     def n_max(self) -> int:
@@ -136,11 +134,11 @@ class RelatedNumberTable(Record):
 
     __slots__ = ("r", "a", "algorithm")
 
-    def __init__(self, r: int, a: tuple[Fraction, ...], algorithm: str):
+    def __init__(self, r: int, a: Sequence[Fraction], algorithm: str):
         _check_order(r)
         if not a or a[0] != 1:
             raise ValueError("a_0 must be 1 for a normalized sequence")
-        Record.__init__(self, r, a, algorithm)
+        Record.__init__(self, r, tuple(a), algorithm)
 
     @property
     def n_max(self) -> int:
@@ -152,10 +150,10 @@ class AppellPolynomial(Record):
 
     __slots__ = ("n", "r", "coeffs_in_z")
 
-    def __init__(self, n: int, r: int, coeffs_in_z: tuple[Fraction, ...]):
+    def __init__(self, n: int, r: int, coeffs_in_z: Sequence[Fraction]):
         if len(coeffs_in_z) != n + 1:
             raise ValueError("coefficient vector must have length n + 1")
-        Record.__init__(self, n, r, coeffs_in_z)
+        Record.__init__(self, n, r, tuple(coeffs_in_z))
 
 
 def compute_D(
@@ -189,19 +187,6 @@ def reduced_power_table(M: Sequence[int], Q: int) -> tuple[list[int], list[int]]
     return num, den
 
 
-def recurrence_values(
-    D: Sequence[Fraction], n_max: int, stats: Optional[StatsDict] = None
-) -> list[Fraction]:
-    """a_0..a_{n_max} of the convolution recurrence on a D table: a_n = M_n / Q
-    from `exponential_power` at -1 on 1, 1! D(1), 2! D(2), ... (D(0) is not
-    read), the cofactor recurrence of the Hessenberg minors times (-1)^n n!.
-    No route calls it; perfbench/spans.py wraps it."""
-    _check_table(D, n_max)
-    E = map(mul, factorials(n_max)[1:], D[1 : n_max + 1])
-    M, Q = exponential_power([1, *E], -1, stats)
-    return [Fraction(m, Q) for m in M]
-
-
 def _check_order(r: int) -> None:
     """Refuse an order r below 1."""
     if r < 1:
@@ -220,15 +205,6 @@ def _check_table(D: Sequence, n_max: int) -> None:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if len(D) <= n_max:
         raise ValueError(f"need entries 0..{n_max}, got only {len(D)}")
-
-
-def hessenberg_leading_minors(
-    D: Sequence[Fraction], n_max: int, stats: Optional[StatsDict] = None
-) -> list[Fraction]:
-    """Leading minors det_n = (-1)^n a_n / n!, n <= n_max, of the Hessenberg
-    matrix over D, from `recurrence_values`.  Kept for perfbench/spans.py."""
-    a = recurrence_values(D, n_max, stats=stats)
-    return [(-x if n & 1 else x) / f for n, (x, f) in enumerate(zip(a, factorials(n_max)))]
 
 
 def _fractions(pair: tuple[Sequence[int], Sequence[int]]) -> tuple[Fraction, ...]:
@@ -355,18 +331,6 @@ def determinant_numerators(
     return signed, scales
 
 
-def bareiss_det(
-    D: Sequence[Fraction], n: int, stats: Optional[StatsDict] = None
-) -> Fraction:
-    """det of the n x n Hessenberg matrix over D(1)..D(n) (1 at n = 0), from
-    `determinant_numerators`.  Kept for perfbench/spans.py."""
-    D = D[: n + 1]
-    signed, scales = determinant_numerators(
-        [x.numerator for x in D], [x.denominator for x in D], n, stats
-    )
-    return Fraction(signed[-1] * (-1) ** n, scales[-1] * math.factorial(n))
-
-
 def related_numbers_determinant(
     seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> RelatedNumberTable:
@@ -377,6 +341,8 @@ def related_numbers_determinant(
 
 # unused here; perfbench/spans.py wraps engine.related_numbers_inversion
 related_numbers_inversion = related_numbers_recurrence
+# perfbench/spans.py looks these names up and wraps them; nothing calls them
+recurrence_values = hessenberg_leading_minors = bareiss_det = compositions = None
 
 
 def related_numbers_negative_power(

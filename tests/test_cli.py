@@ -1250,7 +1250,8 @@ class TestBenchCommand:
 
         monkeypatch.setattr(cli, "family_coefficients", reached)
         # the pinned grid, the argv of the other bench tests, and the
-        # sizes the MAX_BENCH_N comment measured, all at their largest n:
+        # sizes MAX_BENCH_N was measured at (ROADMAP, "Figures behind the
+        # constants"), all at their largest n:
         # each gets as far as the family
         calls = [
             [*family, "--order", r, "--n", "16"]

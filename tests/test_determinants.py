@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 from appellseq import engine, series
 from appellseq.arith import factorials
 from appellseq.engine import (
-    bareiss_det,
     compute_D,
     determinant_numerators,
-    hessenberg_leading_minors,
     related_numbers_recurrence,
 )
 from appellseq.families import FamilySpec, family_coefficients
 
 import oracles
-from oracles import bareiss_matrix_det, bareiss_matrix_minors, related_matrix
+from oracles import (
+    bareiss_matrix_det,
+    bareiss_matrix_minors,
+    hessenberg_leading_minors,
+    related_matrix,
+)
 
 F = Fraction
 
@@ -122,7 +125,8 @@ class TestHessenbergMinors:
 
 class TestBareiss:
     """Bareiss elimination of a general matrix (`oracles.bareiss_matrix_det`,
-    the reference for the band kernel) and the band kernel's `bareiss_det`."""
+    the reference for the band kernel) and the band kernel's determinant,
+    the last of `bareiss_leading_minors`."""
 
     def test_known_small_determinants(self):
         assert bareiss_matrix_det([[F(3)]]) == 3
@@ -130,9 +134,9 @@ class TestBareiss:
         assert bareiss_matrix_det([[F(1, 2), F(1)], [F(1, 6), F(1, 2)]]) == F(1, 12)
         # | 1/2  1  |
         # | 1/6 1/2 |, the Hessenberg matrix over D = (1, 1/2, 1/6)
-        assert bareiss_det([F(1), F(1, 2), F(1, 6)], 2) == F(1, 12)
-        assert bareiss_det([F(1), F(3)], 1) == 3
-        assert bareiss_det([F(1)], 0) == 1
+        assert bareiss_leading_minors([F(1), F(1, 2), F(1, 6)], 2)[2] == F(1, 12)
+        assert bareiss_leading_minors([F(1), F(3)], 1)[1] == 3
+        assert bareiss_leading_minors([F(1)], 0)[0] == 1
 
     def test_identity_and_permutation(self):
         eye = [[F(int(i == j)) for j in range(4)] for i in range(4)]
@@ -155,14 +159,14 @@ class TestBareiss:
         with pytest.raises(ValueError):
             bareiss_matrix_det([[F(1), F(2)]])
         with pytest.raises(ValueError):
-            bareiss_det([F(1), F(2)], 2)
+            bareiss_leading_minors([F(1), F(2)], 2)
         with pytest.raises(ValueError):
-            bareiss_det([F(1)], -1)
+            bareiss_leading_minors([F(1)], -1)
 
     def test_stats_record_bit_growth(self):
         D = [F(1)] + [F(12345, 678)] * 13
         stats = {"max_num_bits": 3}
-        bareiss_det(D, 12, stats=stats)
+        bareiss_leading_minors(D, 12, stats=stats)
         assert stats["max_num_bits"] > 3  # updated by max, not replaced
 
     def test_rows_with_different_denominators(self):
@@ -179,7 +183,7 @@ class TestBareiss:
         # the lcm over the whole n=40 matrix gave 6476-bit intermediates
         D = [F(1, math.factorial(e + 1)) for e in range(41)]
         stats = {}
-        det = bareiss_det(D, 40, stats=stats)
+        det = bareiss_leading_minors(D, 40, stats=stats)[40]
         assert det == hessenberg_leading_minors(D, 40)[40]
         assert stats["max_num_bits"] < 6476
 
@@ -286,7 +290,7 @@ class TestKernelsAgree:
             D = [F(1)] + [oracles.rand_fraction(rng) for _ in range(10)]
             minors = hessenberg_leading_minors(D, 10)
             for n in range(1, 11):
-                assert bareiss_det(D, n) == minors[n]
+                assert bareiss_leading_minors(D, n)[n] == minors[n]
 
 
 CATALOG = [

@@ -23,13 +23,13 @@ from appellseq.engine import (
     CoefficientSequence,
     NormalizationError,
     PowerCoefficientTable,
+    RelatedNumberTable,
     VerificationReport,
     appell_polynomial,
     compute_D,
     cross_verify,
     first_disagreement_pairs,
     polynomial_eval,
-    recurrence_values,
     related_numbers_composition,
     related_numbers_determinant,
     related_numbers_negative_power,
@@ -38,7 +38,12 @@ from appellseq.engine import (
 from appellseq.families import FamilySpec, family_coefficients, load_custom_family
 
 import oracles
-from oracles import alt_power_sum_check, polynomial_derivative, power_sum_check
+from oracles import (
+    alt_power_sum_check,
+    polynomial_derivative,
+    power_sum_check,
+    recurrence_values,
+)
 
 F = Fraction
 
@@ -173,7 +178,7 @@ class TestRouteAgreement:
         n_max = seq.n_max
         rec = related_numbers_recurrence(seq, r, n_max)
         # the minor recurrence: (-1)^n n! det M_n = a_n
-        minors = engine.hessenberg_leading_minors(compute_D(seq, r, n_max).D, n_max)
+        minors = oracles.hessenberg_leading_minors(compute_D(seq, r, n_max).D, n_max)
         fact = [math.factorial(n) for n in range(n_max + 1)]
         assert tuple((-1) ** n * fact[n] * x for n, x in enumerate(minors)) == rec.a
         assert related_numbers_determinant(seq, r, n_max).a == rec.a
@@ -190,7 +195,7 @@ class TestRouteAgreement:
     def test_both_kernels_serve_n_max_zero(self):
         seq = bernoulli_seq(3)
         assert related_numbers_determinant(seq, 1, 0).a == (1,)
-        assert engine.hessenberg_leading_minors(compute_D(seq, 1, 0).D, 0) == [1]
+        assert oracles.hessenberg_leading_minors(compute_D(seq, 1, 0).D, 0) == [1]
 
     def test_kernel_argument_is_gone(self):
         # one determinant route, Bareiss: no knob to pick another
@@ -870,6 +875,35 @@ class TestPackageSurface:
                     ]
         assert found == []
 
+    def test_every_top_level_def_is_exported_or_named_in_the_package(self):
+        # a function or class that `__all__` leaves out and no module of the
+        # package names (docstrings aside) serves only callers outside it
+        import ast
+        import appellseq
+
+        trees = {
+            path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(appellseq.__file__).parent.glob("*.py"))
+        }
+        named = set()
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.name)
+        unreached = [
+            f"{name}: {node.name}"
+            for name, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in appellseq.__all__
+            and node.name not in named
+        ]
+        assert unreached == []
+
 
 class TestRecords:
     """The library's value records, as they behaved when they were frozen
@@ -926,6 +960,19 @@ class TestRecords:
             with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
                 record.extra = 1
             assert getattr(record, name) is value
+
+    def test_sequence_fields_are_kept_as_tuples(self):
+        # built from a list, a record equals and hashes like the one built
+        # from a tuple, and its field cannot be appended to
+        for field, listed, tupled in [
+            ("P", CoefficientSequence([2, 1, 1], 2), CoefficientSequence((2, 1, 1), 2)),
+            ("D", PowerCoefficientTable(1, [F(1), F(2)]), PowerCoefficientTable(1, (F(1), F(2)))),
+            ("a", RelatedNumberTable(1, [1, 2], "x"), RelatedNumberTable(1, (1, 2), "x")),
+            ("coeffs_in_z", AppellPolynomial(1, 1, [F(1), F(2)]),
+             AppellPolynomial(1, 1, (F(1), F(2)))),
+        ]:
+            assert listed == tupled and hash(listed) == hash(tupled), field
+            assert type(getattr(listed, field)) is tuple, field
 
     def test_copy_and_pickle_round_trip(self):
         for record in self.records().values():

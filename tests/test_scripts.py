@@ -34,3 +34,21 @@ def test_traffic_counts_the_loop_forms_of_verify(capsys, monkeypatch):
     assert table[("_miller", 0)][0] > 0
     assert all(calls <= steps and past == 0 for calls, steps, past in table.values())
     assert traffic.past_tail_steps([1, 2, 0, 0, 0, 0, 5, 0]) == 2  # steps 5 and 6
+
+
+def test_size_counts_each_module_and_the_total(capsys, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import size
+
+    (tmp_path / "a.py").write_text("x = 1\n")  # Module, Assign, Name, Store, Constant
+    (tmp_path / "b.py").write_text('"""doc"""\n\n\ndef f():\n    pass\n')
+    assert size.main([str(tmp_path)]) == 0
+    head, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert head == ["module", "lines", "bytes", "nodes"]
+    assert rows == [
+        ["a.py", "1", "6", "5"],
+        ["b.py", "5", "30", "6"],  # Module, Expr, Constant, FunctionDef, arguments, Pass
+        ["total", "6", "36", "11"],
+    ]
+    assert size.main([]) == 0  # the package itself
+    assert capsys.readouterr().out.splitlines()[-1].split()[0] == "total"

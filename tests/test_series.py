@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from appellseq.engine import hessenberg_leading_minors, power_numerators, recurrence_values
+from appellseq.engine import power_numerators
 from appellseq.families import FamilySpec, family_coefficients
 from appellseq import engine, series
 from appellseq.arith import lift
@@ -26,6 +26,7 @@ from appellseq.series import (
 )
 
 import oracles
+from oracles import hessenberg_leading_minors, recurrence_values
 
 F = Fraction
 
