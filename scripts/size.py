@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
-"""Print the size of a Python package: lines, bytes and `ast.walk` nodes.
+"""Print the size of src/appellseq: lines, bytes and `ast.walk` nodes.
 
-One row per module (`*.py` directly in the package directory), in name
-order, then their total.  Nodes are every node `ast.walk` visits in the
-module's parse tree, the figure that follows what importing the package
-compiles; lines are newline-terminated lines, as `wc -l` counts them.
+One row per module, in name order, then their total.  Nodes are every
+node `ast.walk` visits in the module's parse tree, the figure that
+follows what importing the package compiles; lines are newline-terminated
+lines, as `wc -l` counts them.
 
-    python3 scripts/size.py                 # src/appellseq
-    python3 scripts/size.py path/to/package
+    python3 scripts/size.py
 """
 
-import argparse
 import ast
 import sys
 from pathlib import Path
@@ -25,17 +23,10 @@ def module_size(path: Path) -> tuple[int, int, int]:
     return data.count(b"\n"), len(data), nodes
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("package", nargs="?", type=Path, default=PACKAGE)
-    args = parser.parse_args(argv)
-    paths = sorted(args.package.glob("*.py"))
-    if not paths:
-        parser.error(f"no *.py files in {args.package}")
-
+def main() -> int:
     print(f"{'module':<16} {'lines':>6} {'bytes':>7} {'nodes':>6}")
     total = [0, 0, 0]
-    for path in paths:
+    for path in sorted(PACKAGE.glob("*.py")):
         size = module_size(path)
         total = [t + s for t, s in zip(total, size)]
         print(f"{path.name:<16} {size[0]:>6} {size[1]:>7} {size[2]:>6}")

@@ -31,9 +31,8 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 def bareiss_leading_minors(D, n_max, stats=None):
     """Leading principal minors det_0=1, det_1, ..., det_{n_max}, by
     `determinant_numerators` on the numerators and denominators of D:
-    det_n = (-1)^n signed_n / (n! s_n), each minor reduced once."""
-    if len(D) <= n_max:
-        raise ValueError(f"need D(0)..D({n_max}), got only {len(D)} entries")
+    det_n = (-1)^n signed_n / (n! s_n), each minor reduced once.  A short
+    table or a negative n_max is refused by the kernel's own check."""
     D = D[: n_max + 1]
     signed, scales = determinant_numerators(
         [x.numerator for x in D], [x.denominator for x in D], n_max, stats

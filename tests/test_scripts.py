@@ -42,7 +42,10 @@ def test_size_counts_each_module_and_the_total(capsys, monkeypatch, tmp_path):
 
     (tmp_path / "a.py").write_text("x = 1\n")  # Module, Assign, Name, Store, Constant
     (tmp_path / "b.py").write_text('"""doc"""\n\n\ndef f():\n    pass\n')
-    assert size.main([str(tmp_path)]) == 0
+    assert size.main() == 0  # the package itself
+    assert capsys.readouterr().out.splitlines()[-1].split()[0] == "total"
+    monkeypatch.setattr(size, "PACKAGE", tmp_path)
+    assert size.main() == 0
     head, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert head == ["module", "lines", "bytes", "nodes"]
     assert rows == [
@@ -50,5 +53,3 @@ def test_size_counts_each_module_and_the_total(capsys, monkeypatch, tmp_path):
         ["b.py", "5", "30", "6"],  # Module, Expr, Constant, FunctionDef, arguments, Pass
         ["total", "6", "36", "11"],
     ]
-    assert size.main([]) == 0  # the package itself
-    assert capsys.readouterr().out.splitlines()[-1].split()[0] == "total"
