@@ -11,8 +11,9 @@ each kind, all cross-verified by every independent route before printing.
 import argparse
 import sys
 
-from appellseq.engine import NEGATIVE_POWER, cross_verify
+from appellseq.engine import NEGATIVE_POWER
 from appellseq.families import FamilySpec, family_coefficients
+from appellseq.witness import cross_verify
 
 COLUMNS = [
     ("B_n", FamilySpec.bernoulli()),

@@ -5,30 +5,20 @@ Given f(t) = sum_n d_n t^n / n! with d_0 = 1, the related numbers of
 order r are defined by 1 / f(t)^r = sum_n a_n^(r) t^n / n!, and the
 attached polynomials are A_n^(r)(z) = sum_m binom(n, m) a_m^(r) z^(n-m).
 Four routes compute the same numbers and are cross-checked; the
-docstring of `appellseq.engine` lists them.
+docstring of `appellseq.witness` lists them.
 """
 
-from .arith import (
-    DEFAULT_COMPOSITION_CAP,
-    CombinatorialBlowupError,
-    format_rational,
-    parse_rational,
-)
+from .arith import format_rational, parse_rational
 from .engine import (
     AppellPolynomial,
     CoefficientSequence,
     NormalizationError,
     PowerCoefficientTable,
     RelatedNumberTable,
-    VerificationReport,
     appell_polynomial,
     compute_D,
-    cross_verify,
     polynomial_eval,
-    related_numbers_composition,
-    related_numbers_determinant,
     related_numbers_negative_power,
-    related_numbers_recurrence,
 )
 from .families import (
     FamilySpec,
@@ -38,6 +28,15 @@ from .families import (
 from .series import (
     NotInvertibleError,
     TruncatedSeries,
+)
+from .witness import (
+    DEFAULT_COMPOSITION_CAP,
+    CombinatorialBlowupError,
+    VerificationReport,
+    cross_verify,
+    related_numbers_composition,
+    related_numbers_determinant,
+    related_numbers_recurrence,
 )
 
 __version__ = "0.1.0"

@@ -2,9 +2,8 @@
 ("p/q" strings, parsed to a `Fraction` and printed from a Fraction or an
 integer pair), the lift of rationals to integer numerators over one
 denominator, the factorial prefix 0!..n!, the integer convolution, the
-composition route's size bounds, the kernels' per-call statistics, and
-`Record`, the immutable value base of the package's records and of
-`series.TruncatedSeries`.
+kernels' per-call statistics, and `Record`, the immutable value base of
+the package's records and of `series.TruncatedSeries`.
 """
 
 from __future__ import annotations
@@ -17,17 +16,6 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Any, Callable, MutableMapping, Optional, Sequence
 
-#: Largest n the composition route serves by default: its power triangle
-#: costs O(n^3) products of numbers that grow with n.
-DEFAULT_COMPOSITION_CAP = 50
-
-#: Largest n * bit_length(max_e |N_e|) the composition route takes on, where
-#: N_e are f's d_1/1!..d_n/n! lifted to integers over one denominator: the
-#: triangle's products grow with those bits as well as with n, and r adds
-#: only the weights C(r+k-1, k).  Past it, a whole composition table is
-#: refused and `--check` takes the composition leg to the largest n inside it.
-MAX_COMPOSITION_WORK = 2**18
-
 #: Optional per-call statistics of a kernel, kept by `step_rows`:
 #: "max_num_bits", the bit length of its largest intermediate (or the
 #: value already there, if larger), and, when the caller puts a list under
@@ -36,12 +24,6 @@ MAX_COMPOSITION_WORK = 2**18
 StatsDict = MutableMapping[str, Any]
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
-
-
-class CombinatorialBlowupError(ValueError):
-    """Raised when a composition table would pass the route's cap on n
-    (DEFAULT_COMPOSITION_CAP, or the caller's) or its work bound,
-    MAX_COMPOSITION_WORK."""
 
 
 _set = object.__setattr__  # sets a Record's field; only Record.__init__ calls it

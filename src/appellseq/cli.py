@@ -13,22 +13,17 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from . import engine, families
-from .arith import (
-    DEFAULT_COMPOSITION_CAP,
-    MAX_COMPOSITION_WORK,
-    format_ratio,
-    format_rational,
-    parse_rational,
-)
-from .engine import (
-    appell_polynomial,  # unused here; perfbench/spans.py wraps cli.appell_polynomial
-    cross_verify,
-    polynomial_eval,  # unused here; perfbench/spans.py wraps cli.polynomial_eval
+from . import engine, families, witness
+from .arith import format_ratio, format_rational, parse_rational
+from .engine import (  # unused here; perfbench/spans.py wraps cli.<name>
+    appell_polynomial,
+    polynomial_eval,
 )
 from .families import FamilySpec, family_coefficients, load_custom_family
+from .witness import DEFAULT_COMPOSITION_CAP, MAX_COMPOSITION_WORK, cross_verify
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -194,18 +189,18 @@ def cmd_compute(args: argparse.Namespace) -> int:
     seq = family_coefficients(family, args.n)
     if args.check:
         report = cross_verify(seq, args.order, args.n, cap=args.cap)
+        if not report.agree:
+            print(f"cross-verification failed: {report.describe()}", file=sys.stderr)
+            return EXIT_MISMATCH
+        emit_table(report.pairs[engine.NEGATIVE_POWER], args, family.label, report.coverage)
     else:
-        report = engine.run_routes(seq, args.order, args.n, (engine.NEGATIVE_POWER,))
-    if not report.agree:
-        print(f"cross-verification failed: {report.describe()}", file=sys.stderr)
-        return EXIT_MISMATCH
-    emit_table(report.pairs[engine.NEGATIVE_POWER], args, family.label,
-               report.coverage if args.check else None)
+        M, Q = engine.negative_power_numerators(seq, args.order, args.n)
+        emit_table((M, repeat(Q)), args, family.label)
     return EXIT_OK
 
 
 def emit_table(
-    pair: tuple[Sequence[int], Sequence[int]],
+    pair: tuple[Iterable[int], Iterable[int]],
     args: argparse.Namespace,
     label: str,
     verified: Optional[Mapping[str, int]] = None,
@@ -277,7 +272,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     """CSV of the seconds into its run and the running peak bits at each n
     of each kernel that `--check` runs but the composition sum, from one
-    `engine.run_routes` to --n and the kernels' "steps" rows, then the
+    `witness.run_routes` to --n and the kernels' "steps" rows, then the
     production value.  The kernels are the production route's, Bareiss's
     and, for r >= 2, the paper's D_r recurrence.  On any disagreement,
     found as `--check` finds it, no timings are printed.  Past
@@ -292,12 +287,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     if n_max > MAX_BENCH_N:
         raise ValueError(f"bench --n must be <= {MAX_BENCH_N}, got {n_max}")
-    columns = {"negative_power": engine.NEGATIVE_POWER, "bareiss": engine.DETERMINANT_BAREISS,
-               "recurrence": engine.RECURRENCE}
-    kernels = {k: route for k, route in columns.items() if route in engine.check_routes(r)}
+    columns = {"negative_power": engine.NEGATIVE_POWER, "bareiss": witness.DETERMINANT_BAREISS,
+               "recurrence": witness.RECURRENCE}
+    kernels = {k: route for k, route in columns.items() if route in witness.check_routes(r)}
     stats = {route: {"steps": []} for route in kernels.values()}
-    report = engine.run_routes(family_coefficients(family, n_max), r, n_max, tuple(stats),
-                               stats=stats)
+    report = witness.run_routes(family_coefficients(family, n_max), r, n_max, tuple(stats),
+                                stats=stats)
     n, pairs = report.first_mismatch, report.pairs
     if n is not None:
         detail = ", ".join(f"{k}={format_ratio(pairs[route][0][n], pairs[route][1][n])}"

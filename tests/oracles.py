@@ -19,10 +19,14 @@ from math import factorial
 from operator import add, mul
 from typing import Iterator, Optional
 
-from appellseq.arith import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError
-from appellseq.engine import appell_polynomial, polynomial_eval, related_numbers_recurrence
+from appellseq.engine import appell_polynomial, polynomial_eval
 from appellseq.families import HYPER_BERNOULLI, FamilySpec, family_coefficients
 from appellseq.series import TruncatedSeries, exponential_power
+from appellseq.witness import (
+    DEFAULT_COMPOSITION_CAP,
+    CombinatorialBlowupError,
+    related_numbers_recurrence,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -111,7 +115,7 @@ def gauss_det(matrix):
 
 # The Hessenberg matrix itself and Bareiss elimination of a general
 # matrix, with row swaps past zero pivots: the reference that the band
-# kernel `engine.determinant_numerators` is tested against.
+# kernel `witness.determinant_numerators` is tested against.
 
 
 def related_matrix(D, n):

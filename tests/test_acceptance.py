@@ -18,13 +18,15 @@ from appellseq.engine import (
     CoefficientSequence,
     appell_polynomial,
     compute_D,
-    cross_verify,
     polynomial_eval,
-    related_numbers_determinant,
     related_numbers_negative_power,
-    related_numbers_recurrence,
 )
 from appellseq.families import FamilySpec, family_coefficients
+from appellseq.witness import (
+    cross_verify,
+    related_numbers_determinant,
+    related_numbers_recurrence,
+)
 
 import oracles
 from oracles import (

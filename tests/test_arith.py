@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from appellseq.arith import (
-    DEFAULT_COMPOSITION_CAP,
-    CombinatorialBlowupError,
-    format_ratio,
-    format_rational,
-    parse_rational,
-)
+from appellseq.arith import format_ratio, format_rational, parse_rational
+from appellseq.witness import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError
 
 from oracles import iter_compositions, partitions, rising_factorial
 

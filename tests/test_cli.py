@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from appellseq import cli, engine, series
-from appellseq.engine import VerificationReport
+from appellseq import cli, engine, series, witness
 from appellseq.families import FamilySpec, family_coefficients
+from appellseq.witness import VerificationReport
 
 import oracles
 
@@ -132,7 +132,7 @@ class TestComputeCommand:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return engine.cross_verify(*args, **kwargs)
+            return witness.cross_verify(*args, **kwargs)
 
         monkeypatch.setattr(cli, "cross_verify", counted)
         family = ("--family", "euler", "--order", "2", "--n", "6")
@@ -1026,6 +1026,36 @@ class TestNoFractionOnTheRequestPath:
                 assert (code, err) == (0, ""), argv
 
 
+
+class TestPlainPathReachesNoWitness:
+    """Plain `compute` and `poly` print what they printed with every
+    function of `witness` made to raise; `compute --check` then fails."""
+
+    def test_witness_functions_that_raise_change_no_plain_byte(self, capsys, monkeypatch):
+        family = ["--family", "hyper-cauchy", "--m", "2", "--nn", "3", "--order", "3"]
+        requests = [
+            *(["compute", *family, "--n", "12", "--format", fmt]
+              for fmt in ("csv", "json", "pretty")),
+            *(["poly", *family, "--n", "9", "--format", fmt, *z]
+              for fmt in ("json", "pretty") for z in ((), ("--z", "-1/3")))
+        ]
+        expected = [run(capsys, *argv) for argv in requests]
+        assert all(code == 0 and out for code, out, _ in expected)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a plain request reached witness")
+
+        function = type(must_not_run)
+        patched = [name for name, value in vars(witness).items()
+                   if isinstance(value, function) and value.__module__ == witness.__name__]
+        assert {"cross_verify", "run_routes", "determinant_numerators"} <= set(patched)
+        for name in patched:
+            monkeypatch.setattr(witness, name, must_not_run)
+        assert [run(capsys, *argv) for argv in requests] == expected
+        with pytest.raises(AssertionError, match="reached witness"):
+            cli.main(["compute", *family, "--n", "12", "--check"])
+
+
 @contextlib.contextmanager
 def int_digit_limit(digits):
     """Python's int<->str digit limit set to `digits` (0: no limit)."""
@@ -1287,12 +1317,13 @@ class TestBenchCommand:
 
     def test_each_kernel_runs_once(self, capsys, monkeypatch):
         calls = []
-        for name in ("power_numerators", "negative_power_numerators", "determinant_numerators"):
-            def counted(*args, kernel=getattr(engine, name), name=name, **kwargs):
+        for owner, name in ((engine, "power_numerators"), (engine, "negative_power_numerators"),
+                            (witness, "determinant_numerators")):
+            def counted(*args, kernel=getattr(owner, name), name=name, **kwargs):
                 calls.append(name)
                 return kernel(*args, **kwargs)
 
-            monkeypatch.setattr(engine, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         for r in ("1", "2"):
             calls.clear()
             code, _, err = run(capsys, "bench", "--family", "bernoulli", "--order", r, "--n", "12")
@@ -1334,7 +1365,7 @@ class TestBenchCommand:
             M, Q = engine.power_numerators(seq, r, n)
             calls = {
                 "negative_power": lambda stats: engine.negative_power_numerators(seq, r, n, stats),
-                "bareiss": lambda stats: engine.determinant_numerators(
+                "bareiss": lambda stats: witness.determinant_numerators(
                     *engine.reduced_power_table(M, Q), n, stats
                 ),
                 "recurrence": lambda stats: series.exponential_power_numerators(M, Q, -1, stats),

@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 
 from appellseq import engine, series
 from appellseq.arith import factorials
-from appellseq.engine import (
-    compute_D,
-    determinant_numerators,
-    related_numbers_recurrence,
-)
+from appellseq.engine import compute_D
 from appellseq.families import FamilySpec, family_coefficients
+from appellseq.witness import determinant_numerators, related_numbers_recurrence
 
 import oracles
 from oracles import (

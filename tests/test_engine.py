@@ -12,30 +12,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from appellseq import engine, series
-from appellseq.arith import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError
+from appellseq import engine, series, witness
 from appellseq.engine import (
-    COMPOSITION,
-    DETERMINANT_BAREISS,
     NEGATIVE_POWER,
-    RECURRENCE,
     AppellPolynomial,
     CoefficientSequence,
     NormalizationError,
     PowerCoefficientTable,
     RelatedNumberTable,
-    VerificationReport,
     appell_polynomial,
     compute_D,
-    cross_verify,
-    first_disagreement_pairs,
     polynomial_eval,
-    related_numbers_composition,
-    related_numbers_determinant,
     related_numbers_negative_power,
-    related_numbers_recurrence,
 )
 from appellseq.families import FamilySpec, family_coefficients, load_custom_family
+from appellseq.witness import (
+    COMPOSITION,
+    DEFAULT_COMPOSITION_CAP,
+    DETERMINANT_BAREISS,
+    RECURRENCE,
+    CombinatorialBlowupError,
+    VerificationReport,
+    cross_verify,
+    first_disagreement_pairs,
+    related_numbers_composition,
+    related_numbers_determinant,
+    related_numbers_recurrence,
+)
 
 import oracles
 from oracles import (
@@ -69,7 +72,7 @@ def pair(D):
 def composition_table(D, n):
     """The composition kernel at r = 1 on D's numerators and denominators,
     the exponential coefficients of 1/D, each value reduced once."""
-    return list(map(F, *engine.composition_numerators(*pair(D), 1, n)))
+    return list(map(F, *witness.composition_numerators(*pair(D), 1, n)))
 
 
 CATALOG = [
@@ -314,7 +317,7 @@ class TestCompositionTriangle:
             (series, "exponential_power_numerators"),
             (engine, "exponential_power_numerators"),
             (engine, "power_numerators"),
-            (engine, "determinant_numerators"),
+            (witness, "determinant_numerators"),
         ):
             monkeypatch.setattr(owner, name, must_not_run)
         assert composition_table(D, 20) == expected
@@ -327,20 +330,20 @@ class TestCompositionTriangle:
     def test_weights_on_f_give_the_negative_power(self, seq, r):
         # row k of f - 1's triangle weighted by C(r+k-1, k) sums to f^(-r)
         num, den = engine.reduced_power_table(*seq.prefix())
-        got = list(map(F, *engine.composition_numerators(num, den, r, seq.n_max)))
+        got = list(map(F, *witness.composition_numerators(num, den, r, seq.n_max)))
         assert got == list(related_numbers_negative_power(seq, r).a)
 
     @pytest.mark.parametrize("r", [0, -1])
     def test_order_below_1_is_refused_before_any_input(self, monkeypatch, r):
         # the sum itself takes any r: alone it gave 1, 0, 0, ... at r = 0
         # and f's own d_n at r = -1
-        for name in ("reduced_power_table", "composition_numerators",
-                     "exponential_power_numerators"):
-            monkeypatch.setattr(engine, name, fail)
+        for owner, name in ((engine, "reduced_power_table"), (witness, "composition_numerators"),
+                            (engine, "exponential_power_numerators")):
+            monkeypatch.setattr(owner, name, fail)
         seq = bernoulli_seq(5)
         message = rf"^order r must be >= 1, got {r}$"
         with pytest.raises(ValueError, match=message):
-            engine.run_routes(seq, r, 5, (COMPOSITION,))
+            witness.run_routes(seq, r, 5, (COMPOSITION,))
         with pytest.raises(ValueError, match=message):
             related_numbers_composition(seq, r, 5)
 
@@ -384,7 +387,7 @@ class TestProductionRoute:
         with pytest.raises(ValueError, match=message):
             engine.negative_power_numerators(seq, r, 5, stats={"steps": []})
         with pytest.raises(ValueError, match=message):
-            engine.run_routes(seq, r, 5, (NEGATIVE_POWER,))
+            witness.run_routes(seq, r, 5, (NEGATIVE_POWER,))
 
 
 class TestRunRoutes:
@@ -402,7 +405,7 @@ class TestRunRoutes:
             "composition, negative-power, got "
         )
         with pytest.raises(ValueError, match=message):
-            engine.run_routes(bernoulli_seq(5), 1, 3, routes)
+            witness.run_routes(bernoulli_seq(5), 1, 3, routes)
 
 
 class TestCrossVerify:
@@ -458,16 +461,17 @@ class TestCrossVerify:
     def test_report_runs_the_check_routes(self, r):
         # at r = 1 the D-recurrence is the negative power's own loop
         report = cross_verify(bernoulli_seq(6), r, 6)
-        assert tuple(report.pairs) == engine.check_routes(r)
+        assert tuple(report.pairs) == witness.check_routes(r)
         assert (RECURRENCE in report.pairs) == (r > 1)
 
     @pytest.mark.parametrize("cap", [-1, -7])
     def test_negative_cap_is_refused_as_the_cap(self, monkeypatch, cap):
         # one ValueError that names the cap, from both functions that take
         # one, before any route runs
-        for name in ("power_numerators", "negative_power_numerators",
-                     "composition_numerators", "determinant_numerators"):
-            monkeypatch.setattr(engine, name, fail)
+        for owner, name in ((engine, "power_numerators"), (engine, "negative_power_numerators"),
+                            (witness, "composition_numerators"),
+                            (witness, "determinant_numerators")):
+            monkeypatch.setattr(owner, name, fail)
         seq = bernoulli_seq(5)
         for call in (cross_verify, related_numbers_composition):
             with pytest.raises(ValueError, match=rf"^cap must be >= 0, got {cap}$") as info:
@@ -512,7 +516,7 @@ class TestStepRows:
             n = 60
             seq = family_coefficients(FamilySpec.hyper_cauchy(2, 3), n)
             D = engine.reduced_power_table(*engine.power_numerators(seq, 3, n))
-            return lambda stats: engine.determinant_numerators(*D, n, stats), n
+            return lambda stats: witness.determinant_numerators(*D, n, stats), n
         spec, r, m, other = self.LOOPS[case]
         P, L = family_coefficients(spec, self.N).prefix()
         assert series._shift(P) == m
@@ -580,20 +584,20 @@ class TestIntegerComparison:
         late, early = ([1, 2, 4], [1, 1, 1]), ([1, 3, 3], [1, 1, 1])
         assert first_disagreement_pairs({"a": full, "b": late, "c": early}) == 1
 
-    # the engine name of each route's kernel, as cross_verify calls it; at
-    # r = 2 the Miller loop runs at the powers 2 (f^r), -2 (f^(-r)) and -1
-    # (the D-recurrence on f^r), and only the last is nudged
+    # the module and name of each route's kernel, as cross_verify calls it;
+    # at r = 2 the Miller loop runs at the powers 2 (f^r), -2 (f^(-r)) and
+    # -1 (the D-recurrence on f^r), and only the last is nudged
     KERNELS = {
-        RECURRENCE: "exponential_power_numerators",
-        DETERMINANT_BAREISS: "determinant_numerators",
-        COMPOSITION: "composition_numerators",
-        NEGATIVE_POWER: "negative_power_numerators",
+        RECURRENCE: (engine, "exponential_power_numerators"),
+        DETERMINANT_BAREISS: (witness, "determinant_numerators"),
+        COMPOSITION: (witness, "composition_numerators"),
+        NEGATIVE_POWER: (engine, "negative_power_numerators"),
     }
 
     @pytest.mark.parametrize("route", list(KERNELS))
     def test_one_unit_in_any_route_is_reported_at_its_index(self, monkeypatch, route):
         seq = family_coefficients(FamilySpec.hyper_cauchy(2, 3), 12)
-        kernel = getattr(engine, self.KERNELS[route])
+        kernel = getattr(*self.KERNELS[route])
         for k in (0, 1, 5, 12):
 
             def nudged(*args, **kwargs):
@@ -604,7 +608,7 @@ class TestIntegerComparison:
                 num[k] += 1
                 return num, den
 
-            monkeypatch.setattr(engine, self.KERNELS[route], nudged)
+            monkeypatch.setattr(*self.KERNELS[route], nudged)
             report = cross_verify(seq, 2, 12)
             assert set(report.pairs) == set(self.KERNELS)
             assert report.first_mismatch == k, (route, k)
@@ -654,21 +658,21 @@ class TestCompositionWorkBound:
         work = [self.work(D, n) for n in range(41)]
         assert work == sorted(work)
         for bound in (0, work[1], work[10] - 1, work[10], work[40] - 1, work[40]):
-            monkeypatch.setattr(engine, "MAX_COMPOSITION_WORK", bound)
+            monkeypatch.setattr(witness, "MAX_COMPOSITION_WORK", bound)
             expected = max(n for n in range(41) if work[n] <= bound)
-            assert engine.composition_reach(num, den, 40) == expected, bound
-            assert engine.composition_reach(num, den, 7) == min(7, expected)
+            assert witness.composition_reach(num, den, 40) == expected, bound
+            assert witness.composition_reach(num, den, 7) == min(7, expected)
 
     def test_route_refuses_past_the_bound_before_the_triangle(self, monkeypatch):
         seq = family_coefficients(FamilySpec.euler(), 20)
         D = compute_D(seq, 1, 20).D  # f's table, whatever r the route serves
-        monkeypatch.setattr(engine, "MAX_COMPOSITION_WORK", self.work(D, 12))
+        monkeypatch.setattr(witness, "MAX_COMPOSITION_WORK", self.work(D, 12))
 
         def must_not_run(*args, **kwargs):
             raise AssertionError("built the triangle past the work bound")
 
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "composition_numerators", must_not_run)
+            patch.setattr(witness, "composition_numerators", must_not_run)
             with pytest.raises(CombinatorialBlowupError, match="n_max=20: .* at n=13$"):
                 related_numbers_composition(seq, 2, 20)
         assert related_numbers_composition(seq, 2, 12).a == related_numbers_negative_power(
@@ -689,10 +693,11 @@ class TestCompositionWorkBound:
         assert table.a == related_numbers_negative_power(seq, 2, n).a
         assert cross_verify(seq, 2, n, cap=None).coverage[COMPOSITION] == n
         D = compute_D(seq, 1, 20).D
-        monkeypatch.setattr(engine, "MAX_COMPOSITION_WORK", self.work(D, 12))
-        for kernel in ("composition_numerators", "power_numerators",
-                       "negative_power_numerators", "determinant_numerators"):
-            monkeypatch.setattr(engine, kernel, fail)
+        monkeypatch.setattr(witness, "MAX_COMPOSITION_WORK", self.work(D, 12))
+        for owner, kernel in ((witness, "composition_numerators"), (engine, "power_numerators"),
+                              (engine, "negative_power_numerators"),
+                              (witness, "determinant_numerators")):
+            monkeypatch.setattr(owner, kernel, fail)
         for route in (related_numbers_composition, cross_verify):
             with pytest.raises(CombinatorialBlowupError, match="n_max=20: .* at n=13$"):
                 route(seq, 2, 20, cap=None)
@@ -909,6 +914,112 @@ class TestPackageSurface:
         ]
         assert unreached == []
 
+    @staticmethod
+    def module_tree(module):
+        import ast
+
+        return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+    def test_request_path_imports_nothing_from_witness(self):
+        import ast
+        from appellseq import arith, families
+
+        found = []
+        for module in (engine, series, families, arith):
+            for node in ast.walk(self.module_tree(module)):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [getattr(node, "module", None) or "",
+                             *(alias.name for alias in node.names)]
+                    if any(name.split(".")[-1] == "witness" for name in names):
+                        found.append(f"{module.__name__}: {ast.unparse(node)}")
+        assert found == []
+
+    def test_witness_reads_engine_by_attribute_and_no_private_name(self):
+        # `engine` comes in as a module, so a test that patches
+        # engine.<name> reaches the checks; names come only from `arith`,
+        # and no `x._y` is read outside `self`
+        import ast
+
+        found = []
+        for node in ast.walk(self.module_tree(witness)):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                if node.module != "arith":
+                    found.append(ast.unparse(node))
+            elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                if not node.attr.startswith("__") and ast.unparse(node.value) != "self":
+                    found.append(ast.unparse(node))
+        assert found == []
+
+    def test_no_witness_name_is_forwarded_from_engine(self):
+        # perfbench/spans.py's placeholder binds related_numbers_composition
+        # on engine to None; nothing else witness defines is on engine
+        import ast
+
+        defined = set()
+        for top in self.module_tree(witness).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(top.name)
+            elif isinstance(top, ast.Assign):
+                defined.update(t.id for t in top.targets if isinstance(t, ast.Name))
+        assert "cross_verify" in defined and "DEFAULT_COMPOSITION_CAP" in defined
+        assert "__getattr__" not in vars(engine)
+        assert {name: getattr(engine, name) for name in defined
+                if getattr(engine, name, None) is not None} == {}
+
+    def test_each_check_reads_only_its_row_of_the_request_path(self):
+        # A route's leg in `run_routes` is its entry in the `legs` dict, the
+        # `if ... in routes` blocks whose test names the route, and the
+        # functions of `witness` those call, followed to the end.  Its
+        # reads of the request path are its `engine.<name>` reads and its
+        # `seq.<name>` reads, as CoefficientSequence.<name>; they must be
+        # its row of `witness.READS`.  The rest of `run_routes` reads only
+        # the guards, the production route's name and seq.P.
+        import ast
+
+        tree = self.module_tree(witness)
+        defs = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+        run = defs.pop("run_routes")
+
+        def route(node):
+            return eval(ast.unparse(node), vars(witness))
+
+        legs = {}
+        for node in ast.walk(run):
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "legs":
+                for key, value in zip(node.value.keys, node.value.values):
+                    legs.setdefault(route(key), []).append(value)
+            elif isinstance(node, ast.If):
+                for test in ast.walk(node.test):
+                    if isinstance(test, ast.Compare) and ast.unparse(test).endswith(" in routes"):
+                        legs.setdefault(route(test.left), []).extend(node.body)
+        assert legs.keys() == witness.READS.keys()
+
+        def walk(node, skip=frozenset()):
+            if id(node) not in skip:
+                yield node
+                for child in ast.iter_child_nodes(node):
+                    yield from walk(child, skip)
+
+        def reads(roots, skip=frozenset()):
+            found, seen, todo = set(), set(), list(roots)
+            while todo:
+                for node in walk(todo.pop(), skip):
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                        owner = {"engine": "", "seq": "CoefficientSequence."}.get(node.value.id)
+                        if owner is not None:
+                            found.add(owner + node.attr)
+                    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                        if node.func.id in defs and node.func.id not in seen:
+                            seen.add(node.func.id)
+                            todo.append(defs[node.func.id])
+            return found
+
+        for name, nodes in legs.items():
+            assert reads(nodes) == set(witness.READS[name]), name
+        in_legs = {id(node) for nodes in legs.values() for node in nodes}
+        assert reads(run.body, in_legs) == {"check_order", "check_table", "NEGATIVE_POWER",
+                                         "CoefficientSequence.P"}
+
 
 class TestRecords:
     """The library's value records, as they behaved when they were frozen
@@ -1014,6 +1125,18 @@ class TestRecords:
          "takes from 2 to 5 positional arguments but 6 were given"),
         (lambda: CoefficientSequence(P=(1,), Q=2), TypeError,
          "got an unexpected keyword argument 'Q'"),
+        # floats and bools once passed, and == held between [4.0, 2.0, 1.0]
+        # over 4.0 and [4, 2, 1] over 4
+        (lambda: CoefficientSequence([1.0, 0.5, 0.25], 1.0), ValueError,
+         "numerators P_k and denominator L must be int"),
+        (lambda: CoefficientSequence([4.0, 2.0, 1.0], 4.0), ValueError,
+         "numerators P_k and denominator L must be int"),
+        (lambda: CoefficientSequence([2, 1], 2.0), ValueError,
+         "numerators P_k and denominator L must be int"),
+        (lambda: CoefficientSequence([True, 1], True), ValueError,
+         "numerators P_k and denominator L must be int"),
+        (lambda: CoefficientSequence([F(1), 1], 1), ValueError,
+         "numerators P_k and denominator L must be int"),
     ])
     def test_validation_errors(self, make, error, message):
         with pytest.raises(error) as info:

@@ -34,14 +34,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from appellseq.engine import (
-    composition_numerators,
-    determinant_numerators,
     negative_power_numerators,
     power_numerators,
     reduced_power_table,
 )
 from appellseq.families import FamilySpec, family_coefficients
 from appellseq.series import exponential_power_numerators
+from appellseq.witness import composition_numerators, determinant_numerators
 
 FAMILIES = (
     FamilySpec.bernoulli(),

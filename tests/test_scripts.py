@@ -53,3 +53,22 @@ def test_size_counts_each_module_and_the_total(capsys, monkeypatch, tmp_path):
         ["b.py", "5", "30", "6"],  # Module, Expr, Constant, FunctionDef, arguments, Pass
         ["total", "6", "36", "11"],
     ]
+
+
+def test_mutants_runs_the_unedited_tree_and_one_edit(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import mutants
+
+    assert mutants.missing(mutants.EDITS) == []
+    grid = {"families": [["bernoulli"], ["hyper_cauchy", 2, 3]], "orders": [1, 2],
+            "sizes": [12], "cap": 50}
+    edit = next(e for e in mutants.EDITS if e.breaks == "_reduced when 7 divides up")
+    assert mutants.table([edit], grid) == [
+        ("(no edit)", 0, 0, None, 0, 0),
+        ("series.py: _reduced when 7 divides up", 4, 4, 4, 0, 0),
+    ]
+    # an edit whose old text is gone stops the script before any run
+    gone = mutants.Edit("series.py", "no such text", "", "nothing")
+    monkeypatch.setattr(mutants, "EDITS", [edit, gone])
+    assert mutants.main() == 1
+    assert capsys.readouterr().err == "error: series.py does not hold 'no such text' exactly once\n"
