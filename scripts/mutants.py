@@ -14,7 +14,7 @@ tree's own row:
     first     the smallest n at which `--check` refused a wrong table
     d-rec     how many of the flagged wrong tables only the D-recurrence
               leg flagged: the report's tables without "recurrence"
-              agree, by cross-multiplication
+              agree (`witness.first_disagreement_pairs`)
     alarms    right tables that `--check` refused
 
 The script exits 1, before any run, when an edit's old text is not
@@ -88,24 +88,13 @@ GRID = {
 }
 
 
-def first_disagreement(pairs) -> Optional[int]:
-    """Smallest n at which two of the (num, den) tables differ, each
-    compared with the longest on the indices it has, or None."""
-    ref_num, ref_den = max(pairs, key=lambda pair: len(pair[0]))
-    firsts = (
-        next((n for n, (u, d, v, e) in enumerate(zip(num, den, ref_num, ref_den))
-              if u * e != v * d), None)
-        for num, den in pairs
-    )
-    return min((n for n in firsts if n is not None), default=None)
-
-
 def child() -> None:
     """Run the grid read from stdin with the appellseq on sys.path and
     print one JSON row per table: (family, r, n, the sha256 of its
     production values, the report's first mismatch, the first one
     without the D-recurrence table)."""
     from appellseq import FamilySpec, cross_verify, family_coefficients
+    from appellseq.witness import first_disagreement_pairs
 
     grid = json.load(sys.stdin)
     rows = []
@@ -115,9 +104,9 @@ def child() -> None:
                 seq = family_coefficients(FamilySpec(*family), n)
                 report = cross_verify(seq, r, n, cap=grid["cap"])
                 values = " ".join(map(str, map(Fraction, *report.pairs["negative-power"])))
-                pairs = [pair for name, pair in report.pairs.items() if name != "recurrence"]
+                pairs = {name: pair for name, pair in report.pairs.items() if name != "recurrence"}
                 rows.append([family, r, n, hashlib.sha256(values.encode()).hexdigest(),
-                             report.first_mismatch, first_disagreement(pairs)])
+                             report.first_mismatch, first_disagreement_pairs(pairs)])
     json.dump(rows, sys.stdout)
 
 
@@ -163,10 +152,10 @@ def tally(reference: list, rows: list) -> tuple:
     return wrong, flagged, first, d_rec, alarms
 
 
-def table(edits: list[Edit], grid: dict, workers: int = 2) -> list[tuple]:
+def table(edits: list[Edit], grid: dict) -> list[tuple]:
     """One (label, wrong, flagged, first, d-rec, alarms) per edit, after the
-    unedited tree's own row."""
-    with ThreadPoolExecutor(workers) as pool:
+    unedited tree's own row; two grids run at a time."""
+    with ThreadPoolExecutor(2) as pool:
         runs = list(pool.map(lambda edit: edited_rows(edit, grid), [None, *edits]))
     labels = ["(no edit)", *(f"{e.file}: {e.breaks}" for e in edits)]
     return [(label, *tally(runs[0], rows)) for label, rows in zip(labels, runs)]

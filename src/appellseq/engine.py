@@ -129,9 +129,8 @@ def compute_D(
     seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> PowerCoefficientTable:
     """Ordinary coefficients of f(t)^r: `reduced_power_table` as Fractions."""
-    return PowerCoefficientTable(
-        r, tuple(map(Fraction, *reduced_power_table(*power_numerators(seq, r, n_max))))
-    )
+    D = tuple(map(Fraction, *reduced_power_table(*power_numerators(seq, r, n_max))))
+    return PowerCoefficientTable(r=r, D=D)
 
 
 def power_numerators(

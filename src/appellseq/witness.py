@@ -349,10 +349,13 @@ def run_routes(
     )
 
 
-def _route_table(seq, r, n_max, route):
-    """`route`'s RelatedNumberTable alone, its composition leg whole,
-    each value reduced once."""
-    return engine.RelatedNumberTable(r, run_routes(seq, r, n_max, (route,)).table(route), route)
+def _route_table(
+    seq: engine.CoefficientSequence, r: int, n_max: Optional[int], route: str
+) -> engine.RelatedNumberTable:
+    """`route`'s table alone, its composition leg whole, each value
+    reduced once."""
+    a = run_routes(seq, r, n_max, (route,)).table(route)
+    return engine.RelatedNumberTable(r=r, a=a, algorithm=route)
 
 
 def _over_one(M: list[int], Q: int) -> tuple[list[int], list[int]]:

@@ -1520,3 +1520,13 @@ class TestReadmeFlags:
         stated = {int(x.replace(" ", "")) for x in grouped}
         assert stated == {cli.MAX_N, cli.MAX_ORDER_WORK, cli.MAX_COMPOSITION_WORK,
                           cli.MAX_BENCH_WORK}
+
+    def test_route_table_is_witness_reads(self):
+        # the rows of README's "reads from `engine`" table, route by route
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme[readme.index("| route | reads from `engine` |") :].split("\n\n")[0]
+        documented = {
+            route.strip(): tuple(re.findall(r"`([\w.]+)`", names))
+            for route, names in re.findall(r"^\| (\S+) \|(.*)\|$", table, re.M)[1:]
+        }
+        assert documented == witness.READS
