@@ -49,7 +49,9 @@ class Edit(NamedTuple):
 
 
 # the `series.py` edits hit the Miller loop's forms; the `families.py`
-# edit makes hyper-Cauchy's d_151 onward wrong, an input every route reads
+# edit makes hyper-Cauchy's d_151 onward wrong, an input every route reads,
+# and the `engine.py` edit makes d_170 wrong as `CoefficientSequence.prefix`
+# hands it to every route
 EDITS = [
     Edit("series.py", "H[n - 1 : n + 8]", "H[n : n + 8]",
          "_miller re-lift look-ahead"),
@@ -73,6 +75,9 @@ EDITS = [
          "_reduced when 7 divides up"),
     Edit("families.py", "top *= m + k\n    else:", "top *= m + k + (k == 150)\n    else:",
          "hyper-Cauchy input d_151.."),
+    Edit("engine.py", "return [p // g for p in P], self.L // g",
+         "return [p // g + (k == 170) for k, p in enumerate(P)], self.L // g",
+         "prefix output at k = 170"),
 ]
 
 # FamilySpec arguments, orders, sizes and the composition cap: six

@@ -6,63 +6,44 @@ order r are defined by 1 / f(t)^r = sum_n a_n^(r) t^n / n!, and the
 attached polynomials are A_n^(r)(z) = sum_m binom(n, m) a_m^(r) z^(n-m).
 Four routes compute the same numbers and are cross-checked; the
 docstring of `appellseq.witness` lists them.
-"""
 
-from .arith import format_rational, parse_rational
-from .engine import (
-    AppellPolynomial,
-    CoefficientSequence,
-    NormalizationError,
-    PowerCoefficientTable,
-    RelatedNumberTable,
-    appell_polynomial,
-    compute_D,
-    polynomial_eval,
-    related_numbers_negative_power,
-)
-from .families import (
-    FamilySpec,
-    family_coefficients,
-    load_custom_family,
-)
-from .series import (
-    NotInvertibleError,
-    TruncatedSeries,
-)
-from .witness import (
-    DEFAULT_COMPOSITION_CAP,
-    CombinatorialBlowupError,
-    VerificationReport,
-    cross_verify,
-    related_numbers_composition,
-    related_numbers_determinant,
-    related_numbers_recurrence,
-)
+The package has three layers: the request path (`arith`, `series`,
+`engine`, `families`, with `cli` on top), the checks (`witness`) and the
+library's extras (`library`).  Each public name is imported from its
+module when it is first read (PEP 562), so `import appellseq.cli` loads
+the request path alone.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AppellPolynomial",
-    "CoefficientSequence",
-    "CombinatorialBlowupError",
-    "DEFAULT_COMPOSITION_CAP",
-    "FamilySpec",
-    "NormalizationError",
-    "NotInvertibleError",
-    "PowerCoefficientTable",
-    "RelatedNumberTable",
-    "TruncatedSeries",
-    "VerificationReport",
-    "appell_polynomial",
-    "compute_D",
-    "cross_verify",
-    "family_coefficients",
-    "format_rational",
-    "load_custom_family",
-    "parse_rational",
-    "polynomial_eval",
-    "related_numbers_composition",
-    "related_numbers_determinant",
-    "related_numbers_negative_power",
-    "related_numbers_recurrence",
-]
+# the module each public name lives in
+_HOME = {
+    name: module
+    for module, names in (
+        ("arith", "DEFAULT_COMPOSITION_CAP format_rational parse_rational"),
+        ("engine", "CoefficientSequence NormalizationError RelatedNumberTable"),
+        ("families", "FamilySpec family_coefficients load_custom_family"),
+        ("library", "AppellPolynomial NotInvertibleError PowerCoefficientTable TruncatedSeries "
+                    "appell_polynomial compute_D polynomial_eval related_numbers_negative_power"),
+        ("witness", "CombinatorialBlowupError VerificationReport cross_verify "
+                    "related_numbers_composition related_numbers_determinant "
+                    "related_numbers_recurrence"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """A name of `__all__`, read from its module on first use."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    globals()[name] = value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

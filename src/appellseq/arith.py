@@ -2,8 +2,9 @@
 ("p/q" strings, parsed to a `Fraction` and printed from a Fraction or an
 integer pair), the lift of rationals to integer numerators over one
 denominator, the factorial prefix 0!..n!, the integer convolution, the
-kernels' per-call statistics, and `Record`, the immutable value base of
-the package's records and of `series.TruncatedSeries`.
+kernels' per-call statistics, `Record`, the immutable value base of the
+package's records, and the composition witness's cap and work bound,
+which the command line states in its `--cap` help.
 """
 
 from __future__ import annotations
@@ -22,6 +23,17 @@ from typing import Any, Callable, MutableMapping, Optional, Sequence
 #: "steps", one row appended to it per output index n: (seconds since the
 #: kernel started when a_n was known, this call's running peak bits).
 StatsDict = MutableMapping[str, Any]
+
+#: Largest n the composition route serves by default: its power triangle
+#: costs O(n^3) products of numbers that grow with n.
+DEFAULT_COMPOSITION_CAP = 50
+
+#: Largest n * bit_length(max_e |N_e|) the composition route takes on, where
+#: N_e are f's d_1/1!..d_n/n! lifted to integers over one denominator: the
+#: triangle's products grow with those bits as well as with n, and r adds
+#: only the weights C(r+k-1, k).  Past it, a whole composition table is
+#: refused and `--check` takes the composition leg to the largest n inside it.
+MAX_COMPOSITION_WORK = 2**18
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
 

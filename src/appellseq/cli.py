@@ -4,6 +4,8 @@ and run the per-n kernel micro-benchmark.
 `compute` and `poly` print the production route's table; `compute
 --check` first verifies it against every witness.  Exit codes: 0 success,
 2 usage or configuration error, 4 cross-verification or kernel mismatch.
+Importing this module loads the request path alone: `witness` is
+imported when `compute --check` or `bench` runs, and `library` never.
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from . import engine, families, witness
-from .arith import format_ratio, format_rational, parse_rational
-from .engine import (  # unused here; perfbench/spans.py wraps cli.<name>
-    appell_polynomial,
-    polynomial_eval,
+from . import engine, families
+from .arith import (
+    DEFAULT_COMPOSITION_CAP,
+    MAX_COMPOSITION_WORK,
+    format_ratio,
+    format_rational,
+    parse_rational,
 )
 from .families import FamilySpec, family_coefficients, load_custom_family
-from .witness import DEFAULT_COMPOSITION_CAP, MAX_COMPOSITION_WORK, cross_verify
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -184,6 +187,26 @@ def config_from_args(args: argparse.Namespace) -> tuple[FamilySpec, int]:
     return family, order_bits + family_bits
 
 
+def cross_verify(seq, r, n_max=None, cap=DEFAULT_COMPOSITION_CAP):
+    """`witness.cross_verify`, `witness` imported on first use: the name
+    that perfbench/spans.py wraps and `cmd_compute` calls; tracer glue
+    that ROADMAP item 1 deletes."""
+    from . import witness
+
+    return witness.cross_verify(seq, r, n_max, cap)
+
+
+def __getattr__(name: str):
+    """`cli.appell_polynomial` and `cli.polynomial_eval`, which
+    perfbench/spans.py wraps, from `library` on first use; tracer glue
+    that ROADMAP item 1 deletes."""
+    if name in ("appell_polynomial", "polynomial_eval"):
+        from . import library
+
+        return getattr(library, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     family, _ = config_from_args(args)
     seq = family_coefficients(family, args.n)
@@ -278,6 +301,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     found as `--check` finds it, no timings are printed.  Past
     MAX_BENCH_WORK, and then past MAX_BENCH_N, a request is refused
     before any work."""
+    from . import witness
+
     family, bits = config_from_args(args)
     n_max, r = args.n, args.order
     if n_max**2 * bits > MAX_BENCH_WORK:

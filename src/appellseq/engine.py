@@ -13,15 +13,15 @@ are the exponential coefficients of e^(zt)/f(t)^r.  With the classical
 choices of f this machinery produces Bernoulli, Euler and (hypergeometric)
 Cauchy numbers and polynomials.
 
-The production route, `related_numbers_negative_power`, is a_n = n! [t^n]
+The production route, `negative_power_numerators`, is a_n = n! [t^n]
 f^(-r): one pass of J.C.P. Miller's recurrence on the (P, L) of
-d_0..d_{n_max}, giving a_n = M_n / Q (`negative_power_numerators`).
-D_r(e) = [t^e] f(t)^r comes from the same loop at the power r
-(`power_numerators`).  Both hand back integer numerators over one
-denominator; the CLI prints each value from them, and only the library's
-tables are reduced to Fractions, on demand.  The checks that `--check`
-runs beside this route, the paper's two explicit expressions among them,
-live in `witness`, which reads this module only as `engine.<name>`.
+d_0..d_{n_max}, giving a_n = M_n / Q.  D_r(e) = [t^e] f(t)^r comes from
+the same loop at the power r (`power_numerators`).  Both hand back
+integer numerators over one denominator; the CLI prints each value from
+them, and only `library`'s tables are reduced to Fractions, on demand.
+The checks that `--check` runs beside this route, the paper's two
+explicit expressions among them, live in `witness`, which reads this
+module only as `engine.<name>`.
 """
 
 from __future__ import annotations
@@ -31,10 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .arith import Record, StatsDict, factorials, format_ratio, lift
-from .series import (  # TruncatedSeries for perfbench/spans.py
-    TruncatedSeries,
-    exponential_power_numerators,
-)
+from .series import exponential_power_numerators
 
 NEGATIVE_POWER = "negative-power"
 
@@ -82,22 +79,6 @@ class CoefficientSequence(Record):
         return len(self.P) - 1
 
 
-class PowerCoefficientTable(Record):
-    """D_r(e) = [t^e] f(t)^r for e = 0..n_max (ordinary coefficients)."""
-
-    __slots__ = ("r", "D")
-
-    def __init__(self, r: int, D: Sequence[Fraction]):
-        check_order(r)
-        if not D or D[0] != 1:
-            raise ValueError("D_r(0) must be 1 for a normalized sequence")
-        Record.__init__(self, r, tuple(D))
-
-    @property
-    def n_max(self) -> int:
-        return len(self.D) - 1
-
-
 class RelatedNumberTable(Record):
     """a_n^(r) for n = 0..n_max, tagged with the algorithm that made it."""
 
@@ -112,25 +93,6 @@ class RelatedNumberTable(Record):
     @property
     def n_max(self) -> int:
         return len(self.a) - 1
-
-
-class AppellPolynomial(Record):
-    """A_n^(r)(z) as the coefficient vector of z^0..z^n (ascending)."""
-
-    __slots__ = ("n", "r", "coeffs_in_z")
-
-    def __init__(self, n: int, r: int, coeffs_in_z: Sequence[Fraction]):
-        if len(coeffs_in_z) != n + 1:
-            raise ValueError("coefficient vector must have length n + 1")
-        Record.__init__(self, n, r, tuple(coeffs_in_z))
-
-
-def compute_D(
-    seq: CoefficientSequence, r: int, n_max: Optional[int] = None
-) -> PowerCoefficientTable:
-    """Ordinary coefficients of f(t)^r: `reduced_power_table` as Fractions."""
-    D = tuple(map(Fraction, *reduced_power_table(*power_numerators(seq, r, n_max))))
-    return PowerCoefficientTable(r=r, D=D)
 
 
 def power_numerators(
@@ -179,13 +141,14 @@ related_numbers_inversion = related_numbers_composition = None
 recurrence_values = hessenberg_leading_minors = bareiss_det = compositions = None
 
 
-def related_numbers_negative_power(
-    seq: CoefficientSequence, r: int, n_max: Optional[int] = None
-) -> RelatedNumberTable:
-    """Production path: a_n^(r) = n! [t^n] f^(-r), Miller's loop on
-    d_0..d_{n_max} themselves, each value reduced once."""
-    M, Q = negative_power_numerators(seq, r, n_max)
-    return RelatedNumberTable(r, [Fraction(m, Q) for m in M], NEGATIVE_POWER)
+def __getattr__(name: str):
+    """`engine.TruncatedSeries`, which perfbench/spans.py wraps, from
+    `library` on first use; tracer glue that ROADMAP item 1 deletes."""
+    if name == "TruncatedSeries":
+        from .library import TruncatedSeries
+
+        return TruncatedSeries
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def negative_power_numerators(
@@ -218,20 +181,3 @@ def horner_numerator(N: Sequence[int], p: int, q: int) -> int:
         q_pow *= q
         acc = acc * p + c * q_pow
     return acc
-
-
-def appell_polynomial(table: RelatedNumberTable, n: int) -> AppellPolynomial:
-    """A_n^(r)(z) = sum_m C(n, m) a_m z^(n-m) from a computed table."""
-    if n < 0 or n > table.n_max:
-        raise ValueError(f"degree {n} outside the table range 0..{table.n_max}")
-    Q, A = lift(table.a[: n + 1])
-    coeffs = tuple(Fraction(c, Q) for c in appell_numerators(A, n))
-    return AppellPolynomial(n=n, r=table.r, coeffs_in_z=coeffs)
-
-
-def polynomial_eval(p: AppellPolynomial, z) -> Fraction:
-    """Exact value of the polynomial at a rational point: integer Horner
-    over the common denominator of its coefficients, reduced once."""
-    z = Fraction(z)
-    Q, N = lift(p.coeffs_in_z)
-    return Fraction(horner_numerator(N, z.numerator, z.denominator), Q * z.denominator**p.n)

@@ -1,19 +1,12 @@
-"""Truncated formal power series over exact rationals.
+"""The package's one Miller loop: the exponential coefficients of f^r,
+for any integer r, as integer numerators over one denominator.
 
-A TruncatedSeries holds the ordinary coefficients c_0..c_K of a formal
-power series known through degree K (the truncation order).  Nothing past
-K is ever fabricated: every binary operation truncates its result to the
-shorter operand, so precision loss is explicit rather than silent.
-
-The series here carry exponential generating functions in ordinary form:
-a sequence d_n with EGF sum(d_n t^n / n!) is stored as c_n = d_n / n!.
-Ordinary coefficients are the natural carrier for the Hasse-Teichmueller
-derivative H^(n), which maps c_m t^m to c_m C(m, n) t^(m-n), and for the
-determinant entries derived from it.  `**` and `inverse` run the
-package's one integer Miller loop, stated in `exponential_power_numerators`;
-on a flat input its steps are sums on a difference table, stated in
-`_seidel`, and on a long hyper-Cauchy-like input they run on the ordinary
-coefficients themselves, by Horner's rule (`_ordinary`).
+`exponential_power_numerators` states the loop; on a flat input its
+steps are sums on a difference table, stated in `_seidel`, and on a long
+hyper-Cauchy-like input they run on the ordinary coefficients themselves,
+by Horner's rule (`_ordinary`).  `engine` runs it on a family's (P, L);
+`library.TruncatedSeries` and `library.exponential_power` run it on
+rationals.
 """
 
 from __future__ import annotations
@@ -22,128 +15,16 @@ import math
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import add, mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .arith import Record, StatsDict, convolve, factorials, lift, step_rows
-
-Scalar = Union[Fraction, int]
-
-
-class NotInvertibleError(ZeroDivisionError):
-    """Inversion of a series whose constant term is zero."""
-
-
-class TruncatedSeries(Record):
-    """Immutable prefix c_0..c_K of a formal power series over Fraction:
-    a `Record` over `coeffs`, but not hashable."""
-
-    __slots__ = ("coeffs",)
-    __hash__ = None
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(map(Fraction, coeffs))
-        if not cs:
-            raise ValueError("a truncated series needs at least its constant term")
-        Record.__init__(self, cs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        """Forget coefficients past `order` (a no-op if already shorter)."""
-        if order < 0:
-            raise ValueError(f"truncation order must be >= 0, got {order}")
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries([{', '.join(map(str, self.coeffs))}])"
-
-    def __neg__(self) -> "TruncatedSeries":
-        return self * -1
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return TruncatedSeries(map(add, self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + -other if isinstance(other, TruncatedSeries) else NotImplemented
-
-    def __mul__(self, other: Union["TruncatedSeries", Scalar]) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            (la, a), (lb, b) = lift(self.coeffs), lift(other.coeffs)
-            L = la * lb
-            return TruncatedSeries(Fraction(x, L) for x in convolve(a, b, min(len(a), len(b))))
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(x * other for x in self.coeffs)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, r: int) -> "TruncatedSeries":
-        """f^r for any integer r, the order K kept.  With c_v the first
-        nonzero coefficient, f^r = c_v^r t^(v r) (f / (c_v t^v))^r, whose
-        ordinary coefficients are G_n / n! for G the `exponential_power`
-        of F_k = k! c_(v+k) / c_v; a zero c_0 needs r >= 0
-        (NotInvertibleError otherwise)."""
-        if not isinstance(r, int):
-            raise ValueError(f"series power needs an integer exponent, got {r!r}")
-        if r == 0:
-            return TruncatedSeries([1] + [0] * self.order)
-        if r == 1:
-            return self
-        c = self.coeffs
-        v = next((i for i, x in enumerate(c) if x), len(c))
-        if r < 0 and v:
-            raise NotInvertibleError("series with zero constant term has no negative power")
-        K = len(c) - v * r  # the terms of (f / (c_v t^v))^r inside the order
-        if K <= 0:
-            return TruncatedSeries([0] * len(c))
-        fact = factorials(K - 1)
-        M, Q = exponential_power([x * f / c[v] for x, f in zip(c[v:], fact)], r)
-        scale = c[v] ** r / Q
-        return TruncatedSeries([0] * (v * r) + [scale * m / f for m, f in zip(M, fact)])
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse up to the truncation order: the power -1."""
-        return self**-1
-
-    def ht(self, n: int) -> "TruncatedSeries":
-        """Hasse-Teichmueller derivative of order n.
-
-        Maps c_m t^m to c_m C(m, n) t^(m-n); equals (1/n!) d^n/dt^n in
-        characteristic zero.  The truncation order drops by n (floored at
-        zero when the whole known prefix is consumed).
-        """
-        if n < 0:
-            raise ValueError(f"derivative order must be >= 0, got {n}")
-        if n == 0:
-            return self
-        return TruncatedSeries(
-            [c * math.comb(m, n) for m, c in enumerate(self.coeffs[n:], n)] or [0]
-        )
-
-
-def exponential_power(
-    F: Sequence[Scalar], r: int, stats: Optional[StatsDict] = None
-) -> tuple[list[int], int]:
-    """G = F^r for rationals F_0 = 1, F_1, ..., F_K as (M, Q), G_n = M_n / Q
-    with Q = lcm(den G_0..G_K): `exponential_power_numerators` on F lifted
-    to integer numerators over L = lcm(den F)."""
-    L, P = lift(F)
-    return exponential_power_numerators(P, L, r, stats)
+from .arith import StatsDict, step_rows
 
 
 def exponential_power_numerators(
     P: Sequence[int], L: int, r: int, stats: Optional[StatsDict] = None
 ) -> tuple[list[int], int]:
-    """`exponential_power` of F_k = P_k / L (L > 0, P_0 = L so F_0 = 1),
-    as (M, Q): G_n = M_n / Q.  For r != 1, Q = lcm(den G_0..G_K) whatever
+    """G = F^r for F_k = P_k / L (L > 0, P_0 = L so F_0 = 1), as (M, Q):
+    G_n = M_n / Q.  For r != 1, Q = lcm(den G_0..G_K) whatever
     L is; at r = 1 the result is (P, L) itself.
 
     The package's one Miller loop.  For g = f^r with f_0 = 1, f g' = r f' g

@@ -32,7 +32,15 @@ from operator import add, mul
 from typing import Mapping, Optional, Sequence
 
 from . import engine
-from .arith import Record, StatsDict, convolve, factorials, step_rows
+from .arith import (
+    DEFAULT_COMPOSITION_CAP,
+    MAX_COMPOSITION_WORK,
+    Record,
+    StatsDict,
+    convolve,
+    factorials,
+    step_rows,
+)
 
 RECURRENCE = "recurrence"
 COMPOSITION = "composition"
@@ -50,17 +58,6 @@ READS = {
     COMPOSITION: ("CoefficientSequence.prefix", "reduced_power_table"),
     engine.NEGATIVE_POWER: ("negative_power_numerators",),
 }
-
-#: Largest n the composition route serves by default: its power triangle
-#: costs O(n^3) products of numbers that grow with n.
-DEFAULT_COMPOSITION_CAP = 50
-
-#: Largest n * bit_length(max_e |N_e|) the composition route takes on, where
-#: N_e are f's d_1/1!..d_n/n! lifted to integers over one denominator: the
-#: triangle's products grow with those bits as well as with n, and r adds
-#: only the weights C(r+k-1, k).  Past it, a whole composition table is
-#: refused and `--check` takes the composition leg to the largest n inside it.
-MAX_COMPOSITION_WORK = 2**18
 
 
 class CombinatorialBlowupError(ValueError):

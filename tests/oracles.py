@@ -6,7 +6,7 @@ second, dumber route to every quantity under test.  The exceptions are
 the power-sum checks, whose right sides are the package's Bernoulli and
 Euler tables under test, set against a direct summation, and the
 D-recurrence adapters `recurrence_values` and `hessenberg_leading_minors`,
-which run the package's Miller loop (`series.exponential_power`) on a
+which run the package's Miller loop (`library.exponential_power`) on a
 D table, for the tests that set it against the determinant kernels and
 the composition sum.
 """
@@ -19,9 +19,13 @@ from math import factorial
 from operator import add, mul
 from typing import Iterator, Optional
 
-from appellseq.engine import appell_polynomial, polynomial_eval
 from appellseq.families import HYPER_BERNOULLI, FamilySpec, family_coefficients
-from appellseq.series import TruncatedSeries, exponential_power
+from appellseq.library import (
+    TruncatedSeries,
+    appell_polynomial,
+    exponential_power,
+    polynomial_eval,
+)
 from appellseq.witness import (
     DEFAULT_COMPOSITION_CAP,
     CombinatorialBlowupError,

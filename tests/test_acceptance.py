@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from appellseq.engine import (
-    CoefficientSequence,
+from appellseq.engine import CoefficientSequence
+from appellseq.library import (
     appell_polynomial,
     compute_D,
     polynomial_eval,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from appellseq import cli, engine, series, witness
+from appellseq import cli, engine, library, series, witness
 from appellseq.families import FamilySpec, family_coefficients
 from appellseq.witness import VerificationReport
 
@@ -191,7 +191,7 @@ class TestComputeCommand:
             raise AssertionError("built D_r for a plain request")
 
         calls = self.count_miller_loops(monkeypatch)
-        monkeypatch.setattr(engine, "compute_D", must_not_run)
+        monkeypatch.setattr(library, "compute_D", must_not_run)
         for argv in (
             ("compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "3",
              "--order", "3", "--n", "8"),
@@ -206,7 +206,7 @@ class TestComputeCommand:
         def must_not_run(*args, **kwargs):
             raise AssertionError("a request built a TruncatedSeries")
 
-        monkeypatch.setattr(series.TruncatedSeries, "__init__", must_not_run)
+        monkeypatch.setattr(library.TruncatedSeries, "__init__", must_not_run)
         family = ("--family", "hyper-cauchy", "--m", "2", "--nn", "3", "--n", "8")
         for r in ("1", "2"):
             for extra in (
@@ -1075,14 +1075,14 @@ class TestOutputPastTheDigitLimit:
 
     def expected(self):
         seq = family_coefficients(FamilySpec.euler(), 4)
-        table = engine.related_numbers_negative_power(seq, self.ORDER, 4)
-        poly = engine.appell_polynomial(table, 4)
+        table = library.related_numbers_negative_power(seq, self.ORDER, 4)
+        poly = library.appell_polynomial(table, 4)
         with int_digit_limit(0):
             assert len(str(table.a[4].numerator)) > 4300
             return (
                 [str(v) for v in table.a],
                 [str(c) for c in poly.coeffs_in_z],
-                str(engine.polynomial_eval(poly, 1)),
+                str(library.polynomial_eval(poly, 1)),
             )
 
     def test_compute_and_poly_in_every_format(self, capsys):
@@ -1141,7 +1141,7 @@ class TestOutputPastTheDigitLimit:
             return str(F(num, den))
 
         seq = family_coefficients(FamilySpec.euler(), 4)
-        values = engine.related_numbers_negative_power(seq, 1, 4).a
+        values = library.related_numbers_negative_power(seq, 1, 4).a
         monkeypatch.setattr(cli, "format_ratio", fail_on_the_last)
         for fmt in ("csv", "json", "pretty"):
             code, out, err = run(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from appellseq import engine, series
 from appellseq.arith import factorials
-from appellseq.engine import compute_D
+from appellseq.library import compute_D
 from appellseq.families import FamilySpec, family_coefficients
 from appellseq.witness import determinant_numerators, related_numbers_recurrence
 

@@ -40,18 +40,25 @@ def test_size_counts_each_module_and_the_total(capsys, monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     import size
 
-    (tmp_path / "a.py").write_text("x = 1\n")  # Module, Assign, Name, Store, Constant
-    (tmp_path / "b.py").write_text('"""doc"""\n\n\ndef f():\n    pass\n')
     assert size.main() == 0  # the package itself
-    assert capsys.readouterr().out.splitlines()[-1].split()[0] == "total"
-    monkeypatch.setattr(size, "PACKAGE", tmp_path)
+    *_, total, plain = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert total[0] == "total" and plain[:2] == ["plain", "path"]
+    assert 0 < int(plain[-1]) < int(total[-1])
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text("x = 1\n")  # Module, Assign, Name, Store, Constant
+    (package / "b.py").write_text('"""doc"""\n\n\ndef f():\n    pass\n')
+    (package / "cli.py").write_text("from . import a\n")  # Module, ImportFrom, alias
+    monkeypatch.setattr(size, "PACKAGE", package)
     assert size.main() == 0
     head, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert head == ["module", "lines", "bytes", "nodes"]
     assert rows == [
         ["a.py", "1", "6", "5"],
         ["b.py", "5", "30", "6"],  # Module, Expr, Constant, FunctionDef, arguments, Pass
-        ["total", "6", "36", "11"],
+        ["cli.py", "1", "16", "3"],
+        ["total", "7", "52", "14"],
+        ["plain", "path", "2", "22", "8"],  # a.py and cli.py: `import pkg.cli` loads them
     ]
 
 

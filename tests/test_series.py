@@ -12,16 +12,14 @@ from appellseq.engine import power_numerators
 from appellseq.families import FamilySpec, family_coefficients
 from appellseq import engine, series
 from appellseq.arith import lift
+from appellseq.library import NotInvertibleError, TruncatedSeries, exponential_power
 from appellseq.series import (
     SHIFT_MAX,
     SHIFT_MIN_TERMS,
-    NotInvertibleError,
-    TruncatedSeries,
     _miller,
     _ordinary,
     _seidel,
     _shift,
-    exponential_power,
     exponential_power_numerators,
 )
 
