@@ -851,18 +851,28 @@ class TestPackageSurface:
         ):
             assert name not in appellseq.__all__, name
 
-    def test_cli_import_loads_no_dataclasses_inspect_or_pathlib(self):
-        # a fresh interpreter, since pytest itself imports dataclasses, and
-        # without site, whose .pth files may import pathlib
+    @staticmethod
+    def loaded_after(*argvs):
+        """The modules a fresh interpreter holds after `import appellseq.cli`
+        and `cli.main` on each argv: fresh, since pytest itself imports
+        dataclasses, and without site, whose .pth files may import pathlib."""
         import appellseq
 
         src = str(Path(appellseq.__file__).resolve().parents[1])
-        code = "import sys, appellseq.cli; print(*sorted(sys.modules))"
+        code = (
+            "import sys, appellseq.cli\n"
+            f"for argv in {[list(argv) for argv in argvs]!r}:\n"
+            "    assert appellseq.cli.main(argv) == 0, argv\n"
+            "print(*sorted(sys.modules), file=sys.stderr)"
+        )
         result = subprocess.run(
             [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, check=True,
         )
-        loaded = set(result.stdout.split())
+        return set(result.stderr.split())
+
+    def test_cli_import_loads_no_dataclasses_inspect_or_pathlib(self):
+        loaded = self.loaded_after()
         assert "appellseq.cli" in loaded
         assert not loaded & {"dataclasses", "inspect", "pathlib"}, loaded
 
@@ -925,68 +935,34 @@ class TestPackageSurface:
         return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
 
     def test_request_path_imports_nothing_from_witness(self):
-        import ast
-        from appellseq import arith, families
-
-        found = []
-        for module in (engine, series, families, arith):
-            for node in ast.walk(self.module_tree(module)):
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
-                    names = [getattr(node, "module", None) or "",
-                             *(alias.name for alias in node.names)]
-                    if any(name.split(".")[-1] == "witness" for name in names):
-                        found.append(f"{module.__name__}: {ast.unparse(node)}")
-        assert found == []
-
-    def test_no_lower_layer_imports_from_library(self):
-        # `library` sits on top of the request path and beside `witness`;
-        # the one exception is engine's __getattr__, which hands
-        # perfbench/spans.py library's TruncatedSeries
+        # nor from library, and witness nothing from library
         import ast
         from appellseq import arith, families
 
         found = []
         for module in (engine, series, families, arith, witness):
-            tree = self.module_tree(module)
-            if module is engine:  # the tracer glue
-                tree.body = [top for top in tree.body if getattr(top, "name", "") != "__getattr__"]
-            for node in ast.walk(tree):
+            banned = {"library"} if module is witness else {"witness", "library"}
+            for node in ast.walk(self.module_tree(module)):
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     names = [getattr(node, "module", None) or "",
                              *(alias.name for alias in node.names)]
-                    if any(name.split(".")[-1] == "library" for name in names):
+                    if any(name.split(".")[-1] in banned for name in names):
                         found.append(f"{module.__name__}: {ast.unparse(node)}")
-        assert found == []
-
-    @staticmethod
-    def loaded_after(*argvs):
-        """The appellseq modules a fresh interpreter holds after `import
-        appellseq.cli` and `cli.main` on each argv; without site, as in
-        test_cli_import_loads_no_dataclasses_inspect_or_pathlib."""
-        import appellseq
-
-        src = str(Path(appellseq.__file__).resolve().parents[1])
-        code = (
-            "import sys, appellseq.cli\n"
-            f"for argv in {[list(argv) for argv in argvs]!r}:\n"
-            "    assert appellseq.cli.main(argv) == 0, argv\n"
-            "print(*sorted(m for m in sys.modules if m.startswith('appellseq')), "
-            "file=sys.stderr)"
-        )
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True, check=True,
-        )
-        return set(result.stderr.split())
+        # but engine's __getattr__, tracer glue that ROADMAP item 1 deletes,
+        # which hands perfbench/spans.py library's TruncatedSeries
+        assert found == ["appellseq.engine: from .library import TruncatedSeries"]
 
     def test_plain_requests_load_only_the_request_path(self):
+        def package(*argvs):
+            return {m for m in self.loaded_after(*argvs) if m.partition(".")[0] == "appellseq"}
+
         path = {f"appellseq.{m}" for m in ("arith", "series", "engine", "families", "cli")}
-        assert self.loaded_after() == {"appellseq", *path}
+        assert package() == {"appellseq", *path}
         family = ["--family", "hyper-cauchy", "--m", "2", "--nn", "3", "--order", "2"]
         plain = (["compute", *family, "--n", "12"], ["poly", *family, "--n", "6", "--z", "1/3"])
-        assert self.loaded_after(*plain) == {"appellseq", *path}
+        assert package(*plain) == {"appellseq", *path}
         for argv in (["compute", *family, "--n", "12", "--check"], ["bench", *family, "--n", "6"]):
-            assert self.loaded_after(argv) == {"appellseq", "appellseq.witness", *path}, argv
+            assert package(argv) == {"appellseq", "appellseq.witness", *path}, argv
 
     def test_every_public_name_resolves_to_its_home(self):
         import appellseq
