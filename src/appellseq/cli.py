@@ -114,9 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_COMPOSITION_CAP,
         help=(
-            f"how far --check takes the composition witness (default "
-            f"{DEFAULT_COMPOSITION_CAP}); it also stops where n times the bit "
-            f"length of its lifted d_e/e! passes {MAX_COMPOSITION_WORK}"
+            f"how far --check takes both witnesses, Bareiss and the composition "
+            f"sum (default {DEFAULT_COMPOSITION_CAP}); the composition sum also "
+            f"stops where n times the bit length of its lifted d_e/e! passes "
+            f"{MAX_COMPOSITION_WORK}"
         ),
     )
     p_compute.add_argument(
@@ -125,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument(
         "--check",
         action="store_true",
-        help="cross-verify all algorithms and fail on any disagreement",
+        help="prove the table by its defining identity, cross-verify it with the "
+        "witnesses and fail on any disagreement",
     )
     p_compute.set_defaults(func=cmd_compute)
 
@@ -137,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--format", dest="fmt", choices=["json", "pretty"], default="pretty")
     p_poly.set_defaults(func=cmd_poly)
 
-    p_bench = sub.add_parser("bench", help="time the production route, Bareiss and (r >= 2) "
-                             "the D_r recurrence in one run to N, with a row at each n")
+    p_bench = sub.add_parser("bench", help="time the production route and Bareiss in one run "
+                             "to N, with a row at each n")
     add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -296,9 +298,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """CSV of the seconds into its run and the running peak bits at each n
     of each kernel that `--check` runs but the composition sum, from one
     `witness.run_routes` to --n and the kernels' "steps" rows, then the
-    production value.  The kernels are the production route's, Bareiss's
-    and, for r >= 2, the paper's D_r recurrence.  On any disagreement,
-    found as `--check` finds it, no timings are printed.  Past
+    production value.  The kernels are the production route's and
+    Bareiss's.  On any failure, found as `--check` finds it, no timings
+    are printed.  Past
     MAX_BENCH_WORK, and then past MAX_BENCH_N, a request is refused
     before any work."""
     from . import witness
@@ -312,9 +314,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     if n_max > MAX_BENCH_N:
         raise ValueError(f"bench --n must be <= {MAX_BENCH_N}, got {n_max}")
-    columns = {"negative_power": engine.NEGATIVE_POWER, "bareiss": witness.DETERMINANT_BAREISS,
-               "recurrence": witness.RECURRENCE}
-    kernels = {k: route for k, route in columns.items() if route in witness.check_routes(r)}
+    kernels = {"negative_power": engine.NEGATIVE_POWER, "bareiss": witness.DETERMINANT_BAREISS}
     stats = {route: {"steps": []} for route in kernels.values()}
     report = witness.run_routes(family_coefficients(family, n_max), r, n_max, tuple(stats),
                                 stats=stats)
@@ -322,8 +322,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if n is not None:
         detail = ", ".join(f"{k}={format_ratio(pairs[route][0][n], pairs[route][1][n])}"
                            for k, route in kernels.items())
-        print(f"error: kernel disagreement at n={n}: {detail}; refusing to emit timings",
-              file=sys.stderr)
+        print(f"error: {report.describe()}: {detail}; refusing to emit timings", file=sys.stderr)
         return EXIT_MISMATCH
     lines = [",".join(["n", *(f"{k}_seconds,{k}_max_num_bits" for k in kernels), "value"])]
     for n, value in enumerate(map(format_ratio, *pairs[engine.NEGATIVE_POWER])):

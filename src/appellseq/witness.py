@@ -1,13 +1,16 @@
 """The checks that `--check` runs beside the production table, and how
 they are compared.
 
-Four routes compute the same table a_0..a_{n_max}:
+`identity_reach` proves the production table: it checks the equation
+that defines f^(-r) on the table and f's own numerators.  Four routes
+compute the same table a_0..a_{n_max}:
 
 * the production route, `engine.negative_power_numerators`: a_n = n!
   [t^n] f^(-r), Miller's loop on d_0..d_{n_max} themselves;
 * `related_numbers_recurrence`: the paper's O(n^2) convolution recurrence
   a_n = -n! sum_{m<n} D_r(n-m) a_m / m!, the same loop at the power -1 on
-  the exponential coefficients n! D_r(n); a witness for r >= 2;
+  the exponential coefficients n! D_r(n); a library route, which
+  `--check` does not run;
 * `related_numbers_composition`: the explicit sum over the compositions
   of n, read off d itself, not D_r (`composition_numerators`);
 * `related_numbers_determinant`: (-1)^n n! times the determinant of the
@@ -17,7 +20,8 @@ Four routes compute the same table a_0..a_{n_max}:
 Each route has one integer kernel that returns its table as numerators
 over positive denominators, unreduced, and one function, `run_routes`,
 feeds them for the `related_numbers_*` functions, `cross_verify` and the
-CLI.  `cross_verify` compares the tables by cross-multiplication.
+CLI.  `cross_verify` runs the last three, compares the tables by
+cross-multiplication and proves the production table.
 
 This module reads the request path only as `engine.<name>`, and each
 route's leg in `run_routes` reads only the names of its row in `READS`.
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from operator import add, mul
 from typing import Mapping, Optional, Sequence
 
@@ -45,18 +49,20 @@ from .arith import (
 RECURRENCE = "recurrence"
 COMPOSITION = "composition"
 DETERMINANT_BAREISS = "determinant:bareiss"
+IDENTITY = "identity"
 
 #: What each route's leg in `run_routes` may read from the request path,
 #: `engine`, with the kernels of this module that it calls: D-recurrence
 #: and Bareiss start from the production loop's f^r, so a fault in that
 #: loop is common to them and the production table; the composition sum
-#: reads only f's own (P, L).  tests/test_engine.py holds every leg to
-#: its row.
+#: reads only f's own (P, L), and the identity f's raw numerators and the
+#: production table.  tests/test_engine.py holds every leg to its row.
 READS = {
     RECURRENCE: ("power_numerators", "exponential_power_numerators"),
     DETERMINANT_BAREISS: ("power_numerators", "reduced_power_table", "check_table"),
     COMPOSITION: ("CoefficientSequence.prefix", "reduced_power_table"),
     engine.NEGATIVE_POWER: ("negative_power_numerators",),
+    IDENTITY: ("CoefficientSequence.P",),
 }
 
 
@@ -78,6 +84,27 @@ def related_numbers_recurrence(
     """The paper's O(n^2) recurrence over D_r, a_0 = 1; a witness: the
     Miller loop at the power -1 on f^r's own (M, Q), n! D_r(n) = M_n / Q."""
     return _route_table(seq, r, n_max, RECURRENCE)
+
+
+def identity_reach(P: Sequence[int], A: Sequence[int], Q: int, r: int) -> int:
+    """Largest n < len(A) such that A_0..A_n over Q are a_0..a_n of
+    f^(-r), f's d_k = P_k / L with P_0 = L: A_0 = Q and, for N = 1..n,
+
+        sum_{k=0..N} C(N, k) (N + (r - 1) k) P_k A_{N-k} = 0,
+
+    N L Q times the coefficient of t^(N-1) / (N-1)! in f h' + r f' h, which
+    vanishes for the multiples of h = f^(-r) alone.  Its k = 0 term is N L A_N, so the
+    identity at N fixes A_N from A_0..A_{N-1}.  -1 when A_0 != Q.  One
+    Pascal row rolled forward; nothing is divided."""
+    if A[0] != Q:
+        return -1
+    row = [1]
+    for N in range(1, len(A)):
+        row = [1, *map(add, row, row[1:]), 1]
+        weights = map(mul, row, count(N, r - 1))
+        if sum(map(mul, weights, map(mul, P, reversed(A[: N + 1])))):
+            return N - 1
+    return len(A) - 1
 
 
 def composition_reach(num: Sequence[int], den: Sequence[int], n_max: int) -> int:
@@ -204,10 +231,12 @@ class VerificationReport(Record):
 
     `pairs` maps each route to its table as it was compared: (num, den),
     integer numerators over positive denominators.  `table` reduces one
-    route's values to Fractions on demand.  `repr` leaves `pairs` out.
+    route's values to Fractions on demand.  `proved` is the production
+    table's `identity_reach`, None when that route did not run.  `repr`
+    leaves `pairs` out.
     """
 
-    __slots__ = ("r", "n_max", "pairs", "first_mismatch")
+    __slots__ = ("r", "n_max", "pairs", "first_mismatch", "proved")
     _hidden = ("pairs",)
 
     def __init__(
@@ -216,8 +245,9 @@ class VerificationReport(Record):
         n_max: int,
         pairs: Mapping[str, tuple[Sequence[int], Sequence[int]]],
         first_mismatch: Optional[int],
+        proved: Optional[int] = None,
     ):
-        Record.__init__(self, r, n_max, pairs, first_mismatch)
+        Record.__init__(self, r, n_max, pairs, first_mismatch, proved)
 
     @property
     def agree(self) -> bool:
@@ -225,24 +255,26 @@ class VerificationReport(Record):
 
     @property
     def coverage(self) -> dict[str, int]:
-        """Largest n each route computed; every route starts at n = 0."""
-        return {name: len(num) - 1 for name, (num, _) in self.pairs.items()}
+        """Largest n the identity proved, when it ran, then each route
+        computed; every route starts at n = 0."""
+        tops = {name: len(num) - 1 for name, (num, _) in self.pairs.items()}
+        return tops if self.proved is None else {IDENTITY: self.proved, **tops}
 
     def table(self, name: str) -> tuple[Fraction, ...]:
         """Route `name`'s values, each reduced once."""
         return tuple(map(Fraction, *self.pairs[name]))
 
     def describe(self) -> str:
-        if self.agree:
-            text = (
-                f"all {len(self.pairs)} routes agree for r={self.r}, "
-                f"n <= {self.n_max}"
-            )
-            for name, top in self.coverage.items():
-                if top < self.n_max:
-                    text += f", {name} only n <= {top}"
-            return text
-        return f"routes disagree first at n={self.first_mismatch} (r={self.r})"
+        proved, first = self.proved, self.first_mismatch
+        if first is not None:
+            what = "routes disagree" if proved is None or proved >= first else "identity fails"
+            return f"{what} first at n={first} (r={self.r})"
+        text = "" if proved is None else f"identity proves n <= {proved}; "
+        text += f"all {len(self.pairs)} routes agree for r={self.r}, n <= {self.n_max}"
+        for name, top in self.coverage.items():
+            if top < self.n_max:
+                text += f", {name} only n <= {top}"
+        return text
 
 
 def first_disagreement_pairs(
@@ -271,21 +303,16 @@ def cross_verify(
     n_max: Optional[int] = None,
     cap: Optional[int] = DEFAULT_COMPOSITION_CAP,
 ) -> VerificationReport:
-    """Run every route of `check_routes(r)` once and compare exactly, index
-    by index.  The composition route is only taken up to `cap` and
-    `composition_reach`; the others cover the full range.  With cap None
-    the composition table must be whole (see `run_routes`); a cap below 0
-    raises ValueError before any route runs.  No value is reduced;
-    disagreement is reported, not raised.
+    """Prove the production table with `identity_reach`, and run Bareiss,
+    the composition sum and the production route once each and compare
+    them exactly, index by index.  The production table and its proof
+    cover the full range; both witnesses are only taken up to `cap`, and
+    the composition sum also to `composition_reach`.  With cap None both
+    witnesses must be whole (see `run_routes`); a cap below 0 raises
+    ValueError before any route runs.  No value is reduced; a failure is
+    reported, not raised.
     """
-    return run_routes(seq, r, n_max, check_routes(r), cap)
-
-
-def check_routes(r: int) -> tuple[str, ...]:
-    """The routes `--check` runs at order r: at r = 1 the D-recurrence is
-    the negative power's own loop on the same input, so it is left out."""
-    routes = (DETERMINANT_BAREISS, COMPOSITION, engine.NEGATIVE_POWER)
-    return (RECURRENCE, *routes) if r > 1 else routes
+    return run_routes(seq, r, n_max, (DETERMINANT_BAREISS, COMPOSITION, engine.NEGATIVE_POWER), cap)
 
 
 def run_routes(
@@ -296,27 +323,29 @@ def run_routes(
     cap: Optional[int] = None,
     stats: Optional[Mapping[str, StatsDict]] = None,
 ) -> VerificationReport:
-    """Each of `routes` run once on (seq, r) to n_max, compared as
-    `cross_verify` compares them; the one place that feeds the routes.
+    """Each of `routes` run once on (seq, r), compared as `cross_verify`
+    compares them, and the production table, when it is one of them,
+    proved by `identity_reach`; the one place that feeds the routes.
     `stats` maps a route to the stats dict its kernel is given; the
     composition sum takes none.
 
+    The production route runs to n_max, every witness to min(n_max, cap).
     The composition sum reads f's ordinary coefficients d_e / e!, reduced
-    by one gcd each, up to min(n_max, cap) and cut short at their
-    `composition_reach`; with cap None it must reach n_max, and a work
-    bound short of it raises CombinatorialBlowupError before f^r is built
-    and before any route runs.  f^r is computed once, as (M, Q), only for
-    the D-recurrence, which runs the Miller loop on M over Q, and for
-    Bareiss, which reads each D_r(e) = M_e / (Q e!) reduced by one gcd.
-    An order r below 1 raises ValueError before any of that, and so does
-    an empty `routes` or a name in it that is not one of the four routes.
+    by one gcd each, and is cut short at their `composition_reach`; with
+    cap None it must reach n_max, and a work bound short of it raises
+    CombinatorialBlowupError before f^r is built and before any route
+    runs.  f^r is computed once, as (M, Q), only for the D-recurrence,
+    which runs the Miller loop on M over Q, and for Bareiss, which reads
+    each D_r(e) = M_e / (Q e!) reduced by one gcd.  An order r below 1
+    raises ValueError before any of that, and so does an empty `routes`
+    or a name in it that is not one of the four routes.
     """
     # route -> its table from its kernel's stats, in the report's order; each
     # reads what the `if ... in routes` blocks below compute for it
     legs = {
         RECURRENCE: lambda s: _over_one(*engine.exponential_power_numerators(M, Q, -1, stats=s)),
         DETERMINANT_BAREISS: lambda s: determinant_numerators(
-            *engine.reduced_power_table(M, Q), n_max, stats=s
+            *engine.reduced_power_table(M, Q), top, stats=s
         ),
         COMPOSITION: lambda s: composition_numerators(c_num, c_den, r, reach),
         engine.NEGATIVE_POWER: lambda s: _over_one(
@@ -328,8 +357,8 @@ def run_routes(
     engine.check_order(r)
     _check_cap(cap)
     n_max = engine.check_table(seq.P, n_max)
+    top = n_max if cap is None else min(n_max, cap)  # how far the witnesses go
     if COMPOSITION in routes:
-        top = n_max if cap is None else min(n_max, cap)
         c_num, c_den = engine.reduced_power_table(*seq.prefix(top))
         reach = composition_reach(c_num, c_den, top)
         if cap is None and reach < n_max:
@@ -338,12 +367,16 @@ def run_routes(
                 f"of the lifted d_1/1!..d_n/n! passes {MAX_COMPOSITION_WORK} at n={reach + 1}"
             )
     if RECURRENCE in routes or DETERMINANT_BAREISS in routes:
-        M, Q = engine.power_numerators(seq, r, n_max)
+        M, Q = engine.power_numerators(seq, r, top)
     stats = stats or {}
     pairs = {route: run(stats.get(route)) for route, run in legs.items() if route in routes}
-    return VerificationReport(
-        r=r, n_max=n_max, pairs=pairs, first_mismatch=first_disagreement_pairs(pairs)
-    )
+    first, proved = first_disagreement_pairs(pairs), None
+    if engine.NEGATIVE_POWER in pairs:  # the identity's leg: the call below
+        A, den = pairs[engine.NEGATIVE_POWER]
+        proved = identity_reach(seq.P, A, den[0], r)
+        if proved < n_max and (first is None or proved < first):
+            first = proved + 1
+    return VerificationReport(r=r, n_max=n_max, pairs=pairs, first_mismatch=first, proved=proved)
 
 
 def _route_table(

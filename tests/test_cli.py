@@ -181,9 +181,8 @@ class TestComputeCommand:
                 "--order", str(r), "--n", "8", "--check", "--format", "csv",
             )
             assert code == 0
-            # f^r once, the D-recurrence witness's inverse of D_r, f^(-r)
-            # once; at r = 1 the witness is f^(-1) itself, run once
-            assert calls == ([1, -1] if r == 1 else [r, -1, -r]), r
+            # f^r once, for Bareiss, and f^(-r) once, at every r
+            assert calls == [r, -r], r
             assert out.splitlines()[0] == "n,value"
 
     def test_plain_requests_never_build_d(self, capsys, monkeypatch):
@@ -225,9 +224,10 @@ class TestComputeCommand:
         code, checked, _ = run(capsys, *argv, "--check", "--cap", "7")
         assert code == 0
         doc = json.loads(checked)
+        # the identity proves the whole table; --cap bounds both witnesses
         assert doc["verified"] == {
-            "recurrence": 9,
-            "determinant:bareiss": 9,
+            "identity": 9,
+            "determinant:bareiss": 7,
             "composition": 7,
             "negative-power": 9,
         }
@@ -240,12 +240,24 @@ class TestComputeCommand:
             "--format", "json",
         )
         assert code == 0
-        # at r = 1 the D-recurrence is the negative power, reported once
         assert json.loads(out)["verified"] == {
+            "identity": 40,
             "determinant:bareiss": 40,
             "composition": 40,
             "negative-power": 40,
         }
+
+    def test_cap_bounds_both_witnesses_and_not_the_proof(self, capsys):
+        argv = ("compute", "--family", "bernoulli", "--n", "60", "--check", "--format", "json")
+        for extra, witnesses in (((), 50), (("--cap", "70"), 60)):
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, err) == (0, ""), extra
+            assert json.loads(out)["verified"] == {
+                "identity": 60,
+                "determinant:bareiss": witnesses,
+                "composition": witnesses,
+                "negative-power": 60,
+            }
 
     def test_custom_family_round_trip(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
@@ -294,7 +306,7 @@ class TestParseOnce:
     )
     # exit code, stdout and stderr of each of ARGVS at 80 columns, taken
     # with Python 3.11 on argparse's own two-pass path
-    DIGEST = "b0fdd5e4e448521c034b50151ab408bf2b9baa1e3ff5df6faf6511e20c88baf1"
+    DIGEST = "7a7cb9a83c0efedfe0f0babd34481d3606e65ee4568feba7efaaef724ce55401"
     GOOD = (
         ("compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "3", "--n", "4", "--check"),
         ("poly", "--family", "euler", "--order", "2", "--n", "3", "--z", "-1/2"),
@@ -742,6 +754,7 @@ class TestCompositionWorkExit:
         code, out, err = run(capsys, *self.ARGV, "--check", "--format", "json")
         assert (code, err) == (0, "")
         assert json.loads(out)["verified"] == {
+            "identity": 50,
             "determinant:bareiss": 50,
             "composition": 29,
             "negative-power": 50,
@@ -768,7 +781,7 @@ class TestCompositionWorkExit:
         (("--family", "hyper-cauchy", "--m", "2", "--nn", "3"), 1, 48, 14),
     )
 
-    def test_verify_sized_requests_keep_full_composition_coverage(self, capsys):
+    def test_verify_sized_requests_take_both_witnesses_to_the_cap(self, capsys):
         for family, r, n, cap in self.VERIFY_SIZED:
             code, out, err = run(
                 capsys, "compute", *family, "--order", str(r), "--n", str(n),
@@ -776,8 +789,8 @@ class TestCompositionWorkExit:
             )
             assert (code, err) == (0, ""), family
             verified = json.loads(out)["verified"]
-            assert verified.pop("composition") == cap, family
-            assert set(verified.values()) == {n}, family
+            assert verified.pop("composition") == verified.pop("determinant:bareiss") == cap
+            assert verified == {"identity": n, "negative-power": n}, family
 
 
 class TestPolyCommand:
@@ -949,7 +962,7 @@ class TestBenchOutputPin:
 
     FAMILIES = TestPolyOutputPin.FAMILIES
     ORDERS = ("1", "2", "3", "7")
-    DIGEST = "479e34c78858ab8f748d8320d7508855db5fa7e89cd13001282caa2dd7248cf2"
+    DIGEST = "15e759124507d0d425120bc2a242fd17b5c17348c76b6526f5b774ac1531dd30"
     VALUE_DIGEST = "4a0cf05f5a9821dc5afdbc74dd71ab79199198e9ad2e453224a0665ee6fcf296"
 
     def digest(self, capsys, columns):
@@ -985,7 +998,7 @@ class TestComputeOutputPin:
     DEGREES = ("0", "1", "9", "24")
     MODES = ((), ("--check",))
     FORMATS = ("csv", "json", "pretty")
-    DIGEST = "474fa129b36e6f588ef9774622648d51f0e4efc1a8cd3ea5953f35a38ca3ced4"
+    DIGEST = "31166261de51d7e1989279c17d9142455f22fe88ed6b2464c458246b382e653e"
 
     def test_output_digest(self, capsys):
         digest = hashlib.sha256()
@@ -1157,7 +1170,6 @@ class TestBenchCommand:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        # at r = 1 the D_r recurrence is the negative power's own loop
         assert lines[0] == (
             "n,negative_power_seconds,negative_power_max_num_bits,"
             "bareiss_seconds,bareiss_max_num_bits,value"
@@ -1172,28 +1184,39 @@ class TestBenchCommand:
         lines = out.strip().splitlines()
         assert lines[0] == (
             "n,negative_power_seconds,negative_power_max_num_bits,"
-            "bareiss_seconds,bareiss_max_num_bits,"
-            "recurrence_seconds,recurrence_max_num_bits,value"
+            "bareiss_seconds,bareiss_max_num_bits,value"
         )
         assert [line.split(",")[-1] for line in lines[1:]] == ["1", "-1", "5/6", "-1/2"]
 
     def test_disagreement_refuses_timings(self, capsys, monkeypatch):
-        loop = engine.exponential_power_numerators
+        kernel = witness.determinant_numerators
 
-        def corrupted(P, L, r, stats=None):
-            M, Q = loop(P, L, r, stats)
-            if r == -1 and len(M) > 2:  # the D-recurrence's inverse of D_r
-                M[2] += 1
-            return M, Q
+        def corrupted(*args, **kwargs):
+            signed, scales = kernel(*args, **kwargs)
+            signed[2] += 1
+            return signed, scales
 
-        monkeypatch.setattr(engine, "exponential_power_numerators", corrupted)
-        # the recurrence column runs at r >= 2 only
+        monkeypatch.setattr(witness, "determinant_numerators", corrupted)
         code, out, err = run(
             capsys, "bench", "--family", "bernoulli", "--order", "2", "--n", "4"
         )
         assert code == 4
-        assert "disagreement at n=2" in err
+        assert err.startswith("error: routes disagree first at n=2 (r=2): negative_power=")
         assert "n,negative_power_seconds" not in out
+
+    def test_unproved_table_refuses_timings(self, capsys, monkeypatch):
+        # the production table and Bareiss both read a wrong d_3 through
+        # `prefix`; only the identity, on the raw P, sees it
+        real = engine.CoefficientSequence.prefix
+
+        def shifted(self, n_max=None):
+            P, L = real(self, n_max)
+            return [p + (k == 3) * L for k, p in enumerate(P)], L
+
+        monkeypatch.setattr(engine.CoefficientSequence, "prefix", shifted)
+        code, out, err = run(capsys, "bench", "--family", "euler", "--n", "6")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: identity fails first at n=3 (r=1): negative_power=")
 
     def test_single_trivial_row(self, capsys):
         code, out, _ = run(capsys, "bench", "--family", "euler", "--n", "0")
@@ -1302,9 +1325,8 @@ class TestBenchCommand:
                 cli.main(["bench", *argv])
 
     def test_kernel_columns_at_orders_1_and_2(self, capsys):
-        # at r = 1 the D_r recurrence is the negative power's own loop, so
-        # only r >= 2 times it
-        for r, pairs in ((1, 2), (2, 3)):
+        # the production route and Bareiss, at every r
+        for r, pairs in ((1, 2), (2, 2)):
             code, out, err = run(capsys, "bench", "--family", "euler", "--order", str(r),
                                  "--n", "5")
             assert (code, err) == (0, "")
@@ -1368,10 +1390,7 @@ class TestBenchCommand:
                 "bareiss": lambda stats: witness.determinant_numerators(
                     *engine.reduced_power_table(M, Q), n, stats
                 ),
-                "recurrence": lambda stats: series.exponential_power_numerators(M, Q, -1, stats),
             }
-            if r == 1:  # the D-recurrence is the negative power's own loop
-                del calls["recurrence"]
             assert [name for name in columns if name.endswith("_max_num_bits")] == [
                 f"{name}_max_num_bits" for name in calls
             ]

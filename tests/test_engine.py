@@ -32,6 +32,7 @@ from appellseq.witness import (
     COMPOSITION,
     DEFAULT_COMPOSITION_CAP,
     DETERMINANT_BAREISS,
+    IDENTITY,
     RECURRENCE,
     CombinatorialBlowupError,
     VerificationReport,
@@ -415,9 +416,8 @@ class TestCrossVerify:
         report = cross_verify(bernoulli_seq(10), 2, 10)
         assert report.agree
         assert report.first_mismatch is None
-        assert "all 4 routes agree" in report.describe()
+        assert report.describe() == "identity proves n <= 10; all 3 routes agree for r=2, n <= 10"
         assert set(report.pairs) == {
-            RECURRENCE,
             DETERMINANT_BAREISS,
             COMPOSITION,
             NEGATIVE_POWER,
@@ -430,23 +430,23 @@ class TestCrossVerify:
         assert len(report.table(COMPOSITION)) == 11
         assert len(report.table(NEGATIVE_POWER)) == 16
 
-    def test_capped_report_names_composition_range(self):
+    def test_capped_report_names_each_witness_range(self):
+        # the cap bounds both witnesses; the identity proves the whole table
         report = cross_verify(bernoulli_seq(14), 1, 14, cap=8)
-        assert report.coverage[COMPOSITION] == 8
-        assert report.coverage[NEGATIVE_POWER] == 14
-        text = report.describe()
-        # at r = 1 the D-recurrence is the negative power: 3 routes, not 4
-        assert text.startswith("all 3 routes agree for r=1, n <= 14")
-        assert "composition only n <= 8" in text
+        assert report.coverage == {IDENTITY: 14, DETERMINANT_BAREISS: 8, COMPOSITION: 8,
+                                   NEGATIVE_POWER: 14}
+        assert report.describe() == (
+            "identity proves n <= 14; all 3 routes agree for r=1, n <= 14, "
+            "determinant:bareiss only n <= 8, composition only n <= 8"
+        )
         # a route that covered the full range is not singled out
         full = cross_verify(bernoulli_seq(8), 1, 8, cap=8).describe()
-        assert full == "all 3 routes agree for r=1, n <= 8"
+        assert full == "identity proves n <= 8; all 3 routes agree for r=1, n <= 8"
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_doctored_power_table_is_caught(self, monkeypatch, r):
-        # The D-recurrence and Bareiss start from f^r's (M, Q); the negative
-        # power and the composition sum read f, so both see a wrong
-        # D_r(5) = M_5 / (Q 5!).
+        # Bareiss starts from f^r's (M, Q); the negative power and the
+        # composition sum read f, so both see a wrong D_r(5) = M_5 / (Q 5!).
         def doctored(seq, r, n_max=None):
             M, Q = real_power_numerators(seq, r, n_max)
             M = list(M)
@@ -460,11 +460,10 @@ class TestCrossVerify:
         assert report.describe() == f"routes disagree first at n=5 (r={r})"
 
     @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_report_runs_the_check_routes(self, r):
-        # at r = 1 the D-recurrence is the negative power's own loop
+    def test_report_runs_the_same_legs_at_every_r(self, r):
         report = cross_verify(bernoulli_seq(6), r, 6)
-        assert tuple(report.pairs) == witness.check_routes(r)
-        assert (RECURRENCE in report.pairs) == (r > 1)
+        assert tuple(report.pairs) == (DETERMINANT_BAREISS, COMPOSITION, NEGATIVE_POWER)
+        assert report.proved == 6
 
     @pytest.mark.parametrize("cap", [-1, -7])
     def test_negative_cap_is_refused_as_the_cap(self, monkeypatch, cap):
@@ -488,6 +487,55 @@ class TestCrossVerify:
         assert report.first_mismatch == 2
         assert not report.agree
         assert "disagree first at n=2" in report.describe()
+
+
+class TestIdentity:
+    """`identity_reach` proves a table of f^(-r) on f's raw numerators: it
+    refuses a wrong table at its first wrong index and passes every right
+    one; `run_routes` runs it whenever the production route runs."""
+
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.label)
+    def test_every_catalogue_table_passes(self, spec):
+        seq = family_coefficients(spec, 200)
+        for r in (1, 2, 3, 7, 16):
+            M, Q = engine.negative_power_numerators(seq, r, 200)
+            for n in (0, 1, 37, 200):
+                assert witness.identity_reach(seq.P, M[: n + 1], Q, r) == n, (r, n)
+
+    def test_a_wrong_table_is_refused_at_its_index(self):
+        seq = family_coefficients(FamilySpec.hyper_cauchy(2, 3), 60)
+        M, Q = engine.negative_power_numerators(seq, 3, 60)
+        for k in (0, 1, 30, 60):  # one unit at the first, a middle and the last index
+            bad = list(M)
+            bad[k] += 1
+            assert witness.identity_reach(seq.P, bad, Q, 3) == k - 1, k
+        assert witness.identity_reach(seq.P, M, 2 * Q, 3) == -1  # a_0 = 1/2
+        for r in (1, 2, 4):  # a wrong r fails at N = 1, as d_1 = -2/3
+            assert witness.identity_reach(seq.P, M, Q, r) == 0, r
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_a_fault_every_route_shares_fails_the_identity(self, monkeypatch, r):
+        # every route reads d through `prefix`; the identity reads seq.P
+        real = engine.CoefficientSequence.prefix
+
+        def shifted(self, n_max=None):
+            P, L = real(self, n_max)
+            return [p + (k == 7) * L for k, p in enumerate(P)], L
+
+        monkeypatch.setattr(engine.CoefficientSequence, "prefix", shifted)
+        report = cross_verify(family_coefficients(FamilySpec.bernoulli(), 12), r, 12)
+        assert first_disagreement_pairs(report.pairs) is None
+        assert (report.first_mismatch, report.proved) == (7, 6)
+        assert report.coverage[IDENTITY] == 6
+        assert report.describe() == f"identity fails first at n=7 (r={r})"
+
+    def test_runs_only_with_the_production_route(self):
+        seq = bernoulli_seq(8)
+        alone = witness.run_routes(seq, 2, 8, (DETERMINANT_BAREISS,))
+        assert alone.proved is None and IDENTITY not in alone.coverage
+        assert alone.describe() == "all 1 routes agree for r=2, n <= 8"
+        assert witness.run_routes(seq, 2, 8, (NEGATIVE_POWER,)).coverage == {
+            IDENTITY: 8, NEGATIVE_POWER: 8}
 
 
 def fail(*args, **kwargs):
@@ -586,11 +634,8 @@ class TestIntegerComparison:
         late, early = ([1, 2, 4], [1, 1, 1]), ([1, 3, 3], [1, 1, 1])
         assert first_disagreement_pairs({"a": full, "b": late, "c": early}) == 1
 
-    # the module and name of each route's kernel, as cross_verify calls it;
-    # at r = 2 the Miller loop runs at the powers 2 (f^r), -2 (f^(-r)) and
-    # -1 (the D-recurrence on f^r), and only the last is nudged
+    # the module and name of each route's kernel, as cross_verify calls it
     KERNELS = {
-        RECURRENCE: (engine, "exponential_power_numerators"),
         DETERMINANT_BAREISS: (witness, "determinant_numerators"),
         COMPOSITION: (witness, "composition_numerators"),
         NEGATIVE_POWER: (engine, "negative_power_numerators"),
@@ -604,8 +649,6 @@ class TestIntegerComparison:
 
             def nudged(*args, **kwargs):
                 num, den = kernel(*args, **kwargs)
-                if route == RECURRENCE and args[2] != -1:
-                    return num, den
                 num = list(num)
                 num[k] += 1
                 return num, den
@@ -683,7 +726,10 @@ class TestCompositionWorkBound:
         report = cross_verify(seq, 2, 20)
         assert report.agree
         assert report.coverage[COMPOSITION] == 12
-        assert report.describe() == "all 4 routes agree for r=2, n <= 20, composition only n <= 12"
+        assert report.describe() == (
+            "identity proves n <= 20; all 3 routes agree for r=2, n <= 20, "
+            "composition only n <= 12"
+        )
 
     def test_no_cap_needs_the_whole_table(self, monkeypatch):
         # cap=None means no cap in both functions: the composition table
@@ -1015,11 +1061,12 @@ class TestPackageSurface:
     def test_each_check_reads_only_its_row_of_the_request_path(self):
         # A route's leg in `run_routes` is its entry in the `legs` dict, the
         # `if ... in routes` blocks whose test names the route, and the
-        # functions of `witness` those call, followed to the end.  Its
-        # reads of the request path are its `engine.<name>` reads and its
-        # `seq.<name>` reads, as CoefficientSequence.<name>; they must be
-        # its row of `witness.READS`.  The rest of `run_routes` reads only
-        # the guards, the production route's name and seq.P.
+        # functions of `witness` those call, followed to the end; the
+        # identity's leg is its call of `identity_reach`.  Its reads of the
+        # request path are its `engine.<name>` reads and its `seq.<name>`
+        # reads, as CoefficientSequence.<name>; they must be its row of
+        # `witness.READS`.  The rest of `run_routes` reads only the guards,
+        # the production route's name and seq.P.
         import ast
 
         tree = self.module_tree(witness)
@@ -1038,6 +1085,8 @@ class TestPackageSurface:
                 for test in ast.walk(node.test):
                     if isinstance(test, ast.Compare) and ast.unparse(test).endswith(" in routes"):
                         legs.setdefault(route(test.left), []).extend(node.body)
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "identity_reach":
+                legs.setdefault(IDENTITY, []).append(node)
         assert legs.keys() == witness.READS.keys()
 
         def walk(node, skip=frozenset()):
@@ -1090,7 +1139,7 @@ class TestRecords:
             "algorithm='negative-power')": table,
             "AppellPolynomial(n=2, r=1, coeffs_in_z=(Fraction(1, 6), Fraction(-1, 1), "
             "Fraction(1, 1)))": appell_polynomial(table, 2),
-            "VerificationReport(r=1, n_max=2, first_mismatch=None)": report,
+            "VerificationReport(r=1, n_max=2, first_mismatch=None, proved=2)": report,
         }
 
     def test_repr(self):

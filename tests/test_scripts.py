@@ -66,16 +66,20 @@ def test_mutants_runs_the_unedited_tree_and_one_edit(capsys, monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     import mutants
 
-    assert mutants.missing(mutants.EDITS) == []
+    assert mutants.missing(mutants.ROWS) == []
     grid = {"families": [["bernoulli"], ["hyper_cauchy", 2, 3]], "orders": [1, 2],
             "sizes": [12], "cap": 50}
-    edit = next(e for e in mutants.EDITS if e.breaks == "_reduced when 7 divides up")
-    assert mutants.table([edit], grid) == [
+    row = next(row for row in mutants.ROWS if row[0].breaks == "_reduced when 7 divides up")
+    blind = mutants.ROWS[-1][0]  # the double mutant's blind comparison
+    assert mutants.table([row, [blind, *row]], grid) == [
         ("(no edit)", 0, 0, None, 0, 0),
         ("series.py: _reduced when 7 divides up", 4, 4, 4, 0, 0),
+        # a row's edits apply together: with the comparison blind, only the
+        # identity flags the wrong tables
+        ("witness.py: comparison blind + series.py: _reduced when 7 divides up", 4, 4, 4, 4, 0),
     ]
     # an edit whose old text is gone stops the script before any run
     gone = mutants.Edit("series.py", "no such text", "", "nothing")
-    monkeypatch.setattr(mutants, "EDITS", [edit, gone])
+    monkeypatch.setattr(mutants, "ROWS", [row, [row[0], gone]])
     assert mutants.main() == 1
     assert capsys.readouterr().err == "error: series.py does not hold 'no such text' exactly once\n"

@@ -13,6 +13,7 @@ from appellseq.families import FamilySpec, family_coefficients
 from appellseq import engine, series
 from appellseq.arith import lift
 from appellseq.library import NotInvertibleError, TruncatedSeries, exponential_power
+from appellseq.witness import identity_reach
 from appellseq.series import (
     SHIFT_MAX,
     SHIFT_MIN_TERMS,
@@ -429,6 +430,7 @@ class TestShiftedLoop:
     def test_every_shift_matches_the_global_lift(self, tail, r):
         L, P = lift([F(1), *tail])
         want = oracles.global_lift_power(P, L, r)
+        assert identity_reach(P, *want, -r) == len(tail)  # f^r is f^(-(-r))
         G = [F(x, want[1]) for x in want[0]]
         for m in range(SHIFT_MAX + 1):
             stats = {}
@@ -500,6 +502,8 @@ class TestOrdinaryLoop:
     def test_matches_the_global_lift(self, spec, r, K):
         P, L = family_coefficients(spec, K).prefix()
         want = oracles.global_lift_power(P, L, r)
+        if K < 400:
+            assert identity_reach(P, *want, -r) == K
         stats = {}
         assert _ordinary(P, L, r, stats) == want
         if K == 160:
@@ -517,6 +521,7 @@ class TestOrdinaryLoop:
         tail = [0 if k >= zeros else x for k, x in enumerate(tail, 1)]
         L, P = lift([F(1), *tail])
         want = oracles.global_lift_power(P, L, r)
+        assert identity_reach(P, *want, -r) == len(tail)
         G = [F(x, want[1]) for x in want[0]]
         stats = {}
         assert _ordinary(P, L, r, stats) == want
@@ -733,6 +738,7 @@ class TestDifferenceTable:
         h = P[K] * math.comb(K + m, m)
         assert all(P[k] * math.comb(k + m, m) == h for k in range(1, K + 1))
         want = oracles.global_lift_power(P, L, r)
+        assert identity_reach(P, *want, -r) == K
         G = [F(x, want[1]) for x in want[0]]
         stats = {}
         assert _seidel(L, h, K, r, m, stats) == want
@@ -762,6 +768,7 @@ class TestDifferenceTable:
 
         L, P = lift(d)
         want = oracles.global_lift_power(P, L, r)
+        assert identity_reach(P, *want, -r) == len(d) - 1
         monkeypatch.setattr(series, name, fail)
         assert exponential_power_numerators(P, L, r) == want
 
