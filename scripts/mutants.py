@@ -61,7 +61,7 @@ SEIDEL = Edit("series.py", "(r + 1) * (k + m) * (hi - lo)",
 ROWS = [
     [Edit("series.py", "H[n - 1 : n + 8]", "H[n : n + 8]",
           "_miller re-lift look-ahead")],
-    [Edit("series.py", "w = [w[0] - 1, ", "w = [w[0] - 1 - (n == 100), ",
+    [Edit("series.py", "w = [w[0] - 1, ", "w = [w[0] - 1 - (n == 30), ",
           "_miller unshifted weight roll")],
     [Edit("series.py", "count(r - n, r + 1)", "count(r - n - (n == 180), r + 1)",
           "_miller shifted weights")],

@@ -13,11 +13,15 @@ derivative H^(n), which maps c_m t^m to c_m C(m, n) t^(m-n).  `**` and
 `series.exponential_power_numerators`, through `exponential_power`.
 
 The records and tables as Fractions: `compute_D` (D_r in a
-`PowerCoefficientTable`), `related_numbers_negative_power` (the
-production table in a `RelatedNumberTable`), and the Appell polynomials
-`appell_polynomial` and `polynomial_eval`.  Each runs the request path's
-kernels in `engine` and `series`.  The command line imports this module
-for no request; `appellseq` loads it when one of its names is first read.
+`PowerCoefficientTable`), the Appell polynomials `appell_polynomial` and
+`polynomial_eval`, and a_0..a_{n_max} in a `RelatedNumberTable` by four
+routes: `related_numbers_negative_power` (the production table),
+`related_numbers_recurrence` (the paper's convolution recurrence over
+D_r), and the two witnesses that `witness.run_routes` feeds,
+`related_numbers_composition` and `related_numbers_determinant`.  Each
+runs the kernels of `engine`, `series` or `witness`; `witness` imports
+nothing from here.  The command line imports this module for no request;
+`appellseq` loads it when one of its names is first read.
 """
 
 from __future__ import annotations
@@ -27,13 +31,15 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import Record, StatsDict, convolve, factorials, lift
+from . import witness
+from .arith import DEFAULT_COMPOSITION_CAP, Record, StatsDict, convolve, factorials, lift
 from .engine import (
     NEGATIVE_POWER,
     CoefficientSequence,
     RelatedNumberTable,
     appell_numerators,
     check_order,
+    check_table,
     horner_numerator,
     negative_power_numerators,
     power_numerators,
@@ -42,6 +48,8 @@ from .engine import (
 from .series import exponential_power_numerators
 
 Scalar = Union[Fraction, int]
+
+RECURRENCE = "recurrence"
 
 
 class NotInvertibleError(ZeroDivisionError):
@@ -196,6 +204,54 @@ def related_numbers_negative_power(
     d_0..d_{n_max} themselves, each value reduced once."""
     M, Q = negative_power_numerators(seq, r, n_max)
     return RelatedNumberTable(r, [Fraction(m, Q) for m in M], NEGATIVE_POWER)
+
+
+def related_numbers_recurrence(
+    seq: CoefficientSequence, r: int, n_max: Optional[int] = None
+) -> RelatedNumberTable:
+    """The paper's O(n^2) recurrence a_n = -n! sum_{m<n} D_r(n-m) a_m / m!,
+    a_0 = 1: Miller's loop at the power -1 on the exponential
+    coefficients n! D_r(n) = M_n / Q of f^r, each value reduced once."""
+    M, Q = exponential_power_numerators(*power_numerators(seq, r, n_max), -1)
+    return RelatedNumberTable(r, [Fraction(m, Q) for m in M], RECURRENCE)
+
+
+def related_numbers_composition(
+    seq: CoefficientSequence,
+    r: int,
+    n_max: Optional[int] = None,
+    cap: Optional[int] = DEFAULT_COMPOSITION_CAP,
+) -> RelatedNumberTable:
+    """a_n^(r) by the sum over compositions that
+    `witness.composition_numerators` states, read off d alone: no f^r, no
+    Miller loop, no determinant.  n_max past `cap` (None: no cap, as in
+    `cross_verify`), or past the work bound of `witness.composition_reach`,
+    raises CombinatorialBlowupError before the triangle is built; a cap
+    below 0 raises ValueError."""
+    witness.check_cap(cap)
+    n_max = check_table(seq.P, n_max)
+    if cap is not None and n_max > cap:
+        raise witness.CombinatorialBlowupError(
+            f"composition route cannot serve n_max={n_max}: enumeration cap is {cap}"
+        )
+    return _route_table(seq, r, n_max, witness.COMPOSITION)
+
+
+def related_numbers_determinant(
+    seq: CoefficientSequence, r: int, n_max: Optional[int] = None
+) -> RelatedNumberTable:
+    """a_n^(r) = (-1)^n n! det M_n over the Hessenberg matrix M_n of D_r,
+    every M_n from one Bareiss pass, `witness.determinant_numerators`."""
+    return _route_table(seq, r, n_max, witness.DETERMINANT_BAREISS)
+
+
+def _route_table(
+    seq: CoefficientSequence, r: int, n_max: Optional[int], route: str
+) -> RelatedNumberTable:
+    """A witness's table alone from `witness.run_routes`, its composition
+    leg whole, each value reduced once."""
+    a = witness.run_routes(seq, r, n_max, (route,)).table(route)
+    return RelatedNumberTable(r=r, a=a, algorithm=route)
 
 
 def appell_polynomial(table: RelatedNumberTable, n: int) -> AppellPolynomial:

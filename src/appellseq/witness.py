@@ -2,26 +2,22 @@
 they are compared.
 
 `identity_reach` proves the production table: it checks the equation
-that defines f^(-r) on the table and f's own numerators.  Four routes
-compute the same table a_0..a_{n_max}:
+that defines f^(-r) on the table and f's own numerators.  Two witnesses,
+the paper's two explicit expressions, compute the same table
+a_0..a_{n_max} as the production route, `engine.negative_power_numerators`
+(a_n = n! [t^n] f^(-r), Miller's loop on d_0..d_{n_max} themselves):
 
-* the production route, `engine.negative_power_numerators`: a_n = n!
-  [t^n] f^(-r), Miller's loop on d_0..d_{n_max} themselves;
-* `related_numbers_recurrence`: the paper's O(n^2) convolution recurrence
-  a_n = -n! sum_{m<n} D_r(n-m) a_m / m!, the same loop at the power -1 on
-  the exponential coefficients n! D_r(n); a library route, which
-  `--check` does not run;
-* `related_numbers_composition`: the explicit sum over the compositions
-  of n, read off d itself, not D_r (`composition_numerators`);
-* `related_numbers_determinant`: (-1)^n n! times the determinant of the
-  unit-superdiagonal Hessenberg matrix over D_r(1)..D_r(n), by Bareiss
-  elimination on its band (`determinant_numerators`).
+* the composition sum, `composition_numerators`: the explicit sum over
+  the compositions of n, read off d itself, not D_r;
+* the Hessenberg determinant, `determinant_numerators`: (-1)^n n! times
+  the determinant of the unit-superdiagonal Hessenberg matrix over
+  D_r(1)..D_r(n), by Bareiss elimination on its band.
 
 Each route has one integer kernel that returns its table as numerators
 over positive denominators, unreduced, and one function, `run_routes`,
-feeds them for the `related_numbers_*` functions, `cross_verify` and the
-CLI.  `cross_verify` runs the last three, compares the tables by
-cross-multiplication and proves the production table.
+feeds them for `cross_verify`, the CLI and `library`'s Fraction tables.
+`cross_verify` runs all three, compares the tables by cross-multiplication
+and proves the production table.
 
 This module reads the request path only as `engine.<name>`, and each
 route's leg in `run_routes` reads only the names of its row in `READS`.
@@ -46,19 +42,17 @@ from .arith import (
     step_rows,
 )
 
-RECURRENCE = "recurrence"
 COMPOSITION = "composition"
 DETERMINANT_BAREISS = "determinant:bareiss"
 IDENTITY = "identity"
 
 #: What each route's leg in `run_routes` may read from the request path,
-#: `engine`, with the kernels of this module that it calls: D-recurrence
-#: and Bareiss start from the production loop's f^r, so a fault in that
-#: loop is common to them and the production table; the composition sum
-#: reads only f's own (P, L), and the identity f's raw numerators and the
-#: production table.  tests/test_engine.py holds every leg to its row.
+#: `engine`, with the kernels of this module that it calls: Bareiss starts
+#: from the production loop's f^r, so a fault in that loop is common to it
+#: and the production table; the composition sum reads only f's own
+#: (P, L), and the identity f's raw numerators and the production table.
+#: tests/test_engine.py holds every leg to its row.
 READS = {
-    RECURRENCE: ("power_numerators", "exponential_power_numerators"),
     DETERMINANT_BAREISS: ("power_numerators", "reduced_power_table", "check_table"),
     COMPOSITION: ("CoefficientSequence.prefix", "reduced_power_table"),
     engine.NEGATIVE_POWER: ("negative_power_numerators",),
@@ -72,18 +66,10 @@ class CombinatorialBlowupError(ValueError):
     MAX_COMPOSITION_WORK."""
 
 
-def _check_cap(cap: Optional[int]) -> None:
+def check_cap(cap: Optional[int]) -> None:
     """Refuse a composition cap below 0 (None: no cap)."""
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-
-
-def related_numbers_recurrence(
-    seq: engine.CoefficientSequence, r: int, n_max: Optional[int] = None
-) -> engine.RelatedNumberTable:
-    """The paper's O(n^2) recurrence over D_r, a_0 = 1; a witness: the
-    Miller loop at the power -1 on f^r's own (M, Q), n! D_r(n) = M_n / Q."""
-    return _route_table(seq, r, n_max, RECURRENCE)
 
 
 def identity_reach(P: Sequence[int], A: Sequence[int], Q: int, r: int) -> int:
@@ -149,26 +135,6 @@ def composition_numerators(
     return list(map(mul, factorials(n_max), S)), L_pow
 
 
-def related_numbers_composition(
-    seq: engine.CoefficientSequence,
-    r: int,
-    n_max: Optional[int] = None,
-    cap: Optional[int] = DEFAULT_COMPOSITION_CAP,
-) -> engine.RelatedNumberTable:
-    """a_n^(r) by the sum over compositions that `composition_numerators`
-    states, read off d alone: no f^r, no Miller loop, no determinant.
-    n_max past `cap` (None: no cap, as in `cross_verify`), or past the
-    work bound of `composition_reach`, raises CombinatorialBlowupError
-    before the triangle is built; a cap below 0 raises ValueError."""
-    _check_cap(cap)
-    n_max = engine.check_table(seq.P, n_max)
-    if cap is not None and n_max > cap:
-        raise CombinatorialBlowupError(
-            f"composition route cannot serve n_max={n_max}: enumeration cap is {cap}"
-        )
-    return _route_table(seq, r, n_max, COMPOSITION)
-
-
 def determinant_numerators(
     num: Sequence[int],
     den: Sequence[int],
@@ -216,14 +182,6 @@ def determinant_numerators(
             for i in range(k + 1, n_max)
         ]
     return signed, scales
-
-
-def related_numbers_determinant(
-    seq: engine.CoefficientSequence, r: int, n_max: Optional[int] = None
-) -> engine.RelatedNumberTable:
-    """a_n^(r) = (-1)^n n! det M_n over the Hessenberg matrix M_n of D_r,
-    every M_n from one Bareiss pass, `determinant_numerators`."""
-    return _route_table(seq, r, n_max, DETERMINANT_BAREISS)
 
 
 class VerificationReport(Record):
@@ -334,16 +292,14 @@ def run_routes(
     by one gcd each, and is cut short at their `composition_reach`; with
     cap None it must reach n_max, and a work bound short of it raises
     CombinatorialBlowupError before f^r is built and before any route
-    runs.  f^r is computed once, as (M, Q), only for the D-recurrence,
-    which runs the Miller loop on M over Q, and for Bareiss, which reads
-    each D_r(e) = M_e / (Q e!) reduced by one gcd.  An order r below 1
-    raises ValueError before any of that, and so does an empty `routes`
-    or a name in it that is not one of the four routes.
+    runs.  f^r is computed once, as (M, Q), only for Bareiss, which
+    reads each D_r(e) = M_e / (Q e!) reduced by one gcd.  An order r
+    below 1 raises ValueError before any of that, and so does an empty
+    `routes` or a name in it that is not one of the three routes.
     """
     # route -> its table from its kernel's stats, in the report's order; each
     # reads what the `if ... in routes` blocks below compute for it
     legs = {
-        RECURRENCE: lambda s: _over_one(*engine.exponential_power_numerators(M, Q, -1, stats=s)),
         DETERMINANT_BAREISS: lambda s: determinant_numerators(
             *engine.reduced_power_table(M, Q), top, stats=s
         ),
@@ -355,7 +311,7 @@ def run_routes(
     if not routes or set(routes) - legs.keys():
         raise ValueError(f"routes must be one or more of {', '.join(legs)}, got {routes!r}")
     engine.check_order(r)
-    _check_cap(cap)
+    check_cap(cap)
     n_max = engine.check_table(seq.P, n_max)
     top = n_max if cap is None else min(n_max, cap)  # how far the witnesses go
     if COMPOSITION in routes:
@@ -366,7 +322,7 @@ def run_routes(
                 f"composition route cannot serve n_max={n_max}: n times the bit length "
                 f"of the lifted d_1/1!..d_n/n! passes {MAX_COMPOSITION_WORK} at n={reach + 1}"
             )
-    if RECURRENCE in routes or DETERMINANT_BAREISS in routes:
+    if DETERMINANT_BAREISS in routes:
         M, Q = engine.power_numerators(seq, r, top)
     stats = stats or {}
     pairs = {route: run(stats.get(route)) for route, run in legs.items() if route in routes}
@@ -377,15 +333,6 @@ def run_routes(
         if proved < n_max and (first is None or proved < first):
             first = proved + 1
     return VerificationReport(r=r, n_max=n_max, pairs=pairs, first_mismatch=first, proved=proved)
-
-
-def _route_table(
-    seq: engine.CoefficientSequence, r: int, n_max: Optional[int], route: str
-) -> engine.RelatedNumberTable:
-    """`route`'s table alone, its composition leg whole, each value
-    reduced once."""
-    a = run_routes(seq, r, n_max, (route,)).table(route)
-    return engine.RelatedNumberTable(r=r, a=a, algorithm=route)
 
 
 def _over_one(M: list[int], Q: int) -> tuple[list[int], list[int]]:

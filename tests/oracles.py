@@ -25,12 +25,9 @@ from appellseq.library import (
     appell_polynomial,
     exponential_power,
     polynomial_eval,
-)
-from appellseq.witness import (
-    DEFAULT_COMPOSITION_CAP,
-    CombinatorialBlowupError,
     related_numbers_recurrence,
 )
+from appellseq.witness import DEFAULT_COMPOSITION_CAP, CombinatorialBlowupError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -19,14 +19,12 @@ from appellseq.library import (
     appell_polynomial,
     compute_D,
     polynomial_eval,
-    related_numbers_negative_power,
-)
-from appellseq.families import FamilySpec, family_coefficients
-from appellseq.witness import (
-    cross_verify,
     related_numbers_determinant,
+    related_numbers_negative_power,
     related_numbers_recurrence,
 )
+from appellseq.families import FamilySpec, family_coefficients
+from appellseq.witness import cross_verify
 
 import oracles
 from oracles import (
@@ -113,15 +111,15 @@ class TestCriterion02:
 
 
 class TestCriterion03:
-    def test_criterion_03_five_route_agreement(self, random_battery):
+    def test_criterion_03_identity_and_three_route_agreement(self, random_battery):
         assert len(random_battery) == 400
         for seq, r, report in random_battery:
             assert report.agree, (
                 f"routes disagree for r={r}, d={seq.d}: {report.describe()}"
             )
-        _pass(3, "recurrence (r >= 2), Bareiss determinant, composition sum and "
-                 "negative power f^(-r) agree on 100 random sequences x r in 1..4, "
-                 "n <= 12")
+        _pass(3, "the identity proves negative power f^(-r), and it agrees with the "
+                 "Bareiss determinant and the composition sum, on 100 random sequences "
+                 "x r in 1..4, n <= 12")
 
 
 class TestCriterion04:

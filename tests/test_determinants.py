@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from appellseq import engine, series
 from appellseq.arith import factorials
-from appellseq.library import compute_D
+from appellseq.library import compute_D, related_numbers_recurrence
 from appellseq.families import FamilySpec, family_coefficients
-from appellseq.witness import determinant_numerators, related_numbers_recurrence
+from appellseq.witness import determinant_numerators
 
 import oracles
 from oracles import (

@@ -24,8 +24,12 @@ from appellseq.library import (
     PowerCoefficientTable,
     appell_polynomial,
     compute_D,
+    RECURRENCE,
     polynomial_eval,
+    related_numbers_composition,
+    related_numbers_determinant,
     related_numbers_negative_power,
+    related_numbers_recurrence,
 )
 from appellseq.families import FamilySpec, family_coefficients, load_custom_family
 from appellseq.witness import (
@@ -33,14 +37,10 @@ from appellseq.witness import (
     DEFAULT_COMPOSITION_CAP,
     DETERMINANT_BAREISS,
     IDENTITY,
-    RECURRENCE,
     CombinatorialBlowupError,
     VerificationReport,
     cross_verify,
     first_disagreement_pairs,
-    related_numbers_composition,
-    related_numbers_determinant,
-    related_numbers_recurrence,
 )
 
 import oracles
@@ -395,20 +395,30 @@ class TestProductionRoute:
 
 class TestRunRoutes:
     @pytest.mark.parametrize(
-        "routes", [(), ("foo",), (NEGATIVE_POWER, "foo"), NEGATIVE_POWER]
+        "routes", [(), ("foo",), (NEGATIVE_POWER, "foo"), NEGATIVE_POWER, ("recurrence",)]
     )
     def test_route_names_are_checked_before_any_work(self, monkeypatch, routes):
         # an empty selection once failed in max(); an unknown name beside a
         # known one was dropped, and "all 1 routes agree" reported; a bare
-        # name is a sequence of one-letter names
+        # name is a sequence of one-letter names; the D-recurrence is a
+        # library route, not a check
         for name in ("reduced_power_table", "power_numerators", "exponential_power_numerators"):
             monkeypatch.setattr(engine, name, fail)
         message = (
-            "^routes must be one or more of recurrence, determinant:bareiss, "
+            "^routes must be one or more of determinant:bareiss, "
             "composition, negative-power, got "
         )
         with pytest.raises(ValueError, match=message):
             witness.run_routes(bernoulli_seq(5), 1, 3, routes)
+
+    def test_library_recurrence_goes_through_no_check(self, monkeypatch):
+        # the D-recurrence runs the request path's kernels itself
+        monkeypatch.setattr(witness, "run_routes", fail)
+        for spec, r in ((FamilySpec.bernoulli(), 1), (FamilySpec.hyper_cauchy(2, 3), 3)):
+            seq = family_coefficients(spec, 30)
+            table = related_numbers_recurrence(seq, r, 30)
+            assert table.algorithm == RECURRENCE
+            assert table.a == related_numbers_negative_power(seq, r, 30).a, spec.label
 
 
 class TestCrossVerify:
