@@ -53,7 +53,7 @@ class Edit(NamedTuple):
 # hit the Miller loop's forms; the `families.py` edit makes hyper-Cauchy's
 # d_151 onward wrong, an input every check reads, and the `engine.py` edit
 # makes d_170 wrong as `CoefficientSequence.prefix` hands it to every
-# route.  The `witness.py` edits hit the checks: the identity's weights,
+# route.  The `witness.py` edits hit the checks: the identity's last weight,
 # and the double mutant, a blind comparison, which alone makes no table
 # wrong, with the `_seidel` fault, which only the identity is left to see
 SEIDEL = Edit("series.py", "(r + 1) * (k + m) * (hi - lo)",
@@ -83,8 +83,8 @@ ROWS = [
     [Edit("engine.py", "return [p // g for p in P], self.L // g",
           "return [p // g + (k == 170) for k, p in enumerate(P)], self.L // g",
           "prefix output at k = 170")],
-    [Edit("witness.py", "count(N, r - 1)", "count(N, r - 1 + (N == 170) * (r - 1))",
-          "identity weights at N = 170, r >= 2")],
+    [Edit("witness.py", "u[1:]), r]", "u[1:]), r + (N == 170) * (r - 1)]",
+          "identity weight u_N at N = 170, r >= 2")],
     [Edit("witness.py", "    return first\n", "    return None\n", "comparison blind"),
      SEIDEL],
 ]

@@ -5,7 +5,9 @@ One row per module, in name order, then their total, then the "plain
 path": the modules that `import appellseq.cli` loads, as a fresh
 interpreter without site holds them in `sys.modules`.  That import is
 what every command-line run compiles when no bytecode cache is read, and
-what the benchmark's `setup_s` times.  Nodes are every node `ast.walk`
+what the benchmark's `setup_s` times.  The last row, the "check path",
+adds what `import appellseq.witness` loads on top of it: the code a
+`--check` request compiles.  Nodes are every node `ast.walk`
 visits in the module's parse tree, the figure that follows what importing
 a module compiles; lines are newline-terminated lines, as `wc -l` counts
 them.
@@ -29,11 +31,13 @@ def module_size(path: Path) -> tuple[int, int, int]:
     return data.count(b"\n"), len(data), nodes
 
 
-def plain_path(package: Path) -> list[Path]:
-    """The source files of the modules that `import <package>.cli` loads
-    in a fresh interpreter, without site."""
+def plain_path(package: Path, *extra: str) -> list[Path]:
+    """The source files of the modules that `import <package>.cli` and
+    `import <package>.<name>` for each name in `extra` load in a fresh
+    interpreter, without site."""
+    imports = "".join(f", {package.name}.{name}" for name in ("cli", *extra))
     code = (
-        f"import sys, {package.name}.cli\n"
+        f"import sys{imports}\n"
         "for m in list(sys.modules.values()):\n"
         f"    if m.__name__.partition('.')[0] == {package.name!r} and getattr(m, '__file__', None):\n"
         "        print(m.__file__)"
@@ -52,8 +56,9 @@ def main() -> int:
         total = [t + s for t, s in zip(total, size)]
         print(f"{path.name:<16} {size[0]:>6} {size[1]:>7} {size[2]:>6}")
     print(f"{'total':<16} {total[0]:>6} {total[1]:>7} {total[2]:>6}")
-    plain = [sum(col) for col in zip(*map(module_size, plain_path(PACKAGE)))]
-    print(f"{'plain path':<16} {plain[0]:>6} {plain[1]:>7} {plain[2]:>6}")
+    for label, extra in (("plain path", ()), ("check path", ("witness",))):
+        size = [sum(col) for col in zip(*map(module_size, plain_path(PACKAGE, *extra)))]
+        print(f"{label:<16} {size[0]:>6} {size[1]:>7} {size[2]:>6}")
     return 0
 
 

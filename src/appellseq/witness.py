@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Mapping, Optional, Sequence
 
@@ -76,19 +76,19 @@ def identity_reach(P: Sequence[int], A: Sequence[int], Q: int, r: int) -> int:
     """Largest n < len(A) such that A_0..A_n over Q are a_0..a_n of
     f^(-r), f's d_k = P_k / L with P_0 = L: A_0 = Q and, for N = 1..n,
 
-        sum_{k=0..N} C(N, k) (N + (r - 1) k) P_k A_{N-k} = 0,
+        sum_{k=0..N} u_k P_k A_{N-k} = 0,  u_k = C(N-1, k) + r C(N-1, k-1),
 
-    N L Q times the coefficient of t^(N-1) / (N-1)! in f h' + r f' h, which
-    vanishes for the multiples of h = f^(-r) alone.  Its k = 0 term is N L A_N, so the
-    identity at N fixes A_N from A_0..A_{N-1}.  -1 when A_0 != Q.  One
-    Pascal row rolled forward; nothing is divided."""
+    L Q times the coefficient of t^(N-1) / (N-1)! in f h' + r f' h, which
+    vanishes for the multiples of h = f^(-r) alone.  Its k = 0 term is
+    L A_N, so the identity at N fixes A_N from A_0..A_{N-1}.  -1 when
+    A_0 != Q.  The weights u are one Pascal row ending in r, rolled
+    forward; nothing is divided."""
     if A[0] != Q:
         return -1
-    row = [1]
+    u = [1]
     for N in range(1, len(A)):
-        row = [1, *map(add, row, row[1:]), 1]
-        weights = map(mul, row, count(N, r - 1))
-        if sum(map(mul, weights, map(mul, P, reversed(A[: N + 1])))):
+        u = [1, *map(add, u, u[1:]), r]
+        if sum(map(mul, u, map(mul, P, reversed(A[: N + 1])))):
             return N - 1
     return len(A) - 1
 

@@ -528,6 +528,22 @@ def alt_power_sum_check(n, m):
     return lhs, rhs
 
 
+def identity_reach_by_weights(P, A, Q, r):
+    """`witness.identity_reach` in its first form: the largest n < len(A)
+    with A_0 = Q and, for N = 1..n,
+
+        sum_{k=0..N} C(N, k) (N + (r - 1) k) P_k A_{N-k} = 0,
+
+    N L Q times the coefficient of t^(N-1) / (N-1)! in f h' + r f' h,
+    each weight taken from `math.comb`; -1 when A_0 != Q."""
+    if A[0] != Q:
+        return -1
+    for N in range(1, len(A)):
+        if sum(math.comb(N, k) * (N + (r - 1) * k) * P[k] * A[N - k] for k in range(N + 1)):
+            return N - 1
+    return len(A) - 1
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     """Result of comparing a family against a closed form, term by term."""

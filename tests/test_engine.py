@@ -522,6 +522,24 @@ class TestIdentity:
         assert witness.identity_reach(seq.P, M, 2 * Q, 3) == -1  # a_0 = 1/2
         for r in (1, 2, 4):  # a wrong r fails at N = 1, as d_1 = -2/3
             assert witness.identity_reach(seq.P, M, Q, r) == 0, r
+        for spec in (FamilySpec.bernoulli(), FamilySpec.euler(), FamilySpec.hyper_cauchy(2, 3)):
+            seq = family_coefficients(spec, 60)
+            for r in (1, 2, 16):
+                M, Q = engine.negative_power_numerators(seq, r, 60)
+                for k in (0, 1, 30, 60):
+                    bad = list(M)
+                    bad[k] += 1
+                    assert witness.identity_reach(seq.P, bad, Q, r) == k - 1, (spec.label, r, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sequence_strategy(max_len=9), st.integers(1, 20), st.integers(0, 9), st.booleans())
+    def test_the_rolled_row_reaches_as_far_as_the_first_form(self, seq, r, k, nudge):
+        # u_k = C(N-1, k) + r C(N-1, k-1) is C(N, k) (N + (r - 1) k) / N
+        M, Q = engine.negative_power_numerators(seq, r)
+        if nudge:
+            M[k % len(M)] += 1
+        assert witness.identity_reach(seq.P, M, Q, r) == oracles.identity_reach_by_weights(
+            seq.P, M, Q, r)
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_a_fault_every_route_shares_fails_the_identity(self, monkeypatch, r):

@@ -41,14 +41,15 @@ def test_size_counts_each_module_and_the_total(capsys, monkeypatch, tmp_path):
     import size
 
     assert size.main() == 0  # the package itself
-    *_, total, plain = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert total[0] == "total" and plain[:2] == ["plain", "path"]
-    assert 0 < int(plain[-1]) < int(total[-1])
+    *_, total, plain, check = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert total[0] == "total" and plain[:2] == ["plain", "path"] and check[:2] == ["check", "path"]
+    assert 0 < int(plain[-1]) < int(check[-1]) < int(total[-1])
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "a.py").write_text("x = 1\n")  # Module, Assign, Name, Store, Constant
     (package / "b.py").write_text('"""doc"""\n\n\ndef f():\n    pass\n')
     (package / "cli.py").write_text("from . import a\n")  # Module, ImportFrom, alias
+    (package / "witness.py").write_text("from . import cli\n")
     monkeypatch.setattr(size, "PACKAGE", package)
     assert size.main() == 0
     head, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
@@ -57,8 +58,10 @@ def test_size_counts_each_module_and_the_total(capsys, monkeypatch, tmp_path):
         ["a.py", "1", "6", "5"],
         ["b.py", "5", "30", "6"],  # Module, Expr, Constant, FunctionDef, arguments, Pass
         ["cli.py", "1", "16", "3"],
-        ["total", "7", "52", "14"],
+        ["witness.py", "1", "18", "3"],
+        ["total", "8", "70", "17"],
         ["plain", "path", "2", "22", "8"],  # a.py and cli.py: `import pkg.cli` loads them
+        ["check", "path", "3", "40", "11"],  # and witness.py: `import pkg.witness`
     ]
 
 
