@@ -59,8 +59,8 @@ class Edit(NamedTuple):
 SEIDEL = Edit("series.py", "(r + 1) * (k + m) * (hi - lo)",
               "((r + 1) * (k + m) + (n == 120)) * (hi - lo)", "_seidel (k+m) factor")
 ROWS = [
-    [Edit("series.py", "H[n - 1 : n + 8]", "H[n : n + 8]",
-          "_miller re-lift look-ahead")],
+    [Edit("series.py", "c = math.gcd(*H)", "c = math.gcd(*H[:2])",
+          "_miller lift from H_0, H_1 alone")],
     [Edit("series.py", "w = [w[0] - 1, ", "w = [w[0] - 1 - (n == 30), ",
           "_miller unshifted weight roll")],
     [Edit("series.py", "count(r - n, r + 1)", "count(r - n - (n == 180), r + 1)",

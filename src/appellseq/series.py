@@ -48,11 +48,9 @@ def exponential_power_numerators(
     n C(n+m, m) joins the step's divisor.  `_shift` picks the loop's m,
     0 below SHIFT_MIN_TERMS terms: hyper-Bernoulli(2, 3) takes m = 4 and
     H_k = k + 1, so the large F_k become small integers.  Either way F
-    (or H) is kept as integers P_k / c over L / c, for a c that divides
-    L and every P_k read so far, so L / c is the lcm of only the
-    denominators the steps have needed.  When P_n is not a multiple of
-    c, c drops to gcd(c, P_n..P_{n+8}), eight steps ahead so that such
-    re-lifts stay rare, and the stored F are rescaled.  G_0..G_{n-1} are
+    (or H) is lifted once, before the first step: it is kept as the
+    integers H_k / c over L / c for c = gcd(L, H_1..H_K), so L / c is
+    the least common denominator of H_1 / L..H_K / L.  G_0..G_{n-1} are
     kept as M_m / Q over one running Q; the dot product S, with each
     weight multiplied in last, gives G_n = S over (L / c) Q times the
     step's divisor, reduced by one gcd; when den G_n does not divide Q,
@@ -183,8 +181,8 @@ def _seidel(
     stored binomial, and so built the table still outruns `_miller`.
     A step's few other products are by h and small factors,
     and S, hence (M, Q) and "max_num_bits", is the loop's bit for bit:
-    c = gcd(L, h) is the loop's lift after its first step, and the
-    reduction is `_reduced`, as in `_miller`.
+    c = gcd(L, h) is the loop's one lift, and the reduction is
+    `_reduced`, as in `_miller`.
     """
     c = math.gcd(L, h)
     h, Lc = h // c, L // c
@@ -210,19 +208,13 @@ def _miller(
     H: Sequence[int], L: int, r: int, m: int, stats: Optional[StatsDict] = None
 ) -> tuple[list[int], int]:
     """`exponential_power_numerators` at shift m (see there), r != 1, on
-    the shifted numerators H_k = P_k C(k+m, m) over L."""
-    H = H[1:]
-    M, Q, F, c, Lc, step = [1], 1, [], L, 1, step_rows(stats)
+    the shifted numerators H_k = P_k C(k+m, m) over L (H_0 = L)."""
+    c = math.gcd(*H)
+    F, Lc = [h // c for h in H[1:]], L // c
+    M, Q, step = [1], 1, step_rows(stats)
     w = [r]  # the weights of step 1, at every m
     row = [math.comb(m + 1, j) for j in range(m + 2)]  # C(n+m, j) at step n = 1
-    for n, p in enumerate(H, 1):  # step n reads p = H_n
-        if p % c:
-            up = c
-            c = math.gcd(c, *H[n - 1 : n + 8])
-            up //= c
-            F = [f * up for f in F]
-            Lc = L // c
-        F.append(p // c)
+    for n in range(1, len(H)):  # the products stop at len(M) = n: F_1..F_n
         S = sum(map(mul, w, map(mul, F, reversed(M))))
         if step:
             step(S.bit_length())

@@ -70,10 +70,10 @@ def naive_inverse(a):
 
 def global_lift_power(P, L, r):
     """(M, Q) of Miller's loop for F^r, F_k = P_k / L, with every F_k
-    lifted once over the one L of the whole prefix and each weight
-    multiplied in first: the form `series.exponential_power_numerators`
-    had before it lifted over a running gcd chain, kept as the reference
-    for its (M, Q)."""
+    over the L given, not divided by the prefix's gcd as the loop's one
+    lift divides it, and each weight multiplied in first: the plain
+    unshifted form, kept as the reference for the (M, Q) of
+    `series.exponential_power_numerators`."""
     if r == 1:
         return list(P), L
     P = P[1:]

@@ -962,7 +962,7 @@ class TestBenchOutputPin:
 
     FAMILIES = TestPolyOutputPin.FAMILIES
     ORDERS = ("1", "2", "3", "7")
-    DIGEST = "15e759124507d0d425120bc2a242fd17b5c17348c76b6526f5b774ac1531dd30"
+    DIGEST = "2e155ae8f821f368564e2e4d8ca460b58d27c050f29c399e893f3413d1c770b6"
     VALUE_DIGEST = "4a0cf05f5a9821dc5afdbc74dd71ab79199198e9ad2e453224a0665ee6fcf296"
 
     def digest(self, capsys, columns):

@@ -56,7 +56,7 @@ SIZES = (40, 200)
 WITNESS_N = 40
 
 VALUE = "7f25da8c8853188c15b6d016548637aee343bef0a27c8791ccb55be8dd1c801e"
-COST = "79e1e5277adca091848e6a99980fbcd89f923c15e32aca419205d1918c61125b"
+COST = "db7975c8929c4fcaa580ce223fc89a600ab7fbb4ac5796773677edbe982d41ec"
 
 
 def lowest_terms(num, den):

@@ -306,8 +306,8 @@ class TestMillerKernel:
 
     def test_peak_bits_of_a_small_inverse(self):
         # 1/(1 + t/2 + t^2/3 + t^3/5): F = 1, 1/2, 2/3, 6/5 over L = 30, so
-        # P = 15, 20, 36.  The first lift looks past n = 3, so F stays over
-        # L = 30 (gcd(30, 15, 20, 36) = 1) from step 1 on.  The dot
+        # P = 15, 20, 36.  The one lift divides by gcd(30, 15, 20, 36) = 1,
+        # so F stays over L = 30 at every step.  The dot
         # products are S_1 = -15 (G_1 = -1/2, Q = 2), S_2 = -10
         # (G_2 = -1/6, Q = 6) and S_3 = 9 (G_3 = 1/20): 4 bits.
         # The loop ends on Q = lcm(2, 6, 20) = 60.
@@ -329,8 +329,8 @@ class TestMillerKernel:
 
 
 # every catalogue kind, and a custom list whose denominators bring new
-# primes in late (97 at k = 90, 101 at k = 150), so F is lifted again
-# long after its first jump
+# primes in late (97 at k = 90, 101 at k = 150), which the one lift's
+# denominator holds from step 1 on
 LIFT_SPECS = [
     FamilySpec.bernoulli(),
     FamilySpec.euler(),
@@ -344,17 +344,19 @@ LIFT_SPECS = [
 ]
 
 
-class TestRunningLift:
-    """The loop lifts F over the lcm of the denominators its next steps
-    read; its (M, Q) must be the global-lift reference's, bit for bit.
-    At n = 200 f^r and f^(-r) run at the shift pinned in SHIFTS, where -1
-    is `_ordinary`'s lift.  The Bernoulli, hyper-Bernoulli(1,1) and Euler
-    rows are flat and run on `_seidel`'s difference table at every n; at
-    n = 200 the hyper-Bernoulli(2,3) row runs the shifted `_miller`, the
-    hyper-Cauchy rows `_ordinary`, and the custom row the unshifted
-    `_miller`.  The inverse of f^r takes whichever kernel its own input
-    picks.  `TestShiftedLoop` and `TestSkippedProducts` call `_miller`
-    itself at every shift, and `TestOrdinaryLoop` calls `_ordinary`."""
+class TestOneLift:
+    """The loop lifts F once, over the least common denominator of the
+    whole prefix; its (M, Q) must be the global-lift reference's, bit for
+    bit, also on an input scaled by a common factor g that the lift
+    divides out.  At n = 200 f^r and f^(-r) run at the shift pinned in
+    SHIFTS, where -1 is `_ordinary`'s lift.  The Bernoulli,
+    hyper-Bernoulli(1,1) and Euler rows are flat and run on `_seidel`'s
+    difference table at every n; at n = 200 the hyper-Bernoulli(2,3) row
+    runs the shifted `_miller`, the hyper-Cauchy rows `_ordinary`, and
+    the custom row the unshifted `_miller`.  The inverse of f^r takes
+    whichever kernel its own input picks.  `TestShiftedLoop` and
+    `TestSkippedProducts` call `_miller` itself at every shift, and
+    `TestOrdinaryLoop` calls `_ordinary`."""
 
     SHIFTS = {
         "bernoulli": 1,
@@ -382,20 +384,25 @@ class TestRunningLift:
                 M, Q = exponential_power_numerators(A, B, s)
                 assert (M, Q) == oracles.global_lift_power(A, B, s), (n, what)
                 assert Q == math.lcm(*(F(m, Q).denominator for m in M)), (n, what)
+        g = 2**61 - 1  # prime, so the lift's gcd is at least g
+        for n in (40, 200):
+            P, L = seq.prefix(n)
+            Pg, Lg = [p * g for p in P], L * g
+            for s in {r, -r} - {1}:
+                want = exponential_power_numerators(P, L, s)
+                assert exponential_power_numerators(Pg, Lg, s) == want, (n, s)
+                assert oracles.global_lift_power(Pg, Lg, s) == want, (n, s)
 
 
 def shifted_peak_bits(P, L, m, G):
     """The bit length of the largest |S| of the loop at shift m on
     F_k = P_k / L, from its values G: step n's S is G_n times the step's
     divisor before reduction, (L / c) Q n C(n+m, m) ((L / c) Q at m = 0),
-    where Q = lcm(den G_0..G_{n-1}) and c is the running lift over the
-    shifted numerators P_k C(k+m, m), which drops to
-    gcd(c, H_n..H_{n+8}) at each H_n it does not divide."""
+    where Q = lcm(den G_0..G_{n-1}) and c is the one lift,
+    gcd(L, H_1..H_K) over the shifted numerators H_k = P_k C(k+m, m)."""
     H = [p * math.comb(k + m, m) for k, p in enumerate(P)]
-    c, Q, peak = L, 1, 0
+    c, Q, peak = math.gcd(*H), 1, 0
     for n in range(1, len(H)):
-        if H[n] % c:
-            c = math.gcd(c, *H[n : n + 9])
         Q = math.lcm(Q, G[n - 1].denominator)
         S = G[n] * (L // c) * Q * (n * math.comb(n + m, m) if m else 1)
         assert S.denominator == 1, n
