@@ -18,8 +18,10 @@ unedited tree's own row:
               (`witness.first_disagreement_pairs`)
     alarms    right tables that `--check` refused
 
-The script exits 1, before any run, when an edit's old text is not
-found exactly once in its file.
+A row whose edited tree raises in the child prints `crash` in every
+column, and the child's last line of stderr (the exception) goes to
+stderr; the other rows still run and print.  The script exits 1, before
+any run, when an edit's old text is not found exactly once in its file.
 
     python3 scripts/mutants.py
 """
@@ -50,7 +52,8 @@ class Edit(NamedTuple):
 
 
 # one row per entry, its edits applied together.  The `series.py` edits
-# hit the Miller loop's forms; the `families.py` edit makes hyper-Cauchy's
+# hit the Miller loop's forms (the two fold rows keep one U_j wrong in a
+# long loop's Horner sum and end lift); the `families.py` edit makes hyper-Cauchy's
 # d_151 onward wrong, an input every check reads, and the `engine.py` edit
 # makes d_170 wrong as `CoefficientSequence.prefix` hands it to every
 # route.  The `witness.py` edits hit the checks: the identity's last weight,
@@ -67,6 +70,10 @@ ROWS = [
           "_miller shifted weights")],
     [Edit("series.py", "M[: last + 1]", "M[: last + (last < n - 1)]",
           "_ordinary zero-tail stop")],
+    [Edit("series.py", "V.append(n * up)", "V.append(n * up + (n == 170))",
+          "_ordinary fold multiplier j U_j at j = 170")],
+    [Edit("series.py", "U.append(up)\n        elif", "U.append(up + (n == 170))\n        elif",
+          "_miller shifted fold U_j at j = 170")],
     [SEIDEL],
     [Edit("series.py", "math.comb(i + m, m - 1) for i", "math.comb(i + m, m - 1) + (i == 150) for i",
           "_seidel m > 2 binomials")],
@@ -166,13 +173,31 @@ def tally(reference: list, rows: list) -> tuple:
     return wrong, flagged, first, ident, alarms
 
 
+def outcome(edits: list[Edit], grid: dict) -> list | subprocess.CalledProcessError:
+    """`edited_rows`, or the error of a child that raised."""
+    try:
+        return edited_rows(edits, grid)
+    except subprocess.CalledProcessError as crash:
+        return crash
+
+
 def table(rows: list[list[Edit]], grid: dict) -> list[tuple]:
     """One (label, wrong, flagged, first, ident, alarms) per row of edits,
-    after the unedited tree's own row; two grids run at a time."""
+    after the unedited tree's own row; two grids run at a time.  A row
+    whose child raised reads `crash` in every column."""
     with ThreadPoolExecutor(2) as pool:
-        runs = list(pool.map(lambda edits: edited_rows(edits, grid), [[], *rows]))
+        runs = list(pool.map(lambda edits: outcome(edits, grid), [[], *rows]))
+    if isinstance(runs[0], subprocess.CalledProcessError):  # no reference to compare with
+        raise runs[0]
     labels = ["(no edit)", *(" + ".join(f"{e.file}: {e.breaks}" for e in row) for row in rows)]
-    return [(label, *tally(runs[0], tables)) for label, tables in zip(labels, runs)]
+    out = []
+    for label, tables in zip(labels, runs):
+        if isinstance(tables, subprocess.CalledProcessError):
+            print(f"{label}: {tables.stderr.strip().splitlines()[-1]}", file=sys.stderr)
+            out.append((label, *["crash"] * 5))
+        else:
+            out.append((label, *tally(runs[0], tables)))
+    return out
 
 
 def main() -> int:

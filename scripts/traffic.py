@@ -7,9 +7,12 @@ in process, with the loop's three forms in `appellseq.series` wrapped:
 `_seidel` (the difference table), `_miller` (the unshifted loop at
 m = 0, the shifted one at m >= 1) and `_ordinary`.  For each workload,
 seed and form it prints the number of calls, the steps those calls ran,
-and how many of the steps read more than two terms past G's last nonzero
-value, found from the M each call returned: the steps a zero-tail skip
-would shorten.
+how many of the steps read more than two terms past G's last nonzero
+value, found from the M each call returned (the steps a zero-tail skip
+would shorten), and how many raised the running denominator Q, found
+from the returned (M, Q) as the running lcm of the reduced denominators
+of G_0..G_n (the steps whose rise `_seidel`, `_ordinary` and the shifted
+`_miller` fold into their sums, and the unshifted `_miller` rescales).
 
     PYTHONPATH=src python3 scripts/traffic.py --workload all --seed 1 2 3
 """
@@ -17,6 +20,7 @@ would shorten.
 import argparse
 import contextlib
 import io
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -49,10 +53,20 @@ def past_tail_steps(M) -> int:
     return count
 
 
+def rise_steps(M, Q) -> int:
+    """Steps n = 1..K at which lcm(den G_0..G_n), G_n = M_n / Q, rose."""
+    count, running = 0, 1
+    for m in M[1:]:
+        den = Q // math.gcd(m, Q)
+        count += running % den != 0
+        running = math.lcm(running, den)
+    return count
+
+
 @contextlib.contextmanager
 def traced(tally: Counter):
     """Wrap the loop's forms on `series`; each call adds to `tally` under
-    (form, "calls" / "steps" / "past tail")."""
+    (form, "calls" / "steps" / "past tail" / "rises")."""
     kept = {name: getattr(series, name) for name in ("_seidel", "_miller", "_ordinary")}
 
     def wrap(name, form):
@@ -62,6 +76,7 @@ def traced(tally: Counter):
             tally[key, "calls"] += 1
             tally[key, "steps"] += len(M) - 1
             tally[key, "past tail"] += past_tail_steps(M)
+            tally[key, "rises"] += rise_steps(M, Q)
             return M, Q
 
         return run
@@ -102,13 +117,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     names = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
 
-    print(f"{'workload':<9} {'seed':>4}  {'form':<13} {'calls':>6} {'steps':>7} {'past tail':>9}")
+    print(f"{'workload':<9} {'seed':>4}  {'form':<13} {'calls':>6} {'steps':>7} {'past tail':>9}"
+          f" {'rises':>6}")
     for workload in names:
         for seed in args.seed:
             tally = tally_pass(workloads, workload, seed)
             for form in sorted({form for form, _ in tally}):
-                calls, steps, past = (tally[form, k] for k in ("calls", "steps", "past tail"))
-                print(f"{workload:<9} {seed:>4}  {form:<13} {calls:>6} {steps:>7} {past:>9}")
+                calls, steps, past, rises = (
+                    tally[form, k] for k in ("calls", "steps", "past tail", "rises")
+                )
+                print(f"{workload:<9} {seed:>4}  {form:<13} {calls:>6} {steps:>7} {past:>9} {rises:>6}")
     return 0
 
 

@@ -4,9 +4,12 @@ for any integer r, as integer numerators over one denominator.
 `exponential_power_numerators` states the loop; on a flat input its
 steps are sums on a difference table, stated in `_seidel`, and on a long
 hyper-Cauchy-like input they run on the ordinary coefficients themselves,
-by Horner's rule (`_ordinary`).  `engine` runs it on a family's (P, L);
-`library.TruncatedSeries` and `library.exponential_power` run it on
-rationals.
+by Horner's rule (`_ordinary`).  The unshifted loop keeps G over one
+running denominator Q; the other forms keep each G_j over the Q of the
+step that found it, fold each rise of Q into their sums, and lift G onto
+the last Q once, at the end (`_lifted`).  `engine` runs it on a family's
+(P, L); `library.TruncatedSeries` and `library.exponential_power` run it
+on rationals.
 """
 
 from __future__ import annotations
@@ -50,11 +53,18 @@ def exponential_power_numerators(
     H_k = k + 1, so the large F_k become small integers.  Either way F
     (or H) is lifted once, before the first step: it is kept as the
     integers H_k / c over L / c for c = gcd(L, H_1..H_K), so L / c is
-    the least common denominator of H_1 / L..H_K / L.  G_0..G_{n-1} are
-    kept as M_m / Q over one running Q; the dot product S, with each
-    weight multiplied in last, gives G_n = S over (L / c) Q times the
-    step's divisor, reduced by one gcd; when den G_n does not divide Q,
-    Q rises to their lcm and the stored M are rescaled (`_reduced`).
+    the least common denominator of H_1 / L..H_K / L.  The step's sum S,
+    with each weight multiplied in last, gives G_n = S over (L / c) Q
+    times the step's divisor, for Q = Q_{n-1} = lcm(den G_0..G_{n-1}),
+    reduced by one gcd; when den G_n does not divide Q, Q rises to their
+    lcm, Q_n = U_n Q_{n-1} (`_reduced`; U_n = 1 when it does not rise).
+    The unshifted loop keeps G_0..G_{n-1} as M_j / Q over the one running
+    Q and rescales the stored M by U_n, so its S is one dot product.  The
+    shifted loop keeps each M_j over Q_j, the Q of the step that reduced
+    G_j, and never rescales it: it sums the terms t_j in ascending j by
+    Horner's rule, S <- S U_j + t_j, which lifts each term onto Q as it
+    goes, so S is the same integer.  When the loop ends, one pass
+    (`_lifted`) multiplies each M_j by U_{j+1} ... U_K onto the last Q.
 
     The third form runs on the ordinary coefficients c_k = F_k / k! =
     P_k / (L k!) and keeps G exponential: since C(n, k) k! = n! / (n-k)!,
@@ -62,9 +72,11 @@ def exponential_power_numerators(
         G_n = sum_{j=0..n-1} (n-1)! / j! (r n - (r+1) j) c_{n-j} G_j,
 
     which `_ordinary` sums by Horner's rule on the falling factorial,
-    S <- S j + (r n - (r+1) j) C_{n-j} M_j for j = 0..n-1, so the large
-    running sum is only ever multiplied by the word-sized j, never by a
-    weight.  The c_k are kept in lowest terms as C_k over Lc, the lcm of
+    S <- S j U_j + (r n - (r+1) j) C_{n-j} M_j for j = 0..n-1, with each
+    M_j over its own Q_j as in the shifted loop: the one multiplier j U_j
+    both steps the falling factorial and lifts the sum onto Q, so the
+    large running sum is only ever multiplied by the small j U_j, never
+    by a weight.  The c_k are kept in lowest terms as C_k over Lc, the lcm of
     the denominators read so far, rescaled when Lc rises (`_reduced`), and
     G_n = S / (Lc Q).  It pays where F_k carries a k!: hyper-Cauchy's
     d_k carry (M)^(k), so at hyper-Cauchy(2, 3), n = 220 the shifted
@@ -86,9 +98,10 @@ def exponential_power_numerators(
     read so far is 0 (past the degree of a polynomial power, as for
     hyper-Cauchy(3, 2) at r = -4, which runs on `_ordinary` from
     SHIFT_MIN_TERMS terms on), stops Horner's rule there and multiplies
-    once by the rest of (n-1)! / j!.  It drops only products by 0, so S
-    is the same integer.  The shifted and unshifted forms sum every
-    term.
+    once by the skipped multipliers j U_j past it, kept as a running
+    product: Q does not rise at a step whose G_j = 0, so U_j = 1 there and
+    the product is (n-1)! / last!.  It drops only products by 0, so S is
+    the same integer.  The shifted and unshifted forms sum every term.
 
     No Fraction is built: each caller makes its values from (M, Q) once,
     or compares them as they are.  Each step hands the |S|.bit_length()
@@ -170,7 +183,9 @@ def _seidel(
     no divisor.  So one form runs, with k = n at m >= 1 and k = 1 at
     m = 0 in the factors r k and (r+1) (k+m) and the divisor k C(k+m, m).
 
-    The table keeps, over the loop's Q, the anti-diagonal
+    The loop never reads G: each M_j stays over its own Q_j, lifted onto
+    the last Q once, at the end (`_lifted`).  The table keeps, over the
+    loop's running Q, rescaled when Q rises, the anti-diagonal
     e_i = sum_{l<=i} C(i+m, l) G_{n-1-i+l}, i < n, of G's difference
     table m rows down.  By the hockey stick, e_{n-1} = V(n+m-1) and
     sum e = V(n+m), so a step's two values cost one sum.  Pascal's rule
@@ -187,7 +202,7 @@ def _seidel(
     c = math.gcd(L, h)
     h, Lc = h // c, L // c
     b = [math.comb(i + m, m - 1) for i in range(K)] if m > 2 else ()
-    M, Q, e, step = [1], 1, [1], step_rows(stats)
+    M, U, Q, e, step = [1], [1], 1, [1], step_rows(stats)
     for n in range(1, K + 1):
         lo, hi, k = e[-1], sum(e), n if m else 1
         S = h * (r * k * hi - (r + 1) * (k + m) * (hi - lo))
@@ -195,48 +210,59 @@ def _seidel(
             step(S.bit_length())
         S, Q, up = _reduced(S, Lc * Q * k * math.comb(k + m, m), Q)
         if up > 1:
-            M = [x * up for x in M]
             e = [x * up for x in e]
+        U.append(up)
         M.append(S)
         if m:
             e = map(add, e, map(S.__mul__, b) if b else count(2 * S, S) if m == 2 else repeat(S))
         e = list(accumulate(e, initial=S))
-    return M, Q
+    return _lifted(M, U), Q
 
 
 def _miller(
     H: Sequence[int], L: int, r: int, m: int, stats: Optional[StatsDict] = None
 ) -> tuple[list[int], int]:
     """`exponential_power_numerators` at shift m (see there), r != 1, on
-    the shifted numerators H_k = P_k C(k+m, m) over L (H_0 = L)."""
+    the shifted numerators H_k = P_k C(k+m, m) over L (H_0 = L).  At
+    m = 0 its M share one Q and each step is one dot product; at m >= 1
+    each M_j stays over its own Q_j, summed by Horner's rule in U_j."""
     c = math.gcd(*H)
     F, Lc = [h // c for h in H[1:]], L // c
-    M, Q, step = [1], 1, step_rows(stats)
+    M, U, Q, step = [1], [1], 1, step_rows(stats)
     w = [r]  # the weights of step 1, at every m
     row = [math.comb(m + 1, j) for j in range(m + 2)]  # C(n+m, j) at step n = 1
-    for n in range(1, len(H)):  # the products stop at len(M) = n: F_1..F_n
-        S = sum(map(mul, w, map(mul, F, reversed(M))))
-        if step:
-            step(S.bit_length())
-        if m:
+    for n in range(1, len(H)):
+        if m:  # M_j over Q_j: Horner's rule in U_j lifts each term onto Q
+            S = 0
+            for u, t in zip(U, map(mul, reversed(w), map(mul, reversed(F[:n]), M))):
+                S = S * u + t
             den = Lc * Q * n * row[m]
             row = [1, *map(add, row, row[1:]), 1]
             w = list(map(mul, row[m + 1 :], count(r - n, r + 1)))  # step n + 1's
-        else:
+        else:  # the products stop at len(M) = n: F_1..F_n
+            S = sum(map(mul, w, map(mul, F, reversed(M))))
             den = Lc * Q
             w = [w[0] - 1, *map(add, w, w[1:]), r]
+        if step:
+            step(S.bit_length())
         S, Q, up = _reduced(S, den, Q)
-        if up > 1:
+        if m:
+            U.append(up)
+        elif up > 1:
             M = [x * up for x in M]
         M.append(S)
-    return M, Q
+    return _lifted(M, U) if m else M, Q
 
 
-def _ordinary(P, L, r, stats=None):
+def _ordinary(
+    P: Sequence[int], L: int, r: int, stats: Optional[StatsDict] = None
+) -> tuple[list[int], int]:
     """`exponential_power_numerators` on the ordinary coefficients
     c_k = P_k / (L k!), r != 1: the third form there, by Horner's rule on
-    the falling factorial (n-1)! / j!.  Its step's S is G_n Lc Q."""
-    M, Q, C, Lc, fact, last, step = [1], 1, [0], 1, L, 0, step_rows(stats)
+    the falling factorial (n-1)! / j! with each M_j kept over its own
+    Q_j, so the multiplier of term j is j U_j.  Its step's S is G_n Lc Q."""
+    M, U, V, Q, C, Lc, fact, step = [1], [1], [0], 1, [0], 1, L, step_rows(stats)
+    last, tail = 0, 1  # tail = V_{last+1} ... V_{n-1}, each U_j = 1 past last
     for n, p in enumerate(P[1:], 1):
         fact *= n
         c, Lc, up = _reduced(p, fact, Lc)
@@ -245,26 +271,37 @@ def _ordinary(P, L, r, stats=None):
         C.append(c)
         terms = map(mul, map(mul, count(r * n, -r - 1), reversed(C)), M[: last + 1])
         S = 0
-        for j, t in enumerate(terms):  # t = (r n - (r+1) j) C_{n-j} M_j
-            S = S * j + t
-        S *= math.perm(n - 1, n - 1 - last)
+        for v, t in zip(V, terms):  # t = (r n - (r+1) j) C_{n-j} M_j, v = j U_j
+            S = S * v + t
+        S *= tail
         if step:
             step(S.bit_length())
         S, Q, up = _reduced(S, Lc * Q, Q)
-        if up > 1:
-            M = [x * up for x in M]
+        U.append(up)
+        V.append(n * up)
         if S:
-            last = n
+            last, tail = n, 1
+        else:
+            tail *= n  # and U_n = 1, as G_n = 0
         M.append(S)
-    return M, Q
+    return _lifted(M, U), Q
+
+
+def _lifted(M: list[int], U: list[int]) -> list[int]:
+    """Each M_j, kept over Q_j (the running Q when G_j was reduced), over
+    the last Q_K instead: times U_{j+1} ... U_K, for U_j = Q_j / Q_{j-1}
+    (U_0 is not read), in one pass from the end."""
+    return list(map(mul, reversed(M), accumulate(reversed(U), mul, initial=1)))[::-1]
 
 
 def _reduced(S: int, den: int, Q: int) -> tuple[int, int, int]:
     """A step's G_n = S / den over the running Q, by one gcd: its
     numerator, the new Q and the factor up by which Q rose.  Q rises to
-    lcm(Q, den G_n) when den G_n does not divide it (else up = 1), and
-    the caller rescales its stored numerators by up.  `_ordinary` lifts
-    each c_n = P_n / (L n!) over its running Lc the same way."""
+    lcm(Q, den G_n) when den G_n does not divide it (else up = 1).  The
+    unshifted `_miller` rescales its stored numerators by up; the other
+    forms keep it as U_n, fold it into their sums and lift once at the
+    end (`_lifted`).  `_ordinary` lifts each c_n = P_n / (L n!) over its
+    running Lc the same way, and rescales its stored C by up."""
     g = math.gcd(S, den)
     den //= g
     up = den // math.gcd(Q, den) if Q % den else 1

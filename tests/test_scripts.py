@@ -23,17 +23,21 @@ def test_traffic_counts_the_loop_forms_of_verify(capsys, monkeypatch):
 
     assert traffic.main(["--workload", "verify", "--seed", "1"]) == 0
     head, *rows = capsys.readouterr().out.splitlines()
-    assert head.split() == ["workload", "seed", "form", "calls", "steps", "past", "tail"]
+    assert head.split() == ["workload", "seed", "form", "calls", "steps", "past", "tail", "rises"]
     table = {}
     for row in rows:
-        workload, seed, name, m, calls, steps, past = row.replace(" m=", " ").split()
+        workload, seed, name, m, calls, steps, past, rises = row.replace(" m=", " ").split()
         assert (workload, seed, name) in {("verify", "1", "_miller"), ("verify", "1", "_seidel")}
-        table[name, int(m)] = int(calls), int(steps), int(past)
+        table[name, int(m)] = int(calls), int(steps), int(past), int(rises)
     # --check at r <= 2 runs the unshifted loop, and the difference table
-    # on Bernoulli and Euler; no step of theirs reads a zero tail
+    # on Bernoulli and Euler; no step of theirs reads a zero tail, and Q
+    # rises at some of their steps
     assert table[("_miller", 0)][0] > 0
-    assert all(calls <= steps and past == 0 for calls, steps, past in table.values())
+    assert all(calls <= steps and past == 0 and 0 < rises <= steps
+               for calls, steps, past, rises in table.values())
     assert traffic.past_tail_steps([1, 2, 0, 0, 0, 0, 5, 0]) == 2  # steps 5 and 6
+    # G = 1, 1/2, 1/3, 1 over Q = 6: the running lcm 1, 2, 6, 6 rises twice
+    assert traffic.rise_steps([6, 3, 2, 6], 6) == 2
 
 
 def test_size_counts_each_module_and_the_total(capsys, monkeypatch, tmp_path):
@@ -86,3 +90,23 @@ def test_mutants_runs_the_unedited_tree_and_one_edit(capsys, monkeypatch):
     monkeypatch.setattr(mutants, "ROWS", [row, [row[0], gone]])
     assert mutants.main() == 1
     assert capsys.readouterr().err == "error: series.py does not hold 'no such text' exactly once\n"
+
+
+def test_mutants_prints_a_crashing_row_and_every_other_row(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import mutants
+
+    crash = mutants.Edit("series.py", "    g = math.gcd(S, den)\n", "    g = math.gcd(S, den) // 0\n",
+                         "_reduced divides by 0")
+    row = next(row for row in mutants.ROWS if row[0].breaks == "_reduced when 7 divides up")
+    monkeypatch.setattr(mutants, "ROWS", [[crash], row])
+    monkeypatch.setattr(mutants, "GRID", {"families": [["hyper_cauchy", 2, 3]], "orders": [1, 2],
+                                          "sizes": [12], "cap": 50})
+    assert mutants.main() == 0
+    out, err = capsys.readouterr()
+    assert [line.split()[-5:] for line in out.splitlines()[1:]] == [
+        ["0", "0", "-", "0", "0"],
+        ["crash"] * 5,  # the child raised, and the rows after it still run
+        ["2", "2", "4", "0", "0"],
+    ]
+    assert err == "series.py: _reduced divides by 0: ZeroDivisionError: integer division or modulo by zero\n"

@@ -704,7 +704,8 @@ class TestSkippedProducts:
         # SHIFT_MIN_TERMS terms on the power takes `_ordinary`, whose step
         # past the zero tail multiplies only a_0..a_8 by their two factors
         # (and one more product, pulled before a_0..a_8 run out), at any
-        # length
+        # length; the end lift takes two more per step, one into its
+        # running product of U_j and one onto M_j
         calls = []
 
         def counted(x, y):
@@ -720,8 +721,8 @@ class TestSkippedProducts:
             M, Q = engine.negative_power_numerators(seq, 4, n)
             assert [F(m, Q) for m in M] == [math.perm(8, j) for j in range(n + 1)]
             counts.append(len(calls))
-        assert counts[1] - counts[0] == (2 * 9 + 1) * (200 - SHIFT_MIN_TERMS)
-        assert counts[2] - counts[1] == (2 * 9 + 1) * 200
+        assert counts[1] - counts[0] == (2 * 9 + 1 + 2) * (200 - SHIFT_MIN_TERMS)
+        assert counts[2] - counts[1] == (2 * 9 + 1 + 2) * 200
 
 
 class TestDifferenceTable:
