@@ -22,12 +22,12 @@ _HOME = {
     name: module
     for module, names in (
         ("arith", "DEFAULT_COMPOSITION_CAP format_rational parse_rational"),
-        ("engine", "CoefficientSequence NormalizationError RelatedNumberTable"),
+        ("engine", "CoefficientSequence NormalizationError"),
         ("families", "FamilySpec family_coefficients load_custom_family"),
-        ("library", "AppellPolynomial NotInvertibleError PowerCoefficientTable TruncatedSeries "
-                    "appell_polynomial compute_D polynomial_eval related_numbers_composition "
-                    "related_numbers_determinant related_numbers_negative_power "
-                    "related_numbers_recurrence"),
+        ("library", "AppellPolynomial NotInvertibleError PowerCoefficientTable RelatedNumberTable "
+                    "TruncatedSeries appell_polynomial compute_D polynomial_eval "
+                    "related_numbers_composition related_numbers_determinant "
+                    "related_numbers_negative_power related_numbers_recurrence"),
         ("witness", "CombinatorialBlowupError VerificationReport cross_verify"),
     )
     for name in names.split()

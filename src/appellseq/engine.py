@@ -79,22 +79,6 @@ class CoefficientSequence(Record):
         return len(self.P) - 1
 
 
-class RelatedNumberTable(Record):
-    """a_n^(r) for n = 0..n_max, tagged with the algorithm that made it."""
-
-    __slots__ = ("r", "a", "algorithm")
-
-    def __init__(self, r: int, a: Sequence[Fraction], algorithm: str):
-        check_order(r)
-        if not a or a[0] != 1:
-            raise ValueError("a_0 must be 1 for a normalized sequence")
-        Record.__init__(self, r, tuple(a), algorithm)
-
-    @property
-    def n_max(self) -> int:
-        return len(self.a) - 1
-
-
 def power_numerators(
     seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> tuple[list[int], int]:

@@ -36,7 +36,6 @@ from .arith import DEFAULT_COMPOSITION_CAP, Record, StatsDict, convolve, factori
 from .engine import (
     NEGATIVE_POWER,
     CoefficientSequence,
-    RelatedNumberTable,
     appell_numerators,
     check_order,
     check_table,
@@ -176,6 +175,22 @@ class PowerCoefficientTable(Record):
     @property
     def n_max(self) -> int:
         return len(self.D) - 1
+
+
+class RelatedNumberTable(Record):
+    """a_n^(r) for n = 0..n_max, tagged with the algorithm that made it."""
+
+    __slots__ = ("r", "a", "algorithm")
+
+    def __init__(self, r: int, a: Sequence[Fraction], algorithm: str):
+        check_order(r)
+        if not a or a[0] != 1:
+            raise ValueError("a_0 must be 1 for a normalized sequence")
+        Record.__init__(self, r, tuple(a), algorithm)
+
+    @property
+    def n_max(self) -> int:
+        return len(self.a) - 1
 
 
 class AppellPolynomial(Record):

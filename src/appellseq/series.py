@@ -15,12 +15,11 @@ on rationals.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import add, mul
 from typing import Optional, Sequence
 
-from .arith import StatsDict, step_rows
+from .arith import StatsDict, format_ratio, step_rows
 
 
 def exponential_power_numerators(
@@ -109,7 +108,7 @@ def exponential_power_numerators(
     r = 1 no loop runs and `stats` is left as given.
     """
     if P[0] != L:
-        raise ValueError(f"exponential power needs F_0 = 1, got {Fraction(P[0], L)}")
+        raise ValueError(f"exponential power needs F_0 = 1, got {format_ratio(P[0], L)}")
     if r == 1:
         return list(P), L
     K = len(P) - 1

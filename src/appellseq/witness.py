@@ -14,13 +14,16 @@ a_0..a_{n_max} as the production route, `engine.negative_power_numerators`
   D_r(1)..D_r(n), by Bareiss elimination on its band.
 
 Each route has one integer kernel that returns its table as numerators
-over positive denominators, unreduced, and one function, `run_routes`,
-feeds them for `cross_verify`, the CLI and `library`'s Fraction tables.
-`cross_verify` runs all three, compares the tables by cross-multiplication
-and proves the production table.
+over positive denominators, unreduced.  `ROUTES` names the three in the
+order they run and the report lists them, and one function, `run_routes`,
+feeds them for `cross_verify`, the CLI and `library`'s Fraction tables:
+one `if route in routes:` block per route, in that order, each calling
+its kernel once.  `cross_verify` runs all of `ROUTES`, compares the
+tables by cross-multiplication and proves the production table.
 
 This module reads the request path only as `engine.<name>`, and each
-route's leg in `run_routes` reads only the names of its row in `READS`.
+route's leg in `run_routes` (its blocks, and the call of `identity_reach`
+for the identity) reads only the names of its row in `READS`.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ from .arith import (
 COMPOSITION = "composition"
 DETERMINANT_BAREISS = "determinant:bareiss"
 IDENTITY = "identity"
+#: The routes that `run_routes` can run, in the order it runs them and the
+#: report lists them.
+ROUTES = (DETERMINANT_BAREISS, COMPOSITION, engine.NEGATIVE_POWER)
 
 #: What each route's leg in `run_routes` may read from the request path,
 #: `engine`, with the kernels of this module that it calls: Bareiss starts
@@ -261,16 +267,16 @@ def cross_verify(
     n_max: Optional[int] = None,
     cap: Optional[int] = DEFAULT_COMPOSITION_CAP,
 ) -> VerificationReport:
-    """Prove the production table with `identity_reach`, and run Bareiss,
-    the composition sum and the production route once each and compare
-    them exactly, index by index.  The production table and its proof
-    cover the full range; both witnesses are only taken up to `cap`, and
-    the composition sum also to `composition_reach`.  With cap None both
-    witnesses must be whole (see `run_routes`); a cap below 0 raises
-    ValueError before any route runs.  No value is reduced; a failure is
-    reported, not raised.
+    """Prove the production table with `identity_reach`, and run every
+    route of `ROUTES` (Bareiss, the composition sum and the production
+    route) once each and compare them exactly, index by index.  The
+    production table and its proof cover the full range; both witnesses
+    are only taken up to `cap`, and the composition sum also to
+    `composition_reach`.  With cap None both witnesses must be whole (see
+    `run_routes`); a cap below 0 raises ValueError before any route runs.
+    No value is reduced; a failure is reported, not raised.
     """
-    return run_routes(seq, r, n_max, (DETERMINANT_BAREISS, COMPOSITION, engine.NEGATIVE_POWER), cap)
+    return run_routes(seq, r, n_max, ROUTES, cap)
 
 
 def run_routes(
@@ -281,10 +287,11 @@ def run_routes(
     cap: Optional[int] = None,
     stats: Optional[Mapping[str, StatsDict]] = None,
 ) -> VerificationReport:
-    """Each of `routes` run once on (seq, r), compared as `cross_verify`
-    compares them, and the production table, when it is one of them,
-    proved by `identity_reach`; the one place that feeds the routes.
-    `stats` maps a route to the stats dict its kernel is given; the
+    """Each of `routes` run once on (seq, r), in `ROUTES` order, compared
+    as `cross_verify` compares them, and the production table, when it is
+    one of them, proved by `identity_reach`; the one place that feeds the
+    routes.  `pairs` lists the tables in `ROUTES` order.  `stats` maps a
+    route to the stats dict its kernel is given by keyword; the
     composition sum takes none.
 
     The production route runs to n_max, every witness to min(n_max, cap).
@@ -295,21 +302,10 @@ def run_routes(
     runs.  f^r is computed once, as (M, Q), only for Bareiss, which
     reads each D_r(e) = M_e / (Q e!) reduced by one gcd.  An order r
     below 1 raises ValueError before any of that, and so does an empty
-    `routes` or a name in it that is not one of the three routes.
+    `routes` or a name in it that is not in `ROUTES`.
     """
-    # route -> its table from its kernel's stats, in the report's order; each
-    # reads what the `if ... in routes` blocks below compute for it
-    legs = {
-        DETERMINANT_BAREISS: lambda s: determinant_numerators(
-            *engine.reduced_power_table(M, Q), top, stats=s
-        ),
-        COMPOSITION: lambda s: composition_numerators(c_num, c_den, r, reach),
-        engine.NEGATIVE_POWER: lambda s: _over_one(
-            *engine.negative_power_numerators(seq, r, n_max, stats=s)
-        ),
-    }
-    if not routes or set(routes) - legs.keys():
-        raise ValueError(f"routes must be one or more of {', '.join(legs)}, got {routes!r}")
+    if not routes or set(routes).difference(ROUTES):
+        raise ValueError(f"routes must be one or more of {', '.join(ROUTES)}, got {routes!r}")
     engine.check_order(r)
     check_cap(cap)
     n_max = engine.check_table(seq.P, n_max)
@@ -322,19 +318,24 @@ def run_routes(
                 f"composition route cannot serve n_max={n_max}: n times the bit length "
                 f"of the lifted d_1/1!..d_n/n! passes {MAX_COMPOSITION_WORK} at n={reach + 1}"
             )
+    # each route's block writes its table; the production route's name is
+    # a local, so that its block reads nothing of `engine` but its kernel
+    stats, pairs, production = stats or {}, {}, engine.NEGATIVE_POWER
     if DETERMINANT_BAREISS in routes:
-        M, Q = engine.power_numerators(seq, r, top)
-    stats = stats or {}
-    pairs = {route: run(stats.get(route)) for route, run in legs.items() if route in routes}
+        pairs[DETERMINANT_BAREISS] = determinant_numerators(
+            *engine.reduced_power_table(*engine.power_numerators(seq, r, top)),
+            top,
+            stats=stats.get(DETERMINANT_BAREISS),
+        )
+    if COMPOSITION in routes:
+        pairs[COMPOSITION] = composition_numerators(c_num, c_den, r, reach)
+    if engine.NEGATIVE_POWER in routes:
+        A, Q = engine.negative_power_numerators(seq, r, n_max, stats=stats.get(production))
+        pairs[production] = A, [Q] * len(A)
     first, proved = first_disagreement_pairs(pairs), None
-    if engine.NEGATIVE_POWER in pairs:  # the identity's leg: the call below
-        A, den = pairs[engine.NEGATIVE_POWER]
-        proved = identity_reach(seq.P, A, den[0], r)
+    if production in pairs:  # the identity's leg: the call below
+        proved = identity_reach(seq.P, A, Q, r)
         if proved < n_max and (first is None or proved < first):
             first = proved + 1
     return VerificationReport(r=r, n_max=n_max, pairs=pairs, first_mismatch=first, proved=proved)
 
-
-def _over_one(M: list[int], Q: int) -> tuple[list[int], list[int]]:
-    """The loop's (M, Q) as a table pair: every M_n over the same Q."""
-    return M, [Q] * len(M)

@@ -1025,7 +1025,7 @@ class TestNoFractionOnTheRequestPath:
         def refuse(*args, **kwargs):
             raise AssertionError("a Fraction was built on the request path")
 
-        for module in (families, engine, series, cli):
+        for module in (families, engine, cli):
             monkeypatch.setattr(module, "Fraction", refuse)
         monkeypatch.setattr(F, "__new__", refuse)
         for family in TestPolyOutputPin.FAMILIES:

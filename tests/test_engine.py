@@ -17,11 +17,11 @@ from appellseq.engine import (
     NEGATIVE_POWER,
     CoefficientSequence,
     NormalizationError,
-    RelatedNumberTable,
 )
 from appellseq.library import (
     AppellPolynomial,
     PowerCoefficientTable,
+    RelatedNumberTable,
     appell_polynomial,
     compute_D,
     RECURRENCE,
@@ -410,6 +410,24 @@ class TestRunRoutes:
         )
         with pytest.raises(ValueError, match=message):
             witness.run_routes(bernoulli_seq(5), 1, 3, routes)
+
+    @pytest.mark.parametrize("cap", [None, 12])
+    @pytest.mark.parametrize("spec, r", [(FamilySpec.bernoulli(), 2),
+                                         (FamilySpec.hyper_cauchy(2, 3), 3)])
+    def test_every_subset_gives_the_full_run_tables(self, spec, r, cap):
+        # each non-empty subset, named in reverse order: its tables come back
+        # in ROUTES order, each as the full run made it, and the identity
+        # runs exactly when the production route does
+        seq = family_coefficients(spec, 20)
+        full = witness.run_routes(seq, r, 20, witness.ROUTES, cap)
+        assert list(full.pairs) == list(witness.ROUTES) and full.proved == 20
+        for mask in range(1, 2 ** len(witness.ROUTES)):
+            subset = [route for i, route in enumerate(witness.ROUTES) if mask >> i & 1]
+            report = witness.run_routes(seq, r, 20, subset[::-1], cap)
+            assert list(report.pairs) == subset
+            assert report.pairs == {route: full.pairs[route] for route in subset}
+            assert report.proved == (full.proved if NEGATIVE_POWER in subset else None)
+            assert report.agree
 
     def test_library_recurrence_goes_through_no_check(self, monkeypatch):
         # the D-recurrence runs the request path's kernels itself
@@ -1087,12 +1105,12 @@ class TestPackageSurface:
                 if getattr(engine, name, None) is not None} == {}
 
     def test_each_check_reads_only_its_row_of_the_request_path(self):
-        # A route's leg in `run_routes` is its entry in the `legs` dict, the
-        # `if ... in routes` blocks whose test names the route, and the
-        # functions of `witness` those call, followed to the end; the
-        # identity's leg is its call of `identity_reach`.  Its reads of the
-        # request path are its `engine.<name>` reads and its `seq.<name>`
-        # reads, as CoefficientSequence.<name>; they must be its row of
+        # A route's leg in `run_routes` is the `if ... in routes` blocks
+        # whose test names the route, and the functions of `witness` those
+        # call, followed to the end; the identity's leg is its call of
+        # `identity_reach`.  Its reads of the request path are its
+        # `engine.<name>` reads and its `seq.<name>` reads, as
+        # CoefficientSequence.<name>; they must be its row of
         # `witness.READS`.  The rest of `run_routes` reads only the guards,
         # the production route's name and seq.P.
         import ast
@@ -1106,10 +1124,7 @@ class TestPackageSurface:
 
         legs = {}
         for node in ast.walk(run):
-            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "legs":
-                for key, value in zip(node.value.keys, node.value.values):
-                    legs.setdefault(route(key), []).append(value)
-            elif isinstance(node, ast.If):
+            if isinstance(node, ast.If):
                 for test in ast.walk(node.test):
                     if isinstance(test, ast.Compare) and ast.unparse(test).endswith(" in routes"):
                         legs.setdefault(route(test.left), []).extend(node.body)
@@ -1229,9 +1244,9 @@ class TestRecords:
          "D_r(0) must be 1 for a normalized sequence"),
         (lambda: PowerCoefficientTable(1, (F(2),)), ValueError,
          "D_r(0) must be 1 for a normalized sequence"),
-        (lambda: engine.RelatedNumberTable(0, (F(1),), "x"), ValueError,
+        (lambda: library.RelatedNumberTable(0, (F(1),), "x"), ValueError,
          "order r must be >= 1, got 0"),
-        (lambda: engine.RelatedNumberTable(1, (F(2),), "x"), ValueError,
+        (lambda: library.RelatedNumberTable(1, (F(2),), "x"), ValueError,
          "a_0 must be 1 for a normalized sequence"),
         (lambda: AppellPolynomial(2, 1, (F(1),)), ValueError,
          "coefficient vector must have length n + 1"),

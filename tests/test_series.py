@@ -304,6 +304,11 @@ class TestMillerKernel:
         with pytest.raises(ValueError, match="F_0 = 1"):
             exponential_power([F(2), F(1)], -1)
 
+    def test_f0_error_reads_f0_in_lowest_terms(self):
+        with pytest.raises(ValueError) as caught:
+            exponential_power_numerators([1, 1], 2, -1)
+        assert str(caught.value) == "exponential power needs F_0 = 1, got 1/2"
+
     def test_peak_bits_of_a_small_inverse(self):
         # 1/(1 + t/2 + t^2/3 + t^3/5): F = 1, 1/2, 2/3, 6/5 over L = 30, so
         # P = 15, 20, 36.  The one lift divides by gcd(30, 15, 20, 36) = 1,
