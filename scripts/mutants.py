@@ -55,10 +55,12 @@ class Edit(NamedTuple):
 # hit the Miller loop's forms (the two fold rows keep one U_j wrong in a
 # long loop's Horner sum and end lift); the `families.py` edit makes hyper-Cauchy's
 # d_151 onward wrong, an input every check reads, and the `engine.py` edit
-# makes d_170 wrong as `CoefficientSequence.prefix` hands it to every
-# route.  The `witness.py` edits hit the checks: the identity's last weight,
-# and the double mutant, a blind comparison, which alone makes no table
-# wrong, with the `_seidel` fault, which only the identity is left to see
+# makes d_170 wrong as `CoefficientSequence.prefix` slices it for every
+# route.  The `witness.py` edits hit the checks: the identity's last weight
+# and its gcd, taken from P_0, P_1 alone; the composition sum's one lift
+# and its weights; Bareiss's reduction of D(e); and the double mutant, a
+# blind comparison, which alone makes no table wrong, with the `_seidel`
+# fault, which only the identity is left to see
 SEIDEL = Edit("series.py", "(r + 1) * (k + m) * (hi - lo)",
               "((r + 1) * (k + m) + (n == 120)) * (hi - lo)", "_seidel (k+m) factor")
 ROWS = [
@@ -87,11 +89,21 @@ ROWS = [
           "_reduced when 7 divides up")],
     [Edit("families.py", "top *= m + k\n    else:", "top *= m + k + (k == 150)\n    else:",
           "hyper-Cauchy input d_151..")],
-    [Edit("engine.py", "return [p // g for p in P], self.L // g",
-          "return [p // g + (k == 170) for k, p in enumerate(P)], self.L // g",
+    [Edit("engine.py", "return self.P[: check_table(self.P, n_max) + 1], self.L",
+          "return [p + (k == 170) for k, p in enumerate(self.P[: check_table(self.P, n_max) + 1])],"
+          " self.L",
           "prefix output at k = 170")],
     [Edit("witness.py", "u[1:]), r]", "u[1:]), r + (N == 170) * (r - 1)]",
           "identity weight u_N at N = 170, r >= 2")],
+    [Edit("witness.py", "g = math.gcd(*P)\n", "g = math.gcd(*P[:2])\n",
+          "identity gcd from P_0, P_1 alone")],
+    [Edit("witness.py", "return [x // g for x in N[:m]], D // g",
+          "return [x // g + (e == 30) for e, x in enumerate(N[:m], 1)], D // g",
+          "composition lift N_e at e = 30")],
+    [Edit("witness.py", "weight = weight * (-r - k + 1) // k", "weight = weight * (-r - k + 1) // k + (k == 30)",
+          "composition weight at k = 30")],
+    [Edit("witness.py", "den.append(d // g)", "den.append(d // g + (len(den) == 25))",
+          "Bareiss D(25) denominator")],
     [Edit("witness.py", "    return first\n", "    return None\n", "comparison blind"),
      SEIDEL],
 ]

@@ -15,8 +15,11 @@ Cauchy numbers and polynomials.
 
 The production route, `negative_power_numerators`, is a_n = n! [t^n]
 f^(-r): one pass of J.C.P. Miller's recurrence on the (P, L) of
-d_0..d_{n_max}, giving a_n = M_n / Q.  D_r(e) = [t^e] f(t)^r comes from
-the same loop at the power r (`power_numerators`).  Both hand back
+d_0..d_{n_max} as built, giving a_n = M_n / Q.  D_r(e) = [t^e] f(t)^r
+comes from the same loop at the power r (`power_numerators`), as
+n! D_r(n) = M_n / Q.  The loop lifts its own input, so nothing here
+reduces a table for it or for anyone else: `seq.prefix` is a slice,
+and each Q is the least common denominator of its table.  Both hand back
 integer numerators over one denominator; the CLI prints each value from
 them, and only `library`'s tables are reduced to Fractions, on demand.
 The checks that `--check` runs beside this route, the paper's two
@@ -30,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .arith import Record, StatsDict, factorials, format_ratio, lift
+from .arith import Record, StatsDict, format_ratio, lift
 from .series import exponential_power_numerators
 
 NEGATIVE_POWER = "negative-power"
@@ -68,11 +71,9 @@ class CoefficientSequence(Record):
         return tuple(Fraction(p, self.L) for p in self.P)
 
     def prefix(self, n_max: Optional[int] = None) -> tuple[Sequence[int], int]:
-        """(P_0..P_{n_max}, L) reduced by gcd(P_0..P_{n_max}) (P_0 = L),
-        so that L = lcm(den d_0..d_{n_max})."""
-        P = self.P[: check_table(self.P, n_max) + 1]
-        g = math.gcd(*P)
-        return [p // g for p in P], self.L // g
+        """(P_0..P_{n_max}, L) as built, not reduced: each kernel lifts the
+        input it reads."""
+        return self.P[: check_table(self.P, n_max) + 1], self.L
 
     @property
     def n_max(self) -> int:
@@ -82,24 +83,12 @@ class CoefficientSequence(Record):
 def power_numerators(
     seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> tuple[list[int], int]:
-    """(M, Q) with n! D_r(n) = M_n / Q for n = 0..n_max: Miller's loop on
-    d_0..d_{n_max} at the power r, before any Fraction is built."""
+    """(M, Q) with n! D_r(n) = M_n / Q for n = 0..n_max, Q their least
+    common denominator: Miller's loop on d_0..d_{n_max} at the power r,
+    before any Fraction is built."""
     check_order(r)
     P, L = seq.prefix(n_max)
     return exponential_power_numerators(P, L, r)
-
-
-def reduced_power_table(M: Sequence[int], Q: int) -> tuple[list[int], list[int]]:
-    """D_r(n) = M_n / (Q n!) from `power_numerators` (d_n / n! from
-    `seq.prefix`), as numerators over positive denominators in lowest
-    terms: one gcd each, no Fraction."""
-    num, den = [], []
-    for m, f in zip(M, factorials(len(M) - 1)):
-        d = Q * f
-        g = math.gcd(m, d)
-        num.append(m // g)
-        den.append(d // g)
-    return num, den
 
 
 def check_order(r: int) -> None:

@@ -92,7 +92,8 @@ def family_coefficients(spec: FamilySpec, n_max: int) -> CoefficientSequence:
     numerators over one denominator, built with no Fraction: Bernoulli
     over lcm(1..n_max+1), Euler over 2, a custom list lifted once, the
     hypergeometric kinds over products of their denominators' factors,
-    which `CoefficientSequence.prefix` reduces by one gcd."""
+    not in lowest terms: each kernel divides out the common factor as it
+    lifts its input (`CoefficientSequence.prefix` is a slice)."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     m, nn, k_max = spec.m, spec.n, range(n_max + 1)

@@ -42,7 +42,6 @@ from .engine import (
     horner_numerator,
     negative_power_numerators,
     power_numerators,
-    reduced_power_table,
 )
 from .series import exponential_power_numerators
 
@@ -207,8 +206,10 @@ class AppellPolynomial(Record):
 def compute_D(
     seq: CoefficientSequence, r: int, n_max: Optional[int] = None
 ) -> PowerCoefficientTable:
-    """Ordinary coefficients of f(t)^r: `reduced_power_table` as Fractions."""
-    D = tuple(map(Fraction, *reduced_power_table(*power_numerators(seq, r, n_max))))
+    """Ordinary coefficients of f(t)^r, D_r(n) = M_n / (Q n!) from
+    `power_numerators`, as Fractions."""
+    M, Q = power_numerators(seq, r, n_max)
+    D = tuple(map(Fraction, M, [Q * f for f in factorials(len(M) - 1)]))
     return PowerCoefficientTable(r=r, D=D)
 
 
@@ -240,7 +241,7 @@ def related_numbers_composition(
     """a_n^(r) by the sum over compositions that
     `witness.composition_numerators` states, read off d alone: no f^r, no
     Miller loop, no determinant.  n_max past `cap` (None: no cap, as in
-    `cross_verify`), or past the work bound of `witness.composition_reach`,
+    `cross_verify`), or past the work bound of `witness.composition_lift`,
     raises CombinatorialBlowupError before the triangle is built; a cap
     below 0 raises ValueError."""
     witness.check_cap(cap)

@@ -26,8 +26,8 @@ def exponential_power_numerators(
     P: Sequence[int], L: int, r: int, stats: Optional[StatsDict] = None
 ) -> tuple[list[int], int]:
     """G = F^r for F_k = P_k / L (L > 0, P_0 = L so F_0 = 1), as (M, Q):
-    G_n = M_n / Q.  For r != 1, Q = lcm(den G_0..G_K) whatever
-    L is; at r = 1 the result is (P, L) itself.
+    G_n = M_n / Q, with Q = lcm(den G_0..G_K) for every r whatever
+    L is: at r = 1 the result is (P, L) divided by their gcd.
 
     The package's one Miller loop.  For g = f^r with f_0 = 1, f g' = r f' g
     gives g_n = 1/n sum_{k=1..n} ((r+1) k - n) f_k g_{n-k}, O(K^2)
@@ -110,7 +110,8 @@ def exponential_power_numerators(
     if P[0] != L:
         raise ValueError(f"exponential power needs F_0 = 1, got {format_ratio(P[0], L)}")
     if r == 1:
-        return list(P), L
+        g = math.gcd(*P)
+        return [p // g for p in P], L // g
     K = len(P) - 1
     # P_1 (m+1) = P_2 C(m+2, 2) fixes the only m at which H can be flat
     m = 2 * P[1] // P[2] - 2 if K > 1 and P[2] else 0

@@ -14,8 +14,11 @@ a_0..a_{n_max} as the production route, `engine.negative_power_numerators`
   D_r(1)..D_r(n), by Bareiss elimination on its band.
 
 Each route has one integer kernel that returns its table as numerators
-over positive denominators, unreduced.  `ROUTES` names the three in the
-order they run and the report lists them, and one function, `run_routes`,
+over positive denominators, unreduced, and each lifts what it reads: the
+composition sum lifts f's (P, L) once (`composition_lift`), Bareiss
+reduces each D_r(e) of f^r's (M, Q) itself, and the identity divides
+f's raw P by its gcd.  `ROUTES` names the three in the order they run
+and the report lists them, and one function, `run_routes`,
 feeds them for `cross_verify`, the CLI and `library`'s Fraction tables:
 one `if route in routes:` block per route, in that order, each calling
 its kernel once.  `cross_verify` runs all of `ROUTES`, compares the
@@ -59,8 +62,8 @@ ROUTES = (DETERMINANT_BAREISS, COMPOSITION, engine.NEGATIVE_POWER)
 #: (P, L), and the identity f's raw numerators and the production table.
 #: tests/test_engine.py holds every leg to its row.
 READS = {
-    DETERMINANT_BAREISS: ("power_numerators", "reduced_power_table", "check_table"),
-    COMPOSITION: ("CoefficientSequence.prefix", "reduced_power_table"),
+    DETERMINANT_BAREISS: ("power_numerators", "check_table"),
+    COMPOSITION: ("CoefficientSequence.prefix",),
     engine.NEGATIVE_POWER: ("negative_power_numerators",),
     IDENTITY: ("CoefficientSequence.P",),
 }
@@ -88,9 +91,12 @@ def identity_reach(P: Sequence[int], A: Sequence[int], Q: int, r: int) -> int:
     vanishes for the multiples of h = f^(-r) alone.  Its k = 0 term is
     L A_N, so the identity at N fixes A_N from A_0..A_{N-1}.  -1 when
     A_0 != Q.  The weights u are one Pascal row ending in r, rolled
-    forward; nothing is divided."""
+    forward.  The equation is homogeneous in P, so P is first divided by
+    its gcd: the verdict is the same, on smaller products."""
     if A[0] != Q:
         return -1
+    g = math.gcd(*P)
+    P = [p // g for p in P]
     u = [1]
     for N in range(1, len(A)):
         u = [1, *map(add, u, u[1:]), r]
@@ -99,65 +105,76 @@ def identity_reach(P: Sequence[int], A: Sequence[int], Q: int, r: int) -> int:
     return len(A) - 1
 
 
-def composition_reach(num: Sequence[int], den: Sequence[int], n_max: int) -> int:
-    """Largest m <= n_max with m bits(max_{e<=m} |N_e|) at most
-    MAX_COMPOSITION_WORK, where N_e = c_e L_m over L_m = lcm(den c_1..c_m),
-    c_e = num[e] / den[e].  The product never falls as m grows."""
-    L, top = 1, 0  # L_m and the largest |N_e| over it
-    for m in range(1, n_max + 1):
-        up = den[m] // math.gcd(L, den[m])
-        L *= up
-        top = max(top * up, abs(num[m]) * (L // den[m]))
-        if m * top.bit_length() > MAX_COMPOSITION_WORK:
-            return m - 1
-    return n_max
+def composition_lift(P: Sequence[int], L: int, n_max: int) -> tuple[list[int], int]:
+    """f's ordinary coefficients c_e = d_e / e! = P_e / (L e!) for
+    e = 1..m, lifted once: (N, L_m) with c_e = N[e-1] / L_m over their
+    least common denominator L_m, for the largest m <= n_max with
+    m bits(max |N_e|) at most MAX_COMPOSITION_WORK.
+
+    Each c_e is P_e n_max! / e! over D = L n_max!, and a running gcd
+    g_m = gcd(D, P_1 n_max! / 1!, ..., P_m n_max! / m!) gives both
+    L_m = D / g_m and the numerators over it.  The product never falls
+    as m grows."""
+    N, f = [], 1
+    for e in range(n_max, 0, -1):  # f = n_max! / e!
+        N.append(P[e] * f)
+        f *= e
+    N.reverse()
+    D = L * f
+    m, g, top = 0, D, 0  # the reach so far, g_m and max |N_e|
+    for x in N:
+        h, t = math.gcd(g, x), max(top, abs(x))
+        if (m + 1) * (t // h).bit_length() > MAX_COMPOSITION_WORK:
+            break
+        m, g, top = m + 1, h, t
+    return [x // g for x in N[:m]], D // g
 
 
-def composition_numerators(
-    num: Sequence[int], den: Sequence[int], r: int, n_max: int
-) -> tuple[list[int], list[int]]:
-    """The composition route's a_0..a_{n_max}, as (n! S_n, L^n), from f's
-    ordinary coefficients c_e = d_e / e! = num[e] / den[e] in lowest terms.
+def composition_numerators(N: Sequence[int], L: int, r: int) -> tuple[list[int], list[int]]:
+    """The composition route's a_0..a_n, n = len(N), as (n! S_n, L^n), from
+    f's ordinary coefficients c_e = d_e / e! = N[e-1] / L, e = 1..n
+    (`composition_lift`).
 
     The Hasse-Teichmueller chain rule on 1/f^r = (1 + g)^(-r), g = f - 1,
     gives a_n = n! sum_k C(-r, k) [t^n] g^k, C(-r, k) = (-1)^k C(r+k-1, k),
     and [t^n] g^k sums c_(e_1)...c_(e_k) over the compositions
     e_1+..+e_k = n (Faa di Bruno; Comtet, Advanced Combinatorics, 3.3).
-    Every c_e is lifted to N_e / L over L = lcm(den c_1..c_{n_max}); row
-    k+1 of the power triangle of -N(t) is row k convolved with -N, one dot
-    product per entry, O(n_max^3) products over integers.  Entry [t^n] of
-    row k enters S_n weighted by C(r+k-1, k) and scaled by L^(n-k).  At
-    r = 1 on a D table in place of f's it gives the coefficients of 1/D.
+    Row k+1 of the power triangle of N(t) = sum_e N_e t^e is row k
+    convolved with N, one dot product per entry, O(n^3) products over
+    integers.  Over L^n, entry [t^n] of row k enters S_n weighted by
+    C(-r, k) and scaled by L^(n-k): Horner's rule in L,
+    S_n <- S_n L + C(-r, k) [t^n] N(t)^k for k = 1..n.  At r = 1 on a
+    D table in place of f's it gives the coefficients of 1/D.
     """
-    L = math.lcm(*den[1 : n_max + 1])
-    N = [-x * (L // d) for x, d in zip(num[1 : n_max + 1], den[1 : n_max + 1])]
-    L_pow = [L**i for i in range(n_max + 1)]
-    S = [1] + [0] * n_max
-    row, weight = N, 1  # row[m] = [t^(k+m)] (-N(t))^k, here for k = 1
-    for k in range(1, n_max + 1):
-        weight = weight * (r + k - 1) // k  # C(r+k-1, k)
-        S[k:] = map(add, S[k:], map(mul, map(mul, row, L_pow), repeat(weight)))
+    n = len(N)
+    S = [1] + [0] * n
+    row, weight = N, 1  # row[j] = [t^(k+j)] N(t)^k, here for k = 1
+    for k in range(1, n + 1):
+        weight = weight * (-r - k + 1) // k  # C(-r, k)
+        S[k:] = [s * L + weight * x for s, x in zip(S[k:], row)]
         row = convolve(N, row, len(row) - 1)
-    return list(map(mul, factorials(n_max), S)), L_pow
+    return list(map(mul, factorials(n), S)), list(accumulate(repeat(L, n), mul, initial=1))
 
 
 def determinant_numerators(
-    num: Sequence[int],
-    den: Sequence[int],
+    M: Sequence[int],
+    Q: int,
     n_max: int,
     stats: Optional[StatsDict] = None,
 ) -> tuple[list[int], list[int]]:
-    """The determinant route's a_0..a_{n_max} from D_r(e) = num[e] / den[e]
-    in lowest terms (den[e] > 0), as ((-1)^n n! p_n, s_n), unreduced, over
-    the leading minors det_n = p_n / s_n of the Hessenberg matrix
+    """The determinant route's a_0..a_{n_max} from f^r's (M, Q),
+    n! D_r(n) = M_n / Q (`engine.power_numerators`), as
+    ((-1)^n n! p_n, s_n), unreduced, over the leading minors
+    det_n = p_n / s_n of the Hessenberg matrix
 
         | D(1)  1                 |
         | D(2)  D(1)  1           |
         | ...               1     |
         | D(n)  ...   D(2)  D(1)  |
 
-    by fraction-free (Bareiss) elimination on its band.  Row i is lifted
-    by L_i = lcm(den D(1..i+1)).  Before step k, c_i (i >= k) is the
+    by fraction-free (Bareiss) elimination on its band.  Each D(e) =
+    M_e / (Q e!) is first reduced by one gcd to num[e] / den[e], and row i
+    is lifted by L_i = lcm(den D(1..i+1)).  Before step k, c_i (i >= k) is the
     minor of the lifted matrix on rows 0..k-1, i and columns 0..k, so the
     pivot p_k = c_k gives det_{k+1} = p_k / (L_0...L_k), and expanding the
     next minor along column k+1 (row k holds L_k, row i holds L_i D(i-k))
@@ -169,9 +186,14 @@ def determinant_numerators(
     bit length of the largest |c_i|, and "steps" (`StatsDict`), whose row
     of n comes with p_{n-1}, so after the band rows up to n_max.
     """
-    engine.check_table(num, n_max)
+    engine.check_table(M, n_max)
+    num, den = [], []
+    for m, d in zip(M, map(Q.__mul__, factorials(n_max))):  # D(e) in lowest terms
+        g = math.gcd(m, d)
+        num.append(m // g)
+        den.append(d // g)
     step = step_rows(stats)
-    lifts = list(accumulate(den[1 : n_max + 1], math.lcm))  # lifts[i] = L_i
+    lifts = list(accumulate(den[1:], math.lcm))  # lifts[i] = L_i
     c = [L // den[i + 1] * num[i + 1] for i, L in enumerate(lifts)]
     signed, scales = [1], [1]
     sign_fact, scale = 1, 1  # (-1)^k k!, L_0 ... L_{k-1}
@@ -271,9 +293,10 @@ def cross_verify(
     route of `ROUTES` (Bareiss, the composition sum and the production
     route) once each and compare them exactly, index by index.  The
     production table and its proof cover the full range; both witnesses
-    are only taken up to `cap`, and the composition sum also to
-    `composition_reach`.  With cap None both witnesses must be whole (see
-    `run_routes`); a cap below 0 raises ValueError before any route runs.
+    are only taken up to `cap`, and the composition sum also to its work
+    bound (`composition_lift`).  With cap None both witnesses must be
+    whole (see `run_routes`); a cap below 0 raises ValueError before any
+    route runs.
     No value is reduced; a failure is reported, not raised.
     """
     return run_routes(seq, r, n_max, ROUTES, cap)
@@ -295,12 +318,12 @@ def run_routes(
     composition sum takes none.
 
     The production route runs to n_max, every witness to min(n_max, cap).
-    The composition sum reads f's ordinary coefficients d_e / e!, reduced
-    by one gcd each, and is cut short at their `composition_reach`; with
-    cap None it must reach n_max, and a work bound short of it raises
+    The composition sum reads f's ordinary coefficients d_e / e!, lifted
+    once by `composition_lift`, which cuts it short at its work bound;
+    with cap None it must reach n_max, and a work bound short of it raises
     CombinatorialBlowupError before f^r is built and before any route
     runs.  f^r is computed once, as (M, Q), only for Bareiss, which
-    reads each D_r(e) = M_e / (Q e!) reduced by one gcd.  An order r
+    reduces each D_r(e) = M_e / (Q e!) itself.  An order r
     below 1 raises ValueError before any of that, and so does an empty
     `routes` or a name in it that is not in `ROUTES`.
     """
@@ -311,24 +334,21 @@ def run_routes(
     n_max = engine.check_table(seq.P, n_max)
     top = n_max if cap is None else min(n_max, cap)  # how far the witnesses go
     if COMPOSITION in routes:
-        c_num, c_den = engine.reduced_power_table(*seq.prefix(top))
-        reach = composition_reach(c_num, c_den, top)
-        if cap is None and reach < n_max:
+        N, L = composition_lift(*seq.prefix(top), top)
+        if cap is None and len(N) < n_max:
             raise CombinatorialBlowupError(
                 f"composition route cannot serve n_max={n_max}: n times the bit length "
-                f"of the lifted d_1/1!..d_n/n! passes {MAX_COMPOSITION_WORK} at n={reach + 1}"
+                f"of the lifted d_1/1!..d_n/n! passes {MAX_COMPOSITION_WORK} at n={len(N) + 1}"
             )
     # each route's block writes its table; the production route's name is
     # a local, so that its block reads nothing of `engine` but its kernel
     stats, pairs, production = stats or {}, {}, engine.NEGATIVE_POWER
     if DETERMINANT_BAREISS in routes:
         pairs[DETERMINANT_BAREISS] = determinant_numerators(
-            *engine.reduced_power_table(*engine.power_numerators(seq, r, top)),
-            top,
-            stats=stats.get(DETERMINANT_BAREISS),
+            *engine.power_numerators(seq, r, top), top, stats=stats.get(DETERMINANT_BAREISS)
         )
     if COMPOSITION in routes:
-        pairs[COMPOSITION] = composition_numerators(c_num, c_den, r, reach)
+        pairs[COMPOSITION] = composition_numerators(N, L, r)
     if engine.NEGATIVE_POWER in routes:
         A, Q = engine.negative_power_numerators(seq, r, n_max, stats=stats.get(production))
         pairs[production] = A, [Q] * len(A)

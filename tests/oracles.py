@@ -74,8 +74,9 @@ def global_lift_power(P, L, r):
     lift divides it, and each weight multiplied in first: the plain
     unshifted form, kept as the reference for the (M, Q) of
     `series.exponential_power_numerators`."""
-    if r == 1:
-        return list(P), L
+    if r == 1:  # the loop's shortcut: (P, L) in lowest terms
+        g = math.gcd(*P)
+        return [p // g for p in P], L // g
     P = P[1:]
     M, Q, w = [1], 1, [r]
     for _ in P:

@@ -1387,9 +1387,7 @@ class TestBenchCommand:
             M, Q = engine.power_numerators(seq, r, n)
             calls = {
                 "negative_power": lambda stats: engine.negative_power_numerators(seq, r, n, stats),
-                "bareiss": lambda stats: witness.determinant_numerators(
-                    *engine.reduced_power_table(M, Q), n, stats
-                ),
+                "bareiss": lambda stats: witness.determinant_numerators(M, Q, n, stats),
             }
             assert [name for name in columns if name.endswith("_max_num_bits")] == [
                 f"{name}_max_num_bits" for name in calls

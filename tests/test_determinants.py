@@ -1,13 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from appellseq import engine, series
-from appellseq.arith import factorials
+from appellseq.arith import factorials, lift
 from appellseq.library import compute_D, related_numbers_recurrence
 from appellseq.families import FamilySpec, family_coefficients
 from appellseq.witness import determinant_numerators
@@ -27,13 +28,13 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 def bareiss_leading_minors(D, n_max, stats=None):
     """Leading principal minors det_0=1, det_1, ..., det_{n_max}, by
-    `determinant_numerators` on the numerators and denominators of D:
-    det_n = (-1)^n signed_n / (n! s_n), each minor reduced once.  A short
-    table or a negative n_max is refused by the kernel's own check."""
+    `determinant_numerators` on (M, Q), M_e / Q = e! D(e) lifted over one
+    denominator: det_n = (-1)^n signed_n / (n! s_n), each minor reduced
+    once.  A short table or a negative n_max is refused by the kernel's
+    own check."""
     D = D[: n_max + 1]
-    signed, scales = determinant_numerators(
-        [x.numerator for x in D], [x.denominator for x in D], n_max, stats
-    )
+    Q, M = lift(list(map(mul, factorials(len(D) - 1), D)))
+    signed, scales = determinant_numerators(M, Q, n_max, stats)
     return [
         Fraction(-x if n & 1 else x, f * s)
         for n, (x, s, f) in enumerate(zip(signed, scales, factorials(n_max)))
@@ -332,7 +333,7 @@ class TestBandKernel:
         seq = family_coefficients(FamilySpec.hyper_cauchy(2, 3), 40)
         D = compute_D(seq, 3, 40).D
         expected = related_numbers_recurrence(seq, 3, 40).a
-        num, den = [x.numerator for x in D], [x.denominator for x in D]
+        Q, M = lift(list(map(mul, factorials(40), D)))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the Bareiss route ran the Miller loop")
@@ -341,4 +342,4 @@ class TestBandKernel:
         monkeypatch.setattr(engine, "exponential_power_numerators", refuse)
         with pytest.raises(AssertionError):
             related_numbers_recurrence(seq, 3, 40)
-        assert tuple(map(F, *determinant_numerators(num, den, 40))) == expected
+        assert tuple(map(F, *determinant_numerators(M, Q, 40))) == expected

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appellseq import engine, library, series, witness
+from appellseq.arith import lift
 from appellseq.engine import (
     NEGATIVE_POWER,
     CoefficientSequence,
@@ -67,15 +68,17 @@ def bernoulli_seq(n_max):
     return family_coefficients(FamilySpec.bernoulli(), n_max)
 
 
-def pair(D):
-    """A D table as the numerators and denominators the kernels take."""
-    return [x.numerator for x in D], [x.denominator for x in D]
+def pair(D, n):
+    """D(1)..D(n) of a D table lifted over one denominator, (N, L), as the
+    composition kernel takes them."""
+    L, N = lift(D[1 : n + 1])
+    return N, L
 
 
 def composition_table(D, n):
-    """The composition kernel at r = 1 on D's numerators and denominators,
-    the exponential coefficients of 1/D, each value reduced once."""
-    return list(map(F, *witness.composition_numerators(*pair(D), 1, n)))
+    """The composition kernel at r = 1 on D(1)..D(n) lifted, the
+    exponential coefficients of 1/D, each value reduced once."""
+    return list(map(F, *witness.composition_numerators(*pair(D, n), 1)))
 
 
 CATALOG = [
@@ -332,15 +335,15 @@ class TestCompositionTriangle:
     @given(sequence_strategy(max_len=9), st.integers(1, 20))
     def test_weights_on_f_give_the_negative_power(self, seq, r):
         # row k of f - 1's triangle weighted by C(r+k-1, k) sums to f^(-r)
-        num, den = engine.reduced_power_table(*seq.prefix())
-        got = list(map(F, *witness.composition_numerators(num, den, r, seq.n_max)))
+        N, L = pair(compute_D(seq, 1).D, seq.n_max)  # D_1(e) = d_e / e!
+        got = list(map(F, *witness.composition_numerators(N, L, r)))
         assert got == list(related_numbers_negative_power(seq, r).a)
 
     @pytest.mark.parametrize("r", [0, -1])
     def test_order_below_1_is_refused_before_any_input(self, monkeypatch, r):
         # the sum itself takes any r: alone it gave 1, 0, 0, ... at r = 0
         # and f's own d_n at r = -1
-        for owner, name in ((engine, "reduced_power_table"), (witness, "composition_numerators"),
+        for owner, name in ((witness, "composition_numerators"),
                             (engine, "exponential_power_numerators")):
             monkeypatch.setattr(owner, name, fail)
         seq = bernoulli_seq(5)
@@ -402,7 +405,7 @@ class TestRunRoutes:
         # known one was dropped, and "all 1 routes agree" reported; a bare
         # name is a sequence of one-letter names; the D-recurrence is a
         # library route, not a check
-        for name in ("reduced_power_table", "power_numerators", "exponential_power_numerators"):
+        for name in ("power_numerators", "exponential_power_numerators"):
             monkeypatch.setattr(engine, name, fail)
         message = (
             "^routes must be one or more of determinant:bareiss, "
@@ -611,8 +614,8 @@ class TestStepRows:
         if case == "determinant_numerators":
             n = 60
             seq = family_coefficients(FamilySpec.hyper_cauchy(2, 3), n)
-            D = engine.reduced_power_table(*engine.power_numerators(seq, 3, n))
-            return lambda stats: witness.determinant_numerators(*D, n, stats), n
+            M, Q = engine.power_numerators(seq, 3, n)
+            return lambda stats: witness.determinant_numerators(M, Q, n, stats), n
         spec, r, m, other = self.LOOPS[case]
         P, L = family_coefficients(spec, self.N).prefix()
         assert series._shift(P) == m
@@ -731,9 +734,9 @@ class TestIntegerComparison:
 
 
 class TestCompositionWorkBound:
-    """`composition_reach`: the largest n whose n * bits(max |N_e|) stays
-    inside MAX_COMPOSITION_WORK, N_e f's d_1/1!..d_n/n! over their lcm;
-    it does not depend on r."""
+    """`composition_lift`'s reach: the largest n whose n * bits(max |N_e|)
+    stays inside MAX_COMPOSITION_WORK, N_e f's d_1/1!..d_n/n! over their
+    lcm; it does not depend on r."""
 
     @staticmethod
     def work(D, n):
@@ -745,14 +748,13 @@ class TestCompositionWorkBound:
     def test_reach_is_the_largest_n_inside_the_bound(self, monkeypatch, spec):
         seq = family_coefficients(spec, 40)
         D = compute_D(seq, 1, 40).D  # D_1(e) = d_e / e!
-        num, den = pair(D)
         work = [self.work(D, n) for n in range(41)]
         assert work == sorted(work)
         for bound in (0, work[1], work[10] - 1, work[10], work[40] - 1, work[40]):
             monkeypatch.setattr(witness, "MAX_COMPOSITION_WORK", bound)
             expected = max(n for n in range(41) if work[n] <= bound)
-            assert witness.composition_reach(num, den, 40) == expected, bound
-            assert witness.composition_reach(num, den, 7) == min(7, expected)
+            assert len(witness.composition_lift(*seq.prefix(), 40)[0]) == expected, bound
+            assert len(witness.composition_lift(*seq.prefix(7), 7)[0]) == min(7, expected)
 
     def test_route_refuses_past_the_bound_before_the_triangle(self, monkeypatch):
         seq = family_coefficients(FamilySpec.euler(), 20)
@@ -795,6 +797,36 @@ class TestCompositionWorkBound:
         for route in (related_numbers_composition, cross_verify):
             with pytest.raises(CombinatorialBlowupError, match="n_max=20: .* at n=13$"):
                 route(seq, 2, 20, cap=None)
+
+
+class TestCommonFactor:
+    """`prefix` hands each kernel (P, L) as built, so a factor c common to
+    P and L must change no check's verdict: the composition sum's one
+    lift divides it out, and the identity's equation is homogeneous in P."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sequence_strategy(max_len=9), st.integers(2, 2**64), st.integers(0, 400))
+    def test_the_composition_lift_is_that_of_the_terms_it_reaches(self, seq, c, bound):
+        n = seq.n_max
+        D = [d / math.factorial(e) for e, d in enumerate(seq.d)]  # d_e / e!
+        expected = max(m for m in range(n + 1) if TestCompositionWorkBound.work(D, m) <= bound)
+        scaled = CoefficientSequence([c * p for p in seq.P], c * seq.L)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(witness, "MAX_COMPOSITION_WORK", bound)
+            for s in (seq, scaled):
+                N, L = witness.composition_lift(*s.prefix(), n)
+                assert len(N) == expected
+                assert (L, N) == lift(D[1 : expected + 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(sequence_strategy(max_len=9), st.integers(1, 20), st.integers(0, 9), st.booleans(),
+           st.integers(2, 2**64))
+    def test_the_identity_reaches_as_far_on_c_p(self, seq, r, k, nudge, c):
+        M, Q = engine.negative_power_numerators(seq, r)
+        if nudge:
+            M[k % len(M)] += 1
+        reach = witness.identity_reach(seq.P, M, Q, r)
+        assert witness.identity_reach([c * p for p in seq.P], M, Q, r) == reach
 
 
 class TestPolynomialPowers:

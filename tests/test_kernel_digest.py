@@ -33,14 +33,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from appellseq.engine import (
-    negative_power_numerators,
-    power_numerators,
-    reduced_power_table,
-)
+from appellseq.engine import negative_power_numerators, power_numerators
 from appellseq.families import FamilySpec, family_coefficients
 from appellseq.series import exponential_power_numerators
-from appellseq.witness import composition_numerators, determinant_numerators
+from appellseq.witness import composition_lift, composition_numerators, determinant_numerators
 
 FAMILIES = (
     FamilySpec.bernoulli(),
@@ -74,11 +70,10 @@ def kernel_runs():
                                      ("f^r", power_numerators)):
                     M, Q = kernel(seq, r, n)
                     yield f"{spec.label} r={r} n={n} {name}", [*M, Q]
-            num, den = reduced_power_table(*power_numerators(seq, r, WITNESS_N))
-            signed, scales = determinant_numerators(num, den, WITNESS_N)
+            signed, scales = determinant_numerators(*power_numerators(seq, r, WITNESS_N), WITNESS_N)
             yield f"{spec.label} r={r} bareiss", lowest_terms(signed, scales)
-            c_num, c_den = reduced_power_table(*seq.prefix(WITNESS_N))
-            S, L_pow = composition_numerators(c_num, c_den, r, WITNESS_N)
+            S, L_pow = composition_numerators(
+                *composition_lift(*seq.prefix(WITNESS_N), WITNESS_N), r)
             yield f"{spec.label} r={r} composition", lowest_terms(S, L_pow)
 
 
@@ -111,9 +106,8 @@ def cost_runs():
                     negative_power_numerators, seq, r, n)
                 yield f"{spec.label} r={r} n={n} f^r", peak_bits(
                     exponential_power_numerators, *seq.prefix(n), r)
-            num, den = reduced_power_table(*power_numerators(seq, r, WITNESS_N))
             yield f"{spec.label} r={r} bareiss", peak_bits(
-                determinant_numerators, num, den, WITNESS_N)
+                determinant_numerators, *power_numerators(seq, r, WITNESS_N), WITNESS_N)
 
 
 def cost_digest():

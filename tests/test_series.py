@@ -399,6 +399,40 @@ class TestOneLift:
                 assert oracles.global_lift_power(Pg, Lg, s) == want, (n, s)
 
 
+class TestCommonFactor:
+    """`prefix` hands the loop (P, L) as built: every form divides out a
+    factor c common to P and L in its one lift, and the r = 1 shortcut
+    divides (P, L) by their gcd, so (c P, c L) gives the same (M, Q) and
+    the same stats rows as (P, L), with Q = lcm(den G_0..G_K) at every r."""
+
+    @staticmethod
+    def run(P, L, r):
+        """(M, Q), "max_num_bits" and the bits of each "steps" row."""
+        stats = {"steps": []}
+        power = exponential_power_numerators(P, L, r, stats)
+        return power, stats.get("max_num_bits"), [bits for _, bits in stats["steps"]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(rationals, min_size=1, max_size=9), st.integers(-4, 5), st.integers(2, 2**64))
+    def test_a_common_factor_changes_nothing(self, rest, r, c):
+        P, L = engine.CoefficientSequence.from_values([F(1)] + rest).prefix()
+        want = self.run(P, L, r)
+        assert self.run([c * p for p in P], c * L, r) == want
+        M, Q = want[0]
+        assert Q == math.lcm(*(F(m, Q).denominator for m in M))
+        if r == 1:
+            assert math.gcd(*M) == 1  # M_0 = Q: (M, Q) in lowest terms
+
+    @pytest.mark.parametrize("spec", LIFT_SPECS, ids=lambda spec: spec.label)
+    def test_every_form_divides_it_out(self, spec):
+        # 200 terms: the shifted `_miller`, `_ordinary` or `_seidel`, as
+        # TestOneLift.SHIFTS pins them
+        P, L = family_coefficients(spec, 200).prefix()
+        c = 2**61 - 1
+        for r in (1, -3):
+            assert self.run([c * p for p in P], c * L, r) == self.run(P, L, r), r
+
+
 def shifted_peak_bits(P, L, m, G):
     """The bit length of the largest |S| of the loop at shift m on
     F_k = P_k / L, from its values G: step n's S is G_n times the step's
