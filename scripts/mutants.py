@@ -52,11 +52,14 @@ class Edit(NamedTuple):
 
 
 # one row per entry, its edits applied together.  The `series.py` edits
-# hit the Miller loop's forms (the two fold rows keep one U_j wrong in a
-# long loop's Horner sum and end lift); the `families.py` edit makes hyper-Cauchy's
-# d_151 onward wrong, an input every check reads, and the `engine.py` edit
-# makes d_170 wrong as `CoefficientSequence.prefix` slices it for every
-# route.  The `witness.py` edits hit the checks: the identity's last weight
+# hit the Miller loop's forms (the two U_170 rows keep one rise factor
+# wrong in `_ordinary`'s Horner sum and in the table's end lift, and the
+# weight and backward-difference rows hit the table's polynomial step,
+# which hyper-Bernoulli(2, 3) takes at n = 200); the `families.py` edit
+# makes hyper-Cauchy's d_151 onward wrong, an input every check reads,
+# and the `engine.py` edit makes d_170 wrong as
+# `CoefficientSequence.prefix` slices it for every route.  The
+# `witness.py` edits hit the checks: the identity's last weight
 # and its gcd, taken from P_0, P_1 alone; the composition sum's one lift
 # and its weights; Bareiss's reduction of D(e); and the double mutant, a
 # blind comparison, which alone makes no table wrong, with the `_seidel`
@@ -64,24 +67,23 @@ class Edit(NamedTuple):
 SEIDEL = Edit("series.py", "(r + 1) * (k + m) * (hi - lo)",
               "((r + 1) * (k + m) + (n == 120)) * (hi - lo)", "_seidel (k+m) factor")
 ROWS = [
-    [Edit("series.py", "c = math.gcd(*H)", "c = math.gcd(*H[:2])",
-          "_miller lift from H_0, H_1 alone")],
+    [Edit("series.py", "c = math.gcd(*P)", "c = math.gcd(*P[:2])",
+          "_miller lift from P_0, P_1 alone")],
     [Edit("series.py", "w = [w[0] - 1, ", "w = [w[0] - 1 - (n == 30), ",
           "_miller unshifted weight roll")],
-    [Edit("series.py", "count(r - n, r + 1)", "count(r - n - (n == 180), r + 1)",
-          "_miller shifted weights")],
+    [Edit("series.py", "- m * y), y)", "- m * y), y + (t == 1))",
+          "_seidel weight a_1")],
     [Edit("series.py", "M[: last + 1]", "M[: last + (last < n - 1)]",
           "_ordinary zero-tail stop")],
     [Edit("series.py", "V.append(n * up)", "V.append(n * up + (n == 170))",
           "_ordinary fold multiplier j U_j at j = 170")],
-    [Edit("series.py", "U.append(up)\n        elif", "U.append(up + (n == 170))\n        elif",
-          "_miller shifted fold U_j at j = 170")],
+    [Edit("series.py", "U.append(up)\n        M.append(S)",
+          "U.append(up + (n == 170))\n        M.append(S)", "_seidel end lift U_j at j = 170")],
     [SEIDEL],
     [Edit("series.py", "math.comb(i + m, m - 1) for i", "math.comb(i + m, m - 1) + (i == 150) for i",
           "_seidel m > 2 binomials")],
-    [Edit("series.py", "_miller([p * math.comb(k + m, m) for k, p",
-          "_miller([p * math.comb(k + m, m) + (k == 170) for k, p",
-          "shifted numerators H_k")],
+    [Edit("series.py", "V.append(x[-1])", "V.append(x[-1] + (n == 170))",
+          "_seidel backward difference at n = 170")],
     [Edit("series.py", "_reduced(p, fact, Lc)", "_reduced(p + (n == 170), fact, Lc)",
           "_ordinary lift of c_n")],
     [Edit("series.py", "return S // g * (Q // den), Q, up",
@@ -110,8 +112,9 @@ ROWS = [
 
 # FamilySpec arguments, orders, sizes and the composition cap: six
 # families at r = 1, 2 and n = 40, 200, 24 checked tables per row.
-# n = 200 reaches the shifted loop and `_ordinary` (160 terms and up) and
-# every edit's n; hyper-Bernoulli(1, 3) is flat at m = 3 > 2
+# n = 200 reaches the table's polynomial step (hyper-Bernoulli(2, 3) at
+# m = 4, d = 1) and `_ordinary` (160 terms and up) and every edit's n;
+# hyper-Bernoulli(1, 3) is flat at m = 3 > 2
 GRID = {
     "families": [["bernoulli"], ["euler"], ["hyper_bernoulli", 2, 3], ["hyper_bernoulli", 1, 3],
                  ["hyper_cauchy", 2, 3], ["hyper_cauchy", 3, 2]],

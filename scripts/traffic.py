@@ -4,15 +4,15 @@
 Runs one pass of each workload's request list (from
 perfbench/workloads.py, which it only reads) through `appellseq.cli.main`
 in process, with the loop's three forms in `appellseq.series` wrapped:
-`_seidel` (the difference table), `_miller` (the unshifted loop at
-m = 0, the shifted one at m >= 1) and `_ordinary`.  For each workload,
-seed and form it prints the number of calls, the steps those calls ran,
-how many of the steps read more than two terms past G's last nonzero
-value, found from the M each call returned (the steps a zero-tail skip
-would shorten), and how many raised the running denominator Q, found
-from the returned (M, Q) as the running lcm of the reduced denominators
-of G_0..G_n (the steps whose rise `_seidel`, `_ordinary` and the shifted
-`_miller` fold into their sums, and the unshifted `_miller` rescales).
+`_seidel` (the difference table, labelled by its shift m and the degree
+d of its shifted numerators), `_miller` (the loop on F as given) and
+`_ordinary`.  For each workload, seed and form it prints the number of
+calls, the steps those calls ran, how many of the steps read more than
+two terms past G's last nonzero value, found from the M each call
+returned (the steps a zero-tail skip would shorten), and how many raised
+the running denominator Q, found from the returned (M, Q) as the running
+lcm of the reduced denominators of G_0..G_n (the steps whose rise
+`_seidel` and `_ordinary` fold into their sums, and `_miller` rescales).
 
     PYTHONPATH=src python3 scripts/traffic.py --workload all --seed 1 2 3
 """
@@ -82,8 +82,8 @@ def traced(tally: Counter):
         return run
 
     forms = {
-        "_seidel": lambda L, h, K, r, m, *rest: f"_seidel m={m}",
-        "_miller": lambda H, L, r, m, *rest: f"_miller m={m}",
+        "_seidel": lambda L, D, K, r, m, *rest: f"_seidel m={m} d={len(D) - 1}",
+        "_miller": lambda *args: "_miller",
         "_ordinary": lambda *args: "_ordinary",
     }
     for name, form in forms.items():
@@ -117,7 +117,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     names = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
 
-    print(f"{'workload':<9} {'seed':>4}  {'form':<13} {'calls':>6} {'steps':>7} {'past tail':>9}"
+    print(f"{'workload':<9} {'seed':>4}  {'form':<15} {'calls':>6} {'steps':>7} {'past tail':>9}"
           f" {'rises':>6}")
     for workload in names:
         for seed in args.seed:
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
                 calls, steps, past, rises = (
                     tally[form, k] for k in ("calls", "steps", "past tail", "rises")
                 )
-                print(f"{workload:<9} {seed:>4}  {form:<13} {calls:>6} {steps:>7} {past:>9} {rises:>6}")
+                print(f"{workload:<9} {seed:>4}  {form:<15} {calls:>6} {steps:>7} {past:>9} {rises:>6}")
     return 0
 
 

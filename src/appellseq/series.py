@@ -1,22 +1,25 @@
 """The package's one Miller loop: the exponential coefficients of f^r,
 for any integer r, as integer numerators over one denominator.
 
-`exponential_power_numerators` states the loop; on a flat input its
-steps are sums on a difference table, stated in `_seidel`, and on a long
-hyper-Cauchy-like input they run on the ordinary coefficients themselves,
-by Horner's rule (`_ordinary`).  The unshifted loop keeps G over one
-running denominator Q; the other forms keep each G_j over the Q of the
-step that found it, fold each rise of Q into their sums, and lift G onto
-the last Q once, at the end (`_lifted`).  `engine` runs it on a family's
-(P, L); `library.TruncatedSeries` and `library.exponential_power` run it
-on rationals.
+`exponential_power_numerators` states the loop and runs it in one of
+three forms: on F itself, as one dot product a step (`_miller`); on a
+long hyper-Cauchy-like input, on the ordinary coefficients by Horner's
+rule (`_ordinary`); and on an input whose binomially shifted numerators
+are a polynomial of low degree (every flat input, and hyper-Bernoulli
+from SHIFT_MIN_TERMS terms on), as sums on a difference table of G
+(`_seidel`).  `_miller` keeps G over one running denominator Q; the
+other forms keep each G_j over the Q of the step that found it, fold
+each rise of Q into their sums, and lift G onto the last Q once, at the
+end (`_lifted`).  `engine` runs it on a family's (P, L);
+`library.TruncatedSeries` and `library.exponential_power` run it on
+rationals.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import accumulate, count, repeat
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .arith import StatsDict, format_ratio, step_rows
@@ -34,64 +37,59 @@ def exponential_power_numerators(
     operations whatever r is (J.C.P. Miller; Knuth, TAOCP vol. 2, 4.7).
     Times n!, it runs on the exponential coefficients F_k = k! f_k and
     G_n = n! g_n: G_0 = 1 and n G_n = sum_k C(n, k) ((r+1) k - n) F_k G_{n-k}.
-    Unshifted (m = 0) it runs on F as given, with the integer weights
+    `_miller` runs it on F as given, with the integer weights
     w_k = r C(n-1, k-1) - C(n-1, k), which obey Pascal's rule themselves:
     the row w_1..w_n of step n rolls forward to w_1 - 1, w_1 + w_2, ...,
-    w_{n-1} + w_n, r.  It may run on binomially shifted coefficients
-    instead: write F_k = H_k / C(k+m, m); since C(n, k) / C(k+m, m) =
-    C(n+m, k+m) / C(n+m, m), the step becomes
+    w_{n-1} + w_n, r.  F is lifted once, before the first step: it is
+    kept as the integers P_k / c over L / c for c = gcd(L, P_1..P_K), so
+    L / c is the least common denominator of F_1..F_K.  The step's sum
+    S, with each weight multiplied in last, gives G_n = S over (L / c) Q
+    for Q = Q_{n-1} = lcm(den G_0..G_{n-1}), reduced by one gcd; when
+    den G_n does not divide Q, Q rises to their lcm, Q_n = U_n Q_{n-1}
+    (`_reduced`; U_n = 1 when it does not rise).  `_miller` keeps
+    G_0..G_{n-1} as M_j / Q over the one running Q and rescales the
+    stored M by U_n, so its S is one dot product.
 
-        n C(n+m, m) G_n = sum_{k=1..n} C(n+m, k+m) ((r+1) k - n) H_k G_{n-k},
-
-    on the numerators P_k C(k+m, m) of H over the same L, built once here
-    for the loop.  Each step forms its weights
-    w_k = C(n+m, k+m) ((r+1) k - n) once, from the row C(n+m, 0..n+m)
-    rolled by Pascal's rule (w_1 = r at step 1, as at m = 0), and
-    n C(n+m, m) joins the step's divisor.  `_shift` picks the loop's m,
-    0 below SHIFT_MIN_TERMS terms: hyper-Bernoulli(2, 3) takes m = 4 and
-    H_k = k + 1, so the large F_k become small integers.  Either way F
-    (or H) is lifted once, before the first step: it is kept as the
-    integers H_k / c over L / c for c = gcd(L, H_1..H_K), so L / c is
-    the least common denominator of H_1 / L..H_K / L.  The step's sum S,
-    with each weight multiplied in last, gives G_n = S over (L / c) Q
-    times the step's divisor, for Q = Q_{n-1} = lcm(den G_0..G_{n-1}),
-    reduced by one gcd; when den G_n does not divide Q, Q rises to their
-    lcm, Q_n = U_n Q_{n-1} (`_reduced`; U_n = 1 when it does not rise).
-    The unshifted loop keeps G_0..G_{n-1} as M_j / Q over the one running
-    Q and rescales the stored M by U_n, so its S is one dot product.  The
-    shifted loop keeps each M_j over Q_j, the Q of the step that reduced
-    G_j, and never rescales it: it sums the terms t_j in ascending j by
-    Horner's rule, S <- S U_j + t_j, which lifts each term onto Q as it
-    goes, so S is the same integer.  When the loop ends, one pass
-    (`_lifted`) multiplies each M_j by U_{j+1} ... U_K onto the last Q.
-
-    The third form runs on the ordinary coefficients c_k = F_k / k! =
+    The second form runs on the ordinary coefficients c_k = F_k / k! =
     P_k / (L k!) and keeps G exponential: since C(n, k) k! = n! / (n-k)!,
 
         G_n = sum_{j=0..n-1} (n-1)! / j! (r n - (r+1) j) c_{n-j} G_j,
 
     which `_ordinary` sums by Horner's rule on the falling factorial,
-    S <- S j U_j + (r n - (r+1) j) C_{n-j} M_j for j = 0..n-1, with each
-    M_j over its own Q_j as in the shifted loop: the one multiplier j U_j
-    both steps the falling factorial and lifts the sum onto Q, so the
-    large running sum is only ever multiplied by the small j U_j, never
-    by a weight.  The c_k are kept in lowest terms as C_k over Lc, the lcm of
-    the denominators read so far, rescaled when Lc rises (`_reduced`), and
-    G_n = S / (Lc Q).  It pays where F_k carries a k!: hyper-Cauchy's
-    d_k carry (M)^(k), so at hyper-Cauchy(2, 3), n = 220 the shifted
-    numerators H_k reach 1423 bits and the C_k 312.  On a prefix of at
-    least SHIFT_MIN_TERMS terms that is not flat, `_shift` weighs this
-    lift against the shifts m = 0..SHIFT_MAX by the same bit rule: every
-    hyper-Cauchy kind takes it, and hyper-Bernoulli, whose ordinary lift
-    is the far larger one, keeps its shift.
+    S <- S j U_j + (r n - (r+1) j) C_{n-j} M_j for j = 0..n-1.  It keeps
+    each M_j over Q_j, the Q of the step that reduced G_j, and never
+    rescales it: the one multiplier j U_j both steps the falling
+    factorial and lifts the sum onto Q, so the large running sum is only
+    ever multiplied by the small j U_j, never by a weight.  When the loop
+    ends, one pass (`_lifted`) multiplies each M_j by U_{j+1} ... U_K
+    onto the last Q.  The c_k are kept in lowest terms as C_k over Lc,
+    the lcm of the denominators read so far, rescaled when Lc rises
+    (`_reduced`), and G_n = S / (Lc Q).  It pays where F_k carries a k!:
+    hyper-Cauchy's d_k carry (M)^(k), so at hyper-Cauchy(2, 3), n = 220
+    the lifted P_k reach 1688 bits and the C_k 312.  On a prefix of at
+    least SHIFT_MIN_TERMS terms that the tests below do not send to
+    `_seidel`, `_shift` weighs this lift against F's own by the bits of
+    their numerators: every hyper-Cauchy kind takes it.
 
-    A flat input, H_1 = ... = H_K at some m <= SHIFT_MAX, runs each
-    step's S at that m as additions on a difference table of G, at any
-    length: `_seidel` states how.  Euler is flat at m = 0, Bernoulli
-    (d_k = 1/(k+1), H_k = 1) at m = 1 and hyper-Bernoulli(1, N) at m = N.
+    The third form runs on binomially shifted numerators: write
+    F_k = H_k / C(k+m, m); since C(n, k) / C(k+m, m) =
+    C(n+m, k+m) / C(n+m, m), the step becomes
+
+        n C(n+m, m) G_n = sum_{k=1..n} C(n+m, k+m) ((r+1) k - n) H_k G_{n-k},
+
+    for the numerators H_k = P_k C(k+m, m) over L.  When H_1..H_K are
+    the values of a polynomial in k of degree d <= m, `_seidel` finds
+    each step's sum on a running difference table of G, and states how.
+    A flat input, H_1 = ... = H_K (d = 0) at some m <= SHIFT_MAX, takes
+    it at any length: Euler is flat at m = 0, Bernoulli (d_k = 1/(k+1),
+    H_k = 1) at m = 1 and hyper-Bernoulli(1, N) at m = N.
     P_1 (m+1) = P_2 C(m+2, 2) fixes the one m to test (m = 0 when K < 2
-    or P_2 = 0), and the test stops at the first H_k that differs; only
-    an input that is not flat reaches `_shift`.
+    or P_2 = 0), and the test stops at the first H_k that differs.  On a
+    prefix of at least SHIFT_MIN_TERMS terms that is not flat,
+    `_polynomial` looks for the smallest m <= SHIFT_MAX with
+    1 <= d <= m: hyper-Bernoulli(M, N) has H_k = C(k+M-1, M-1) over its
+    L at m = M + N - 1, a polynomial of degree M - 1.
+
     Zero tail: only the ordinary form stops at G's zero tail.
     `_ordinary` keeps the last j with M_j != 0, past which every M_j
     read so far is 0 (past the degree of a polynomial power, as for
@@ -100,7 +98,7 @@ def exponential_power_numerators(
     once by the skipped multipliers j U_j past it, kept as a running
     product: Q does not rise at a step whose G_j = 0, so U_j = 1 there and
     the product is (n-1)! / last!.  It drops only products by 0, so S is
-    the same integer.  The shifted and unshifted forms sum every term.
+    the same integer.  `_miller` sums every term; `_seidel` reads no G.
 
     No Fraction is built: each caller makes its values from (M, Q) once,
     or compares them as they are.  Each step hands the |S|.bit_length()
@@ -118,94 +116,145 @@ def exponential_power_numerators(
     if 0 <= m <= SHIFT_MAX:
         h = P[K] * math.comb(K + m, m)
         if all(P[k] * math.comb(k + m, m) == h for k in range(1, K)):
-            return _seidel(L, h, K, r, m, stats)
-    m = _shift(P)
-    if m < 0:
+            return _seidel(L, [h], K, r, m, stats)
+    if len(P) >= SHIFT_MIN_TERMS:
+        found = _polynomial(P)
+        if found:
+            return _seidel(L, found[1], K, r, found[0], stats)
+    if _shift(P) < 0:
         return _ordinary(P, L, r, stats)
-    return _miller([p * math.comb(k + m, m) for k, p in enumerate(P)], L, r, m, stats)
+    return _miller(P, L, r, stats)
 
 
-#: Shortest prefix d_0..d_K (K + 1 terms) that `_shift` probes for the
-#: loop's shift; a flat input takes `_seidel` at its shift at any length,
-#: without the probe.  The shifted loop step costs one more product per
-#: term, which pays only once the operands are large.
+#: Shortest prefix d_0..d_K (K + 1 terms) on which an input that is not
+#: flat may leave `_miller`: for `_seidel`, when `_polynomial` finds its
+#: shift, or for `_ordinary`, when `_shift` picks the ordinary lift.  A
+#: flat input takes `_seidel` at its shift at any length.  On shorter
+#: prefixes `_miller`'s one dot product a step is the faster form.
 SHIFT_MIN_TERMS = 160
-#: Largest shift m tried.  hyper-Bernoulli(M, N) takes m = M + N - 1, so
-#: 8 serves M + N <= 9; the D_2 table of hyper-Bernoulli(2, 3) takes 8.
-#: Each m tried costs one pass over the probe.
+#: Largest shift m that `_polynomial` tries.  hyper-Bernoulli(M, N) is
+#: polynomial at m = M + N - 1, so 8 serves M + N <= 9.  Each m tried
+#: costs one pass over d_1..d_{SHIFT_MAX+2}, which hold a (d+1)-th
+#: difference of H at every d <= SHIFT_MAX.
 SHIFT_MAX = 8
-#: `_shift` reads d_0..d_SHIFT_PROBE, enough for the denominators of every
-#: m <= SHIFT_MAX to show, and for the ordinary lift's k! to outgrow a
-#: shift's.
+#: `_shift` reads d_0..d_SHIFT_PROBE, enough for the ordinary lift's k!
+#: to outgrow F's own denominators.
 SHIFT_PROBE = 32
 
 
+def _polynomial(P: Sequence[int]) -> Optional[tuple[int, list[int]]]:
+    """The smallest shift m <= SHIFT_MAX at which the numerators
+    H_k = P_k C(k+m, m), k = 1..K, are the values p(k) of a polynomial of
+    degree d, 1 <= d <= m, as (m, D) with D_t = Delta^t p(1) for
+    t = 0..d; None if there is none.  Polynomial at m, H is polynomial
+    at every larger m too, as C(k+m+1, m+1) / C(k+m, m) is linear in k,
+    so the m are tried from SHIFT_MAX down, each on H_1..H_{SHIFT_MAX+2},
+    whose forward differences fix d where the (d+1)-th vanishes, and the
+    last m that passes is confirmed on H_1..H_K.  Two polynomials of
+    degree at most SHIFT_MAX that agree on the probe are one, so when H
+    is polynomial at some m <= SHIFT_MAX, the probe passes no m that H
+    does not."""
+
+    def differences(m, K):
+        # Delta^t H_1 over H_1..H_K, to the last order not all 0 or m + 2 orders
+        D, H = [], [p * math.comb(k + m, m) for k, p in enumerate(P[1 : K + 1], 1)]
+        while any(H) and len(D) <= m + 1:
+            D.append(H[0])
+            H = list(map(sub, H[1:], H[:-1]))
+        return D
+
+    m = SHIFT_MAX
+    while m and 2 <= len(differences(m, SHIFT_MAX + 2)) <= m + 1:
+        m -= 1
+    D = differences(m + 1, len(P)) if m < SHIFT_MAX else ()
+    return (m + 1, D) if 2 <= len(D) <= m + 2 else None
+
+
 def _shift(P: Sequence[int]) -> int:
-    """The loop's shift for F_k = P_k / L on an input that is not flat (a
-    flat one takes `_seidel` at its own shift at any length), or -1 for
-    the ordinary lift that `_ordinary` runs on: 0 on a prefix shorter
-    than SHIFT_MIN_TERMS, else the m in -1..SHIFT_MAX whose numerators
-    over k <= K = SHIFT_PROBE, P_k C(k+m, m) or, at -1, P_k K! / k!,
-    divided by their gcd have the fewest bits in all (P_0 = L is among
-    them, so the lifted denominator counts too); the smallest such m."""
+    """The form for F_k = P_k / L on an input that `_seidel` does not
+    take: -1 for the ordinary lift that `_ordinary` runs on, 0 for F's
+    own that `_miller` runs on.  0 on a prefix shorter than
+    SHIFT_MIN_TERMS, else the one whose numerators over
+    k <= K = SHIFT_PROBE, P_k or P_k K! / k!, divided by their gcd have
+    the fewer bits in all (P_0 = L is among them, so the lifted
+    denominator counts too); -1 on a tie."""
     if len(P) < SHIFT_MIN_TERMS:
         return 0
-    g = math.gcd(*P[: SHIFT_PROBE + 1])  # common to every candidate
-    P = [p // g for p in P[: SHIFT_PROBE + 1]]
-
-    def bits(m):
-        H = [
-            p * (math.comb(k + m, m) if m >= 0 else math.perm(SHIFT_PROBE, SHIFT_PROBE - k))
-            for k, p in enumerate(P)
-        ]
-        g = math.gcd(*H)
-        return sum((h // g).bit_length() for h in H)
-
-    return min(range(-1, SHIFT_MAX + 1), key=bits)
+    K = SHIFT_PROBE
+    bits = [
+        sum((h // g).bit_length() for h in H)
+        for H in ([p * math.perm(K, K - k) for k, p in enumerate(P[: K + 1])], P[: K + 1])
+        for g in [math.gcd(*H)]
+    ]
+    return -1 if bits[0] <= bits[1] else 0
 
 
 def _seidel(
-    L: int, h: int, K: int, r: int, m: int, stats: Optional[StatsDict] = None
+    L: int, D: Sequence[int], K: int, r: int, m: int, stats: Optional[StatsDict] = None
 ) -> tuple[list[int], int]:
-    """`exponential_power_numerators` at shift m of a flat H:
-    H_k = P_k C(k+m, m) = h over L for 1 <= k <= K.  Each step is the
-    loop's own S, found by additions on a running difference table of
-    G (L. Seidel, 1877; D. Dumont, Matrices d'Euler-Seidel, 1981).
+    """`exponential_power_numerators` at shift m when
+    H_k = P_k C(k+m, m) = p(k) over L for 1 <= k <= K, p a polynomial
+    of degree d <= m given by its forward differences D_t = Delta^t p(1),
+    t = 0..d (D = [h] for a flat H_k = h).  Each step is the shifted
+    loop's own S, found on a running difference table of G (L. Seidel,
+    1877; D. Dumont, Matrices d'Euler-Seidel, 1981).
 
-    Write V(N) = sum_{j<n} C(N, j) G_j.  With H_k = h, j = n - k and
-    j C(N, j) = N (C(N, j) - C(N-1, j)), the shifted step's sum is
+    Write N = n + m and V(x) = sum_{j<n} C(x, j) G_j.  Put pi(u) = p(u-m),
+    which extends p to k <= 0 by its vanishing (d+1)-th difference, and
+    let a_t and b_t be the forward differences at u = 0 of pi(u) and of
+    u pi(u), t = 0..d+1: fixed integers, with b_t = t (a_{t-1} + a_t).
+    With u = N - j, r n - (r+1) j = (r+1) u - (n + (r+1) m), and since
+    C(u, t) C(N, j) = C(N, t) C(N-t, j), the shifted step's sum is
 
-        h sum_{j<n} C(n+m, j) (r n - (r+1) j) G_j
-            = h (r n V(n+m) - (r+1) (n+m) (V(n+m) - V(n+m-1))),
+        sum_{j<n} C(N, j) (r n - (r+1) j) p(n-j) G_j
+            = sum_{t=0..d+1} ((r+1) b_t - (n + (r+1) m) a_t) C(N, t) V(N-t),
 
-    over the loop's divisor n C(n+m, m); at m = 0 its sum over w_k is
-    h ((r+1) V(n-1) - V(n)) = h (r V(n) - (r+1) (V(n) - V(n-1))), with
-    no divisor.  So one form runs, with k = n at m >= 1 and k = 1 at
-    m = 0 in the factors r k and (r+1) (k+m) and the divisor k C(k+m, m).
+    over the loop's divisor n C(N, m).  At d = 0 it is
+    h (r n V(N) - (r+1) N (V(N) - V(N-1))), which the flat step keeps as
+    such; at m = 0, where only d = 0 is possible, the unshifted sum over
+    w_k is h ((r+1) V(n-1) - V(n)) = h (r V(n) - (r+1) (V(n) - V(n-1))),
+    with no divisor.  So the flat step runs one form, with k = n at
+    m >= 1 and k = 1 at m = 0 in the factors r k and (r+1) (k+m) and the
+    divisor k C(k+m, m).
 
     The loop never reads G: each M_j stays over its own Q_j, lifted onto
     the last Q once, at the end (`_lifted`).  The table keeps, over the
     loop's running Q, rescaled when Q rises, the anti-diagonal
     e_i = sum_{l<=i} C(i+m, l) G_{n-1-i+l}, i < n, of G's difference
-    table m rows down.  By the hockey stick, e_{n-1} = V(n+m-1) and
-    sum e = V(n+m), so a step's two values cost one sum.  Pascal's rule
-    moves the table on with one `accumulate`: the next e_0 is G_n, and
-    the next e_{i+1} is the next e_i plus e_i plus C(i+m, m-1) G_n.
-    Those multiples are 0, G_n and (i+2) G_n at m = 0, 1, 2, counted
-    off by additions; past m = 2 they take one product each, by a
-    stored binomial, and so built the table still outruns `_miller`.
-    A step's few other products are by h and small factors,
-    and S, hence (M, Q) and "max_num_bits", is the loop's bit for bit:
-    c = gcd(L, h) is the loop's one lift, and the reduction is
-    `_reduced`, as in `_miller`.
+    table m rows down.  By the hockey stick, sum e = V(N), and by
+    Pascal's rule the i-th backward difference of e at e_{n-1} is
+    V(N-1-i), reading e_i = 0 for i < 0; so a step's values cost one sum
+    and d (d+1) / 2 subtractions.  Pascal's rule moves the table on with
+    one `accumulate`: the next e_0 is G_n, and the next e_{i+1} is the
+    next e_i plus e_i plus C(i+m, m-1) G_n.  Those multiples are 0, G_n
+    and (i+2) G_n at m = 0, 1, 2, counted off by additions; past m = 2
+    they take one product each, by a stored binomial.  A step's other
+    products are d + 2 by small weights, and S, hence (M, Q) and
+    "max_num_bits", is the shifted loop's bit for bit:
+    c = gcd(L, D_0..D_d) = gcd(L, H_1..H_K) is its one lift, and the
+    reduction is `_reduced`.
     """
-    c = math.gcd(L, h)
-    h, Lc = h // c, L // c
+    c = math.gcd(L, *D)
+    a, Lc, d = [x // c for x in D] + [0], L // c, len(D) - 1
+    for _ in range(m + 1):  # p's differences at k = 1 moved down to k = -m
+        for t in reversed(range(d)):
+            a[t] -= a[t + 1]
+    # the weight of C(N, t) V(N-t) at step n is (r+1) b_t - m (r+1) a_t - n a_t
+    ab = [((r + 1) * (t * (x + y) - m * y), y) for t, (x, y) in enumerate(zip([0, *a], a))]
     b = [math.comb(i + m, m - 1) for i in range(K)] if m > 2 else ()
     M, U, Q, e, step = [1], [1], 1, [1], step_rows(stats)
     for n in range(1, K + 1):
         lo, hi, k = e[-1], sum(e), n if m else 1
-        S = h * (r * k * hi - (r + 1) * (k + m) * (hi - lo))
+        if d:
+            x, V = [0] * (d + 1 - n) + e[-d - 1 :], [hi, lo]
+            for _ in range(d):  # V(N-1-i), the i-th backward difference at e_{n-1}
+                x = list(map(sub, x[1:], x[:-1]))
+                V.append(x[-1])
+            S = sum(
+                math.comb(n + m, t) * (y - n * z) * v for t, ((y, z), v) in enumerate(zip(ab, V))
+            )
+        else:
+            S = a[0] * (r * k * hi - (r + 1) * (k + m) * (hi - lo))
         if step:
             step(S.bit_length())
         S, Q, up = _reduced(S, Lc * Q * k * math.comb(k + m, m), Q)
@@ -220,38 +269,26 @@ def _seidel(
 
 
 def _miller(
-    H: Sequence[int], L: int, r: int, m: int, stats: Optional[StatsDict] = None
+    P: Sequence[int], L: int, r: int, stats: Optional[StatsDict] = None
 ) -> tuple[list[int], int]:
-    """`exponential_power_numerators` at shift m (see there), r != 1, on
-    the shifted numerators H_k = P_k C(k+m, m) over L (H_0 = L).  At
-    m = 0 its M share one Q and each step is one dot product; at m >= 1
-    each M_j stays over its own Q_j, summed by Horner's rule in U_j."""
-    c = math.gcd(*H)
-    F, Lc = [h // c for h in H[1:]], L // c
-    M, U, Q, step = [1], [1], 1, step_rows(stats)
-    w = [r]  # the weights of step 1, at every m
-    row = [math.comb(m + 1, j) for j in range(m + 2)]  # C(n+m, j) at step n = 1
-    for n in range(1, len(H)):
-        if m:  # M_j over Q_j: Horner's rule in U_j lifts each term onto Q
-            S = 0
-            for u, t in zip(U, map(mul, reversed(w), map(mul, reversed(F[:n]), M))):
-                S = S * u + t
-            den = Lc * Q * n * row[m]
-            row = [1, *map(add, row, row[1:]), 1]
-            w = list(map(mul, row[m + 1 :], count(r - n, r + 1)))  # step n + 1's
-        else:  # the products stop at len(M) = n: F_1..F_n
-            S = sum(map(mul, w, map(mul, F, reversed(M))))
-            den = Lc * Q
-            w = [w[0] - 1, *map(add, w, w[1:]), r]
+    """`exponential_power_numerators` on F as given, r != 1 (see there):
+    its M share one Q, and each step is one dot product with the weight
+    row rolled by Pascal's rule."""
+    c = math.gcd(*P)
+    F, Lc = [p // c for p in P[1:]], L // c
+    M, Q, step = [1], 1, step_rows(stats)
+    w = [r]  # the weights of step 1
+    for n in range(1, len(P)):
+        # the products stop at len(M) = n: F_1..F_n
+        S = sum(map(mul, w, map(mul, F, reversed(M))))
+        w = [w[0] - 1, *map(add, w, w[1:]), r]
         if step:
             step(S.bit_length())
-        S, Q, up = _reduced(S, den, Q)
-        if m:
-            U.append(up)
-        elif up > 1:
+        S, Q, up = _reduced(S, Lc * Q, Q)
+        if up > 1:
             M = [x * up for x in M]
         M.append(S)
-    return _lifted(M, U) if m else M, Q
+    return M, Q
 
 
 def _ordinary(
@@ -297,10 +334,10 @@ def _lifted(M: list[int], U: list[int]) -> list[int]:
 def _reduced(S: int, den: int, Q: int) -> tuple[int, int, int]:
     """A step's G_n = S / den over the running Q, by one gcd: its
     numerator, the new Q and the factor up by which Q rose.  Q rises to
-    lcm(Q, den G_n) when den G_n does not divide it (else up = 1).  The
-    unshifted `_miller` rescales its stored numerators by up; the other
-    forms keep it as U_n, fold it into their sums and lift once at the
-    end (`_lifted`).  `_ordinary` lifts each c_n = P_n / (L n!) over its
+    lcm(Q, den G_n) when den G_n does not divide it (else up = 1).
+    `_miller` rescales its stored numerators by up; the other forms keep
+    it as U_n, fold it into their sums and lift once at the end
+    (`_lifted`).  `_ordinary` lifts each c_n = P_n / (L n!) over its
     running Lc the same way, and rescales its stored C by up."""
     g = math.gcd(S, den)
     den //= g

@@ -596,16 +596,16 @@ class TestStepRows:
     n + 1 rows, index 0's (0.0, 0) first, seconds and peaks that never
     fall, the last peak the call's "max_num_bits", and a reused dict
     that keeps the larger max.  The loops run past SHIFT_MIN_TERMS, where
-    they shift or take the ordinary lift, and skip products."""
+    they take the difference table or the ordinary lift, and skip products."""
 
     N = series.SHIFT_MIN_TERMS + 10
-    # case -> (spec, r, the shift the loop takes at N, -1 for the ordinary
-    # lift, the kernel that must not run)
+    # case -> (spec, r, the form the loop takes at N: `_seidel`'s shift m
+    # and degree d, or None for `_ordinary`)
     LOOPS = {
-        "shifted _miller": (FamilySpec.hyper_bernoulli(2, 3), -2, 4, "_ordinary"),
-        "_ordinary": (FamilySpec.hyper_cauchy(2, 3), -2, -1, "_miller"),
-        "_seidel at m = 1": (FamilySpec.bernoulli(), -1, 1, "_miller"),
-        "_seidel at m = 0": (FamilySpec.euler(), 2, 0, "_miller"),
+        "_seidel at m = 4, d = 1": (FamilySpec.hyper_bernoulli(2, 3), -2, (4, 1)),
+        "_ordinary": (FamilySpec.hyper_cauchy(2, 3), -2, None),
+        "_seidel at m = 1": (FamilySpec.bernoulli(), -1, (1, 0)),
+        "_seidel at m = 0": (FamilySpec.euler(), 2, (0, 0)),
     }
     CASES = [*LOOPS, "determinant_numerators"]
 
@@ -616,10 +616,18 @@ class TestStepRows:
             seq = family_coefficients(FamilySpec.hyper_cauchy(2, 3), n)
             M, Q = engine.power_numerators(seq, 3, n)
             return lambda stats: witness.determinant_numerators(M, Q, n, stats), n
-        spec, r, m, other = self.LOOPS[case]
+        spec, r, form = self.LOOPS[case]
         P, L = family_coefficients(spec, self.N).prefix()
-        assert series._shift(P) == m
-        monkeypatch.setattr(series, other, fail)
+        seidel = series._seidel
+
+        def checked(L, D, K, r, m, stats):
+            assert (m, len(D) - 1) == form
+            return seidel(L, D, K, r, m, stats)
+
+        monkeypatch.setattr(series, "_miller", fail)
+        monkeypatch.setattr(series, "_seidel", checked if form else fail)
+        if form:
+            monkeypatch.setattr(series, "_ordinary", fail)
         return lambda stats: series.exponential_power_numerators(P, L, r, stats), self.N
 
     @pytest.mark.parametrize("case", CASES)

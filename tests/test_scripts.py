@@ -26,13 +26,14 @@ def test_traffic_counts_the_loop_forms_of_verify(capsys, monkeypatch):
     assert head.split() == ["workload", "seed", "form", "calls", "steps", "past", "tail", "rises"]
     table = {}
     for row in rows:
-        workload, seed, name, m, calls, steps, past, rises = row.replace(" m=", " ").split()
-        assert (workload, seed, name) in {("verify", "1", "_miller"), ("verify", "1", "_seidel")}
-        table[name, int(m)] = int(calls), int(steps), int(past), int(rises)
-    # --check at r <= 2 runs the unshifted loop, and the difference table
-    # on Bernoulli and Euler; no step of theirs reads a zero tail, and Q
-    # rises at some of their steps
-    assert table[("_miller", 0)][0] > 0
+        workload, seed, *form, calls, steps, past, rises = row.split()
+        assert (workload, seed) == ("verify", "1") and form[0] in ("_miller", "_seidel")
+        table[" ".join(form)] = int(calls), int(steps), int(past), int(rises)
+    # --check at r <= 2 runs `_miller`, and the difference table on
+    # Bernoulli and Euler, flat at m = 1 and 0; no step of theirs reads a
+    # zero tail, and Q rises at some of their steps
+    assert table["_miller"][0] > 0
+    assert {"_seidel m=0 d=0", "_seidel m=1 d=0"} <= set(table)
     assert all(calls <= steps and past == 0 and 0 < rises <= steps
                for calls, steps, past, rises in table.values())
     assert traffic.past_tail_steps([1, 2, 0, 0, 0, 0, 5, 0]) == 2  # steps 5 and 6

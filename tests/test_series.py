@@ -265,6 +265,34 @@ def loop_values(E, r):
     return G
 
 
+class _Taken(Exception):
+    pass
+
+
+def form_taken(P, L, r=-1):
+    """The form `exponential_power_numerators(P, L, r)` picks, found
+    without running it: "_miller", "_ordinary", or "_seidel m=.. d=.."
+    with `_seidel`'s shift and degree, as `scripts/traffic.py` labels
+    them."""
+    kernels = {name: getattr(series, name) for name in ("_seidel", "_miller", "_ordinary")}
+
+    def taker(name):
+        def take(*args):
+            raise _Taken(f"_seidel m={args[4]} d={len(args[1]) - 1}" if name == "_seidel" else name)
+
+        return take
+
+    try:
+        for name in kernels:
+            setattr(series, name, taker(name))
+        exponential_power_numerators(P, L, r)
+    except _Taken as taken:
+        return taken.args[0]
+    finally:
+        for name, kernel in kernels.items():
+            setattr(series, name, kernel)
+
+
 class TestMillerKernel:
     """`**`, `inverse` and the loop's (M, Q) against plain-Fraction oracles."""
 
@@ -353,31 +381,31 @@ class TestOneLift:
     """The loop lifts F once, over the least common denominator of the
     whole prefix; its (M, Q) must be the global-lift reference's, bit for
     bit, also on an input scaled by a common factor g that the lift
-    divides out.  At n = 200 f^r and f^(-r) run at the shift pinned in
-    SHIFTS, where -1 is `_ordinary`'s lift.  The Bernoulli,
-    hyper-Bernoulli(1,1) and Euler rows are flat and run on `_seidel`'s
-    difference table at every n; at n = 200 the hyper-Bernoulli(2,3) row
-    runs the shifted `_miller`, the hyper-Cauchy rows `_ordinary`, and
-    the custom row the unshifted `_miller`.  The inverse of f^r takes
-    whichever kernel its own input picks.  `TestShiftedLoop` and
-    `TestSkippedProducts` call `_miller` itself at every shift, and
-    `TestOrdinaryLoop` calls `_ordinary`."""
+    divides out.  At n = 200 f^r and f^(-r) run the form pinned in
+    FORMS.  The Bernoulli, hyper-Bernoulli(1,1) and Euler rows are flat
+    and run on `_seidel`'s difference table at every n; at n = 200 the
+    hyper-Bernoulli(2,3) row runs it too, on its linear H_k = k + 1 at
+    m = 4, the hyper-Cauchy rows run `_ordinary`, and the custom row
+    `_miller`.  The inverse of f^r takes whichever kernel its own input
+    picks.  `TestShiftedLoop` calls `_seidel` itself at every shift,
+    `TestSkippedProducts` calls `_miller`, and `TestOrdinaryLoop` calls
+    `_ordinary`."""
 
-    SHIFTS = {
-        "bernoulli": 1,
-        "euler": 0,
-        "hyper-bernoulli(1,1)": 1,
-        "hyper-bernoulli(2,3)": 4,
-        "hyper-cauchy(1,1)": -1,
-        "hyper-cauchy(3,2)": -1,
-        "custom": 0,
+    FORMS = {
+        "bernoulli": "_seidel m=1 d=0",
+        "euler": "_seidel m=0 d=0",
+        "hyper-bernoulli(1,1)": "_seidel m=1 d=0",
+        "hyper-bernoulli(2,3)": "_seidel m=4 d=1",
+        "hyper-cauchy(1,1)": "_ordinary",
+        "hyper-cauchy(3,2)": "_ordinary",
+        "custom": "_miller",
     }
 
     @pytest.mark.parametrize("r", [1, 2, 3, 7, 16])
     @pytest.mark.parametrize("spec", LIFT_SPECS, ids=lambda spec: spec.label)
     def test_matches_the_global_lift(self, spec, r):
         seq = family_coefficients(spec, 200)
-        assert _shift(seq.prefix(200)[0]) == self.SHIFTS[spec.label]
+        assert form_taken(*seq.prefix(200)) == self.FORMS[spec.label]
         for n in (0, 1, 9, 10, 200):
             P, L = seq.prefix(n)
             power = power_numerators(seq, r, n)
@@ -425,8 +453,8 @@ class TestCommonFactor:
 
     @pytest.mark.parametrize("spec", LIFT_SPECS, ids=lambda spec: spec.label)
     def test_every_form_divides_it_out(self, spec):
-        # 200 terms: the shifted `_miller`, `_ordinary` or `_seidel`, as
-        # TestOneLift.SHIFTS pins them
+        # 200 terms: `_seidel`, `_ordinary` or `_miller`, as
+        # TestOneLift.FORMS pins them
         P, L = family_coefficients(spec, 200).prefix()
         c = 2**61 - 1
         for r in (1, -3):
@@ -464,9 +492,21 @@ def ordinary_peak_bits(P, L, G):
     return peak
 
 
+def polynomial_input(D, m, K):
+    """(L, P, D') for d_0 = 1 and d_k = p(k) / C(k+m, m), k = 1..K, where p
+    has the forward differences D at k = 1: the lift of d, and the
+    differences at k = 1 of its numerators H_k = P_k C(k+m, m) = L p(k)."""
+    p = [sum(x * math.comb(k - 1, t) for t, x in enumerate(D)) for k in range(1, K + 1)]
+    L, P = lift([F(1)] + [v / math.comb(k + m, m) for k, v in enumerate(p, 1)])
+    D = [L * x for x in D]
+    assert all(x.denominator == 1 for x in D)
+    return L, P, [int(x) for x in D]
+
+
 class TestShiftedLoop:
-    """The loop on the binomially shifted coefficients H_k = F_k C(k+m, m),
-    at every shift it may take, and the choice of that shift."""
+    """`_seidel` on binomially shifted numerators H_k = P_k C(k+m, m) that
+    are a polynomial of degree d <= m, at every shift m <= SHIFT_MAX, and
+    the form each input takes."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -474,42 +514,60 @@ class TestShiftedLoop:
         st.sampled_from([-16, -3, -2, -1, 2, 3, 7, 2**40 + 3]),
     )
     def test_every_shift_matches_the_global_lift(self, tail, r):
+        # F_k = tail_k runs `_miller`; at each shift m, the polynomial whose
+        # differences at k = 1 are 1, tail_1..tail_m runs `_seidel` on 30 terms
         L, P = lift([F(1), *tail])
         want = oracles.global_lift_power(P, L, r)
         assert identity_reach(P, *want, -r) == len(tail)  # f^r is f^(-(-r))
         G = [F(x, want[1]) for x in want[0]]
+        stats = {}
+        assert _miller(P, L, r, stats) == want
+        assert stats == {"max_num_bits": shifted_peak_bits(P, L, 0, G)}
         for m in range(SHIFT_MAX + 1):
+            L, P, D = polynomial_input([F(1), *tail[:m]], m, 30)
+            want = oracles.global_lift_power(P, L, r)
+            G = [F(x, want[1]) for x in want[0]]
             stats = {}
-            H = [p * math.comb(k + m, m) for k, p in enumerate(P)]
-            assert _miller(H, L, r, m, stats) == want, m
+            assert _seidel(L, D, 30, r, m, stats) == want, m
             assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}, m
 
     @pytest.mark.parametrize(
         "spec, long, short",
         [
-            pytest.param(FamilySpec.bernoulli(), 1, 1, id="bernoulli-1"),
-            pytest.param(FamilySpec.hyper_bernoulli(2, 3), 4, 0, id="hyper-bernoulli(2,3)-4"),
-            pytest.param(FamilySpec.euler(), 0, 0, id="euler-0"),
+            pytest.param(
+                FamilySpec.bernoulli(), "_seidel m=1 d=0", "_seidel m=1 d=0", id="bernoulli-1"
+            ),
+            pytest.param(
+                FamilySpec.hyper_bernoulli(2, 3), "_seidel m=4 d=1", "_miller",
+                id="hyper-bernoulli(2,3)-4",
+            ),
+            pytest.param(FamilySpec.euler(), "_seidel m=0 d=0", "_seidel m=0 d=0", id="euler-0"),
         ],
     )
-    def test_shift_pins(self, monkeypatch, spec, long, short):
-        # The shift each prefix runs at, from SHIFT_MIN_TERMS terms on and
+    def test_shift_pins(self, spec, long, short):
+        # The form each prefix runs, from SHIFT_MIN_TERMS terms on and
         # below (one term short of it, and the bench grid's n = 16).
         # d_k = 1/(k+1) over C(k+1, 1) is 1, flat, so Bernoulli takes m = 1
         # at any length, as Euler's flat 1/2 takes m = 0;
         # hyper-Bernoulli(2, 3)'s d_k = 24/((k+2)(k+3)(k+4)) over C(k+4, 4)
-        # is k+1, not flat: the probe shifts it only on a long prefix.
-        taken = []
-        for name in ("_seidel", "_miller"):
-            def record(*args, kernel=getattr(series, name)):
-                taken.append(args[-2])  # both kernels take (..., m, stats)
-                return kernel(*args)
-
-            monkeypatch.setattr(series, name, record)
+        # is k+1, not flat: it takes the table only on a long prefix.
         seq = family_coefficients(spec, 200)
-        for K in (SHIFT_MIN_TERMS - 1, 200, SHIFT_MIN_TERMS - 2, 16):
-            exponential_power_numerators(*seq.prefix(K), -1)
+        sizes = (SHIFT_MIN_TERMS - 1, 200, SHIFT_MIN_TERMS - 2, 16)
+        taken = [form_taken(*seq.prefix(K)) for K in sizes]
         assert taken == [long, long, short, short]
+
+    def test_every_hyper_bernoulli_takes_the_table_when_long(self):
+        # hyper-Bernoulli(M, N), M + N - 1 <= SHIFT_MAX, has H_k = C(k+M-1, M-1)
+        # at m = M + N - 1: from SHIFT_MIN_TERMS terms on it runs `_seidel`
+        # there, and below that `_miller`, unless it is flat (M = 1)
+        for M in range(1, SHIFT_MAX + 1):
+            for N in range(1, SHIFT_MAX + 1 - M + 1):
+                seq = family_coefficients(FamilySpec.hyper_bernoulli(M, N), 200)
+                table = f"_seidel m={M + N - 1} d={M - 1}"
+                for K in (SHIFT_MIN_TERMS - 1, 200):
+                    assert form_taken(*seq.prefix(K)) == table, (M, N, K)
+                for K in (SHIFT_MIN_TERMS - 2, 60):
+                    assert form_taken(*seq.prefix(K)) == (table if M == 1 else "_miller"), (M, N, K)
 
 
 # d_k = (-2)^k k! (k^2 + 1) / (k + 3): a custom list whose numerators grow
@@ -578,8 +636,8 @@ class TestOrdinaryLoop:
         (FamilySpec.bernoulli(), "_seidel"),
         (FamilySpec.euler(), "_seidel"),
         (FamilySpec.hyper_bernoulli(1, 3), "_seidel"),
-        (FamilySpec.hyper_bernoulli(2, 3), "_miller"),
-        (FamilySpec.hyper_bernoulli(5, 3), "_miller"),
+        (FamilySpec.hyper_bernoulli(2, 3), "_seidel"),
+        (FamilySpec.hyper_bernoulli(5, 3), "_seidel"),
         (FamilySpec.hyper_cauchy(1, 1), "_ordinary"),
         (FamilySpec.hyper_cauchy(2, 3), "_ordinary"),
         (FamilySpec.hyper_cauchy(3, 2), "_ordinary"),
@@ -600,11 +658,12 @@ class TestOrdinaryLoop:
         for r in (-1, 3):
             exponential_power_numerators(*seq.prefix(200), r)
         assert taken == [kernel, kernel]
-        # no prefix shorter than SHIFT_MIN_TERMS takes the ordinary lift
+        # no prefix shorter than SHIFT_MIN_TERMS takes the ordinary lift, and
+        # only a flat one takes the table: Bernoulli, Euler, hyper-Bernoulli(1, N)
         assert not any(_shift(seq.prefix(K)[0]) for K in range(SHIFT_MIN_TERMS - 1))
         del taken[:]
         exponential_power_numerators(*seq.prefix(SHIFT_MIN_TERMS - 2), -1)
-        assert taken == ["_seidel" if kernel == "_seidel" else "_miller"]
+        assert taken == ["_seidel" if kernel == "_seidel" and spec.m in (None, 1) else "_miller"]
 
 
 def flat_run(P, m):
@@ -629,9 +688,9 @@ def bernoulli_with(k, value, n=200):
 class TestSkippedProducts:
     """`_ordinary` drops the products by the M_j of G's zero tail, past
     the last nonzero M_j, and `_miller` sums them; either way S, and with
-    it (M, Q) and the peak bits, must stay the global-lift reference's.  Inputs flat for a while, which
-    `exponential_power_numerators` sends to `_seidel` only when flat
-    throughout, run `_miller` here at every shift."""
+    it (M, Q) and the peak bits, must stay the global-lift reference's.
+    Inputs flat for a while, which `exponential_power_numerators` sends
+    to `_seidel` only when flat throughout, run `_miller` here."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -652,9 +711,8 @@ class TestSkippedProducts:
         want = oracles.global_lift_power(P, L, r)
         G = [F(x, want[1]) for x in want[0]]
         stats = {}
-        H = [p * math.comb(k + m, m) for k, p in enumerate(P)]
-        assert _miller(H, L, r, m, stats) == want
-        assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}
+        assert _miller(P, L, r, stats) == want
+        assert stats == {"max_num_bits": shifted_peak_bits(P, L, 0, G)}
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -696,32 +754,32 @@ class TestSkippedProducts:
 
     @pytest.mark.parametrize("name", list(LONG))
     def test_long_inputs_match_the_global_lift(self, name):
-        # at every shift; the linear factor (r+1) k - n is constant at
-        # r = -1, so the two polynomial powers check it on `_ordinary`'s skipping sum
+        # the linear factor (r+1) k - n is constant at r = -1, so the two
+        # polynomial powers check it on `_ordinary`'s skipping sum
         d, r = self.LONG[name]
         L, P = lift(d)
         want = oracles.global_lift_power(P, L, r)
         G = [F(x, want[1]) for x in want[0]]
-        for m in range(SHIFT_MAX + 1):
-            stats = {}
-            H = [p * math.comb(k + m, m) for k, p in enumerate(P)]
-            assert _miller(H, L, r, m, stats) == want, m
-            assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}, m
+        stats = {}
+        assert _miller(P, L, r, stats) == want
+        assert stats == {"max_num_bits": shifted_peak_bits(P, L, 0, G)}
         stats = {}
         assert _ordinary(P, L, r, stats) == want
         assert stats == {"max_num_bits": ordinary_peak_bits(P, L, G)}
 
     def test_skip_pins(self):
-        # the inputs above have the property they are there for, at the
-        # shift the loop takes on them; the flat run of H, 200 for the
-        # inputs that take `_seidel`, and None for the 200 terms of
+        # the inputs above have the property they are there for; the flat
+        # run of H at the one shift m at which it can be flat,
+        # P_1 (m+1) = P_2 C(m+2, 2): 200 for the inputs that take `_seidel`,
+        # and None where that m is past 0..SHIFT_MAX, as for the 200 terms of
         # hyper-Cauchy(3, 2), which take `_ordinary`, with the same zero tail
         def run(name):
             d, r = self.LONG[name]
             L, P = lift(d)
-            m = _shift(P)
+            m = 2 * P[1] // P[2] - 2
             M, _ = oracles.global_lift_power(P, L, r)
-            return flat_run(P, m) if m >= 0 else None, vanished_from(M, 0), vanished_from(M, 1)
+            flat = flat_run(P, m) if 0 <= m <= SHIFT_MAX else None
+            return flat, vanished_from(M, 0), vanished_from(M, 1)
 
         assert run("bernoulli") == (200, 202, 3)
         assert run("euler") == (200, 2, 201)
@@ -735,8 +793,8 @@ class TestSkippedProducts:
         assert not any(M[3:171:2]) and M[171]
         # hyper-Bernoulli(1, 2), as in the order workload, is flat at its
         # shift m = 2 (H_k = 1), and the prefixes run there are long
-        P, _ = family_coefficients(FamilySpec.hyper_bernoulli(1, 2), 200).prefix(200)
-        assert _shift(P) == 2 and flat_run(P, 2) == 200
+        P, L = family_coefficients(FamilySpec.hyper_bernoulli(1, 2), 200).prefix(200)
+        assert form_taken(P, L) == "_seidel m=2 d=0" and flat_run(P, 2) == 200
 
     def test_zero_tail_costs_no_products(self, monkeypatch):
         # hyper-Cauchy(3, 2) at r = 4: a_n = n! C(8, n), and from
@@ -765,9 +823,11 @@ class TestSkippedProducts:
 
 
 class TestDifferenceTable:
-    """A flat input, at any shift m <= SHIFT_MAX and any length, runs each
-    step on `_seidel`'s difference table of G; its S, and with it (M, Q)
-    and the peak bits, must stay the global-lift reference's."""
+    """A flat input, at any shift m <= SHIFT_MAX and any length, and from
+    SHIFT_MIN_TERMS terms on an input whose H_k is a polynomial of degree
+    d <= m, runs each step on `_seidel`'s difference table of G; its S,
+    and with it (M, Q) and the peak bits, must stay the global-lift
+    reference's."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -788,8 +848,30 @@ class TestDifferenceTable:
         assert identity_reach(P, *want, -r) == K
         G = [F(x, want[1]) for x in want[0]]
         stats = {}
-        assert _seidel(L, h, K, r, m, stats) == want
+        assert _seidel(L, [h], K, r, m, stats) == want
         assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, SHIFT_MAX).flatmap(
+            lambda m: st.tuples(st.just(m), st.lists(rationals, min_size=1, max_size=m + 1))
+        ),
+        st.integers(SHIFT_MIN_TERMS - 1, 219),
+        st.integers(-8, 8),
+    )
+    def test_polynomial_inputs_match_the_global_lift(self, shift_and_differences, K, r):
+        # d_k = p(k) / C(k+m, m) on 160-220 terms, for a p of degree d <= m
+        # given by its differences at k = 1: the input takes the table, and
+        # the table at m keeps the shifted loop's S
+        m, D = shift_and_differences
+        L, P, D = polynomial_input(D, m, K)
+        want = oracles.global_lift_power(P, L, r)
+        G = [F(x, want[1]) for x in want[0]]
+        stats = {}
+        assert _seidel(L, D, K, r, m, stats) == want
+        assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}
+        if r != 1:
+            assert form_taken(P, L, r).startswith("_seidel")
 
     TABLE = [
         (FamilySpec.euler(), 10),
@@ -802,7 +884,7 @@ class TestDifferenceTable:
     ]
     LOOP = [
         (FamilySpec.hyper_bernoulli(2, 3), 16),
-        (FamilySpec.hyper_bernoulli(2, 3), 200),
+        (FamilySpec.hyper_bernoulli(2, 3), SHIFT_MIN_TERMS - 2),
         (FamilySpec.hyper_cauchy(1, 1), 200),
         (FamilySpec.hyper_cauchy(3, 2), 200),
     ]
