@@ -55,7 +55,9 @@ class Edit(NamedTuple):
 # hit the Miller loop's forms (the two U_170 rows keep one rise factor
 # wrong in `_ordinary`'s Horner sum and in the table's end lift, and the
 # weight and backward-difference rows hit the table's polynomial step,
-# which hyper-Bernoulli(2, 3) takes at n = 200); the `families.py` edit
+# which hyper-Bernoulli(2, 3) takes at n = 200) and `_tangent`, which
+# Bernoulli's and Euler's tables take (one Brent-Harvey update, and one
+# weight of each raise, which r = 2 reaches at t = 1); the `families.py` edit
 # makes hyper-Cauchy's d_151 onward wrong, an input every check reads,
 # and the `engine.py` edit makes d_170 wrong as
 # `CoefficientSequence.prefix` slices it for every route.  The
@@ -86,6 +88,14 @@ ROWS = [
           "_seidel backward difference at n = 170")],
     [Edit("series.py", "_reduced(p, fact, Lc)", "_reduced(p + (n == 170), fact, Lc)",
           "_ordinary lift of c_n")],
+    [Edit("series.py", "(j - k + 2) * T[j]", "(j - k + 2 + ((k, j) == (30, 60))) * T[j]",
+          "_tangent update at (k, j) = (30, 60)")],
+    [Edit("series.py", "map(mul, count(t, -1), A)",
+          "map(mul, (t - n + ((t, n) == (1, 150)) for n in count()), A)",
+          "_tangent Bernoulli raise weight t - n at (t, n) = (1, 150)")],
+    [Edit("series.py", "[2 * (x + t * y) for y, x in zip(A, A[1:])]",
+          "[2 * (x + (t + ((t, n) == (1, 151))) * y) for n, (y, x) in enumerate(zip(A, A[1:]))]",
+          "_tangent Euler raise weight t at (t, n) = (1, 151)")],
     [Edit("series.py", "return S // g * (Q // den), Q, up",
           "return S // g * (Q // den) + (up % 7 == 0 and up > 1), Q, up",
           "_reduced when 7 divides up")],
@@ -114,7 +124,8 @@ ROWS = [
 # families at r = 1, 2 and n = 40, 200, 24 checked tables per row.
 # n = 200 reaches the table's polynomial step (hyper-Bernoulli(2, 3) at
 # m = 4, d = 1) and `_ordinary` (160 terms and up) and every edit's n;
-# hyper-Bernoulli(1, 3) is flat at m = 3 > 2
+# hyper-Bernoulli(1, 3) is flat at m = 3 > 2, so its tables are the only
+# ones on the flat step, as Bernoulli's and Euler's take `_tangent`
 GRID = {
     "families": [["bernoulli"], ["euler"], ["hyper_bernoulli", 2, 3], ["hyper_bernoulli", 1, 3],
                  ["hyper_cauchy", 2, 3], ["hyper_cauchy", 3, 2]],

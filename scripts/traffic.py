@@ -3,16 +3,18 @@
 
 Runs one pass of each workload's request list (from
 perfbench/workloads.py, which it only reads) through `appellseq.cli.main`
-in process, with the loop's three forms in `appellseq.series` wrapped:
+in process, with the loop's four forms in `appellseq.series` wrapped:
 `_seidel` (the difference table, labelled by its shift m and the degree
-d of its shifted numerators), `_miller` (the loop on F as given) and
-`_ordinary`.  For each workload, seed and form it prints the number of
-calls, the steps those calls ran, how many of the steps read more than
-two terms past G's last nonzero value, found from the M each call
-returned (the steps a zero-tail skip would shorten), and how many raised
-the running denominator Q, found from the returned (M, Q) as the running
-lcm of the reduced denominators of G_0..G_n (the steps whose rise
-`_seidel` and `_ordinary` fold into their sums, and `_miller` rescales).
+d of its shifted numerators), `_miller` (the loop on F as given),
+`_ordinary` and `_tangent` (Bernoulli's and Euler's f^(-s) from the
+tangent numbers, labelled by the kind it ran).  For each workload, seed
+and form it prints the number of calls, the steps those calls ran, how
+many of the steps read more than two terms past G's last nonzero value,
+found from the M each call returned (the steps a zero-tail skip would
+shorten), and how many raised the running denominator Q, found from the
+returned (M, Q) as the running lcm of the reduced denominators of
+G_0..G_n (the steps whose rise `_seidel` and `_ordinary` fold into their
+sums, and `_miller` rescales).
 
     PYTHONPATH=src python3 scripts/traffic.py --workload all --seed 1 2 3
 """
@@ -67,7 +69,7 @@ def rise_steps(M, Q) -> int:
 def traced(tally: Counter):
     """Wrap the loop's forms on `series`; each call adds to `tally` under
     (form, "calls" / "steps" / "past tail" / "rises")."""
-    kept = {name: getattr(series, name) for name in ("_seidel", "_miller", "_ordinary")}
+    kept = {name: getattr(series, name) for name in ("_seidel", "_miller", "_ordinary", "_tangent")}
 
     def wrap(name, form):
         def run(*args, **kwargs):
@@ -85,6 +87,7 @@ def traced(tally: Counter):
         "_seidel": lambda L, D, K, r, m, *rest: f"_seidel m={m} d={len(D) - 1}",
         "_miller": lambda *args: "_miller",
         "_ordinary": lambda *args: "_ordinary",
+        "_tangent": lambda K, s, m, *rest: f"_tangent {('euler', 'bernoulli')[m]}",
     }
     for name, form in forms.items():
         setattr(series, name, wrap(name, form))
@@ -117,7 +120,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     names = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
 
-    print(f"{'workload':<9} {'seed':>4}  {'form':<15} {'calls':>6} {'steps':>7} {'past tail':>9}"
+    print(f"{'workload':<9} {'seed':>4}  {'form':<18} {'calls':>6} {'steps':>7} {'past tail':>9}"
           f" {'rises':>6}")
     for workload in names:
         for seed in args.seed:
@@ -126,7 +129,7 @@ def main(argv=None) -> int:
                 calls, steps, past, rises = (
                     tally[form, k] for k in ("calls", "steps", "past tail", "rises")
                 )
-                print(f"{workload:<9} {seed:>4}  {form:<15} {calls:>6} {steps:>7} {past:>9} {rises:>6}")
+                print(f"{workload:<9} {seed:>4}  {form:<18} {calls:>6} {steps:>7} {past:>9} {rises:>6}")
     return 0
 
 

@@ -295,14 +295,9 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """CSV of the seconds into its run and the running peak bits at each n
-    of each kernel that `--check` runs but the composition sum, from one
-    `witness.run_routes` to --n and the kernels' "steps" rows, then the
-    production value.  The kernels are the production route's and
-    Bareiss's.  On any failure, found as `--check` finds it, no timings
-    are printed.  Past
-    MAX_BENCH_WORK, and then past MAX_BENCH_N, a request is refused
-    before any work."""
+    """`witness.bench_table` to --n, its CSV on stdout or its error line on
+    stderr.  Past MAX_BENCH_WORK, and then past MAX_BENCH_N, a request is
+    refused before any work."""
     from . import witness
 
     family, bits = config_from_args(args)
@@ -314,23 +309,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     if n_max > MAX_BENCH_N:
         raise ValueError(f"bench --n must be <= {MAX_BENCH_N}, got {n_max}")
-    kernels = {"negative_power": engine.NEGATIVE_POWER, "bareiss": witness.DETERMINANT_BAREISS}
-    stats = {route: {"steps": []} for route in kernels.values()}
-    report = witness.run_routes(family_coefficients(family, n_max), r, n_max, tuple(stats),
-                                stats=stats)
-    n, pairs = report.first_mismatch, report.pairs
-    if n is not None:
-        detail = ", ".join(f"{k}={format_ratio(pairs[route][0][n], pairs[route][1][n])}"
-                           for k, route in kernels.items())
-        print(f"error: {report.describe()}: {detail}; refusing to emit timings", file=sys.stderr)
-        return EXIT_MISMATCH
-    lines = [",".join(["n", *(f"{k}_seconds,{k}_max_num_bits" for k in kernels), "value"])]
-    for n, value in enumerate(map(format_ratio, *pairs[engine.NEGATIVE_POWER])):
-        timings = (f"{seconds:.6f},{peak}" for seconds, peak in
-                   (kernel["steps"][n] for kernel in stats.values()))
-        lines.append(",".join([str(n), *timings, value]))
-    print("\n".join(lines))
-    return EXIT_OK
+    agree, text = witness.bench_table(family_coefficients(family, n_max), r, n_max)
+    print(text, file=sys.stdout if agree else sys.stderr)
+    return EXIT_OK if agree else EXIT_MISMATCH
 
 
 def _attach_negative_z(argv: Sequence[str]) -> list[str]:

@@ -7,10 +7,12 @@ long hyper-Cauchy-like input, on the ordinary coefficients by Horner's
 rule (`_ordinary`); and on an input whose binomially shifted numerators
 are a polynomial of low degree (every flat input, and hyper-Bernoulli
 from SHIFT_MIN_TERMS terms on), as sums on a difference table of G
-(`_seidel`).  `_miller` keeps G over one running denominator Q; the
-other forms keep each G_j over the Q of the step that found it, fold
-each rise of Q into their sums, and lift G onto the last Q once, at the
-end (`_lifted`).  `engine` runs it on a family's (P, L);
+(`_seidel`).  Bernoulli's and Euler's f^(-s), s <= TANGENT_MAX, skip
+the loop: `_tangent` finds order 1 from the tangent numbers and raises
+it s - 1 times.  `_miller` keeps G over one running denominator Q;
+`_ordinary` and `_seidel` keep each G_j over the Q of the step that
+found it, fold each rise of Q into their sums, and lift G onto the last
+Q once, at the end (`_lifted`).  `engine` runs it on a family's (P, L);
 `library.TruncatedSeries` and `library.exponential_power` run it on
 rationals.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, count, repeat
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Optional, Sequence
 
 from .arith import StatsDict, format_ratio, step_rows
@@ -90,6 +92,19 @@ def exponential_power_numerators(
     1 <= d <= m: hyper-Bernoulli(M, N) has H_k = C(k+M-1, M-1) over its
     L at m = M + N - 1, a polynomial of degree M - 1.
 
+    The fourth form runs no loop.  At r = -s, 1 <= s <= TANGENT_MAX, a
+    flat input that is Euler's (m = 0 and 2h = L, so F_k = 1/2) or
+    Bernoulli's (m = 1 and h = L, so F_k = 1/(k+1); hyper-Bernoulli(1, 1)
+    and an equal custom list too) takes `_tangent`.  Order 1 comes from
+    the tangent numbers T_j, found by R. P. Brent and D. Harvey's
+    all-integer recurrence (2011) in about K^2 / 8 updates by small
+    multipliers: B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)),
+    B_1 = -1/2, and 2 / (e^t + 1) has e_(2j-1) = (-1)^j T_j / 2^(2j-1);
+    the other values past index 0 are 0.  Order t + 1 follows from order
+    t by N. E. Norlund's recurrences (1924), O(K) products each:
+    a'_n = ((t - n) a_n - t n a_(n-1)) / t for Bernoulli and
+    a'_n = 2 (a_(n+1) + t a_n) / t for Euler.
+
     Zero tail: only the ordinary form stops at G's zero tail.
     `_ordinary` keeps the last j with M_j != 0, past which every M_j
     read so far is 0 (past the degree of a polynomial power, as for
@@ -98,12 +113,14 @@ def exponential_power_numerators(
     once by the skipped multipliers j U_j past it, kept as a running
     product: Q does not rise at a step whose G_j = 0, so U_j = 1 there and
     the product is (n-1)! / last!.  It drops only products by 0, so S is
-    the same integer.  `_miller` sums every term; `_seidel` reads no G.
+    the same integer.  `_miller` sums every term; `_seidel` and
+    `_tangent` read no G.
 
     No Fraction is built: each caller makes its values from (M, Q) once,
     or compares them as they are.  Each step hands the |S|.bit_length()
-    of the form that ran to `arith.step_rows`, which keeps `stats`; at
-    r = 1 no loop runs and `stats` is left as given.
+    of the form that ran to `arith.step_rows`, which keeps `stats`
+    (`_tangent`'s rows, all at its last raise, carry its running peak);
+    at r = 1 no loop runs and `stats` is left as given.
     """
     if P[0] != L:
         raise ValueError(f"exponential power needs F_0 = 1, got {format_ratio(P[0], L)}")
@@ -116,6 +133,8 @@ def exponential_power_numerators(
     if 0 <= m <= SHIFT_MAX:
         h = P[K] * math.comb(K + m, m)
         if all(P[k] * math.comb(k + m, m) == h for k in range(1, K)):
+            if m < 2 and 2 * h == (m + 1) * L and -TANGENT_MAX <= r < 0:
+                return _tangent(K, -r, m, stats)  # Euler (m = 0) or Bernoulli (m = 1)
             return _seidel(L, [h], K, r, m, stats)
     if len(P) >= SHIFT_MIN_TERMS:
         found = _polynomial(P)
@@ -140,6 +159,10 @@ SHIFT_MAX = 8
 #: `_shift` reads d_0..d_SHIFT_PROBE, enough for the ordinary lift's k!
 #: to outgrow F's own denominators.
 SHIFT_PROBE = 32
+#: Largest s at which Bernoulli's and Euler's f^(-s) take `_tangent`:
+#: past it, each raise's O(K) products let Euler's short prefixes run
+#: faster on `_seidel`.
+TANGENT_MAX = 8
 
 
 def _polynomial(P: Sequence[int]) -> Optional[tuple[int, list[int]]]:
@@ -268,6 +291,63 @@ def _seidel(
     return _lifted(M, U), Q
 
 
+def _tangent(K: int, s: int, m: int, stats: Optional[StatsDict] = None) -> tuple[list[int], int]:
+    """`exponential_power_numerators` at r = -s, 1 <= s <= TANGENT_MAX,
+    for Euler's F_k = 1/2 (m = 0) and Bernoulli's F_k = 1/(k+1) (m = 1),
+    k = 1..K, from the tangent numbers T_j = (2j-1)! [t^(2j-1)] tan t.
+
+    R. P. Brent and D. Harvey (Fast computation of Bernoulli, Tangent and
+    Secant numbers, 2011) find T_1..T_J in all-integer updates by small
+    multipliers: T_j = (j-1)!, then T_j <- (j-k) T_(j-1) + (j-k+2) T_j
+    for k = 2..J and j = k..J.  Order 1 of Euler, 2 / (e^t + 1) =
+    1 - tanh(t/2), is e_0 = 1, e_(2j-1) = (-1)^j T_j / 2^(2j-1) and
+    e_2j = 0; t / (e^t - 1) = t / (e^t + 1) + 2t / (e^(2t) - 1) gives
+    Bernoulli's B_0 = 1 and B_n = -n 2^(n-1) e_(n-1) / (2^n (2^n - 1)):
+    B_1 = -1/2, B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)), 0 at odd
+    n >= 3.  Both are lifted over a multiple D of the lcm of their
+    reduced denominators, found without a gcd: e_(2j-1) is over
+    2^(1 + v_2(j)), as 2j e_(2j-1) is an odd Genocchi number, so D is
+    2 to the bit length of J; B_2j is over the product of the primes p
+    with p - 1 | 2j (von Staudt-Clausen), so D = lcm(1..K+1) holds them
+    all.  Order t then raises to t + 1 on the numerators over D, with
+    D <- t D, by N. E. Norlund's recurrences (Vorlesungen ueber
+    Differenzenrechnung, 1924):
+
+        Bernoulli: a'_n = ((t - n) a_n - t n a_(n-1)) / t,
+        Euler:     a'_n = 2 (a_(n+1) + t a_n) / t,
+
+    so Euler's order 1 runs to K + s - 1.  Dividing by gcd(D, A_0..A_K)
+    leaves Q = lcm(den G_0..G_K).  The K step rows are kept at the last
+    raise, where every a_n becomes known; their bits are the running
+    peak over T_J and every table raised."""
+    N = K if m else K + s  # Bernoulli reads e_0..e_(K-1), Euler's raises e_0..e_(K+s-1)
+    J = N // 2
+    T = list(accumulate(range(1, J), mul, initial=1))  # (j-1)!, j = 1..J
+    for k in range(1, J):
+        for j in range(k, J):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    T[::2] = map(neg, T[::2])  # (-1)^j T_j
+    E = [1]  # E_n = 2^n e_n
+    for x in T:
+        E += x, 0
+    num = [1, *map(mul, count(-1, -1), E)] if m else E  # 2^n (2^n - 1) B_n, or E_n
+    D = math.lcm(*range(1, K + 2)) if m else 1 << J.bit_length()
+    A = [(x * D >> n) // ((1 << n) - 1 or 1) ** m for n, x in zip(range(N + m), num)]
+    step, peak = step_rows(stats), T[-1].bit_length()
+    for t in range(1, s):
+        if step:
+            peak = max(peak, *map(int.bit_length, A))
+        if m:
+            A = list(map(sub, map(mul, count(t, -1), A), map(mul, count(0, t), [0, *A])))
+        else:
+            A = [2 * (x + t * y) for y, x in zip(A, A[1:])]
+        D *= t
+    for x in A[1:] if step else ():
+        step(max(peak, x.bit_length()))
+    c = math.gcd(D, *A)
+    return [x // c for x in A], D // c
+
+
 def _miller(
     P: Sequence[int], L: int, r: int, stats: Optional[StatsDict] = None
 ) -> tuple[list[int], int]:
@@ -335,9 +415,9 @@ def _reduced(S: int, den: int, Q: int) -> tuple[int, int, int]:
     """A step's G_n = S / den over the running Q, by one gcd: its
     numerator, the new Q and the factor up by which Q rose.  Q rises to
     lcm(Q, den G_n) when den G_n does not divide it (else up = 1).
-    `_miller` rescales its stored numerators by up; the other forms keep
-    it as U_n, fold it into their sums and lift once at the end
-    (`_lifted`).  `_ordinary` lifts each c_n = P_n / (L n!) over its
+    `_miller` rescales its stored numerators by up; `_seidel` and
+    `_ordinary` keep it as U_n, fold it into their sums and lift once at
+    the end (`_lifted`).  `_ordinary` lifts each c_n = P_n / (L n!) over its
     running Lc the same way, and rescales its stored C by up."""
     g = math.gcd(S, den)
     den //= g

@@ -22,7 +22,8 @@ and the report lists them, and one function, `run_routes`,
 feeds them for `cross_verify`, the CLI and `library`'s Fraction tables:
 one `if route in routes:` block per route, in that order, each calling
 its kernel once.  `cross_verify` runs all of `ROUTES`, compares the
-tables by cross-multiplication and proves the production table.
+tables by cross-multiplication and proves the production table, and
+`bench_table` builds `bench`'s per-step rows from one `run_routes`.
 
 This module reads the request path only as `engine.<name>`, and each
 route's leg in `run_routes` (its blocks, and the call of `identity_reach`
@@ -45,6 +46,7 @@ from .arith import (
     StatsDict,
     convolve,
     factorials,
+    format_ratio,
     step_rows,
 )
 
@@ -349,7 +351,7 @@ def run_routes(
         )
     if COMPOSITION in routes:
         pairs[COMPOSITION] = composition_numerators(N, L, r)
-    if engine.NEGATIVE_POWER in routes:
+    if production in routes:
         A, Q = engine.negative_power_numerators(seq, r, n_max, stats=stats.get(production))
         pairs[production] = A, [Q] * len(A)
     first, proved = first_disagreement_pairs(pairs), None
@@ -359,3 +361,25 @@ def run_routes(
             first = proved + 1
     return VerificationReport(r=r, n_max=n_max, pairs=pairs, first_mismatch=first, proved=proved)
 
+
+def bench_table(seq: engine.CoefficientSequence, r: int, n_max: int) -> tuple[bool, str]:
+    """`bench`'s output: (True, a CSV of the seconds into its run and the
+    running peak bits at each n of each kernel that `--check` runs but the
+    composition sum, from one `run_routes` to n_max and the kernels'
+    "steps" rows, then the production value), the kernels being the
+    production route's and Bareiss's; or, on any failure, found as
+    `--check` finds it, (False, the error line) and no timings."""
+    kernels = {"negative_power": engine.NEGATIVE_POWER, "bareiss": DETERMINANT_BAREISS}
+    stats = {route: {"steps": []} for route in kernels.values()}
+    report = run_routes(seq, r, n_max, tuple(stats), stats=stats)
+    n, pairs = report.first_mismatch, report.pairs
+    if n is not None:
+        detail = ", ".join(f"{k}={format_ratio(pairs[route][0][n], pairs[route][1][n])}"
+                           for k, route in kernels.items())
+        return False, f"error: {report.describe()}: {detail}; refusing to emit timings"
+    lines = [",".join(["n", *(f"{k}_seconds,{k}_max_num_bits" for k in kernels), "value"])]
+    for n, value in enumerate(map(format_ratio, *pairs[engine.NEGATIVE_POWER])):
+        timings = (f"{seconds:.6f},{peak}" for seconds, peak in
+                   (kernel["steps"][n] for kernel in stats.values()))
+        lines.append(",".join([str(n), *timings, value]))
+    return True, "\n".join(lines)

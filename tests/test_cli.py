@@ -962,7 +962,7 @@ class TestBenchOutputPin:
 
     FAMILIES = TestPolyOutputPin.FAMILIES
     ORDERS = ("1", "2", "3", "7")
-    DIGEST = "2e155ae8f821f368564e2e4d8ca460b58d27c050f29c399e893f3413d1c770b6"
+    DIGEST = "83ad12ff42838981ffc5249db62b4809d18e1fa26a7ffccc4e95727965327377"
     VALUE_DIGEST = "4a0cf05f5a9821dc5afdbc74dd71ab79199198e9ad2e453224a0665ee6fcf296"
 
     def digest(self, capsys, columns):

@@ -596,16 +596,20 @@ class TestStepRows:
     n + 1 rows, index 0's (0.0, 0) first, seconds and peaks that never
     fall, the last peak the call's "max_num_bits", and a reused dict
     that keeps the larger max.  The loops run past SHIFT_MIN_TERMS, where
-    they take the difference table or the ordinary lift, and skip products."""
+    they take the difference table or the ordinary lift, and skip
+    products; Bernoulli and Euler at r = -1, -2 take `_tangent`, whose
+    rows all come at its last raise."""
 
     N = series.SHIFT_MIN_TERMS + 10
-    # case -> (spec, r, the form the loop takes at N: `_seidel`'s shift m
-    # and degree d, or None for `_ordinary`)
+    # case -> (spec, r, the form the loop takes at N, and `_seidel`'s shift
+    # m and degree d or `_tangent`'s m)
     LOOPS = {
-        "_seidel at m = 4, d = 1": (FamilySpec.hyper_bernoulli(2, 3), -2, (4, 1)),
-        "_ordinary": (FamilySpec.hyper_cauchy(2, 3), -2, None),
-        "_seidel at m = 1": (FamilySpec.bernoulli(), -1, (1, 0)),
-        "_seidel at m = 0": (FamilySpec.euler(), 2, (0, 0)),
+        "_seidel at m = 4, d = 1": (FamilySpec.hyper_bernoulli(2, 3), -2, "_seidel", (4, 1)),
+        "_ordinary": (FamilySpec.hyper_cauchy(2, 3), -2, "_ordinary", None),
+        "_seidel at m = 1": (FamilySpec.bernoulli(), -series.TANGENT_MAX - 1, "_seidel", (1, 0)),
+        "_seidel at m = 0": (FamilySpec.euler(), 2, "_seidel", (0, 0)),
+        "_tangent at m = 1": (FamilySpec.bernoulli(), -1, "_tangent", 1),
+        "_tangent at m = 0": (FamilySpec.euler(), -2, "_tangent", 0),
     }
     CASES = [*LOOPS, "determinant_numerators"]
 
@@ -616,18 +620,19 @@ class TestStepRows:
             seq = family_coefficients(FamilySpec.hyper_cauchy(2, 3), n)
             M, Q = engine.power_numerators(seq, 3, n)
             return lambda stats: witness.determinant_numerators(M, Q, n, stats), n
-        spec, r, form = self.LOOPS[case]
+        spec, r, name, form = self.LOOPS[case]
         P, L = family_coefficients(spec, self.N).prefix()
-        seidel = series._seidel
+        kernel = getattr(series, name)
 
-        def checked(L, D, K, r, m, stats):
-            assert (m, len(D) - 1) == form
-            return seidel(L, D, K, r, m, stats)
+        def checked(*args):
+            if name == "_seidel":
+                assert (args[4], len(args[1]) - 1) == form
+            elif name == "_tangent":
+                assert args[2] == form
+            return kernel(*args)
 
-        monkeypatch.setattr(series, "_miller", fail)
-        monkeypatch.setattr(series, "_seidel", checked if form else fail)
-        if form:
-            monkeypatch.setattr(series, "_ordinary", fail)
+        for other in ("_miller", "_seidel", "_ordinary", "_tangent"):
+            monkeypatch.setattr(series, other, checked if other == name else fail)
         return lambda stats: series.exponential_power_numerators(P, L, r, stats), self.N
 
     @pytest.mark.parametrize("case", CASES)
@@ -1152,15 +1157,36 @@ class TestPackageSurface:
         # `engine.<name>` reads and its `seq.<name>` reads, as
         # CoefficientSequence.<name>; they must be its row of
         # `witness.READS`.  The rest of `run_routes` reads only the guards,
-        # the production route's name and seq.P.
+        # the production route's name and seq.P.  A test may name its
+        # route through a local of `run_routes` bound to a name or an
+        # attribute, as `production` is; any other name fails the audit,
+        # naming the block.
         import ast
 
         tree = self.module_tree(witness)
         defs = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
         run = defs.pop("run_routes")
+        scope = dict(vars(witness))
+        for node in ast.walk(run):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                    bound = zip(target.elts, value.elts)
+                else:
+                    bound = [(target, value)]
+                for name, expr in bound:
+                    if isinstance(name, ast.Name) and isinstance(expr, (ast.Name, ast.Attribute)):
+                        try:
+                            scope[name.id] = eval(ast.unparse(expr), scope)
+                        except NameError:  # bound to an argument: not a route
+                            pass
 
         def route(node):
-            return eval(ast.unparse(node), vars(witness))
+            try:
+                return eval(ast.unparse(node), scope)
+            except NameError as error:
+                raise AssertionError(f"`if ... {ast.unparse(node)} in routes:` in run_routes "
+                                     f"names no route: {error}") from None
 
         legs = {}
         for node in ast.walk(run):

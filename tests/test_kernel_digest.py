@@ -52,7 +52,7 @@ SIZES = (40, 200)
 WITNESS_N = 40
 
 VALUE = "7f25da8c8853188c15b6d016548637aee343bef0a27c8791ccb55be8dd1c801e"
-COST = "db7975c8929c4fcaa580ce223fc89a600ab7fbb4ac5796773677edbe982d41ec"
+COST = "1350a9e0650db648f358497a90de9a0fb892cd9f7cce0bd07dd778d83300b9fd"
 
 
 def lowest_terms(num, den):

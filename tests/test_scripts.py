@@ -27,13 +27,15 @@ def test_traffic_counts_the_loop_forms_of_verify(capsys, monkeypatch):
     table = {}
     for row in rows:
         workload, seed, *form, calls, steps, past, rises = row.split()
-        assert (workload, seed) == ("verify", "1") and form[0] in ("_miller", "_seidel")
+        assert (workload, seed) == ("verify", "1") and form[0] in ("_miller", "_seidel", "_tangent")
         table[" ".join(form)] = int(calls), int(steps), int(past), int(rises)
-    # --check at r <= 2 runs `_miller`, and the difference table on
-    # Bernoulli and Euler, flat at m = 1 and 0; no step of theirs reads a
-    # zero tail, and Q rises at some of their steps
+    # --check at r <= 2 runs `_miller`, the difference table on f^r of
+    # Bernoulli and Euler, flat at m = 1 and 0, and `_tangent` on their
+    # f^(-r); no step of theirs reads a zero tail, and Q rises at some of
+    # their steps
     assert table["_miller"][0] > 0
-    assert {"_seidel m=0 d=0", "_seidel m=1 d=0"} <= set(table)
+    flat = {"_seidel m=0 d=0", "_seidel m=1 d=0", "_tangent euler", "_tangent bernoulli"}
+    assert flat <= set(table)
     assert all(calls <= steps and past == 0 and 0 < rises <= steps
                for calls, steps, past, rises in table.values())
     assert traffic.past_tail_steps([1, 2, 0, 0, 0, 0, 5, 0]) == 2  # steps 5 and 6
@@ -81,10 +83,13 @@ def test_mutants_runs_the_unedited_tree_and_one_edit(capsys, monkeypatch):
     blind = mutants.ROWS[-1][0]  # the double mutant's blind comparison
     assert mutants.table([row, [blind, *row]], grid) == [
         ("(no edit)", 0, 0, None, 0, 0),
-        ("series.py: _reduced when 7 divides up", 4, 4, 4, 0, 0),
+        # Bernoulli's f^(-r) takes `_tangent`, which has no `_reduced`, so only
+        # hyper-Cauchy's two tables go wrong; Bernoulli's Bareiss leg at r = 2
+        # reads f^2 from the table, which does, and refuses a right table
+        ("series.py: _reduced when 7 divides up", 2, 2, 4, 0, 1),
         # a row's edits apply together: with the comparison blind, only the
-        # identity flags the wrong tables
-        ("witness.py: comparison blind + series.py: _reduced when 7 divides up", 4, 4, 4, 4, 0),
+        # identity flags the wrong tables, and no leg's disagreement is seen
+        ("witness.py: comparison blind + series.py: _reduced when 7 divides up", 2, 2, 4, 2, 0),
     ]
     # an edit whose old text is gone stops the script before any run
     gone = mutants.Edit("series.py", "no such text", "", "nothing")

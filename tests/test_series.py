@@ -17,10 +17,12 @@ from appellseq.witness import identity_reach
 from appellseq.series import (
     SHIFT_MAX,
     SHIFT_MIN_TERMS,
+    TANGENT_MAX,
     _miller,
     _ordinary,
     _seidel,
     _shift,
+    _tangent,
     exponential_power_numerators,
 )
 
@@ -269,16 +271,33 @@ class _Taken(Exception):
     pass
 
 
+def classical(P, L):
+    """Whether F_k = P_k / L, K >= 1, is Euler's 1/2 or Bernoulli's
+    1/(k+1) at every k = 1..K: the inputs whose f^(-s) takes `_tangent`."""
+    terms = list(enumerate(P[1:], 1))
+    euler, bernoulli = (all((k + 1) ** m * p * 2 ** (1 - m) == L for k, p in terms) for m in (0, 1))
+    return bool(terms) and (euler or bernoulli)
+
+
+#: `_tangent`'s label by its m, the kind it runs
+TANGENT_KINDS = ("euler", "bernoulli")
+
+
 def form_taken(P, L, r=-1):
     """The form `exponential_power_numerators(P, L, r)` picks, found
-    without running it: "_miller", "_ordinary", or "_seidel m=.. d=.."
-    with `_seidel`'s shift and degree, as `scripts/traffic.py` labels
-    them."""
-    kernels = {name: getattr(series, name) for name in ("_seidel", "_miller", "_ordinary")}
+    without running it: "_miller", "_ordinary", "_seidel m=.. d=.."
+    with `_seidel`'s shift and degree, or "_tangent euler" /
+    "_tangent bernoulli", as `scripts/traffic.py` labels them."""
+    kernels = {name: getattr(series, name)
+               for name in ("_seidel", "_miller", "_ordinary", "_tangent")}
+    labels = {
+        "_seidel": lambda L, D, K, r, m, *rest: f"_seidel m={m} d={len(D) - 1}",
+        "_tangent": lambda K, s, m, *rest: f"_tangent {TANGENT_KINDS[m]}",
+    }
 
     def taker(name):
         def take(*args):
-            raise _Taken(f"_seidel m={args[4]} d={len(args[1]) - 1}" if name == "_seidel" else name)
+            raise _Taken(labels[name](*args) if name in labels else name)
 
         return take
 
@@ -381,20 +400,22 @@ class TestOneLift:
     """The loop lifts F once, over the least common denominator of the
     whole prefix; its (M, Q) must be the global-lift reference's, bit for
     bit, also on an input scaled by a common factor g that the lift
-    divides out.  At n = 200 f^r and f^(-r) run the form pinned in
-    FORMS.  The Bernoulli, hyper-Bernoulli(1,1) and Euler rows are flat
-    and run on `_seidel`'s difference table at every n; at n = 200 the
-    hyper-Bernoulli(2,3) row runs it too, on its linear H_k = k + 1 at
-    m = 4, the hyper-Cauchy rows run `_ordinary`, and the custom row
-    `_miller`.  The inverse of f^r takes whichever kernel its own input
-    picks.  `TestShiftedLoop` calls `_seidel` itself at every shift,
-    `TestSkippedProducts` calls `_miller`, and `TestOrdinaryLoop` calls
-    `_ordinary`."""
+    divides out.  At n = 200 f^(-1) runs the form pinned in FORMS.  The
+    Bernoulli, hyper-Bernoulli(1,1) and Euler rows are flat: their
+    f^(-r) runs `_tangent` up to r = TANGENT_MAX, and f^r and f^(-16)
+    run `_seidel`'s difference table, at every n; at n = 200 the
+    hyper-Bernoulli(2,3) row runs the table, on its linear H_k = k + 1
+    at m = 4, the hyper-Cauchy rows run `_ordinary`, and the custom row
+    `_miller`, at every r.  The inverse of f^r takes whichever kernel
+    its own input picks.  `TestShiftedLoop` calls `_seidel` itself at
+    every shift, `TestSkippedProducts` calls `_miller`,
+    `TestOrdinaryLoop` calls `_ordinary` and `TestTangent` compares
+    `_tangent` with `_seidel`."""
 
     FORMS = {
-        "bernoulli": "_seidel m=1 d=0",
-        "euler": "_seidel m=0 d=0",
-        "hyper-bernoulli(1,1)": "_seidel m=1 d=0",
+        "bernoulli": "_tangent bernoulli",
+        "euler": "_tangent euler",
+        "hyper-bernoulli(1,1)": "_tangent bernoulli",
         "hyper-bernoulli(2,3)": "_seidel m=4 d=1",
         "hyper-cauchy(1,1)": "_ordinary",
         "hyper-cauchy(3,2)": "_ordinary",
@@ -532,38 +553,48 @@ class TestShiftedLoop:
             assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}, m
 
     @pytest.mark.parametrize(
-        "spec, long, short",
+        "spec, long, short, table",
         [
             pytest.param(
-                FamilySpec.bernoulli(), "_seidel m=1 d=0", "_seidel m=1 d=0", id="bernoulli-1"
+                FamilySpec.bernoulli(), "_tangent bernoulli", "_tangent bernoulli",
+                "_seidel m=1 d=0", id="bernoulli-1",
             ),
             pytest.param(
-                FamilySpec.hyper_bernoulli(2, 3), "_seidel m=4 d=1", "_miller",
+                FamilySpec.hyper_bernoulli(2, 3), "_seidel m=4 d=1", "_miller", None,
                 id="hyper-bernoulli(2,3)-4",
             ),
-            pytest.param(FamilySpec.euler(), "_seidel m=0 d=0", "_seidel m=0 d=0", id="euler-0"),
+            pytest.param(
+                FamilySpec.euler(), "_tangent euler", "_tangent euler", "_seidel m=0 d=0",
+                id="euler-0",
+            ),
         ],
     )
-    def test_shift_pins(self, spec, long, short):
-        # The form each prefix runs, from SHIFT_MIN_TERMS terms on and
-        # below (one term short of it, and the bench grid's n = 16).
+    def test_shift_pins(self, spec, long, short, table):
+        # The form each prefix runs at r = -1, from SHIFT_MIN_TERMS terms on
+        # and below (one term short of it, and the bench grid's n = 16).
         # d_k = 1/(k+1) over C(k+1, 1) is 1, flat, so Bernoulli takes m = 1
-        # at any length, as Euler's flat 1/2 takes m = 0;
+        # at any length, as Euler's flat 1/2 takes m = 0, and both run
+        # `_tangent` at r = -1 and `_seidel` at r = 2;
         # hyper-Bernoulli(2, 3)'s d_k = 24/((k+2)(k+3)(k+4)) over C(k+4, 4)
         # is k+1, not flat: it takes the table only on a long prefix.
         seq = family_coefficients(spec, 200)
         sizes = (SHIFT_MIN_TERMS - 1, 200, SHIFT_MIN_TERMS - 2, 16)
         taken = [form_taken(*seq.prefix(K)) for K in sizes]
         assert taken == [long, long, short, short]
+        taken = [form_taken(*seq.prefix(K), 2) for K in sizes]
+        assert taken == ([long, long, short, short] if table is None else [table] * 4)
 
     def test_every_hyper_bernoulli_takes_the_table_when_long(self):
         # hyper-Bernoulli(M, N), M + N - 1 <= SHIFT_MAX, has H_k = C(k+M-1, M-1)
         # at m = M + N - 1: from SHIFT_MIN_TERMS terms on it runs `_seidel`
-        # there, and below that `_miller`, unless it is flat (M = 1)
+        # there, and below that `_miller`, unless it is flat (M = 1);
+        # hyper-Bernoulli(1, 1) is Bernoulli, whose f^(-1) runs `_tangent`
         for M in range(1, SHIFT_MAX + 1):
             for N in range(1, SHIFT_MAX + 1 - M + 1):
                 seq = family_coefficients(FamilySpec.hyper_bernoulli(M, N), 200)
                 table = f"_seidel m={M + N - 1} d={M - 1}"
+                if (M, N) == (1, 1):
+                    table = "_tangent bernoulli"
                 for K in (SHIFT_MIN_TERMS - 1, 200):
                     assert form_taken(*seq.prefix(K)) == table, (M, N, K)
                 for K in (SHIFT_MIN_TERMS - 2, 60):
@@ -645,10 +676,14 @@ class TestOrdinaryLoop:
         (FACTORIAL, "_ordinary"),
     ]
 
+    # the kinds whose f^(-1) takes another kernel: Bernoulli's and Euler's
+    INVERSE = {"bernoulli": "_tangent", "euler": "_tangent"}
+
     @pytest.mark.parametrize("spec, kernel", KERNELS, ids=lambda x: getattr(x, "label", x))
     def test_dispatch_pins(self, monkeypatch, spec, kernel):
+        kernels = (self.INVERSE.get(spec.label, kernel), kernel)  # r = -1, 3
         taken = []
-        for name in ("_seidel", "_miller", "_ordinary"):
+        for name in ("_seidel", "_miller", "_ordinary", "_tangent"):
             def record(*args, name=name, kernel=getattr(series, name)):
                 taken.append(name)
                 return kernel(*args)
@@ -657,13 +692,15 @@ class TestOrdinaryLoop:
         seq = family_coefficients(spec, 200)
         for r in (-1, 3):
             exponential_power_numerators(*seq.prefix(200), r)
-        assert taken == [kernel, kernel]
+        assert taken == list(kernels)
         # no prefix shorter than SHIFT_MIN_TERMS takes the ordinary lift, and
-        # only a flat one takes the table: Bernoulli, Euler, hyper-Bernoulli(1, N)
+        # only a flat one takes the table: Bernoulli, Euler, hyper-Bernoulli(1, N),
+        # and of those Bernoulli and Euler take `_tangent` at r = -1
         assert not any(_shift(seq.prefix(K)[0]) for K in range(SHIFT_MIN_TERMS - 1))
         del taken[:]
         exponential_power_numerators(*seq.prefix(SHIFT_MIN_TERMS - 2), -1)
-        assert taken == ["_seidel" if kernel == "_seidel" and spec.m in (None, 1) else "_miller"]
+        flat = kernels[1] == "_seidel" and spec.m in (None, 1)
+        assert taken == [kernels[0] if flat else "_miller"]
 
 
 def flat_run(P, m):
@@ -871,7 +908,8 @@ class TestDifferenceTable:
         assert _seidel(L, D, K, r, m, stats) == want
         assert stats == {"max_num_bits": shifted_peak_bits(P, L, m, G)}
         if r != 1:
-            assert form_taken(P, L, r).startswith("_seidel")
+            tangent = classical(P, L) and -TANGENT_MAX <= r < 0
+            assert form_taken(P, L, r).startswith("_tangent" if tangent else "_seidel")
 
     TABLE = [
         (FamilySpec.euler(), 10),
@@ -904,6 +942,10 @@ class TestDifferenceTable:
     @pytest.mark.parametrize("r", [-1, 2])
     @pytest.mark.parametrize("spec, n", TABLE, ids=lambda x: getattr(x, "label", x))
     def test_flat_families_take_the_table(self, monkeypatch, spec, n, r):
+        # Bernoulli's and Euler's f^(-1) take `_tangent` instead
+        L, P = lift(family_coefficients(spec, n).d)
+        form = "_tangent" if classical(P, L) and r < 0 else "_seidel"
+        assert form_taken(P, L, r).startswith(form)
         self.run_without(monkeypatch, "_miller", family_coefficients(spec, n).d, r)
 
     @pytest.mark.parametrize("r", [-1, 2])
@@ -914,6 +956,74 @@ class TestDifferenceTable:
     @pytest.mark.parametrize("k", [1, 100, 200])
     def test_one_changed_term_takes_the_loop(self, monkeypatch, k):
         self.run_without(monkeypatch, "_seidel", bernoulli_with(k, F(1, 3)), -1)
+
+
+class TestTangent:
+    """Bernoulli's and Euler's f^(-s), 1 <= s <= TANGENT_MAX, run
+    `_tangent`: its (M, Q) must be those of `_seidel` called directly on
+    the same flat input, whatever the step rows; every other order, and
+    every other flat input, keeps the table."""
+
+    SPECS = [FamilySpec.euler(), FamilySpec.bernoulli(), FamilySpec.hyper_bernoulli(1, 1)]
+
+    @staticmethod
+    def table(spec, K, r):
+        """(P, L) of spec's d_0..d_K and `_seidel`'s (M, Q) for it at r, at
+        the shift m = 0 (Euler) or 1 (Bernoulli), where it is flat."""
+        P, L = family_coefficients(spec, K).prefix()
+        m = int(spec.kind != "euler")
+        return (P, L), _seidel(L, [P[K] * math.comb(K + m, m)], K, r, m)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.label)
+    def test_matches_the_table(self, spec):
+        m = int(spec.kind != "euler")
+        for K in [*range(61), 200, 400]:
+            for s in range(1, TANGENT_MAX + 2) if K <= 60 else (1, 2):
+                (P, L), want = self.table(spec, K, -s)
+                assert exponential_power_numerators(P, L, -s) == want, (K, s)
+                if s <= TANGENT_MAX:
+                    assert _tangent(K, s, m) == want, (K, s)
+                    if K > 1:
+                        assert form_taken(P, L, -s) == f"_tangent {TANGENT_KINDS[m]}", (K, s)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.label)
+    def test_other_orders_keep_the_table(self, spec):
+        P, L = family_coefficients(spec, 40).prefix()
+        label = f"_seidel m={int(spec.kind != 'euler')} d=0"
+        for r in (-TANGENT_MAX - 1, -16, 2, 3, 7):
+            assert form_taken(P, L, r) == label, r
+
+    @pytest.mark.parametrize(
+        "values, label",
+        [
+            ([F(1, 3)] * 40, "_seidel m=0 d=0"),  # flat at m = 0, but not 1/2
+            ([F(2, k + 1) for k in range(1, 41)], "_seidel m=1 d=0"),  # m = 1, not 1/(k+1)
+            # hyper-Bernoulli(1, 2): H_k = 1 = h / L, but at m = 2
+            ([F(2, (k + 1) * (k + 2)) for k in range(1, 41)], "_seidel m=2 d=0"),
+        ],
+        ids=["third", "two-over-k+1", "hyper-bernoulli(1,2)"],
+    )
+    def test_other_flat_inputs_keep_the_table(self, values, label):
+        L, P = lift([F(1), *values])
+        for s in range(1, TANGENT_MAX + 1):
+            assert form_taken(P, L, -s) == label, s
+
+    @pytest.mark.parametrize("spec", SPECS[:2], ids=lambda spec: spec.label)
+    def test_library_powers_agree_with_the_loop(self, spec):
+        K = 30
+        d = family_coefficients(spec, K).d
+        c = [x / math.factorial(k) for k, x in enumerate(d)]  # f's ordinary coefficients
+        for s in (1, 2, 5, TANGENT_MAX):
+            _, (M, Q) = self.table(spec, K, -s)
+            assert exponential_power(d, -s) == (M, Q), s
+            G = tuple(F(x, Q) / math.factorial(n) for n, x in enumerate(M))
+            assert (TruncatedSeries(c) ** -s).coeffs == G, s
+            # 3 f: the power scales by 3^(-s), and the loop's input is f's own
+            assert (TruncatedSeries([3 * x for x in c]) ** -s).coeffs == tuple(
+                g / 3**s for g in G
+            ), s
+            if s == 1:
+                assert TruncatedSeries(c).inverse().coeffs == G
 
 
 class TestHasseTeichmuller:
