@@ -57,7 +57,8 @@ class Edit(NamedTuple):
 # weight and backward-difference rows hit the table's polynomial step,
 # which hyper-Bernoulli(2, 3) takes at n = 200) and `_tangent`, which
 # Bernoulli's and Euler's tables take (one Brent-Harvey update, and one
-# weight of each raise, which r = 2 reaches at t = 1); the `families.py` edit
+# weight of each raise at t = 1, which r = 2 and 3 reach, and one at t = 2,
+# which r = 3 alone reaches); the `families.py` edit
 # makes hyper-Cauchy's d_151 onward wrong, an input every check reads,
 # and the `engine.py` edit makes d_170 wrong as
 # `CoefficientSequence.prefix` slices it for every route.  The
@@ -93,6 +94,9 @@ ROWS = [
     [Edit("series.py", "map(mul, count(t, -1), A)",
           "map(mul, (t - n + ((t, n) == (1, 150)) for n in count()), A)",
           "_tangent Bernoulli raise weight t - n at (t, n) = (1, 150)")],
+    [Edit("series.py", "map(mul, count(t, -1), A)",
+          "map(mul, (t - n + ((t, n) == (2, 150)) for n in count()), A)",
+          "_tangent Bernoulli raise weight t - n at (t, n) = (2, 150)")],
     [Edit("series.py", "[2 * (x + t * y) for y, x in zip(A, A[1:])]",
           "[2 * (x + (t + ((t, n) == (1, 151))) * y) for n, (y, x) in enumerate(zip(A, A[1:]))]",
           "_tangent Euler raise weight t at (t, n) = (1, 151)")],
@@ -121,15 +125,16 @@ ROWS = [
 ]
 
 # FamilySpec arguments, orders, sizes and the composition cap: six
-# families at r = 1, 2 and n = 40, 200, 24 checked tables per row.
+# families at r = 1, 2, 3 and n = 40, 200, 36 checked tables per row.
 # n = 200 reaches the table's polynomial step (hyper-Bernoulli(2, 3) at
 # m = 4, d = 1) and `_ordinary` (160 terms and up) and every edit's n;
+# r = 3 reaches `_tangent`'s second raise (t = 2);
 # hyper-Bernoulli(1, 3) is flat at m = 3 > 2, so its tables are the only
 # ones on the flat step, as Bernoulli's and Euler's take `_tangent`
 GRID = {
     "families": [["bernoulli"], ["euler"], ["hyper_bernoulli", 2, 3], ["hyper_bernoulli", 1, 3],
                  ["hyper_cauchy", 2, 3], ["hyper_cauchy", 3, 2]],
-    "orders": [1, 2],
+    "orders": [1, 2, 3],
     "sizes": [40, 200],
     "cap": 50,
 }

@@ -70,8 +70,9 @@ def exponential_power_numerators(
     hyper-Cauchy's d_k carry (M)^(k), so at hyper-Cauchy(2, 3), n = 220
     the lifted P_k reach 1688 bits and the C_k 312.  On a prefix of at
     least SHIFT_MIN_TERMS terms that the tests below do not send to
-    `_seidel`, `_shift` weighs this lift against F's own by the bits of
-    their numerators: every hyper-Cauchy kind takes it.
+    `_seidel`, `_ordinary_pays` weighs this lift against F's own by the
+    bits of their numerators over d_0..d_{SHIFT_MAX+2}, the terms
+    `_polynomial` probes: every hyper-Cauchy kind takes it.
 
     The third form runs on binomially shifted numerators: write
     F_k = H_k / C(k+m, m); since C(n, k) / C(k+m, m) =
@@ -140,25 +141,23 @@ def exponential_power_numerators(
         found = _polynomial(P)
         if found:
             return _seidel(L, found[1], K, r, found[0], stats)
-    if _shift(P) < 0:
-        return _ordinary(P, L, r, stats)
+        if _ordinary_pays(P):
+            return _ordinary(P, L, r, stats)
     return _miller(P, L, r, stats)
 
 
 #: Shortest prefix d_0..d_K (K + 1 terms) on which an input that is not
-#: flat may leave `_miller`: for `_seidel`, when `_polynomial` finds its
-#: shift, or for `_ordinary`, when `_shift` picks the ordinary lift.  A
-#: flat input takes `_seidel` at its shift at any length.  On shorter
-#: prefixes `_miller`'s one dot product a step is the faster form.
+#: flat may leave `_miller`, the one gate of both long-prefix forms:
+#: `_seidel`, when `_polynomial` finds its shift, else `_ordinary`, when
+#: `_ordinary_pays`.  A flat input takes `_seidel` at its shift at any
+#: length.  On shorter prefixes `_miller`'s one dot product a step is the
+#: faster form.
 SHIFT_MIN_TERMS = 160
 #: Largest shift m that `_polynomial` tries.  hyper-Bernoulli(M, N) is
 #: polynomial at m = M + N - 1, so 8 serves M + N <= 9.  Each m tried
 #: costs one pass over d_1..d_{SHIFT_MAX+2}, which hold a (d+1)-th
 #: difference of H at every d <= SHIFT_MAX.
 SHIFT_MAX = 8
-#: `_shift` reads d_0..d_SHIFT_PROBE, enough for the ordinary lift's k!
-#: to outgrow F's own denominators.
-SHIFT_PROBE = 32
 #: Largest s at which Bernoulli's and Euler's f^(-s) take `_tangent`:
 #: past it, each raise's O(K) products let Euler's short prefixes run
 #: faster on `_seidel`.
@@ -193,23 +192,20 @@ def _polynomial(P: Sequence[int]) -> Optional[tuple[int, list[int]]]:
     return (m + 1, D) if 2 <= len(D) <= m + 2 else None
 
 
-def _shift(P: Sequence[int]) -> int:
-    """The form for F_k = P_k / L on an input that `_seidel` does not
-    take: -1 for the ordinary lift that `_ordinary` runs on, 0 for F's
-    own that `_miller` runs on.  0 on a prefix shorter than
-    SHIFT_MIN_TERMS, else the one whose numerators over
-    k <= K = SHIFT_PROBE, P_k or P_k K! / k!, divided by their gcd have
-    the fewer bits in all (P_0 = L is among them, so the lifted
-    denominator counts too); -1 on a tie."""
-    if len(P) < SHIFT_MIN_TERMS:
-        return 0
-    K = SHIFT_PROBE
+def _ordinary_pays(P: Sequence[int]) -> bool:
+    """Whether a long input that `_polynomial` leaves takes the ordinary
+    lift that `_ordinary` runs on, not F's own that `_miller` runs on:
+    whether its numerators over k <= K = SHIFT_MAX + 2 (the terms
+    `_polynomial` probes), P_k K! / k!, divided by their gcd have no more
+    bits in all than P_k divided by theirs (P_0 = L is among them, so the
+    lifted denominator counts too)."""
+    K = SHIFT_MAX + 2
     bits = [
         sum((h // g).bit_length() for h in H)
         for H in ([p * math.perm(K, K - k) for k, p in enumerate(P[: K + 1])], P[: K + 1])
         for g in [math.gcd(*H)]
     ]
-    return -1 if bits[0] <= bits[1] else 0
+    return bits[0] <= bits[1]
 
 
 def _seidel(

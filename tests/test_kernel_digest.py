@@ -1,10 +1,11 @@
 """The values the integer kernels return, pinned by one sha256 (VALUE),
 and the bit growth they record, pinned by another (COST).
 
-The grid reaches what the CLI pins do not: `_shift`'s probe (n = 200 is
-past SHIFT_MIN_TERMS), `_ordinary` (hyper-Cauchy at n = 200), `_seidel`
-past m = 2 (hyper-Bernoulli(1, 3) takes m = 3), and the zero tail at
-r >= 2 (hyper-Cauchy(3, 2) is a polynomial power).  Each entry is the
+The grid reaches what the CLI pins do not: `_ordinary_pays`, the pick
+between `_ordinary` and `_miller` (n = 200 is past SHIFT_MIN_TERMS),
+`_ordinary` (hyper-Cauchy at n = 200), `_seidel` past m = 2
+(hyper-Bernoulli(1, 3) takes m = 3), and the zero tail at r >= 2
+(hyper-Cauchy(3, 2) is a polynomial power).  Each entry is the
 values alone: the loop's (M, Q), whose Q is the least common
 denominator, and each witness's pair with every value in lowest terms.
 So a change that keeps every value keeps the digest, however it forms

@@ -20,8 +20,8 @@ from appellseq.series import (
     TANGENT_MAX,
     _miller,
     _ordinary,
+    _ordinary_pays,
     _seidel,
-    _shift,
     _tangent,
     exponential_power_numerators,
 )
@@ -696,11 +696,69 @@ class TestOrdinaryLoop:
         # no prefix shorter than SHIFT_MIN_TERMS takes the ordinary lift, and
         # only a flat one takes the table: Bernoulli, Euler, hyper-Bernoulli(1, N),
         # and of those Bernoulli and Euler take `_tangent` at r = -1
-        assert not any(_shift(seq.prefix(K)[0]) for K in range(SHIFT_MIN_TERMS - 1))
+        assert "_ordinary" not in {form_taken(*seq.prefix(K)) for K in range(SHIFT_MIN_TERMS - 1)}
         del taken[:]
         exponential_power_numerators(*seq.prefix(SHIFT_MIN_TERMS - 2), -1)
         flat = kernels[1] == "_seidel" and spec.m in (None, 1)
         assert taken == [kernels[0] if flat else "_miller"]
+
+
+def random_custom(seed, n=200):
+    """A seeded random custom list: d_0 = 1 and d_k = a / b for k = 1..n,
+    -9 <= a <= 9 and 1 <= b <= 9."""
+    rng = random.Random(seed)
+    return FamilySpec.custom([1] + [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)])
+
+
+class TestLongPrefixPick:
+    """The one gate of the long-prefix forms: from SHIFT_MIN_TERMS terms
+    on, an input that `_polynomial` leaves runs `_ordinary` when
+    `_ordinary_pays` and `_miller` when not; a shorter prefix runs
+    `_miller` without the weighing."""
+
+    # (spec, r, the form it runs): at r = 1 the family's d_0..d_200, the
+    # catalogue kinds and the random list; past it library route 2's
+    # input, f^r's (M, Q), read at the power -1
+    PICKS = [
+        (FamilySpec.hyper_cauchy(2, 3), 1, "_ordinary"),
+        (FamilySpec.hyper_cauchy(1, 1), 1, "_ordinary"),
+        (FamilySpec.hyper_cauchy(3, 2), 1, "_ordinary"),
+        (FamilySpec.hyper_cauchy(7, 1), 1, "_ordinary"),
+        (FamilySpec.hyper_cauchy(1, 9), 1, "_ordinary"),
+        (FamilySpec.hyper_cauchy(2, 3), 2, "_ordinary"),
+        (FamilySpec.hyper_bernoulli(5, 5), 1, "_miller"),
+        (FamilySpec.hyper_bernoulli(3, 7), 1, "_miller"),
+        (FamilySpec.bernoulli(), 2, "_miller"),
+        (FamilySpec.hyper_bernoulli(2, 3), 3, "_miller"),
+        (FamilySpec.euler(), 3, "_miller"),
+        (random_custom(11), 1, "_miller"),
+    ]
+
+    @pytest.mark.parametrize("spec, r, form", PICKS, ids=[f"{s.label}^{r}" for s, r, _ in PICKS])
+    def test_pins(self, monkeypatch, spec, r, form):
+        seq = family_coefficients(spec, 200)
+        P, L = power_numerators(seq, r) if r > 1 else seq.prefix()
+        # the forms wrapped, as scripts/traffic.py wraps them: each call
+        # runs the form and records its name, and each weighing the
+        # length of the prefix weighed
+        taken, weighed = [], []
+        for kernel in ("_seidel", "_miller", "_ordinary", "_tangent"):
+            def record(*args, kernel=kernel, run=getattr(series, kernel)):
+                taken.append(kernel)
+                return run(*args)
+
+            monkeypatch.setattr(series, kernel, record)
+
+        def weigh(P, pays=_ordinary_pays):
+            weighed.append(len(P))
+            return pays(P)
+
+        monkeypatch.setattr(series, "_ordinary_pays", weigh)
+        exponential_power_numerators(P, L, -1)
+        assert (taken, weighed) == ([form], [201])
+        del weighed[:]
+        assert form_taken(P[: SHIFT_MIN_TERMS - 1], L) == "_miller"
+        assert weighed == []
 
 
 def flat_run(P, m):
@@ -768,7 +826,8 @@ class TestSkippedProducts:
         G = [F(x, want[1]) for x in want[0]]
         stats = {}
         assert exponential_power_numerators(P, L, r, stats) == want
-        assert stats == {"max_num_bits": shifted_peak_bits(P, L, _shift(P), G)}
+        assert not _ordinary_pays(P)
+        assert stats == {"max_num_bits": shifted_peak_bits(P, L, 0, G)}
 
     # (d_0..d_n, r), n = 200 unless named: the zero tail of the polynomial
     # (1+t)^8, every G_j past 8, which `_ordinary` skips, at n = 200 and at
@@ -847,7 +906,7 @@ class TestSkippedProducts:
             return x * y
 
         seq = family_coefficients(FamilySpec.hyper_cauchy(3, 2), 400)
-        assert _shift(seq.prefix(SHIFT_MIN_TERMS)[0]) == -1
+        assert form_taken(*seq.prefix(SHIFT_MIN_TERMS), -4) == "_ordinary"
         monkeypatch.setattr(series, "mul", counted)
         counts = []
         for n in (SHIFT_MIN_TERMS, 200, 400):
