@@ -87,7 +87,7 @@ ROWS = [
           "_seidel m > 2 binomials")],
     [Edit("series.py", "V.append(x[-1])", "V.append(x[-1] + (n == 170))",
           "_seidel backward difference at n = 170")],
-    [Edit("series.py", "_reduced(p, fact, Lc)", "_reduced(p + (n == 170), fact, Lc)",
+    [Edit("series.py", "_reduced(p, fact // Lc)", "_reduced(p + (n == 170), fact // Lc)",
           "_ordinary lift of c_n")],
     [Edit("series.py", "(j - k + 2) * T[j]", "(j - k + 2 + ((k, j) == (30, 60))) * T[j]",
           "_tangent update at (k, j) = (30, 60)")],
@@ -100,8 +100,8 @@ ROWS = [
     [Edit("series.py", "[2 * (x + t * y) for y, x in zip(A, A[1:])]",
           "[2 * (x + (t + ((t, n) == (1, 151))) * y) for n, (y, x) in enumerate(zip(A, A[1:]))]",
           "_tangent Euler raise weight t at (t, n) = (1, 151)")],
-    [Edit("series.py", "return S // g * (Q // den), Q, up",
-          "return S // g * (Q // den) + (up % 7 == 0 and up > 1), Q, up",
+    [Edit("series.py", "return S // g, s // g",
+          "return S // g + (s // g % 7 == 0), s // g",
           "_reduced when 7 divides up")],
     [Edit("families.py", "top *= m + k\n    else:", "top *= m + k + (k == 150)\n    else:",
           "hyper-Cauchy input d_151..")],

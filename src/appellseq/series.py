@@ -45,12 +45,13 @@ def exponential_power_numerators(
     w_{n-1} + w_n, r.  F is lifted once, before the first step: it is
     kept as the integers P_k / c over L / c for c = gcd(L, P_1..P_K), so
     L / c is the least common denominator of F_1..F_K.  The step's sum
-    S, with each weight multiplied in last, gives G_n = S over (L / c) Q
-    for Q = Q_{n-1} = lcm(den G_0..G_{n-1}), reduced by one gcd; when
-    den G_n does not divide Q, Q rises to their lcm, Q_n = U_n Q_{n-1}
-    (`_reduced`; U_n = 1 when it does not rise).  `_miller` keeps
-    G_0..G_{n-1} as M_j / Q over the one running Q and rescales the
-    stored M by U_n, so its S is one dot product.
+    S, with each weight multiplied in last, gives G_n = S over s Q for
+    the step's own divisor s = L / c and Q = Q_{n-1} =
+    lcm(den G_0..G_{n-1}).  Q rises to lcm(Q, den G_n) = U_n Q by
+    U_n = s / gcd(S, s), and S / gcd(S, s) is G_n over it: one gcd with
+    s, none with Q (`_reduced`; U_n = 1 when Q does not rise).
+    `_miller` keeps G_0..G_{n-1} as M_j / Q over the one running Q and
+    rescales the stored M by U_n, so its S is one dot product.
 
     The second form runs on the ordinary coefficients c_k = F_k / k! =
     P_k / (L k!) and keeps G exponential: since C(n, k) k! = n! / (n-k)!,
@@ -65,14 +66,17 @@ def exponential_power_numerators(
     ever multiplied by the small j U_j, never by a weight.  When the loop
     ends, one pass (`_lifted`) multiplies each M_j by U_{j+1} ... U_K
     onto the last Q.  The c_k are kept in lowest terms as C_k over Lc,
-    the lcm of the denominators read so far, rescaled when Lc rises
-    (`_reduced`), and G_n = S / (Lc Q).  It pays where F_k carries a k!:
-    hyper-Cauchy's d_k carry (M)^(k), so at hyper-Cauchy(2, 3), n = 220
-    the lifted P_k reach 1688 bits and the C_k 312.  On a prefix of at
-    least SHIFT_MIN_TERMS terms that the tests below do not send to
-    `_seidel`, `_ordinary_pays` weighs this lift against F's own by the
-    bits of their numerators over d_0..d_{SHIFT_MAX+2}, the terms
-    `_polynomial` probes: every hyper-Cauchy kind takes it.
+    the lcm of the denominators read so far: c_n = P_n / (s Lc) for
+    s = L n! / Lc, an integer as each earlier denominator divides L n!,
+    so Lc rises by the same rule (`_reduced`) and the stored C are
+    rescaled; G_n = S / (Lc Q), the step's divisor Lc.  It pays where
+    F_k carries a k!: hyper-Cauchy's d_k carry (M)^(k), so at
+    hyper-Cauchy(2, 3), n = 220 the lifted P_k reach 1688 bits and the
+    C_k 312.  On a prefix of at least SHIFT_MIN_TERMS terms that the
+    tests below do not send to `_seidel`, `_ordinary_pays` weighs this
+    lift against F's own by the bits of their numerators over
+    d_0..d_{SHIFT_MAX+2}, the terms `_polynomial` probes: every
+    hyper-Cauchy kind takes it.
 
     The third form runs on binomially shifted numerators: write
     F_k = H_k / C(k+m, m); since C(n, k) / C(k+m, m) =
@@ -152,7 +156,7 @@ def exponential_power_numerators(
 #: `_ordinary_pays`.  A flat input takes `_seidel` at its shift at any
 #: length.  On shorter prefixes `_miller`'s one dot product a step is the
 #: faster form.
-SHIFT_MIN_TERMS = 160
+SHIFT_MIN_TERMS = 120
 #: Largest shift m that `_polynomial` tries.  hyper-Bernoulli(M, N) is
 #: polynomial at m = M + N - 1, so 8 serves M + N <= 9.  Each m tried
 #: costs one pass over d_1..d_{SHIFT_MAX+2}, which hold a (d+1)-th
@@ -250,8 +254,8 @@ def _seidel(
     they take one product each, by a stored binomial.  A step's other
     products are d + 2 by small weights, and S, hence (M, Q) and
     "max_num_bits", is the shifted loop's bit for bit:
-    c = gcd(L, D_0..D_d) = gcd(L, H_1..H_K) is its one lift, and the
-    reduction is `_reduced`.
+    c = gcd(L, D_0..D_d) = gcd(L, H_1..H_K) is its one lift, and
+    `_reduced` raises Q by the step's own divisor Lc k C(k+m, m).
     """
     c = math.gcd(L, *D)
     a, Lc, d = [x // c for x in D] + [0], L // c, len(D) - 1
@@ -276,7 +280,8 @@ def _seidel(
             S = a[0] * (r * k * hi - (r + 1) * (k + m) * (hi - lo))
         if step:
             step(S.bit_length())
-        S, Q, up = _reduced(S, Lc * Q * k * math.comb(k + m, m), Q)
+        S, up = _reduced(S, Lc * k * math.comb(k + m, m))
+        Q *= up
         if up > 1:
             e = [x * up for x in e]
         U.append(up)
@@ -360,7 +365,8 @@ def _miller(
         w = [w[0] - 1, *map(add, w, w[1:]), r]
         if step:
             step(S.bit_length())
-        S, Q, up = _reduced(S, Lc * Q, Q)
+        S, up = _reduced(S, Lc)
+        Q *= up
         if up > 1:
             M = [x * up for x in M]
         M.append(S)
@@ -373,12 +379,15 @@ def _ordinary(
     """`exponential_power_numerators` on the ordinary coefficients
     c_k = P_k / (L k!), r != 1: the third form there, by Horner's rule on
     the falling factorial (n-1)! / j! with each M_j kept over its own
-    Q_j, so the multiplier of term j is j U_j.  Its step's S is G_n Lc Q."""
+    Q_j, so the multiplier of term j is j U_j.  Its step's S is G_n Lc Q,
+    and Q rises by `_reduced` on the divisor Lc; c_n = P_n / (L n!) rises
+    onto Lc the same way, on L n! / Lc."""
     M, U, V, Q, C, Lc, fact, step = [1], [1], [0], 1, [0], 1, L, step_rows(stats)
     last, tail = 0, 1  # tail = V_{last+1} ... V_{n-1}, each U_j = 1 past last
     for n, p in enumerate(P[1:], 1):
         fact *= n
-        c, Lc, up = _reduced(p, fact, Lc)
+        c, up = _reduced(p, fact // Lc)
+        Lc *= up
         if up > 1:
             C = [x * up for x in C]
         C.append(c)
@@ -389,7 +398,8 @@ def _ordinary(
         S *= tail
         if step:
             step(S.bit_length())
-        S, Q, up = _reduced(S, Lc * Q, Q)
+        S, up = _reduced(S, Lc)
+        Q *= up
         U.append(up)
         V.append(n * up)
         if S:
@@ -407,16 +417,16 @@ def _lifted(M: list[int], U: list[int]) -> list[int]:
     return list(map(mul, reversed(M), accumulate(reversed(U), mul, initial=1)))[::-1]
 
 
-def _reduced(S: int, den: int, Q: int) -> tuple[int, int, int]:
-    """A step's G_n = S / den over the running Q, by one gcd: its
-    numerator, the new Q and the factor up by which Q rose.  Q rises to
-    lcm(Q, den G_n) when den G_n does not divide it (else up = 1).
-    `_miller` rescales its stored numerators by up; `_seidel` and
-    `_ordinary` keep it as U_n, fold it into their sums and lift once at
-    the end (`_lifted`).  `_ordinary` lifts each c_n = P_n / (L n!) over its
-    running Lc the same way, and rescales its stored C by up."""
-    g = math.gcd(S, den)
-    den //= g
-    up = den // math.gcd(Q, den) if Q % den else 1
-    Q *= up
-    return S // g * (Q // den), Q, up
+def _reduced(S: int, s: int) -> tuple[int, int]:
+    """A step's G_n = S / (s Q) over the running Q, by one gcd with the
+    step's own divisor s: its numerator over the new Q and the factor up
+    by which Q rises, up = s / gcd(S, s) (1 when it does not).  The
+    least multiple Q up of Q with G_n Q up an integer has S up / s an
+    integer, so up = s / gcd(S, s) whatever Q is, and Q up is
+    lcm(Q, den G_n).  Each caller does Q *= up: `_miller` rescales its
+    stored numerators by up; `_seidel` and `_ordinary` keep it as U_n,
+    fold it into their sums and lift once at the end (`_lifted`).
+    `_ordinary` lifts each c_n = P_n / (L n!) over its running Lc the
+    same way, with s = L n! / Lc, and rescales its stored C by up."""
+    g = math.gcd(S, s)
+    return S // g, s // g

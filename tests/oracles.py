@@ -81,16 +81,25 @@ def global_lift_power(P, L, r):
     M, Q, w = [1], 1, [r]
     for _ in P:
         S = sum(map(mul, map(mul, w, P), reversed(M)))
-        den = L * Q
-        g = math.gcd(S, den)
-        den //= g
-        if Q % den:
-            up = den // math.gcd(Q, den)
-            Q *= up
+        S, Q, up = lcm_reduced(S, L * Q, Q)
+        if up > 1:
             M = [m * up for m in M]
-        M.append(S // g * (Q // den))
+        M.append(S)
         w = [w[0] - 1, *map(add, w, w[1:]), r]
     return M, Q
+
+
+def lcm_reduced(S, den, Q):
+    """G = S / den over the running Q, the lcm way: reduce G by
+    gcd(S, den), and when its denominator does not divide Q, raise Q to
+    their lcm.  Returns G's numerator over the new Q, the new Q and the
+    factor up by which Q rose (1 when it did not): the reference for
+    `series._reduced`, which reads only the step's own divisor."""
+    g = math.gcd(S, den)
+    den //= g
+    up = den // math.gcd(Q, den) if Q % den else 1
+    Q *= up
+    return S // g * (Q // den), Q, up
 
 
 def gauss_det(matrix):

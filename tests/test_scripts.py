@@ -102,7 +102,7 @@ def test_mutants_prints_a_crashing_row_and_every_other_row(capsys, monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     import mutants
 
-    crash = mutants.Edit("series.py", "    g = math.gcd(S, den)\n", "    g = math.gcd(S, den) // 0\n",
+    crash = mutants.Edit("series.py", "    g = math.gcd(S, s)\n", "    g = math.gcd(S, s) // 0\n",
                          "_reduced divides by 0")
     row = next(row for row in mutants.ROWS if row[0].breaks == "_reduced when 7 divides up")
     monkeypatch.setattr(mutants, "ROWS", [[crash], row])

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from appellseq.engine import power_numerators
@@ -21,6 +21,7 @@ from appellseq.series import (
     _miller,
     _ordinary,
     _ordinary_pays,
+    _reduced,
     _seidel,
     _tangent,
     exponential_power_numerators,
@@ -482,6 +483,29 @@ class TestCommonFactor:
             assert self.run([c * p for p in P], c * L, r) == self.run(P, L, r), r
 
 
+#: s and Q of a step: products of small prime powers, so that gcd(S, s)
+#: and gcd(Q, s) range from 1 to s
+smooth = st.lists(st.sampled_from([2, 2, 3, 3, 5, 7, 11, 13]), max_size=12).map(math.prod)
+
+
+class TestReduced:
+    """`_reduced(S, s)` then Q *= up is the lcm-form reduction of
+    G = S / (s Q) over the running Q (`oracles.lcm_reduced`) for every
+    Q: the same numerator, the same new Q, the same rise factor."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-(10**6), 10**6), smooth, smooth, smooth)
+    @example(0, 1, 1, 1)
+    @example(0, 1, 12, 35)
+    @example(-6, 1, 4, 6)
+    @example(7, 1, 7, 7)
+    def test_matches_the_lcm_form(self, a, b, s, Q):
+        S = a * b  # 0, negative, or sharing factors with s and Q
+        num, up = _reduced(S, s)
+        assert (num, Q * up, up) == oracles.lcm_reduced(S, s * Q, Q)
+        assert F(num, Q * up) == F(S, s * Q)
+
+
 def shifted_peak_bits(P, L, m, G):
     """The bit length of the largest |S| of the loop at shift m on
     F_k = P_k / L, from its values G: step n's S is G_n times the step's
@@ -818,8 +842,10 @@ class TestSkippedProducts:
     )
     def test_doctored_long_prefixes_match_the_global_lift(self, spec, k, value, r):
         # one d_k changed anywhere in a long prefix: it ends the flat run
-        # there and may revive a vanished parity
+        # there and may revive a vanished parity.  A value equal to d_k
+        # changes nothing, and the flat prefix takes `_tangent` at r < 0
         d = list(family_coefficients(spec, SHIFT_MIN_TERMS + 9).d)
+        assume(value != d[k])
         d[k] = value
         L, P = lift(d)
         want = oracles.global_lift_power(P, L, r)
