@@ -996,10 +996,12 @@ class TestDifferenceTable:
             tangent = classical(P, L) and -TANGENT_MAX <= r < 0
             assert form_taken(P, L, r).startswith("_tangent" if tangent else "_seidel")
 
+    # a flat prefix takes the table on both sides of SHIFT_MIN_TERMS
     TABLE = [
         (FamilySpec.euler(), 10),
         (FamilySpec.euler(), 200),
         (FamilySpec.bernoulli(), SHIFT_MIN_TERMS - 2),
+        (FamilySpec.bernoulli(), 158),
         (FamilySpec.bernoulli(), 200),
         (FamilySpec.hyper_bernoulli(1, 2), 200),
         (FamilySpec.hyper_bernoulli(1, 3), 200),
