@@ -56,11 +56,11 @@ class Edit(NamedTuple):
 # wrong in `_ordinary`'s Horner sum and in the table's end lift, and the
 # weight and backward-difference rows hit the table's polynomial step,
 # which hyper-Bernoulli(2, 3) takes at n = 200) and `_tangent`, which
-# Bernoulli's and Euler's tables take (one Brent-Harvey update, and one
-# weight of each raise at t = 1, which r = 2 and 3 reach, and one at t = 2,
-# which r = 3 alone reaches); the `families.py` edit
-# makes hyper-Cauchy's d_151 onward wrong, an input every check reads,
-# and the `engine.py` edit makes d_170 wrong as
+# Bernoulli's and Euler's tables take (the repeated last entry of one row
+# of Seidel's triangle, and one weight of each raise at t = 1, which
+# r = 2 and 3 reach, and one at t = 2, which r = 3 alone reaches); the
+# `families.py` edit makes hyper-Cauchy's d_151 onward wrong, an input
+# every check reads, and the `engine.py` edit makes d_170 wrong as
 # `CoefficientSequence.prefix` slices it for every route.  The
 # `witness.py` edits hit the checks: the identity's last weight
 # and its gcd, taken from P_0, P_1 alone; the composition sum's one lift
@@ -89,8 +89,8 @@ ROWS = [
           "_seidel backward difference at n = 170")],
     [Edit("series.py", "_reduced(p, fact // Lc)", "_reduced(p + (n == 170), fact // Lc)",
           "_ordinary lift of c_n")],
-    [Edit("series.py", "(j - k + 2) * T[j]", "(j - k + 2 + ((k, j) == (30, 60))) * T[j]",
-          "_tangent update at (k, j) = (30, 60)")],
+    [Edit("series.py", "row.append(row[-1])", "row.append(row[-1] + (j == 30))",
+          "_tangent repeated row end at j = 30")],
     [Edit("series.py", "map(mul, count(t, -1), A)",
           "map(mul, (t - n + ((t, n) == (1, 150)) for n in count()), A)",
           "_tangent Bernoulli raise weight t - n at (t, n) = (1, 150)")],

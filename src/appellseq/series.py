@@ -101,12 +101,13 @@ def exponential_power_numerators(
     flat input that is Euler's (m = 0 and 2h = L, so F_k = 1/2) or
     Bernoulli's (m = 1 and h = L, so F_k = 1/(k+1); hyper-Bernoulli(1, 1)
     and an equal custom list too) takes `_tangent`.  Order 1 comes from
-    the tangent numbers T_j, found by R. P. Brent and D. Harvey's
-    all-integer recurrence (2011) in about K^2 / 8 updates by small
-    multipliers: B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)),
-    B_1 = -1/2, and 2 / (e^t + 1) has e_(2j-1) = (-1)^j T_j / 2^(2j-1);
-    the other values past index 0 are 0.  Order t + 1 follows from order
-    t by N. E. Norlund's recurrences (1924), O(K) products each:
+    the tangent numbers T_j = 4^(j-1) |G_2j| / j, with the Genocchi
+    numbers G_2j found on L. Seidel's triangle (1877) in about K^2 / 4
+    additions, one `accumulate` a row:
+    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)), B_1 = -1/2, and
+    2 / (e^t + 1) has e_(2j-1) = (-1)^j T_j / 2^(2j-1); the other values
+    past index 0 are 0.  Order t + 1 follows from order t by
+    N. E. Norlund's recurrences (1924), O(K) products each:
     a'_n = ((t - n) a_n - t n a_(n-1)) / t for Bernoulli and
     a'_n = 2 (a_(n+1) + t a_n) / t for Euler.
 
@@ -164,8 +165,8 @@ SHIFT_MIN_TERMS = 120
 SHIFT_MAX = 8
 #: Largest s at which Bernoulli's and Euler's f^(-s) take `_tangent`:
 #: past it, each raise's O(K) products let Euler's short prefixes run
-#: faster on `_seidel`.
-TANGENT_MAX = 8
+#: faster on `_seidel` (`scripts/gates.py` times the crossover).
+TANGENT_MAX = 9
 
 
 def _polynomial(P: Sequence[int]) -> Optional[tuple[int, list[int]]]:
@@ -297,10 +298,17 @@ def _tangent(K: int, s: int, m: int, stats: Optional[StatsDict] = None) -> tuple
     for Euler's F_k = 1/2 (m = 0) and Bernoulli's F_k = 1/(k+1) (m = 1),
     k = 1..K, from the tangent numbers T_j = (2j-1)! [t^(2j-1)] tan t.
 
-    R. P. Brent and D. Harvey (Fast computation of Bernoulli, Tangent and
-    Secant numbers, 2011) find T_1..T_J in all-integer updates by small
-    multipliers: T_j = (j-1)!, then T_j <- (j-k) T_(j-1) + (j-k+2) T_j
-    for k = 2..J and j = k..J.  Order 1 of Euler, 2 / (e^t + 1) =
+    T_j = 4^(j-1) |G_2j| / j, exactly, for the Genocchi numbers G_2j,
+    and L. Seidel's triangle (1877; D. Dumont and G. Viennot, 1980)
+    finds |G_2j| by additions alone.  From the row [1], each next row is
+    the running sums of the last one read from its end, twice: the even
+    row, then the odd row, whose last entry is |G_2j|; the odd row then
+    grows by repeating that entry, and the next pair starts from it.
+    Each row is one `accumulate`, so T_1..T_J cost about J^2 additions
+    and no Python statement per entry, with two rows alive at a time.
+    (R. P. Brent and D. Harvey's all-integer recurrence, 2011, finds the
+    same T_j in J^2 / 2 updates by small multipliers, one statement
+    each.)  Order 1 of Euler, 2 / (e^t + 1) =
     1 - tanh(t/2), is e_0 = 1, e_(2j-1) = (-1)^j T_j / 2^(2j-1) and
     e_2j = 0; t / (e^t - 1) = t / (e^t + 1) + 2t / (e^(2t) - 1) gives
     Bernoulli's B_0 = 1 and B_n = -n 2^(n-1) e_(n-1) / (2^n (2^n - 1)):
@@ -323,10 +331,12 @@ def _tangent(K: int, s: int, m: int, stats: Optional[StatsDict] = None) -> tuple
     peak over T_J and every table raised."""
     N = K if m else K + s  # Bernoulli reads e_0..e_(K-1), Euler's raises e_0..e_(K+s-1)
     J = N // 2
-    T = list(accumulate(range(1, J), mul, initial=1))  # (j-1)!, j = 1..J
-    for k in range(1, J):
-        for j in range(k, J):
-            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    row, T = [1], [1]  # T_1, and the last row of Seidel's triangle so far
+    for j in range(2, J + 1):
+        row = list(accumulate(reversed(row)))  # the even row
+        row = list(accumulate(reversed(row)))  # the odd row, which ends in |G_2j|
+        T.append((row[-1] << 2 * j - 2) // j)  # T_j = 4^(j-1) |G_2j| / j
+        row.append(row[-1])
     T[::2] = map(neg, T[::2])  # (-1)^j T_j
     E = [1]  # E_n = 2^n e_n
     for x in T:

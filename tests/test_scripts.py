@@ -116,3 +116,26 @@ def test_mutants_prints_a_crashing_row_and_every_other_row(capsys, monkeypatch):
         ["2", "2", "4", "0", "0"],
     ]
     assert err == "series.py: _reduced divides by 0: ZeroDivisionError: integer division or modulo by zero\n"
+
+
+def test_gates_times_both_kernels_and_compares_the_last_winning_order(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import gates
+
+    code = gates.main(["--kinds", "euler", "--sizes", "12", "20", "--orders", "2", "--k", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["kind", "n", "s", "seidel_ms", "tangent_ms", "ratio"]
+    rows = [line.split() for line in lines[1:5]]
+    assert [row[:3] for row in rows] == [["euler", n, s] for n in ("12", "20") for s in ("1", "2")]
+    assert lines[5:7] == ["", "  s  least median"]
+    assert [line.split()[0] for line in lines[7:9]] == ["1", "2"]
+    # no timing is asserted: whichever s the run found, the exit code
+    # says whether it is the constant, which --orders 2 cannot reach
+    *_, verdict = lines
+    last = int(verdict.split(": ")[1].split(";")[0])
+    assert 0 <= last <= 2 and verdict.endswith(f"TANGENT_MAX = {gates.TANGENT_MAX}")
+    assert code == 1
+    # the verdict: every input at every order up to it wins by the margin
+    assert gates.last_winning({1: [2.0, 1.5], 2: [1.2, 1.06], 3: [1.3, 1.04], 4: [2.0]}, 1.05) == 2
+    assert gates.last_winning({1: [1.0, 3.0], 2: [2.0]}, 1.05) == 0
+    assert gates.last_winning({1: [1.1]}, 1.05) == 1

@@ -1064,7 +1064,9 @@ class TestTangent:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.label)
     def test_matches_the_table(self, spec):
         m = int(spec.kind != "euler")
-        for K in [*range(61), 200, 400]:
+        # K = 119 is SHIFT_MIN_TERMS terms, which a flat input does not
+        # read; 281 and 401 are odd; 520 runs past Bernoulli's n = 400
+        for K in [*range(61), 119, 120, 200, 281, 400, 401, 520]:
             for s in range(1, TANGENT_MAX + 2) if K <= 60 else (1, 2):
                 (P, L), want = self.table(spec, K, -s)
                 assert exponential_power_numerators(P, L, -s) == want, (K, s)
@@ -1072,6 +1074,25 @@ class TestTangent:
                     assert _tangent(K, s, m) == want, (K, s)
                     if K > 1:
                         assert form_taken(P, L, -s) == f"_tangent {TANGENT_KINDS[m]}", (K, s)
+
+    @pytest.mark.parametrize(
+        "spec, values",
+        [
+            # 2 / (e^t + 1): e_(2j-1) = G_2j / (2j) for the Genocchi
+            # numbers G_2..G_12 = -1, 1, -3, 17, -155, 2073; e_2j = 0 past e_0
+            (FamilySpec.euler(), [1, F(-1, 2), 0, F(1, 4), 0, F(-1, 2), 0, F(17, 8), 0,
+                                  F(-31, 2), 0, F(691, 4), 0]),
+            # t / (e^t - 1): B_0..B_12
+            (FamilySpec.bernoulli(), [1, F(-1, 2), F(1, 6), 0, F(-1, 30), 0, F(1, 42), 0,
+                                      F(-1, 30), 0, F(5, 66), 0, F(-691, 2730)]),
+        ],
+        ids=["euler", "bernoulli"],
+    )
+    def test_order_one_pins(self, spec, values):
+        P, L = family_coefficients(spec, 12).prefix()
+        M, Q = exponential_power_numerators(P, L, -1)
+        assert [F(x, Q) for x in M] == values
+        assert (M, Q) == _tangent(12, 1, int(spec.kind != "euler"))
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.label)
     def test_other_orders_keep_the_table(self, spec):
