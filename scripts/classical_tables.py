@@ -3,7 +3,8 @@
 
 A quick way to eyeball the library's output against the literature:
 Bernoulli B_n, Euler E_n, Cauchy c_n, and one hypergeometric column of
-each kind, all cross-verified by every independent route before printing.
+each kind, all cross-verified by every independent route, and each input
+certified against its family's definition, before printing.
 
     python scripts/classical_tables.py --n 12
 """
@@ -33,7 +34,7 @@ def main(argv=None) -> int:
     tables = {}
     for title, spec in COLUMNS:
         seq = family_coefficients(spec, args.n)
-        report = cross_verify(seq, args.order, args.n)
+        report = cross_verify(seq, args.order, args.n, family=spec)
         if not report.agree:
             print(f"{title}: {report.describe()}", file=sys.stderr)
             return 1

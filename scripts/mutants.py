@@ -5,16 +5,16 @@ on a copy of src/ against a fixed grid of checked requests.
 For each row the script copies src/ to a temporary directory, applies
 the row's edits there (one, or several for a row whose fault shows only
 in combination), and runs the grid in a fresh interpreter through the
-public `appellseq.cross_verify`, as `compute --check` runs it.  A table
-is wrong when its production values (the table `compute` prints) differ
-from those of the unedited tree.  One row per entry of ROWS, after the
-unedited tree's own row:
+public `appellseq.cross_verify`, given each table's family, as
+`compute --check` runs it.  A table is wrong when its production values
+(the table `compute` prints) differ from those of the unedited tree.
+One row per entry of ROWS, after the unedited tree's own row:
 
     wrong     tables whose production values are wrong
     flagged   how many of the wrong tables `--check` refused
     first     the smallest n at which `--check` refused a wrong table
-    ident     how many of the flagged wrong tables only the identity
-              flagged: the report's tables agree
+    ident     how many of the flagged wrong tables only the identity or
+              the input check flagged: the report's tables agree
               (`witness.first_disagreement_pairs`)
     alarms    right tables that `--check` refused
 
@@ -22,12 +22,16 @@ A row whose edited tree raises in the child prints `crash` in every
 column, and the child's last line of stderr (the exception) goes to
 stderr; the other rows still run and print.  The script exits 1, before
 any run, when an edit's old text is not found exactly once in its file.
+With --markdown it prints the same rows as the Markdown table that
+README.md holds, which tests/test_scripts.py keeps equal to it.
 
     python3 scripts/mutants.py
+    python3 scripts/mutants.py --markdown
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -53,14 +57,19 @@ class Edit(NamedTuple):
 
 # one row per entry, its edits applied together.  The `series.py` edits
 # hit the Miller loop's forms (the two U_170 rows keep one rise factor
-# wrong in `_ordinary`'s Horner sum and in the table's end lift, and the
+# wrong in `_ordinary`'s Horner sum and in the table's end lift; the
+# `_ordinary` rows hit its window past a zero G_(n-1), which
+# hyper-Cauchy(3, 2)'s polynomial powers and hyper-Cauchy(2, 3)'s f^(-2)
+# (a_7 = 0) reach, its weight row, the weights rebuilt when a zero run
+# ends, which that a_7 alone reaches, and its lift of c_n; and the
 # weight and backward-difference rows hit the table's polynomial step,
 # which hyper-Bernoulli(2, 3) takes at n = 200) and `_tangent`, which
 # Bernoulli's and Euler's tables take (the repeated last entry of one row
 # of Seidel's triangle, and one weight of each raise at t = 1, which
 # r = 2 and 3 reach, and one at t = 2, which r = 3 alone reaches); the
 # `families.py` edit makes hyper-Cauchy's d_151 onward wrong, an input
-# every check reads, and the `engine.py` edit makes d_170 wrong as
+# every check reads and the input check alone refuses, and the
+# `engine.py` edit makes d_170 wrong as
 # `CoefficientSequence.prefix` slices it for every route.  The
 # `witness.py` edits hit the checks: the identity's last weight
 # and its gcd, taken from P_0, P_1 alone; the composition sum's one lift
@@ -76,8 +85,12 @@ ROWS = [
           "_miller unshifted weight roll")],
     [Edit("series.py", "- m * y), y)", "- m * y), y + (t == 1))",
           "_seidel weight a_1")],
-    [Edit("series.py", "M[: last + 1]", "M[: last + (last < n - 1)]",
-          "_ordinary zero-tail stop")],
+    [Edit("series.py", "del W[0]", "del W[:2]",
+          "_ordinary zero-tail window, one live weight dropped")],
+    [Edit("series.py", "W.append(r * n * c)", "W.append(r * n * c + (n == 170))",
+          "_ordinary weight row entry W_n at n = 170")],
+    [Edit("series.py", "- n) * C[k] for k", "- n) * C[k] + (k == 1) for k",
+          "_ordinary weight W_1 rebuilt after a zero run")],
     [Edit("series.py", "V.append(n * up)", "V.append(n * up + (n == 170))",
           "_ordinary fold multiplier j U_j at j = 170")],
     [Edit("series.py", "U.append(up)\n        M.append(S)",
@@ -87,7 +100,7 @@ ROWS = [
           "_seidel m > 2 binomials")],
     [Edit("series.py", "V.append(x[-1])", "V.append(x[-1] + (n == 170))",
           "_seidel backward difference at n = 170")],
-    [Edit("series.py", "_reduced(p, fact // Lc)", "_reduced(p + (n == 170), fact // Lc)",
+    [Edit("series.py", "_reduced(p, s)", "_reduced(p + (n == 170), s)",
           "_ordinary lift of c_n")],
     [Edit("series.py", "row.append(row[-1])", "row.append(row[-1] + (j == 30))",
           "_tangent repeated row end at j = 30")],
@@ -127,7 +140,8 @@ ROWS = [
 # FamilySpec arguments, orders, sizes and the composition cap: six
 # families at r = 1, 2, 3 and n = 40, 200, 36 checked tables per row.
 # n = 200 reaches the table's polynomial step (hyper-Bernoulli(2, 3) at
-# m = 4, d = 1) and `_ordinary` (160 terms and up) and every edit's n;
+# m = 4, d = 1) and `_ordinary` (SHIFT_MIN_TERMS = 120 terms and up) and
+# every edit's n;
 # r = 3 reaches `_tangent`'s second raise (t = 2);
 # hyper-Bernoulli(1, 3) is flat at m = 3 > 2, so its tables are the only
 # ones on the flat step, as Bernoulli's and Euler's take `_tangent`
@@ -153,8 +167,9 @@ def child() -> None:
     for family in grid["families"]:
         for r in grid["orders"]:
             for n in grid["sizes"]:
-                seq = family_coefficients(FamilySpec(*family), n)
-                report = cross_verify(seq, r, n, cap=grid["cap"])
+                spec = FamilySpec(*family)
+                seq = family_coefficients(spec, n)
+                report = cross_verify(seq, r, n, cap=grid["cap"], family=spec)
                 values = " ".join(map(str, map(Fraction, *report.pairs["negative-power"])))
                 rows.append([family, r, n, hashlib.sha256(values.encode()).hexdigest(),
                              report.first_mismatch, first_disagreement_pairs(report.pairs)])
@@ -231,13 +246,27 @@ def table(rows: list[list[Edit]], grid: dict) -> list[tuple]:
     return out
 
 
-def main() -> int:
+def markdown(rows: list[tuple]) -> str:
+    """`table`'s rows as a Markdown table, "-" for a first of None."""
+    lines = ["| edit | wrong | flagged | first | ident | alarms |", "|---|---|---|---|---|---|"]
+    for row in rows:
+        lines.append("| " + " | ".join("-" if x is None else str(x) for x in row) + " |")
+    return "\n".join(lines)
+
+
+def main(argv=()) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--markdown", action="store_true", help="print README's Markdown table")
+    args = parser.parse_args(argv)
     absent = missing(ROWS)
     for edit in absent:
         print(f"error: {edit.file} does not hold {edit.old!r} exactly once", file=sys.stderr)
     if absent:
         return 1
     rows = table(ROWS, GRID)
+    if args.markdown:
+        print(markdown(rows))
+        return 0
     width = max(len(row[0]) for row in rows)
     print(f"{'edit':<{width}} {'wrong':>5} {'flagged':>7} {'first':>5} {'ident':>5} {'alarms':>6}")
     for label, wrong, flagged, first, ident, alarms in rows:
@@ -247,4 +276,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -189,13 +189,13 @@ def config_from_args(args: argparse.Namespace) -> tuple[FamilySpec, int]:
     return family, order_bits + family_bits
 
 
-def cross_verify(seq, r, n_max=None, cap=DEFAULT_COMPOSITION_CAP):
+def cross_verify(seq, r, n_max=None, cap=DEFAULT_COMPOSITION_CAP, family=None):
     """`witness.cross_verify`, `witness` imported on first use: the name
     that perfbench/spans.py wraps and `cmd_compute` calls; tracer glue
     that ROADMAP item 1 deletes."""
     from . import witness
 
-    return witness.cross_verify(seq, r, n_max, cap)
+    return witness.cross_verify(seq, r, n_max, cap, family=family)
 
 
 def __getattr__(name: str):
@@ -213,7 +213,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     family, _ = config_from_args(args)
     seq = family_coefficients(family, args.n)
     if args.check:
-        report = cross_verify(seq, args.order, args.n, cap=args.cap)
+        report = cross_verify(seq, args.order, args.n, cap=args.cap, family=family)
         if not report.agree:
             print(f"cross-verification failed: {report.describe()}", file=sys.stderr)
             return EXIT_MISMATCH

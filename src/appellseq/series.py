@@ -20,7 +20,7 @@ rationals.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, islice, repeat
 from operator import add, mul, neg, sub
 from typing import Optional, Sequence
 
@@ -59,17 +59,23 @@ def exponential_power_numerators(
         G_n = sum_{j=0..n-1} (n-1)! / j! (r n - (r+1) j) c_{n-j} G_j,
 
     which `_ordinary` sums by Horner's rule on the falling factorial,
-    S <- S j U_j + (r n - (r+1) j) C_{n-j} M_j for j = 0..n-1.  It keeps
-    each M_j over Q_j, the Q of the step that reduced G_j, and never
-    rescales it: the one multiplier j U_j both steps the falling
-    factorial and lifts the sum onto Q, so the large running sum is only
-    ever multiplied by the small j U_j, never by a weight.  When the loop
-    ends, one pass (`_lifted`) multiplies each M_j by U_{j+1} ... U_K
-    onto the last Q.  The c_k are kept in lowest terms as C_k over Lc,
-    the lcm of the denominators read so far: c_n = P_n / (s Lc) for
-    s = L n! / Lc, an integer as each earlier denominator divides L n!,
-    so Lc rises by the same rule (`_reduced`) and the stored C are
-    rescaled; G_n = S / (Lc Q), the step's divisor Lc.  It pays where
+    S <- S j U_j + W_{n-j} M_j for j = 0..n-1, with the weights
+    W_k = ((r+1) k - n) C_k.  It keeps each M_j over Q_j, the Q of the
+    step that reduced G_j, and never rescales it: the one multiplier
+    j U_j both steps the falling factorial and lifts the sum onto Q, so
+    the large running sum is only ever multiplied by the small j U_j,
+    never by a weight.  When the loop ends, one pass (`_lifted`)
+    multiplies each M_j by U_{j+1} ... U_K onto the last Q.  The c_k
+    are kept in lowest terms as C_k over Lc, the lcm of the
+    denominators read so far: c_n = P_n / (s Lc) for the running
+    divisor s = L n! / Lc, an integer as each earlier denominator
+    divides L n!, so Lc rises by the same rule (`_reduced`), s rises by
+    n and falls by that rise each step, and the stored C are rescaled;
+    G_n = S / (Lc Q), the step's divisor Lc.  The weights are a row,
+    too: W_k falls by C_k when n rises, so each step costs one
+    subtraction per weight and one product per term, W_{n-j} M_j, and a
+    step at which Lc rises by up takes W_k to up (W_k - C_k) in the same
+    pass.  It pays where
     F_k carries a k!: hyper-Cauchy's d_k carry (M)^(k), so at
     hyper-Cauchy(2, 3), n = 220 the lifted P_k reach 1688 bits and the
     C_k 312.  On a prefix of at least SHIFT_MIN_TERMS terms that the
@@ -118,9 +124,12 @@ def exponential_power_numerators(
     SHIFT_MIN_TERMS terms on), stops Horner's rule there and multiplies
     once by the skipped multipliers j U_j past it, kept as a running
     product: Q does not rise at a step whose G_j = 0, so U_j = 1 there and
-    the product is (n-1)! / last!.  It drops only products by 0, so S is
-    the same integer.  `_miller` sums every term; `_seidel` and
-    `_tangent` read no G.
+    the product is (n-1)! / last!.  Its weight row keeps only the window
+    that the sum reads, W_k for k >= n - last, so a step past the tail
+    costs O(last) whatever n is; when a nonzero G_j ends a zero run, the
+    weights below the window are found again from C.  It drops only
+    products by 0, so S is the same integer.  `_miller` sums every term;
+    `_seidel` and `_tangent` read no G.
 
     No Fraction is built: each caller makes its values from (M, Q) once,
     or compares them as they are.  Each step hands the |S|.bit_length()
@@ -387,23 +396,44 @@ def _ordinary(
     P: Sequence[int], L: int, r: int, stats: Optional[StatsDict] = None
 ) -> tuple[list[int], int]:
     """`exponential_power_numerators` on the ordinary coefficients
-    c_k = P_k / (L k!), r != 1: the third form there, by Horner's rule on
-    the falling factorial (n-1)! / j! with each M_j kept over its own
+    c_k = P_k / (L k!), r != 1: the second form there, by Horner's rule
+    on the falling factorial (n-1)! / j! with each M_j kept over its own
     Q_j, so the multiplier of term j is j U_j.  Its step's S is G_n Lc Q,
     and Q rises by `_reduced` on the divisor Lc; c_n = P_n / (L n!) rises
-    onto Lc the same way, on L n! / Lc."""
-    M, U, V, Q, C, Lc, fact, step = [1], [1], [0], 1, [0], 1, L, step_rows(stats)
+    onto Lc the same way, on the running divisor s = L n! / Lc.
+
+    Term j's weight, ((r+1) k - n) C_k for k = n - j, falls by C_k when n
+    rises, so the weights are kept as a row W_k, one subtraction each a
+    step, and each term costs the one product W_{n-j} M_j.  When Lc rises
+    by up, the step moves each W_k to up (W_k - C_k) before C is
+    rescaled.  Past G's zero tail only the window that Horner's rule
+    reads, W_k for k >= n - last, is kept current; when a nonzero G_j
+    ends a zero run, the weights below the window are found again from
+    C."""
+    M, U, V, Q, C, Lc, s, step = [1], [1], [0], 1, [0], 1, L, step_rows(stats)
     last, tail = 0, 1  # tail = V_{last+1} ... V_{n-1}, each U_j = 1 past last
+    W, ws = [], 1  # W_k = ((r+1) k - n) C_k over Lc, k = ws..n, as step n leaves them
     for n, p in enumerate(P[1:], 1):
-        fact *= n
-        c, up = _reduced(p, fact // Lc)
-        Lc *= up
+        s *= n  # L n! over the last Lc
+        c, up = _reduced(p, s)
+        s //= up  # L n! / Lc, as Lc rises by up
+        lo = n - last  # Horner's rule reads W_lo..W_n
+        if lo > ws:  # past the zero tail, one step on: W_ws leaves the window
+            del W[0]
+            ws = lo
         if up > 1:
+            W = [up * (w - x) for w, x in zip(W, islice(C, ws, None))]
             C = [x * up for x in C]
+            Lc *= up
+        else:
+            W = list(map(sub, W, islice(C, ws, None)))
+        if lo < ws:  # G_{n-1} ended a zero run: the weights it skipped
+            W[:0] = [((r + 1) * k - n) * C[k] for k in range(lo, ws)]
+            ws = lo
+        W.append(r * n * c)
         C.append(c)
-        terms = map(mul, map(mul, count(r * n, -r - 1), reversed(C)), M[: last + 1])
         S = 0
-        for v, t in zip(V, terms):  # t = (r n - (r+1) j) C_{n-j} M_j, v = j U_j
+        for v, t in zip(V, map(mul, reversed(W), M)):  # t = W_{n-j} M_j, v = j U_j
             S = S * v + t
         S *= tail
         if step:
@@ -437,6 +467,7 @@ def _reduced(S: int, s: int) -> tuple[int, int]:
     stored numerators by up; `_seidel` and `_ordinary` keep it as U_n,
     fold it into their sums and lift once at the end (`_lifted`).
     `_ordinary` lifts each c_n = P_n / (L n!) over its running Lc the
-    same way, with s = L n! / Lc, and rescales its stored C by up."""
+    same way, on its running divisor s = L n! / Lc, and rescales its
+    stored C, and its weight row with them, by up."""
     g = math.gcd(S, s)
     return S // g, s // g

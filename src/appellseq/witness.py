@@ -2,7 +2,9 @@
 they are compared.
 
 `identity_reach` proves the production table: it checks the equation
-that defines f^(-r) on the table and f's own numerators.  Two witnesses,
+that defines f^(-r) on the table and f's own numerators.  Given the
+family, `input_reach` certifies those numerators in turn, on the
+family's definition.  Two witnesses,
 the paper's two explicit expressions, compute the same table
 a_0..a_{n_max} as the production route, `engine.negative_power_numerators`
 (a_n = n! [t^n] f^(-r), Miller's loop on d_0..d_{n_max} themselves):
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from operator import add, mul
 from typing import Mapping, Optional, Sequence
 
@@ -53,6 +55,7 @@ from .arith import (
 COMPOSITION = "composition"
 DETERMINANT_BAREISS = "determinant:bareiss"
 IDENTITY = "identity"
+INPUT = "input"
 #: The routes that `run_routes` can run, in the order it runs them and the
 #: report lists them.
 ROUTES = (DETERMINANT_BAREISS, COMPOSITION, engine.NEGATIVE_POWER)
@@ -61,13 +64,15 @@ ROUTES = (DETERMINANT_BAREISS, COMPOSITION, engine.NEGATIVE_POWER)
 #: `engine`, with the kernels of this module that it calls: Bareiss starts
 #: from the production loop's f^r, so a fault in that loop is common to it
 #: and the production table; the composition sum reads only f's own
-#: (P, L), and the identity f's raw numerators and the production table.
-#: tests/test_engine.py holds every leg to its row.
+#: (P, L), the identity f's raw numerators and the production table, and
+#: the input check f's (P, L) alone.  tests/test_engine.py holds every leg
+#: to its row.
 READS = {
     DETERMINANT_BAREISS: ("power_numerators", "check_table"),
     COMPOSITION: ("CoefficientSequence.prefix",),
     engine.NEGATIVE_POWER: ("negative_power_numerators",),
     IDENTITY: ("CoefficientSequence.P",),
+    INPUT: ("CoefficientSequence.P", "CoefficientSequence.L"),
 }
 
 
@@ -105,6 +110,38 @@ def identity_reach(P: Sequence[int], A: Sequence[int], Q: int, r: int) -> int:
         if sum(map(mul, u, map(mul, P, reversed(A[: N + 1])))):
             return N - 1
     return len(A) - 1
+
+
+def input_reach(family, P: Sequence[int], L: int) -> int:
+    """Largest n < len(P) such that P_0..P_n over L are the d_0..d_n
+    that `families` defines for `family` (a `FamilySpec`); -1 when
+    P_0 != L, that is d_0 != 1.  Each kind is read off its definition in
+    the `families` docstring, by cross-multiplication on (P, L), with no
+    running product: a custom list value by value, Euler's d_k = 1/2, and
+    the others by their term ratio d_k / d_(k-1) = a_k / b_k, as
+    b_k P_k = a_k P_(k-1) for k >= 1:
+
+        Bernoulli        d_k = 1/(k+1)                  k / (k+1)
+        hyper-Bernoulli  (M)^(k) / (M+N)^(k)            (M+k-1) / (M+N+k-1)
+        hyper-Cauchy     (-1)^k N (M)^(k) / (N+k)       -(M+k-1) (N+k-1) / (N+k)
+    """
+    if P[0] != L:
+        return -1
+    kind, M, N, top = family.kind, family.m, family.n, len(P) - 1
+    # b_k, and the value that b_k P_k must equal, for k = 1, 2, ...
+    if kind == "custom":
+        values = family.values[1 : top + 1]
+        b, top = (v.denominator for v in values), len(values)
+        rhs = (v.numerator * L for v in values)
+    elif kind == "euler":
+        b, rhs = repeat(2), repeat(L)
+    elif kind == "bernoulli":
+        b, rhs = count(2), map(mul, count(1), P)
+    elif kind == "hyper_bernoulli":
+        b, rhs = count(M + N), map(mul, count(M), P)
+    else:  # hyper_cauchy
+        b, rhs = count(N + 1), map(mul, map(mul, count(-M, -1), count(N)), P)
+    return next((k for k, x, y in zip(count(), map(mul, b, P[1:]), rhs) if x != y), top)
 
 
 def composition_lift(P: Sequence[int], L: int, n_max: int) -> tuple[list[int], int]:
@@ -220,11 +257,12 @@ class VerificationReport(Record):
     `pairs` maps each route to its table as it was compared: (num, den),
     integer numerators over positive denominators.  `table` reduces one
     route's values to Fractions on demand.  `proved` is the production
-    table's `identity_reach`, None when that route did not run.  `repr`
-    leaves `pairs` out.
+    table's `identity_reach`, None when that route did not run, and
+    `certified` the input's `input_reach`, None when no family was given.
+    `repr` leaves `pairs` out.
     """
 
-    __slots__ = ("r", "n_max", "pairs", "first_mismatch", "proved")
+    __slots__ = ("r", "n_max", "pairs", "first_mismatch", "proved", "certified")
     _hidden = ("pairs",)
 
     def __init__(
@@ -234,8 +272,9 @@ class VerificationReport(Record):
         pairs: Mapping[str, tuple[Sequence[int], Sequence[int]]],
         first_mismatch: Optional[int],
         proved: Optional[int] = None,
+        certified: Optional[int] = None,
     ):
-        Record.__init__(self, r, n_max, pairs, first_mismatch, proved)
+        Record.__init__(self, r, n_max, pairs, first_mismatch, proved, certified)
 
     @property
     def agree(self) -> bool:
@@ -243,21 +282,29 @@ class VerificationReport(Record):
 
     @property
     def coverage(self) -> dict[str, int]:
-        """Largest n the identity proved, when it ran, then each route
-        computed; every route starts at n = 0."""
-        tops = {name: len(num) - 1 for name, (num, _) in self.pairs.items()}
-        return tops if self.proved is None else {IDENTITY: self.proved, **tops}
+        """Largest n the input check certified and the identity proved,
+        each when it ran, then each route computed; every route starts
+        at n = 0."""
+        checks = {INPUT: self.certified, IDENTITY: self.proved}
+        return {**{k: n for k, n in checks.items() if n is not None},
+                **{name: len(num) - 1 for name, (num, _) in self.pairs.items()}}
 
     def table(self, name: str) -> tuple[Fraction, ...]:
         """Route `name`'s values, each reduced once."""
         return tuple(map(Fraction, *self.pairs[name]))
 
     def describe(self) -> str:
-        proved, first = self.proved, self.first_mismatch
+        proved, first, certified = self.proved, self.first_mismatch, self.certified
         if first is not None:
-            what = "routes disagree" if proved is None or proved >= first else "identity fails"
+            if certified is not None and certified < first:
+                what = "input differs from its family"
+            elif proved is None or proved >= first:
+                what = "routes disagree"
+            else:
+                what = "identity fails"
             return f"{what} first at n={first} (r={self.r})"
-        text = "" if proved is None else f"identity proves n <= {proved}; "
+        text = "" if certified is None else f"input is its family's for n <= {certified}; "
+        text += "" if proved is None else f"identity proves n <= {proved}; "
         text += f"all {len(self.pairs)} routes agree for r={self.r}, n <= {self.n_max}"
         for name, top in self.coverage.items():
             if top < self.n_max:
@@ -290,6 +337,7 @@ def cross_verify(
     r: int,
     n_max: Optional[int] = None,
     cap: Optional[int] = DEFAULT_COMPOSITION_CAP,
+    family=None,
 ) -> VerificationReport:
     """Prove the production table with `identity_reach`, and run every
     route of `ROUTES` (Bareiss, the composition sum and the production
@@ -298,10 +346,11 @@ def cross_verify(
     are only taken up to `cap`, and the composition sum also to its work
     bound (`composition_lift`).  With cap None both witnesses must be
     whole (see `run_routes`); a cap below 0 raises ValueError before any
-    route runs.
+    route runs.  Given the `FamilySpec` that seq was built from,
+    `input_reach` certifies seq against its definition too, to n_max.
     No value is reduced; a failure is reported, not raised.
     """
-    return run_routes(seq, r, n_max, ROUTES, cap)
+    return run_routes(seq, r, n_max, ROUTES, cap, family=family)
 
 
 def run_routes(
@@ -311,11 +360,14 @@ def run_routes(
     routes: Sequence[str],
     cap: Optional[int] = None,
     stats: Optional[Mapping[str, StatsDict]] = None,
+    family=None,
 ) -> VerificationReport:
     """Each of `routes` run once on (seq, r), in `ROUTES` order, compared
     as `cross_verify` compares them, and the production table, when it is
-    one of them, proved by `identity_reach`; the one place that feeds the
-    routes.  `pairs` lists the tables in `ROUTES` order.  `stats` maps a
+    one of them, proved by `identity_reach`; seq itself, when its
+    `family` is given, certified by `input_reach`; the one place that
+    feeds the routes.  A failing check counts as a mismatch at its first
+    bad n.  `pairs` lists the tables in `ROUTES` order.  `stats` maps a
     route to the stats dict its kernel is given by keyword; the
     composition sum takes none.
 
@@ -354,12 +406,16 @@ def run_routes(
     if production in routes:
         A, Q = engine.negative_power_numerators(seq, r, n_max, stats=stats.get(production))
         pairs[production] = A, [Q] * len(A)
-    first, proved = first_disagreement_pairs(pairs), None
+    first, proved, certified = first_disagreement_pairs(pairs), None, None
     if production in pairs:  # the identity's leg: the call below
         proved = identity_reach(seq.P, A, Q, r)
-        if proved < n_max and (first is None or proved < first):
-            first = proved + 1
-    return VerificationReport(r=r, n_max=n_max, pairs=pairs, first_mismatch=first, proved=proved)
+    if family is not None:  # the input's leg: the call below
+        certified = input_reach(family, seq.P[: n_max + 1], seq.L)
+    for reach in (proved, certified):
+        if reach is not None and reach < n_max and (first is None or reach < first):
+            first = reach + 1
+    return VerificationReport(r=r, n_max=n_max, pairs=pairs, first_mismatch=first, proved=proved,
+                              certified=certified)
 
 
 def bench_table(seq: engine.CoefficientSequence, r: int, n_max: int) -> tuple[bool, str]:

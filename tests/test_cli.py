@@ -126,6 +126,25 @@ class TestComputeCommand:
         assert (code, out) == (4, "")
         assert "cross-verification failed" in err
 
+    def test_a_wrong_input_fails_the_check_at_its_first_bad_term(self, capsys, monkeypatch):
+        # hyper-Cauchy's builder with (M + 151) in place of (M + 150): d_151
+        # onward wrong, which every route and the identity read alike
+        def faulty(spec, n):
+            seq = family_coefficients(spec, n)
+            late = F(spec.m + 151, spec.m + 150)
+            d = [x * (late if k > 150 else 1) for k, x in enumerate(seq.d)]
+            return engine.CoefficientSequence.from_values(d)
+
+        monkeypatch.setattr(cli, "family_coefficients", faulty)
+        argv = ("compute", "--family", "hyper-cauchy", "--m", "2", "--nn", "3", "--n", "200")
+        assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, *argv, "--check")
+        assert (code, out) == (4, "")
+        assert err == ("cross-verification failed: input differs from its family first at n=151"
+                       " (r=1)\n")
+        code, out, err = run(capsys, *argv[:-1], "150", "--check", "--format", "json")
+        assert (code, err) == (0, "") and json.loads(out)["verified"]["input"] == 150
+
     def test_every_check_goes_through_cli_cross_verify(self, capsys, monkeypatch):
         # the name the benchmark's tracer wraps sees each checked table once
         calls = []
@@ -224,8 +243,10 @@ class TestComputeCommand:
         code, checked, _ = run(capsys, *argv, "--check", "--cap", "7")
         assert code == 0
         doc = json.loads(checked)
-        # the identity proves the whole table; --cap bounds both witnesses
+        # the input and the identity cover the whole table; --cap bounds
+        # both witnesses
         assert doc["verified"] == {
+            "input": 9,
             "identity": 9,
             "determinant:bareiss": 7,
             "composition": 7,
@@ -241,6 +262,7 @@ class TestComputeCommand:
         )
         assert code == 0
         assert json.loads(out)["verified"] == {
+            "input": 40,
             "identity": 40,
             "determinant:bareiss": 40,
             "composition": 40,
@@ -253,6 +275,7 @@ class TestComputeCommand:
             code, out, err = run(capsys, *argv, *extra)
             assert (code, err) == (0, ""), extra
             assert json.loads(out)["verified"] == {
+                "input": 60,
                 "identity": 60,
                 "determinant:bareiss": witnesses,
                 "composition": witnesses,
@@ -754,6 +777,7 @@ class TestCompositionWorkExit:
         code, out, err = run(capsys, *self.ARGV, "--check", "--format", "json")
         assert (code, err) == (0, "")
         assert json.loads(out)["verified"] == {
+            "input": 50,
             "identity": 50,
             "determinant:bareiss": 50,
             "composition": 29,
@@ -790,7 +814,7 @@ class TestCompositionWorkExit:
             assert (code, err) == (0, ""), family
             verified = json.loads(out)["verified"]
             assert verified.pop("composition") == verified.pop("determinant:bareiss") == cap
-            assert verified == {"identity": n, "negative-power": n}, family
+            assert verified == {"input": n, "identity": n, "negative-power": n}, family
 
 
 class TestPolyCommand:
@@ -998,7 +1022,7 @@ class TestComputeOutputPin:
     DEGREES = ("0", "1", "9", "24")
     MODES = ((), ("--check",))
     FORMATS = ("csv", "json", "pretty")
-    DIGEST = "31166261de51d7e1989279c17d9142455f22fe88ed6b2464c458246b382e653e"
+    DIGEST = "c39137f4c89ec3cea5b10746301fdc92192c4035a286cc51546c6f241ea83311"
 
     def test_output_digest(self, capsys):
         digest = hashlib.sha256()

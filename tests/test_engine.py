@@ -587,6 +587,84 @@ class TestIdentity:
             IDENTITY: 8, NEGATIVE_POWER: 8}
 
 
+def hyper_cauchy_151(m, nn, n):
+    """hyper-Cauchy's d_0..d_n as `families` builds them, with the
+    running product's factor (M + 150) taken as (M + 151): d_151 onward
+    wrong, over the right L."""
+    L = math.lcm(*range(nn, nn + n + 1))
+    P, top = [], nn
+    for k in range(n + 1):
+        P.append((-top if k & 1 else top) * (L // (nn + k)))
+        top *= m + k + (k == 150)
+    return CoefficientSequence(P, L)
+
+
+class TestInputCheck:
+    """`input_reach` certifies (P, L) against the family's definition,
+    with none of the builder's running products, and `run_routes` runs
+    it whenever it is given the family: a wrong d_k that every route and
+    the identity read alike is refused at k."""
+
+    KINDS = [*CATALOG, FamilySpec.hyper_bernoulli(5, 5), FamilySpec.hyper_cauchy(2, 3),
+             FamilySpec.hyper_cauchy(2**300, 3), FamilySpec.hyper_cauchy(7, 2**40)]
+
+    @pytest.mark.parametrize("spec", KINDS, ids=lambda spec: spec.label)
+    def test_every_kind_passes_to_400(self, spec):
+        for n in (0, 1, 2, 3, 151, 400):
+            seq = family_coefficients(spec, n)
+            assert witness.input_reach(spec, seq.P, seq.L) == n, n
+            assert witness.input_reach(spec, seq.P, 2 * seq.L) == -1  # d_0 = 1/2
+
+    def test_a_custom_list_is_checked_value_by_value(self):
+        values = [1, F(1, 2), F(-3, 7), 0, F(5, 9), 4]
+        spec, seq = FamilySpec.custom(values), CoefficientSequence.from_values(values)
+        assert witness.input_reach(spec, seq.P, seq.L) == 5
+        assert witness.input_reach(spec, seq.P[:3], seq.L) == 2
+        for k in range(1, 6):
+            other = list(values)
+            other[k] += F(1, 11)
+            bad = CoefficientSequence.from_values(other)
+            assert witness.input_reach(spec, bad.P, bad.L) == k - 1, k
+        # a list shorter than the sequence certifies no index past its end
+        assert witness.input_reach(FamilySpec.custom(values[:4]), seq.P, seq.L) == 3
+
+    def test_each_kind_is_refused_at_a_wrong_term(self):
+        for spec in self.KINDS:
+            seq = family_coefficients(spec, 40)
+            for k in (1, 2, 17, 40):
+                P = list(seq.P)
+                P[k] += 1
+                assert witness.input_reach(spec, P, seq.L) == k - 1, (spec.label, k)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_the_d151_fault_is_caught_at_151(self, r):
+        spec = FamilySpec.hyper_cauchy(2, 3)
+        seq = hyper_cauchy_151(2, 3, 200)
+        right = family_coefficients(spec, 200)
+        wrong = [k for k, (x, y) in enumerate(zip(seq.d, right.d)) if x != y]
+        assert wrong == list(range(151, 201))
+        # without the family, every route and the identity pass the wrong input
+        assert cross_verify(seq, r, 200).agree
+        report = cross_verify(seq, r, 200, family=spec)
+        assert (report.first_mismatch, report.certified, report.proved) == (151, 150, 200)
+        assert report.coverage[witness.INPUT] == 150
+        assert report.describe() == f"input differs from its family first at n=151 (r={r})"
+        right = cross_verify(right, r, 200, family=spec)
+        assert right.agree and right.certified == 200
+        assert right.describe().startswith("input is its family's for n <= 200; identity proves")
+
+    def test_runs_only_with_the_family(self):
+        seq = bernoulli_seq(8)
+        report = witness.run_routes(seq, 2, 8, (DETERMINANT_BAREISS,),
+                                    family=FamilySpec.bernoulli())
+        assert (report.certified, report.proved) == (8, None)
+        assert report.coverage == {witness.INPUT: 8, DETERMINANT_BAREISS: 8}
+        assert cross_verify(seq, 2, 8).certified is None
+        # Bernoulli's d_1 = 1/2 is Euler's too, and its d_2 = 1/3 is not
+        report = cross_verify(seq, 2, 5, family=FamilySpec.euler())
+        assert (report.certified, report.first_mismatch, report.proved) == (1, 2, 5)
+
+
 def fail(*args, **kwargs):
     raise AssertionError("the other kernel ran")
 
@@ -1153,7 +1231,8 @@ class TestPackageSurface:
         # A route's leg in `run_routes` is the `if ... in routes` blocks
         # whose test names the route, and the functions of `witness` those
         # call, followed to the end; the identity's leg is its call of
-        # `identity_reach`.  Its reads of the request path are its
+        # `identity_reach`, and the input's its call of `input_reach`.
+        # Its reads of the request path are its
         # `engine.<name>` reads and its `seq.<name>` reads, as
         # CoefficientSequence.<name>; they must be its row of
         # `witness.READS`.  The rest of `run_routes` reads only the guards,
@@ -1188,14 +1267,14 @@ class TestPackageSurface:
                 raise AssertionError(f"`if ... {ast.unparse(node)} in routes:` in run_routes "
                                      f"names no route: {error}") from None
 
-        legs = {}
+        legs, checks = {}, {"identity_reach": IDENTITY, "input_reach": witness.INPUT}
         for node in ast.walk(run):
             if isinstance(node, ast.If):
                 for test in ast.walk(node.test):
                     if isinstance(test, ast.Compare) and ast.unparse(test).endswith(" in routes"):
                         legs.setdefault(route(test.left), []).extend(node.body)
-            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "identity_reach":
-                legs.setdefault(IDENTITY, []).append(node)
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in checks:
+                legs.setdefault(checks[ast.unparse(node.func)], []).append(node)
         assert legs.keys() == witness.READS.keys()
 
         def walk(node, skip=frozenset()):
@@ -1248,7 +1327,8 @@ class TestRecords:
             "algorithm='negative-power')": table,
             "AppellPolynomial(n=2, r=1, coeffs_in_z=(Fraction(1, 6), Fraction(-1, 1), "
             "Fraction(1, 1)))": appell_polynomial(table, 2),
-            "VerificationReport(r=1, n_max=2, first_mismatch=None, proved=2)": report,
+            "VerificationReport(r=1, n_max=2, first_mismatch=None, proved=2, certified=None)":
+                report,
         }
 
     def test_repr(self):

@@ -1,6 +1,10 @@
-"""Smoke tests of the scripts under scripts/, run in process."""
+"""Smoke tests of the scripts under scripts/, run in process, and the
+mutation table's verdict as a gate."""
 
+import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -122,7 +126,8 @@ def test_gates_times_both_kernels_and_compares_the_last_winning_order(capsys, mo
     monkeypatch.syspath_prepend(str(SCRIPTS))
     import gates
 
-    code = gates.main(["--kinds", "euler", "--sizes", "12", "20", "--orders", "2", "--k", "1"])
+    code = gates.main(["--gate", "tangent", "--kinds", "euler", "--sizes", "12", "20",
+                       "--orders", "2", "--k", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["kind", "n", "s", "seidel_ms", "tangent_ms", "ratio"]
     rows = [line.split() for line in lines[1:5]]
@@ -139,3 +144,72 @@ def test_gates_times_both_kernels_and_compares_the_last_winning_order(capsys, mo
     assert gates.last_winning({1: [2.0, 1.5], 2: [1.2, 1.06], 3: [1.3, 1.04], 4: [2.0]}, 1.05) == 2
     assert gates.last_winning({1: [1.0, 3.0], 2: [2.0]}, 1.05) == 0
     assert gates.last_winning({1: [1.1]}, 1.05) == 1
+
+
+def test_gates_times_the_long_forms_against_miller_and_compares_the_first_winning_length(
+    capsys, monkeypatch
+):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import gates
+
+    code = gates.main(["--gate", "shift", "--terms", "12", "20", "--k", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["input", "form", "terms", "long_ms", "miller_ms", "ratio"]
+    rows = [line.split() for line in lines[1 : 1 + 2 * len(gates.SHIFT_INPUTS)]]
+    assert [row[0] for row in rows[::2]] == [label for label, *_ in gates.SHIFT_INPUTS]
+    assert [row[2] for row in rows] == ["12", "20"] * len(gates.SHIFT_INPUTS)
+    # each hyper-Bernoulli kind takes the table and each hyper-Cauchy kind
+    # `_ordinary`, as on the long prefixes the dispatcher sends there
+    assert {row[1] for row in rows if row[0].startswith("hyper-bernoulli")} == {"table"}
+    assert {row[1] for row in rows if row[0].startswith("hyper-cauchy")} == {"ordinary"}
+    summary = lines[2 + 2 * len(gates.SHIFT_INPUTS) :]
+    assert summary[0].split()[:4] == ["terms", "table", "ordinary", "all"]
+    assert [line.split()[0] for line in summary[1:3]] == ["12", "20"]
+    # no timing is asserted: whichever length the run found, the exit code
+    # says whether it is the constant, which 12 and 20 terms cannot be
+    *_, verdict = lines
+    assert verdict.endswith(f"SHIFT_MIN_TERMS = {gates.SHIFT_MIN_TERMS}")
+    assert code == 1
+    # the verdict: every input at that length and at every longer one wins
+    assert gates.first_winning({40: [0.9], 60: [1.2, 1.06], 80: [1.3, 1.1]}, 1.05) == 60
+    assert gates.first_winning({40: [1.2], 60: [1.04], 80: [1.3]}, 1.05) == 80
+    assert gates.first_winning({40: [1.2], 60: [1.1, 1.0]}, 1.05) is None
+
+
+@pytest.fixture(scope="module")
+def mutation_table():
+    """`scripts/mutants.py` and its whole table on its own grid, run once
+    for the tests below (about 7 s of wall time on 2 vCPUs)."""
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import mutants
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    assert mutants.missing(mutants.ROWS) == []
+    return mutants, mutants.table(mutants.ROWS, mutants.GRID)
+
+
+class TestMutationVerdict:
+    """What `--check` catches, held by tier-1: every edit of the table
+    that makes wrong tables has all of them refused, no edit is vacuous
+    on the grid, the unedited tree reads clean, and README's table is the
+    script's output.  A row may go only with the code it edits."""
+
+    def test_every_wrong_table_is_flagged(self, mutation_table):
+        _, rows = mutation_table
+        assert [row for row in rows if "crash" in row] == []
+        assert [row[0] for row in rows if row[1] != row[2]] == []
+
+    def test_no_edit_is_vacuous(self, mutation_table):
+        _, rows = mutation_table
+        assert [row[0] for row in rows[1:] if row[1] + row[5] == 0] == []
+
+    def test_the_unedited_tree_reads_clean(self, mutation_table):
+        _, rows = mutation_table
+        assert rows[0] == ("(no edit)", 0, 0, None, 0, 0)
+
+    def test_readme_holds_the_printed_rows(self, mutation_table):
+        mutants, rows = mutation_table
+        readme = (SCRIPTS.parent / "README.md").read_text()
+        block = readme[readme.index("| edit | wrong | flagged |") :].split("\n\n")[0]
+        assert "\n".join(line.strip() for line in block.splitlines()) == mutants.markdown(rows)

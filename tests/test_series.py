@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -522,19 +523,40 @@ def shifted_peak_bits(P, L, m, G):
     return peak
 
 
-def ordinary_peak_bits(P, L, G):
-    """The bit length of the largest |S| of `_ordinary` on F_k = P_k / L,
-    from its values G: step n's S is G_n Lc_n Q, where Lc_n is the lcm of
-    the denominators of the ordinary coefficients c_k = P_k / (L k!),
-    k <= n, and Q = lcm(den G_0..G_{n-1})."""
-    Lc, Q, peak = 1, 1, 0
+def ordinary_step_bits(P, L, G):
+    """The bit length of each step's |S| of `_ordinary` on F_k = P_k / L,
+    n = 1..K, from its values G: step n's S is G_n Lc_n Q, where Lc_n is
+    the lcm of the denominators of the ordinary coefficients
+    c_k = P_k / (L k!), k <= n, and Q = lcm(den G_0..G_{n-1})."""
+    Lc, Q, bits = 1, 1, []
     for n in range(1, len(P)):
         Lc = math.lcm(Lc, F(P[n], L * math.factorial(n)).denominator)
         Q = math.lcm(Q, G[n - 1].denominator)
         S = G[n] * Lc * Q
         assert S.denominator == 1, n
-        peak = max(peak, S.numerator.bit_length())
-    return peak
+        bits.append(S.numerator.bit_length())
+    return bits
+
+
+def ordinary_peak_bits(P, L, G):
+    """The bit length of the largest |S| of `_ordinary` (see
+    `ordinary_step_bits`)."""
+    return max(ordinary_step_bits(P, L, G), default=0)
+
+
+def zero_run_input(a, r, changes, K):
+    """(L, P) of d_0..d_K, d_k = k! C(-a, k), so f = (1 + t)^(-a) and, at
+    r < 0, f^r is the polynomial (1 + t)^(-a r), whose zero tail starts
+    past its degree; then for each (gap, x) of `changes`, d_k += x at
+    k = the degree plus the gaps so far, while k <= K, which ends a zero
+    run there."""
+    d = [F(math.prod(range(-a, -a - k, -1))) for k in range(K + 1)]
+    k = max(-a * r, 0)
+    for gap, x in changes:
+        k += gap
+        if k <= K:
+            d[k] += x
+    return lift(d)
 
 
 def polynomial_input(D, m, K):
@@ -685,6 +707,42 @@ class TestOrdinaryLoop:
         stats = {}
         assert _ordinary(P, L, r, stats) == want
         assert stats == {"max_num_bits": ordinary_peak_bits(P, L, G)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.sampled_from(["-a", -4, -1, 3, 5]),
+        st.lists(st.tuples(st.integers(1, 30), rationals.filter(bool)), min_size=1, max_size=3),
+        st.integers(20, 90),
+    )
+    @example(a=2, r=-1, changes=[(3, F(1, 3))], K=40)
+    @example(a=3, r=-4, changes=[(4, F(-2)), (30, F(5, 7))], K=90)
+    def test_zero_runs_that_end_match_the_global_lift(self, a, r, changes, K):
+        # the path where `_ordinary` finds the weights the window skipped
+        # again from C.  A catalogue table reaches it only at an isolated
+        # zero value (hyper-Cauchy(2, 3)'s a_7 at r = 2)
+        r = -a if r == "-a" else r
+        L, P = zero_run_input(a, r, changes, K)
+        want = oracles.global_lift_power(P, L, r)
+        G = [F(x, want[1]) for x in want[0]]
+        stats = {"steps": []}
+        assert _ordinary(P, L, r, stats) == want
+        bits = list(accumulate(ordinary_step_bits(P, L, G), max))
+        assert [peak for _, peak in stats["steps"]] == [0, *bits]
+
+    def test_the_zero_runs_end(self):
+        # the examples above have the property they are there for: a zero
+        # G_j with a nonzero G_j' after it
+        for a, r, changes, K in ((2, -1, [(3, F(1, 3))], 40),
+                                 (3, -4, [(4, F(-2)), (30, F(5, 7))], 90)):
+            L, P = zero_run_input(a, r, changes, K)
+            M, _ = oracles.global_lift_power(P, L, r)
+            zeros = [j for j, x in enumerate(M) if not x]
+            assert zeros and any(M[zeros[0]:]), (a, r)
+        seq = family_coefficients(FamilySpec.hyper_cauchy(2, 3), 200)
+        M, _ = engine.negative_power_numerators(seq, 2, 200)
+        assert form_taken(*seq.prefix(200), -2) == "_ordinary"
+        assert [j for j, x in enumerate(M) if not x] == [7]
 
     # the kernel each catalogue kind takes at 200 terms
     KERNELS = [
@@ -921,10 +979,10 @@ class TestSkippedProducts:
     def test_zero_tail_costs_no_products(self, monkeypatch):
         # hyper-Cauchy(3, 2) at r = 4: a_n = n! C(8, n), and from
         # SHIFT_MIN_TERMS terms on the power takes `_ordinary`, whose step
-        # past the zero tail multiplies only a_0..a_8 by their two factors
-        # (and one more product, pulled before a_0..a_8 run out), at any
-        # length; the end lift takes two more per step, one into its
-        # running product of U_j and one onto M_j
+        # past the zero tail multiplies only a_0..a_8, each by its one
+        # weight from the row W, at any length; the end lift takes two
+        # more per step, one into its running product of U_j and one
+        # onto M_j
         calls = []
 
         def counted(x, y):
@@ -940,8 +998,8 @@ class TestSkippedProducts:
             M, Q = engine.negative_power_numerators(seq, 4, n)
             assert [F(m, Q) for m in M] == [math.perm(8, j) for j in range(n + 1)]
             counts.append(len(calls))
-        assert counts[1] - counts[0] == (2 * 9 + 1 + 2) * (200 - SHIFT_MIN_TERMS)
-        assert counts[2] - counts[1] == (2 * 9 + 1 + 2) * 200
+        assert counts[1] - counts[0] == (9 + 2) * (200 - SHIFT_MIN_TERMS)
+        assert counts[2] - counts[1] == (9 + 2) * 200
 
 
 class TestDifferenceTable:
